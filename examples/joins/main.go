@@ -68,11 +68,16 @@ func main() {
 	}
 
 	// The planner's decisions are inspectable: the leapfrog variable
-	// order and how many path clauses were scheduled.
-	order, steps, err := db.ExplainPattern(
+	// order with its candidate estimates, how each triple pattern is
+	// stored and walked, and how many path clauses were scheduled.
+	plan, err := db.ExplainPattern(
 		"?mgr manages+ ?eng . ?eng assigned ?proj . ?proj status active")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nplan: leapfrog order %v, %d pipelined RPQ step(s)\n", order, steps)
+	fmt.Printf("\nplan: leapfrog order %v (estimates %v), %d pipelined RPQ step(s)\n",
+		plan.Order, plan.Estimates, plan.PathSteps)
+	for _, t := range plan.Triples {
+		fmt.Printf("  %-24s inverted=%-5v rotation %s\n", t.Pattern, t.Inverted, t.Rotation)
+	}
 }

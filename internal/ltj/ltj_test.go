@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ringrpq/internal/datagen"
 	"ringrpq/internal/enginetest"
 	"ringrpq/internal/ring"
 	"ringrpq/internal/triples"
@@ -19,7 +20,7 @@ func naiveJoin(g *triples.Graph, patterns []Pattern) []Row {
 	for _, t := range g.Triples {
 		edgeSet[t] = true
 	}
-	vars := collectVars(patterns)
+	vars := Vars(patterns)
 	var out []Row
 	row := Row{}
 	var rec func(k int)
@@ -215,7 +216,7 @@ func TestRandomJoinsAgainstNaive(t *testing.T) {
 			{{S: V("x"), P: C(p0), O: V("y")}, {S: V("y"), P: C(p0), O: V("x")}},
 		}
 		for ci, patterns := range cases {
-			vars := collectVars(patterns)
+			vars := Vars(patterns)
 			got := sortRows(runJoin(t, r, patterns), vars)
 			want := sortRows(naiveJoin(g, patterns), vars)
 			if len(got) == 0 && len(want) == 0 {
@@ -274,9 +275,9 @@ func TestJoinWithLimit(t *testing.T) {
 		t.Fatalf("need >= 4 rows for the limit test, have %d", len(all))
 	}
 	count := 0
-	err := JoinWith(r, patterns, Options{Limit: 3}, func(Row) bool { count++; return true })
-	if err != nil || count != 3 {
-		t.Fatalf("limit: count=%d err=%v, want 3 rows and nil error", count, err)
+	st, err := JoinWith(r, patterns, Options{Limit: 3}, func([]uint32) bool { count++; return true })
+	if err != nil || count != 3 || st.Rows != 3 {
+		t.Fatalf("limit: count=%d stats=%+v err=%v, want 3 rows and nil error", count, st, err)
 	}
 }
 
@@ -298,7 +299,7 @@ func TestJoinWithTimeout(t *testing.T) {
 		{S: V("z"), P: C(p), O: V("w")},
 	}
 	count := 0
-	err := JoinWith(r, patterns, Options{Timeout: time.Nanosecond}, func(Row) bool {
+	_, err := JoinWith(r, patterns, Options{Timeout: time.Nanosecond}, func([]uint32) bool {
 		count++
 		return true
 	})
@@ -326,8 +327,8 @@ func TestJoinWithFixedOrder(t *testing.T) {
 		t.Fatal("x,y,z should be feasible")
 	}
 	var rows []Row
-	err := JoinWith(r, patterns, Options{Order: []string{"x", "y", "z"}}, func(row Row) bool {
-		rows = append(rows, row)
+	_, err := JoinWith(r, patterns, Options{Order: []string{"x", "y", "z"}}, func(vals []uint32) bool {
+		rows = append(rows, Row{"x": vals[0], "y": vals[1], "z": vals[2]})
 		return true
 	})
 	if err != nil {
@@ -346,12 +347,132 @@ func TestJoinWithFixedOrder(t *testing.T) {
 	if Feasible(allVar, []string{"y", "x", "p"}) {
 		t.Fatal("y,x,p should be infeasible for (?x, ?p, ?y)")
 	}
-	err = JoinWith(r, allVar, Options{Order: []string{"y", "x", "p"}}, func(Row) bool { return true })
+	_, err = JoinWith(r, allVar, Options{Order: []string{"y", "x", "p"}}, func([]uint32) bool { return true })
 	if !errors.Is(err, ErrUnsupportedOrder) {
 		t.Fatalf("infeasible fixed order: got %v, want ErrUnsupportedOrder", err)
 	}
-	err = JoinWith(r, patterns, Options{Order: []string{"x", "y"}}, func(Row) bool { return true })
+	_, err = JoinWith(r, patterns, Options{Order: []string{"x", "y"}}, func([]uint32) bool { return true })
 	if err == nil || errors.Is(err, ErrUnsupportedOrder) {
 		t.Fatalf("incomplete order: got %v, want a coverage error", err)
+	}
+}
+
+// Rotation choice on the all-variable pattern (?x, ?p, ?y), whose three
+// rotations admit exactly x<y<p, y<p<x and p<x<y: a variable absent
+// from the order is bound after the listed ones (it used to read
+// position 0, answering for a different order), which is what makes a
+// prefix's verdict usable as the order search's prune.
+func TestFeasibleAbsentVariable(t *testing.T) {
+	allVar := []Pattern{{S: V("x"), P: V("p"), O: V("y")}}
+	for _, c := range []struct {
+		order    []string
+		rotation string // "" = infeasible
+	}{
+		{[]string{"x", "y", "p"}, "s→o→p"},
+		{[]string{"y", "p", "x"}, "o→p→s"},
+		{[]string{"p", "x", "y"}, "p→s→o"},
+		{[]string{"y", "x", "p"}, ""},
+		{[]string{"x", "p", "y"}, ""},
+		{[]string{"p", "y", "x"}, ""},
+		// Prefixes: the absent variables come later, in either order.
+		{[]string{}, "s→o→p"},
+		{[]string{"x"}, "s→o→p"},
+		{[]string{"y"}, "o→p→s"},
+		{[]string{"p"}, "p→s→o"},
+		{[]string{"x", "y"}, "s→o→p"},
+		{[]string{"y", "p"}, "o→p→s"},
+		{[]string{"p", "x"}, "p→s→o"},
+		{[]string{"y", "x"}, ""},
+		{[]string{"x", "p"}, ""},
+		{[]string{"p", "y"}, ""},
+	} {
+		rots, ok := Rotations(allVar, c.order)
+		if ok != (c.rotation != "") || ok != Feasible(allVar, c.order) {
+			t.Errorf("order %v: feasible = %v, want %v", c.order, ok, c.rotation != "")
+		} else if ok && rots[0] != c.rotation {
+			t.Errorf("order %v: rotation %s, want %s", c.order, rots[0], c.rotation)
+		}
+	}
+
+	// Among compatible rotations the one with the most leading constants
+	// wins, so no constant-predicate pattern starts from a full alphabet
+	// when its subject is bound first.
+	for _, c := range []struct {
+		pat      Pattern
+		order    []string
+		rotation string
+	}{
+		{Pattern{S: V("x"), P: C(1), O: C(2)}, []string{"x"}, "o→p→s"},
+		{Pattern{S: C(2), P: C(1), O: V("y")}, []string{"y"}, "p→s→o"},
+		{Pattern{S: V("x"), P: C(1), O: V("y")}, []string{"x", "y"}, "p→s→o"},
+		{Pattern{S: V("x"), P: C(1), O: V("y")}, []string{"y", "x"}, "o→p→s"},
+		{Pattern{S: C(2), P: V("p"), O: V("y")}, []string{"y", "p"}, "s→o→p"},
+	} {
+		if rots, ok := Rotations([]Pattern{c.pat}, c.order); !ok || rots[0] != c.rotation {
+			t.Errorf("%+v under %v: rotation %v (feasible %v), want %s", c.pat, c.order, rots, ok, c.rotation)
+		}
+	}
+}
+
+// TestJoinWorkBound pins the work of constant-anchored joins on the
+// benchmark's pattern graph: every variable starts from a range some
+// constant narrowed, so the seeks and backward-search steps are bounded
+// by the anchor's candidates plus the rows, not by the node universe
+// (the first-compatible-rotation rule walked all 20 000 node ids for
+// each of these).
+func TestJoinWorkBound(t *testing.T) {
+	g := datagen.Generate(datagen.Config{Seed: 1, Nodes: 20000, Edges: 100000, Preds: 60})
+	r := ring.New(g, ring.WaveletMatrix)
+	node := func(name string) Term {
+		id, ok := g.Nodes.Lookup(name)
+		if !ok {
+			t.Fatalf("no node %s", name)
+		}
+		return C(id)
+	}
+	pred := func(name string, inverse bool) Term {
+		id, ok := g.PredID(name, inverse)
+		if !ok {
+			t.Fatalf("no predicate %s", name)
+		}
+		return C(id)
+	}
+	for _, c := range []struct {
+		name     string
+		patterns []Pattern
+	}{
+		{"one-constant star", []Pattern{ // ?x P10 Q2867 . ?x ^P18 ?y
+			{S: V("x"), P: pred("P10", false), O: node("Q2867")},
+			{S: V("x"), P: pred("P18", true), O: V("y")},
+		}},
+		{"two-constant star", []Pattern{ // ?x ^P49 Q15436 . ?x ^P12 Q17669 . ?x ^P12 ?y
+			{S: V("x"), P: pred("P49", true), O: node("Q15436")},
+			{S: V("x"), P: pred("P12", true), O: node("Q17669")},
+			{S: V("x"), P: pred("P12", true), O: V("y")},
+		}},
+		{"constant-ended chain", []Pattern{ // ?a P45 ?b . ?b ^P10 ?c . ?c ^P10 Q5873
+			{S: V("a"), P: pred("P45", false), O: V("b")},
+			{S: V("b"), P: pred("P10", true), O: V("c")},
+			{S: V("c"), P: pred("P10", true), O: node("Q5873")},
+		}},
+	} {
+		anchor := float64(r.N)
+		for _, e := range Estimates(r, c.patterns) {
+			if e < anchor {
+				anchor = e
+			}
+		}
+		st, err := JoinWith(r, c.patterns, Options{}, func([]uint32) bool { return true })
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		t.Logf("%s: anchor %v, %+v", c.name, anchor, st)
+		if st.Rows == 0 || anchor == 0 {
+			t.Fatalf("%s: no rows (%+v, anchor %v); the case tests nothing", c.name, st, anchor)
+		}
+		if bound := 4 * (int64(anchor) + st.Rows); st.Seeks+st.Binds > bound || st.Binds > int64(r.NumNodes)/4 {
+			t.Errorf("%s: %d seeks and %d binds for %v anchored candidates and %d rows (bound %d, %d nodes)",
+				c.name, st.Seeks, st.Binds, anchor, st.Rows, bound, r.NumNodes)
+		}
 	}
 }

@@ -66,7 +66,7 @@ var spanAttrNames = [numSpanKinds][4]string{
 	SpanEval:           {"results"},
 	SpanTraverse:       {"product_nodes", "product_edges", "wavelet_visits", "results"},
 	SpanLevel:          {"frontier", "wavelet_visits"},
-	SpanLTJ:            {"rows"},
+	SpanLTJ:            {"rows", "seeks", "binds"},
 	SpanRPQStep:        {"results"},
 	SpanWALAppend:      {"bytes"},
 	SpanStandingNotify: {"subscriptions"},

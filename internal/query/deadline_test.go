@@ -10,10 +10,9 @@ import (
 	"ringrpq/internal/ring"
 )
 
-// slowPlanPattern is an 8-variable chain: the planner's exhaustive
-// order search visits 8! = 40320 permutations with a feasibility check
-// each — exactly the "slow plan" a pre-fix Run would execute entirely
-// off the clock before starting its deadline.
+// slowPlanPattern is an 8-variable chain: the longest planning the
+// generated workloads ask for. Its order search is one descent of eight
+// steps, each probing the deadline.
 func slowPlanPattern() *Query {
 	clauses := []string{}
 	vars := []string{"?a", "?b", "?c", "?d", "?e", "?f", "?g", "?h"}
@@ -25,15 +24,15 @@ func slowPlanPattern() *Query {
 
 // TestRunDeadlineCoversPlanning pins the bugfix: one absolute deadline
 // captured at Run entry governs planning, LTJ and the RPQ steps, so a
-// pattern cannot run materially past 1× its budget even when planning
-// itself is the slow part.
+// pattern cannot run materially past 1× its budget whichever of them
+// is the slow part.
 func TestRunDeadlineCoversPlanning(t *testing.T) {
 	g := enginetest.RandomGraph(3, 30, 3, 120)
 	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
 
-	// A nanosecond budget expires before the permutation search can
-	// finish; the whole call must come back almost immediately with
-	// ErrTimeout rather than completing planning first.
+	// A nanosecond budget has expired by the order search's first probe;
+	// the whole call must come back almost immediately with ErrTimeout
+	// rather than planning and joining first.
 	start := time.Now()
 	err := x.Run(slowPlanPattern(), Options{Timeout: time.Nanosecond}, func(Binding) bool { return true })
 	elapsed := time.Since(start)

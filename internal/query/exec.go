@@ -65,7 +65,7 @@ type Exec struct {
 	uengines map[engineKey]*overlay.Engine
 	// plans memoises planning by canonical query text and routed ring
 	// (dirtyPlans holds the all-steps union-mode variants): the
-	// planner's permutation search and estimate lookups depend only on
+	// planner's order search and estimate lookups depend only on
 	// the immutable static index, so a long-lived Exec (a service
 	// worker) re-running a pattern pays planning once.
 	plans      map[planKey]*Plan
@@ -286,19 +286,16 @@ func (x *Exec) Run(q *Query, opts Options, emit func(Binding) bool) error {
 			return ErrTimeout
 		}
 		lopts := ltj.Options{Order: pl.Order, Timeout: rem}
-		jsp, rows := rt.trace.Begin(obs.SpanLTJ), int64(0)
-		err := ltj.JoinWith(r, pl.Triples, lopts, func(row ltj.Row) bool {
-			rows++
-			for k, v := range row {
-				rt.row[k] = v
+		jsp := rt.trace.Begin(obs.SpanLTJ)
+		st, err := ltj.JoinWith(r, pl.Triples, lopts, func(vals []uint32) bool {
+			// Every row overwrites the same Order keys, so none is
+			// deleted in between.
+			for i, v := range pl.Order {
+				rt.row[v] = vals[i]
 			}
-			cont := rt.steps(0)
-			for k := range row {
-				delete(rt.row, k)
-			}
-			return cont
+			return rt.steps(0)
 		})
-		rt.trace.EndVals(jsp, rows)
+		rt.trace.EndVals(jsp, st.Rows, st.Seeks, st.Binds)
 		if errors.Is(err, ltj.ErrTimeout) {
 			return ErrTimeout
 		}

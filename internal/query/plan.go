@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sort"
+	"errors"
 	"time"
 
 	"ringrpq/internal/core"
@@ -19,19 +19,24 @@ var ErrUnsupportedOrder = ltj.ErrUnsupportedOrder
 // the BGP core as LTJ patterns under a fixed variable order, and the
 // RPQ clauses as a scheduled sequence of bound-endpoint path steps.
 type Plan struct {
-	// Triples is the BGP core, resolved to completed ids.
-	Triples []ltj.Pattern
-	// Order is the LTJ variable order (BGP variables only; nil when the
-	// variable count exceeds the exhaustive-search budget and LTJ should
-	// search itself).
-	Order []string
+	// Triples is the BGP core, resolved to completed ids and oriented
+	// for Order: a constant-predicate pattern whose object variable is
+	// bound before its subject variable is stored in its inverse-predicate
+	// form (?o ^p ?s), and Inverted marks it.
+	Triples  []ltj.Pattern
+	Inverted []bool
+	// Order is the LTJ variable order (BGP variables only), and
+	// Rotations the walk ltj assigns each stored triple under it.
+	Order     []string
+	Rotations []string
 	// Steps are the RPQ clauses in execution order.
 	Steps []PathStep
 	// Empty marks a pattern with a constant absent from the graph: the
 	// result set is empty without any evaluation.
 	Empty bool
-	// VarEst records the planner's per-variable candidate-set estimates
-	// (for tests and explain output).
+	// VarEst records the planner's per-variable candidate-set estimates,
+	// constant-anchored where a triple pattern pins the variable's two
+	// neighbours (for tests and explain output).
 	VarEst map[string]float64
 }
 
@@ -51,10 +56,6 @@ type PathStep struct {
 	Est float64
 }
 
-// maxExhaustiveVars bounds the planner's permutation search; beyond it
-// LTJ's own first-feasible search is used (8! = 40320 candidates).
-const maxExhaustiveVars = 8
-
 // planner carries the inputs of one planning pass.
 type planner struct {
 	g        *triples.Graph
@@ -67,8 +68,8 @@ type planner struct {
 // query provably has no results. With allSteps set, every clause —
 // triple patterns included — is scheduled as a pipelined step (union
 // mode: LTJ reads only the static ring, so it is bypassed). Planning
-// honours the deadline: a pathological permutation search returns
-// ErrTimeout instead of running off the clock.
+// honours the deadline: an order search that variable predicates make
+// backtrack returns ErrTimeout instead of running off the clock.
 func (p *planner) plan(q *Query, allSteps bool) (*Plan, error) {
 	pl := &Plan{VarEst: map[string]float64{}}
 	var paths []Clause
@@ -89,21 +90,24 @@ func (p *planner) plan(q *Query, allSteps bool) (*Plan, error) {
 	est := p.estimates(q)
 	pl.VarEst = est
 
-	// LTJ variable order: among the feasible permutations, prefer the
-	// one that binds the most selective variables first.
+	// LTJ variable order: ltj's search over the estimates, lowered to the
+	// exact counts the ring gives for constant-anchored variables.
 	if len(pl.Triples) > 0 {
-		bgpVars := ltj.Vars(pl.Triples)
-		if len(bgpVars) <= maxExhaustiveVars {
-			order, ok, err := bestFeasibleOrder(pl.Triples, bgpVars, est, p.deadline)
-			if err != nil {
-				return nil, err
+		for v, e := range ltj.Estimates(p.r, pl.Triples) {
+			if e < est[v] {
+				est[v] = e
 			}
-			if !ok {
-				return nil, ltj.ErrUnsupportedOrder
-			}
-			pl.Order = order
 		}
-		// else: leave Order nil; LTJ searches for a feasible order.
+		order, err := ltj.ChooseOrder(pl.Triples, est, p.deadline)
+		if errors.Is(err, ltj.ErrTimeout) {
+			return nil, core.ErrTimeout
+		}
+		if err != nil {
+			return nil, err
+		}
+		pl.Order = order
+		pl.Inverted = orient(p.g, p.r, pl.Triples, order)
+		pl.Rotations, _ = ltj.Rotations(pl.Triples, order)
 	}
 
 	// RPQ schedule: greedily run clauses whose endpoints are already
@@ -255,59 +259,30 @@ func (p *planner) scanCost(c Clause, est map[string]float64) float64 {
 	return cost * 2 // disfavour full scans over bound expansions
 }
 
-// bestFeasibleOrder searches the permutations of vars for the feasible
-// order minimising the position-weighted estimates — the most selective
-// variables first. Iteration order is deterministic. The deadline is
-// probed every few hundred candidates: the search is exponential in the
-// variable count and must stay inside the query's budget.
-func bestFeasibleOrder(patterns []ltj.Pattern, vars []string, est map[string]float64, deadline time.Time) ([]string, bool, error) {
-	sort.Strings(vars)
-	perm := append([]string(nil), vars...)
-	best := []string{}
-	found := false
-	bestCost := 0.0
-	tried := 0
-	var timedOut error
-	score := func(order []string) float64 {
-		cost, w := 0.0, 1.0
-		for i := len(order) - 1; i >= 0; i-- {
-			cost += est[order[i]] * w
-			w *= 4
-		}
-		return cost
+// orient rewrites, in place, every constant-predicate pattern whose
+// object variable the order binds before its subject variable into the
+// equivalent (?o ^p ?s): the ring indexes the completed graph, and the
+// inverse form's p→s→o walk starts from ^p's range where the original's
+// o→p→s walk starts from every node. The flip needs ^p's triples in the
+// routed ring (a partitioner that splits p from ^p leaves the slow walk
+// in place). It reports which patterns it flipped.
+func orient(g *triples.Graph, r *ring.Ring, pats []ltj.Pattern, order []string) []bool {
+	pos := make(map[string]int, len(order))
+	for i, v := range order {
+		pos[v] = i
 	}
-	var rec func(k int)
-	rec = func(k int) {
-		if timedOut != nil {
-			return
+	flipped := make([]bool, len(pats))
+	for i, pat := range pats {
+		if pat.P.Var != "" || pat.S.Var == "" || pat.O.Var == "" || pos[pat.O.Var] >= pos[pat.S.Var] {
+			continue
 		}
-		if k == len(perm) {
-			tried++
-			if !deadline.IsZero() && tried%512 == 0 && time.Now().After(deadline) {
-				timedOut = core.ErrTimeout
-				return
-			}
-			if !ltj.Feasible(patterns, perm) {
-				return
-			}
-			if c := score(perm); !found || c < bestCost {
-				best = append(best[:0], perm...)
-				found = true
-				bestCost = c
-			}
-			return
-		}
-		for i := k; i < len(perm); i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
+		inv := g.Inverse(pat.P.Const)
+		if b, e := r.PredRange(inv); b < e {
+			pats[i] = ltj.Pattern{S: pat.O, P: ltj.C(inv), O: pat.S}
+			flipped[i] = true
 		}
 	}
-	rec(0)
-	if timedOut != nil {
-		return nil, false, timedOut
-	}
-	return best, found, nil
+	return flipped
 }
 
 // estimates computes a per-variable candidate-set size: the minimum,

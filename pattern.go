@@ -200,19 +200,65 @@ func SortRows(rows [][]string) {
 	})
 }
 
-// ExplainPattern returns the planner's decisions for a pattern — the
-// LTJ variable order and the scheduled RPQ steps — without executing
-// it (debugging and tests).
-func (db *DB) ExplainPattern(q string) (order []string, pathSteps int, err error) {
+// PatternPlan is the planner's account of one graph pattern.
+type PatternPlan struct {
+	// Order is the leapfrog variable order over the triple patterns, and
+	// Estimates[i] the candidate count the planner expected for
+	// Order[i]: exact where a triple pattern pins the variable between
+	// two constants, a distinct count of its cheapest clause otherwise.
+	Order     []string
+	Estimates []float64
+	// Triples are the triple patterns as the plan stores them.
+	Triples []TriplePlan
+	// PathSteps counts the RPQ clauses pipelined behind the join.
+	PathSteps int
+}
+
+// TriplePlan is one triple pattern of a PatternPlan.
+type TriplePlan struct {
+	// Pattern renders the stored form, e.g. "?e ^manages ?m"; Inverted
+	// marks a clause the planner turned around ((?s p ?o) ≡ (?o ^p ?s))
+	// because Order binds its object first.
+	Pattern  string
+	Inverted bool
+	// Rotation is the ring walk the join takes through the stored form:
+	// "s→o→p", "o→p→s" or "p→s→o".
+	Rotation string
+}
+
+// ExplainPattern returns the planner's decisions for a pattern without
+// executing it (debugging and tests).
+func (db *DB) ExplainPattern(q string) (PatternPlan, error) {
 	node, err := query.Parse(q)
 	if err != nil {
-		return nil, 0, err
+		return PatternPlan{}, err
 	}
 	snap := db.h.acquire()
 	defer db.h.release(snap)
 	pl, err := db.patternFor(snap).Plan(node)
 	if err != nil {
-		return nil, 0, err
+		return PatternPlan{}, err
 	}
-	return pl.Order, len(pl.Steps), nil
+	out := PatternPlan{Order: pl.Order, PathSteps: len(pl.Steps)}
+	for _, v := range pl.Order {
+		out.Estimates = append(out.Estimates, pl.VarEst[v])
+	}
+	nodeText := func(t ltj.Term) string {
+		if t.Var != "" {
+			return "?" + t.Var
+		}
+		return db.g.Nodes.Name(t.Const)
+	}
+	for i, t := range pl.Triples {
+		pred := "?" + t.P.Var
+		if t.P.Var == "" {
+			pred = db.g.PredName(t.P.Const)
+		}
+		out.Triples = append(out.Triples, TriplePlan{
+			Pattern:  nodeText(t.S) + " " + pred + " " + nodeText(t.O),
+			Inverted: pl.Inverted[i],
+			Rotation: pl.Rotations[i],
+		})
+	}
+	return out, nil
 }

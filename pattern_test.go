@@ -213,11 +213,37 @@ func TestServiceSelectEndToEnd(t *testing.T) {
 
 func TestExplainPattern(t *testing.T) {
 	db := orgDB(t, 0)
-	order, steps, err := db.ExplainPattern("?m manages ?e . ?e assigned+ ?p")
+	pl, err := db.ExplainPattern("?m manages ?e . ?e assigned+ ?p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 2 || steps != 1 {
-		t.Fatalf("order=%v steps=%d", order, steps)
+	if len(pl.Order) != 2 || len(pl.Estimates) != 2 || pl.PathSteps != 1 || len(pl.Triples) != 1 {
+		t.Fatalf("plan = %+v", pl)
+	}
+	// Whichever end the order starts from, the triple is stored so that
+	// it is the subject, and walked from the predicate's range.
+	tp := pl.Triples[0]
+	want := TriplePlan{Pattern: "?m manages ?e", Rotation: "p→s→o"}
+	if pl.Order[0] == "e" {
+		want = TriplePlan{Pattern: "?e ^manages ?m", Inverted: true, Rotation: "p→s→o"}
+	}
+	if tp != want {
+		t.Fatalf("triple plan = %+v, want %+v (order %v)", tp, want, pl.Order)
+	}
+
+	// A constant end anchors its neighbour: the estimate is the exact
+	// count and the walk starts from the two constants.
+	pl, err = db.ExplainPattern("?e assigned ?p . ?p status active")
+	if err != nil {
+		t.Fatal(err)
+	}
+	active, err := db.QueryPattern("?p status active")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Order[0] != "p" || pl.Estimates[0] != float64(len(active)) ||
+		pl.Triples[1] != (TriplePlan{Pattern: "?p status active", Rotation: "o→p→s"}) ||
+		pl.Triples[0] != (TriplePlan{Pattern: "?p ^assigned ?e", Inverted: true, Rotation: "p→s→o"}) {
+		t.Fatalf("anchored plan = %+v (%d active)", pl, len(active))
 	}
 }
