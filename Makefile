@@ -19,9 +19,11 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrency surface: the service package,
-# the sharded engine's cooperative fan-out (differential tests), the
-# graph-pattern subsystem (parallel differential harness over shared
-# selectivity caches), the live-update overlay (snapshot swap vs
+# the traversal engines (a query runs on its caller's goroutine and the
+# sharded engine starts none, so core is here for the engine state its
+# differential tests reuse across evaluations), the graph-pattern
+# subsystem (parallel differential harness over shared selectivity
+# caches), the live-update overlay (snapshot swap vs
 # concurrent readers/writers), the standing-subscription registry, and
 # the root-package stress tests (including the subscription
 # close-under-update stress and the standing differential harness),
@@ -92,10 +94,12 @@ bench-module:
 
 # Repo-invariant static analysis (internal/lint + cmd/rpqlint):
 # ctxfirst, spanend, deadlineloop, locksend, walerr and noalloc over
-# the whole tree. Zero dependencies; fails on any unsuppressed
+# the whole tree, the benchmark's module under bench/ included. Zero
+# dependencies; fails on any unsuppressed
 # violation. See README "Static analysis" for the suppression syntax.
 lint:
 	$(GO) run ./cmd/rpqlint ./...
+	cd bench && $(GO) run ringrpq/cmd/rpqlint ./...
 
 # Metrics/stats coverage lint: every field of the service Stats
 # snapshot (including the standing/WAL/latency blocks) must have a

@@ -571,8 +571,8 @@ func runBatchComparison(g *triples.Graph, qs []workload.Query, timeout time.Dura
 // runShardComparison replays the query log on the single-ring engine
 // and on a K-shard sharded engine, verifying the result counts agree
 // and reporting latency side by side — overall and on the
-// closure-heavy subset (expressions with * or +), where the
-// cooperative per-level shard fan-out has the most work to split.
+// closure-heavy subset (expressions with * or +), where cross-shard
+// expressions pay one descent per sub-ring per level.
 func runShardComparison(g *triples.Graph, qs []workload.Query, k int, timeout time.Duration, limit int) {
 	ids := func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }
 	fmt.Printf("shard comparison: single ring vs %d shards, %d queries (timeout %v, limit %d)\n",

@@ -59,7 +59,7 @@
 // the -limit default; an explicit 0 asks for unlimited results, and
 // responses that fill their cap carry "limit_reached": true.
 // Evaluation timeouts are not errors: the response carries the
-// solutions found in time with "timed_out": true.
+// solutions found in time with 206 and "truncated": true.
 //
 // /select evaluates graph patterns — conjunctions of triple patterns
 // and RPQ clauses (see the README's "Graph patterns" section) — and

@@ -62,44 +62,59 @@ func (e *Engine) bfsBatched(eng *glushkov.Engine, base uint64, emit EmitFunc) er
 	return nil
 }
 
-// frontierItems converts (and drains) the queued frontier into sorted
-// disjoint L_p range items: object ranges ascend with the node id, so
-// sorting by node sorts by range start, and adjacent ranges carrying
-// the same state mask merge into one item.
+// frontierItems converts (and drains) the queued frontier into the
+// ring's sorted disjoint L_p range items.
 func (e *Engine) frontierItems() []wavelet.RangeMask {
-	slices.SortFunc(e.queue, func(a, b queueItem) int { return cmp.Compare(a.node, b.node) })
-	// The per-item expansion below the cutoff may rediscover a node
-	// within one level; merge duplicates (now adjacent) so each node
-	// carries the union of its level's states.
-	q := e.queue[:0]
-	for _, it := range e.queue {
-		if n := len(q); n > 0 && q[n-1].node == it.node {
-			q[n-1].d |= it.d
-			continue
-		}
-		q = append(q, it)
-	}
-	e.lpItems = e.lpItems[:0]
-	for _, it := range q {
-		b, end := e.r.ObjectRange(it.node)
-		if b >= end {
-			continue
-		}
-		if n := len(e.lpItems); n > 0 && e.lpItems[n-1].E == b && e.lpItems[n-1].Mask == it.d {
-			e.lpItems[n-1].E = end
-			continue
-		}
-		e.lpItems = append(e.lpItems, wavelet.RangeMask{B: b, E: end, Mask: it.d})
-	}
+	e.lpItems = appendRangeItems(e.lpItems[:0], e.r, mergeFrontier(e.queue), 0)
 	e.queue = e.queue[:0]
 	return e.lpItems
 }
 
-// batchOwner bundles the per-owner working state the shared batched
-// level expansion operates on. Engine and shardWorker each supply
-// their own wavelet-node mask arrays and leaf action (emit + enqueue
-// into the next frontier vs record for the cooperative merge), so the
-// part-1/part-2 descent logic exists exactly once.
+// mergeFrontier sorts a queued frontier by node and merges duplicates
+// in place (the per-item expansion below the cutoff may rediscover a
+// node within one level), so each node carries the union of its level's
+// states. It returns the shortened slice.
+func mergeFrontier(q []queueItem) []queueItem {
+	slices.SortFunc(q, func(a, b queueItem) int { return cmp.Compare(a.node, b.node) })
+	out := q[:0]
+	for _, it := range q {
+		if n := len(out); n > 0 && out[n-1].node == it.node {
+			out[n-1].d |= it.d
+			continue
+		}
+		out = append(out, it)
+	}
+	return out
+}
+
+// appendRangeItems appends a merged frontier to dst as r's sorted
+// disjoint L_p range items carrying tag: object ranges ascend with the
+// node id, so node order is range order, and adjacent ranges with the
+// same state mask and tag coalesce into one item. Nodes beyond r's id
+// space (overlay-only nodes) and nodes without in-edges in r add none.
+func appendRangeItems(dst []wavelet.RangeMask, r *ring.Ring, level []queueItem, tag uint32) []wavelet.RangeMask {
+	for _, it := range level {
+		if int(it.node) >= r.NumNodes {
+			continue
+		}
+		b, end := r.ObjectRange(it.node)
+		if b >= end {
+			continue
+		}
+		if n := len(dst); n > 0 && dst[n-1].E == b && dst[n-1].Mask == it.d && dst[n-1].Tag == tag {
+			dst[n-1].E = end
+			continue
+		}
+		dst = append(dst, wavelet.RangeMask{B: b, E: end, Mask: it.d, Tag: tag})
+	}
+	return dst
+}
+
+// batchOwner bundles the per-ring working state the shared batched
+// level expansion operates on. Engine and the multi-ring kernel each
+// supply their own wavelet-node mask arrays and leaf action (emit +
+// enqueue locally vs dedup against the kernel's global visited mask),
+// so the part-1/part-2 descent logic exists exactly once.
 type batchOwner struct {
 	r            *ring.Ring
 	bNode, dNode *lazy.MaskArray
@@ -112,7 +127,8 @@ type batchOwner struct {
 	bArr []uint64
 	// check is the owner's deadline probe.
 	check func() error
-	// mark is the owner's markSubject (bottom-up D[v] maintenance).
+	// mark is the owner's markSubject (bottom-up D[v] maintenance); nil
+	// when part2Leaf does its own marking.
 	mark func(leaf wavelet.NodeID, states uint64)
 	// part2Leaf handles one subject carrying unvisited states: all is
 	// the union of the state masks that reached the leaf this level,
@@ -120,8 +136,8 @@ type batchOwner struct {
 	part2Leaf func(s uint32, all, fresh uint64) error
 	// leafMask, when non-nil, computes the state mask a part-2 leaf
 	// actually receives from its items (default: the OR of the item
-	// masks). The overlay union engine drops items whose occurrences of
-	// the subject are all tombstoned, making the batched part 2 exact
+	// masks). The multi-ring kernel drops items whose occurrences of the
+	// subject are all tombstoned, making the batched part 2 exact
 	// without fragmenting the coalesced ranges.
 	leafMask func(s uint32, its []wavelet.RangeMask) uint64
 }
@@ -134,9 +150,6 @@ func stepManyOn(o *batchOwner, eng *glushkov.Engine, items, lsItems []wavelet.Ra
 	lsItems = lsItems[:0]
 	if len(items) == 0 {
 		return lsItems, nil
-	}
-	if o.st == nil {
-		o.st = eng
 	}
 	negFwd, negInv := eng.NegClassBits()
 	half := o.r.NumPreds / 2
@@ -271,7 +284,9 @@ func part2ManyOn(o *batchOwner, lsItems []wavelet.RangeMask, base uint64) error 
 		if fresh == 0 {
 			return 0
 		}
-		o.mark(node, all)
+		if o.mark != nil {
+			o.mark(node, all)
+		}
 		if err := o.part2Leaf(s, all, fresh); err != nil {
 			failure = err
 			return 0
@@ -312,43 +327,4 @@ func (e *Engine) stepMany(eng *glushkov.Engine, items []wavelet.RangeMask, base 
 	var err error
 	e.lsItems, err = stepManyOn(&o, eng, items, e.lsItems, base)
 	return err
-}
-
-// LevelOwner is the exported face of batchOwner for engines outside
-// this package (the overlay union engine): the same per-owner hooks,
-// so the frontier-batched §4 level expansion exists exactly once.
-type LevelOwner struct {
-	R            *ring.Ring
-	BNode, DNode *lazy.MaskArray
-	Stats        *Stats
-	// St steps the automaton (nil = interpret with eng); BArr, when
-	// non-nil, is the precomputed immutable B[v] array replacing BNode.
-	St   glushkov.Stepper
-	BArr []uint64
-	// Check is the owner's deadline probe.
-	Check func() error
-	// Mark is the owner's markSubject; a nil Mark is allowed when the
-	// Leaf action does its own (bottom-up D[v] maintenance included).
-	Mark func(leaf wavelet.NodeID, states uint64)
-	// LeafMask computes the state mask a part-2 leaf receives from its
-	// items (nil = OR of the item masks): see batchOwner.leafMask.
-	LeafMask func(s uint32, its []wavelet.RangeMask) uint64
-	// Leaf handles one discovered subject (see batchOwner.part2Leaf).
-	Leaf func(s uint32, all, fresh uint64) error
-}
-
-// StepLevelMany runs the batched parts 1–2 over one ring for a whole
-// frontier level (sorted disjoint L_p range items). The lsItems
-// scratch is threaded through and returned for reuse.
-func StepLevelMany(o *LevelOwner, eng *glushkov.Engine, items, lsItems []wavelet.RangeMask, base uint64) ([]wavelet.RangeMask, error) {
-	mark := o.Mark
-	if mark == nil {
-		mark = func(wavelet.NodeID, uint64) {}
-	}
-	bo := batchOwner{
-		r: o.R, bNode: o.BNode, dNode: o.DNode, stats: o.Stats,
-		st: o.St, bArr: o.BArr,
-		check: o.Check, mark: mark, part2Leaf: o.Leaf, leafMask: o.LeafMask,
-	}
-	return stepManyOn(&bo, eng, items, lsItems, base)
 }

@@ -207,7 +207,7 @@ func BenchmarkCompiledStepperSteadyState(b *testing.B) {
 		pathexpr.MustParse("pa|pb|pc"),
 	}
 	for _, x := range exprs { // cold builds outside the timed loop
-		if ca := e.compile(x); ca.st == nil || ca.bArr == nil {
+		if ca := e.compile(x); ca.st == nil || ca.bArrs == nil {
 			b.Fatal("warm-up did not compile a stepper")
 		}
 	}
@@ -215,7 +215,7 @@ func BenchmarkCompiledStepperSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ca := e.compile(exprs[i%len(exprs)])
-		if ca.st == nil || ca.bArr == nil {
+		if ca.st == nil || ca.bArrs == nil {
 			b.Fatal("memo lost the compiled stepper")
 		}
 	}

@@ -56,11 +56,6 @@ type Options struct {
 	// DisableNodeMarks turns off the per-wavelet-node visited masks D[v]
 	// (§4.2), keeping only per-subject marks (ablation).
 	DisableNodeMarks bool
-	// DFS switches the product-graph traversal from BFS (the paper's
-	// running example) to depth-first order. Both are correct (§3.2:
-	// "BFS, DFS, etc."); result order differs, the result set does not.
-	// DFS implies unbatched traversal (batching is level-synchronous).
-	DFS bool
 	// DisableBatching reverts the level-synchronous frontier-batched
 	// traversal to the item-at-a-time descent, where every (node, states)
 	// frontier entry pays its own root-to-leaf wavelet descent (ablation;
@@ -127,14 +122,8 @@ type Engine struct {
 	// subjLeaf caches LeafID(s) lookups for part 3 starts.
 	lsPads []wavelet.NodeID
 
-	// compiled memoises Glushkov compilations keyed by the canonical
-	// expression string, so a long-lived Engine (a service worker)
-	// re-evaluating the same expression skips automaton and
-	// transition-table construction. Entries are pointers and the key is
-	// rendered through keyW, keeping the steady-state lookup (and the
-	// uses-counter bump) allocation-free.
-	compiled map[string]*compiledAutomaton
-	keyW     pathexpr.KeyWriter
+	// memo holds the engine's Glushkov compilations (see compile.go).
+	memo compileMemo
 
 	queue []queueItem
 
@@ -155,7 +144,6 @@ type Engine struct {
 	emit      EmitFunc
 	limit     int
 	noMarks   bool
-	dfs       bool
 	batch     bool
 	eager     bool
 	noCompile bool
@@ -187,6 +175,7 @@ func NewEngine(r *ring.Ring, ids glushkov.SymbolIDs) *Engine {
 	return &Engine{
 		r:      r,
 		ids:    ids,
+		memo:   compileMemo{ids: ids, numPreds: r.NumPreds, lps: []wavelet.Seq{r.Lp}},
 		bNode:  lazy.NewMaskArray(r.Lp.NumNodes()),
 		dNode:  lazy.NewMaskArray(r.Ls.NumNodes()),
 		lsPads: r.Ls.PadNodes(),
@@ -236,8 +225,7 @@ func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc)
 	e.failure = nil
 	e.limit = opts.Limit
 	e.noMarks = opts.DisableNodeMarks
-	e.dfs = opts.DFS
-	e.batch = !opts.DisableBatching && !opts.DFS
+	e.batch = !opts.DisableBatching
 	e.eager = opts.CompileEager
 	e.noCompile = opts.DisableCompiled
 	e.trace = opts.Trace
@@ -286,74 +274,10 @@ func (e *Engine) dispatch(q Query, opts Options) error {
 	}
 }
 
-// compiledAutomaton is one memoised Glushkov compilation; eng is nil
-// when the expression exceeds the 64-state bit-parallel engine and the
-// Wide fallback must be used. st and bArr are the compilation tier:
-// they stay nil until the expression's use count crosses
-// compileThreshold (or an eager evaluation forces them), after which
-// every later evaluation runs the specialized stepper against the
-// precomputed B[v] array with zero per-eval setup.
-type compiledAutomaton struct {
-	a    *glushkov.Automaton
-	eng  *glushkov.Engine
-	uses int
-	st   glushkov.Stepper
-	bArr []uint64
-	// bArrs is the sharded engine's per-shard counterpart of bArr.
-	bArrs [][]uint64
-}
-
-// maxCompiled bounds the per-engine compilation memo; on overflow the
-// whole memo is dropped (rebuilding a handful of automata is cheaper
-// than tracking recency).
-const maxCompiled = 128
-
-// compileThreshold is the use count past which an expression is
-// compiled into a specialized stepper. The service's canonicalizing
-// expr cache aligns the memo keys, so per-worker use counts mirror the
-// service-level hit counters.
-const compileThreshold = 2
-
-// compile returns the memoised Glushkov compilation of expr, keyed by
-// its canonical string (so structurally equal expressions share one
-// entry regardless of how their ASTs were obtained). The memo is
-// per-Engine by design: each worker clone pays its own cold build,
-// in exchange for lock-free access on the evaluation hot path.
+// compile returns the memoised Glushkov compilation of expr, counting
+// the use towards the stepper tier.
 func (e *Engine) compile(expr pathexpr.Node) *compiledAutomaton {
-	kb := e.keyW.Key(expr)
-	c, ok := e.compiled[string(kb)] // no-copy lookup
-	if !ok {
-		a := glushkov.Build(expr, e.ids)
-		eng, err := glushkov.NewEngineFor(a, e.r.NumPreds)
-		if err != nil {
-			eng = nil // fall back to the Wide path
-		}
-		c = &compiledAutomaton{a: a, eng: eng}
-		if e.compiled == nil || len(e.compiled) >= maxCompiled {
-			e.compiled = make(map[string]*compiledAutomaton, 16)
-		}
-		e.compiled[string(kb)] = c
-	}
-	c.uses++
-	if c.eng != nil && c.st == nil && !e.noCompile && (e.eager || c.uses > compileThreshold) {
-		c.st = glushkov.Compile(c.eng, e.r.NumPreds)
-		c.bArr = BuildBArr(e.r.Lp, c.eng)
-	}
-	return c
-}
-
-// BuildBArr precomputes the B[v] masks over the wavelet nodes of lp for
-// a compiled expression: the immutable equivalent of prepare's lazy
-// bNode seeding, built once per (expression, ring) and shared by every
-// later evaluation (the overlay union engine builds one per sub-ring).
-func BuildBArr(lp wavelet.Seq, eng *glushkov.Engine) []uint64 {
-	arr := make([]uint64, lp.NumNodes())
-	for c, mask := range eng.B {
-		for id := lp.LeafID(c); id >= 1; id = id.Parent() {
-			arr[id] |= mask
-		}
-	}
-	return arr
+	return e.memo.get(expr, e.eager, e.noCompile)
 }
 
 // prepare builds the bit-parallel engine for expr and installs the
@@ -373,7 +297,7 @@ func (e *Engine) prepare(expr pathexpr.Node) (*glushkov.Engine, error) {
 		return nil, nil
 	}
 	if ca.st != nil {
-		e.st, e.bArr = ca.st, ca.bArr
+		e.st, e.bArr = ca.st, ca.bArrs[0]
 		return eng, nil
 	}
 	e.st, e.bArr = eng, nil
@@ -615,23 +539,12 @@ func (e *Engine) startFromObjects(a *glushkov.Automaton) bool {
 
 // bfs drains the worklist, expanding each (node, states) item (§4 parts
 // 1–3). The default is the frontier-batched level-synchronous traversal
-// (one multi-range wavelet descent per level and part); Options.DFS
-// switches to last-in-first-out and Options.DisableBatching to the
-// item-at-a-time FIFO, both on the classic per-item descent.
+// (one multi-range wavelet descent per level and part);
+// Options.DisableBatching switches to the item-at-a-time FIFO on the
+// classic per-item descent.
 func (e *Engine) bfs(eng *glushkov.Engine, base uint64, emit EmitFunc) error {
 	if e.batch {
 		return e.bfsBatched(eng, base, emit)
-	}
-	if e.dfs {
-		for len(e.queue) > 0 {
-			it := e.queue[len(e.queue)-1]
-			e.queue = e.queue[:len(e.queue)-1]
-			b, end := e.r.ObjectRange(it.node)
-			if err := e.step(eng, b, end, it.d, base, emit); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	for head := 0; head < len(e.queue); head++ {
 		it := e.queue[head]

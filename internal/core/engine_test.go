@@ -294,7 +294,6 @@ func TestTimeoutProbedInInnerLoops(t *testing.T) {
 	}{
 		{"batched", Options{Timeout: time.Nanosecond, DisableFastPaths: true}},
 		{"unbatched", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableBatching: true}},
-		{"dfs", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DFS: true}},
 		{"compiled", Options{Timeout: time.Nanosecond, DisableFastPaths: true, CompileEager: true}},
 		{"interpreted", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableCompiled: true}},
 	}
@@ -558,26 +557,6 @@ func TestLocality(t *testing.T) {
 	}
 	if stats.ProductNodes > 10 {
 		t.Fatalf("ProductNodes=%d — traversal leaked into the big component", stats.ProductNodes)
-	}
-}
-
-// DFS traversal order must produce exactly the BFS result set.
-func TestDFSMatchesBFS(t *testing.T) {
-	for seed := int64(60); seed < 66; seed++ {
-		g := enginetest.RandomGraph(seed, 14, 3, 60)
-		e := newEngine(g, ring.WaveletMatrix)
-		rng := rand.New(rand.NewSource(seed))
-		for trial := 0; trial < 4; trial++ {
-			expr := enginetest.RandomExpr(rng, 3, 3)
-			for _, ends := range [][2]int64{{Variable, Variable}, {2, Variable}, {Variable, 3}} {
-				q := Query{Subject: ends[0], Expr: expr, Object: ends[1]}
-				a := enginetest.SortPairs(collect(t, e, q, Options{DisableFastPaths: true}))
-				b := enginetest.SortPairs(collect(t, e, q, Options{DisableFastPaths: true, DFS: true}))
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("seed %d %s: BFS=%v DFS=%v", seed, pathexpr.String(expr), a, b)
-				}
-			}
-		}
 	}
 }
 

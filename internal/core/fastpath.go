@@ -67,7 +67,7 @@ func (e *Engine) fastSingle(sym pathexpr.Sym) error {
 	if !ok {
 		return nil
 	}
-	pInv := e.inverse(p)
+	pInv := inversePred(p, e.r.NumPreds)
 	pb, pe := e.r.PredRange(p)
 	var failure error
 	wavelet.RangeDistinct(e.r.Ls, pb, pe, func(s uint32, _, _ int) {
@@ -102,7 +102,7 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 	if !ok1 || !ok2 {
 		return nil
 	}
-	p1Inv, p2Inv := e.inverse(p1), e.inverse(p2)
+	p1Inv, p2Inv := inversePred(p1, e.r.NumPreds), inversePred(p2, e.r.NumPreds)
 	b1, e1 := e.r.PredRange(p1Inv)
 	b2, e2 := e.r.PredRange(p2)
 	var failure error
@@ -134,10 +134,10 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 	return failure
 }
 
-// inverse maps a completed predicate id to its inverse. The completed
-// alphabet has an even size 2|P| with p̂ = p ± |P|.
-func (e *Engine) inverse(p uint32) uint32 {
-	half := e.r.NumPreds / 2
+// inversePred maps a completed predicate id to its inverse. The
+// completed alphabet has an even size numPreds = 2|P| with p̂ = p ± |P|.
+func inversePred(p, numPreds uint32) uint32 {
+	half := numPreds / 2
 	if p < half {
 		return p + half
 	}

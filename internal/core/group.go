@@ -32,7 +32,7 @@ import (
 // Members must be groupable: a single fixed endpoint (the (s,E,y) shape
 // is normalised to (x,Ê,s) exactly as in dispatch), a ≤64-state
 // automaton, and the default marked/batched/compiled configuration.
-// Everything else — both-variable, both-const, wide, DFS, unbatched,
+// Everything else — both-variable, both-const, wide, unbatched,
 // mark-less or interpreter-forced evaluations — falls back to a solo
 // Eval within the same call, so callers can hand over any mix.
 //
@@ -130,7 +130,7 @@ type TraversalGroup struct {
 // so, builds its member state (compiling the expression eagerly).
 func (e *Engine) groupable(gq *GroupQuery) (*groupMember, bool) {
 	opts := gq.Opts
-	if opts.DFS || opts.DisableBatching || opts.DisableNodeMarks || opts.DisableCompiled {
+	if opts.DisableBatching || opts.DisableNodeMarks || opts.DisableCompiled {
 		return nil, false
 	}
 	q := gq.Query
@@ -162,7 +162,7 @@ func (e *Engine) groupable(gq *GroupQuery) (*groupMember, bool) {
 			final:    ca.eng.F,
 			nullable: ca.eng.A.Nullable,
 			st:       ca.st,
-			bArr:     ca.bArr,
+			bArr:     ca.bArrs[0],
 		},
 		negFwd: negFwd,
 		negInv: negInv,
@@ -429,26 +429,6 @@ func (g *TraversalGroup) run() {
 // disjoint L_p ranges tagged with the member index (frontierItems, per
 // member).
 func (e *Engine) appendMemberItems(m *groupMember, tag uint32) {
-	slices.SortFunc(m.queue, func(a, b queueItem) int { return cmp.Compare(a.node, b.node) })
-	q := m.queue[:0]
-	for _, it := range m.queue {
-		if n := len(q); n > 0 && q[n-1].node == it.node {
-			q[n-1].d |= it.d
-			continue
-		}
-		q = append(q, it)
-	}
-	for _, it := range q {
-		b, end := e.r.ObjectRange(it.node)
-		if b >= end {
-			continue
-		}
-		if n := len(e.lpItems); n > 0 && e.lpItems[n-1].E == b &&
-			e.lpItems[n-1].Mask == it.d && e.lpItems[n-1].Tag == tag {
-			e.lpItems[n-1].E = end
-			continue
-		}
-		e.lpItems = append(e.lpItems, wavelet.RangeMask{B: b, E: end, Mask: it.d, Tag: tag})
-	}
+	e.lpItems = appendRangeItems(e.lpItems, e.r, mergeFrontier(m.queue), tag)
 	m.queue = m.queue[:0]
 }

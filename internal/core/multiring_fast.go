@@ -1,90 +1,62 @@
-package overlay
+package core
 
 import (
-	"ringrpq/internal/core"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/wavelet"
 )
 
-// This file is the union engine's analogue of core's §5 fast paths for
-// the frequent join-like v→v shapes: a single predicate or an
-// alternation of predicates. The answer is a direct scan — static
-// pred-range extraction per sub-ring (minus tombstones) unioned with
-// the overlay's predicate-major adds — instead of a generic
+// This file is the multi-ring analogue of the §5 fast paths for the
+// frequent join-like v→v shapes: a single predicate, an alternation of
+// predicates, or a two-symbol concatenation. The answer is a direct
+// scan — pred-range extraction per sub-ring (minus tombstones) unioned
+// with the overlay's predicate-major adds — instead of a generic
 // product-graph traversal, which matters because these shapes dominate
 // real logs and produce the largest result sets.
 
 // tryFastPath handles (x, E, y) when E flattens to symbols or is a
-// two-symbol concatenation; reports whether it ran (result or error
-// left in e.fastErr).
-func (e *Engine) tryFastPath(expr pathexpr.Node, emit core.EmitFunc) bool {
+// two-symbol concatenation; it reports whether the shape was recognised
+// and handled.
+func (e *MultiRing) tryFastPath(expr pathexpr.Node) (bool, error) {
 	if x, ok := expr.(pathexpr.Concat); ok {
 		l, lok := x.L.(pathexpr.Sym)
 		r, rok := x.R.(pathexpr.Sym)
 		if lok && rok {
-			e.fastErr = e.fastConcat2(l, r, emit)
-			return true
+			return true, e.fastConcat2(l, r)
 		}
-		return false
+		return false, nil
 	}
-	syms, ok := flattenAltSyms(expr)
+	syms, ok := flattenAlt(expr)
 	if !ok {
-		return false
+		return false, nil
 	}
-	e.fastErr = nil
 	// Pair dedup across branches (two predicates may connect the same
-	// pair) via the engine-owned paged bitset: zero steady-state
-	// allocation, like core's §5 paths. Within one branch pairs are
+	// pair) via the kernel-owned paged bitset: zero steady-state
+	// allocation, like Engine's §5 paths. Within one branch pairs are
 	// distinct by construction — sub-rings partition the static triples
 	// and overlay adds are disjoint from them — so single-symbol
 	// expressions skip the probes entirely.
-	e.pairs.Reset()
-	dedup := len(syms) > 1
+	e.pairs.reset()
 	for _, sym := range syms {
 		p, found := e.ids(sym)
 		if !found {
 			continue // unknown predicate matches nothing
 		}
-		if err := e.fastSingle(p, dedup, emit); err != nil {
-			e.fastErr = err
-			break
+		if err := e.fastSingle(p, len(syms) > 1); err != nil {
+			return true, err
 		}
 	}
-	return true
-}
-
-// flattenAltSyms collects the leaves of an alternation tree if they
-// are all plain symbols.
-func flattenAltSyms(n pathexpr.Node) ([]pathexpr.Sym, bool) {
-	switch x := n.(type) {
-	case pathexpr.Sym:
-		return []pathexpr.Sym{x}, true
-	case pathexpr.Alt:
-		l, lok := flattenAltSyms(x.L)
-		r, rok := flattenAltSyms(x.R)
-		if lok && rok {
-			return append(l, r...), true
-		}
-	}
-	return nil, false
+	return true, nil
 }
 
 // fastSingle emits every union pair (s, o) with (s, p, o) ∈ U: per
 // sub-ring, the distinct subjects of L_s[C_p[p], C_p[p+1]) each
 // backward-step their object range by p̂ to list their objects (§5),
 // tombstones dropped; then the overlay's adds for p.
-func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
-	half := e.numPreds / 2
-	pInv := p + half
-	if p >= half {
-		pInv = p - half
-	}
+func (e *MultiRing) fastSingle(p uint32, dedup bool) error {
+	pInv := inversePred(p, e.numPreds)
 	checkDels := e.ov.DelsForPred(p) > 0
 	deliver := func(s, o uint32) error {
-		if dedup && !e.pairs.Add(s, o) {
-			return nil
-		}
-		if !emit(s, o) {
+		if (!dedup || e.pairs.add(s, o)) && !e.emit(s, o) {
 			return errLimit
 		}
 		return nil
@@ -104,8 +76,7 @@ func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
 			if !leaf {
 				return true
 			}
-			if err := e.checkDeadline(); err != nil {
-				failure = err
+			if failure = e.checkDeadline(); failure != nil {
 				return false
 			}
 			// Objects of (s, p, ·) are the subjects of the (p̂, object=s)
@@ -117,17 +88,11 @@ func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
 					return false
 				}
 				e.stats.WaveletVisits++
-				if !leaf2 {
+				if !leaf2 || checkDels && e.ov.Deleted(Edge{S: s, P: p, O: o}) {
 					return true
 				}
-				if checkDels && e.ov.Deleted(Edge{S: s, P: p, O: o}) {
-					return true
-				}
-				if err := deliver(s, o); err != nil {
-					failure = err
-					return false
-				}
-				return true
+				failure = deliver(s, o)
+				return failure == nil
 			})
 			return failure == nil
 		})
@@ -135,15 +100,12 @@ func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
 			return failure
 		}
 	}
-	var failure error
-	e.ov.AddsForPred(p, func(s, o uint32) bool {
-		if err := deliver(s, o); err != nil {
-			failure = err
-			return false
+	for _, ed := range e.ov.AddsByPred(p) {
+		if err := deliver(ed.S, ed.O); err != nil {
+			return err
 		}
-		return true
-	})
-	return failure
+	}
+	return nil
 }
 
 // fastConcat2 evaluates (x, p1/p2, y) over the union graph: the middle
@@ -151,23 +113,16 @@ func (e *Engine) fastSingle(p uint32, dedup bool, emit core.EmitFunc) error {
 // sources of p2; for each z, the sources by p1 and the objects by p2
 // are materialised (static backward steps minus tombstones, plus the
 // overlay's sorted adds) and cross-multiplied (§5's join-like shape).
-func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym, emit core.EmitFunc) error {
+func (e *MultiRing) fastConcat2(s1, s2 pathexpr.Sym) error {
 	p1, ok1 := e.ids(s1)
 	p2, ok2 := e.ids(s2)
 	if !ok1 || !ok2 {
 		return nil
 	}
-	half := e.numPreds / 2
-	inv := func(p uint32) uint32 {
-		if p < half {
-			return p + half
-		}
-		return p - half
-	}
-	p1Inv, p2Inv := inv(p1), inv(p2)
+	p1Inv, p2Inv := inversePred(p1, e.numPreds), inversePred(p2, e.numPreds)
 	del1 := e.ov.DelsForPred(p1) > 0
 	del2 := e.ov.DelsForPred(p2) > 0
-	e.pairs.Reset()
+	e.pairs.reset()
 
 	var srcs, dsts []uint32
 	perMiddle := func(z uint32) error {
@@ -184,37 +139,28 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym, emit core.EmitFunc) error {
 				continue
 			}
 			srcB, srcE := w.r.BackwardByPred(ob, oe, p1)
-			if srcB < srcE {
-				wavelet.RangeDistinct(w.r.Ls, srcB, srcE, func(s uint32, _, _ int) {
-					if !del1 || !e.ov.Deleted(Edge{S: s, P: p1, O: z}) {
-						srcs = append(srcs, s)
-					}
-				})
-			}
+			wavelet.RangeDistinct(w.r.Ls, srcB, srcE, func(s uint32, _, _ int) {
+				if !del1 || !e.ov.Deleted(Edge{S: s, P: p1, O: z}) {
+					srcs = append(srcs, s)
+				}
+			})
 			dstB, dstE := w.r.BackwardByPred(ob, oe, p2Inv)
-			if dstB < dstE {
-				wavelet.RangeDistinct(w.r.Ls, dstB, dstE, func(o uint32, _, _ int) {
-					if !del2 || !e.ov.Deleted(Edge{S: z, P: p2, O: o}) {
-						dsts = append(dsts, o)
-					}
-				})
-			}
+			wavelet.RangeDistinct(w.r.Ls, dstB, dstE, func(o uint32, _, _ int) {
+				if !del2 || !e.ov.Deleted(Edge{S: z, P: p2, O: o}) {
+					dsts = append(dsts, o)
+				}
+			})
 		}
 		// Overlay in-edges of z by p1 (sources) and out-edges by p2.
-		e.ov.AddsForPredSubject(p1Inv, z, func(s uint32) bool {
-			srcs = append(srcs, s)
-			return true
-		})
-		e.ov.AddsForPredSubject(p2, z, func(o uint32) bool {
-			dsts = append(dsts, o)
-			return true
-		})
+		for _, ed := range e.ov.AddsByPredSubject(p1Inv, z) {
+			srcs = append(srcs, ed.O)
+		}
+		for _, ed := range e.ov.AddsByPredSubject(p2, z) {
+			dsts = append(dsts, ed.O)
+		}
 		for _, s := range srcs {
 			for _, o := range dsts {
-				if !e.pairs.Add(s, o) {
-					continue
-				}
-				if !emit(s, o) {
+				if e.pairs.add(s, o) && !e.emit(s, o) {
 					return errLimit
 				}
 			}
@@ -224,36 +170,35 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym, emit core.EmitFunc) error {
 
 	// Middle nodes: the static targets of p1 (the p̂1 block lives in
 	// exactly one sub-ring), then overlay targets not already seen.
-	zSeen := map[uint32]bool{}
+	addsP1 := e.ov.AddsByPred(p1)
+	var zSeen map[uint32]bool
+	if len(addsP1) > 0 {
+		zSeen = map[uint32]bool{}
+	}
 	var failure error
 	for _, w := range e.work {
 		b, end := w.r.PredRange(p1Inv)
-		if b == end {
-			continue
-		}
 		wavelet.RangeDistinct(w.r.Ls, b, end, func(z uint32, _, _ int) {
 			if failure != nil {
 				return
 			}
-			zSeen[z] = true
-			if err := perMiddle(z); err != nil {
-				failure = err
+			if zSeen != nil {
+				zSeen[z] = true
 			}
+			failure = perMiddle(z)
 		})
 		if failure != nil {
 			return failure
 		}
 	}
-	e.ov.AddsForPred(p1, func(_, z uint32) bool {
-		if zSeen[z] {
-			return true
+	for _, ed := range addsP1 {
+		if zSeen[ed.O] {
+			continue
 		}
-		zSeen[z] = true
-		if err := perMiddle(z); err != nil {
-			failure = err
-			return false
+		zSeen[ed.O] = true
+		if err := perMiddle(ed.O); err != nil {
+			return err
 		}
-		return true
-	})
-	return failure
+	}
+	return nil
 }

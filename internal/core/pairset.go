@@ -86,19 +86,3 @@ func (ps *pairSet) reset() {
 		ps.epoch = 1
 	}
 }
-
-// PairSet is the exported face of pairSet for engines outside this
-// package (the overlay union engine's §5-style fast paths): an
-// epoch-reset paged bitset deduplicating (s, o) result pairs with zero
-// steady-state allocation.
-type PairSet struct{ ps pairSet }
-
-// Add inserts (s, o) and reports whether it was absent.
-//
-//ringrpq:noalloc
-func (p *PairSet) Add(s, o uint32) bool { return p.ps.add(s, o) }
-
-// Reset forgets all pairs in O(1).
-//
-//ringrpq:noalloc
-func (p *PairSet) Reset() { p.ps.reset() }

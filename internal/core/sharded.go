@@ -1,25 +1,16 @@
 package core
 
 import (
-	"cmp"
 	"context"
-	"errors"
-	"runtime"
-	"slices"
-	"sync"
-	"time"
 
 	"ringrpq/internal/glushkov"
-	"ringrpq/internal/lazy"
-	"ringrpq/internal/obs"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/ring"
-	"ringrpq/internal/wavelet"
 )
 
 // Evaluator is the query-evaluation capability shared by the
-// single-ring Engine and the ShardedEngine; the public DB selects one
-// at build/load time. Eval takes the request context first (the repo's
+// single-ring Engine, the ShardedEngine and the MultiRing kernel; the
+// public DB selects one at build/load time. Eval takes the request context first (the repo's
 // ctx-first convention, enforced by rpqlint's ctxfirst analyzer): ctx
 // may carry an obs.Trace and a deadline, folded into Options once at
 // entry via FoldContext.
@@ -39,127 +30,49 @@ type Evaluator interface {
 //     paths included). Single-predicate queries — the bulk of real logs —
 //     always take this path.
 //
-//   - Cooperative traversal: otherwise the product-graph BFS of §4 runs
-//     level-synchronised across shards. Each level, every shard expands
-//     the shared frontier over its own sub-ring concurrently (parts 1–2
-//     with per-shard B[v]/D[v] masks); a single-threaded merge then
-//     deduplicates discoveries against a global per-node visited mask,
-//     emits sources, and forms the next frontier. This explores exactly
-//     the product subgraph G'_E of the union graph — the per-shard D
-//     marks only prune locally re-discovered subjects, and the global
-//     mask decides novelty — so the result set matches the unsharded
-//     engine's.
-//
-// Expressions beyond the 64-state bit-parallel engine fall back to a
-// sequential multiword BFS that steps through every shard in turn
-// (correct, not parallel; such expressions are vanishingly rare).
+//   - Union traversal: otherwise the query runs on the MultiRing kernel
+//     over all shards — a shard set is a union graph with an empty
+//     overlay. Every BFS level is expanded over each sub-ring in turn
+//     (parts 1–2 with per-shard B[v]/D[v] masks) and novelty is decided
+//     against one global per-node visited mask, so the traversal
+//     explores exactly the product subgraph G'_E of the union graph and
+//     the result set matches the unsharded engine's.
 //
 // Like Engine, a ShardedEngine owns reusable working arrays and must
-// not be used concurrently; build one per worker. Within one
-// evaluation it fans out across shards with goroutines of its own.
+// not be used concurrently; build one per worker. An evaluation runs on
+// its caller's goroutine.
 type ShardedEngine struct {
 	set *ring.ShardSet
 	ids glushkov.SymbolIDs
 
-	// engines holds per-shard delegation engines, created on first
-	// route to the shard.
+	// engines holds per-shard delegation engines and kernel the
+	// cross-shard traversal, each created on first use.
 	engines []*Engine
-	// workers drive the cooperative traversal, one per shard.
-	workers []*shardWorker
-	// d is the global visited-state mask per graph node: the merge-side
-	// source of truth the per-shard D[v] marks approximate.
-	d *lazy.MaskArray
-
-	compiled map[string]*compiledAutomaton
-	keyW     pathexpr.KeyWriter
-
-	// parallel enables the per-level shard fan-out goroutines.
-	parallel bool
-
-	frontier, next []queueItem
-
-	// per-evaluation state (mirrors Engine)
-	stats     Stats
-	trace     *obs.Trace
-	deadline  time.Time
-	steps     int
-	emit      EmitFunc
-	limit     int
-	noMarks   bool
-	batch     bool
-	eager     bool
-	noCompile bool
+	kernel  *MultiRing
 }
 
 var _ Evaluator = (*ShardedEngine)(nil)
 var _ Evaluator = (*Engine)(nil)
+var _ Evaluator = (*MultiRing)(nil)
 
 // NewShardedEngine builds an evaluation engine over set. The ids
 // function resolves predicate occurrences exactly as for NewEngine.
 func NewShardedEngine(set *ring.ShardSet, ids glushkov.SymbolIDs) *ShardedEngine {
-	e := &ShardedEngine{
-		set:      set,
-		ids:      ids,
-		engines:  make([]*Engine, set.K),
-		workers:  make([]*shardWorker, set.K),
-		d:        lazy.NewMaskArray(set.NumNodes),
-		parallel: set.K > 1 && runtime.GOMAXPROCS(0) > 1,
-	}
-	for i, r := range set.Shards {
-		e.workers[i] = newShardWorker(r)
-	}
-	return e
-}
-
-// WorkingSizeBytes reports the per-query working-array footprint across
-// all shards (the sharded analogue of Engine.WorkingSizeBytes).
-func (e *ShardedEngine) WorkingSizeBytes() int {
-	sz := e.d.SizeBytes()
-	for _, w := range e.workers {
-		sz += w.bNode.SizeBytes() + w.dNode.SizeBytes()
-	}
-	return sz
+	return &ShardedEngine{set: set, ids: ids, engines: make([]*Engine, set.K)}
 }
 
 // Eval evaluates q with the same contract as Engine.Eval: distinct
 // result pairs, ErrTimeout on an exceeded deadline (partial results
 // remain valid). Result order is unspecified and generally differs
-// from the unsharded engine's; the result set does not. Options.DFS is
-// ignored (the cooperative traversal is inherently level-ordered).
+// from the unsharded engine's; the result set does not.
 func (e *ShardedEngine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error) {
 	if shard, ok := e.route(q.Expr); ok {
 		return e.engineFor(shard).Eval(ctx, q, opts, emit)
 	}
-	opts = FoldContext(ctx, opts)
-	e.stats = Stats{}
-	e.steps = 0
-	e.limit = opts.Limit
-	e.noMarks = opts.DisableNodeMarks
-	e.batch = !opts.DisableBatching
-	e.eager = opts.CompileEager
-	e.noCompile = opts.DisableCompiled
-	e.trace = opts.Trace
-	if opts.Timeout > 0 {
-		e.deadline = time.Now().Add(opts.Timeout)
-	} else {
-		e.deadline = time.Time{}
+	if e.kernel == nil {
+		e.kernel = NewMultiRing(e.set.Shards, e.ids, e.set.NumPreds)
 	}
-	e.emit = func(s, o uint32) bool {
-		e.stats.Results++
-		if !emit(s, o) {
-			return false
-		}
-		return e.limit == 0 || e.stats.Results < e.limit
-	}
-
-	sp := e.trace.Begin(obs.SpanTraverse)
-	err := e.coopDispatch(q)
-	e.trace.EndVals(sp, int64(e.stats.ProductNodes), int64(e.stats.ProductEdges),
-		int64(e.stats.WaveletVisits), int64(e.stats.Results))
-	if errors.Is(err, errLimit) {
-		err = nil
-	}
-	return e.stats, err
+	return e.kernel.Eval(ctx, q, opts, emit)
 }
 
 // route reports the one shard that holds every edge a path matching
@@ -204,788 +117,4 @@ func (e *ShardedEngine) engineFor(k int) *Engine {
 		e.engines[k] = NewEngine(e.set.Shards[k], e.ids)
 	}
 	return e.engines[k]
-}
-
-// coopDispatch routes a multi-shard query to the cooperative variants
-// of the §4 algorithm (the §5 fast-path shapes mention at most two
-// predicates; whenever those share a shard the query was already
-// delegated above, so no sharded fast paths are needed for them).
-func (e *ShardedEngine) coopDispatch(q Query) error {
-	switch {
-	case q.Object != Variable && q.Subject == Variable:
-		return e.coopToConst(q.Expr, uint32(q.Object), false)
-	case q.Subject != Variable && q.Object == Variable:
-		return e.coopToConst(pathexpr.InverseOf(q.Expr), uint32(q.Subject), true)
-	case q.Subject != Variable && q.Object != Variable:
-		return e.coopBothConst(q.Expr, uint32(q.Subject), uint32(q.Object))
-	default:
-		return e.coopBothVar(q.Expr)
-	}
-}
-
-// compile memoises Glushkov compilations exactly like Engine.compile,
-// including the hotness-triggered stepper tier; the precomputed B[v]
-// arrays are per shard (each sub-ring has its own L_p tree).
-func (e *ShardedEngine) compile(expr pathexpr.Node) *compiledAutomaton {
-	kb := e.keyW.Key(expr)
-	c, ok := e.compiled[string(kb)] // no-copy lookup
-	if !ok {
-		a := glushkov.Build(expr, e.ids)
-		eng, err := glushkov.NewEngineFor(a, e.set.NumPreds)
-		if err != nil {
-			eng = nil // fall back to the multiword path
-		}
-		c = &compiledAutomaton{a: a, eng: eng}
-		if e.compiled == nil || len(e.compiled) >= maxCompiled {
-			e.compiled = make(map[string]*compiledAutomaton, 16)
-		}
-		e.compiled[string(kb)] = c
-	}
-	c.uses++
-	if c.eng != nil && c.st == nil && !e.noCompile && (e.eager || c.uses > compileThreshold) {
-		c.st = glushkov.Compile(c.eng, e.set.NumPreds)
-		c.bArrs = make([][]uint64, len(e.workers))
-		for i, w := range e.workers {
-			c.bArrs[i] = BuildBArr(w.r.Lp, c.eng)
-		}
-	}
-	return c
-}
-
-// prepareNarrow compiles expr and readies every shard worker (B[v]
-// seeding, mark resets). A nil return selects the multiword fallback.
-func (e *ShardedEngine) prepareNarrow(expr pathexpr.Node) *glushkov.Engine {
-	if e.noCompile {
-		// Ablation / oracle mode: route to the multiword fallback.
-		return nil
-	}
-	c := e.compile(expr)
-	if c.eng == nil {
-		return nil
-	}
-	e.d.Reset()
-	st := c.st
-	for i, w := range e.workers {
-		var bArr []uint64
-		if st != nil {
-			bArr = c.bArrs[i]
-		}
-		w.prepare(c.eng, st, bArr, e.deadline, e.noMarks, e.batch)
-	}
-	return c.eng
-}
-
-// releaseAll folds the workers' traversal statistics into the
-// evaluation stats and resets their working arrays in O(1).
-func (e *ShardedEngine) releaseAll() {
-	for _, w := range e.workers {
-		e.stats.ProductEdges += w.stats.ProductEdges
-		e.stats.WaveletVisits += w.stats.WaveletVisits
-		w.release()
-	}
-}
-
-// resetVisited clears the visited marks (global and per shard) between
-// the per-start traversals of a v→v query, keeping the B[v] seeds.
-func (e *ShardedEngine) resetVisited() {
-	e.d.Reset()
-	for _, w := range e.workers {
-		w.dNode.Reset()
-		w.markPads()
-	}
-}
-
-// seed records the traversal origin o as visited with the final states
-// and makes it the initial frontier.
-func (e *ShardedEngine) seed(eng *glushkov.Engine, o uint32) {
-	e.d.Set(int(o), eng.F)
-	for _, w := range e.workers {
-		w.markSubject(w.r.Ls.LeafID(o), eng.F)
-	}
-	e.frontier = append(e.frontier[:0], queueItem{o, eng.F})
-}
-
-// coopToConst is the cooperative evalToConst: (x, E, o), or the
-// (s, E, y) rewriting when swap is set.
-func (e *ShardedEngine) coopToConst(expr pathexpr.Node, o uint32, swap bool) error {
-	report := func(r uint32) bool {
-		if swap {
-			return e.emit(o, r)
-		}
-		return e.emit(r, o)
-	}
-	eng := e.prepareNarrow(expr)
-	if eng == nil {
-		return e.wideCoopToConst(expr, o, swap)
-	}
-	defer e.releaseAll()
-	if int(o) >= e.set.NumNodes {
-		return nil
-	}
-	if eng.A.Nullable {
-		if !report(o) {
-			return errLimit
-		}
-	}
-	e.seed(eng, o)
-	return e.runCooperative(eng, 0, report)
-}
-
-// coopBothConst is the cooperative evalBothConst: stop at the first
-// path between the fixed endpoints.
-func (e *ShardedEngine) coopBothConst(expr pathexpr.Node, s, o uint32) error {
-	eng := e.prepareNarrow(expr)
-	if eng == nil {
-		return e.wideCoopBothConst(expr, s, o)
-	}
-	defer e.releaseAll()
-	if int(o) >= e.set.NumNodes || int(s) >= e.set.NumNodes {
-		return nil
-	}
-	if eng.A.Nullable && s == o {
-		e.emit(s, o)
-		return nil
-	}
-	found := false
-	report := func(got uint32) bool {
-		if got == s {
-			found = true
-			e.emit(s, o)
-			return false
-		}
-		return true
-	}
-	e.seed(eng, o)
-	err := e.runCooperative(eng, 0, report)
-	if found && errors.Is(err, errLimit) {
-		err = nil
-	}
-	return err
-}
-
-// coopBothVar is the cooperative evalBothVar: a full-range phase
-// collects candidate endpoints, then one constrained traversal runs per
-// candidate (each of which again fans out across shards).
-func (e *ShardedEngine) coopBothVar(expr pathexpr.Node) error {
-	a := e.compile(expr).a
-	if a.Nullable {
-		// As in Engine.evalBothVar, the O(|V|) self-pair prefix must
-		// honour the deadline before any traversal work starts.
-		for v := 0; v < e.set.NumNodes; v++ {
-			if err := e.checkDeadline(); err != nil {
-				return err
-			}
-			if !e.emit(uint32(v), uint32(v)) {
-				return errLimit
-			}
-		}
-	}
-
-	fromObjects := e.startFromObjects(a)
-	phase1Expr := expr
-	if fromObjects {
-		phase1Expr = pathexpr.InverseOf(expr)
-	}
-	var starts []uint32
-	collect := func(s uint32) bool {
-		starts = append(starts, s)
-		return true
-	}
-	if err := e.coopFullRangeSources(phase1Expr, collect); err != nil {
-		return err
-	}
-
-	nullable := a.Nullable
-	expr2 := expr
-	if !fromObjects {
-		expr2 = pathexpr.InverseOf(expr)
-	}
-	report2 := func(s uint32) func(uint32) bool {
-		if fromObjects {
-			return func(src uint32) bool {
-				if nullable && src == s {
-					return true // (s,s) already emitted
-				}
-				return e.emit(src, s)
-			}
-		}
-		return func(o uint32) bool {
-			if nullable && o == s {
-				return true
-			}
-			return e.emit(s, o)
-		}
-	}
-
-	eng2 := e.prepareNarrow(expr2)
-	if eng2 == nil {
-		for _, s := range starts {
-			if err := e.wideCoopRunToConst(expr2, s, report2(s)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	defer e.releaseAll()
-	for _, s := range starts {
-		e.resetVisited()
-		e.seed(eng2, s)
-		if err := e.runCooperative(eng2, 0, report2(s)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// coopFullRangeSources runs the full-range phase of a v→v query over
-// every shard's complete L_p range.
-func (e *ShardedEngine) coopFullRangeSources(expr pathexpr.Node, report func(uint32) bool) error {
-	eng := e.prepareNarrow(expr)
-	if eng == nil {
-		return e.wideCoopFullRangeSources(expr, report)
-	}
-	defer e.releaseAll()
-	base := eng.F &^ eng.Init
-	e.frontier = e.frontier[:0]
-	e.forEachWorker(func(w *shardWorker) {
-		if w.r.N > 0 {
-			w.runFull(eng, base)
-		}
-	})
-	if err := e.collect(eng, base, report); err != nil {
-		return err
-	}
-	return e.runCooperative(eng, base, report)
-}
-
-// startFromObjects mirrors Engine.startFromObjects using the shard
-// set's global predicate cardinalities.
-func (e *ShardedEngine) startFromObjects(a *glushkov.Automaton) bool {
-	count := func(positions []int32) int {
-		total := 0
-		for _, j := range positions {
-			c := a.Syms[j-1]
-			if c == glushkov.NoSymbol {
-				continue
-			}
-			total += e.set.PredCount(c)
-		}
-		return total
-	}
-	return count(a.Follow[0]) < count(a.Last)
-}
-
-// runCooperative drains the frontier level by level: every shard
-// expands the whole frontier over its own sub-ring (concurrently when
-// enabled), then the single-threaded merge dedups, emits and builds the
-// next frontier.
-func (e *ShardedEngine) runCooperative(eng *glushkov.Engine, base uint64, report func(uint32) bool) error {
-	for len(e.frontier) > 0 {
-		if err := e.checkDeadline(); err != nil {
-			return err
-		}
-		sp, visits0 := -1, 0
-		if e.trace != nil {
-			visits0 = e.shardVisits()
-			sp = e.trace.Begin(obs.SpanLevel)
-		}
-		frontier := e.frontier
-		e.forEachWorker(func(w *shardWorker) {
-			w.runLevel(eng, frontier, base)
-		})
-		err := e.collect(eng, base, report)
-		e.trace.EndVals(sp, int64(len(frontier)), int64(e.shardVisits()-visits0))
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// shardVisits sums the in-flight per-worker wavelet-visit counters
-// (folded into e.stats only at release time), for level-span deltas.
-func (e *ShardedEngine) shardVisits() int {
-	total := 0
-	for _, w := range e.workers {
-		total += w.stats.WaveletVisits
-	}
-	return total
-}
-
-// forEachWorker applies f to every shard worker, concurrently when the
-// engine runs parallel. f must only touch its worker's private state.
-func (e *ShardedEngine) forEachWorker(f func(*shardWorker)) {
-	if !e.parallel {
-		for _, w := range e.workers {
-			f(w)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, w := range e.workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(w)
-		}()
-	}
-	wg.Wait()
-}
-
-// collect merges the shards' level discoveries: globally-new states are
-// recorded in the per-node mask, sources are reported once, and
-// remaining new states form the next frontier. Running single-threaded
-// keeps emission and dedup free of locks.
-func (e *ShardedEngine) collect(eng *glushkov.Engine, base uint64, report func(uint32) bool) error {
-	for _, w := range e.workers {
-		if w.err != nil {
-			return w.err
-		}
-	}
-	e.next = e.next[:0]
-	var failure error
-	for _, w := range e.workers {
-		if failure == nil {
-			for _, it := range w.found {
-				fresh := it.d &^ (e.d.Get(int(it.node)) | base)
-				if fresh == 0 {
-					continue
-				}
-				e.d.Or(int(it.node), fresh)
-				e.stats.ProductNodes++
-				if fresh&eng.Init != 0 {
-					if !report(it.node) {
-						failure = errLimit
-						break
-					}
-					fresh &^= eng.Init // the initial state has no incoming work
-				}
-				if fresh != 0 {
-					e.next = append(e.next, queueItem{it.node, fresh})
-				}
-			}
-		}
-		w.found = w.found[:0]
-	}
-	e.frontier, e.next = e.next, e.frontier
-	return failure
-}
-
-func (e *ShardedEngine) checkDeadline() error {
-	e.steps++
-	if e.deadline.IsZero() || e.steps%64 != 0 {
-		return nil
-	}
-	if time.Now().After(e.deadline) {
-		return ErrTimeout
-	}
-	return nil
-}
-
-// shardWorker owns one shard's traversal state: the per-wavelet-node
-// B[v] and D[v] masks of §4.1–4.2 over the shard's own sequences, and
-// the discovery list handed to the merge after each level. Workers
-// never emit or dedup globally — that is the merge's job — so a level
-// can run on all shards concurrently without locks.
-type shardWorker struct {
-	r            *ring.Ring
-	bNode, dNode *lazy.MaskArray
-	lsPads       []wavelet.NodeID
-
-	// found accumulates this level's (subject, states) discoveries.
-	found []queueItem
-
-	// lpItems and lsItems are the worker's private scratch for the
-	// frontier-batched descent (each worker batches the shared frontier
-	// over its own sub-ring's sequences).
-	lpItems, lsItems []wavelet.RangeMask
-
-	stats    Stats
-	steps    int
-	deadline time.Time
-	noMarks  bool
-	batch    bool
-	err      error
-
-	// st steps the automaton for the current query (compiled stepper or
-	// the interpreting engine); bArr, when non-nil, is the shard's
-	// precomputed immutable B[v] array replacing bNode.
-	st   glushkov.Stepper
-	bArr []uint64
-}
-
-func newShardWorker(r *ring.Ring) *shardWorker {
-	return &shardWorker{
-		r:      r,
-		bNode:  lazy.NewMaskArray(r.Lp.NumNodes()),
-		dNode:  lazy.NewMaskArray(r.Ls.NumNodes()),
-		lsPads: r.Ls.PadNodes(),
-	}
-}
-
-// prepare readies the worker for one query: reset masks and counters,
-// install the stepper, and pre-mark padding subtrees. A nil st selects
-// the interpreter, seeding the lazy B[v] masks for eng; a non-nil st
-// comes with the shard's precomputed bArr, so no seeding is needed.
-func (w *shardWorker) prepare(eng *glushkov.Engine, st glushkov.Stepper, bArr []uint64, deadline time.Time, noMarks, batch bool) {
-	w.bNode.Reset()
-	w.dNode.Reset()
-	w.found = w.found[:0]
-	w.stats = Stats{}
-	w.steps = 0
-	w.deadline = deadline
-	w.noMarks = noMarks
-	w.batch = batch
-	w.err = nil
-	w.st, w.bArr = st, bArr
-	if st == nil {
-		w.st = eng
-		for c, mask := range eng.B {
-			for id := w.r.Lp.LeafID(c); id >= 1; id = id.Parent() {
-				w.bNode.Or(int(id), mask)
-			}
-		}
-	}
-	w.markPads()
-}
-
-func (w *shardWorker) release() {
-	w.bNode.Reset()
-	w.dNode.Reset()
-	w.found = w.found[:0]
-}
-
-func (w *shardWorker) markPads() {
-	for _, id := range w.lsPads {
-		w.dNode.Set(int(id), ^uint64(0))
-	}
-}
-
-// markSubject mirrors Engine.markSubject on the shard's L_s tree.
-func (w *shardWorker) markSubject(leaf wavelet.NodeID, states uint64) {
-	w.dNode.Or(int(leaf), states)
-	if w.noMarks {
-		return
-	}
-	for id := leaf.Parent(); id >= 1; id = id.Parent() {
-		v := w.dNode.Get(int(2*id)) & w.dNode.Get(int(2*id+1))
-		if v == w.dNode.Get(int(id)) {
-			break
-		}
-		w.dNode.Set(int(id), v)
-	}
-}
-
-// runLevel expands the whole frontier over this shard — by default as
-// one frontier-batched multi-range descent per part (the frontier is
-// shared read-only across workers, so each worker builds its own sorted
-// item list over its sub-ring), item at a time when batching is off.
-func (w *shardWorker) runLevel(eng *glushkov.Engine, frontier []queueItem, base uint64) {
-	if w.err != nil {
-		return
-	}
-	if !w.batch {
-		for _, it := range frontier {
-			b, end := w.r.ObjectRange(it.node)
-			if b == end {
-				continue
-			}
-			if err := w.step(eng, b, end, it.d, base); err != nil {
-				w.err = err
-				return
-			}
-		}
-		return
-	}
-	w.lpItems = w.lpItems[:0]
-	for _, it := range frontier {
-		b, end := w.r.ObjectRange(it.node)
-		if b < end {
-			w.lpItems = append(w.lpItems, wavelet.RangeMask{B: b, E: end, Mask: it.d})
-		}
-	}
-	if len(w.lpItems) < batchCutoff {
-		// Tiny shard-local levels take the cheaper per-item descent.
-		for _, it := range w.lpItems {
-			if err := w.step(eng, it.B, it.E, it.Mask, base); err != nil {
-				w.err = err
-				return
-			}
-		}
-		return
-	}
-	// The merge emits discoveries in found order, not node order; sort so
-	// the shard's object ranges ascend (they are disjoint, so this also
-	// enables same-mask coalescing inside TraverseMany).
-	slices.SortFunc(w.lpItems, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
-	if err := w.stepMany(eng, w.lpItems, base); err != nil {
-		w.err = err
-	}
-}
-
-// runFull is the level-0 expansion of a v→v query: one step over the
-// shard's whole L_p.
-func (w *shardWorker) runFull(eng *glushkov.Engine, base uint64) {
-	if w.err != nil {
-		return
-	}
-	if w.batch {
-		w.lpItems = append(w.lpItems[:0], wavelet.RangeMask{B: 0, E: w.r.N, Mask: eng.F})
-		if err := w.stepMany(eng, w.lpItems, base); err != nil {
-			w.err = err
-		}
-		return
-	}
-	if err := w.step(eng, 0, w.r.N, eng.F, base); err != nil {
-		w.err = err
-	}
-}
-
-// stepMany runs the shared batched step (see batch.go) over the
-// shard's sequences, recording each discovery for the merge exactly
-// once per level, with the union of its states.
-func (w *shardWorker) stepMany(eng *glushkov.Engine, items []wavelet.RangeMask, base uint64) error {
-	if err := w.checkDeadline(); err != nil {
-		return err
-	}
-	o := batchOwner{
-		r:       w.r,
-		bNode:   w.bNode,
-		dNode:   w.dNode,
-		stats:   &w.stats,
-		noMarks: w.noMarks,
-		st:      w.st,
-		bArr:    w.bArr,
-		check:   w.checkDeadline,
-		mark:    w.markSubject,
-		part2Leaf: func(s uint32, all, fresh uint64) error {
-			// The merge counts ProductNodes and decides global novelty;
-			// the worker only reports what reached the subject locally.
-			w.found = append(w.found, queueItem{s, all})
-			return nil
-		},
-	}
-	var err error
-	w.lsItems, err = stepManyOn(&o, eng, items, w.lsItems, base)
-	return err
-}
-
-// step is Engine.step over the shard's sequences, with discoveries
-// collected instead of enqueued.
-func (w *shardWorker) step(eng *glushkov.Engine, b, end int, d, base uint64) error {
-	if err := w.checkDeadline(); err != nil {
-		return err
-	}
-	negFwd, negInv := eng.NegClassBits()
-	half := w.r.NumPreds / 2
-	var failure error
-	w.r.Lp.Traverse(b, end, func(node wavelet.NodeID, leaf bool, p uint32, rb, re int, full bool) bool {
-		if failure != nil {
-			return false
-		}
-		w.stats.WaveletVisits++
-		if !leaf {
-			var bm uint64
-			if w.bArr != nil {
-				bm = w.bArr[node]
-			} else {
-				bm = w.bNode.Get(int(node))
-			}
-			if d&bm != 0 {
-				return true
-			}
-			if negFwd|negInv == 0 {
-				return false
-			}
-			lo, hi := w.r.Lp.SymRange(node)
-			var cb uint64
-			if lo < half {
-				cb |= negFwd
-			}
-			if hi > half {
-				cb |= negInv
-			}
-			return d&cb != 0
-		}
-		// Per-expansion deadline probe: a single level can cover many
-		// predicate leaves, so the per-step probe alone is not enough.
-		if err := w.checkDeadline(); err != nil {
-			failure = err
-			return false
-		}
-		bp := w.st.PredMask(p)
-		if d&bp == 0 {
-			return true
-		}
-		w.stats.ProductEdges++
-		d2 := w.st.StepBack(d & bp)
-		if d2 == 0 {
-			return true
-		}
-		if err := w.part2(w.r.Cp[p]+rb, w.r.Cp[p]+re, d2, base); err != nil {
-			failure = err
-			return false
-		}
-		return true
-	})
-	return failure
-}
-
-// part2 mirrors Engine.part2: enumerate the subjects of L_s[b, end)
-// that still have locally-unvisited states, mark them, and record the
-// discovery for the merge.
-func (w *shardWorker) part2(b, end int, d2, base uint64) error {
-	var failure error
-	w.r.Ls.Traverse(b, end, func(node wavelet.NodeID, leaf bool, s uint32, rb, re int, full bool) bool {
-		if failure != nil {
-			return false
-		}
-		w.stats.WaveletVisits++
-		visited := w.dNode.Get(int(node)) | base
-		if !leaf {
-			if w.noMarks {
-				return true
-			}
-			return d2&^visited != 0
-		}
-		// Per-leaf deadline probe (dense objects cover many subjects).
-		if err := w.checkDeadline(); err != nil {
-			failure = err
-			return false
-		}
-		if d2&^visited == 0 {
-			return true
-		}
-		w.markSubject(node, d2)
-		w.found = append(w.found, queueItem{s, d2})
-		return true
-	})
-	return failure
-}
-
-func (w *shardWorker) checkDeadline() error {
-	w.steps++
-	if w.deadline.IsZero() || w.steps%64 != 0 {
-		return nil
-	}
-	if time.Now().After(w.deadline) {
-		return ErrTimeout
-	}
-	return nil
-}
-
-// --- multiword (wide) fallback ---------------------------------------
-//
-// Expressions with more than 63 positions reuse the wideState machinery
-// of the single-ring engine, but each dequeued (node, states) item is
-// stepped through every shard in turn. The visited map is global, so
-// this is the plain §4 traversal of the union graph; it runs
-// sequentially (the multiword path has no per-shard masks to keep
-// coherent, and such expressions are vanishingly rare in real logs).
-
-func (e *ShardedEngine) newWideState(expr pathexpr.Node) *wideState {
-	a := e.compile(expr).a
-	return &wideState{
-		eng:     glushkov.NewWideFor(a, e.set.NumPreds),
-		visited: make(map[uint32]glushkov.Mask),
-	}
-}
-
-func (e *ShardedEngine) wideCoopToConst(expr pathexpr.Node, o uint32, swap bool) error {
-	emit := func(r uint32) bool {
-		if swap {
-			return e.emit(o, r)
-		}
-		return e.emit(r, o)
-	}
-	if int(o) >= e.set.NumNodes {
-		return nil
-	}
-	w := e.newWideState(expr)
-	if w.eng.A.Nullable {
-		if !emit(o) {
-			return errLimit
-		}
-	}
-	w.visited[o] = w.eng.F.Clone()
-	w.queue = append(w.queue, o)
-	w.states = append(w.states, w.eng.F.Clone())
-	return e.wideCoopBFS(w, nil, emit)
-}
-
-func (e *ShardedEngine) wideCoopRunToConst(expr pathexpr.Node, o uint32, emit func(uint32) bool) error {
-	w := e.newWideState(expr)
-	w.visited[o] = w.eng.F.Clone()
-	w.queue = append(w.queue, o)
-	w.states = append(w.states, w.eng.F.Clone())
-	return e.wideCoopBFS(w, nil, emit)
-}
-
-func (e *ShardedEngine) wideCoopBothConst(expr pathexpr.Node, s, o uint32) error {
-	if int(o) >= e.set.NumNodes || int(s) >= e.set.NumNodes {
-		return nil
-	}
-	w := e.newWideState(expr)
-	if w.eng.A.Nullable && s == o {
-		e.emit(s, o)
-		return nil
-	}
-	w.visited[o] = w.eng.F.Clone()
-	w.queue = append(w.queue, o)
-	w.states = append(w.states, w.eng.F.Clone())
-	found := false
-	err := e.wideCoopBFS(w, nil, func(r uint32) bool {
-		if r == s {
-			found = true
-			e.emit(s, o)
-			return false
-		}
-		return true
-	})
-	if found && errors.Is(err, errLimit) {
-		err = nil
-	}
-	return err
-}
-
-func (e *ShardedEngine) wideCoopFullRangeSources(expr pathexpr.Node, emit func(uint32) bool) error {
-	w := e.newWideState(expr)
-	base := w.eng.F.Clone()
-	if base.Test(0) {
-		base[0] &^= 1 // keep the initial state reportable
-	}
-	for _, shard := range e.set.Shards {
-		if shard.N == 0 {
-			continue
-		}
-		if err := e.wideStepOn(shard, w, 0, shard.N, w.eng.F, base, emit); err != nil {
-			return err
-		}
-	}
-	return e.wideCoopBFS(w, base, emit)
-}
-
-func (e *ShardedEngine) wideCoopBFS(w *wideState, base glushkov.Mask, emit func(uint32) bool) error {
-	for head := 0; head < len(w.queue); head++ {
-		node, d := w.queue[head], w.states[head]
-		for _, shard := range e.set.Shards {
-			b, end := shard.ObjectRange(node)
-			if b == end {
-				continue
-			}
-			if err := e.wideStepOn(shard, w, b, end, d, base, emit); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// wideStepOn steps one shard, sharing wideStepOn of wide.go (the
-// wideState, and hence the visited map, spans all shards).
-func (e *ShardedEngine) wideStepOn(r *ring.Ring, w *wideState, b, end int, d, base glushkov.Mask, emit func(uint32) bool) error {
-	if err := e.checkDeadline(); err != nil {
-		return err
-	}
-	return wideStepOn(r, w, b, end, d, base, &e.stats, emit)
 }

@@ -79,8 +79,7 @@ func queriesFor(rng *rand.Rand, g *triples.Graph, expr pathexpr.Node) []Query {
 // test: on random graphs and random path expressions (predicates,
 // inverses, /, |, *, +, ?), the sharded engine (several shard counts),
 // the unsharded engine and the BFS baseline must produce identical
-// solution sets — and match the relational oracle. Run it under -race
-// to exercise the cooperative per-level shard fan-out.
+// solution sets — and match the relational oracle.
 func TestShardedDifferentialRandom(t *testing.T) {
 	shardCounts := []int{2, 3, 7}
 	for seed := int64(0); seed < 24; seed++ {
@@ -134,10 +133,11 @@ type modPartitioner struct{}
 func (modPartitioner) Shard(p uint32, k int) int { return int(p) % k }
 func (modPartitioner) Name() string              { return "test-mod" }
 
-// TestShardedEdgeCases pins the merge behaviour on degenerate
+// TestShardedEdgeCases pins the union behaviour on degenerate
 // partitions: all triples in one shard (empty co-shards), more shards
 // than predicates, and constant endpoints that miss every shard.
 func TestShardedEdgeCases(t *testing.T) {
+	t.Run("cross-shard-two-symbol", crossShardTwoSymbolShapes)
 	g := enginetest.RandomGraph(42, 12, 2, 40) // 2 base predicates
 	r := ring.New(g, ring.WaveletMatrix)
 	eng := NewEngine(r, idsOf(g))
@@ -183,9 +183,42 @@ func TestShardedEdgeCases(t *testing.T) {
 	}
 }
 
+// crossShardTwoSymbolShapes (a TestShardedEdgeCases subtest) pins the
+// two-symbol v→v shapes whose predicates sit on different shards: no single shard can answer them,
+// so they run on the multi-ring kernel, which takes its §5-style union
+// fast path (no product-graph traversal) unless that is switched off.
+// Either way the answer must equal the relational oracle's.
+func crossShardTwoSymbolShapes(t *testing.T) {
+	g := enginetest.RandomGraph(42, 12, 2, 40) // 2 base predicates
+	set := ring.NewShardSet(g, 3, modPartitioner{}, ring.WaveletMatrix)
+	pa, _ := g.PredID("pa", false)
+	pb, _ := g.PredID("pb", false)
+	if set.ShardFor(pa) == set.ShardFor(pb) {
+		t.Fatalf("pa and pb share shard %d", set.ShardFor(pa))
+	}
+	sharded := NewShardedEngine(set, idsOf(g))
+	for _, src := range []string{"pa/pb", "pa|pb", "pa/^pb"} {
+		q := Query{Subject: Variable, Expr: pathexpr.MustParse(src), Object: Variable}
+		want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
+		if len(want) == 0 {
+			t.Fatalf("%s: empty oracle answer proves nothing", src)
+		}
+		for _, opts := range []Options{{}, {CompileEager: true}, {DisableFastPaths: true}} {
+			diffPairs(t, fmt.Sprintf("%s %+v", src, opts), evalPairs(t, sharded, q, opts), want, q)
+			st, err := sharded.Eval(context.Background(), q, opts, func(s, o uint32) bool { return true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fast := st.ProductNodes == 0; fast == opts.DisableFastPaths {
+				t.Fatalf("%s %+v: ProductNodes=%d, fast path taken=%v", src, opts, st.ProductNodes, fast)
+			}
+		}
+	}
+}
+
 // TestShardedUnknownPredicates checks expressions whose predicates are
 // partly or wholly absent from the graph: absent symbols match nothing
-// and must not disturb routing or the cooperative traversal.
+// and must not disturb routing or the cross-shard traversal.
 func TestShardedUnknownPredicates(t *testing.T) {
 	g := enginetest.RandomGraph(3, 10, 3, 30)
 	r := ring.New(g, ring.WaveletMatrix)
@@ -205,7 +238,7 @@ func TestShardedUnknownPredicates(t *testing.T) {
 }
 
 // TestShardedNegSets covers negated property sets, which always take
-// the cooperative path (their language spans arbitrary predicates).
+// the multi-ring kernel (their language spans arbitrary predicates).
 func TestShardedNegSets(t *testing.T) {
 	g := enginetest.RandomGraph(5, 10, 4, 50)
 	r := ring.New(g, ring.WaveletMatrix)
@@ -250,7 +283,7 @@ func TestShardedWideExpressions(t *testing.T) {
 	}
 }
 
-// TestShardedLimitAndTimeout checks option plumbing on the cooperative
+// TestShardedLimitAndTimeout checks option plumbing on the cross-shard
 // path: limits truncate (with a nil error) and expired deadlines
 // surface ErrTimeout.
 func TestShardedLimitAndTimeout(t *testing.T) {
@@ -288,9 +321,9 @@ func TestShardedLimitAndTimeout(t *testing.T) {
 	}
 }
 
-// TestShardedDisableNodeMarks runs the cooperative path with the D[v]
-// internal-node pruning disabled (the §4.2 ablation switch) and checks
-// the result set is unchanged.
+// TestShardedDisableNodeMarks runs the cross-shard path with the §4.2
+// ablation switch set (the multi-ring kernel accepts and ignores it)
+// and checks the result set is unchanged.
 func TestShardedDisableNodeMarks(t *testing.T) {
 	g := enginetest.RandomGraph(29, 14, 4, 70)
 	r := ring.New(g, ring.WaveletMatrix)

@@ -5,7 +5,6 @@ import (
 
 	"ringrpq/internal/glushkov"
 	"ringrpq/internal/pathexpr"
-	"ringrpq/internal/ring"
 	"ringrpq/internal/wavelet"
 )
 
@@ -140,21 +139,15 @@ func (e *Engine) wideBFSBase(w *wideState, base glushkov.Mask, emit func(uint32)
 	return nil
 }
 
-// wideStep runs wideStepOn over the engine's single ring.
+// wideStep is the multiword analogue of step+part2: part 1 enumerates
+// all distinct predicates of the range (no B[v] pruning) and filters by
+// B[p]; part 2 enumerates distinct subjects and dedups against the
+// visited map.
 func (e *Engine) wideStep(w *wideState, b, end int, d, base glushkov.Mask, emit func(uint32) bool) error {
 	if err := e.checkDeadline(); err != nil {
 		return err
 	}
-	return wideStepOn(e.r, w, b, end, d, base, &e.stats, emit)
-}
-
-// wideStepOn is the multiword analogue of step+part2 over one ring
-// (the single engine's, or one shard of the sharded engine — the
-// wideState, and hence the visited map, may span several rings):
-// part 1 enumerates all distinct predicates of the range (no B[v]
-// pruning) and filters by B[p]; part 2 enumerates distinct subjects and
-// dedups against the visited map.
-func wideStepOn(r *ring.Ring, w *wideState, b, end int, d, base glushkov.Mask, stats *Stats, emit func(uint32) bool) error {
+	r, stats := e.r, &e.stats
 	d2 := w.eng.NewMask()
 	var failure error
 	wavelet.RangeDistinct(r.Lp, b, end, func(p uint32, rb, re int) {

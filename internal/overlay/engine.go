@@ -2,143 +2,47 @@ package overlay
 
 import (
 	"context"
-	"errors"
-	"time"
 
 	"ringrpq/internal/core"
 	"ringrpq/internal/glushkov"
-	"ringrpq/internal/lazy"
-	"ringrpq/internal/obs"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/ring"
-	"ringrpq/internal/wavelet"
 )
 
 // Engine evaluates 2RPQs over the union graph ring ∪ adds − dels,
 // implementing core.Evaluator so the snapshot layer can swap it in
 // wherever a static engine is expected.
 //
-// The traversal is the paper's backward product-graph search (§4), with
-// three departures from core.Engine:
-//
-//   - each step unions the in-edges of the current object across every
-//     static sub-ring (one for the single-ring layout, K for a sharded
-//     one — all built over global id spaces) and the overlay's sorted
-//     adds, and drops tombstoned static edges;
-//   - novelty is decided against one global per-node visited mask (the
-//     per-ring D[v] marks only prune wavelet subtrees, exactly like the
-//     sharded engine's cooperative traversal);
-//   - it is item-at-a-time (no frontier batching) — the overlay is
-//     bounded by the compaction threshold, and compaction restores the
-//     static engine's batched speed.
-//
-// When the query's predicates have no overlay adds or tombstones (and
+// It only decides who answers. When the overlay is empty, or the
+// query's predicates have no overlay adds or tombstones (and
 // nullability cannot surface overlay-only nodes), the whole evaluation
 // is delegated to the static engine: a read-mostly workload keeps
-// static-path performance even mid-update.
+// static-path performance even mid-update. Everything else runs on
+// core's multi-ring kernel over the static sub-rings (one for the
+// single-ring layout, K for a sharded one) with the overlay as its
+// delta.
 //
 // Like core.Engine it owns working arrays and must not be used
 // concurrently; build one per worker clone.
 type Engine struct {
-	static   core.Evaluator
-	rings    []*ring.Ring
-	ids      glushkov.SymbolIDs
-	numPreds uint32 // completed alphabet size
+	static core.Evaluator
+	kernel *core.MultiRing
 
-	ov       *Overlay
-	numNodes int // snapshot dictionary size ≥ every ring's NumNodes
-
-	work     []*ringWork
-	pairs    core.PairSet    // fast-path result dedup (see fastpath.go)
-	visited  *lazy.MaskArray // global per-node visited-state masks
-	queue    []item
-	level    []item
-	lpItems  []wavelet.RangeMask
-	lsItems  []wavelet.RangeMask
-	compiled map[string]*compiledExpr
-	keyW     pathexpr.KeyWriter
-
-	// per-evaluation state
-	stats     core.Stats
-	trace     *obs.Trace
-	deadline  time.Time
-	steps     int
-	limit     int
-	results   int
-	base      uint64
-	batch     bool
-	eager     bool
-	noCompile bool
-	failure   error
-	fastErr   error
-
-	// st is the active stepper (compiled specialization when the
-	// expression is hot, the interpreting engine otherwise); installed
-	// by prepare alongside the per-ring bArr arrays.
-	st glushkov.Stepper
-}
-
-type item struct {
-	node uint32
-	d    uint64
-}
-
-// ringWork holds the per-sub-ring pruning arrays (the B[v]/D[v] masks
-// of §4.1–4.2, one pair per ring because wavelet node ids are
-// ring-local).
-type ringWork struct {
-	r      *ring.Ring
-	bNode  *lazy.MaskArray
-	dNode  *lazy.MaskArray
-	lsPads []wavelet.NodeID
-
-	// bArr, when non-nil, is the compiled expression's precomputed
-	// immutable B[v] array for this ring, replacing bNode for the
-	// current evaluation.
-	bArr []uint64
-
-	// delRanks caches, per overlay version, the tombstones' leaf ranks
-	// under their subjects: the batched part 2 drops fully-tombstoned
-	// leaf items through the LeafMask hook (see batch.go).
-	delRanks        map[uint32][]int
-	delRanksVersion uint64
-	delRanksValid   bool
-}
-
-type compiledExpr struct {
-	a    *glushkov.Automaton
-	eng  *glushkov.Engine // nil beyond 64 states
-	wide *glushkov.Wide   // built lazily for the >64-state fallback
-
-	// Compilation tier (mirrors core.compiledAutomaton): built when the
-	// expression's use count crosses the threshold, bArrs per sub-ring.
-	uses  int
-	st    glushkov.Stepper
-	bArrs [][]uint64
+	ov          *Overlay
+	numNodes    int // snapshot dictionary size ≥ staticNodes
+	staticNodes int // id space of the static rings (identical across shards)
 }
 
 var _ core.Evaluator = (*Engine)(nil)
-
-// errLimit mirrors core's internal limit sentinel.
-var errLimit = errors.New("overlay: result limit")
-
-// compileThreshold mirrors core's: the use count past which an
-// expression gets a compiled stepper.
-const compileThreshold = 2
 
 // NewEngine builds a union evaluator. static is the snapshot's ordinary
 // evaluator (single-ring or sharded engine) used for whole-query
 // delegation; rings are its sub-rings over global id spaces; numPreds
 // is the completed predicate count. Call SetSnapshot before Eval.
 func NewEngine(static core.Evaluator, rings []*ring.Ring, ids glushkov.SymbolIDs, numPreds uint32) *Engine {
-	e := &Engine{static: static, rings: rings, ids: ids, numPreds: numPreds, compiled: map[string]*compiledExpr{}}
-	for _, r := range rings {
-		e.work = append(e.work, &ringWork{
-			r:      r,
-			bNode:  lazy.NewMaskArray(r.Lp.NumNodes()),
-			dNode:  lazy.NewMaskArray(r.Ls.NumNodes()),
-			lsPads: r.Ls.PadNodes(),
-		})
+	e := &Engine{static: static, kernel: core.NewMultiRing(rings, ids, numPreds)}
+	if len(rings) > 0 {
+		e.staticNodes = rings[0].NumNodes
 	}
 	return e
 }
@@ -147,80 +51,24 @@ func NewEngine(static core.Evaluator, rings []*ring.Ring, ids glushkov.SymbolIDs
 // space of its snapshot (the dictionary length when the snapshot was
 // taken, covering every overlay add).
 func (e *Engine) SetSnapshot(ov *Overlay, numNodes int) {
-	if e.ov != ov {
-		for _, w := range e.work {
-			w.delRanksValid = false
-		}
-	}
-	e.ov = ov
-	e.numNodes = numNodes
-	if e.visited == nil || e.visited.Len() < numNodes {
-		e.visited = lazy.NewMaskArray(numNodes)
+	e.ov, e.numNodes = ov, numNodes
+	if ov != nil {
+		e.kernel.SetDelta(ov, numNodes)
 	}
 }
 
-// staticNumNodes is the id space of the static rings (identical across
-// shards by construction).
-func (e *Engine) staticNumNodes() int {
-	if len(e.rings) == 0 {
-		return 0
-	}
-	return e.rings[0].NumNodes
-}
-
-// compile memoises the Glushkov compilation of expr (narrow engine
-// when it fits in 64 states, wide fallback otherwise), mirroring
-// core.Engine.compile.
-func (e *Engine) compile(expr pathexpr.Node) *compiledExpr {
-	kb := e.keyW.Key(expr)
-	c, ok := e.compiled[string(kb)] // no-copy lookup
-	if !ok {
-		a := glushkov.Build(expr, e.ids)
-		eng, err := glushkov.NewEngineFor(a, e.numPreds)
-		if err != nil {
-			eng = nil
-		}
-		c = &compiledExpr{a: a, eng: eng}
-		if len(e.compiled) >= 128 {
-			e.compiled = make(map[string]*compiledExpr, 16)
-		}
-		e.compiled[string(kb)] = c
-	}
-	c.uses++
-	if c.eng != nil && c.st == nil && !e.noCompile && (e.eager || c.uses > compileThreshold) {
-		c.st = glushkov.Compile(c.eng, e.numPreds)
-		c.bArrs = make([][]uint64, len(e.work))
-		for i, w := range e.work {
-			c.bArrs[i] = core.BuildBArr(w.r.Lp, c.eng)
-		}
-	}
-	return c
-}
-
-func (e *Engine) wideFor(c *compiledExpr) *glushkov.Wide {
-	if c.wide == nil {
-		c.wide = glushkov.NewWideFor(c.a, e.numPreds)
-	}
-	return c.wide
-}
-
-// canDelegate reports whether the static engine alone answers q
+// canDelegate reports whether the static engine alone answers expr
 // exactly: no automaton predicate is touched by an overlay add or
 // tombstone, symbol classes are absent (they read every predicate),
 // and nullability cannot relate overlay-only nodes (ids beyond the
 // static rings) to themselves.
-func (e *Engine) canDelegate(a *glushkov.Automaton) bool {
-	if a.HasClasses() {
-		return false
-	}
-	if a.Nullable && e.numNodes > e.staticNumNodes() {
+func (e *Engine) canDelegate(expr pathexpr.Node) bool {
+	a := e.kernel.Automaton(expr)
+	if a.HasClasses() || a.Nullable && e.numNodes > e.staticNodes {
 		return false
 	}
 	for _, c := range a.Syms {
-		if c == glushkov.NoSymbol {
-			continue
-		}
-		if e.ov.TouchesPred(c) {
+		if c != glushkov.NoSymbol && e.ov.TouchesPred(c) {
 			return false
 		}
 	}
@@ -229,558 +77,10 @@ func (e *Engine) canDelegate(a *glushkov.Automaton) bool {
 
 // Eval implements core.Evaluator with core.Engine's contract: distinct
 // pairs, Options.Limit/Timeout honoured, ErrTimeout with valid partial
-// results. Options.DFS/DisableBatching/DisableFastPaths are accepted
-// and ignored (the union traversal has one mode).
+// results.
 func (e *Engine) Eval(ctx context.Context, q core.Query, opts core.Options, emit core.EmitFunc) (core.Stats, error) {
-	if e.ov == nil || e.ov.Empty() {
+	if e.ov == nil || e.ov.Empty() || e.canDelegate(q.Expr) {
 		return e.static.Eval(ctx, q, opts, emit)
 	}
-	opts = core.FoldContext(ctx, opts)
-	e.eager = opts.CompileEager
-	e.noCompile = opts.DisableCompiled
-	if c := e.compile(q.Expr); e.canDelegate(c.a) {
-		return e.static.Eval(ctx, q, opts, emit)
-	}
-
-	e.stats = core.Stats{}
-	e.steps = 0
-	e.failure = nil
-	e.results = 0
-	e.limit = opts.Limit
-	e.base = 0
-	e.batch = !opts.DisableBatching && !opts.DFS
-	e.trace = opts.Trace
-	if opts.Timeout > 0 {
-		e.deadline = time.Now().Add(opts.Timeout)
-	} else {
-		e.deadline = time.Time{}
-	}
-	counted := func(s, o uint32) bool {
-		e.stats.Results++
-		e.results++
-		if !emit(s, o) {
-			return false
-		}
-		return e.limit == 0 || e.results < e.limit
-	}
-
-	sp := e.trace.Begin(obs.SpanTraverse)
-	var err error
-	switch {
-	case q.Subject == core.Variable && q.Object == core.Variable &&
-		!opts.DisableFastPaths && e.tryFastPath(q.Expr, counted):
-		err = e.fastErr
-	case q.Object != core.Variable && q.Subject == core.Variable:
-		err = e.evalToConst(q.Expr, uint32(q.Object), false, counted)
-	case q.Subject != core.Variable && q.Object == core.Variable:
-		err = e.evalToConst(pathexpr.InverseOf(q.Expr), uint32(q.Subject), true, counted)
-	case q.Subject != core.Variable && q.Object != core.Variable:
-		err = e.evalBothConst(q.Expr, uint32(q.Subject), uint32(q.Object), counted)
-	default:
-		err = e.evalBothVar(q.Expr, counted)
-	}
-	e.trace.EndVals(sp, int64(e.stats.ProductNodes), int64(e.stats.ProductEdges),
-		int64(e.stats.WaveletVisits), int64(e.stats.Results))
-	if errors.Is(err, errLimit) {
-		err = nil
-	}
-	return e.stats, err
-}
-
-// release resets every per-query working array in O(1).
-func (e *Engine) release() {
-	e.visited.Reset()
-	for _, w := range e.work {
-		w.bNode.Reset()
-		w.dNode.Reset()
-		w.bArr = nil
-	}
-	e.queue = e.queue[:0]
-	e.level = e.level[:0]
-	e.st = nil
-}
-
-// prepare installs the per-evaluation stepper and B[v] masks for c,
-// like core.Engine.prepare + markPads: the compiled stepper and
-// precomputed per-ring B[v] arrays when the expression is hot, else the
-// interpreter with lazy seeding.
-func (e *Engine) prepare(c *compiledExpr) {
-	compiled := c.st != nil
-	if compiled {
-		e.st = c.st
-	} else {
-		e.st = c.eng
-	}
-	for i, w := range e.work {
-		if compiled {
-			w.bArr = c.bArrs[i]
-		} else {
-			w.bArr = nil
-			for sym, mask := range c.eng.B {
-				for id := w.r.Lp.LeafID(sym); id >= 1; id = id.Parent() {
-					w.bNode.Or(int(id), mask)
-				}
-			}
-		}
-		for _, id := range w.lsPads {
-			w.dNode.Set(int(id), ^uint64(0))
-		}
-	}
-}
-
-// resetMarks clears only the visited state (between the per-start
-// traversals of a v→v phase 2), keeping the B masks.
-func (e *Engine) resetMarks() {
-	e.visited.Reset()
-	for _, w := range e.work {
-		w.dNode.Reset()
-		for _, id := range w.lsPads {
-			w.dNode.Set(int(id), ^uint64(0))
-		}
-	}
-	e.queue = e.queue[:0]
-}
-
-// markNode records that node s was visited with states d: the global
-// mask plus every sub-ring's D[v] leaf (bottom-up intersection
-// maintenance as in core.Engine.markSubject).
-func (e *Engine) markNode(s uint32, d uint64) {
-	e.visited.Or(int(s), d)
-	for _, w := range e.work {
-		if int(s) >= w.r.NumNodes {
-			continue
-		}
-		leaf := w.r.Ls.LeafID(s)
-		w.dNode.Or(int(leaf), d)
-		for id := leaf.Parent(); id >= 1; id = id.Parent() {
-			v := w.dNode.Get(int(2*id)) & w.dNode.Get(int(2*id+1))
-			if v == w.dNode.Get(int(id)) {
-				break
-			}
-			w.dNode.Set(int(id), v)
-		}
-	}
-}
-
-// arrive processes reaching node s with automaton states d2: dedup
-// against the global mask, report when the initial state is reached,
-// and enqueue remaining work.
-func (e *Engine) arrive(eng *glushkov.Engine, s uint32, d2 uint64, emit core.EmitFunc) bool {
-	newStates := d2 &^ (e.visited.Get(int(s)) | e.base)
-	if newStates == 0 {
-		return true
-	}
-	e.stats.ProductNodes++
-	e.markNode(s, d2)
-	if newStates&eng.Init != 0 {
-		if !emit(s, 0) {
-			e.failure = errLimit
-			return false
-		}
-		newStates &^= eng.Init
-	}
-	if newStates != 0 && e.hasInEdges(s) {
-		e.queue = append(e.queue, item{s, newStates})
-	}
-	return true
-}
-
-// hasInEdges reports whether node s has any union in-edge: enqueueing
-// sink nodes would only grow the frontier sorts.
-func (e *Engine) hasInEdges(s uint32) bool {
-	for _, w := range e.work {
-		if int(s) < w.r.NumNodes && w.r.Co[s+1] > w.r.Co[s] {
-			return true
-		}
-	}
-	ok := true
-	e.ov.InEdges(s, func(uint32, uint32) bool {
-		ok = false
-		return false
-	})
-	return !ok
-}
-
-// bfs drains the worklist: the frontier-batched level-synchronous
-// expansion by default (see batch.go), the item-at-a-time FIFO under
-// Options.DisableBatching/DFS (and as the differential ablation).
-func (e *Engine) bfs(eng *glushkov.Engine, emit core.EmitFunc) error {
-	if e.batch {
-		return e.bfsBatched(eng, emit)
-	}
-	for head := 0; head < len(e.queue); head++ {
-		it := e.queue[head]
-		if err := e.expand(eng, it.node, it.d, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// expand performs one backward step from object o with active states d.
-func (e *Engine) expand(eng *glushkov.Engine, o uint32, d uint64, emit core.EmitFunc) error {
-	if err := e.checkDeadline(); err != nil {
-		return err
-	}
-	for _, w := range e.work {
-		if int(o) >= w.r.NumNodes {
-			continue
-		}
-		b, end := w.r.ObjectRange(o)
-		if b == end {
-			continue
-		}
-		if err := e.ringStep(eng, w, int64(o), b, end, d, emit); err != nil {
-			return err
-		}
-	}
-	return e.overlayStep(eng, o, d, emit)
-}
-
-// overlayStep expands the overlay adds entering o.
-func (e *Engine) overlayStep(eng *glushkov.Engine, o uint32, d uint64, emit core.EmitFunc) error {
-	e.ov.InEdges(o, func(p, s uint32) bool {
-		// Per-edge deadline probe: one object may have many overlay adds.
-		if err := e.checkDeadline(); err != nil {
-			e.failure = err
-			return false
-		}
-		bp := e.st.PredMask(p)
-		if d&bp == 0 {
-			return true
-		}
-		e.stats.ProductEdges++
-		d2 := e.st.StepBack(d & bp)
-		if d2 == 0 {
-			return true
-		}
-		return e.arrive(eng, s, d2, emit)
-	})
-	return e.failure
-}
-
-// ringStep is part 1 of §4 over one sub-ring: find the distinct
-// predicates of L_p[b, end) leading to an active state, pruned by the
-// aggregated B[v] masks, then map each through backward search to its
-// L_s subject range (part 2).
-func (e *Engine) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end int, d uint64, emit core.EmitFunc) error {
-	negFwd, negInv := eng.NegClassBits()
-	half := e.numPreds / 2
-	var failure error
-	w.r.Lp.Traverse(b, end, func(node wavelet.NodeID, leaf bool, p uint32, rb, re int, full bool) bool {
-		if failure != nil {
-			return false
-		}
-		e.stats.WaveletVisits++
-		if !leaf {
-			var bm uint64
-			if w.bArr != nil {
-				bm = w.bArr[node]
-			} else {
-				bm = w.bNode.Get(int(node))
-			}
-			if d&bm != 0 {
-				return true
-			}
-			if negFwd|negInv == 0 {
-				return false
-			}
-			lo, hi := w.r.Lp.SymRange(node)
-			var cb uint64
-			if lo < half {
-				cb |= negFwd
-			}
-			if hi > half {
-				cb |= negInv
-			}
-			return d&cb != 0
-		}
-		// Per-expansion deadline probe (a single step can cover many
-		// predicate leaves).
-		if err := e.checkDeadline(); err != nil {
-			failure = err
-			return false
-		}
-		bp := e.st.PredMask(p)
-		if d&bp == 0 {
-			return true
-		}
-		e.stats.ProductEdges++
-		d2 := e.st.StepBack(d & bp)
-		if d2 == 0 {
-			return true
-		}
-		lsB := w.r.Cp[p] + rb
-		lsE := w.r.Cp[p] + re
-		if err := e.part2(eng, w, o, p, lsB, lsE, d2, emit); err != nil {
-			failure = err
-			return false
-		}
-		return true
-	})
-	return failure
-}
-
-// part2 enumerates the distinct subjects of L_s[b, end) still carrying
-// unvisited states, skipping tombstoned edges. o ≥ 0 names the exact
-// object of the step; o < 0 marks the full-range phase, where a
-// subject survives iff its multiplicity under p exceeds its (p, s)
-// tombstone count.
-func (e *Engine) part2(eng *glushkov.Engine, w *ringWork, o int64, p uint32, b, end int, d2 uint64, emit core.EmitFunc) error {
-	checkDels := e.ov.DelsForPred(p) > 0
-	var failure error
-	w.r.Ls.Traverse(b, end, func(node wavelet.NodeID, leaf bool, s uint32, rb, re int, full bool) bool {
-		if failure != nil {
-			return false
-		}
-		e.stats.WaveletVisits++
-		if !leaf {
-			// Prune subtrees all of whose subjects were already visited
-			// with every state in d2 (conservative: per-ring marks only
-			// under-approximate the global mask).
-			return d2&^(w.dNode.Get(int(node))|e.base) != 0
-		}
-		// Per-leaf deadline probe (dense objects cover many subjects).
-		if err := e.checkDeadline(); err != nil {
-			failure = err
-			return false
-		}
-		if checkDels {
-			if o >= 0 {
-				if e.ov.Deleted(Edge{S: s, P: p, O: uint32(o)}) {
-					return true
-				}
-			} else if re-rb <= e.ov.DeletedPS(p, s) {
-				return true
-			}
-		}
-		if !e.arrive(eng, s, d2, emit) {
-			failure = e.failure
-			return false
-		}
-		return true
-	})
-	return failure
-}
-
-// evalToConst evaluates (x, E, o) for fixed o, emitting (s, o) pairs —
-// or (o, s) when swap is set (the (s, E, y) rewriting of §4.4).
-func (e *Engine) evalToConst(expr pathexpr.Node, o uint32, swap bool, emit core.EmitFunc) error {
-	pair := func(r, _ uint32) bool {
-		if swap {
-			return emit(o, r)
-		}
-		return emit(r, o)
-	}
-	c := e.compile(expr)
-	if c.eng == nil || e.noCompile {
-		return e.wideEvalToConst(expr, o, swap, emit)
-	}
-	if int(o) >= e.numNodes {
-		return nil
-	}
-	if c.a.Nullable {
-		if !pair(o, o) {
-			return errLimit
-		}
-	}
-	defer e.release()
-	e.prepare(c)
-	e.markNode(o, c.eng.F)
-	e.queue = append(e.queue, item{o, c.eng.F})
-	return e.bfs(c.eng, pair)
-}
-
-// evalBothConst evaluates (s, E, o), stopping at the first match.
-func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32, emit core.EmitFunc) error {
-	c := e.compile(expr)
-	if c.eng == nil || e.noCompile {
-		return e.wideEvalBothConst(expr, s, o, emit)
-	}
-	if int(o) >= e.numNodes || int(s) >= e.numNodes {
-		return nil
-	}
-	if c.a.Nullable && s == o {
-		emit(s, o)
-		return nil
-	}
-	found := false
-	probe := func(got, _ uint32) bool {
-		if got == s {
-			found = true
-			emit(s, o)
-			return false
-		}
-		return true
-	}
-	defer e.release()
-	e.prepare(c)
-	e.markNode(o, c.eng.F)
-	e.queue = append(e.queue, item{o, c.eng.F})
-	err := e.bfs(c.eng, probe)
-	if found && errors.Is(err, errLimit) {
-		err = nil
-	}
-	return err
-}
-
-// evalBothVar evaluates (x, E, y): nullable self-pairs first, then a
-// full-range phase collecting candidate endpoints, then one
-// constrained traversal per candidate (§4.4's two-phase strategy).
-// Like core, the orientation is chosen by boundary-predicate
-// cardinality: start from the end whose first backward scan selects
-// fewer triples (§5), counting overlay adds alongside the rings.
-func (e *Engine) evalBothVar(expr pathexpr.Node, emit core.EmitFunc) error {
-	c := e.compile(expr)
-	if c.eng == nil || e.noCompile {
-		return e.wideEvalBothVar(expr, emit)
-	}
-	nullable := c.a.Nullable
-	if nullable {
-		for v := 0; v < e.numNodes; v++ {
-			if err := e.checkDeadline(); err != nil {
-				return err
-			}
-			if !emit(uint32(v), uint32(v)) {
-				return errLimit
-			}
-		}
-	}
-
-	fromObjects := e.startFromObjects(c.a)
-	phase1Expr := expr
-	if fromObjects {
-		phase1Expr = pathexpr.InverseOf(expr)
-	}
-
-	// Phase 1: every endpoint conceptually starts with the final states
-	// active; collect the candidates that reach the initial state.
-	var starts []uint32
-	collect := func(s, _ uint32) bool {
-		starts = append(starts, s)
-		return true
-	}
-	c1 := e.compile(phase1Expr)
-	eng := c1.eng
-	if eng == nil {
-		return e.wideEvalBothVar(expr, emit)
-	}
-	e.prepare(c1)
-	e.base = eng.F &^ eng.Init
-	err := func() error {
-		for _, w := range e.work {
-			if err := e.ringStep(eng, w, -1, 0, w.r.N, eng.F, collect); err != nil {
-				return err
-			}
-		}
-		if err := e.overlayFullRange(eng, collect); err != nil {
-			return err
-		}
-		return e.bfs(eng, collect)
-	}()
-	e.base = 0
-	if err != nil {
-		e.release()
-		return err
-	}
-
-	// Phase 2: one constrained traversal per candidate, in the other
-	// orientation.
-	e.release()
-	phase2Expr := expr
-	if !fromObjects {
-		phase2Expr = pathexpr.InverseOf(expr)
-	}
-	pairFor := func(s uint32) core.EmitFunc {
-		if fromObjects {
-			// s is an object candidate: the traversal reports sources.
-			return func(src, _ uint32) bool {
-				if nullable && src == s {
-					return true // (s, s) already emitted
-				}
-				return emit(src, s)
-			}
-		}
-		// s is a source candidate: the traversal of Ê reports objects.
-		return func(o, _ uint32) bool {
-			if nullable && o == s {
-				return true
-			}
-			return emit(s, o)
-		}
-	}
-	c2 := e.compile(phase2Expr)
-	eng2 := c2.eng
-	if eng2 == nil {
-		return e.wideEvalBothVar(expr, emit)
-	}
-	defer e.release()
-	e.prepare(c2)
-	for _, s := range starts {
-		e.resetMarks()
-		e.markNode(s, eng2.F)
-		e.queue = append(e.queue, item{s, eng2.F})
-		if err := e.bfs(eng2, pairFor(s)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// startFromObjects decides the phase-1 orientation of a v→v query
-// (§5: start from the end whose boundary predicates select fewer
-// triples), counting both the static rings and the overlay adds.
-func (e *Engine) startFromObjects(a *glushkov.Automaton) bool {
-	count := func(positions []int32) int {
-		total := 0
-		for _, j := range positions {
-			c := a.Syms[j-1]
-			if c == glushkov.NoSymbol {
-				continue
-			}
-			for _, w := range e.work {
-				total += w.r.Cp[c+1] - w.r.Cp[c]
-			}
-			total += e.ov.predTouch[c] - e.ov.predDels[c]
-		}
-		return total
-	}
-	firstCard := count(a.Follow[0])
-	lastCard := count(a.Last)
-	return firstCard < lastCard
-}
-
-// overlayFullRange feeds every overlay add into a full-range phase-1
-// step: each edge's target conceptually holds the final states.
-func (e *Engine) overlayFullRange(eng *glushkov.Engine, emit core.EmitFunc) error {
-	d := eng.F
-	e.ov.EachAdd(func(ed Edge) bool {
-		// Per-edge deadline probe: this pass scans every overlay add.
-		if err := e.checkDeadline(); err != nil {
-			e.failure = err
-			return false
-		}
-		bp := e.st.PredMask(ed.P)
-		if d&bp == 0 {
-			return true
-		}
-		e.stats.ProductEdges++
-		d2 := e.st.StepBack(d & bp)
-		if d2 == 0 {
-			return true
-		}
-		return e.arrive(eng, ed.S, d2, emit)
-	})
-	return e.failure
-}
-
-func (e *Engine) checkDeadline() error {
-	e.steps++
-	if e.deadline.IsZero() || e.steps%64 != 0 {
-		return nil
-	}
-	if time.Now().After(e.deadline) {
-		return core.ErrTimeout
-	}
-	return nil
+	return e.kernel.Eval(ctx, q, opts, emit)
 }

@@ -1,10 +1,12 @@
 // Package overlay implements the live-update subsystem: an in-memory
 // dynamic triple overlay — sorted adds plus tombstones over the static
-// ring — and a union evaluator that makes queries see
+// ring — and an evaluator that makes queries see
 //
 //	ring ∪ adds − dels
 //
-// behind the ordinary core.Evaluator interface. The ring index of the
+// behind the ordinary core.Evaluator interface (the union traversal
+// itself is core's multi-ring kernel, which reads an Overlay through
+// the core.Delta seam). The ring index of the
 // paper is static by construction (three sorted sequences cannot absorb
 // an insertion), so mutability is layered on top LSM-style: updates
 // accumulate in the overlay, every evaluation unions them in, and a
@@ -20,13 +22,16 @@ package overlay
 
 import (
 	"sort"
+
+	"ringrpq/internal/core"
+	"ringrpq/internal/ring"
 )
 
 // Edge is a completed dictionary-encoded triple (both directions of a
 // data edge are materialised, exactly as in the static ring).
-type Edge struct {
-	S, P, O uint32
-}
+type Edge = core.Edge
+
+var _ core.Delta = (*Overlay)(nil)
 
 // Batch is one applied update set, kept verbatim (completed, deduped)
 // so a compactor can replay updates that arrived while it was
@@ -237,47 +242,31 @@ func (o *Overlay) Deleted(e Edge) bool { return find(o.dels, e) }
 // zero lets the engine skip per-edge deletion probes entirely.
 func (o *Overlay) DelsForPred(p uint32) int { return o.predDels[p] }
 
-// AddsForPred streams the live adds with completed predicate p as
-// (s, o) pairs; return false to stop.
-func (o *Overlay) AddsForPred(p uint32, fn func(s, oo uint32) bool) bool {
-	i := sort.Search(len(o.addsPS), func(i int) bool {
-		return o.addsPS[i].P >= p
+// runPS returns the run of es (sorted by (P, S, O)) carrying predicate
+// p — and subject s, unless anyS is set — by two binary searches.
+func runPS(es []Edge, p, s uint32, anyS bool) []Edge {
+	lo := sort.Search(len(es), func(i int) bool {
+		return cmpEdgePS(es[i], Edge{P: p, S: s}) >= 0
 	})
-	for ; i < len(o.addsPS) && o.addsPS[i].P == p; i++ {
-		if !fn(o.addsPS[i].S, o.addsPS[i].O) {
-			return false
-		}
-	}
-	return true
+	rest := es[lo:]
+	hi := sort.Search(len(rest), func(i int) bool {
+		return rest[i].P != p || !anyS && rest[i].S != s
+	})
+	return rest[:hi]
 }
 
-// AddsForPredSubject streams the objects of live adds (s, p, ·);
-// return false to stop.
-func (o *Overlay) AddsForPredSubject(p, s uint32, fn func(oo uint32) bool) bool {
-	i := sort.Search(len(o.addsPS), func(i int) bool {
-		return cmpEdgePS(o.addsPS[i], Edge{P: p, S: s, O: 0}) >= 0
-	})
-	for ; i < len(o.addsPS) && o.addsPS[i].P == p && o.addsPS[i].S == s; i++ {
-		if !fn(o.addsPS[i].O) {
-			return false
-		}
-	}
-	return true
-}
+// AddsByPred returns the live adds with completed predicate p, sorted
+// by (S, O). Like every slice an Overlay hands out, it is a read-only
+// view.
+func (o *Overlay) AddsByPred(p uint32) []Edge { return runPS(o.addsPS, p, 0, true) }
+
+// AddsByPredSubject returns the live adds (s, p, ·), sorted by object.
+func (o *Overlay) AddsByPredSubject(p, s uint32) []Edge { return runPS(o.addsPS, p, s, false) }
 
 // DeletedPS counts the tombstones with predicate p and subject s (the
 // full-range step compares it with the subject's multiplicity to
 // decide whether any (s, p, ·) edge survives).
-func (o *Overlay) DeletedPS(p, s uint32) int {
-	lo := sort.Search(len(o.delsPS), func(i int) bool {
-		return cmpEdgePS(o.delsPS[i], Edge{P: p, S: s, O: 0}) >= 0
-	})
-	hi := lo
-	for hi < len(o.delsPS) && o.delsPS[hi].P == p && o.delsPS[hi].S == s {
-		hi++
-	}
-	return hi - lo
-}
+func (o *Overlay) DeletedPS(p, s uint32) int { return len(runPS(o.delsPS, p, s, false)) }
 
 // Has reports whether e is a live overlay add.
 func (o *Overlay) Has(e Edge) bool { return find(o.adds, e) }
@@ -296,37 +285,29 @@ func (o *Overlay) TouchedPreds() []uint32 {
 	return out
 }
 
-// InEdges streams the overlay adds entering object o as (p, s) pairs,
-// in (P, S) order; return false to stop. The engine's backward step
-// unions these with the static ring's object range.
-func (o *Overlay) InEdges(obj uint32, fn func(p, s uint32) bool) bool {
-	i := sort.Search(len(o.adds), func(i int) bool { return o.adds[i].O >= obj })
-	for ; i < len(o.adds) && o.adds[i].O == obj; i++ {
-		if !fn(o.adds[i].P, o.adds[i].S) {
-			return false
-		}
+// Adds returns every live overlay add, sorted by (O, P, S).
+func (o *Overlay) Adds() []Edge { return o.adds }
+
+// Dels returns every tombstone, sorted by (O, P, S).
+func (o *Overlay) Dels() []Edge { return o.dels }
+
+// AddsInto returns the overlay adds entering object obj, in (P, S)
+// order: the backward step unions these with the static ring's object
+// range.
+func (o *Overlay) AddsInto(obj uint32) []Edge {
+	lo := sort.Search(len(o.adds), func(i int) bool { return o.adds[i].O >= obj })
+	hi := lo
+	for hi < len(o.adds) && o.adds[hi].O == obj {
+		hi++
 	}
-	return true
+	return o.adds[lo:hi]
 }
 
-// EachAdd streams every live overlay add; return false to stop.
-func (o *Overlay) EachAdd(fn func(Edge) bool) bool {
-	for _, e := range o.adds {
-		if !fn(e) {
-			return false
-		}
-	}
-	return true
-}
-
-// EachDel streams every tombstone; return false to stop.
-func (o *Overlay) EachDel(fn func(Edge) bool) bool {
-	for _, e := range o.dels {
-		if !fn(e) {
-			return false
-		}
-	}
-	return true
+// EachInEdge streams the union in-edges of object o as (p, s) pairs:
+// every sub-ring's object range (tombstones dropped) followed by the
+// overlay's adds. Return false to stop.
+func EachInEdge(rings []*ring.Ring, ov *Overlay, o uint32, fn func(p, s uint32) bool) bool {
+	return core.EachInEdge(rings, ov, o, fn)
 }
 
 // BatchesAfter returns the applied batches with Version > v, oldest

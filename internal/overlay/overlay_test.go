@@ -64,17 +64,13 @@ func TestInEdgesAndCounts(t *testing.T) {
 	ov := New()
 	ov = ov.Apply(1, []Edge{edge(3, 0, 5), edge(4, 2, 5), edge(3, 2, 5)}, []Edge{edge(0, 1, 7), edge(2, 1, 7)}, inStatic)
 
-	var got []Edge
-	ov.InEdges(5, func(p, s uint32) bool {
-		got = append(got, edge(s, p, 5))
-		return true
-	})
+	got := ov.AddsInto(5)
 	if len(got) != 3 {
-		t.Fatalf("InEdges(5) = %v, want 3 edges", got)
+		t.Fatalf("AddsInto(5) = %v, want 3 edges", got)
 	}
 	for i := 1; i < len(got); i++ {
-		if cmpEdge(got[i-1], got[i]) >= 0 {
-			t.Fatalf("InEdges not ordered: %v", got)
+		if got[i].O != 5 || cmpEdge(got[i-1], got[i]) >= 0 {
+			t.Fatalf("AddsInto not ordered: %v", got)
 		}
 	}
 	if ov.DeletedPS(1, 0) != 1 || ov.DeletedPS(1, 1) != 0 || ov.DeletedPS(1, 2) != 1 {

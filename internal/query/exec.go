@@ -17,7 +17,7 @@ import (
 // ErrCrossShard reports a pattern whose clauses span several sub-rings
 // of a sharded index: every matching path of every clause must live in
 // one shard for the join to be routed wholesale, and cross-shard joins
-// are not yet supported (the RPQ-only cooperative traversal does not
+// are not yet supported (the RPQ-only multi-ring traversal does not
 // extend to LTJ's rotation walks).
 var ErrCrossShard = errors.New("query: graph pattern spans multiple shards (cross-shard joins are not yet supported)")
 

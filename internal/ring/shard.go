@@ -25,7 +25,7 @@ import (
 // shards, so evaluating the full query independently per shard and
 // unioning the results would be wrong. The sharded engine
 // (internal/core) instead routes single-shard expressions wholesale and
-// runs a cooperative cross-shard traversal otherwise; the ShardSet only
+// runs the multi-ring union traversal otherwise; the ShardSet only
 // guarantees the data-level invariants above.
 
 // MaxShards bounds the shard count accepted by builders and decoders;

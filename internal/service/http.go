@@ -61,8 +61,6 @@ type ResultJSON struct {
 	// the whole-batch 200) and are never stored in — or replayed from —
 	// the result cache.
 	Truncated bool `json:"truncated,omitempty"`
-	// TimedOut is kept as an alias of Truncated for older clients.
-	TimedOut bool `json:"timed_out,omitempty"`
 	// LimitReached reports that the result filled the request's (or
 	// the server's default) solution cap: the count may be truncated.
 	LimitReached bool   `json:"limit_reached,omitempty"`
@@ -96,14 +94,13 @@ type SelectJSON struct {
 // projected variable names and one row of values per solution.
 // Failures (parse errors, cross-shard patterns) are reported as
 // non-200 {"error": ...} responses; only timeouts reach a 200 body,
-// flagged with timed_out.
+// flagged with truncated.
 type SelectResultJSON struct {
 	Vars         []string     `json:"vars"`
 	Rows         [][]string   `json:"rows,omitempty"`
 	Count        int          `json:"count"`
 	Cached       bool         `json:"cached,omitempty"`
 	Truncated    bool         `json:"truncated,omitempty"`
-	TimedOut     bool         `json:"timed_out,omitempty"`
 	LimitReached bool         `json:"limit_reached,omitempty"`
 	ElapsedMS    float64      `json:"elapsed_ms,omitempty"`
 	Profile      *obs.Profile `json:"profile,omitempty"`
@@ -242,7 +239,6 @@ func toJSON(req Request, res Result, elapsed time.Duration) ResultJSON {
 	switch {
 	case errors.Is(res.Err, core.ErrTimeout):
 		out.Truncated = true
-		out.TimedOut = true
 	case res.Err != nil:
 		out.Error = res.Err.Error()
 	}
@@ -311,7 +307,6 @@ func (h *handler) selectPattern(w http.ResponseWriter, r *http.Request) {
 	}
 	if errors.Is(res.Err, core.ErrTimeout) {
 		out.Truncated = true
-		out.TimedOut = true
 	}
 	if tr != nil {
 		out.Profile = h.renderProfile(tr, root, out)
@@ -429,7 +424,7 @@ func (h *handler) batch(w http.ResponseWriter, r *http.Request) {
 
 // failureStatus maps submission-level failures to HTTP statuses;
 // evaluation timeouts are not failures (the partial result is
-// returned with timed_out set).
+// returned with truncated set).
 func failureStatus(err error) (int, bool) {
 	switch {
 	case err == nil, errors.Is(err, core.ErrTimeout):

@@ -31,20 +31,80 @@ func obsTestDB(t *testing.T) *DB {
 	return db
 }
 
-// TestProfileEngineSpans: a profiled closure query over a real ring
-// must surface the engine's traversal telemetry — a traverse span with
+// TestProfileEngineSpans: a profiled closure query must surface the
+// engine's traversal telemetry — exactly one traverse span with
 // product-graph attrs nesting per-BFS-level spans with frontier sizes
 // and wavelet-node visits — and the span clock must be consistent
 // (children within parents, siblings summing to no more than the root).
+// The three layouts cover the two traversal kernels: core.Engine on a
+// single ring, and the multi-ring kernel both under a ShardedEngine (a
+// closure whose predicates sit on different shards) and under the
+// overlay's union engine (an update touching the query's predicate).
 func TestProfileEngineSpans(t *testing.T) {
-	db := obsTestDB(t)
+	// Six parallel chains a → b → c → d, one per predicate, so that any
+	// closure over them reaches {b, c, d} from a in three BFS levels.
+	preds := []string{"p", "q", "r", "s", "u", "v"}
+	chains := func(cfg BuilderConfig) *DB {
+		b := NewBuilderWithConfig(cfg)
+		for _, p := range preds {
+			b.Add("a", p, "b")
+			b.Add("b", p, "c")
+			b.Add("c", p, "d")
+		}
+		db, err := b.Build()
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		return db
+	}
+	cases := []struct {
+		name  string
+		build func() (*DB, string)
+		want  int
+	}{
+		{"single-ring", func() (*DB, string) { return obsTestDB(t), "p+" }, 3},
+		{"sharded-cross-shard", func() (*DB, string) {
+			db := chains(BuilderConfig{Shards: 3})
+			set := db.h.cur.Load().set
+			p0, _ := db.g.PredID(preds[0], false)
+			for _, name := range preds[1:] {
+				if p, _ := db.g.PredID(name, false); set.ShardFor(p) != set.ShardFor(p0) {
+					return db, "(" + preds[0] + "|" + name + ")+"
+				}
+			}
+			t.Fatalf("all of %v hash to one shard", preds)
+			return nil, ""
+		}, 3},
+		{"overlay-touching-predicate", func() (*DB, string) {
+			db := obsTestDB(t)
+			if _, err := db.Apply([]Triple{{"d", "p", "e"}}, nil); err != nil {
+				t.Fatalf("apply: %v", err)
+			}
+			if db.UpdateStats().OverlayEdges == 0 {
+				t.Fatal("overlay is empty after the update")
+			}
+			return db, "p+"
+		}, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db, expr := tc.build()
+			checkEngineSpans(t, db, expr, tc.want)
+		})
+	}
+}
+
+// checkEngineSpans profiles (a, expr, ?o) through the HTTP handler and
+// checks the span tree's shape.
+func checkEngineSpans(t *testing.T, db *DB, expr string, want int) {
+	t.Helper()
 	svc := NewService(db, ServiceConfig{Workers: 1, ResultCacheEntries: -1})
 	defer svc.Close()
 	h := svc.Handler(HandlerConfig{})
 
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("POST", "/query",
-		strings.NewReader(`{"subject":"a","expr":"p+","object":"?o","profile":true}`))
+		strings.NewReader(`{"subject":"a","expr":"`+expr+`","object":"?o","profile":true}`))
 	h.ServeHTTP(rec, req)
 	if rec.Code != 200 {
 		t.Fatalf("POST /query = %d: %s", rec.Code, rec.Body.String())
@@ -53,8 +113,8 @@ func TestProfileEngineSpans(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if out.Count != 3 {
-		t.Fatalf("a -p+-> ?o returned %d solutions, want 3", out.Count)
+	if out.Count != want {
+		t.Fatalf("a -%s-> ?o returned %d solutions, want %d", expr, out.Count, want)
 	}
 	if out.Profile == nil || len(out.Profile.Spans) != 1 {
 		t.Fatalf("no single-root profile: %+v", out.Profile)
@@ -65,21 +125,23 @@ func TestProfileEngineSpans(t *testing.T) {
 	}
 
 	var traverse *obs.SpanNode
+	traverses := 0
 	var find func(n *obs.SpanNode)
 	find = func(n *obs.SpanNode) {
 		if n.Kind == "traverse" {
 			traverse = n
+			traverses++
 		}
 		for _, c := range n.Children {
 			find(c)
 		}
 	}
 	find(root)
-	if traverse == nil {
-		t.Fatalf("no traverse span in profile: %s", rec.Body.String())
+	if traverses != 1 {
+		t.Fatalf("%d traverse spans in profile, want exactly 1: %s", traverses, rec.Body.String())
 	}
-	if traverse.Attrs["results"] != 3 {
-		t.Errorf("traverse results attr = %d, want 3", traverse.Attrs["results"])
+	if traverse.Attrs["results"] != int64(want) {
+		t.Errorf("traverse results attr = %d, want %d", traverse.Attrs["results"], want)
 	}
 	if traverse.Attrs["wavelet_visits"] <= 0 || traverse.Attrs["product_nodes"] <= 0 {
 		t.Errorf("traverse missing engine attrs: %v", traverse.Attrs)
@@ -99,7 +161,7 @@ func TestProfileEngineSpans(t *testing.T) {
 			t.Errorf("level span outside traverse window")
 		}
 	}
-	// a -p+-> {b,c,d} takes three BFS levels.
+	// a reaches {b, c, d, …} one hop per BFS level.
 	if levels < 2 {
 		t.Errorf("closure traversal produced %d level spans, want >= 2", levels)
 	}

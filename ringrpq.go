@@ -42,9 +42,9 @@
 //	defer svc.Close()
 //	sols, err := svc.Query(ctx, "Baquedano", "(l1|l2|l5)+", "?station")
 //
-// For parallel index construction and intra-query parallelism on
-// closure-heavy workloads, the index can be partitioned into sub-rings
-// with NewBuilderWithConfig(BuilderConfig{Shards: K}); queries, saving
+// For parallel index construction and per-shard compaction, the index
+// can be partitioned into sub-rings with
+// NewBuilderWithConfig(BuilderConfig{Shards: K}); queries, saving
 // and loading are transparent to the layout (see the README's sharded
 // mode section).
 //
@@ -94,12 +94,12 @@ type BuilderConfig struct {
 	// Layout selects the wavelet representation of the ring sequences.
 	Layout Layout
 	// Shards partitions the triples across this many sub-rings that are
-	// built — and, for queries whose expressions span shards, traversed
-	// — in parallel. 0 or 1 builds the classic single ring. Partitioning
-	// is by hash of the base predicate, so a predicate and its inverse
-	// always share a shard; see the README's sharded-mode section for
-	// when sharding pays off. Values beyond the supported maximum are
-	// clamped.
+	// built in parallel (queries whose expressions span shards traverse
+	// them on one goroutine). 0 or 1 builds the classic single ring.
+	// Partitioning is by hash of the base predicate, so a predicate and
+	// its inverse always share a shard; see the README's sharded-mode
+	// section for when sharding pays off. Values beyond the supported
+	// maximum are clamped.
 	Shards int
 }
 
@@ -157,9 +157,9 @@ func newDB(g *triples.Graph, r *ring.Ring, set *ring.ShardSet, layout Layout) *D
 
 // DB is an RPQ-queryable graph database. Its query methods share
 // working arrays and must not be called concurrently; use Clone for
-// parallel workers. (A sharded DB's single evaluation may itself fan
-// out across its shards with internal goroutines; that is invisible to
-// callers and does not relax the one-caller rule.)
+// parallel workers. (An evaluation runs on its caller's goroutine, on a
+// sharded DB too: sub-rings are built in parallel, not traversed in
+// parallel.)
 //
 // The index is no longer frozen after Build: Apply folds live updates
 // into an in-memory overlay that every query unions in, and a

@@ -587,10 +587,9 @@ func rebuildSingle(base *snapshot, numNodes int, layout ring.Layout) *ring.Ring 
 			merged = append(merged, t)
 		}
 	}
-	base.ov.EachAdd(func(e overlay.Edge) bool {
+	for _, e := range base.ov.Adds() {
 		merged = append(merged, triples.Triple{S: e.S, P: e.P, O: e.O})
-		return true
-	})
+	}
 	return ring.FromTriples(merged, numNodes, base.r.NumPreds, layout)
 }
 
@@ -623,12 +622,11 @@ func rebuildShards(base *snapshot, numNodes int, layout ring.Layout) *ring.Shard
 					merged = append(merged, t)
 				}
 			}
-			base.ov.EachAdd(func(e overlay.Edge) bool {
+			for _, e := range base.ov.Adds() {
 				if set.ShardFor(e.P) == i {
 					merged = append(merged, triples.Triple{S: e.S, P: e.P, O: e.O})
 				}
-				return true
-			})
+			}
 			shards[i] = ring.FromTriples(merged, numNodes, set.NumPreds, layout)
 		}(i, old)
 	}
