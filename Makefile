@@ -57,11 +57,15 @@ bench:
 	$(GO) test -run NONE -bench 'Service' -benchtime 2s .
 
 # One-iteration smoke run of the hot-path micro-benchmarks (broadword
-# select, multi-range wavelet descent, batched vs unbatched BFS): makes
-# sure the benchmark code keeps compiling and running under ci.
+# select, multi-range wavelet descent, batched vs unbatched BFS) and of
+# the compactor's (matrix build, counting-sort ring build, bulk triple
+# decode, per-batch overlay consolidation): makes sure the benchmark
+# code keeps compiling and running under ci.
 bench-short:
 	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
+	$(GO) test -run NONE -bench 'MatrixBuild|FromTriples|RingTriples|OverlayApply' -benchtime 1x \
+		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 
 # Machine-readable perf trajectory: the batched-vs-unbatched ablation

@@ -467,6 +467,51 @@ func TestDurableCompactionStageCrash(t *testing.T) {
 	}
 }
 
+// TestDurableLastCheckpoint: the checkpoint's duration is reported
+// next to the rebuild's, also for a checkpoint that failed (the swap
+// happened; the time was spent).
+func TestDurableLastCheckpoint(t *testing.T) {
+	ff := wal.NewFaultFS(wal.NewMemFS())
+	db, err := openDurable(durableCfg(), buildCrashSeed, ff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseWAL()
+	db.SetCompactionThreshold(-1)
+	if st := db.UpdateStats(); st.LastCheckpoint != 0 {
+		t.Fatalf("LastCheckpoint = %v before any compaction", st.LastCheckpoint)
+	}
+	if _, err := db.Apply([]Triple{{"a", "p0", "b"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	db.Flush() //nolint:errcheck // always nil
+	first := db.UpdateStats().LastCheckpoint
+	if first <= 0 || db.WALStats().Checkpoints != 1 {
+		t.Fatalf("LastCheckpoint = %v after %d checkpoints", first, db.WALStats().Checkpoints)
+	}
+	if got := (dbBackend{db}).WALStats().LastCheckpointMS; got != float64(first)/1e6 {
+		t.Fatalf("service LastCheckpointMS = %v, want %v", got, float64(first)/1e6)
+	}
+
+	if _, err := db.Apply([]Triple{{"b", "p0", "c"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	db.h.lastCheckpointNS.Store(0)
+	compactStageHook = func(s string) {
+		if s == "swapped" {
+			ff.SetWriteBudget(0) // the checkpoint's writes fail
+		}
+	}
+	defer func() { compactStageHook = nil }()
+	db.Flush() //nolint:errcheck // always nil
+	if ws := db.WALStats(); ws.CheckpointErrors != 1 {
+		t.Fatalf("checkpoint errors = %d, want the injected one", ws.CheckpointErrors)
+	}
+	if st := db.UpdateStats(); st.LastCheckpoint <= 0 {
+		t.Fatalf("LastCheckpoint = %v after a failed checkpoint", st.LastCheckpoint)
+	}
+}
+
 // TestDurableTornTailTruncated mutilates the newest log segment
 // directly: the torn record must be truncated — never panicked on, and
 // never replayed half-applied.

@@ -64,8 +64,21 @@ func (b *Builder) Set(i int) {
 
 // Build freezes the builder into an immutable Vector with rank/select
 // support. The builder must not be used afterwards.
-func (b *Builder) Build() *Vector {
-	v := &Vector{words: b.words, n: b.n}
+func (b *Builder) Build() *Vector { return FromWords(b.words, b.n) }
+
+// FromWords freezes n bits already packed 64 to a word (bit i is bit
+// i%64 of words[i/64]) into a Vector, taking ownership of words: the
+// bulk constructor for callers that produce whole words at a time.
+// There must be exactly ⌈n/64⌉ words and the bits past n must be zero
+// (the rank directory counts them otherwise).
+func FromWords(words []uint64, n int) *Vector {
+	if len(words) != (n+63)/64 {
+		panic(fmt.Sprintf("bitvec: %d words for %d bits", len(words), n))
+	}
+	if n%64 != 0 && words[len(words)-1]>>uint(n%64) != 0 {
+		panic(fmt.Sprintf("bitvec: nonzero padding bits beyond length %d", n))
+	}
+	v := &Vector{words: words, n: n}
 	v.buildRank()
 	v.buildSelect()
 	return v
@@ -138,6 +151,10 @@ func (v *Vector) buildSelect() {
 
 // Len reports the number of bits.
 func (v *Vector) Len() int { return v.n }
+
+// Words exposes the packed bits (see FromWords for the layout) as a
+// read-only view, for callers that consume the vector a word at a time.
+func (v *Vector) Words() []uint64 { return v.words }
 
 // Ones reports the total number of one-bits.
 func (v *Vector) Ones() int { return v.ones }

@@ -337,3 +337,51 @@ func BenchmarkSelectInWord(b *testing.B) {
 		}
 	})
 }
+
+// FromWords over packed words must answer exactly as the per-bit
+// builder does, and must refuse words that do not match the length.
+func TestFromWords(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4096} {
+		bs := randomBits(n, 0.4, int64(n))
+		words := make([]uint64, (n+63)/64)
+		for i, b := range bs {
+			if b {
+				words[i/64] |= 1 << uint(i%64)
+			}
+		}
+		got, want := FromWords(words, n), FromBools(bs)
+		if got.Len() != n || got.Ones() != want.Ones() || got.SizeBytes() != want.SizeBytes() {
+			t.Fatalf("n=%d: len/ones/size %d/%d/%d, want %d/%d/%d", n,
+				got.Len(), got.Ones(), got.SizeBytes(), n, want.Ones(), want.SizeBytes())
+		}
+		for i := 0; i <= n; i++ {
+			if got.Rank1(i) != want.Rank1(i) {
+				t.Fatalf("n=%d: Rank1(%d) = %d, want %d", n, i, got.Rank1(i), want.Rank1(i))
+			}
+		}
+		for k := 1; k <= want.Ones(); k++ {
+			if got.Select1(k) != want.Select1(k) {
+				t.Fatalf("n=%d: Select1(%d) = %d, want %d", n, k, got.Select1(k), want.Select1(k))
+			}
+		}
+		for k := 1; k <= want.Zeros(); k++ {
+			if got.Select0(k) != want.Select0(k) {
+				t.Fatalf("n=%d: Select0(%d) = %d, want %d", n, k, got.Select0(k), want.Select0(k))
+			}
+		}
+	}
+	for name, build := range map[string]func(){
+		"short":   func() { FromWords(make([]uint64, 1), 65) },
+		"long":    func() { FromWords(make([]uint64, 2), 64) },
+		"padding": func() { FromWords([]uint64{1 << 10}, 10) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FromWords accepted %s words", name)
+				}
+			}()
+			build()
+		}()
+	}
+}

@@ -33,8 +33,5 @@ func Decode(r *serial.Reader) *Vector {
 		r.Fail(fmt.Errorf("bitvec: nonzero padding bits beyond length %d", n))
 		return nil
 	}
-	v := &Vector{words: words, n: n}
-	v.buildRank()
-	v.buildSelect()
-	return v
+	return FromWords(words, n)
 }

@@ -21,6 +21,8 @@
 package overlay
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"ringrpq/internal/core"
@@ -105,14 +107,10 @@ func cmpEdge(a, b Edge) int {
 	return 0
 }
 
-func sortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool { return cmpEdge(es[i], es[j]) < 0 })
-}
-
-// find locates e in the sorted slice.
+// find locates e in a slice sorted by (O, P, S).
 func find(es []Edge, e Edge) bool {
-	i := sort.Search(len(es), func(i int) bool { return cmpEdge(es[i], e) >= 0 })
-	return i < len(es) && es[i] == e
+	_, ok := slices.BinarySearchFunc(es, e, cmpEdge)
+	return ok
 }
 
 // Apply returns a new overlay version with the batch folded in.
@@ -121,75 +119,130 @@ func find(es []Edge, e Edge) bool {
 // or cancels a pending add. Within one batch, deletes are applied
 // after adds. version must exceed the current version (the snapshot
 // layer allocates them monotonically).
+//
+// The cost is that of the batch, not of the overlay: O(b·log n) probes
+// for a batch of b edges plus one copy of each consolidated slice the
+// batch changes.
 func (o *Overlay) Apply(version uint64, adds, dels []Edge, inStatic func(Edge) bool) *Overlay {
-	addSet := make(map[Edge]bool, len(o.adds)+len(adds))
-	for _, e := range o.adds {
-		addSet[e] = true
+	b := Batch{Version: version, Adds: slices.Clone(adds), Dels: slices.Clone(dels)}
+	n := o.Replay([]Batch{b}, inStatic)
+	n.batches = append(slices.Clone(o.batches), b)
+	return n
+}
+
+// Replay consolidates batches, oldest first, on top of o in one pass
+// over their edges, without logging them: what a finishing compaction
+// does to the updates that raced its rebuild, starting from New() and
+// against the ring it just built. (The residual needs no replay log —
+// whatever compaction comes next starts from a base that already
+// contains it consolidated.) Replaying a sequence in two calls equals
+// replaying it in one.
+func (o *Overlay) Replay(batches []Batch, inStatic func(Edge) bool) *Overlay {
+	if len(batches) == 0 {
+		return o
 	}
-	delSet := make(map[Edge]bool, len(o.dels)+len(dels))
-	for _, e := range o.dels {
-		delSet[e] = true
+	// Each edge the batches mention moves between three states — live
+	// add, tombstone, neither — independently of every other edge, so
+	// only those edges are tracked: where they were in o (two binary
+	// searches, on first sight) and where the batches leave them.
+	type membership struct{ add, del bool }
+	type move struct{ was, now membership }
+	moved := map[Edge]move{}
+	at := func(e Edge) move {
+		if m, ok := moved[e]; ok {
+			return m
+		}
+		was := membership{add: find(o.adds, e), del: find(o.dels, e)}
+		return move{was: was, now: was}
 	}
-	for _, e := range adds {
-		if delSet[e] {
-			// Revive a tombstoned static edge.
-			delete(delSet, e)
-			continue
+	for _, b := range batches {
+		for _, e := range b.Adds {
+			m := at(e)
+			switch {
+			case m.now.del:
+				m.now.del = false // revive a tombstoned static edge
+			case !m.now.add && !inStatic(e):
+				m.now.add = true
+			}
+			moved[e] = m
 		}
-		if inStatic(e) || addSet[e] {
-			continue // already visible
+		for _, e := range b.Dels {
+			m := at(e)
+			switch {
+			case m.now.add:
+				m.now.add = false // cancel a pending add
+			case !m.now.del && inStatic(e):
+				m.now.del = true
+			}
+			moved[e] = m // an absent edge stays absent
 		}
-		addSet[e] = true
-	}
-	for _, e := range dels {
-		if addSet[e] {
-			delete(addSet, e)
-			continue
-		}
-		if inStatic(e) {
-			delSet[e] = true
-		}
-		// Absent edge: no-op.
 	}
 
-	n := &Overlay{
-		adds:      make([]Edge, 0, len(addSet)),
-		dels:      make([]Edge, 0, len(delSet)),
-		version:   version,
-		predTouch: make(map[uint32]int, len(addSet)+len(delSet)),
-		predDels:  make(map[uint32]int, len(delSet)),
-	}
-	for e := range addSet {
-		n.adds = append(n.adds, e)
-	}
-	for e := range delSet {
-		n.dels = append(n.dels, e)
-	}
-	sortEdges(n.adds)
-	sortEdges(n.dels)
-	n.delsPS = append([]Edge(nil), n.dels...)
-	sort.Slice(n.delsPS, func(i, j int) bool { return cmpEdgePS(n.delsPS[i], n.delsPS[j]) < 0 })
-	n.addsPS = append([]Edge(nil), n.adds...)
-	sort.Slice(n.addsPS, func(i, j int) bool { return cmpEdgePS(n.addsPS[i], n.addsPS[j]) < 0 })
-	for _, e := range n.adds {
-		n.predTouch[e.P]++
-		if e.S >= n.maxNode {
-			n.maxNode = e.S + 1
-		}
-		if e.O >= n.maxNode {
-			n.maxNode = e.O + 1
+	var addIns, addRem, delIns, delRem []Edge
+	n := *o
+	n.predTouch, n.predDels = maps.Clone(o.predTouch), maps.Clone(o.predDels)
+	count := func(m map[uint32]int, p uint32, d int) {
+		if m[p] += d; m[p] == 0 {
+			delete(m, p)
 		}
 	}
-	for _, e := range n.dels {
-		n.predTouch[e.P]++
-		n.predDels[e.P]++
+	for e, m := range moved {
+		switch {
+		case m.now.add && !m.was.add:
+			addIns = append(addIns, e)
+			count(n.predTouch, e.P, 1)
+		case !m.now.add && m.was.add:
+			addRem = append(addRem, e)
+			count(n.predTouch, e.P, -1)
+		}
+		switch {
+		case m.now.del && !m.was.del:
+			delIns = append(delIns, e)
+			count(n.predTouch, e.P, 1)
+			count(n.predDels, e.P, 1)
+		case !m.now.del && m.was.del:
+			delRem = append(delRem, e)
+			count(n.predTouch, e.P, -1)
+			count(n.predDels, e.P, -1)
+		}
 	}
-	n.batches = append(append([]Batch(nil), o.batches...), Batch{
-		Version: version,
-		Adds:    append([]Edge(nil), adds...),
-		Dels:    append([]Edge(nil), dels...),
-	})
-	return n
+	n.adds = merge(o.adds, addIns, addRem, cmpEdge)
+	n.addsPS = merge(o.addsPS, addIns, addRem, cmpEdgePS)
+	n.dels = merge(o.dels, delIns, delRem, cmpEdge)
+	n.delsPS = merge(o.delsPS, delIns, delRem, cmpEdgePS)
+	if len(addIns)+len(addRem) > 0 {
+		n.maxNode = 0
+		for _, e := range n.adds {
+			n.maxNode = max(n.maxNode, e.S+1, e.O+1)
+		}
+	}
+	n.version = batches[len(batches)-1].Version
+	return &n
+}
+
+// merge returns old — sorted by cmp and never written to — with the
+// edges of rem (all in old) removed and those of ins (none in old)
+// inserted: a binary search per changed edge and block copies between
+// them. ins and rem are sorted in place.
+func merge(old, ins, rem []Edge, cmp func(a, b Edge) int) []Edge {
+	if len(ins)+len(rem) == 0 {
+		return old
+	}
+	slices.SortFunc(ins, cmp)
+	slices.SortFunc(rem, cmp)
+	out := make([]Edge, 0, len(old)+len(ins)-len(rem))
+	for len(ins)+len(rem) > 0 {
+		if len(rem) == 0 || len(ins) > 0 && cmp(ins[0], rem[0]) < 0 {
+			i, _ := slices.BinarySearchFunc(old, ins[0], cmp)
+			out = append(append(out, old[:i]...), ins[0])
+			old, ins = old[i:], ins[1:]
+		} else {
+			i, _ := slices.BinarySearchFunc(old, rem[0], cmp)
+			out = append(out, old[:i]...)
+			old, rem = old[i+1:], rem[1:]
+		}
+	}
+	return append(out, old...)
 }
 
 // Empty reports whether the overlay changes nothing.
@@ -337,21 +390,12 @@ func (o *Overlay) WithBatchesAfter(v uint64) *Overlay {
 // BatchCount reports the replay-log length (observability and tests).
 func (o *Overlay) BatchCount() int { return len(o.batches) }
 
-// Replay folds the given batches into a fresh overlay against a new
-// static base (the compactor's residual overlay: updates that raced
-// the rebuild).
-func Replay(batches []Batch, inStatic func(Edge) bool) *Overlay {
-	n := New()
-	for _, b := range batches {
-		n = n.Apply(b.Version, b.Adds, b.Dels, inStatic)
-	}
-	return n
-}
-
-// SizeBytes estimates the overlay footprint (consolidated sets plus
-// the replay log).
+// SizeBytes estimates the overlay footprint: every consolidated edge is
+// held twice (object-major and predicate-major), plus the per-predicate
+// counts and the replay log.
 func (o *Overlay) SizeBytes() int {
-	sz := 64 + 12*(len(o.adds)+len(o.dels)) + 24*len(o.predTouch)
+	sz := 64 + 12*(len(o.adds)+len(o.addsPS)+len(o.dels)+len(o.delsPS)) +
+		24*(len(o.predTouch)+len(o.predDels))
 	for _, b := range o.batches {
 		sz += 48 + 12*(len(b.Adds)+len(b.Dels))
 	}

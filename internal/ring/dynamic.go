@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"slices"
+
 	"ringrpq/internal/triples"
 	"ringrpq/internal/wavelet"
 )
@@ -40,20 +42,39 @@ func (r *Ring) Layout() Layout {
 	return WaveletMatrix
 }
 
-// Triples reconstructs the ring's completed triple set by following the
-// LF cycle at every position of L_p (order unspecified). O(N log σ);
+// Triples reconstructs the ring's completed triple set, in (o,s,p)
+// order: L_p and L_s are decoded in bulk and every triple is read off
+// one left-to-right pass over L_p — o from C_o, p = L_p[i], and the
+// LF-step to L_s (Eq. 3) as C_p[p] plus a running count of the p's seen
+// so far, which is what Rank(p, i) would say. O(n·log σ) sequential
+// decoding plus O(n + σ) for the pass, no per-triple wavelet walk;
 // used by the compactor, which merges the result with the overlay.
 func (r *Ring) Triples() []triples.Triple {
 	out := make([]triples.Triple, r.N)
-	for i := 0; i < r.N; i++ {
-		out[i] = r.TripleAt(i)
+	buf := make([]uint32, 2*r.N)
+	sym, tmp := buf[:r.N], buf[r.N:]
+	r.Lp.Symbols(sym, tmp)
+	for i, p := range sym {
+		out[i].P = p
+	}
+	r.Ls.Symbols(sym, tmp)
+	next := slices.Clone(r.Cp[:r.NumPreds])
+	for o := 0; o < r.NumNodes; o++ {
+		for i := r.Co[o]; i < r.Co[o+1]; i++ {
+			p := out[i].P
+			out[i].S, out[i].O = sym[next[p]], uint32(o)
+			next[p]++
+		}
 	}
 	return out
 }
 
-// FromTriples builds a ring directly over a completed triple list with
-// explicit id spaces (the compactor's entry point; New remains the
-// builder's, going through a Graph).
+// FromTriples builds a ring directly over a completed triple list (any
+// order, no duplicates) with explicit id spaces: five counting-sort
+// passes of O(n + σ) each and three O(n·log σ) wavelet builds, no
+// comparison sort. It takes ts over as sorting space, so the caller's
+// triples come back reordered. The compactor's entry point; New remains
+// the builder's, going through a Graph.
 func FromTriples(ts []triples.Triple, numNodes int, numPreds uint32, layout Layout) *Ring {
 	return fromTriples(ts, numNodes, numPreds, layout)
 }

@@ -15,7 +15,7 @@ package ring
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ringrpq/internal/triples"
 	"ringrpq/internal/wavelet"
@@ -54,9 +54,11 @@ type Ring struct {
 
 // New builds the ring over the completed triples of g.
 func New(g *triples.Graph, layout Layout) *Ring {
-	return fromTriples(g.Triples, g.NumNodes(), g.NumCompletedPreds(), layout)
+	return fromTriples(slices.Clone(g.Triples), g.NumNodes(), g.NumCompletedPreds(), layout)
 }
 
+// fromTriples builds the ring over ts, which it takes over as sorting
+// space (the triples come back in some other order).
 func fromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring {
 	n := len(ts)
 	for _, t := range ts {
@@ -65,83 +67,49 @@ func fromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring {
 				t.S, t.P, t.O, nv, np))
 		}
 	}
-	r := &Ring{N: n, NumNodes: nv, NumPreds: np}
-
-	// Work on a copy: three sorts would otherwise disturb the caller.
-	buf := make([]triples.Triple, n)
-	copy(buf, ts)
-
-	seq := make([]uint32, n)
-	mk := func(data []uint32, sigma uint32) wavelet.Seq {
-		if layout == WaveletTree {
-			return wavelet.NewTree(data, sigma)
-		}
-		return wavelet.NewMatrix(data, sigma)
+	r := &Ring{
+		N: n, NumNodes: nv, NumPreds: np,
+		Cs: make([]int, nv+1), Cp: make([]int, np+1), Co: make([]int, nv+1),
 	}
+
+	// The three orders are rotations of one another, so once the
+	// triples are in one of them a stable counting sort on a single
+	// component yields the next (the LF property of §3.4), and the C
+	// array of that component falls out of the pass. ts and one more
+	// buffer take turns as source and destination.
+	a, b := ts, make([]triples.Triple, n)
+	seq := make([]uint32, n)
+	mk := func(sigma uint32) wavelet.Seq {
+		if layout == WaveletTree {
+			return wavelet.NewTree(seq, sigma)
+		}
+		return wavelet.NewMatrix(seq, sigma)
+	}
+
+	// L_p: triples sorted by (o,s,p), reached from any input order by
+	// passes on p, s and o. C_o partitions it by object.
+	triples.SortBy(b, a, triples.ByP, r.Cp)
+	triples.SortBy(a, b, triples.ByS, r.Cs)
+	triples.SortBy(b, a, triples.ByO, r.Co)
+	for i, t := range b {
+		seq[i] = t.P
+	}
+	r.Lp = mk(np)
+
+	// L_s: triples sorted by (p,o,s). C_p partitions it by predicate.
+	triples.SortBy(a, b, triples.ByP, r.Cp)
+	for i, t := range a {
+		seq[i] = t.S
+	}
+	r.Ls = mk(uint32(nv))
 
 	// L_o: triples sorted by (s,p,o); the cyclically preceding symbol of
 	// s in "spo" is o. C_s partitions it by subject.
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := buf[i], buf[j]
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.P != b.P {
-			return a.P < b.P
-		}
-		return a.O < b.O
-	})
-	r.Cs = make([]int, nv+1)
-	for i, t := range buf {
+	triples.SortBy(b, a, triples.ByS, r.Cs)
+	for i, t := range b {
 		seq[i] = t.O
-		r.Cs[t.S+1]++
 	}
-	for i := 0; i < nv; i++ {
-		r.Cs[i+1] += r.Cs[i]
-	}
-	r.Lo = mk(seq, uint32(nv))
-
-	// L_s: triples sorted by (p,o,s). C_p partitions it by predicate.
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := buf[i], buf[j]
-		if a.P != b.P {
-			return a.P < b.P
-		}
-		if a.O != b.O {
-			return a.O < b.O
-		}
-		return a.S < b.S
-	})
-	r.Cp = make([]int, np+1)
-	for i, t := range buf {
-		seq[i] = t.S
-		r.Cp[t.P+1]++
-	}
-	for i := uint32(0); i < np; i++ {
-		r.Cp[i+1] += r.Cp[i]
-	}
-	r.Ls = mk(seq, uint32(nv))
-
-	// L_p: triples sorted by (o,s,p). C_o partitions it by object.
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := buf[i], buf[j]
-		if a.O != b.O {
-			return a.O < b.O
-		}
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		return a.P < b.P
-	})
-	r.Co = make([]int, nv+1)
-	for i, t := range buf {
-		seq[i] = t.P
-		r.Co[t.O+1]++
-	}
-	for i := 0; i < nv; i++ {
-		r.Co[i+1] += r.Co[i]
-	}
-	r.Lp = mk(seq, np)
+	r.Lo = mk(uint32(nv))
 
 	return r
 }

@@ -299,14 +299,6 @@ func benchGraph() *triples.Graph {
 	return tb.Build()
 }
 
-func BenchmarkRingConstruction(b *testing.B) {
-	g := benchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		New(g, WaveletMatrix)
-	}
-}
-
 func BenchmarkBackwardByPred(b *testing.B) {
 	g := benchGraph()
 	r := New(g, WaveletMatrix)

@@ -36,6 +36,7 @@ var gaugeMetrics = map[string]bool{
 	"wal_segments":                true,
 	"wal_size_bytes":              true,
 	"wal_last_checkpoint_version": true,
+	"wal_last_checkpoint_ms":      true,
 }
 
 func isGauge(name string) bool {

@@ -330,7 +330,8 @@ func summarize(s obs.HistSnapshot) LatencySummary {
 }
 
 // WALStats mirrors the backend's durability counters for Stats (see
-// ringrpq.WALStats).
+// ringrpq.WALStats), plus the duration of the last compaction
+// checkpoint (ringrpq.UpdateStats.LastCheckpoint).
 type WALStats struct {
 	Enabled               bool
 	Dir                   string
@@ -345,6 +346,7 @@ type WALStats struct {
 	Checkpoints           int64
 	CheckpointErrors      int64
 	LastCheckpointVersion uint64
+	LastCheckpointMS      float64
 	Wedged                bool
 	WedgeReason           string
 }

@@ -6,7 +6,6 @@ package triples
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -86,40 +85,81 @@ func (d *Dict) SizeBytes() int {
 	return sz + 48
 }
 
+// Key names the triple component a SortBy pass orders by.
+type Key int
+
+const (
+	ByS Key = iota
+	ByP
+	ByO
+)
+
+func (k Key) of(t Triple) uint32 {
+	switch k {
+	case ByS:
+		return t.S
+	case ByP:
+		return t.P
+	}
+	return t.O
+}
+
+// SortBy is one stable counting-sort pass: it writes src into dst
+// (same length, not overlapping) ordered by the key component, equal
+// keys keeping their src order, in O(n + σ) with σ = len(c)-1 the size
+// of the key's id space. On return c is the key's partition array:
+// c[x] counts the triples with key < x, and c[σ] = n. A key outside
+// [0, σ) panics before anything is written.
+//
+// Sorting by several components is a sequence of passes, least
+// significant first; since the ring's three orders are rotations of
+// one another, each is one more pass over the previous (ring.FromTriples).
+func SortBy(dst, src []Triple, key Key, c []int) {
+	sigma := len(c) - 1
+	clear(c)
+	for _, t := range src {
+		k := key.of(t)
+		if int(k) >= sigma {
+			panic(fmt.Sprintf("triples: id %d of triple (%d,%d,%d) outside its id space of %d; did the builder intern all names?",
+				k, t.S, t.P, t.O, sigma))
+		}
+		c[k+1]++
+	}
+	for x := 0; x < sigma; x++ {
+		c[x+1] += c[x]
+	}
+	// Scattering advances c[k] from the start of k's run to its end,
+	// which is the start of k+1's: shift back by one afterwards.
+	for _, t := range src {
+		k := key.of(t)
+		dst[c[k]] = t
+		c[k]++
+	}
+	copy(c[1:], c[:sigma])
+	c[0] = 0
+}
+
 // Builder accumulates string triples and freezes them into a Graph.
 type Builder struct {
 	nodes *Dict
 	preds *Dict
 	ts    []Triple
-	seen  map[Triple]bool
 }
 
 // NewBuilder returns an empty graph builder.
 func NewBuilder() *Builder {
-	return &Builder{
-		nodes: NewDict(),
-		preds: NewDict(),
-		seen:  make(map[Triple]bool),
-	}
+	return &Builder{nodes: NewDict(), preds: NewDict()}
 }
 
-// Add inserts the triple (s, p, o); duplicates are ignored (graphs are
-// edge sets).
+// Add inserts the triple (s, p, o); duplicates collapse in Build
+// (graphs are edge sets).
 func (b *Builder) Add(s, p, o string) {
-	t := Triple{b.nodes.Intern(s), b.preds.Intern(p), b.nodes.Intern(o)}
-	if !b.seen[t] {
-		b.seen[t] = true
-		b.ts = append(b.ts, t)
-	}
+	b.ts = append(b.ts, Triple{b.nodes.Intern(s), b.preds.Intern(p), b.nodes.Intern(o)})
 }
 
 // AddIDs inserts a pre-encoded triple; callers must intern consistently.
 func (b *Builder) AddIDs(s, p, o uint32) {
-	t := Triple{s, p, o}
-	if !b.seen[t] {
-		b.seen[t] = true
-		b.ts = append(b.ts, t)
-	}
+	b.ts = append(b.ts, Triple{s, p, o})
 }
 
 // Nodes exposes the node dictionary (shared with the built graph).
@@ -129,31 +169,38 @@ func (b *Builder) Nodes() *Dict { return b.nodes }
 func (b *Builder) Preds() *Dict { return b.preds }
 
 // Build completes the graph: for every triple (s,p,o) the inverse
-// (o, p+|P|, s) is added, doubling edges and predicates (§5). The builder
-// must not be used afterwards.
+// (o, p+|P|, s) is added, doubling edges and predicates (§5). The
+// completed list is sorted by (s,p,o) with three SortBy passes (o, then
+// p, then s: O(n + σ) each) and duplicate Adds, now adjacent, are
+// dropped. That order and that deduplication are a contract: the
+// workload generators sample Graph.Triples by index, so changing either
+// changes every generated query log. The builder must not be used
+// afterwards.
 func (b *Builder) Build() *Graph {
 	np := uint32(b.preds.Len())
 	g := &Graph{
 		Nodes:    b.nodes,
 		Preds:    b.preds,
 		NumPreds: np,
-		Triples:  make([]Triple, 0, 2*len(b.ts)),
 	}
+	ts := make([]Triple, 0, 2*len(b.ts))
 	for _, t := range b.ts {
-		g.Triples = append(g.Triples, t, Triple{t.O, t.P + np, t.S})
+		ts = append(ts, t, Triple{t.O, t.P + np, t.S})
 	}
-	sort.Slice(g.Triples, func(i, j int) bool { return less(g.Triples[i], g.Triples[j]) })
+	b.ts = nil
+	tmp := make([]Triple, len(ts))
+	c := make([]int, max(g.NumNodes(), int(2*np))+1)
+	SortBy(tmp, ts, ByO, c[:g.NumNodes()+1])
+	SortBy(ts, tmp, ByP, c[:2*np+1])
+	SortBy(tmp, ts, ByS, c[:g.NumNodes()+1])
+	uniq := tmp[:0]
+	for _, t := range tmp {
+		if len(uniq) == 0 || t != uniq[len(uniq)-1] {
+			uniq = append(uniq, t)
+		}
+	}
+	g.Triples = uniq
 	return g
-}
-
-func less(a, b Triple) bool {
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	if a.P != b.P {
-		return a.P < b.P
-	}
-	return a.O < b.O
 }
 
 // Graph is a completed, dictionary-encoded graph G↔.

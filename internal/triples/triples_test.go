@@ -2,6 +2,8 @@ package triples
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -22,6 +24,18 @@ func metroBuilder() *Builder {
 	b.Add("SantaAna", "bus", "UCh")
 	b.Add("SantaAna", "bus", "BellasArtes")
 	return b
+}
+
+// less orders triples by (s,p,o): the comparison the sort.Slice-based
+// Build used, kept as the oracle for the counting-sort one.
+func less(a, b Triple) bool {
+	if a.S != b.S {
+		return a.S < b.S
+	}
+	if a.P != b.P {
+		return a.P < b.P
+	}
+	return a.O < b.O
 }
 
 func TestDict(t *testing.T) {
@@ -53,6 +67,77 @@ func TestBuilderDeduplicates(t *testing.T) {
 	if g.Len() != 2 { // one edge + its inverse
 		t.Fatalf("Len=%d, want 2", g.Len())
 	}
+}
+
+// Build must yield exactly what the map-deduplicating, comparison-
+// sorting builder yielded: the completed set, deduplicated, in (s,p,o)
+// order (the workload generators index into it).
+func TestBuildMatchesComparisonSort(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nv, np := 1+rng.Intn(40), 1+rng.Intn(6)
+		b := NewBuilder()
+		for i := 0; i < nv; i++ {
+			b.Nodes().Intern(fmt.Sprint("n", i))
+		}
+		for i := 0; i < np; i++ {
+			b.Preds().Intern(fmt.Sprint("p", i))
+		}
+		seen := map[Triple]bool{}
+		var want []Triple
+		for i := rng.Intn(400); i > 0; i-- {
+			s, p, o := uint32(rng.Intn(nv)), uint32(rng.Intn(np)), uint32(rng.Intn(nv))
+			b.AddIDs(s, p, o)
+			if rng.Intn(3) == 0 {
+				b.Add(fmt.Sprint("n", s), fmt.Sprint("p", p), fmt.Sprint("n", o)) // a duplicate by name
+			}
+			for _, t := range []Triple{{s, p, o}, {o, p + uint32(np), s}} {
+				if !seen[t] {
+					seen[t] = true
+					want = append(want, t)
+				}
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return less(want[i], want[j]) })
+		got := b.Build().Triples
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d triples, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: Triples[%d] = %v, want %v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// SortBy is stable, returns the key's partition array, and refuses a
+// key outside the id space before writing anything.
+func TestSortBy(t *testing.T) {
+	src := []Triple{{2, 0, 1}, {0, 1, 1}, {2, 1, 0}, {1, 0, 2}, {0, 0, 0}}
+	dst := make([]Triple, len(src))
+	c := make([]int, 4)
+	SortBy(dst, src, ByS, c)
+	want := []Triple{{0, 1, 1}, {0, 0, 0}, {1, 0, 2}, {2, 0, 1}, {2, 1, 0}}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("by S: dst = %v, want %v", dst, want)
+		}
+	}
+	if c[0] != 0 || c[1] != 2 || c[2] != 3 || c[3] != 5 {
+		t.Fatalf("by S: partition array %v, want [0 2 3 5]", c)
+	}
+	SortBy(dst, src, ByO, c[:4])
+	if dst[0] != (Triple{2, 1, 0}) || dst[4] != (Triple{1, 0, 2}) {
+		t.Fatalf("by O: dst = %v", dst)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SortBy accepted a key outside the id space")
+		}
+	}()
+	SortBy(dst, src, ByS, make([]int, 3))
 }
 
 func TestCompletion(t *testing.T) {

@@ -3,7 +3,6 @@ package wavelet
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"ringrpq/internal/bitvec"
 )
@@ -31,16 +30,17 @@ type Matrix struct {
 	bottomStart []int
 }
 
-// NewMatrix builds a wavelet matrix over data with symbols in [0, sigma).
+// NewMatrix builds a wavelet matrix over data with symbols in [0, sigma),
+// in O(n·log σ + σ) sequential work: per level, one pass packs the
+// level's bits a word at a time and one stably partitions the sequence
+// for the next level.
 func NewMatrix(data []uint32, sigma uint32) *Matrix {
 	if sigma == 0 {
 		sigma = 1
 	}
-	width := 1
-	for 1<<width < int(sigma) {
-		width++
-	}
-	m := &Matrix{n: len(data), sigma: sigma, width: width}
+	width := matrixWidth(sigma)
+	n := len(data)
+	m := &Matrix{n: n, sigma: sigma, width: width}
 	m.counts = make([]int, sigma+1)
 	for _, c := range data {
 		if c >= sigma {
@@ -54,56 +54,96 @@ func NewMatrix(data []uint32, sigma uint32) *Matrix {
 
 	m.levels = make([]*bitvec.Vector, width)
 	m.zeros = make([]int, width)
-	cur := make([]uint32, len(data))
+	cur := make([]uint32, n)
 	copy(cur, data)
-	next := make([]uint32, len(data))
+	next := make([]uint32, n)
 	for l := 0; l < width; l++ {
 		bit := uint(width - 1 - l)
-		bb := bitvec.NewBuilder(len(cur))
-		for _, c := range cur {
-			bb.Append(c>>bit&1 == 1)
-		}
-		m.levels[l] = bb.Build()
-		m.zeros[l] = m.levels[l].Zeros()
-		// Stable partition: zeros first, then ones.
-		zi, oi := 0, m.zeros[l]
-		for _, c := range cur {
-			if c>>bit&1 == 0 {
-				next[zi] = c
-				zi++
-			} else {
-				next[oi] = c
-				oi++
+		words := make([]uint64, (n+63)/64)
+		ones := 0
+		for wi := range words {
+			var w uint64
+			for j, c := range cur[wi*64 : min(wi*64+64, n)] {
+				w |= uint64(c>>bit&1) << uint(j)
 			}
+			words[wi] = w
+			ones += bits.OnesCount64(w)
+		}
+		m.levels[l] = bitvec.FromWords(words, n)
+		m.zeros[l] = n - ones
+		// Stable partition: zeros first, then ones.
+		zi, oi := 0, n-ones
+		for _, c := range cur {
+			b := int(c >> bit & 1)
+			next[zi+(oi-zi)*b] = c
+			zi += 1 - b
+			oi += b
 		}
 		cur, next = next, cur
 	}
-
-	// Bottom-level layout: symbols ordered by their width-bit reversal.
-	order := make([]uint32, sigma)
-	for c := uint32(0); c < sigma; c++ {
-		order[c] = c
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return revBits(order[i], width) < revBits(order[j], width)
-	})
-	m.bottomStart = make([]int, sigma)
-	pos := 0
-	for _, c := range order {
-		m.bottomStart[c] = pos
-		pos += m.Count(c)
-	}
+	m.setBottomStarts()
 	return m
 }
 
-// revBits reverses the low `width` bits of c.
-func revBits(c uint32, width int) uint32 {
-	var r uint32
-	for i := 0; i < width; i++ {
-		r = r<<1 | c&1
-		c >>= 1
+// matrixWidth is the number of bit levels of a matrix over [0, sigma).
+func matrixWidth(sigma uint32) int {
+	return max(1, bits.Len32(sigma-1))
+}
+
+// setBottomStarts lays out the virtual leaf level: the symbols in the
+// order of their width-bit reversals, each taking Count(c) positions.
+// Enumerating the reversals of 0, 1, 2, … visits the symbols in exactly
+// that order, 2^width < 2σ steps.
+func (m *Matrix) setBottomStarts() {
+	m.bottomStart = make([]int, m.sigma)
+	pos := 0
+	for r := 0; r < 1<<m.width; r++ {
+		if c := bits.Reverse32(uint32(r)) >> uint(32-m.width); c < m.sigma {
+			m.bottomStart[c] = pos
+			pos += m.Count(c)
+		}
 	}
-	return r
+}
+
+// Symbols decodes the whole sequence into dst (see Seq.Symbols) by
+// undoing the level partitions bottom-up: the leaf level is known from
+// the counts alone, and level l's order is recovered from level l+1's
+// by reading l's bits left to right, taking the next unread element of
+// the zeros run or of the ones run. No rank queries; O(n·log σ)
+// sequential work.
+func (m *Matrix) Symbols(dst, tmp []uint32) {
+	// Each level moves the sequence from one buffer to the other;
+	// start in the one that makes the last move land in dst.
+	cur, next := dst[:m.n], tmp[:m.n]
+	if m.width%2 == 1 {
+		cur, next = next, cur
+	}
+	for c := uint32(0); c < m.sigma; c++ {
+		run := cur[m.bottomStart[c]:][:m.Count(c)]
+		for i := range run {
+			run[i] = c
+		}
+	}
+	for l := m.width - 1; l >= 0; l-- {
+		unpartition(m.levels[l], next, cur)
+		cur, next = next, cur
+	}
+}
+
+// unpartition inverts a stable partition by bv's bits: src holds the
+// elements whose bit is 0 followed by those whose bit is 1, each group
+// in sequence order, and dst receives them back in sequence order.
+func unpartition(bv *bitvec.Vector, dst, src []uint32) {
+	zi, oi := 0, bv.Zeros()
+	for wi, w := range bv.Words() {
+		chunk := dst[wi*64 : min(wi*64+64, len(dst))]
+		for j := range chunk {
+			b := int(w >> uint(j) & 1)
+			chunk[j] = src[zi+(oi-zi)*b]
+			zi += 1 - b
+			oi += b
+		}
+	}
 }
 
 // Len reports the sequence length.

@@ -2,7 +2,6 @@ package wavelet
 
 import (
 	"fmt"
-	"sort"
 
 	"ringrpq/internal/bitvec"
 	"ringrpq/internal/serial"
@@ -31,8 +30,10 @@ func DecodeMatrix(r *serial.Reader) (*Matrix, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if m.width < 1 || m.width > 32 {
-		return nil, fmt.Errorf("wavelet: corrupt matrix width %d", m.width)
+	// The width is a function of the alphabet; a larger one would also
+	// make the bottom-order enumeration outgrow the input.
+	if m.width != matrixWidth(max(m.sigma, 1)) {
+		return nil, fmt.Errorf("wavelet: corrupt matrix width %d for alphabet %d", m.width, m.sigma)
 	}
 	m.levels = make([]*bitvec.Vector, m.width)
 	m.zeros = make([]int, m.width)
@@ -53,20 +54,7 @@ func DecodeMatrix(r *serial.Reader) (*Matrix, error) {
 	if err := checkCounts(m.counts, int(m.sigma), m.n); err != nil {
 		return nil, err
 	}
-	// Rebuild the bottom-level starts (bit-reversal order prefix sums).
-	order := make([]uint32, m.sigma)
-	for c := uint32(0); c < m.sigma; c++ {
-		order[c] = c
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return revBits(order[i], m.width) < revBits(order[j], m.width)
-	})
-	m.bottomStart = make([]int, m.sigma)
-	pos := 0
-	for _, c := range order {
-		m.bottomStart[c] = pos
-		pos += m.Count(c)
-	}
+	m.setBottomStarts()
 	return m, nil
 }
 

@@ -88,6 +88,32 @@ func NewTree(data []uint32, sigma uint32) *Tree {
 	return t
 }
 
+// Symbols decodes the whole sequence into dst (see Seq.Symbols) by a
+// recursive split: each node's children are decoded into the two halves
+// of the scratch buffer and merged back in sequence order by the node's
+// bits. No rank queries; O(n·log σ) sequential work.
+func (t *Tree) Symbols(dst, tmp []uint32) {
+	t.symbols(1, 0, t.sigma, dst[:t.n], tmp[:t.n])
+}
+
+func (t *Tree) symbols(id int, lo, hi uint32, dst, tmp []uint32) {
+	if len(dst) == 0 {
+		return
+	}
+	if hi-lo <= 1 {
+		for i := range dst {
+			dst[i] = lo
+		}
+		return
+	}
+	bv := t.nodes[id]
+	mid := (lo + hi) / 2
+	z := bv.Zeros()
+	t.symbols(2*id, lo, mid, tmp[:z], dst[:z])
+	t.symbols(2*id+1, mid, hi, tmp[z:], dst[z:])
+	unpartition(bv, dst, tmp)
+}
+
 // Len reports the sequence length.
 func (t *Tree) Len() int { return t.n }
 

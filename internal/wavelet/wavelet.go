@@ -168,6 +168,11 @@ type Seq interface {
 	Sigma() uint32
 	// Access returns the symbol at position i.
 	Access(i int) uint32
+	// Symbols decodes the whole sequence into dst[:Len()], using
+	// tmp[:Len()] as scratch (both at least Len() long, not
+	// overlapping): the bulk form of Access for callers that read every
+	// position, at a few sequential passes instead of Len() descents.
+	Symbols(dst, tmp []uint32)
 	// Rank counts occurrences of c in the prefix [0, i).
 	Rank(c uint32, i int) int
 	// Select returns the position of the k-th (1-based) occurrence of c,

@@ -596,6 +596,7 @@ func (b dbBackend) WALStats() service.WALStats {
 		Checkpoints:           st.Checkpoints,
 		CheckpointErrors:      st.CheckpointErrors,
 		LastCheckpointVersion: st.LastCheckpointVersion,
+		LastCheckpointMS:      float64(b.db.h.lastCheckpointNS.Load()) / 1e6,
 		Wedged:                st.Wedged,
 		WedgeReason:           st.WedgeReason,
 	}

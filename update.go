@@ -50,8 +50,11 @@ type UpdateStats struct {
 	Compacting  bool
 	// LastCompaction is the wall time of the last rebuild (outside the
 	// swap lock); LastSwapPause is the last swap's critical section —
-	// the only window concurrent Applies wait on.
-	LastCompaction, LastSwapPause time.Duration
+	// the only window concurrent Applies wait on. LastCheckpoint is
+	// what a durable database then spent making the rebuilt ring
+	// durable (serialise, write, fsync, rename), whether or not the
+	// checkpoint succeeded; zero without a write-ahead log.
+	LastCompaction, LastSwapPause, LastCheckpoint time.Duration
 	// PinnedSnapshots counts snapshots still referenced by in-flight
 	// queries (including the current one).
 	PinnedSnapshots int
@@ -126,9 +129,10 @@ type holder struct {
 	layout    ring.Layout
 	threshold atomic.Int64 // 0 = automatic, < 0 = disabled
 
-	compactions   atomic.Int64
-	lastRebuildNS atomic.Int64
-	lastSwapNS    atomic.Int64
+	compactions      atomic.Int64
+	lastRebuildNS    atomic.Int64
+	lastSwapNS       atomic.Int64
+	lastCheckpointNS atomic.Int64
 
 	// live tracks published-but-possibly-pinned snapshots for the
 	// PinnedSnapshots stat; entries are pruned once unpinned.
@@ -252,6 +256,7 @@ func (db *DB) UpdateStats() UpdateStats {
 		Compacting:      db.h.compacting.Load(),
 		LastCompaction:  time.Duration(db.h.lastRebuildNS.Load()),
 		LastSwapPause:   time.Duration(db.h.lastSwapNS.Load()),
+		LastCheckpoint:  time.Duration(db.h.lastCheckpointNS.Load()),
 		PinnedSnapshots: db.h.pinned(),
 		ReplayBatches:   s.ov.BatchCount(),
 	}
@@ -512,10 +517,16 @@ func (db *DB) compactNow() {
 		return newR.Has(e.S, e.P, e.O)
 	}
 
-	// Swap critical section: fold updates that raced the rebuild into a
-	// residual overlay against the new ring, then publish. This is the
-	// only pause concurrent Applies observe; queries never block (they
-	// pin whatever snapshot is current when they start).
+	// Updates that raced the rebuild are folded into a residual overlay
+	// against the new ring. Each of their edges costs a probe of a ring
+	// no cache has seen yet, so those published so far are folded here,
+	// before the lock, and only the stragglers under it.
+	seen := h.cur.Load()
+	residual := overlay.New().Replay(seen.ov.BatchesAfter(base.ov.Version()), inNew)
+
+	// Swap critical section: fold the stragglers, then publish. This is
+	// the only pause concurrent Applies observe; queries never block
+	// (they pin whatever snapshot is current when they start).
 	t1 := time.Now()
 	h.mu.Lock()
 	latest := h.cur.Load()
@@ -529,9 +540,7 @@ func (db *DB) compactNow() {
 			return
 		}
 	}
-	// The residual needs no replay log of its own: any future
-	// compaction's base will already contain it consolidated.
-	residual := overlay.Replay(latest.ov.BatchesAfter(base.ov.Version()), inNew).WithBatchesAfter(^uint64(0))
+	residual = residual.Replay(latest.ov.BatchesAfter(seen.ov.Version()), inNew)
 	next := &snapshot{
 		r: newR, set: newSet, ov: residual,
 		epoch:   latest.epoch + 1,
@@ -562,7 +571,10 @@ func (db *DB) compactNow() {
 		// checkpoint failure is not fatal: the log still holds every
 		// batch since the previous checkpoint, so recovery just replays
 		// more.
-		if err := db.writeCheckpoint(sink, newR, newSet, base.version, numNodes); err != nil {
+		t2 := time.Now()
+		err := db.writeCheckpoint(sink, newR, newSet, base.version, numNodes)
+		h.lastCheckpointNS.Store(time.Since(t2).Nanoseconds())
+		if err != nil {
 			sink.checkpointErrs.Add(1)
 			return
 		}
@@ -578,18 +590,30 @@ func (db *DB) compactNow() {
 	}
 }
 
-// rebuildSingle merges ring+overlay into a fresh single ring.
-func rebuildSingle(base *snapshot, numNodes int, layout ring.Layout) *ring.Ring {
-	ts := base.r.Triples()
-	merged := make([]triples.Triple, 0, len(ts)+base.ov.AddCount())
+// mergedTriples is the rebuild's input for one ring: its triples minus
+// the overlay's tombstones, plus the overlay's adds for which mine
+// holds (a sub-ring takes only its own shard's). The ring is decoded in
+// bulk (ring.Triples) and filtered in place; tombstones are probed only
+// under predicates that have any.
+func mergedTriples(r *ring.Ring, ov *overlay.Overlay, mine func(p uint32) bool) []triples.Triple {
+	ts := r.Triples()
+	merged := ts[:0]
 	for _, t := range ts {
-		if !base.ov.Deleted(overlay.Edge{S: t.S, P: t.P, O: t.O}) {
+		if ov.DelsForPred(t.P) == 0 || !ov.Deleted(overlay.Edge{S: t.S, P: t.P, O: t.O}) {
 			merged = append(merged, t)
 		}
 	}
-	for _, e := range base.ov.Adds() {
-		merged = append(merged, triples.Triple{S: e.S, P: e.P, O: e.O})
+	for _, e := range ov.Adds() {
+		if mine(e.P) {
+			merged = append(merged, triples.Triple{S: e.S, P: e.P, O: e.O})
+		}
 	}
+	return merged
+}
+
+// rebuildSingle merges ring+overlay into a fresh single ring.
+func rebuildSingle(base *snapshot, numNodes int, layout ring.Layout) *ring.Ring {
+	merged := mergedTriples(base.r, base.ov, func(uint32) bool { return true })
 	return ring.FromTriples(merged, numNodes, base.r.NumPreds, layout)
 }
 
@@ -615,18 +639,7 @@ func rebuildShards(base *snapshot, numNodes int, layout ring.Layout) *ring.Shard
 		wg.Add(1)
 		go func(i int, old *ring.Ring) {
 			defer wg.Done()
-			ts := old.Triples()
-			merged := make([]triples.Triple, 0, len(ts))
-			for _, t := range ts {
-				if !base.ov.Deleted(overlay.Edge{S: t.S, P: t.P, O: t.O}) {
-					merged = append(merged, t)
-				}
-			}
-			for _, e := range base.ov.Adds() {
-				if set.ShardFor(e.P) == i {
-					merged = append(merged, triples.Triple{S: e.S, P: e.P, O: e.O})
-				}
-			}
+			merged := mergedTriples(old, base.ov, func(p uint32) bool { return set.ShardFor(p) == i })
 			shards[i] = ring.FromTriples(merged, numNodes, set.NumPreds, layout)
 		}(i, old)
 	}

@@ -283,6 +283,58 @@ func testUpdateDifferential(t *testing.T, shards int) {
 func TestUpdateDifferential(t *testing.T)        { testUpdateDifferential(t, 1) }
 func TestUpdateDifferentialSharded(t *testing.T) { testUpdateDifferential(t, 3) }
 
+// TestCompactionWithEmptyShard: with one predicate and three shards two
+// sub-rings hold nothing, and a new node name forces all three to be
+// rebuilt — the bulk decode and the counting-sort build must take an
+// empty ring in and give one back. Then the last edge is deleted (every
+// shard empty) and one is added back.
+func TestCompactionWithEmptyShard(t *testing.T) {
+	for name, layout := range map[string]Layout{"matrix": WaveletMatrix, "tree": WaveletTree} {
+		t.Run(name, func(t *testing.T) {
+			b := NewBuilderWithConfig(BuilderConfig{Shards: 3, Layout: layout})
+			b.Add("a", "p", "b")
+			db, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.SetCompactionThreshold(-1)
+			set := db.h.cur.Load().set
+			empty := 0
+			for _, r := range set.Shards {
+				if r.N == 0 {
+					empty++
+				}
+			}
+			if set.K != 3 || empty != 2 {
+				t.Fatalf("%d shards, %d empty; want 3 and 2", set.K, empty)
+			}
+			step := func(adds, dels []Triple, wantPairs ...string) {
+				t.Helper()
+				if _, err := db.Apply(adds, dels); err != nil {
+					t.Fatal(err)
+				}
+				epoch := db.UpdateStats().Epoch
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if st := db.UpdateStats(); st.Epoch != epoch+1 || st.OverlayEdges+st.Tombstones != 0 {
+					t.Fatalf("flush did not compact: %+v", st)
+				}
+				sols, err := db.Query("?x", "p+", "?y")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sortedPairs(sols); !equalPairs(got, wantPairs) {
+					t.Fatalf("after compaction: %v, want %v", got, wantPairs)
+				}
+			}
+			step([]Triple{{"b", "p", "fresh"}}, nil, "a→b", "a→fresh", "b→fresh")
+			step(nil, []Triple{{"a", "p", "b"}, {"b", "p", "fresh"}})
+			step([]Triple{{"fresh", "p", "a"}}, nil, "fresh→a")
+		})
+	}
+}
+
 // TestUpdateStressTornSnapshot is the acceptance criterion's
 // concurrent read+write stress: every Apply atomically moves a single
 // marker edge (delete the old target, add the new one in one batch),
