@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: all ci build vet test race crash bench bench-short bench-json bench-module fuzz lint lint-metrics clean
+.PHONY: all ci build vet test race crash bench bench-short bench-json bench-module bench-check fuzz lint lint-metrics clean
 
 all: ci
 
@@ -57,16 +57,18 @@ bench:
 	$(GO) test -run NONE -bench 'Service' -benchtime 2s .
 
 # One-iteration smoke run of the hot-path micro-benchmarks (broadword
-# select, multi-range wavelet descent, batched vs unbatched BFS) and of
+# select, multi-range wavelet descent, batched vs unbatched BFS), of
 # the compactor's (matrix build, counting-sort ring build, bulk triple
-# decode, per-batch overlay consolidation): makes sure the benchmark
-# code keeps compiling and running under ci.
+# decode, per-batch overlay consolidation) and of the handler's
+# result-cache hit: makes sure the benchmark code keeps compiling and
+# running under ci.
 bench-short:
 	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
 	$(GO) test -run NONE -bench 'MatrixBuild|FromTriples|RingTriples|OverlayApply' -benchtime 1x \
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
+	$(GO) test -run NONE -bench HandlerCacheHit -benchtime 1x ./internal/service/
 
 # Machine-readable perf trajectory: the batched-vs-unbatched ablation
 # over the standard Table 1 workload (BENCH_PR3.json), the
@@ -95,6 +97,13 @@ bench-json:
 # cannot break the judge unseen.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Judge two sets of rows written with `rpqload --out`, A the parent's
+# and B the change's: make bench-check A=parent.jsonl B=change.jsonl.
+# Exits nonzero on a `regressed` verdict.
+bench-check:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-check A=<rows> B=<rows>" >&2; exit 2; }
+	$(GO) run -C bench ringrpq/bench/cmd/rpqload --compare $(abspath $(A)) $(abspath $(B))
 
 # Repo-invariant static analysis (internal/lint + cmd/rpqlint):
 # ctxfirst, spanend, deadlineloop, locksend, walerr and noalloc over

@@ -224,7 +224,7 @@ func (s *Service) runGrouped(gb GroupBackend, b Backend, batch []*job) {
 		case err != nil:
 			s.errs.Add(int64(1 + len(st.dups)))
 		default:
-			s.store(st.j, res)
+			s.store(st.j, &res)
 		}
 		s.completed.Add(int64(1 + len(st.dups)))
 		s.deduped.Add(int64(len(st.dups)))

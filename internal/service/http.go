@@ -50,7 +50,10 @@ type SolutionJSON struct {
 	Object  string `json:"object"`
 }
 
-// ResultJSON is the wire form of a Result.
+// ResultJSON is the wire form of a Result. It and SelectResultJSON
+// describe the bodies (and decode them); the handler writes them by
+// splicing a once-encoded fragment and a per-request tail (wire.go),
+// and TestBodiesMatchEncoder holds the two to the same bytes.
 type ResultJSON struct {
 	Solutions []SolutionJSON `json:"solutions,omitempty"`
 	Count     int            `json:"count"`
@@ -221,30 +224,6 @@ func (h *handler) toRequest(q QueryJSON) (Request, error) {
 	return req, nil
 }
 
-func toJSON(req Request, res Result, elapsed time.Duration) ResultJSON {
-	out := ResultJSON{
-		Count:     res.N,
-		Cached:    res.Cached,
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
-		// The engine stops silently at the cap, so "filled the cap"
-		// is the only truncation signal available.
-		LimitReached: req.Limit > 0 && res.N >= req.Limit,
-	}
-	if len(res.Solutions) > 0 {
-		out.Solutions = make([]SolutionJSON, len(res.Solutions))
-		for i, s := range res.Solutions {
-			out.Solutions[i] = SolutionJSON{Subject: s.Subject, Object: s.Object}
-		}
-	}
-	switch {
-	case errors.Is(res.Err, core.ErrTimeout):
-		out.Truncated = true
-	case res.Err != nil:
-		out.Error = res.Err.Error()
-	}
-	return out
-}
-
 // resultStatus picks the HTTP status of a successful evaluation:
 // truncated (deadline-cut) results are distinguishable from complete
 // ones without parsing the body.
@@ -292,26 +271,7 @@ func (h *handler) selectPattern(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	ctx, tr, root := h.traceFor(r, req)
-	res := h.s.Select(ctx, req)
-	if status, ok := failureStatus(res.Err); ok {
-		writeError(w, status, res.Err)
-		return
-	}
-	out := SelectResultJSON{
-		Vars:         res.Vars,
-		Rows:         res.Rows,
-		Count:        res.N,
-		Cached:       res.Cached,
-		ElapsedMS:    float64(time.Since(start).Microseconds()) / 1e3,
-		LimitReached: req.Limit > 0 && res.N >= req.Limit,
-	}
-	if errors.Is(res.Err, core.ErrTimeout) {
-		out.Truncated = true
-	}
-	if tr != nil {
-		out.Profile = h.renderProfile(tr, root, out)
-	}
-	writeJSON(w, resultStatus(res.Err), out)
+	writeResult(w, tr, root, req, h.s.Select(ctx, req), start)
 }
 
 func (h *handler) query(w http.ResponseWriter, r *http.Request) {
@@ -326,16 +286,29 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	ctx, tr, root := h.traceFor(r, req)
-	res := h.s.do(ctx, req, nil)
+	writeResult(w, tr, root, req, h.s.do(ctx, req, nil), start)
+}
+
+// writeResult answers /query and /select. A cache miss and a cache hit
+// take the same path; what a hit skips is inside Result.fragment. The
+// serialize span of a profiled request covers the assembly of the body
+// it describes, so the profile itself is rendered once the root span
+// has closed and spliced in behind it.
+func writeResult(w http.ResponseWriter, tr *obs.Trace, root int, req Request, res Result, start time.Time) {
 	if status, ok := failureStatus(res.Err); ok {
 		writeError(w, status, res.Err)
 		return
 	}
-	out := toJSON(req, res, time.Since(start))
+	b := bodyPool.Get().(*body)
+	defer b.release()
+	ssp := tr.Begin(obs.SpanSerialize)
+	b.appendResult(req, &res, time.Since(start))
+	tr.EndVals(ssp, int64(b.Len()))
 	if tr != nil {
-		out.Profile = h.renderProfile(tr, root, out)
+		tr.End(root)
+		b.spliceProfile(tr.Render())
 	}
-	writeJSON(w, resultStatus(res.Err), out)
+	b.send(w, resultStatus(res.Err))
 }
 
 // traceFor opens the root request span of a profiled request and
@@ -348,22 +321,6 @@ func (h *handler) traceFor(r *http.Request, req Request) (context.Context, *obs.
 	tr := obs.New()
 	root := tr.Begin(obs.SpanRequest)
 	return obs.NewContext(r.Context(), tr), tr, root
-}
-
-// renderProfile times a dry-run serialization of the response payload
-// (the real encode happens after the trace is sealed, so a span can
-// only observe a stand-in of identical size), closes the root span and
-// renders the trace.
-func (h *handler) renderProfile(tr *obs.Trace, root int, payload any) *obs.Profile {
-	ssp := tr.Begin(obs.SpanSerialize)
-	buf, err := json.Marshal(payload)
-	if err != nil {
-		tr.End(ssp)
-	} else {
-		tr.EndVals(ssp, int64(len(buf)))
-	}
-	tr.End(root)
-	return tr.Render()
 }
 
 // decodeBody decodes a size-bounded JSON request body, writing the
@@ -383,20 +340,20 @@ func (h *handler) decodeBody(w http.ResponseWriter, r *http.Request, v any) erro
 }
 
 func (h *handler) batch(w http.ResponseWriter, r *http.Request) {
-	var b BatchJSON
-	if err := h.decodeBody(w, r, &b); err != nil {
+	var in BatchJSON
+	if err := h.decodeBody(w, r, &in); err != nil {
 		return
 	}
-	if len(b.Queries) == 0 {
+	if len(in.Queries) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
-	if len(b.Queries) > h.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds the %d-query cap", len(b.Queries), h.cfg.MaxBatch))
+	if len(in.Queries) > h.cfg.MaxBatch {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds the %d-query cap", len(in.Queries), h.cfg.MaxBatch))
 		return
 	}
-	reqs := make([]Request, len(b.Queries))
-	for i, q := range b.Queries {
+	reqs := make([]Request, len(in.Queries))
+	for i, q := range in.Queries {
 		req, err := h.toRequest(q)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
@@ -406,20 +363,26 @@ func (h *handler) batch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	results := h.s.Batch(r.Context(), reqs)
-	elapsed := time.Since(start)
-	out := make([]ResultJSON, len(results))
-	for i, res := range results {
-		out[i] = toJSON(reqs[i], res, 0)
+	b := bodyPool.Get().(*body)
+	defer b.release()
+	b.encode(struct {
+		ElapsedMS float64 `json:"elapsed_ms"`
+	}{float64(time.Since(start).Microseconds()) / 1e3})
+	b.Truncate(b.Len() - 1)
+	b.WriteString(`,"results":[`)
+	for i := range results {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.appendResult(reqs[i], &results[i], 0)
 		// Profiled batch items carry their own service-created trace
 		// (submit opens the root span, the worker closes it).
-		if res.Trace != nil {
-			out[i].Profile = res.Trace.Render()
+		if tr := results[i].Trace; tr != nil {
+			b.spliceProfile(tr.Render())
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"results":    out,
-		"elapsed_ms": float64(elapsed.Microseconds()) / 1e3,
-	})
+	b.WriteString("]}")
+	b.send(w, http.StatusOK)
 }
 
 // failureStatus maps submission-level failures to HTTP statuses;

@@ -79,6 +79,16 @@ func (c *lruCache) evictOldest() {
 	c.evictions++
 }
 
+// Clear drops every entry and reports how many there were. The caller
+// has made them unreachable, so they do not count as evictions.
+func (c *lruCache) Clear() int {
+	n := c.order.Len()
+	c.order.Init()
+	clear(c.entries)
+	c.bytes = 0
+	return n
+}
+
 // Len reports the number of cached entries.
 func (c *lruCache) Len() int { return c.order.Len() }
 

@@ -224,6 +224,9 @@ type Result struct {
 	// an obs.Trace attached to the submission context); nil otherwise.
 	// Render it with Trace.Render. Never shared with the result cache.
 	Trace *obs.Trace
+	// wire memoises the encoded form of a result the cache holds (see
+	// wire.go); nil for results that were not stored.
+	wire *wireBody
 }
 
 // ErrClosed reports a submission to a Service after Close.
@@ -283,10 +286,14 @@ type Stats struct {
 	PatternHits, PatternMisses int64
 	PatternEntries             int
 	// ResultEntries/ResultBytes/ResultEvictions describe the result
-	// cache.
-	ResultEntries   int
-	ResultBytes     int64
-	ResultEvictions int64
+	// cache; ResultBytes covers each entry's strings and its encoded
+	// response body, charged in full when the entry is stored.
+	// ResultInvalidations counts entries dropped because the data
+	// version moved past them (evictions are the LRU's alone).
+	ResultEntries       int
+	ResultBytes         int64
+	ResultEvictions     int64
+	ResultInvalidations int64
 	// SlowQueries counts requests that crossed the slow-query threshold
 	// (0 when the slow-query log is disabled).
 	SlowQueries int64
@@ -381,8 +388,14 @@ type Service struct {
 	subs       map[uint64]*standing.Sub
 	subsClosed bool
 
-	resMu   sync.Mutex
-	results *lruCache
+	// results holds Results computed at data version resVersion and no
+	// other: the version only advances, so the first submission to see
+	// a newer one drops everything older, and a job that finishes
+	// behind it is not stored.
+	resMu         sync.Mutex
+	results       *lruCache
+	resVersion    uint64
+	invalidations int64
 
 	// slow is the bounded slow-query ring (nil when disabled); latE2E
 	// and latEval are the end-to-end and evaluation-only latency
@@ -438,13 +451,6 @@ type job struct {
 	wait    time.Duration
 	evalDur time.Duration
 	grouped bool
-}
-
-// cachedResult is one result-cache entry, pinned to the data version
-// it was computed against.
-type cachedResult struct {
-	res     Result
-	version uint64
 }
 
 // New starts a Service over backend. The backend itself is only used as
@@ -597,27 +603,16 @@ func (s *Service) submit(ctx context.Context, req Request, stream func(Solution)
 	if stream == nil && s.results.enabled() {
 		key = cacheKey(req, canon)
 		rsp := tr.Begin(obs.SpanResultCache)
-		s.resMu.Lock()
-		v, ok := s.results.Get(key)
-		s.resMu.Unlock()
-		if ok {
-			if e := v.(cachedResult); e.version == version {
-				tr.EndVals(rsp, 1)
-				tr.End(root)
-				s.hits.Add(1)
-				res := e.res
-				res.Cached = true
-				res.Trace = tr
-				return res, nil
-			}
-			// Computed against superseded data: a live update or a
-			// compaction swap invalidated it.
-			ok = false
+		if res, ok := s.cached(key, version); ok {
+			tr.EndVals(rsp, 1)
+			tr.End(root)
+			s.hits.Add(1)
+			res.Cached = true
+			res.Trace = tr
+			return res, nil
 		}
 		tr.EndVals(rsp, 0)
-		if !ok {
-			s.misses.Add(1)
-		}
+		s.misses.Add(1)
 	}
 
 	j := &job{ctx: ctx, req: req, node: node, pattern: pat, key: key, canon: canon, version: version, stream: stream, done: make(chan Result, 1), trace: tr, root: root}
@@ -649,6 +644,27 @@ func (s *Service) submit(ctx context.Context, req Request, stream func(Solution)
 		s.rejected.Add(1)
 		return Result{Err: ctx.Err()}, nil
 	}
+}
+
+// cached looks key up among the results computed at data version
+// version, first dropping what a newer version has made unreachable.
+func (s *Service) cached(key string, version uint64) (Result, bool) {
+	s.resMu.Lock()
+	defer s.resMu.Unlock()
+	if version > s.resVersion {
+		s.invalidations += int64(s.results.Clear())
+		s.resVersion = version
+	}
+	if version < s.resVersion {
+		// Read before an update that another submission has already
+		// seen: nothing stored is as old as this request.
+		return Result{}, false
+	}
+	v, ok := s.results.Get(key)
+	if !ok {
+		return Result{}, false
+	}
+	return v.(Result), true
 }
 
 // cacheKey identifies a request by its canonicalised expression and
@@ -867,7 +883,7 @@ func (s *Service) run(b Backend, j *job) Result {
 	case err != nil:
 		s.errs.Add(1)
 	default:
-		s.store(j, res)
+		s.store(j, &res)
 	}
 	return res
 }
@@ -909,29 +925,9 @@ func (s *Service) runPattern(b Backend, j *job, timeout time.Duration) Result {
 	case err != nil:
 		s.errs.Add(1)
 	default:
-		s.storePattern(j, res)
+		s.store(j, &res)
 	}
 	return res
-}
-
-// storePattern records a complete pattern result in the result cache.
-func (s *Service) storePattern(j *job, res Result) {
-	if j.key == "" {
-		return
-	}
-	cost := int64(64)
-	for _, v := range res.Vars {
-		cost += int64(len(v)) + 16
-	}
-	for _, row := range res.Rows {
-		cost += 24
-		for _, v := range row {
-			cost += int64(len(v)) + 16
-		}
-	}
-	s.resMu.Lock()
-	s.results.Add(j.key, cachedResult{res: res, version: j.version}, cost)
-	s.resMu.Unlock()
 }
 
 // errStopped marks an early stop requested by a streaming callback.
@@ -948,17 +944,34 @@ func (s *Service) countCtxErr(err error) {
 	}
 }
 
-// store records a complete result in the result cache.
-func (s *Service) store(j *job, res Result) {
+// store records a complete result in the result cache, charged for
+// its strings and, ahead of time, for the encoded body the first
+// response will attach to it (res.wire, shared with the entry).
+func (s *Service) store(j *job, res *Result) {
 	if j.key == "" {
 		return
 	}
-	cost := int64(64)
+	cost := int64(64 + wireListBytes)
 	for _, sol := range res.Solutions {
 		cost += int64(len(sol.Subject)+len(sol.Object)) + 32
+		cost += int64(jsonStringLen(sol.Subject) + jsonStringLen(sol.Object) + wireSolutionBytes)
 	}
+	for _, v := range res.Vars {
+		cost += int64(len(v)) + 16
+		cost += int64(jsonStringLen(v) + wireValueBytes)
+	}
+	for _, row := range res.Rows {
+		cost += 24 + int64(wireRowBytes)
+		for _, v := range row {
+			cost += int64(len(v)) + 16
+			cost += int64(jsonStringLen(v) + wireValueBytes)
+		}
+	}
+	res.wire = new(wireBody)
 	s.resMu.Lock()
-	s.results.Add(j.key, cachedResult{res: res, version: j.version}, cost)
+	if j.version == s.resVersion {
+		s.results.Add(j.key, *res, cost)
+	}
 	s.resMu.Unlock()
 }
 
@@ -1002,41 +1015,42 @@ func (s *Service) Stats() Stats {
 	exprHits, exprMisses := s.exprs.Counters()
 	patHits, patMisses := s.patterns.Counters()
 	s.resMu.Lock()
-	rEntries, rBytes, rEvict := s.results.Len(), s.results.Bytes(), s.results.Evictions()
+	rEntries, rBytes, rEvict, rInval := s.results.Len(), s.results.Bytes(), s.results.Evictions(), s.invalidations
 	s.resMu.Unlock()
 	return Stats{
-		Workers:         s.cfg.Workers,
-		QueueCap:        s.cfg.QueueDepth,
-		QueueLen:        len(s.queue),
-		Requests:        s.requests.Load(),
-		Batches:         s.batches.Load(),
-		Inflight:        s.inflight.Load(),
-		Completed:       s.completed.Load(),
-		Grouped:         s.grouped.Load(),
-		Deduped:         s.deduped.Load(),
-		Hits:            s.hits.Load(),
-		Misses:          s.misses.Load(),
-		Timeouts:        s.timeouts.Load(),
-		Cancelled:       s.cancelled.Load(),
-		Errors:          s.errs.Load(),
-		Rejected:        s.rejected.Load(),
-		Panics:          s.panics.Load(),
-		Updates:         s.updates.Load(),
-		QueueWaitNS:     s.queueWait.Load(),
-		ExprHits:        exprHits,
-		ExprMisses:      exprMisses,
-		ExprEntries:     s.exprs.Len(),
-		PatternHits:     patHits,
-		PatternMisses:   patMisses,
-		PatternEntries:  s.patterns.Len(),
-		ResultEntries:   rEntries,
-		ResultBytes:     rBytes,
-		ResultEvictions: rEvict,
-		Standing:        s.standingStats(),
-		WAL:             s.walStats(),
-		SlowQueries:     int64(s.slow.Total()),
-		Latency:         summarize(s.latE2E.Snapshot()),
-		EvalLatency:     summarize(s.latEval.Snapshot()),
+		Workers:             s.cfg.Workers,
+		QueueCap:            s.cfg.QueueDepth,
+		QueueLen:            len(s.queue),
+		Requests:            s.requests.Load(),
+		Batches:             s.batches.Load(),
+		Inflight:            s.inflight.Load(),
+		Completed:           s.completed.Load(),
+		Grouped:             s.grouped.Load(),
+		Deduped:             s.deduped.Load(),
+		Hits:                s.hits.Load(),
+		Misses:              s.misses.Load(),
+		Timeouts:            s.timeouts.Load(),
+		Cancelled:           s.cancelled.Load(),
+		Errors:              s.errs.Load(),
+		Rejected:            s.rejected.Load(),
+		Panics:              s.panics.Load(),
+		Updates:             s.updates.Load(),
+		QueueWaitNS:         s.queueWait.Load(),
+		ExprHits:            exprHits,
+		ExprMisses:          exprMisses,
+		ExprEntries:         s.exprs.Len(),
+		PatternHits:         patHits,
+		PatternMisses:       patMisses,
+		PatternEntries:      s.patterns.Len(),
+		ResultEntries:       rEntries,
+		ResultBytes:         rBytes,
+		ResultEvictions:     rEvict,
+		ResultInvalidations: rInval,
+		Standing:            s.standingStats(),
+		WAL:                 s.walStats(),
+		SlowQueries:         int64(s.slow.Total()),
+		Latency:             summarize(s.latE2E.Snapshot()),
+		EvalLatency:         summarize(s.latEval.Snapshot()),
 	}
 }
 

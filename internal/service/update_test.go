@@ -136,8 +136,7 @@ func (f *versionedFake) ApplyUpdates(_ context.Context, adds, dels []UpdateTripl
 }
 
 // TestUpdateInvalidatesResultCache checks the data-version pinning: an
-// update makes every older cache entry unservable without flushing the
-// cache wholesale.
+// update makes every older cache entry unservable.
 func TestUpdateInvalidatesResultCache(t *testing.T) {
 	f := &versionedFake{}
 	s := newTestService(t, f, Config{Workers: 1})
