@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: all ci build vet test race crash bench bench-short bench-json bench-module bench-check fuzz lint lint-metrics clean
+.PHONY: all ci build vet test race crash bench bench-short bench-module bench-check fuzz lint lint-metrics clean
 
 all: ci
 
@@ -69,27 +69,6 @@ bench-short:
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 	$(GO) test -run NONE -bench HandlerCacheHit -benchtime 1x ./internal/service/
-
-# Machine-readable perf trajectory: the batched-vs-unbatched ablation
-# over the standard Table 1 workload (BENCH_PR3.json), the
-# graph-pattern workload — BGP-only vs mixed BGP+RPQ — on the
-# selectivity-planned executor (BENCH_PR4.json), and the live-update
-# workload — read latency vs overlay fill, interleaved read/write, and
-# the compaction swap pause (BENCH_PR5.json), and the standing-
-# subscription workload — incremental delta maintenance vs full
-# re-evaluation over the same update stream (BENCH_PR6.json), and the
-# compilation-tier workload — compiled steppers vs the generic
-# interpreted fallback, plus the service pool with and without
-# cross-query traversal grouping (BENCH_PR7.json).
-bench-json:
-	$(GO) run ./cmd/rpqbench -json BENCH_PR3.json
-	$(GO) run ./cmd/rpqbench -nodes 8000 -edges 40000 -preds 40 -queries 120 \
-		-limit 10000 -patterns BENCH_PR4.json
-	$(GO) run ./cmd/rpqbench -nodes 10000 -edges 50000 -preds 40 -queries 400 \
-		-timeout 5s -limit 100000 -updates BENCH_PR5.json
-	$(GO) run ./cmd/rpqbench -nodes 4000 -edges 20000 -preds 30 -queries 200 \
-		-timeout 5s -limit 100000 -subs BENCH_PR6.json
-	$(GO) run ./cmd/rpqbench -compiled BENCH_PR7.json
 
 # The benchmark (rpqload, BENCHMARK.json) is a module of its own under
 # bench/ that imports this one's internal packages and reads its span

@@ -1,6 +1,5 @@
 // Benchmarks regenerating the paper's evaluation (§5). Each table and
-// figure has a bench target; cmd/rpqbench prints the same numbers as
-// formatted tables at configurable scale.
+// figure has a bench target, and this file is their one home.
 //
 //	Table 1  → BenchmarkTable1Workload
 //	Table 2  → BenchmarkTable2 (sub-benchmarks per system; space is
@@ -198,37 +197,6 @@ func BenchmarkAblationFastPaths(b *testing.B) {
 	}
 	b.Run("FastPaths", func(b *testing.B) { run(b, false) })
 	b.Run("Generic", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkAblationNodeMarks measures the per-wavelet-node visited-mask
-// pruning of §4.2 against plain per-subject marks.
-func BenchmarkAblationNodeMarks(b *testing.B) {
-	eng, _ := ringEngine()
-	var recursive []workload.Query
-	for _, q := range bench.qs {
-		if !q.ConstToVar() {
-			recursive = append(recursive, q)
-		}
-	}
-	if len(recursive) == 0 {
-		b.Skip("no v-to-v queries in the log sample")
-	}
-	run := func(b *testing.B, disable bool) {
-		for i := 0; i < b.N; i++ {
-			q := recursive[i%len(recursive)]
-			_, err := eng.Eval(
-				context.Background(),
-				core.Query{Subject: core.Variable, Expr: q.Expr, Object: core.Variable},
-				core.Options{Limit: bench.limit, Timeout: bench.timeout,
-					DisableFastPaths: true, DisableNodeMarks: disable},
-				func(uint32, uint32) bool { return true })
-			if err != nil && err != core.ErrTimeout {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("NodeMarks", func(b *testing.B) { run(b, false) })
-	b.Run("SubjectMarksOnly", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkAblationTableSplit sweeps the d-bit vertical decomposition of

@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"ringrpq/internal/glushkov"
-	"ringrpq/internal/lazy"
-	"ringrpq/internal/obs"
 	"ringrpq/internal/ring"
 	"ringrpq/internal/wavelet"
 )
@@ -29,46 +27,6 @@ import (
 // splitting) only pays for itself once several ranges share the top of
 // the tree.
 const batchCutoff = 4
-
-// bfsBatched drains the worklist level-synchronously; each level costs
-// one batched part-1 descent and one batched part-2 descent (or the
-// per-item equivalent below the cutoff).
-func (e *Engine) bfsBatched(eng *glushkov.Engine, base uint64, emit EmitFunc) error {
-	for len(e.queue) > 0 {
-		if err := e.checkDeadline(); err != nil {
-			return err
-		}
-		items := e.frontierItems()
-		sp, visits0 := -1, 0
-		if e.trace != nil {
-			visits0 = e.stats.WaveletVisits
-			sp = e.trace.Begin(obs.SpanLevel)
-		}
-		var err error
-		if len(items) < batchCutoff {
-			for _, it := range items {
-				if err = e.step(eng, it.B, it.E, it.Mask, base, emit); err != nil {
-					break
-				}
-			}
-		} else {
-			err = e.stepMany(eng, items, base, emit)
-		}
-		e.trace.EndVals(sp, int64(len(items)), int64(e.stats.WaveletVisits-visits0))
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// frontierItems converts (and drains) the queued frontier into the
-// ring's sorted disjoint L_p range items.
-func (e *Engine) frontierItems() []wavelet.RangeMask {
-	e.lpItems = appendRangeItems(e.lpItems[:0], e.r, mergeFrontier(e.queue), 0)
-	e.queue = e.queue[:0]
-	return e.lpItems
-}
 
 // mergeFrontier sorts a queued frontier by node and merges duplicates
 // in place (the per-item expansion below the cutoff may rediscover a
@@ -110,64 +68,31 @@ func appendRangeItems(dst []wavelet.RangeMask, r *ring.Ring, level []queueItem, 
 	return dst
 }
 
-// batchOwner bundles the per-ring working state the shared batched
-// level expansion operates on. Engine and the multi-ring kernel each
-// supply their own wavelet-node mask arrays and leaf action (emit +
-// enqueue locally vs dedup against the kernel's global visited mask),
-// so the part-1/part-2 descent logic exists exactly once.
-type batchOwner struct {
-	r            *ring.Ring
-	bNode, dNode *lazy.MaskArray
-	stats        *Stats
-	noMarks      bool
-	// st steps the automaton (the compiled stepper when the expression
-	// is hot, else the interpreting engine); bArr, when non-nil, is the
-	// precomputed immutable B[v] array replacing bNode.
-	st   glushkov.Stepper
-	bArr []uint64
-	// check is the owner's deadline probe.
-	check func() error
-	// mark is the owner's markSubject (bottom-up D[v] maintenance); nil
-	// when part2Leaf does its own marking.
-	mark func(leaf wavelet.NodeID, states uint64)
-	// part2Leaf handles one subject carrying unvisited states: all is
-	// the union of the state masks that reached the leaf this level,
-	// fresh the subset not yet visited there.
-	part2Leaf func(s uint32, all, fresh uint64) error
-	// leafMask, when non-nil, computes the state mask a part-2 leaf
-	// actually receives from its items (default: the OR of the item
-	// masks). The multi-ring kernel drops items whose occurrences of the
-	// subject are all tombstoned, making the batched part 2 exact
-	// without fragmenting the coalesced ranges.
-	leafMask func(s uint32, its []wavelet.RangeMask) uint64
-}
-
-// stepManyOn is the batched §4 step over a whole level of one ring:
+// stepMany is the batched §4 step over a whole level of one ring:
 // part 1 over L_p in one multi-range descent (B[v] pruning per item),
-// part 2 over L_s likewise, part 3 via the owner's part2Leaf. The
-// lsItems scratch buffer is threaded through and returned for reuse.
-func stepManyOn(o *batchOwner, eng *glushkov.Engine, items, lsItems []wavelet.RangeMask, base uint64) ([]wavelet.RangeMask, error) {
-	lsItems = lsItems[:0]
+// part 2 over L_s likewise, part 3 via arrive.
+func (e *Engine) stepMany(eng *glushkov.Engine, w *ringWork, items []wavelet.RangeMask, emit EmitFunc) error {
 	if len(items) == 0 {
-		return lsItems, nil
+		return nil
 	}
+	lsItems := e.lsItems[:0]
 	negFwd, negInv := eng.NegClassBits()
-	half := o.r.NumPreds / 2
+	half := e.numPreds / 2
 	var failure error
-	o.r.Lp.TraverseMany(items, func(node wavelet.NodeID, leaf bool, p uint32, its []wavelet.RangeMask) int {
+	w.r.Lp.TraverseMany(items, func(node wavelet.NodeID, leaf bool, p uint32, its []wavelet.RangeMask) int {
 		if failure != nil {
 			return 0
 		}
-		o.stats.WaveletVisits++
+		e.stats.WaveletVisits++
 		if !leaf {
 			// Part 1 pruning (Fact 1 via the aggregated B[v]), per item;
 			// negated property sets contribute per node direction exactly
 			// as on the unbatched path.
 			var bmask uint64
-			if o.bArr != nil {
-				bmask = o.bArr[node]
+			if w.bArr != nil {
+				bmask = w.bArr[node]
 			} else {
-				bmask = o.bNode.Get(int(node))
+				bmask = w.bNode.Get(int(node))
 			}
 			cb, haveCB := uint64(0), false
 			k := 0
@@ -177,7 +102,7 @@ func stepManyOn(o *batchOwner, eng *glushkov.Engine, items, lsItems []wavelet.Ra
 						continue
 					}
 					if !haveCB {
-						lo, hi := o.r.Lp.SymRange(node)
+						lo, hi := w.r.Lp.SymRange(node)
 						if lo < half {
 							cb |= negFwd
 						}
@@ -195,25 +120,25 @@ func stepManyOn(o *batchOwner, eng *glushkov.Engine, items, lsItems []wavelet.Ra
 			}
 			return k
 		}
-		if err := o.check(); err != nil {
+		if err := e.checkDeadline(); err != nil {
 			failure = err
 			return 0
 		}
 		// Leaf work is per item, so the visit stat stays comparable with
 		// the per-item descent (one visit per frontier item per leaf).
-		o.stats.WaveletVisits += len(its) - 1
-		bp := o.st.PredMask(p)
-		cp := o.r.Cp[p]
+		e.stats.WaveletVisits += len(its) - 1
+		bp := e.st.PredMask(p)
+		cp := w.r.Cp[p]
 		for _, it := range its {
 			d := it.Mask & bp
 			if d == 0 {
 				continue
 			}
-			o.stats.ProductEdges++
+			e.stats.ProductEdges++
 			// The NFA transition is uniform across the item's range
 			// (Fact 1); the rank range plus C_p is the L_s source range
 			// (Eqs. 4–5).
-			d2 := o.st.StepBack(d)
+			d2 := e.st.StepBack(d)
 			if d2 == 0 {
 				continue
 			}
@@ -226,34 +151,34 @@ func stepManyOn(o *batchOwner, eng *glushkov.Engine, items, lsItems []wavelet.Ra
 		}
 		return 0
 	})
+	e.lsItems = lsItems // keep the grown scratch buffer
 	if failure != nil {
-		return lsItems, failure
+		return failure
 	}
-	return lsItems, part2ManyOn(o, lsItems, base)
+	return e.part2Many(eng, w, lsItems, emit)
 }
 
-// part2ManyOn expands the level's accumulated L_s ranges in one batched
-// descent: distinct subjects with unvisited states are marked and
-// handed to the owner's leaf action — each subject exactly once per
-// level, with the union of the states that reached it (§4.2–4.3).
-func part2ManyOn(o *batchOwner, lsItems []wavelet.RangeMask, base uint64) error {
+// part2Many expands the level's accumulated L_s ranges in one batched
+// descent: distinct subjects with unvisited states arrive — each
+// exactly once per level, with the union of the states that reached it
+// (§4.2–4.3). Tombstones are handled through leafMaskFor: a leaf drops
+// the items whose occurrences of the subject are all tombstoned.
+func (e *Engine) part2Many(eng *glushkov.Engine, w *ringWork, lsItems []wavelet.RangeMask, emit EmitFunc) error {
 	if len(lsItems) == 0 {
 		return nil
 	}
+	leafMask := e.leafMaskFor(w)
 	// Leaves of part 1 arrive in bottom-level (bit-reversal) order for
 	// the wavelet matrix; restore position order before descending.
 	slices.SortFunc(lsItems, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
 	var failure error
-	o.r.Ls.TraverseMany(lsItems, func(node wavelet.NodeID, leaf bool, s uint32, its []wavelet.RangeMask) int {
+	w.r.Ls.TraverseMany(lsItems, func(node wavelet.NodeID, leaf bool, s uint32, its []wavelet.RangeMask) int {
 		if failure != nil {
 			return 0
 		}
-		o.stats.WaveletVisits++
-		visited := o.dNode.Get(int(node)) | base
+		e.stats.WaveletVisits++
+		visited := w.dNode.Get(int(node)) | e.base
 		if !leaf {
-			if o.noMarks {
-				return len(its)
-			}
 			// Prune items whose subjects below were all already visited
 			// with every state they carry.
 			k := 0
@@ -265,66 +190,20 @@ func part2ManyOn(o *batchOwner, lsItems []wavelet.RangeMask, base uint64) error 
 			}
 			return k
 		}
-		if err := o.check(); err != nil {
+		if err := e.checkDeadline(); err != nil {
 			failure = err
 			return 0
 		}
 		var all uint64
-		if o.leafMask != nil {
-			all = o.leafMask(s, its)
+		if leafMask != nil {
+			all = leafMask(s, its)
 		} else {
 			for _, it := range its {
 				all |= it.Mask
 			}
 		}
-		if all == 0 {
-			return 0
-		}
-		fresh := all &^ visited
-		if fresh == 0 {
-			return 0
-		}
-		if o.mark != nil {
-			o.mark(node, all)
-		}
-		if err := o.part2Leaf(s, all, fresh); err != nil {
-			failure = err
-			return 0
-		}
+		failure = e.arrive(eng, s, all, all&^visited, emit)
 		return 0
 	})
 	return failure
-}
-
-// stepMany runs the shared batched step with the engine's working
-// arrays: discovered sources are emitted and continuations enqueued
-// into the next frontier.
-func (e *Engine) stepMany(eng *glushkov.Engine, items []wavelet.RangeMask, base uint64, emit EmitFunc) error {
-	o := batchOwner{
-		r:       e.r,
-		bNode:   e.bNode,
-		dNode:   e.dNode,
-		stats:   &e.stats,
-		noMarks: e.noMarks,
-		st:      e.st,
-		bArr:    e.bArr,
-		check:   e.checkDeadline,
-		mark:    e.markSubject,
-		part2Leaf: func(s uint32, all, fresh uint64) error {
-			e.stats.ProductNodes++
-			if fresh&eng.Init != 0 {
-				if !emit(s, 0) {
-					return errLimit
-				}
-				fresh &^= eng.Init // the initial state has no incoming work
-			}
-			if fresh != 0 && e.r.Co[s+1] > e.r.Co[s] {
-				e.queue = append(e.queue, queueItem{s, fresh})
-			}
-			return nil
-		},
-	}
-	var err error
-	e.lsItems, err = stepManyOn(&o, eng, items, e.lsItems, base)
-	return err
 }

@@ -55,21 +55,6 @@ func TestBatchingNegSets(t *testing.T) {
 	}
 }
 
-// Batched traversal composes with the other ablation switches.
-func TestBatchingWithNodeMarksDisabled(t *testing.T) {
-	g := enginetest.RandomGraph(8, 16, 3, 70)
-	e := newEngine(g, ring.WaveletMatrix)
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 5; trial++ {
-		expr := enginetest.RandomExpr(rng, 3, 2)
-		for _, q := range queriesFor(rng, g, expr) {
-			want := evalPairs(t, e, q, Options{DisableFastPaths: true, DisableBatching: true})
-			got := evalPairs(t, e, q, Options{DisableFastPaths: true, DisableNodeMarks: true})
-			diffPairs(t, "batched-nomarks", got, want, q)
-		}
-	}
-}
-
 // Limits must truncate the batched traversal exactly as the unbatched
 // one (the result prefix differs in order but not in validity).
 func TestBatchingLimit(t *testing.T) {

@@ -18,11 +18,11 @@ type compiledAutomaton struct {
 	eng  *glushkov.Engine
 	uses int
 	st   glushkov.Stepper
-	// bArrs holds one immutable B[v] array per L_p tree the memo serves:
-	// one for Engine, one per sub-ring for the multi-ring kernel.
+	// bArrs holds one immutable B[v] array per L_p tree the memo serves
+	// (one per sub-ring).
 	bArrs [][]uint64
-	// wide is the multi-ring kernel's multiword simulation, built on the
-	// first evaluation that needs it.
+	// wide is the multiword simulation, built on the first evaluation
+	// that needs it.
 	wide *glushkov.Wide
 }
 

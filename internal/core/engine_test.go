@@ -194,24 +194,6 @@ func TestFastPathsMatchGeneric(t *testing.T) {
 	}
 }
 
-// Disabling the wavelet-node visited marks must not change results.
-func TestNodeMarksAblationAgrees(t *testing.T) {
-	for seed := int64(20); seed < 24; seed++ {
-		g := enginetest.RandomGraph(seed, 12, 3, 50)
-		e := newEngine(g, ring.WaveletMatrix)
-		rng := rand.New(rand.NewSource(seed))
-		for trial := 0; trial < 5; trial++ {
-			expr := enginetest.RandomExpr(rng, 3, 3)
-			q := Query{Subject: Variable, Expr: expr, Object: Variable}
-			a := enginetest.SortPairs(collect(t, e, q, Options{DisableFastPaths: true}))
-			b := enginetest.SortPairs(collect(t, e, q, Options{DisableFastPaths: true, DisableNodeMarks: true}))
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("seed %d %s: marks=%v nomarks=%v", seed, pathexpr.String(expr), a, b)
-			}
-		}
-	}
-}
-
 // The multiword fallback (m > 63) must agree with the oracle.
 func TestWideFallback(t *testing.T) {
 	g := enginetest.RandomGraph(3, 10, 2, 40)
@@ -445,6 +427,12 @@ func TestWorkingSizeBytes(t *testing.T) {
 	e := newEngine(g, ring.WaveletMatrix)
 	if e.WorkingSizeBytes() <= 0 {
 		t.Fatal("WorkingSizeBytes must be positive")
+	}
+	// One ring, no delta: the paper's accounting, B[v] plus D[v] and
+	// nothing per node beside them (the L_s leaves are the D[s]).
+	w := e.work[0]
+	if got, want := e.WorkingSizeBytes(), w.bNode.SizeBytes()+w.dNode.SizeBytes(); got != want {
+		t.Fatalf("WorkingSizeBytes=%d at K = 1 with no delta, want bNode + dNode = %d", got, want)
 	}
 }
 

@@ -31,10 +31,12 @@ import (
 //
 // Members must be groupable: a single fixed endpoint (the (s,E,y) shape
 // is normalised to (x,Ê,s) exactly as in dispatch), a ≤64-state
-// automaton, and the default marked/batched/compiled configuration.
-// Everything else — both-variable, both-const, wide, unbatched,
-// mark-less or interpreter-forced evaluations — falls back to a solo
-// Eval within the same call, so callers can hand over any mix.
+// automaton, and the default batched/compiled configuration, on a
+// kernel over one ring with no delta (the shared descent walks that
+// ring's two trees). Everything else — both-variable, both-const, wide,
+// unbatched or interpreter-forced evaluations, and every member on a
+// multi-ring or overlaid kernel — falls back to a solo Eval within the
+// same call, so callers can hand over any mix.
 //
 // Accounting: ProductNodes, ProductEdges and Results are exact per
 // member. WaveletVisits is only partially attributable — internal nodes
@@ -117,7 +119,7 @@ func (e *Engine) EvalGroup(qs []*GroupQuery) {
 }
 
 // TraversalGroup is the in-flight state of one shared traversal: the
-// engine whose ring and scratch buffers it borrows plus the lockstep
+// kernel whose ring and scratch buffers it borrows plus the lockstep
 // members. It extends wavelet.TraverseMany one level up — TraverseMany
 // shares a descent across one frontier's ranges; the group shares it
 // across whole queries' frontiers.
@@ -130,7 +132,8 @@ type TraversalGroup struct {
 // so, builds its member state (compiling the expression eagerly).
 func (e *Engine) groupable(gq *GroupQuery) (*groupMember, bool) {
 	opts := gq.Opts
-	if opts.DisableBatching || opts.DisableNodeMarks || opts.DisableCompiled {
+	if len(e.work) != 1 || e.ov != Delta(noDelta{}) ||
+		opts.DisableBatching || opts.DisableCompiled {
 		return nil, false
 	}
 	q := gq.Query
@@ -195,7 +198,7 @@ func (e *Engine) getGroupD() *lazy.MaskArray {
 		e.groupD = e.groupD[:n-1]
 		return d
 	}
-	return lazy.NewMaskArray(e.r.Ls.NumNodes())
+	return lazy.NewMaskArray(e.work[0].r.Ls.NumNodes())
 }
 
 func (e *Engine) putGroupD(d *lazy.MaskArray) {
@@ -203,29 +206,17 @@ func (e *Engine) putGroupD(d *lazy.MaskArray) {
 	e.groupD = append(e.groupD, d)
 }
 
-// markSubjectOn is markSubject against an arbitrary mask array (each
-// group member owns one).
-func markSubjectOn(d *lazy.MaskArray, leaf wavelet.NodeID, states uint64) {
-	d.Or(int(leaf), states)
-	for id := leaf.Parent(); id >= 1; id = id.Parent() {
-		v := d.Get(int(2*id)) & d.Get(int(2*id+1))
-		if v == d.Get(int(id)) {
-			break
-		}
-		d.Set(int(id), v)
-	}
-}
-
 // run drives the lockstep BFS over the live members.
 func (g *TraversalGroup) run() {
 	e, ms := g.e, g.members
+	w := e.work[0] // groupable: the kernel's one ring
 	// Seed each member exactly as evalToConst would.
 	for _, m := range ms {
 		m.dNode = e.getGroupD()
-		for _, id := range e.lsPads {
+		for _, id := range w.lsPads {
 			m.dNode.Set(int(id), ^uint64(0))
 		}
-		if int(m.o) >= e.r.NumNodes {
+		if int(m.o) >= w.r.NumNodes {
 			m.done = true
 			continue
 		}
@@ -233,7 +224,7 @@ func (g *TraversalGroup) run() {
 			m.done = true
 			continue
 		}
-		markSubjectOn(m.dNode, e.r.Ls.LeafID(m.o), m.eng.final)
+		markSubjectOn(m.dNode, w.r.Ls.LeafID(m.o), m.eng.final)
 		m.queue = append(m.queue, queueItem{m.o, m.eng.final})
 	}
 
@@ -271,7 +262,7 @@ func (g *TraversalGroup) run() {
 		return nil
 	}
 
-	half := e.r.NumPreds / 2
+	half := e.numPreds / 2
 	for {
 		// Merge the members' frontiers into one tagged, sorted item list.
 		e.lpItems = e.lpItems[:0]
@@ -289,7 +280,7 @@ func (g *TraversalGroup) run() {
 		// Part 1: one descent of L_p for the whole group's level.
 		e.lsItems = e.lsItems[:0]
 		var failure error
-		e.r.Lp.TraverseMany(e.lpItems, func(node wavelet.NodeID, leaf bool, p uint32, its []wavelet.RangeMask) int {
+		w.r.Lp.TraverseMany(e.lpItems, func(node wavelet.NodeID, leaf bool, p uint32, its []wavelet.RangeMask) int {
 			if failure != nil {
 				return 0
 			}
@@ -304,7 +295,7 @@ func (g *TraversalGroup) run() {
 						if m.negFwd|m.negInv == 0 {
 							continue
 						}
-						lo, hi := e.r.Lp.SymRange(node)
+						lo, hi := w.r.Lp.SymRange(node)
 						var cb uint64
 						if lo < half {
 							cb |= m.negFwd
@@ -325,7 +316,7 @@ func (g *TraversalGroup) run() {
 				failure = err
 				return 0
 			}
-			cp := e.r.Cp[p]
+			cp := w.r.Cp[p]
 			for _, it := range its {
 				m := ms[it.Tag]
 				if m.done {
@@ -362,7 +353,7 @@ func (g *TraversalGroup) run() {
 		// Part 2: one descent of L_s; D[v] pruning per item against the
 		// owning member's marks.
 		slices.SortFunc(e.lsItems, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
-		e.r.Ls.TraverseMany(e.lsItems, func(node wavelet.NodeID, leaf bool, s uint32, its []wavelet.RangeMask) int {
+		w.r.Ls.TraverseMany(e.lsItems, func(node wavelet.NodeID, leaf bool, s uint32, its []wavelet.RangeMask) int {
 			if failure != nil {
 				return 0
 			}
@@ -403,7 +394,7 @@ func (g *TraversalGroup) run() {
 					}
 					fresh &^= m.eng.init
 				}
-				if fresh != 0 && e.r.Co[s+1] > e.r.Co[s] {
+				if fresh != 0 && w.r.Co[s+1] > w.r.Co[s] {
 					m.queue = append(m.queue, queueItem{s, fresh})
 				}
 			}
@@ -426,9 +417,8 @@ func (g *TraversalGroup) run() {
 }
 
 // appendMemberItems drains m's frontier into e.lpItems as sorted
-// disjoint L_p ranges tagged with the member index (frontierItems, per
-// member).
+// disjoint L_p ranges tagged with the member index.
 func (e *Engine) appendMemberItems(m *groupMember, tag uint32) {
-	e.lpItems = appendRangeItems(e.lpItems, e.r, mergeFrontier(m.queue), tag)
+	e.lpItems = appendRangeItems(e.lpItems, e.work[0].r, mergeFrontier(m.queue), tag)
 	m.queue = m.queue[:0]
 }

@@ -19,7 +19,7 @@ type Edge struct {
 	S, P, O uint32
 }
 
-// Delta is the seam through which the multi-ring kernel sees a live-
+// Delta is the seam through which the kernel sees a live-
 // update overlay: sorted adds (disjoint from the rings) and tombstones
 // (a subset of the rings' triples). *overlay.Overlay satisfies it; the
 // returned slices are read-only views of an immutable version.
@@ -43,7 +43,7 @@ type Delta interface {
 	DelsForPred(p uint32) int
 }
 
-// noDelta is the empty overlay a shard set is traversed with.
+// noDelta is the empty overlay static rings are traversed with.
 type noDelta struct{}
 
 func (noDelta) Version() uint64                      { return 0 }
@@ -56,40 +56,50 @@ func (noDelta) Deleted(Edge) bool                    { return false }
 func (noDelta) DeletedPS(_, _ uint32) int            { return 0 }
 func (noDelta) DelsForPred(uint32) int               { return 0 }
 
-// MultiRing is the multi-ring traversal kernel: it evaluates 2RPQs over
-// the union graph rings ∪ adds − dels, where rings are K sub-rings over
-// global id spaces (one for the single-ring layout, the shards of a
-// ring.ShardSet otherwise) and the Delta is a live-update overlay or
-// nothing. ShardedEngine runs cross-shard expressions on it with no
-// overlay; the overlay's union engine runs everything the static engine
-// cannot answer alone.
+// Engine is the traversal kernel: it evaluates 2RPQs over the union
+// graph rings ∪ adds − dels, where rings are K sub-rings over global id
+// spaces (one for the single-ring layout, the shards of a ring.ShardSet
+// otherwise) and the Delta is a live-update overlay or nothing. The
+// paper's setting — one static ring — is K = 1 with no delta
+// (NewEngine); ShardedEngine runs cross-shard expressions over K rings
+// with no delta, and the overlay's union engine runs everything the
+// static engine cannot answer alone.
 //
-// The traversal is the paper's backward product-graph search (§4), with
-// two departures from Engine:
+// The traversal is the paper's backward product-graph search (§4, see
+// the package comment), generalised in two ways that vanish at K = 1
+// with no delta:
 //
 //   - each step unions the in-edges of the current object across every
 //     sub-ring and the overlay's sorted adds, and drops tombstoned
 //     static edges;
-//   - novelty is decided against one global per-node visited mask; the
-//     per-ring D[v] marks only prune wavelet subtrees (they
-//     under-approximate the global mask), so the visited product
-//     subgraph is exactly G'_E of the union graph.
+//   - novelty is decided against one visited-state mask per node. A node
+//     of the rings' id space keeps it at its L_s leaf — the D[s] of
+//     §4.2, written identically to that leaf in every ring — so the
+//     internal D[v] marks of one ring only under-approximate it when
+//     other rings or adds reach the node too; they prune subtrees and
+//     the leaf decides, so the visited product subgraph is exactly G'_E
+//     of the union graph. Only overlay-only nodes (ids beyond the rings'
+//     node space) need an array of their own.
 //
-// Options.DisableNodeMarks is accepted and ignored (the per-ring marks
-// are always kept). Like Engine it owns working arrays and runs an
-// evaluation on its caller's goroutine; build one per worker.
-type MultiRing struct {
-	rings    []*ring.Ring
+// An Engine owns reusable working arrays and runs an evaluation on its
+// caller's goroutine, so it must not be used concurrently; build one
+// per worker.
+type Engine struct {
 	ids      glushkov.SymbolIDs
 	numPreds uint32 // completed alphabet size
 	work     []*ringWork
 	memo     compileMemo
 
-	ov       Delta
-	numNodes int // node-id space ≥ every ring's NumNodes
+	ov Delta
+	// ringNodes is the node-id space every ring covers (sub-rings share
+	// one); numNodes ≥ ringNodes is the snapshot's, covering overlay
+	// adds.
+	ringNodes, numNodes int
 
-	pairs   pairSet         // fast-path result dedup (see multiring_fast.go)
-	visited *lazy.MaskArray // global per-node visited-state masks
+	pairs pairSet // fast-path result dedup (see multiring_fast.go)
+	// visited holds the visited-state masks of the ids in
+	// [ringNodes, numNodes); empty without a delta.
+	visited *lazy.MaskArray
 	queue   []queueItem
 	level   []queueItem
 	lpItems []wavelet.RangeMask
@@ -110,6 +120,16 @@ type MultiRing struct {
 	// expression is hot, the interpreting engine otherwise); installed
 	// by prepare alongside the per-ring bArr arrays.
 	st glushkov.Stepper
+
+	// groupD pools the per-member visited-mask arrays of EvalGroup.
+	groupD []*lazy.MaskArray
+}
+
+// queueItem is one frontier entry: a node and the automaton states it
+// was newly reached with.
+type queueItem struct {
+	node uint32
+	d    uint64
 }
 
 // ringWork holds the per-sub-ring pruning arrays (the B[v]/D[v] masks
@@ -128,37 +148,45 @@ type ringWork struct {
 
 	// delRanks caches, per overlay version, the tombstones' leaf ranks
 	// under their subjects: the batched part 2 drops fully-tombstoned
-	// leaf items through the leafMask hook (see multiring_batch.go).
+	// leaf items (see leafMaskFor).
 	delRanks        map[uint32][]int
 	delRanksVersion uint64
 	delRanksValid   bool
 }
 
+// NewEngine builds the kernel over the single ring r — the paper's
+// setting. The ids function resolves predicate occurrences of query
+// expressions to completed predicate ids (e.g. triples.Graph.PredID).
+func NewEngine(r *ring.Ring, ids glushkov.SymbolIDs) *Engine {
+	return NewMultiRing([]*ring.Ring{r}, ids, r.NumPreds)
+}
+
 // NewMultiRing builds the kernel over rings (sub-rings over global id
 // spaces; numPreds is the completed predicate count). It starts with no
 // overlay and the rings' own node space; SetDelta changes both.
-func NewMultiRing(rings []*ring.Ring, ids glushkov.SymbolIDs, numPreds uint32) *MultiRing {
-	m := &MultiRing{rings: rings, ids: ids, numPreds: numPreds,
-		memo: compileMemo{ids: ids, numPreds: numPreds}}
-	numNodes := 0
-	for _, r := range rings {
-		m.work = append(m.work, &ringWork{
+func NewMultiRing(rings []*ring.Ring, ids glushkov.SymbolIDs, numPreds uint32) *Engine {
+	e := &Engine{ids: ids, numPreds: numPreds,
+		memo: compileMemo{ids: ids, numPreds: numPreds}, visited: lazy.NewMaskArray(0)}
+	for i, r := range rings {
+		e.work = append(e.work, &ringWork{
 			r:      r,
 			bNode:  lazy.NewMaskArray(r.Lp.NumNodes()),
 			dNode:  lazy.NewMaskArray(r.Ls.NumNodes()),
 			lsPads: r.Ls.PadNodes(),
 		})
-		m.memo.lps = append(m.memo.lps, r.Lp)
-		numNodes = max(numNodes, r.NumNodes)
+		e.memo.lps = append(e.memo.lps, r.Lp)
+		if i == 0 || r.NumNodes < e.ringNodes {
+			e.ringNodes = r.NumNodes
+		}
 	}
-	m.SetDelta(nil, numNodes)
-	return m
+	e.SetDelta(nil, e.ringNodes)
+	return e
 }
 
 // SetDelta points the kernel at one overlay version (nil for none) and
 // the node-id space of its snapshot (the dictionary length when the
 // snapshot was taken, covering every overlay add).
-func (e *MultiRing) SetDelta(ov Delta, numNodes int) {
+func (e *Engine) SetDelta(ov Delta, numNodes int) {
 	if ov == nil {
 		ov = noDelta{}
 	}
@@ -169,25 +197,43 @@ func (e *MultiRing) SetDelta(ov Delta, numNodes int) {
 	}
 	e.ov = ov
 	e.numNodes = numNodes
-	if e.visited == nil || e.visited.Len() < numNodes {
-		e.visited = lazy.NewMaskArray(numNodes)
+	if e.visited.Len() < numNodes-e.ringNodes {
+		e.visited = lazy.NewMaskArray(numNodes - e.ringNodes)
 	}
+}
+
+// WorkingSizeBytes reports the per-query working-array footprint (the
+// paper's "array D uses 3.09 extra bytes per triple" accounting): the
+// B[v] and D[v] arrays of every ring, plus the masks of overlay-only
+// nodes when a delta brought any.
+func (e *Engine) WorkingSizeBytes() int {
+	n := 0
+	for _, w := range e.work {
+		n += w.bNode.SizeBytes() + w.dNode.SizeBytes()
+	}
+	if e.visited.Len() > 0 {
+		n += e.visited.SizeBytes()
+	}
+	return n
 }
 
 // Automaton returns the memoised Glushkov automaton of expr (callers
 // decide routing and delegation from its symbols).
-func (e *MultiRing) Automaton(expr pathexpr.Node) *glushkov.Automaton {
+func (e *Engine) Automaton(expr pathexpr.Node) *glushkov.Automaton {
 	return e.memo.lookup(expr).a
 }
 
-func (e *MultiRing) compile(expr pathexpr.Node) *compiledAutomaton {
+func (e *Engine) compile(expr pathexpr.Node) *compiledAutomaton {
 	return e.memo.get(expr, e.eager, e.noCompile)
 }
 
-// Eval evaluates q with Engine.Eval's contract: distinct pairs,
-// Options.Limit/Timeout honoured, ErrTimeout with valid partial
-// results. Result order is unspecified.
-func (e *MultiRing) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error) {
+// Eval evaluates q, calling emit for every result pair. Pairs are
+// distinct (set semantics) and their order is unspecified. It returns
+// the work statistics and ErrTimeout if the timeout fired (results
+// emitted so far are valid but incomplete). ctx is consulted once at
+// entry (FoldContext): it may carry an obs.Trace and tighten the
+// deadline, but is not polled during the traversal.
+func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error) {
 	opts = FoldContext(ctx, opts)
 	e.stats = Stats{}
 	e.steps = 0
@@ -219,9 +265,9 @@ func (e *MultiRing) Eval(ctx context.Context, q Query, opts Options, emit EmitFu
 	return e.stats, err
 }
 
-// dispatch routes the query to the union fast paths or the generic §4
+// dispatch routes the query to the §5 fast paths or the generic §4
 // traversal, depending on its shape.
-func (e *MultiRing) dispatch(q Query, opts Options) error {
+func (e *Engine) dispatch(q Query, opts Options) error {
 	if !opts.DisableFastPaths && q.Subject == Variable && q.Object == Variable {
 		if done, err := e.tryFastPath(q.Expr); done {
 			return err
@@ -229,6 +275,7 @@ func (e *MultiRing) dispatch(q Query, opts Options) error {
 	}
 	switch {
 	case q.Object != Variable && q.Subject == Variable:
+		// (x, E, o): traverse E backwards from o.
 		return e.evalToConst(q.Expr, uint32(q.Object), false)
 	case q.Subject != Variable && q.Object == Variable:
 		// (s, E, y) ≡ (y, Ê, s): traverse Ê backwards from s (§4.4).
@@ -241,7 +288,7 @@ func (e *MultiRing) dispatch(q Query, opts Options) error {
 }
 
 // release resets every per-query working array in O(1).
-func (e *MultiRing) release() {
+func (e *Engine) release() {
 	e.visited.Reset()
 	for _, w := range e.work {
 		w.bNode.Reset()
@@ -254,11 +301,11 @@ func (e *MultiRing) release() {
 	e.st = nil
 }
 
-// prepare installs the per-evaluation stepper and B[v] masks for c,
-// like Engine.prepare + markPads: the compiled stepper and precomputed
-// per-ring B[v] arrays when the expression is hot, else the interpreter
-// with lazy seeding.
-func (e *MultiRing) prepare(c *compiledAutomaton) {
+// prepare installs the per-evaluation stepper and B[v] masks for c:
+// the compiled stepper and precomputed per-ring B[v] arrays when the
+// expression is hot, else the interpreter with the masks seeded onto
+// the lazy bNode arrays.
+func (e *Engine) prepare(c *compiledAutomaton) {
 	if e.wide(c) {
 		return // the multiword fallback keeps its own state
 	}
@@ -282,7 +329,8 @@ func (e *MultiRing) prepare(c *compiledAutomaton) {
 }
 
 // markPads pre-marks the padding subtrees of L_s as visited with every
-// state (see Engine.markPads).
+// state, so that the bottom-up intersection marks are not blocked by
+// leaves that cannot occur.
 func (w *ringWork) markPads() {
 	for _, id := range w.lsPads {
 		w.dNode.Set(int(id), ^uint64(0))
@@ -292,7 +340,7 @@ func (w *ringWork) markPads() {
 // start clears the visited state (keeping the B masks, so the per-start
 // traversals of a v→v phase 2 share one prepare) and seeds a traversal
 // from node o holding the final states.
-func (e *MultiRing) start(eng *glushkov.Engine, o uint32) {
+func (e *Engine) start(eng *glushkov.Engine, o uint32) {
 	e.visited.Reset()
 	for _, w := range e.work {
 		w.dNode.Reset()
@@ -302,11 +350,23 @@ func (e *MultiRing) start(eng *glushkov.Engine, o uint32) {
 	e.queue = append(e.queue[:0], queueItem{o, eng.F})
 }
 
-// markNode records that node s was visited with states d: the global
-// mask plus every sub-ring's D[v] leaf (bottom-up intersection
-// maintenance as in Engine.markSubject).
-func (e *MultiRing) markNode(s uint32, d uint64) {
-	e.visited.Or(int(s), d)
+// seen returns the states node s has been visited with (§4.2's D[s]):
+// its L_s leaf mark — the same in every ring, so the first ring's is
+// read — or, for an overlay-only node, its slot of visited.
+func (e *Engine) seen(s uint32) uint64 {
+	if int(s) < e.ringNodes {
+		w := e.work[0]
+		return w.dNode.Get(int(w.r.Ls.LeafID(s)))
+	}
+	return e.visited.Get(int(s) - e.ringNodes)
+}
+
+// markNode records that node s was visited with states d at its L_s
+// leaf in every sub-ring, or in visited for an overlay-only node.
+func (e *Engine) markNode(s uint32, d uint64) {
+	if int(s) >= e.ringNodes {
+		e.visited.Or(int(s)-e.ringNodes, d)
+	}
 	for _, w := range e.work {
 		if int(s) < w.r.NumNodes {
 			markSubjectOn(w.dNode, w.r.Ls.LeafID(s), d)
@@ -314,11 +374,26 @@ func (e *MultiRing) markNode(s uint32, d uint64) {
 	}
 }
 
-// arrive processes reaching node s with automaton states d2: dedup
-// against the global mask, report when the initial state is reached,
-// and enqueue remaining work.
-func (e *MultiRing) arrive(eng *glushkov.Engine, s uint32, d2 uint64, emit EmitFunc) error {
-	newStates := d2 &^ (e.visited.Get(int(s)) | e.base)
+// markSubjectOn records on d that the subject at leaf has been visited
+// with the given states and restores the invariant that every internal
+// mark is the intersection of its children (conservatively using zero
+// for untouched real leaves and all-ones for padding, via markPads).
+func markSubjectOn(d *lazy.MaskArray, leaf wavelet.NodeID, states uint64) {
+	d.Or(int(leaf), states)
+	for id := leaf.Parent(); id >= 1; id = id.Parent() {
+		v := d.Get(int(2*id)) & d.Get(int(2*id+1))
+		if v == d.Get(int(id)) {
+			break
+		}
+		d.Set(int(id), v)
+	}
+}
+
+// arrive processes reaching node s with automaton states d2, of which
+// newStates were not yet visited there (the caller read the node's
+// mark: a part-2 leaf has it at hand): mark, report when the initial
+// state is reached, and enqueue remaining work (§4.2–4.3).
+func (e *Engine) arrive(eng *glushkov.Engine, s uint32, d2, newStates uint64, emit EmitFunc) error {
 	if newStates == 0 {
 		return nil
 	}
@@ -338,7 +413,7 @@ func (e *MultiRing) arrive(eng *glushkov.Engine, s uint32, d2 uint64, emit EmitF
 
 // hasInEdges reports whether node s has any union in-edge: enqueueing
 // sink nodes would only grow the frontier sorts.
-func (e *MultiRing) hasInEdges(s uint32) bool {
+func (e *Engine) hasInEdges(s uint32) bool {
 	for _, w := range e.work {
 		if int(s) < w.r.NumNodes && w.r.Co[s+1] > w.r.Co[s] {
 			return true
@@ -350,7 +425,7 @@ func (e *MultiRing) hasInEdges(s uint32) bool {
 // bfs drains the worklist: the frontier-batched level-synchronous
 // expansion by default (see multiring_batch.go), the item-at-a-time
 // FIFO under Options.DisableBatching (the differential ablation).
-func (e *MultiRing) bfs(eng *glushkov.Engine, emit EmitFunc) error {
+func (e *Engine) bfs(eng *glushkov.Engine, emit EmitFunc) error {
 	if e.batch {
 		return e.bfsBatched(eng, emit)
 	}
@@ -364,7 +439,7 @@ func (e *MultiRing) bfs(eng *glushkov.Engine, emit EmitFunc) error {
 }
 
 // expand performs one backward step from object o with active states d.
-func (e *MultiRing) expand(eng *glushkov.Engine, o uint32, d uint64, emit EmitFunc) error {
+func (e *Engine) expand(eng *glushkov.Engine, o uint32, d uint64, emit EmitFunc) error {
 	if err := e.checkDeadline(); err != nil {
 		return err
 	}
@@ -386,7 +461,7 @@ func (e *MultiRing) expand(eng *glushkov.Engine, o uint32, d uint64, emit EmitFu
 // addsStep NFA-steps states d over overlay adds whose targets hold
 // them: the adds entering one object, or — in the full-range phase,
 // where every target conceptually holds the final states — all of them.
-func (e *MultiRing) addsStep(eng *glushkov.Engine, adds []Edge, d uint64, emit EmitFunc) error {
+func (e *Engine) addsStep(eng *glushkov.Engine, adds []Edge, d uint64, emit EmitFunc) error {
 	for _, ed := range adds {
 		// Per-edge deadline probe: one object may have many overlay adds.
 		if err := e.checkDeadline(); err != nil {
@@ -401,7 +476,7 @@ func (e *MultiRing) addsStep(eng *glushkov.Engine, adds []Edge, d uint64, emit E
 		if d2 == 0 {
 			continue
 		}
-		if err := e.arrive(eng, ed.S, d2, emit); err != nil {
+		if err := e.arrive(eng, ed.S, d2, d2&^(e.seen(ed.S)|e.base), emit); err != nil {
 			return err
 		}
 	}
@@ -412,7 +487,7 @@ func (e *MultiRing) addsStep(eng *glushkov.Engine, adds []Edge, d uint64, emit E
 // predicates of L_p[b, end) leading to an active state, pruned by the
 // aggregated B[v] masks, then map each through backward search to its
 // L_s subject range (part 2).
-func (e *MultiRing) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end int, d uint64, emit EmitFunc) error {
+func (e *Engine) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end int, d uint64, emit EmitFunc) error {
 	negFwd, negInv := eng.NegClassBits()
 	half := e.numPreds / 2
 	var failure error
@@ -422,6 +497,10 @@ func (e *MultiRing) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end 
 		}
 		e.stats.WaveletVisits++
 		if !leaf {
+			// Part 1 pruning: descend only towards predicates that lead
+			// to an active state (Fact 1 via the aggregated B[v]);
+			// negated property sets may be reachable through any node
+			// covering symbols of their half of the completed alphabet.
 			var bm uint64
 			if w.bArr != nil {
 				bm = w.bArr[node]
@@ -455,6 +534,9 @@ func (e *MultiRing) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end 
 			return true
 		}
 		e.stats.ProductEdges++
+		// The NFA transition is the same for every subject below
+		// (Fact 1); the rank range [rb, re) of p plus C_p is the L_s
+		// range of sources (backward search, Eqs. 4–5).
 		d2 := e.st.StepBack(d & bp)
 		if d2 == 0 {
 			return true
@@ -470,7 +552,7 @@ func (e *MultiRing) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end 
 // object of the step; o < 0 marks the full-range phase, where a
 // subject survives iff its multiplicity under p exceeds its (p, s)
 // tombstone count.
-func (e *MultiRing) part2(eng *glushkov.Engine, w *ringWork, o int64, p uint32, b, end int, d2 uint64, emit EmitFunc) error {
+func (e *Engine) part2(eng *glushkov.Engine, w *ringWork, o int64, p uint32, b, end int, d2 uint64, emit EmitFunc) error {
 	checkDels := e.ov.DelsForPred(p) > 0
 	var failure error
 	w.r.Ls.Traverse(b, end, func(node wavelet.NodeID, leaf bool, s uint32, rb, re int, full bool) bool {
@@ -478,11 +560,11 @@ func (e *MultiRing) part2(eng *glushkov.Engine, w *ringWork, o int64, p uint32, 
 			return false
 		}
 		e.stats.WaveletVisits++
+		newStates := d2 &^ (w.dNode.Get(int(node)) | e.base)
 		if !leaf {
 			// Prune subtrees all of whose subjects were already visited
-			// with every state in d2 (conservative: per-ring marks only
-			// under-approximate the global mask).
-			return d2&^(w.dNode.Get(int(node))|e.base) != 0
+			// with every state in d2.
+			return newStates != 0
 		}
 		// Per-leaf deadline probe (dense objects cover many subjects).
 		if err := e.checkDeadline(); err != nil {
@@ -498,7 +580,7 @@ func (e *MultiRing) part2(eng *glushkov.Engine, w *ringWork, o int64, p uint32, 
 				return true
 			}
 		}
-		failure = e.arrive(eng, s, d2, emit)
+		failure = e.arrive(eng, s, d2, newStates, emit)
 		return failure == nil
 	})
 	return failure
@@ -506,12 +588,12 @@ func (e *MultiRing) part2(eng *glushkov.Engine, w *ringWork, o int64, p uint32, 
 
 // wide reports whether c runs on the multiword fallback: beyond 64
 // states, or under the Options.DisableCompiled ablation.
-func (e *MultiRing) wide(c *compiledAutomaton) bool { return c.eng == nil || e.noCompile }
+func (e *Engine) wide(c *compiledAutomaton) bool { return c.eng == nil || e.noCompile }
 
 // runFrom traverses backwards from node o holding the final states,
 // reporting every node that reaches the initial state. The caller has
 // prepared c (once for any number of starts) and releases afterwards.
-func (e *MultiRing) runFrom(c *compiledAutomaton, o uint32, emit EmitFunc) error {
+func (e *Engine) runFrom(c *compiledAutomaton, o uint32, emit EmitFunc) error {
 	if e.wide(c) {
 		return e.wideFrom(c, o, emit)
 	}
@@ -521,7 +603,7 @@ func (e *MultiRing) runFrom(c *compiledAutomaton, o uint32, emit EmitFunc) error
 
 // evalToConst evaluates (x, E, o) for fixed o, emitting (s, o) pairs —
 // or (o, s) when swap is set (the (s, E, y) rewriting of §4.4).
-func (e *MultiRing) evalToConst(expr pathexpr.Node, o uint32, swap bool) error {
+func (e *Engine) evalToConst(expr pathexpr.Node, o uint32, swap bool) error {
 	pair := func(r, _ uint32) bool {
 		if swap {
 			return e.emit(o, r)
@@ -540,8 +622,9 @@ func (e *MultiRing) evalToConst(expr pathexpr.Node, o uint32, swap bool) error {
 	return e.runFrom(c, o, pair)
 }
 
-// evalBothConst evaluates (s, E, o), stopping at the first match.
-func (e *MultiRing) evalBothConst(expr pathexpr.Node, s, o uint32) error {
+// evalBothConst evaluates (s, E, o) with both endpoints fixed, stopping
+// at the first match (§4.4; this case is excluded from Theorem 4.1).
+func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32) error {
 	if int(o) >= e.numNodes || int(s) >= e.numNodes {
 		return nil
 	}
@@ -571,10 +654,10 @@ func (e *MultiRing) evalBothConst(expr pathexpr.Node, s, o uint32) error {
 // evalBothVar evaluates (x, E, y): nullable self-pairs first, then a
 // full-range phase collecting candidate endpoints, then one
 // constrained traversal per candidate (§4.4's two-phase strategy).
-// Like Engine, the orientation is chosen by boundary-predicate
-// cardinality: start from the end whose first backward scan selects
-// fewer triples (§5), counting overlay adds alongside the rings.
-func (e *MultiRing) evalBothVar(expr pathexpr.Node) error {
+// The orientation is chosen by boundary-predicate cardinality: start
+// from the end whose first backward scan selects fewer triples (§5),
+// counting overlay adds alongside the rings.
+func (e *Engine) evalBothVar(expr pathexpr.Node) error {
 	a := e.Automaton(expr)
 	nullable := a.Nullable
 	if nullable {
@@ -637,7 +720,7 @@ func (e *MultiRing) evalBothVar(expr pathexpr.Node) error {
 // fullRangeSources finds all nodes that can start a path matching expr
 // towards some node: one step over every ring's complete L_p range and
 // every overlay add, then the ordinary traversal (§4.4).
-func (e *MultiRing) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
+func (e *Engine) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
 	c := e.compile(expr)
 	if e.wide(c) {
 		return e.wideFullRange(c, emit)
@@ -662,7 +745,7 @@ func (e *MultiRing) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
 // startFromObjects decides the phase-1 orientation of a v→v query
 // (§5: start from the end whose boundary predicates select fewer
 // triples), counting both the static rings and the overlay adds.
-func (e *MultiRing) startFromObjects(a *glushkov.Automaton) bool {
+func (e *Engine) startFromObjects(a *glushkov.Automaton) bool {
 	count := func(positions []int32) int {
 		total := 0
 		for _, j := range positions {
@@ -680,7 +763,7 @@ func (e *MultiRing) startFromObjects(a *glushkov.Automaton) bool {
 	return count(a.Follow[0]) < count(a.Last)
 }
 
-func (e *MultiRing) checkDeadline() error {
+func (e *Engine) checkDeadline() error {
 	e.steps++
 	if e.deadline.IsZero() || e.steps%64 != 0 {
 		return nil

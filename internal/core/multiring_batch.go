@@ -8,31 +8,30 @@ import (
 	"ringrpq/internal/wavelet"
 )
 
-// Frontier-batched multi-ring traversal: the kernel drains whole BFS
-// levels like Engine's batched path (one multi-range wavelet descent
-// per ring per level). Each level runs two passes:
+// The level loop of the frontier-batched traversal (see batch.go for the
+// batched step itself): one multi-range wavelet descent per ring per
+// level. Each level runs two passes:
 //
-//   - batched (per ring): stepManyOn over the level's coalesced L_p
-//     ranges. Tombstones are handled exactly through the leafMask hook:
-//     per ring and overlay version, each tombstone's leaf rank under its
-//     subject is cached, and a part-2 leaf drops the items whose
-//     occurrences of the subject are all tombstoned — no per-leaf
-//     deletion probes and, crucially, no fragmentation of the coalesced
-//     ranges (a punched-out position would split them into thousands of
+//   - batched (per ring): stepMany over the level's coalesced L_p
+//     ranges. Tombstones are handled exactly at the part-2 leaves: per
+//     ring and overlay version, each tombstone's leaf rank under its
+//     subject is cached, and a leaf drops the items whose occurrences
+//     of the subject are all tombstoned — no per-leaf deletion probes
+//     and, crucially, no fragmentation of the coalesced ranges (a
+//     punched-out position would split them into thousands of
 //     single-gap pieces);
 //   - overlay: the object-sorted adds entering each frontier object,
 //     merged linearly against the sorted frontier.
 //
-// Both passes share the global visited mask and the per-ring D[v]
-// marks, so the visited product subgraph is exactly the one the
-// item-at-a-time traversal explores.
+// Both passes share the per-node visited masks, so the visited product
+// subgraph is exactly the one the item-at-a-time traversal explores.
 
 // tombstoneRanks resolves (and caches per overlay version) each
 // tombstone's leaf rank under its subject in this ring's L_s: the
 // triple (s, p, o) occupies exactly one position of its backward-search
 // range, and its rank among the occurrences of s is Rank(s, lsB) — one
 // rank probe per tombstone, once per overlay version.
-func (e *MultiRing) tombstoneRanks(w *ringWork) map[uint32][]int {
+func (e *Engine) tombstoneRanks(w *ringWork) map[uint32][]int {
 	if w.delRanksValid && w.delRanksVersion == e.ov.Version() {
 		return w.delRanks
 	}
@@ -61,10 +60,10 @@ func (e *MultiRing) tombstoneRanks(w *ringWork) map[uint32][]int {
 	return m
 }
 
-// leafMaskFor builds the part-2 leafMask hook for one ring: the OR of
-// the item masks, minus items whose occurrences of the subject are all
-// tombstoned. Nil when the ring has no tombstones.
-func (e *MultiRing) leafMaskFor(w *ringWork) func(s uint32, its []wavelet.RangeMask) uint64 {
+// leafMaskFor builds the state mask a part-2 leaf of w receives from its
+// items: their OR, minus items whose occurrences of the subject are all
+// tombstoned. Nil (plain OR) when the ring has no tombstones.
+func (e *Engine) leafMaskFor(w *ringWork) func(s uint32, its []wavelet.RangeMask) uint64 {
 	ranks := e.tombstoneRanks(w)
 	if len(ranks) == 0 {
 		return nil
@@ -83,7 +82,7 @@ func (e *MultiRing) leafMaskFor(w *ringWork) func(s uint32, its []wavelet.RangeM
 
 // bfsBatched drains the worklist level-synchronously; every level is
 // one span.
-func (e *MultiRing) bfsBatched(eng *glushkov.Engine, emit EmitFunc) error {
+func (e *Engine) bfsBatched(eng *glushkov.Engine, emit EmitFunc) error {
 	for len(e.queue) > 0 {
 		if err := e.checkDeadline(); err != nil {
 			return err
@@ -108,7 +107,7 @@ func (e *MultiRing) bfsBatched(eng *glushkov.Engine, emit EmitFunc) error {
 
 // expandLevel expands one sorted, deduplicated level: item at a time
 // below the batching cutoff, else the two-pass expansion above.
-func (e *MultiRing) expandLevel(eng *glushkov.Engine, level []queueItem, emit EmitFunc) error {
+func (e *Engine) expandLevel(eng *glushkov.Engine, level []queueItem, emit EmitFunc) error {
 	if len(level) < batchCutoff {
 		for _, it := range level {
 			if err := e.expand(eng, it.node, it.d, emit); err != nil {
@@ -119,22 +118,7 @@ func (e *MultiRing) expandLevel(eng *glushkov.Engine, level []queueItem, emit Em
 	}
 	for _, w := range e.work {
 		e.lpItems = appendRangeItems(e.lpItems[:0], w.r, level, 0)
-		if len(e.lpItems) == 0 {
-			continue
-		}
-		o := batchOwner{
-			r: w.r, bNode: w.bNode, dNode: w.dNode, stats: &e.stats,
-			st: e.st, bArr: w.bArr,
-			check:    e.checkDeadline,
-			leafMask: e.leafMaskFor(w),
-			// The batched arrive: global dedup, marking (all rings),
-			// emission and next-level enqueueing.
-			part2Leaf: func(s uint32, all, _ uint64) error {
-				return e.arrive(eng, s, all, emit)
-			},
-		}
-		var err error
-		if e.lsItems, err = stepManyOn(&o, eng, e.lpItems, e.lsItems, e.base); err != nil {
+		if err := e.stepMany(eng, w, e.lpItems, emit); err != nil {
 			return err
 		}
 	}

@@ -5,18 +5,20 @@ import (
 	"ringrpq/internal/wavelet"
 )
 
-// This file is the multi-ring analogue of the §5 fast paths for the
-// frequent join-like v→v shapes: a single predicate, an alternation of
-// predicates, or a two-symbol concatenation. The answer is a direct
-// scan — pred-range extraction per sub-ring (minus tombstones) unioned
-// with the overlay's predicate-major adds — instead of a generic
-// product-graph traversal, which matters because these shapes dominate
-// real logs and produce the largest result sets.
+// This file holds the §5 fast paths, which the paper implements "more
+// efficiently using just backward search and the extended functionality
+// of wavelet trees", for the frequent join-like v→v shapes: a single
+// predicate (v p v, v ^p v), an alternation of predicates, or a
+// two-symbol concatenation (v p1/p2 v, v p1/^p2 v, …). The answer is a
+// direct scan — pred-range extraction per sub-ring (minus tombstones)
+// unioned with the overlay's predicate-major adds — instead of a
+// generic product-graph traversal, which matters because these shapes
+// dominate real logs and produce the largest result sets.
 
 // tryFastPath handles (x, E, y) when E flattens to symbols or is a
 // two-symbol concatenation; it reports whether the shape was recognised
 // and handled.
-func (e *MultiRing) tryFastPath(expr pathexpr.Node) (bool, error) {
+func (e *Engine) tryFastPath(expr pathexpr.Node) (bool, error) {
 	if x, ok := expr.(pathexpr.Concat); ok {
 		l, lok := x.L.(pathexpr.Sym)
 		r, rok := x.R.(pathexpr.Sym)
@@ -30,8 +32,8 @@ func (e *MultiRing) tryFastPath(expr pathexpr.Node) (bool, error) {
 		return false, nil
 	}
 	// Pair dedup across branches (two predicates may connect the same
-	// pair) via the kernel-owned paged bitset: zero steady-state
-	// allocation, like Engine's §5 paths. Within one branch pairs are
+	// pair) via the kernel-owned paged bitset (the paper uses a hash
+	// table): zero steady-state allocation. Within one branch pairs are
 	// distinct by construction — sub-rings partition the static triples
 	// and overlay adds are disjoint from them — so single-symbol
 	// expressions skip the probes entirely.
@@ -52,7 +54,7 @@ func (e *MultiRing) tryFastPath(expr pathexpr.Node) (bool, error) {
 // sub-ring, the distinct subjects of L_s[C_p[p], C_p[p+1]) each
 // backward-step their object range by p̂ to list their objects (§5),
 // tombstones dropped; then the overlay's adds for p.
-func (e *MultiRing) fastSingle(p uint32, dedup bool) error {
+func (e *Engine) fastSingle(p uint32, dedup bool) error {
 	pInv := inversePred(p, e.numPreds)
 	checkDels := e.ov.DelsForPred(p) > 0
 	deliver := func(s, o uint32) error {
@@ -113,7 +115,7 @@ func (e *MultiRing) fastSingle(p uint32, dedup bool) error {
 // sources of p2; for each z, the sources by p1 and the objects by p2
 // are materialised (static backward steps minus tombstones, plus the
 // overlay's sorted adds) and cross-multiplied (§5's join-like shape).
-func (e *MultiRing) fastConcat2(s1, s2 pathexpr.Sym) error {
+func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 	p1, ok1 := e.ids(s1)
 	p2, ok2 := e.ids(s2)
 	if !ok1 || !ok2 {
@@ -201,4 +203,30 @@ func (e *MultiRing) fastConcat2(s1, s2 pathexpr.Sym) error {
 		}
 	}
 	return nil
+}
+
+// flattenAlt collects the leaves of an alternation tree if they are all
+// plain symbols.
+func flattenAlt(n pathexpr.Node) ([]pathexpr.Sym, bool) {
+	switch x := n.(type) {
+	case pathexpr.Sym:
+		return []pathexpr.Sym{x}, true
+	case pathexpr.Alt:
+		l, lok := flattenAlt(x.L)
+		r, rok := flattenAlt(x.R)
+		if lok && rok {
+			return append(l, r...), true
+		}
+	}
+	return nil, false
+}
+
+// inversePred maps a completed predicate id to its inverse. The
+// completed alphabet has an even size numPreds = 2|P| with p̂ = p ± |P|.
+func inversePred(p, numPreds uint32) uint32 {
+	half := numPreds / 2
+	if p < half {
+		return p + half
+	}
+	return p - half
 }

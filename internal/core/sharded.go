@@ -8,16 +8,6 @@ import (
 	"ringrpq/internal/ring"
 )
 
-// Evaluator is the query-evaluation capability shared by the
-// single-ring Engine, the ShardedEngine and the MultiRing kernel; the
-// public DB selects one at build/load time. Eval takes the request context first (the repo's
-// ctx-first convention, enforced by rpqlint's ctxfirst analyzer): ctx
-// may carry an obs.Trace and a deadline, folded into Options once at
-// entry via FoldContext.
-type Evaluator interface {
-	Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error)
-}
-
 // ShardedEngine evaluates 2RPQs over a ring.ShardSet.
 //
 // Because a matching path may use edges of several shards, the query
@@ -26,17 +16,17 @@ type Evaluator interface {
 //
 //   - Routing: when every predicate the expression mentions maps to the
 //     same shard, every edge of every matching path lives there, and the
-//     whole query is delegated to that shard's ordinary Engine (§5 fast
-//     paths included). Single-predicate queries — the bulk of real logs —
-//     always take this path.
+//     whole query is delegated to an Engine over that shard alone (§5
+//     fast paths included). Single-predicate queries — the bulk of real
+//     logs — always take this path.
 //
-//   - Union traversal: otherwise the query runs on the MultiRing kernel
-//     over all shards — a shard set is a union graph with an empty
-//     overlay. Every BFS level is expanded over each sub-ring in turn
-//     (parts 1–2 with per-shard B[v]/D[v] masks) and novelty is decided
-//     against one global per-node visited mask, so the traversal
-//     explores exactly the product subgraph G'_E of the union graph and
-//     the result set matches the unsharded engine's.
+//   - Union traversal: otherwise the query runs on an Engine over all
+//     shards — a shard set is a union graph with an empty overlay.
+//     Every BFS level is expanded over each sub-ring in turn (parts 1–2
+//     with per-shard B[v]/D[v] masks) and novelty is decided against
+//     one visited mask per node, so the traversal explores exactly the
+//     product subgraph G'_E of the union graph and the result set
+//     matches the unsharded engine's.
 //
 // Like Engine, a ShardedEngine owns reusable working arrays and must
 // not be used concurrently; build one per worker. An evaluation runs on
@@ -45,15 +35,14 @@ type ShardedEngine struct {
 	set *ring.ShardSet
 	ids glushkov.SymbolIDs
 
-	// engines holds per-shard delegation engines and kernel the
-	// cross-shard traversal, each created on first use.
+	// engines holds the per-shard delegation kernels and union the
+	// cross-shard one, each created on first use.
 	engines []*Engine
-	kernel  *MultiRing
+	union   *Engine
 }
 
 var _ Evaluator = (*ShardedEngine)(nil)
 var _ Evaluator = (*Engine)(nil)
-var _ Evaluator = (*MultiRing)(nil)
 
 // NewShardedEngine builds an evaluation engine over set. The ids
 // function resolves predicate occurrences exactly as for NewEngine.
@@ -69,10 +58,10 @@ func (e *ShardedEngine) Eval(ctx context.Context, q Query, opts Options, emit Em
 	if shard, ok := e.route(q.Expr); ok {
 		return e.engineFor(shard).Eval(ctx, q, opts, emit)
 	}
-	if e.kernel == nil {
-		e.kernel = NewMultiRing(e.set.Shards, e.ids, e.set.NumPreds)
+	if e.union == nil {
+		e.union = NewMultiRing(e.set.Shards, e.ids, e.set.NumPreds)
 	}
-	return e.kernel.Eval(ctx, q, opts, emit)
+	return e.union.Eval(ctx, q, opts, emit)
 }
 
 // route reports the one shard that holds every edge a path matching

@@ -185,7 +185,7 @@ func TestShardedEdgeCases(t *testing.T) {
 
 // crossShardTwoSymbolShapes (a TestShardedEdgeCases subtest) pins the
 // two-symbol v→v shapes whose predicates sit on different shards: no single shard can answer them,
-// so they run on the multi-ring kernel, which takes its §5-style union
+// so they run on the kernel over all shards, which takes its §5 union
 // fast path (no product-graph traversal) unless that is switched off.
 // Either way the answer must equal the relational oracle's.
 func crossShardTwoSymbolShapes(t *testing.T) {
@@ -238,7 +238,7 @@ func TestShardedUnknownPredicates(t *testing.T) {
 }
 
 // TestShardedNegSets covers negated property sets, which always take
-// the multi-ring kernel (their language spans arbitrary predicates).
+// the kernel over all shards (their language spans arbitrary predicates).
 func TestShardedNegSets(t *testing.T) {
 	g := enginetest.RandomGraph(5, 10, 4, 50)
 	r := ring.New(g, ring.WaveletMatrix)
@@ -318,26 +318,6 @@ func TestShardedLimitAndTimeout(t *testing.T) {
 	// deadline probe, which the 64-step cadence makes likely here).
 	if err != nil && err != ErrTimeout {
 		t.Fatalf("timeout eval: unexpected error %v", err)
-	}
-}
-
-// TestShardedDisableNodeMarks runs the cross-shard path with the §4.2
-// ablation switch set (the multi-ring kernel accepts and ignores it)
-// and checks the result set is unchanged.
-func TestShardedDisableNodeMarks(t *testing.T) {
-	g := enginetest.RandomGraph(29, 14, 4, 70)
-	r := ring.New(g, ring.WaveletMatrix)
-	eng := NewEngine(r, idsOf(g))
-	set := ring.NewShardSet(g, 3, modPartitioner{}, ring.WaveletMatrix)
-	sharded := NewShardedEngine(set, idsOf(g))
-	rng := rand.New(rand.NewSource(31))
-	for qi := 0; qi < 4; qi++ {
-		expr := enginetest.RandomExpr(rng, 4, 2)
-		for _, q := range queriesFor(rng, g, expr) {
-			want := evalPairs(t, eng, q, Options{})
-			got := evalPairs(t, sharded, q, Options{DisableNodeMarks: true})
-			diffPairs(t, "no-marks", got, want, q)
-		}
 	}
 }
 

@@ -17,16 +17,16 @@ import (
 // query's predicates have no overlay adds or tombstones (and
 // nullability cannot surface overlay-only nodes), the whole evaluation
 // is delegated to the static engine: a read-mostly workload keeps
-// static-path performance even mid-update. Everything else runs on
-// core's multi-ring kernel over the static sub-rings (one for the
-// single-ring layout, K for a sharded one) with the overlay as its
-// delta.
+// static-path performance even mid-update. Everything else runs on a
+// core.Engine over the static sub-rings (one for the single-ring
+// layout, K for a sharded one) with the overlay as its delta — the
+// kernel the static engine is, with a delta set.
 //
 // Like core.Engine it owns working arrays and must not be used
 // concurrently; build one per worker clone.
 type Engine struct {
 	static core.Evaluator
-	kernel *core.MultiRing
+	kernel *core.Engine
 
 	ov          *Overlay
 	numNodes    int // snapshot dictionary size ≥ staticNodes

@@ -13,8 +13,7 @@ import (
 )
 
 // benchWorld builds a mid-sized graph with a given overlay fill for
-// static-vs-union latency comparison (the micro version of rpqbench
-// -updates).
+// static-vs-union latency comparison.
 func benchWorld(b *testing.B, fill float64) (*core.Engine, *Engine, *triples.Graph) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))

@@ -5,7 +5,7 @@
 //	ring ∪ adds − dels
 //
 // behind the ordinary core.Evaluator interface (the union traversal
-// itself is core's multi-ring kernel, which reads an Overlay through
+// itself is core's one traversal kernel, which reads an Overlay through
 // the core.Delta seam). The ring index of the
 // paper is static by construction (three sorted sequences cannot absorb
 // an insertion), so mutability is layered on top LSM-style: updates

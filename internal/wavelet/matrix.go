@@ -24,8 +24,8 @@ type Matrix struct {
 	// bottomStart[c] is the position where c's (contiguous) occurrences
 	// begin at the virtual leaf level. The bottom order is the
 	// bit-reversal permutation of the symbols, so this is a prefix sum
-	// of counts in that order; it lets Traverse and Intersect report
-	// leaf occurrence-rank ranges without tracking node boundaries
+	// of counts in that order; it lets Traverse report leaf
+	// occurrence-rank ranges without tracking node boundaries
 	// (halving the rank queries per visited node).
 	bottomStart []int
 }
@@ -322,31 +322,6 @@ func (m *Matrix) traverseMany(level int, prefix uint32, items []RangeMask, arena
 	m.traverseMany(level+1, prefix<<1, (*arena)[base:], arena, visit)
 	*arena = (*arena)[:base]
 	m.traverseMany(level+1, prefix<<1|1, right, arena, visit)
-}
-
-// Intersect enumerates symbols present in both ranges.
-func (m *Matrix) Intersect(b1, e1, b2, e2 int, emit IntersectFunc) {
-	m.intersect(0, 0, b1, e1, b2, e2, emit)
-}
-
-func (m *Matrix) intersect(level int, prefix uint32, b1, e1, b2, e2 int, emit IntersectFunc) {
-	if b1 >= e1 || b2 >= e2 {
-		return
-	}
-	if level == m.width {
-		if prefix < m.sigma {
-			s := m.bottomStart[prefix]
-			emit(prefix, b1-s, e1-s, b2-s, e2-s)
-		}
-		return
-	}
-	bv := m.levels[level]
-	z := m.zeros[level]
-	l1b, l1e := bv.Rank0(b1), bv.Rank0(e1)
-	l2b, l2e := bv.Rank0(b2), bv.Rank0(e2)
-	m.intersect(level+1, prefix<<1, l1b, l1e, l2b, l2e, emit)
-	m.intersect(level+1, prefix<<1|1,
-		z+(b1-l1b), z+(e1-l1e), z+(b2-l2b), z+(e2-l2e), emit)
 }
 
 // MinAtLeast returns the smallest symbol ≥ x occurring in [b, e).

@@ -312,30 +312,6 @@ func (t *Tree) traverseMany(id int, lo, hi uint32, items []RangeMask, arena *[]R
 	t.traverseMany(2*id+1, mid, hi, right, arena, visit)
 }
 
-// Intersect enumerates symbols present in both ranges (§5 fast paths).
-func (t *Tree) Intersect(b1, e1, b2, e2 int, emit IntersectFunc) {
-	t.intersect(1, 0, t.sigma, b1, e1, b2, e2, emit)
-}
-
-func (t *Tree) intersect(id int, lo, hi uint32, b1, e1, b2, e2 int, emit IntersectFunc) {
-	if b1 >= e1 || b2 >= e2 {
-		return
-	}
-	if hi-lo == 1 {
-		emit(lo, b1, e1, b2, e2)
-		return
-	}
-	bv := t.nodes[id]
-	if bv == nil {
-		return
-	}
-	mid := (lo + hi) / 2
-	l1b, l1e := bv.Rank0(b1), bv.Rank0(e1)
-	l2b, l2e := bv.Rank0(b2), bv.Rank0(e2)
-	t.intersect(2*id, lo, mid, l1b, l1e, l2b, l2e, emit)
-	t.intersect(2*id+1, mid, hi, b1-l1b, e1-l1e, b2-l2b, e2-l2e, emit)
-}
-
 // MinAtLeast returns the smallest symbol ≥ x occurring in [b, e).
 func (t *Tree) MinAtLeast(b, e int, x uint32) (uint32, bool) {
 	if b < 0 {

@@ -45,10 +45,6 @@ const Root NodeID = 1
 // may always report false. Returning false prunes the subtree.
 type Visit func(node NodeID, leaf bool, sym uint32, b, e int, full bool) bool
 
-// IntersectFunc receives a symbol present in both query ranges together
-// with its occurrence-rank ranges in each.
-type IntersectFunc func(c uint32, b1, e1, b2, e2 int)
-
 // RangeMask is one item of a multi-range traversal: the half-open
 // position range [B, E) carrying a caller-defined 64-bit mask (the RPQ
 // engine stores active-state sets in it) and an opaque Tag. The Tag
@@ -196,9 +192,6 @@ type Seq interface {
 	// (each behaves as an independent Traverse). The slice is mutated
 	// and owned by the traversal until it returns.
 	TraverseMany(items []RangeMask, visit VisitMany)
-	// Intersect enumerates the symbols occurring in both [b1,e1) and
-	// [b2,e2), with their occurrence-rank ranges.
-	Intersect(b1, e1, b2, e2 int, emit IntersectFunc)
 	// MinAtLeast returns the smallest symbol ≥ x occurring in [b, e).
 	MinAtLeast(b, e int, x uint32) (uint32, bool)
 	// SymRange reports the half-open symbol interval [lo, hi) a node

@@ -319,45 +319,6 @@ func TestTraverseLeafIDsMatch(t *testing.T) {
 	}
 }
 
-func TestIntersect(t *testing.T) {
-	ns := randSeq(600, 12, 17)
-	for _, s := range both(ns) {
-		name := reflect.TypeOf(s).String()
-		b1, e1, b2, e2 := 0, 300, 300, 600
-		want := map[uint32]bool{}
-		d1 := ns.distinct(b1, e1)
-		d2 := ns.distinct(b2, e2)
-		for c := range d1 {
-			if _, ok := d2[c]; ok {
-				want[c] = true
-			}
-		}
-		got := map[uint32]bool{}
-		s.Intersect(b1, e1, b2, e2, func(c uint32, x1b, x1e, x2b, x2e int) {
-			got[c] = true
-			if [2]int{x1b, x1e} != d1[c] || [2]int{x2b, x2e} != d2[c] {
-				t.Fatalf("%s Intersect ranges for %d: (%d,%d,%d,%d), want %v,%v",
-					name, c, x1b, x1e, x2b, x2e, d1[c], d2[c])
-			}
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s Intersect symbols=%v, want %v", name, got, want)
-		}
-	}
-}
-
-func TestIntersectDisjointRanges(t *testing.T) {
-	// Two ranges whose symbol sets are disjoint must emit nothing.
-	data := []uint32{0, 0, 0, 1, 1, 1}
-	for _, s := range []Seq{NewTree(data, 2), NewMatrix(data, 2)} {
-		count := 0
-		s.Intersect(0, 3, 3, 6, func(c uint32, a, b, cc, d int) { count++ })
-		if count != 0 {
-			t.Fatal("intersect of disjoint symbol sets emitted")
-		}
-	}
-}
-
 func TestMinAtLeast(t *testing.T) {
 	ns := randSeq(400, 20, 23)
 	for _, s := range both(ns) {

@@ -36,10 +36,11 @@ func obsTestDB(t *testing.T) *DB {
 // product-graph attrs nesting per-BFS-level spans with frontier sizes
 // and wavelet-node visits — and the span clock must be consistent
 // (children within parents, siblings summing to no more than the root).
-// The three layouts cover the two traversal kernels: core.Engine on a
-// single ring, and the multi-ring kernel both under a ShardedEngine (a
-// closure whose predicates sit on different shards) and under the
-// overlay's union engine (an update touching the query's predicate).
+// The three layouts cover the three ways the one traversal kernel
+// (core.Engine) is reached: over a single ring, over the shards of a
+// ShardedEngine (a closure whose predicates sit on different shards)
+// and under the overlay's union engine (an update touching the query's
+// predicate).
 func TestProfileEngineSpans(t *testing.T) {
 	// Six parallel chains a → b → c → d, one per predicate, so that any
 	// closure over them reaches {b, c, d} from a in three BFS levels.
