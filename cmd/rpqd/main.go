@@ -13,10 +13,10 @@
 //	rpqd -wal-dir ./state [-data graph.nt] [-fsync always|interval|never]
 //
 // With -shards K the index is partitioned into K sub-rings built in
-// parallel; queries whose expressions span shards are evaluated with
-// intra-query shard parallelism, composing with the worker pool. A
-// serialised index loaded with -index keeps whatever layout (rdb1
-// single ring or rdbs1 sharded) it was saved with.
+// parallel; a query whose expression spans shards is evaluated over all
+// of them on its worker's goroutine, like any other. A serialised index
+// loaded with -index keeps whatever layout (rdb1 single ring or rdbs1
+// sharded) it was saved with.
 //
 // With -wal-dir every applied update is written to a write-ahead log
 // before it is acknowledged (under the default -fsync always, after an
@@ -117,8 +117,6 @@ func main() {
 		compact    = flag.Int("compact-threshold", 0, "overlay size triggering background compaction (0 = auto: N/4, negative = disabled)")
 		subQueue   = flag.Int("sub-queue", 0, "per-subscription pending delta queue depth (0 = default 64)")
 		subHistory = flag.Int("sub-history", 0, "per-subscription delta history retained for resume (0 = default 256)")
-		group      = flag.Bool("group", false, "cross-query traversal grouping: workers drain queued 2RPQ jobs, dedup identical ones and share one wavelet descent per BFS level")
-		groupMax   = flag.Int("group-max", 0, "jobs one shared traversal serves at most (0 = default 8; with -group)")
 		walDir     = flag.String("wal-dir", "", "durability directory (write-ahead log + checkpoints): updates survive restarts and crashes; after the first run -data/-index are only needed if the directory is empty")
 		fsyncPol   = flag.String("fsync", "always", "WAL fsync policy: always (ack after fsync), interval, never (with -wal-dir)")
 		fsyncIvl   = flag.Duration("fsync-interval", 0, "fsync period for -fsync=interval (0 = default 100ms)")
@@ -181,8 +179,6 @@ func main() {
 		ExprCacheEntries:   *exprC,
 		ResultCacheEntries: *resC,
 		ResultCacheBytes:   *resBytes,
-		GroupTraversals:    *group,
-		GroupMax:           *groupMax,
 		SlowQueryThreshold: *slowQuery,
 		SlowLogCapacity:    *slowCap,
 	})

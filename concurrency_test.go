@@ -212,56 +212,3 @@ func TestCloneStress(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestGroupedServiceStress drives concurrent batches through a pool
-// with cross-query traversal grouping enabled and the result cache
-// off, so queued jobs coalesce into shared traversals and identical
-// in-flight jobs dedup onto one evaluation — and checks every result
-// against the single-threaded reference. Run with -race: the grouped
-// path shares one snapshot and one engine across a drained batch.
-func TestGroupedServiceStress(t *testing.T) {
-	db := stressDB(t)
-	qs := stressQueries()
-	want := reference(t, db, qs)
-
-	// Duplicate the query list so drained batches contain identical
-	// in-flight jobs for the dedup path.
-	dup := append(append([]ringrpq.Request(nil), qs...), qs...)
-	wantDup := append(append([][]ringrpq.Solution(nil), want...), want...)
-
-	svc := ringrpq.NewService(db, ringrpq.ServiceConfig{
-		Workers: 2, QueueDepth: len(dup),
-		GroupTraversals:    true,
-		ResultCacheEntries: -1, ResultCacheBytes: -1,
-	})
-	defer svc.Close()
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results := svc.Batch(ctx, dup)
-			for i, res := range results {
-				if res.Err != nil {
-					t.Errorf("batch[%d] (%s): %v", i, dup[i].Expr, res.Err)
-					return
-				}
-				if !solutionsEqual(sortedSolutions(res.Solutions), wantDup[i]) {
-					t.Errorf("batch[%d] (%s,%s,%s): got %d solutions, want %d",
-						i, dup[i].Subject, dup[i].Expr, dup[i].Object, len(res.Solutions), len(wantDup[i]))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	st := svc.Stats()
-	if st.Grouped == 0 {
-		t.Fatalf("no jobs were grouped: %+v", st)
-	}
-	if st.Deduped == 0 {
-		t.Fatalf("no jobs were deduped: %+v", st)
-	}
-}

@@ -46,11 +46,11 @@ func mergeFrontier(q []queueItem) []queueItem {
 }
 
 // appendRangeItems appends a merged frontier to dst as r's sorted
-// disjoint L_p range items carrying tag: object ranges ascend with the
-// node id, so node order is range order, and adjacent ranges with the
-// same state mask and tag coalesce into one item. Nodes beyond r's id
-// space (overlay-only nodes) and nodes without in-edges in r add none.
-func appendRangeItems(dst []wavelet.RangeMask, r *ring.Ring, level []queueItem, tag uint32) []wavelet.RangeMask {
+// disjoint L_p range items: object ranges ascend with the node id, so
+// node order is range order, and adjacent ranges with the same state
+// mask coalesce into one item. Nodes beyond r's id space (overlay-only
+// nodes) and nodes without in-edges in r add none.
+func appendRangeItems(dst []wavelet.RangeMask, r *ring.Ring, level []queueItem) []wavelet.RangeMask {
 	for _, it := range level {
 		if int(it.node) >= r.NumNodes {
 			continue
@@ -59,11 +59,11 @@ func appendRangeItems(dst []wavelet.RangeMask, r *ring.Ring, level []queueItem, 
 		if b >= end {
 			continue
 		}
-		if n := len(dst); n > 0 && dst[n-1].E == b && dst[n-1].Mask == it.d && dst[n-1].Tag == tag {
+		if n := len(dst); n > 0 && dst[n-1].E == b && dst[n-1].Mask == it.d {
 			dst[n-1].E = end
 			continue
 		}
-		dst = append(dst, wavelet.RangeMask{B: b, E: end, Mask: it.d, Tag: tag})
+		dst = append(dst, wavelet.RangeMask{B: b, E: end, Mask: it.d})
 	}
 	return dst
 }

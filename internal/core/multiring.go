@@ -120,9 +120,6 @@ type Engine struct {
 	// expression is hot, the interpreting engine otherwise); installed
 	// by prepare alongside the per-ring bArr arrays.
 	st glushkov.Stepper
-
-	// groupD pools the per-member visited-mask arrays of EvalGroup.
-	groupD []*lazy.MaskArray
 }
 
 // queueItem is one frontier entry: a node and the automaton states it

@@ -117,7 +117,7 @@ func (e *Engine) expandLevel(eng *glushkov.Engine, level []queueItem, emit EmitF
 		return nil
 	}
 	for _, w := range e.work {
-		e.lpItems = appendRangeItems(e.lpItems[:0], w.r, level, 0)
+		e.lpItems = appendRangeItems(e.lpItems[:0], w.r, level)
 		if err := e.stepMany(eng, w, e.lpItems, emit); err != nil {
 			return err
 		}

@@ -21,7 +21,6 @@ type SlowEntry struct {
 	Results   int           `json:"results"`
 	Truncated bool          `json:"truncated,omitempty"`
 	TimedOut  bool          `json:"timed_out,omitempty"`
-	Grouped   bool          `json:"grouped,omitempty"`
 	Err       string        `json:"error,omitempty"`
 }
 

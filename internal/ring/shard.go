@@ -9,8 +9,8 @@ import (
 )
 
 // This file implements the sharded ring: the completed triple set is
-// partitioned by predicate into K independent sub-rings that can be
-// built — and traversed — in parallel.
+// partitioned by predicate into K independent sub-rings that are built
+// in parallel (an evaluation walks them on its caller's goroutine).
 //
 // The partition key is the *base* predicate: a predicate p and its
 // inverse p̂ = p ± |P| always land in the same shard, because the graph

@@ -11,9 +11,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ringrpq/internal/core"
 	"ringrpq/internal/pathexpr"
 )
 
@@ -22,11 +24,16 @@ import (
 type panicFake struct {
 	shared  *fakeShared
 	entered chan struct{} // closed once a "block" evaluation has started
+	clones  atomic.Int64
 }
 
-func (f *panicFake) Clone() Backend { return f }
+func (f *panicFake) Clone() Backend {
+	f.clones.Add(1)
+	return f
+}
 
 func (f *panicFake) Eval(_ context.Context, subject string, expr pathexpr.Node, object string, limit int, timeout time.Duration, emit func(Solution) bool) error {
+	f.shared.evals.Add(1)
 	switch subject {
 	case "boom":
 		panic("kaboom: injected evaluation panic")
@@ -66,78 +73,73 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 }
 
-// groupPanicFake routes everything through EvalGroup: a batch holding a
-// "boom" subject panics mid-drain, a "block" batch parks on the gate.
-type groupPanicFake struct {
-	panicFake
-}
-
-func (g *groupPanicFake) Clone() Backend { return g }
-
-func (g *groupPanicFake) EvalGroup(reqs []GroupRequest) []error {
-	for _, r := range reqs {
-		if r.Subject == "boom" {
-			panic("kaboom: injected group panic")
-		}
-	}
-	for _, r := range reqs {
-		if err := g.Eval(context.Background(), r.Subject, r.Expr, r.Object, r.Limit, r.Timeout, r.Emit); err != nil {
-			return make([]error, len(reqs))
-		}
-	}
-	return make([]error, len(reqs))
-}
-
-func TestGroupedPanicFailsWholeBatch(t *testing.T) {
-	f := &groupPanicFake{panicFake{
-		shared:  &fakeShared{gate: make(chan struct{})},
-		entered: make(chan struct{}),
-	}}
-	s := newTestService(t, f, Config{
-		Workers: 1, QueueDepth: 8,
-		GroupTraversals: true, ResultCacheEntries: -1,
-	})
+// TestQueuedJobsBehindPanicAndLapsedDeadline queues work behind a busy
+// lone worker — a normal job, a panicking one, one whose deadline lapses
+// while it waits, a normal one — and checks that worker → runSafe → run
+// → finish answers each exactly once and keeps the counters straight.
+func TestQueuedJobsBehindPanicAndLapsedDeadline(t *testing.T) {
+	f := &panicFake{shared: &fakeShared{gate: make(chan struct{})}, entered: make(chan struct{})}
+	s := newTestService(t, f, Config{Workers: 1, QueueDepth: 8, ResultCacheEntries: -1})
 	ctx := context.Background()
 
-	// Park the lone worker so the next jobs pile up in the queue and
-	// drain as one batch.
 	blocked := make(chan Result, 1)
 	go func() { blocked <- s.Query(ctx, Request{Subject: "block", Expr: "a", Object: "?y"}) }()
 	<-f.entered
 
-	results := make(chan Result, 2)
-	go func() { results <- s.Query(ctx, Request{Subject: "boom", Expr: "a", Object: "?y"}) }()
-	go func() { results <- s.Query(ctx, Request{Subject: "boom2", Expr: "b", Object: "?y"}) }()
+	// Batch enqueues every request, in order, before it waits.
+	queued := make(chan []Result, 1)
+	go func() {
+		queued <- s.Batch(ctx, []Request{
+			{Subject: "first", Expr: "a", Object: "?y"},
+			{Subject: "boom", Expr: "a", Object: "?y"},
+			{Subject: "late", Expr: "a", Object: "?y", Timeout: time.Millisecond},
+			{Subject: "last", Expr: "a", Object: "?y"},
+		})
+	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().QueueLen < 2 {
+	for s.Stats().QueueLen < 4 {
 		if time.Now().After(deadline) {
 			t.Fatalf("queue never filled: %+v", s.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}
-
+	// The "late" deadline is wall-clock, anchored at submission: only
+	// time passing makes it lapse in the queue.
+	time.Sleep(5 * time.Millisecond)
 	close(f.shared.gate)
-	if r := <-blocked; r.Err != nil {
-		t.Fatalf("blocked query err = %v", r.Err)
+
+	if r := <-blocked; r.Err != nil || len(r.Solutions) != 1 {
+		t.Fatalf("blocked query = %+v", r)
 	}
-	// Both queued jobs were drained into the panicking batch: each must
-	// fail with ErrInternal, none may hang.
-	for i := 0; i < 2; i++ {
-		select {
-		case r := <-results:
-			if !errors.Is(r.Err, ErrInternal) {
-				t.Fatalf("batched query err = %v, want ErrInternal", r.Err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("batched query never completed after group panic")
+	var res []Result
+	select {
+	case res = <-queued:
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued jobs never completed")
+	}
+	for _, i := range []int{0, 3} {
+		if r := res[i]; r.Err != nil || len(r.Solutions) != 1 || r.Solutions[0].Object != "ok" {
+			t.Fatalf("queued job %d = %+v, want its solo answer", i, r)
 		}
 	}
-	if st := s.Stats(); st.Panics != 1 {
-		t.Fatalf("Panics = %d, want 1", st.Panics)
+	if !errors.Is(res[1].Err, ErrInternal) {
+		t.Fatalf("panicking job err = %v, want ErrInternal", res[1].Err)
 	}
-	// The worker is still alive.
-	if r := s.Query(ctx, Request{Subject: "fine", Expr: "a", Object: "?y"}); r.Err != nil {
-		t.Fatalf("query after group panic: %v", r.Err)
+	if !errors.Is(res[2].Err, core.ErrTimeout) || res[2].N != 0 {
+		t.Fatalf("lapsed job = %+v, want an empty ErrTimeout result", res[2])
+	}
+	// Eval was entered for block, first, boom and last — never for late —
+	// and last ran on the clone that replaced the panicked one.
+	if n := f.shared.evals.Load(); n != 4 {
+		t.Fatalf("backend entered %d times, want 4", n)
+	}
+	if n := f.clones.Load(); n != 2 {
+		t.Fatalf("backend cloned %d times, want 2 (pool start + after the panic)", n)
+	}
+	st := s.Stats()
+	if st.Requests != 5 || st.Completed != 5 || st.Panics != 1 || st.Timeouts != 1 ||
+		st.Errors != 1 || st.Inflight != 0 || st.QueueLen != 0 {
+		t.Fatalf("stats after five submissions: %+v", st)
 	}
 }
 

@@ -131,14 +131,6 @@ type Config struct {
 	// ResultCacheBytes bounds the result cache by approximate bytes.
 	// Default 64 MiB; negative disables.
 	ResultCacheBytes int64
-	// GroupTraversals lets workers batch queued 2RPQ jobs into shared
-	// traversals when the backend implements GroupBackend (see
-	// group.go). Off by default.
-	GroupTraversals bool
-	// GroupMax caps the jobs one shared traversal serves (the state
-	// masks of up to GroupMax queries ride one wavelet descent).
-	// Default 8.
-	GroupMax int
 	// SlowQueryThreshold enables the slow-query log: requests whose
 	// end-to-end time (queue wait included) reaches it are recorded in
 	// a bounded in-memory ring (GET /debug/slowlog) and mirrored to the
@@ -164,9 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResultCacheBytes == 0 {
 		c.ResultCacheBytes = 64 << 20
-	}
-	if c.GroupMax <= 0 {
-		c.GroupMax = 8
 	}
 	return c
 }
@@ -197,8 +186,7 @@ type Request struct {
 	// processing (queue wait, cache probes, compile, evaluation with
 	// per-level traversal detail) in Result.Trace — an EXPLAIN ANALYZE
 	// for the ring. Profiled requests still read the result cache (the
-	// trace then shows the hit) but are excluded from cross-query
-	// coalescing so the trace describes exactly one evaluation.
+	// trace then shows the hit).
 	Profile bool
 }
 
@@ -251,14 +239,6 @@ type Stats struct {
 	// Completed counts requests that finished evaluation (hits are not
 	// evaluated and counted under Hits instead).
 	Completed int64
-	// Grouped counts requests evaluated through shared traversals
-	// (groups of ≥2; solo evaluations are not counted).
-	Grouped int64
-	// Deduped counts requests that shared another identical in-flight
-	// request's evaluation instead of running their own (the grouping
-	// worker coalesces identical queued jobs; each coalesced set runs
-	// once, and Deduped counts the set members beyond the first).
-	Deduped int64
 	// Hits and Misses count result-cache outcomes of cacheable
 	// requests.
 	Hits, Misses int64
@@ -412,8 +392,6 @@ type Service struct {
 	batches   atomic.Int64
 	inflight  atomic.Int64
 	completed atomic.Int64
-	grouped   atomic.Int64
-	deduped   atomic.Int64
 	hits      atomic.Int64
 	misses    atomic.Int64
 	timeouts  atomic.Int64
@@ -429,7 +407,6 @@ type job struct {
 	node    pathexpr.Node // 2RPQ requests
 	pattern *query.Query  // pattern requests
 	key     string        // result-cache key; "" = uncacheable
-	canon   string        // canonicalised expression (dedup identity)
 	version uint64        // data version observed at submission
 	// deadline is the request's evaluation deadline, anchored at
 	// submission: queue wait counts against the budget, so a request
@@ -450,7 +427,6 @@ type job struct {
 	// histograms and the slow-query log.
 	wait    time.Duration
 	evalDur time.Duration
-	grouped bool
 }
 
 // New starts a Service over backend. The backend itself is only used as
@@ -615,7 +591,7 @@ func (s *Service) submit(ctx context.Context, req Request, stream func(Solution)
 		s.misses.Add(1)
 	}
 
-	j := &job{ctx: ctx, req: req, node: node, pattern: pat, key: key, canon: canon, version: version, stream: stream, done: make(chan Result, 1), trace: tr, root: root}
+	j := &job{ctx: ctx, req: req, node: node, pattern: pat, key: key, version: version, stream: stream, done: make(chan Result, 1), trace: tr, root: root}
 	// Anchor the evaluation deadline now: time spent queued counts
 	// against the request's budget (the context-deadline clamp is kept).
 	t := req.Timeout
@@ -695,27 +671,15 @@ func cacheKey(req Request, canon string) string {
 	return sb.String()
 }
 
-// worker owns one Backend clone and drains the queue until Close.
-// With GroupTraversals on and a grouping-capable backend, each pickup
-// drains the compatible jobs already queued behind it into one shared
-// traversal (group.go).
+// worker owns one Backend clone and drains the queue until Close:
+// runSafe → run → finish is the one route a queued job takes.
 func (s *Service) worker(b Backend) {
 	defer s.wg.Done()
-	_, groupCapable := b.(GroupBackend)
-	grouping := groupCapable && s.cfg.GroupTraversals
 	for j := range s.queue {
 		if b == nil {
 			// The previous job panicked mid-evaluation; its clone's
 			// private working state is suspect, so start a fresh one.
 			b = s.src.Clone()
-		}
-		if grouping {
-			if batch := s.drainBatch(j); len(batch) > 1 {
-				if !s.runGroupedSafe(b.(GroupBackend), b, batch) {
-					b = nil
-				}
-				continue
-			}
 		}
 		res, ok := s.runSafe(b, j)
 		if !ok {
@@ -761,7 +725,6 @@ func (s *Service) recordSlow(j *job, res *Result, total time.Duration) {
 		Results:   res.N,
 		Truncated: timedOut,
 		TimedOut:  timedOut,
-		Grouped:   j.grouped,
 	}
 	switch {
 	case j.req.Pattern != "":
@@ -791,30 +754,9 @@ func (s *Service) runSafe(b Backend, j *job) (res Result, ok bool) {
 	return s.run(b, j), true
 }
 
-// runGroupedSafe is runGrouped behind a recover: on a panic every batch
-// member that has not been answered yet receives an ErrInternal result
-// (each done channel holds one buffered Result at most, so a member
-// answered before the panic is skipped by the non-blocking send).
-func (s *Service) runGroupedSafe(gb GroupBackend, b Backend, batch []*job) (ok bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.panics.Add(1)
-			res := Result{Err: fmt.Errorf("%w: %v", ErrInternal, p)}
-			for _, j := range batch {
-				select {
-				case j.done <- res:
-					s.errs.Add(1)
-				default:
-				}
-			}
-			ok = false
-		}
-	}()
-	s.runGrouped(gb, b, batch)
-	return true
-}
-
-// run evaluates one job on worker backend b.
+// run evaluates one job on worker backend b: a 2RPQ through Eval,
+// collecting Solutions (or streaming them), a graph pattern through
+// EvalPattern, collecting Rows.
 func (s *Service) run(b Backend, j *job) Result {
 	if err := j.ctx.Err(); err != nil {
 		s.countCtxErr(err)
@@ -838,39 +780,62 @@ func (s *Service) run(b Backend, j *job) Result {
 			return Result{Err: core.ErrTimeout}
 		}
 	}
-	if j.pattern != nil {
-		return s.runPattern(b, j, timeout)
-	}
 
 	var (
-		sols    []Solution
-		n       int
+		res     Result
 		stopped error
 	)
-	emit := func(sol Solution) bool {
-		n++
-		if j.stream != nil {
-			if !j.stream(sol) {
-				stopped = errStopped
-				return false
-			}
-		} else if !j.req.Count {
-			sols = append(sols, sol)
+	// emitted counts one solution or row and decides whether the
+	// evaluation goes on.
+	emitted := func() bool {
+		res.N++
+		if stopped != nil {
+			return false
 		}
 		// Best-effort cancellation between solutions; the deadline
 		// clamp above handles contexts with deadlines even when the
 		// traversal emits nothing for a while.
-		if n%1024 == 0 && j.ctx.Err() != nil {
+		if res.N%1024 == 0 && j.ctx.Err() != nil {
 			stopped = j.ctx.Err()
 			return false
 		}
 		return true
 	}
+	var eval func() error
+	if j.pattern == nil {
+		eval = func() error {
+			return b.Eval(j.ctx, j.req.Subject, j.node, j.req.Object, j.req.Limit, timeout, func(sol Solution) bool {
+				if j.stream != nil {
+					if !j.stream(sol) {
+						stopped = errStopped
+					}
+				} else if !j.req.Count {
+					res.Solutions = append(res.Solutions, sol)
+				}
+				return emitted()
+			})
+		}
+	} else {
+		pb, ok := b.(PatternBackend)
+		if !ok {
+			s.errs.Add(1)
+			return Result{Err: errNoPatterns}
+		}
+		res.Vars = j.pattern.OutVars()
+		eval = func() error {
+			return pb.EvalPattern(j.ctx, j.pattern, j.req.Limit, timeout, func(row []string) bool {
+				if !j.req.Count {
+					res.Rows = append(res.Rows, row)
+				}
+				return emitted()
+			})
+		}
+	}
+
 	esp, evalStart := j.trace.Begin(obs.SpanEval), time.Now()
-	err := b.Eval(j.ctx, j.req.Subject, j.node, j.req.Object, j.req.Limit, timeout, emit)
+	res.Err = eval()
 	j.evalDur = time.Since(evalStart)
-	j.trace.EndVals(esp, int64(n))
-	res := Result{Solutions: sols, N: n, Err: err}
+	j.trace.EndVals(esp, int64(res.N))
 	switch {
 	case stopped == errStopped:
 		// The caller's emit stopped the stream: a success.
@@ -878,51 +843,9 @@ func (s *Service) run(b Backend, j *job) Result {
 	case stopped != nil:
 		s.countCtxErr(stopped)
 		res.Err = stopped
-	case errors.Is(err, core.ErrTimeout):
+	case errors.Is(res.Err, core.ErrTimeout):
 		s.timeouts.Add(1)
-	case err != nil:
-		s.errs.Add(1)
-	default:
-		s.store(j, &res)
-	}
-	return res
-}
-
-// runPattern evaluates one graph-pattern job on worker backend b.
-func (s *Service) runPattern(b Backend, j *job, timeout time.Duration) Result {
-	pb, ok := b.(PatternBackend)
-	if !ok {
-		s.errs.Add(1)
-		return Result{Err: errNoPatterns}
-	}
-	var (
-		rows    [][]string
-		n       int
-		stopped error
-	)
-	emit := func(row []string) bool {
-		n++
-		if !j.req.Count {
-			rows = append(rows, row)
-		}
-		if n%1024 == 0 && j.ctx.Err() != nil {
-			stopped = j.ctx.Err()
-			return false
-		}
-		return true
-	}
-	esp, evalStart := j.trace.Begin(obs.SpanEval), time.Now()
-	err := pb.EvalPattern(j.ctx, j.pattern, j.req.Limit, timeout, emit)
-	j.evalDur = time.Since(evalStart)
-	j.trace.EndVals(esp, int64(n))
-	res := Result{Vars: j.pattern.OutVars(), Rows: rows, N: n, Err: err}
-	switch {
-	case stopped != nil:
-		s.countCtxErr(stopped)
-		res.Err = stopped
-	case errors.Is(err, core.ErrTimeout):
-		s.timeouts.Add(1)
-	case err != nil:
+	case res.Err != nil:
 		s.errs.Add(1)
 	default:
 		s.store(j, &res)
@@ -1025,8 +948,6 @@ func (s *Service) Stats() Stats {
 		Batches:             s.batches.Load(),
 		Inflight:            s.inflight.Load(),
 		Completed:           s.completed.Load(),
-		Grouped:             s.grouped.Load(),
-		Deduped:             s.deduped.Load(),
 		Hits:                s.hits.Load(),
 		Misses:              s.misses.Load(),
 		Timeouts:            s.timeouts.Load(),

@@ -48,10 +48,9 @@ type Visit func(node NodeID, leaf bool, sym uint32, b, e int, full bool) bool
 // RangeMask is one item of a multi-range traversal: the half-open
 // position range [B, E) carrying a caller-defined 64-bit mask (the RPQ
 // engine stores active-state sets in it) and an opaque Tag. The Tag
-// rides along unchanged and keeps items from coalescing across tags —
-// the cross-query traversal grouping stores the owning query's index in
-// it so one descent can serve many queries' frontiers. Single-query
-// traversals leave it zero and behave exactly as before.
+// rides along unchanged and keeps items from coalescing across tags,
+// so a caller can send several item sets down one descent and tell
+// them apart at the leaves; the RPQ engine leaves it zero.
 type RangeMask struct {
 	B, E int
 	Mask uint64

@@ -461,66 +461,6 @@ func (b dbBackend) EvalPattern(ctx context.Context, q *query.Query, limit int, t
 	return b.db.selectFunc(q, o, emit)
 }
 
-// EvalGroup implements service.GroupBackend: several 2RPQs evaluate
-// over one pinned snapshot, and when the snapshot's evaluator is the
-// plain single-ring engine their product-graph frontiers merge into one
-// shared traversal (core.TraversalGroup). Sharded and overlaid
-// snapshots evaluate the members solo under the same snapshot — still
-// one acquire/release for the batch.
-func (b dbBackend) EvalGroup(reqs []service.GroupRequest) []error {
-	db := b.db
-	errs := make([]error, len(reqs))
-	snap := db.h.acquire()
-	defer db.h.release(snap)
-	ev := db.evaluatorFor(snap)
-
-	gqs := make([]*core.GroupQuery, 0, len(reqs))
-	idx := make([]int, 0, len(reqs))
-	for i, req := range reqs {
-		q := core.Query{Subject: core.Variable, Object: core.Variable, Expr: req.Expr}
-		if !isVariable(req.Subject) {
-			id, ok := db.g.Nodes.Lookup(req.Subject)
-			if !ok {
-				continue // unknown endpoint: no solutions, nil error
-			}
-			q.Subject = int64(id)
-		}
-		if !isVariable(req.Object) {
-			id, ok := db.g.Nodes.Lookup(req.Object)
-			if !ok {
-				continue
-			}
-			q.Object = int64(id)
-		}
-		emit := req.Emit
-		gqs = append(gqs, &core.GroupQuery{
-			Query: q,
-			Opts:  core.Options{Limit: req.Limit, Timeout: req.Timeout},
-			Emit: func(s, o uint32) bool {
-				return emit(Solution{
-					Subject: db.g.Nodes.Name(s),
-					Object:  db.g.Nodes.Name(o),
-				})
-			},
-		})
-		idx = append(idx, i)
-	}
-	if len(gqs) == 0 {
-		return errs
-	}
-	if eng, ok := ev.(*core.Engine); ok {
-		eng.EvalGroup(gqs)
-	} else {
-		for _, gq := range gqs {
-			gq.Stats, gq.Err = ev.Eval(context.Background(), gq.Query, gq.Opts, gq.Emit)
-		}
-	}
-	for k, gq := range gqs {
-		errs[idx[k]] = gq.Err
-	}
-	return errs
-}
-
 // ApplyUpdates implements service.Updater: Services over a DB accept
 // live updates (Update, POST /update). Safe for concurrent use — the
 // batch goes to the shared snapshot holder, not through the pool.
