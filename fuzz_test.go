@@ -46,6 +46,7 @@ func FuzzLoadDB(f *testing.F) {
 	f.Add([]byte("rdb1gra1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add(single[:len(single)/2])
 	f.Add(sharded[:len(sharded)/3])
+	f.Add(oversizedHeader(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := LoadDB(bytes.NewReader(data))
 		if err != nil {

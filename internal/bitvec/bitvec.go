@@ -1,8 +1,10 @@
 // Package bitvec provides plain bitvectors with constant-time rank and
-// near-constant-time select, the building blocks of the wavelet trees used
+// logarithmic-time select, the building blocks of the wavelet trees used
 // by the ring index (paper §3.5). The rank directory follows the classic
-// two-level scheme of Clark and Munro: absolute counts every superblock
-// plus popcounts per 64-bit word, for o(n) extra bits in practice.
+// two-level scheme of Clark and Munro: an absolute 32-bit count every
+// 512-bit superblock (6.25 % over the bits) plus popcounts per 64-bit
+// word. Select binary-searches those counts and keeps no directory of
+// its own. The 32-bit counts limit a vector to fewer than 2^32 bits.
 package bitvec
 
 import (
@@ -10,16 +12,22 @@ import (
 	"math/bits"
 )
 
-// wordsPerSuper is the number of 64-bit words per rank superblock.
-// 8 words = 512 bits per superblock, giving 64 bits of directory per
-// 512 bits of data (12.5% overhead) and at most 7 popcounts per rank.
+// wordsPerSuper is the number of 64-bit words per rank superblock:
+// 8 words = 512 bits per 32-bit count, at most 7 popcounts per rank.
 const wordsPerSuper = 8
 
 const superBits = wordsPerSuper * 64
 
-// selectSample controls the sampling rate of the select directory:
-// one sampled position per selectSample one-bits.
-const selectSample = 512
+// maxLen is the longest vector the 32-bit rank counts can describe.
+const maxLen = 1<<32 - 1
+
+// CheckLen reports an error unless n bits fit a Vector (n < 2^32).
+func CheckLen(n int) error {
+	if n > maxLen {
+		return fmt.Errorf("bitvec: length %d does not fit the 32-bit rank counts (max %d)", n, maxLen)
+	}
+	return nil
+}
 
 // Builder accumulates bits before freezing them into a Vector.
 // The zero value is an empty builder ready for use.
@@ -69,9 +77,12 @@ func (b *Builder) Build() *Vector { return FromWords(b.words, b.n) }
 // FromWords freezes n bits already packed 64 to a word (bit i is bit
 // i%64 of words[i/64]) into a Vector, taking ownership of words: the
 // bulk constructor for callers that produce whole words at a time.
-// There must be exactly ⌈n/64⌉ words and the bits past n must be zero
-// (the rank directory counts them otherwise).
+// There must be exactly ⌈n/64⌉ words, the bits past n must be zero
+// (the rank directory counts them otherwise) and n must pass CheckLen.
 func FromWords(words []uint64, n int) *Vector {
+	if err := CheckLen(n); err != nil {
+		panic(err)
+	}
 	if len(words) != (n+63)/64 {
 		panic(fmt.Sprintf("bitvec: %d words for %d bits", len(words), n))
 	}
@@ -80,7 +91,6 @@ func FromWords(words []uint64, n int) *Vector {
 	}
 	v := &Vector{words: words, n: n}
 	v.buildRank()
-	v.buildSelect()
 	return v
 }
 
@@ -94,59 +104,28 @@ func FromBools(bs []bool) *Vector {
 }
 
 // Vector is an immutable bitvector supporting O(1) Rank and
-// O(log superblocks)-bounded Select. Build once, query concurrently.
+// O(log superblocks) Select. Build once, query concurrently.
 type Vector struct {
 	words []uint64
 	n     int
 
 	// super[i] = number of one-bits strictly before superblock i.
-	super []uint64
+	super []uint32
 	ones  int
-
-	// sel1[k] = index of the superblock containing the (k*selectSample+1)-th
-	// one-bit; narrows the binary search for Select1. sel0 likewise for zeros.
-	sel1 []uint32
-	sel0 []uint32
 }
 
 func (v *Vector) buildRank() {
 	nSuper := (len(v.words) + wordsPerSuper - 1) / wordsPerSuper
-	v.super = make([]uint64, nSuper+1)
-	var acc uint64
+	v.super = make([]uint32, nSuper+1)
+	var acc uint32
 	for i, w := range v.words {
 		if i%wordsPerSuper == 0 {
 			v.super[i/wordsPerSuper] = acc
 		}
-		acc += uint64(bits.OnesCount64(w))
+		acc += uint32(bits.OnesCount64(w))
 	}
 	v.super[nSuper] = acc
 	v.ones = int(acc)
-}
-
-// buildSelect records, for every selectSample-th one-bit (and zero-bit),
-// the superblock containing it; Select then binary-searches only between
-// consecutive samples.
-func (v *Vector) buildSelect() {
-	v.sel1 = make([]uint32, 0, v.ones/selectSample+1)
-	v.sel0 = make([]uint32, 0, (v.n-v.ones)/selectSample+1)
-	nSuper := len(v.super) - 1
-	next1, next0 := 1, 1
-	for sb := 0; sb < nSuper; sb++ {
-		onesEnd := int(v.super[sb+1])
-		bitsEnd := (sb + 1) * superBits
-		if bitsEnd > v.n {
-			bitsEnd = v.n
-		}
-		zerosEnd := bitsEnd - onesEnd
-		for next1 <= onesEnd {
-			v.sel1 = append(v.sel1, uint32(sb))
-			next1 += selectSample
-		}
-		for next0 <= zerosEnd {
-			v.sel0 = append(v.sel0, uint32(sb))
-			next0 += selectSample
-		}
-	}
 }
 
 // Len reports the number of bits.
@@ -202,26 +181,11 @@ func (v *Vector) Select1(k int) int {
 	if k <= 0 || k > v.ones {
 		return -1
 	}
-	// Narrow to a superblock range using the sampled directory, then
-	// binary-search superblocks, then scan at most wordsPerSuper words.
-	lo, hi := 0, len(v.super)-1 // superblock index range [lo, hi)
-	if s := (k - 1) / selectSample; s < len(v.sel1) {
-		lo = int(v.sel1[s])
-		if s+1 < len(v.sel1) {
-			hi = int(v.sel1[s+1]) + 1
-		}
-	}
-	for lo < hi-1 {
-		mid := (lo + hi) / 2
-		if int(v.super[mid]) < k {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
+	// Binary-search the superblock counts, then scan at most
+	// wordsPerSuper words.
+	lo := v.lastSuperBelow(k, func(sb int) int { return int(v.super[sb]) })
 	rem := k - int(v.super[lo])
-	wStart := lo * wordsPerSuper
-	for j := wStart; j < len(v.words); j++ {
+	for j := lo * wordsPerSuper; j < len(v.words); j++ {
 		c := bits.OnesCount64(v.words[j])
 		if rem <= c {
 			return j*64 + selectInWord(v.words[j], rem)
@@ -236,22 +200,8 @@ func (v *Vector) Select0(k int) int {
 	if k <= 0 || k > v.n-v.ones {
 		return -1
 	}
-	lo, hi := 0, len(v.super)-1
-	if s := (k - 1) / selectSample; s < len(v.sel0) {
-		lo = int(v.sel0[s])
-		if s+1 < len(v.sel0) {
-			hi = int(v.sel0[s+1]) + 1
-		}
-	}
 	zerosBefore := func(sb int) int { return sb*superBits - int(v.super[sb]) }
-	for lo < hi-1 {
-		mid := (lo + hi) / 2
-		if zerosBefore(mid) < k {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
+	lo := v.lastSuperBelow(k, zerosBefore)
 	rem := k - zerosBefore(lo)
 	for j := lo * wordsPerSuper; j < len(v.words); j++ {
 		w := ^v.words[j]
@@ -265,6 +215,21 @@ func (v *Vector) Select0(k int) int {
 		rem -= c
 	}
 	return -1
+}
+
+// lastSuperBelow returns the last superblock sb with before(sb) < k,
+// for a nondecreasing before that is 0 at superblock 0.
+func (v *Vector) lastSuperBelow(k int, before func(sb int) int) int {
+	lo, hi := 0, len(v.super)-1 // superblock index range [lo, hi)
+	for lo < hi-1 {
+		mid := (lo + hi) / 2
+		if before(mid) < k {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Broadword select constants: l8 replicates a byte across the word, h8
@@ -312,8 +277,8 @@ func selectInWord(w uint64, k int) int {
 	return int(place) + int(selectInByte[byteRank<<8|w>>place&0xff])
 }
 
-// SizeBytes reports the memory footprint of the vector including
-// rank/select directories.
+// SizeBytes reports the memory footprint of the vector including its
+// rank directory.
 func (v *Vector) SizeBytes() int {
-	return 8*len(v.words) + 8*len(v.super) + 4*len(v.sel1) + 4*len(v.sel0) + 32
+	return 8*len(v.words) + 4*len(v.super) + 32
 }

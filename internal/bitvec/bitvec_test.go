@@ -1,10 +1,16 @@
 package bitvec
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"ringrpq/internal/serial"
 )
 
 // naive is a reference implementation over a bool slice.
@@ -383,5 +389,48 @@ func TestFromWords(t *testing.T) {
 			}()
 			build()
 		}()
+	}
+}
+
+// A Vector holds fewer than 2^32 bits, the range of its 32-bit rank
+// counts: CheckLen draws the line, FromWords panics past it and Decode
+// fails there before reading a word. The table claims lengths only;
+// no test allocates the 512 MB of words such a vector would need.
+func TestLengthLimit(t *testing.T) {
+	for _, c := range []struct {
+		n  int
+		ok bool
+	}{
+		{0, true},
+		{1<<32 - 1, true},
+		{1 << 32, false},
+		{1<<32 + 1, false},
+		{math.MaxInt, false},
+	} {
+		if err := CheckLen(c.n); (err == nil) != c.ok {
+			t.Fatalf("CheckLen(%d) = %v, want ok %v", c.n, err, c.ok)
+		}
+		if c.ok {
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "32-bit") {
+					t.Fatalf("FromWords(nil, %d) recovered %v, want the 32-bit limit", c.n, r)
+				}
+			}()
+			FromWords(nil, c.n)
+		}()
+		var buf bytes.Buffer
+		w := serial.NewWriter(&buf)
+		w.Magic("bv01")
+		w.Int(c.n)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r := serial.NewReader(&buf)
+		if v := Decode(r); v != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "32-bit") {
+			t.Fatalf("Decode of a %d-bit header: %v, %v; want the 32-bit limit", c.n, v, r.Err())
+		}
 	}
 }

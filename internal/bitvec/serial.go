@@ -6,8 +6,8 @@ import (
 	"ringrpq/internal/serial"
 )
 
-// Encode writes the vector's bits; the rank/select directories are
-// rebuilt on load.
+// Encode writes the vector's bits; the rank directory is rebuilt on
+// load.
 func (v *Vector) Encode(w *serial.Writer) {
 	w.Magic("bv01")
 	w.Int(v.n)
@@ -15,12 +15,16 @@ func (v *Vector) Encode(w *serial.Writer) {
 }
 
 // Decode reads a vector written by Encode. The claimed bit count must
-// be consistent with the stored words (with zeroed padding bits), so
-// the rank/select directories — whose sizes derive from it — stay
-// bounded by the input actually read.
+// pass CheckLen (checked before any word is read) and be consistent
+// with the stored words (with zeroed padding bits), so the rank
+// directory — whose size derives from it — stays bounded by the input
+// actually read.
 func Decode(r *serial.Reader) *Vector {
 	r.Magic("bv01")
 	n := r.Int()
+	if err := CheckLen(n); err != nil {
+		r.Fail(err)
+	}
 	words := r.Uint64s()
 	if r.Err() != nil {
 		return nil

@@ -48,7 +48,9 @@ type Ring struct {
 
 	// Cs[x] counts triples with subject < x and partitions Lo; likewise
 	// Cp partitions Ls by predicate and Co partitions Lp by object.
-	// Each has one trailing entry equal to N.
+	// Each has one trailing entry equal to N. They are read-only views
+	// of the symbol counts the sequences hold anyway (Cs of L_s's, Cp of
+	// L_p's, Co of L_o's), so each array is stored once.
 	Cs, Cp, Co []int
 }
 
@@ -67,17 +69,15 @@ func fromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring {
 				t.S, t.P, t.O, nv, np))
 		}
 	}
-	r := &Ring{
-		N: n, NumNodes: nv, NumPreds: np,
-		Cs: make([]int, nv+1), Cp: make([]int, np+1), Co: make([]int, nv+1),
-	}
+	r := &Ring{N: n, NumNodes: nv, NumPreds: np}
 
 	// The three orders are rotations of one another, so once the
 	// triples are in one of them a stable counting sort on a single
-	// component yields the next (the LF property of §3.4), and the C
-	// array of that component falls out of the pass. ts and one more
-	// buffer take turns as source and destination.
+	// component yields the next (the LF property of §3.4). ts and one
+	// more buffer take turns as source and destination; cn and cp are
+	// the passes' count scratch (the C arrays come from the sequences).
 	a, b := ts, make([]triples.Triple, n)
+	cn, cp := make([]int, nv+1), make([]int, np+1)
 	seq := make([]uint32, n)
 	mk := func(sigma uint32) wavelet.Seq {
 		if layout == WaveletTree {
@@ -88,16 +88,16 @@ func fromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring {
 
 	// L_p: triples sorted by (o,s,p), reached from any input order by
 	// passes on p, s and o. C_o partitions it by object.
-	triples.SortBy(b, a, triples.ByP, r.Cp)
-	triples.SortBy(a, b, triples.ByS, r.Cs)
-	triples.SortBy(b, a, triples.ByO, r.Co)
+	triples.SortBy(b, a, triples.ByP, cp)
+	triples.SortBy(a, b, triples.ByS, cn)
+	triples.SortBy(b, a, triples.ByO, cn)
 	for i, t := range b {
 		seq[i] = t.P
 	}
 	r.Lp = mk(np)
 
 	// L_s: triples sorted by (p,o,s). C_p partitions it by predicate.
-	triples.SortBy(a, b, triples.ByP, r.Cp)
+	triples.SortBy(a, b, triples.ByP, cp)
 	for i, t := range a {
 		seq[i] = t.S
 	}
@@ -105,13 +105,23 @@ func fromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring {
 
 	// L_o: triples sorted by (s,p,o); the cyclically preceding symbol of
 	// s in "spo" is o. C_s partitions it by subject.
-	triples.SortBy(b, a, triples.ByS, r.Cs)
+	triples.SortBy(b, a, triples.ByS, cn)
 	for i, t := range b {
 		seq[i] = t.O
 	}
 	r.Lo = mk(uint32(nv))
 
+	r.viewC()
 	return r
+}
+
+// viewC points the C arrays at the sequences' symbol counts. An empty
+// alphabet is built as one symbol, so each view is cut to the ring's
+// own id space (and capped, so an append cannot reach the sequence).
+func (r *Ring) viewC() {
+	r.Cs = r.Ls.Counts()[: r.NumNodes+1 : r.NumNodes+1]
+	r.Cp = r.Lp.Counts()[: r.NumPreds+1 : r.NumPreds+1]
+	r.Co = r.Lo.Counts()[: r.NumNodes+1 : r.NumNodes+1]
 }
 
 // ObjectRange returns the range of L_p holding the triples with object o.
@@ -178,18 +188,19 @@ func (r *Ring) BackwardByObj(b, e int, o uint32) (int, int) {
 	return r.Co[o] + r.Lo.Rank(o, b), r.Co[o] + r.Lo.Rank(o, e)
 }
 
-// SizeBytes reports the index footprint: the three wavelet sequences plus
-// the C arrays. (The paper stores C_o as a bitvector and C_p as a plain
-// array; we count plain arrays, which only overestimates our own index.)
+// SizeBytes reports the index footprint: the three wavelet sequences,
+// each allocation counted once. The C arrays are views of the
+// sequences' symbol counts and are already inside their SizeBytes.
+// (The paper stores C_o as a bitvector and C_p as a plain array; we
+// count plain arrays, which only overestimates our own index.)
 func (r *Ring) SizeBytes() int {
-	return r.Lo.SizeBytes() + r.Ls.SizeBytes() + r.Lp.SizeBytes() +
-		8*(len(r.Cs)+len(r.Cp)+len(r.Co)) + 64
+	return r.Lo.SizeBytes() + r.Ls.SizeBytes() + r.Lp.SizeBytes() + 64
 }
 
 // QuerySizeBytes reports the footprint of only the structures the RPQ
-// engine uses (L_s, L_p, and the C arrays), matching the paper's 16.41
-// bytes/triple accounting which excludes L_o.
+// engine uses — L_s and L_p, which hold C_s and C_p, plus L_o's symbol
+// counts, which C_o views — matching the paper's 16.41 bytes/triple
+// accounting, which excludes L_o.
 func (r *Ring) QuerySizeBytes() int {
-	return r.Ls.SizeBytes() + r.Lp.SizeBytes() +
-		8*(len(r.Cs)+len(r.Cp)+len(r.Co)) + 64
+	return r.Ls.SizeBytes() + r.Lp.SizeBytes() + 8*len(r.Lo.Counts()) + 64
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // Encode writes the ring: the three wavelet sequences plus metadata.
-// The C arrays are rebuilt on load from the sequences' symbol counts.
+// The C arrays are the sequences' own symbol counts and need no
+// section of their own.
 func (r *Ring) Encode(w *serial.Writer) {
 	w.Magic("rng1")
 	w.Int(r.N)
@@ -58,11 +59,9 @@ func Decode(rd *serial.Reader) (*Ring, error) {
 			return nil, fmt.Errorf("ring: sequence %d length %d, want %d", i, seqs[i].Len(), r.N)
 		}
 	}
-	// The C-array rebuild below allocates O(NumNodes + NumPreds); tie
-	// those header counts to the sequences' alphabets (whose own counts
-	// arrays were materialised from real input bytes) so a corrupt
-	// header cannot demand an unbounded allocation, and so every id the
-	// engine derives from a C array is a valid wavelet symbol.
+	// Tie the header's id spaces to the sequences' alphabets, so the C
+	// arrays below cover exactly those spaces and every id the engine
+	// derives from a C array is a valid wavelet symbol.
 	if int64(seqs[0].Sigma()) != int64(r.NumNodes) || int64(seqs[1].Sigma()) != int64(r.NumNodes) {
 		return nil, fmt.Errorf("ring: node alphabets (%d, %d) disagree with header %d",
 			seqs[0].Sigma(), seqs[1].Sigma(), r.NumNodes)
@@ -71,23 +70,6 @@ func Decode(rd *serial.Reader) (*Ring, error) {
 		return nil, fmt.Errorf("ring: predicate alphabet %d disagrees with header %d", seqs[2].Sigma(), r.NumPreds)
 	}
 	r.Lo, r.Ls, r.Lp = seqs[0], seqs[1], seqs[2]
-
-	// C arrays are the CountBelow prefix sums of the aligned sequences:
-	// C_s partitions L_o by subject (subjects are the symbols of L_s)...
-	// more directly, C_s[x] counts triples with subject < x, which is
-	// the number of occurrences of symbols < x in L_s, and analogously
-	// for the others.
-	counts := func(seq wavelet.Seq, sigma int) []int {
-		type counter interface{ CountBelow(uint32) int }
-		c := seq.(counter)
-		out := make([]int, sigma+1)
-		for x := 0; x <= sigma; x++ {
-			out[x] = c.CountBelow(uint32(x))
-		}
-		return out
-	}
-	r.Cs = counts(r.Ls, r.NumNodes)
-	r.Co = counts(r.Lo, r.NumNodes)
-	r.Cp = counts(r.Lp, int(r.NumPreds))
+	r.viewC()
 	return r, nil
 }

@@ -27,14 +27,18 @@ type Matrix struct {
 	// of counts in that order; it lets Traverse report leaf
 	// occurrence-rank ranges without tracking node boundaries
 	// (halving the rank queries per visited node).
-	bottomStart []int
+	bottomStart []uint32
 }
 
 // NewMatrix builds a wavelet matrix over data with symbols in [0, sigma),
 // in O(n·log σ + σ) sequential work: per level, one pass packs the
 // level's bits a word at a time and one stably partitions the sequence
-// for the next level.
+// for the next level. It panics unless len(data) passes
+// bitvec.CheckLen, which the 32-bit leaf starts rely on too.
 func NewMatrix(data []uint32, sigma uint32) *Matrix {
+	if err := bitvec.CheckLen(len(data)); err != nil {
+		panic(err)
+	}
 	if sigma == 0 {
 		sigma = 1
 	}
@@ -95,11 +99,11 @@ func matrixWidth(sigma uint32) int {
 // Enumerating the reversals of 0, 1, 2, … visits the symbols in exactly
 // that order, 2^width < 2σ steps.
 func (m *Matrix) setBottomStarts() {
-	m.bottomStart = make([]int, m.sigma)
+	m.bottomStart = make([]uint32, m.sigma)
 	pos := 0
 	for r := 0; r < 1<<m.width; r++ {
 		if c := bits.Reverse32(uint32(r)) >> uint(32-m.width); c < m.sigma {
-			m.bottomStart[c] = pos
+			m.bottomStart[c] = uint32(pos)
 			pos += m.Count(c)
 		}
 	}
@@ -168,6 +172,9 @@ func (m *Matrix) CountBelow(c uint32) int {
 	return m.counts[c]
 }
 
+// Counts returns the matrix's own CountBelow array (see Seq.Counts).
+func (m *Matrix) Counts() []int { return m.counts }
+
 // NumNodes reports the exclusive upper bound on NodeIDs: ids live in
 // [1, 2^(width+1)).
 func (m *Matrix) NumNodes() int { return 2 << m.width }
@@ -218,12 +225,10 @@ func (m *Matrix) Select(c uint32, k int) int {
 	if c >= m.sigma || k < 1 || k > m.Count(c) {
 		return -1
 	}
-	// Descend recording the start of c's node interval at each level,
-	// then map the k-th occurrence back up with select.
-	starts := make([]int, m.width+1)
+	// Descend to the start of c's leaf interval, then map the k-th
+	// occurrence back up with select.
 	b := 0
 	for l := 0; l < m.width; l++ {
-		starts[l] = b
 		bv := m.levels[l]
 		if c>>(uint(m.width-1-l))&1 == 1 {
 			b = m.zeros[l] + bv.Rank1(b)
@@ -264,8 +269,8 @@ func (m *Matrix) traverse(level int, prefix uint32, b, e int, visit Visit) {
 	id := NodeID(1<<level | int(prefix))
 	if level == m.width {
 		if prefix < m.sigma {
-			rb := b - m.bottomStart[prefix]
-			re := e - m.bottomStart[prefix]
+			s := int(m.bottomStart[prefix])
+			rb, re := b-s, e-s
 			visit(id, true, prefix, rb, re, rb == 0 && re == m.Count(prefix))
 		}
 		return
@@ -304,7 +309,7 @@ func (m *Matrix) traverseMany(level int, prefix uint32, items []RangeMask, arena
 	id := NodeID(1<<level | int(prefix))
 	if level == m.width {
 		if prefix < m.sigma {
-			s := m.bottomStart[prefix]
+			s := int(m.bottomStart[prefix])
 			for i := range items {
 				items[i].B -= s
 				items[i].E -= s
@@ -407,7 +412,7 @@ func (m *Matrix) PadNodes() []NodeID {
 
 // SizeBytes reports the index memory footprint.
 func (m *Matrix) SizeBytes() int {
-	sz := 8*len(m.counts) + 8*len(m.zeros) + 8*len(m.levels) + 8*len(m.bottomStart) + 48
+	sz := 8*len(m.counts) + 8*len(m.zeros) + 8*len(m.levels) + 4*len(m.bottomStart) + 48
 	for _, bv := range m.levels {
 		sz += bv.SizeBytes()
 	}

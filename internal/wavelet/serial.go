@@ -30,6 +30,9 @@ func DecodeMatrix(r *serial.Reader) (*Matrix, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	if err := bitvec.CheckLen(m.n); err != nil {
+		return nil, err
+	}
 	// The width is a function of the alphabet; a larger one would also
 	// make the bottom-order enumeration outgrow the input.
 	if m.width != matrixWidth(max(m.sigma, 1)) {

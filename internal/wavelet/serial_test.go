@@ -2,6 +2,8 @@ package wavelet
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"ringrpq/internal/serial"
@@ -91,5 +93,38 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 	if _, err := DecodeTree(serial.NewReader(bytes.NewReader([]byte("nope")))); err == nil {
 		t.Fatal("garbage accepted as tree")
+	}
+}
+
+// A matrix holds fewer than 2^32 positions (its leaf starts and its
+// levels' rank counts are 32-bit): DecodeMatrix rejects a header
+// claiming more before reading any level. The table claims lengths
+// only; nothing that large is allocated.
+func TestMatrixLengthLimit(t *testing.T) {
+	for _, c := range []struct {
+		n       int
+		limited bool
+	}{
+		{1<<32 - 1, false}, // fits: decoding goes on and fails on the missing level
+		{1 << 32, true},
+		{1<<32 + 1, true},
+		{math.MaxInt, true},
+	} {
+		var buf bytes.Buffer
+		w := serial.NewWriter(&buf)
+		w.Magic("wm01")
+		w.Int(c.n)
+		w.Uvarint(5)
+		w.Int(matrixWidth(5))
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := DecodeMatrix(serial.NewReader(&buf))
+		if err == nil {
+			t.Fatalf("n=%d: header-only matrix decoded", c.n)
+		}
+		if got := strings.Contains(err.Error(), "32-bit"); got != c.limited {
+			t.Fatalf("n=%d: error %q, want the 32-bit limit: %v", c.n, err, c.limited)
+		}
 	}
 }

@@ -137,6 +137,9 @@ func (t *Tree) CountBelow(c uint32) int {
 	return t.counts[c]
 }
 
+// Counts returns the tree's own CountBelow array (see Seq.Counts).
+func (t *Tree) Counts() []int { return t.counts }
+
 // NumNodes reports the exclusive upper bound on NodeIDs.
 func (t *Tree) NumNodes() int { return t.numIDs }
 

@@ -175,6 +175,11 @@ type Seq interface {
 	Select(c uint32, k int) int
 	// Count reports the total occurrences of c.
 	Count(c uint32) int
+	// Counts returns the prefix sums of the symbol counts, Sigma()+1
+	// entries with Counts()[c] the number of positions holding symbols
+	// below c: the C array of backward search (Eq. 3). It is the
+	// sequence's own array, not a copy, and must not be written.
+	Counts() []int
 	// NumNodes reports an exclusive upper bound on NodeIDs.
 	NumNodes() int
 	// LeafID returns the NodeID of the leaf representing c.

@@ -67,6 +67,7 @@ import (
 	"strings"
 	"time"
 
+	"ringrpq/internal/bitvec"
 	"ringrpq/internal/core"
 	"ringrpq/internal/obs"
 	"ringrpq/internal/overlay"
@@ -136,11 +137,16 @@ func (b *Builder) Load(r io.Reader) error { return triples.Load(r, b.b) }
 
 // Build completes the graph with inverse edges, constructs the ring
 // index (sharded when configured), and returns a queryable database.
-// The builder must not be used afterwards.
+// A database holds fewer than 2^32 completed triples (each edge counts
+// twice, as itself and its inverse). The builder must not be used
+// afterwards.
 func (b *Builder) Build() (*DB, error) {
 	g := b.b.Build()
 	if g.Len() == 0 {
 		return nil, errors.New("ringrpq: empty graph")
+	}
+	if err := bitvec.CheckLen(g.Len()); err != nil {
+		return nil, fmt.Errorf("ringrpq: %d completed triples: %w", g.Len(), err)
 	}
 	if b.cfg.Shards > 1 {
 		set := ring.NewShardSet(g, b.cfg.Shards, nil, b.cfg.Layout)
@@ -342,7 +348,10 @@ type Stats struct {
 	CompletedEdges int
 	// Predicates is the original predicate count |P|.
 	Predicates int
-	// IndexBytes is the ring footprint used by queries.
+	// IndexBytes is the ring footprint used by queries (summed over
+	// sub-rings): L_s and L_p with their rank directories and symbol
+	// counts, plus L_o's symbol counts, each allocation counted once.
+	// The dictionaries and L_o's bits are not included.
 	IndexBytes int
 	// Shards is the sub-ring count (1 for the single-ring layout).
 	Shards int
