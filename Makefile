@@ -57,13 +57,14 @@ bench:
 	$(GO) test -run NONE -bench 'Service' -benchtime 2s .
 
 # One-iteration smoke run of the hot-path micro-benchmarks (broadword
-# select, multi-range wavelet descent, batched vs unbatched BFS), of
+# select, multi-range wavelet descent, batched vs unbatched BFS, the
+# Limit-bound traversal), of
 # the compactor's (matrix build, counting-sort ring build, bulk triple
 # decode, per-batch overlay consolidation) and of the handler's
 # result-cache hit: makes sure the benchmark code keeps compiling and
 # running under ci.
 bench-short:
-	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS' -benchtime 1x \
+	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS|LimitedBFS' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
 	$(GO) test -run NONE -bench 'MatrixBuild|FromTriples|RingTriples|OverlayApply' -benchtime 1x \
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/

@@ -21,6 +21,11 @@ import (
 // visited product subgraph — and with it the Theorem 4.1 work bound —
 // is exactly the one the item-at-a-time traversal explores; only the
 // shared top-of-tree descents are amortised across the frontier.
+//
+// Under Options.Limit, one descent would reach the results still owed
+// in subject-id order across every range; instead a level's part 2
+// descends first the fewest result-bearing ranges that can cover that
+// count (splitOwed), and the rest only if the limit was not reached.
 
 // batchCutoff is the frontier size below which a level is expanded with
 // the classic per-item descent: the batched machinery (sorting, item
@@ -158,19 +163,80 @@ func (e *Engine) stepMany(eng *glushkov.Engine, w *ringWork, items []wavelet.Ran
 	return e.part2Many(eng, w, lsItems, emit)
 }
 
-// part2Many expands the level's accumulated L_s ranges in one batched
-// descent: distinct subjects with unvisited states arrive — each
-// exactly once per level, with the union of the states that reached it
-// (§4.2–4.3). Tombstones are handled through leafMaskFor: a leaf drops
-// the items whose occurrences of the subject are all tombstoned.
+// part2Many expands the level's accumulated L_s ranges: distinct
+// subjects with unvisited states arrive with the union of the states
+// that reached them (§4.2–4.3) — once per level, or once per descent
+// when splitOwed splits it in two.
 func (e *Engine) part2Many(eng *glushkov.Engine, w *ringWork, lsItems []wavelet.RangeMask, emit EmitFunc) error {
 	if len(lsItems) == 0 {
 		return nil
 	}
-	leafMask := e.leafMaskFor(w)
 	// Leaves of part 1 arrive in bottom-level (bit-reversal) order for
 	// the wavelet matrix; restore position order before descending.
 	slices.SortFunc(lsItems, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
+	first, rest := e.splitOwed(eng.Init, lsItems)
+	if err := e.descendLs(eng, w, first, emit); err != nil || len(rest) == 0 {
+		return err
+	}
+	return e.descendLs(eng, w, rest, emit)
+}
+
+// splitOwed divides a limited level's sorted L_s ranges. Only ranges
+// whose mask carries the initial state can report results, each at most
+// its length. When those cover more positions than the results still
+// owed, first is the shortest position-ordered run of them covering it
+// (fewest ranges, then most positions: denser subjects share more of
+// the descent) and rest every other range, in order; else first is all.
+func (e *Engine) splitOwed(init uint64, lsItems []wavelet.RangeMask) (first, rest []wavelet.RangeMask) {
+	if e.limit == 0 {
+		return lsItems, nil
+	}
+	owed := e.limit - e.stats.Results
+	// Sliding window: once any run covers owed, [lo, hi] is the shortest
+	// ending at hi, holding n result-bearing ranges and sum positions.
+	cover, sum, n, lo := 0, 0, 0, 0
+	bestLo, bestHi, bestN, bestSum := 0, -1, 0, 0
+	for hi, it := range lsItems {
+		if it.Mask&init == 0 {
+			continue
+		}
+		cover += it.E - it.B
+		sum += it.E - it.B
+		n++
+		for ; lo < hi; lo++ {
+			if l := lsItems[lo]; l.Mask&init != 0 {
+				if sum-(l.E-l.B) < owed {
+					break
+				}
+				sum -= l.E - l.B
+				n--
+			}
+		}
+		if sum >= owed && (bestHi < 0 || n < bestN || n == bestN && sum > bestSum) {
+			bestLo, bestHi, bestN, bestSum = lo, hi, n, sum
+		}
+	}
+	if cover <= owed {
+		return lsItems, nil
+	}
+	first = e.lsFirst[:0]
+	k := 0
+	for i, it := range lsItems {
+		if i >= bestLo && i <= bestHi && it.Mask&init != 0 {
+			first = append(first, it)
+		} else {
+			lsItems[k] = it
+			k++
+		}
+	}
+	e.lsFirst = first // keep the grown scratch buffer
+	return first, lsItems[:k]
+}
+
+// descendLs runs one batched L_s descent over sorted disjoint ranges; a
+// leaf drops the items whose occurrences are all tombstoned (leafMaskFor).
+func (e *Engine) descendLs(eng *glushkov.Engine, w *ringWork, lsItems []wavelet.RangeMask, emit EmitFunc) error {
+	leafMask := e.leafMaskFor(w)
 	var failure error
 	w.r.Ls.TraverseMany(lsItems, func(node wavelet.NodeID, leaf bool, s uint32, its []wavelet.RangeMask) int {
 		if failure != nil {

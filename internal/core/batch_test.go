@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ringrpq/internal/datagen"
 	"ringrpq/internal/enginetest"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/ring"
+	"ringrpq/internal/triples"
 )
 
 // The frontier-batched traversal must produce exactly the result set of
@@ -56,7 +59,8 @@ func TestBatchingNegSets(t *testing.T) {
 }
 
 // Limits must truncate the batched traversal exactly as the unbatched
-// one (the result prefix differs in order but not in validity).
+// one (the result prefix differs in order but not in validity): distinct
+// pairs of the full answer.
 func TestBatchingLimit(t *testing.T) {
 	g := enginetest.RandomGraph(11, 20, 3, 120)
 	e := newEngine(g, ring.WaveletMatrix)
@@ -65,8 +69,17 @@ func TestBatchingLimit(t *testing.T) {
 	if len(full) < 5 {
 		t.Skipf("graph too sparse (%d results)", len(full))
 	}
+	valid := map[enginetest.Pair]bool{}
+	for _, p := range full {
+		valid[p] = true
+	}
 	n := 0
 	st, err := e.Eval(context.Background(), q, Options{DisableFastPaths: true, Limit: 4}, func(s, o uint32) bool {
+		p := enginetest.Pair{S: s, O: o}
+		if !valid[p] {
+			t.Fatalf("limited eval emitted %v: a duplicate or not in the full answer", p)
+		}
+		delete(valid, p)
 		n++
 		return true
 	})
@@ -101,6 +114,73 @@ func TestBatchingWaveletVisitsNotWorse(t *testing.T) {
 			t.Fatalf("%s: batched WaveletVisits=%d exceeds unbatched %d",
 				src, bst.WaveletVisits, ust.WaveletVisits)
 		}
+	}
+}
+
+// limitedStats evaluates q with and without a limit and returns both
+// Stats; the limited run must deliver exactly limit results.
+func limitedStats(t *testing.T, e *Engine, q Query, limit int) (full, limited Stats) {
+	t.Helper()
+	eval := func(limit int) Stats {
+		st, err := e.Eval(context.Background(), q, Options{Limit: limit}, func(s, o uint32) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	full, limited = eval(0), eval(limit)
+	if limited.Results != limit || full.Results <= limit {
+		t.Fatalf("%s: %d results at limit %d, %d without", pathexpr.String(q.Expr), limited.Results, limit, full.Results)
+	}
+	return full, limited
+}
+
+// A limit bounds the work, not only the answer: (?x, p*, hub) over 3000
+// p in-edges at Limit 10 reads a small fraction of the wavelet nodes
+// the unlimited query reads. The in-edges enter the hub directly (the
+// first level expands item at a time) or through eight middle nodes
+// (the second level is batched).
+func TestLimitBoundsWaveletVisits(t *testing.T) {
+	for _, mids := range []int{0, 8} {
+		b := triples.NewBuilder()
+		for i := 0; i < 3000; i++ {
+			to := "hub"
+			if mids > 0 {
+				to = fmt.Sprintf("m%d", i%mids)
+			}
+			b.Add(fmt.Sprintf("x%d", i), "p", to)
+		}
+		for m := 0; m < mids; m++ {
+			b.Add(fmt.Sprintf("m%d", m), "p", "hub")
+		}
+		g := b.Build()
+		e := newEngine(g, ring.WaveletMatrix)
+		hub := mustID(t, g, "hub")
+		full, limited := limitedStats(t, e, Query{Subject: Variable, Expr: pathexpr.MustParse("p*"), Object: hub}, 10)
+		if limited.WaveletVisits*20 > full.WaveletVisits {
+			t.Fatalf("%d middle nodes: %d wavelet visits at Limit 10, over a twentieth of the unlimited %d",
+				mids, limited.WaveletVisits, full.WaveletVisits)
+		}
+	}
+}
+
+// A v→v limit bounds phase 1 too: for (?x, a/b*, ?y) over one a edge
+// into the root of a 4095-node binary tree of b edges, phase 1 would
+// otherwise visit the whole tree before phase 2 emits one pair. At
+// Limit 5 the query activates under a fiftieth of the unlimited
+// query's product nodes.
+func TestLimitBoundsPhaseOne(t *testing.T) {
+	b := triples.NewBuilder()
+	b.Add("s", "a", "t1")
+	for i := 1; i < 2048; i++ {
+		b.Add(fmt.Sprintf("t%d", i), "b", fmt.Sprintf("t%d", 2*i))
+		b.Add(fmt.Sprintf("t%d", i), "b", fmt.Sprintf("t%d", 2*i+1))
+	}
+	g := b.Build()
+	e := newEngine(g, ring.WaveletMatrix)
+	full, limited := limitedStats(t, e, Query{Subject: Variable, Expr: pathexpr.MustParse("a/b*"), Object: Variable}, 5)
+	if limited.ProductNodes*50 > full.ProductNodes {
+		t.Fatalf("%d product nodes at Limit 5, over a fiftieth of the unlimited %d", limited.ProductNodes, full.ProductNodes)
 	}
 }
 
@@ -172,6 +252,47 @@ func BenchmarkBatchedBFS(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLimitedBFS runs the two shapes of rpq_static's limit-bound
+// requests at Limit 1000 on a Wikidata-shaped graph: a star closure of
+// the most frequent predicate onto its busiest object, and a
+// non-nullable v→v closure of it behind a second predicate. `make ci`
+// runs it in short mode, so that the limit path keeps compiling and
+// running.
+func BenchmarkLimitedBFS(b *testing.B) {
+	g := datagen.Generate(datagen.Config{Seed: 1, Nodes: 20000, Edges: 100000, Preds: 40})
+	uses := make([]int, g.NumCompletedPreds())
+	for _, t := range g.Triples {
+		uses[t.P]++
+	}
+	preds := make([]uint32, g.NumPreds) // base predicates, most used first
+	for p := range preds {
+		preds[p] = uint32(p)
+	}
+	slices.SortFunc(preds, func(a, b uint32) int { return uses[b] - uses[a] })
+	hub, into := uint32(0), map[uint32]int{}
+	for _, t := range g.Triples {
+		if t.P == preds[0] {
+			if into[t.O]++; into[t.O] > into[hub] {
+				hub = t.O
+			}
+		}
+	}
+	pTop, p2 := g.Preds.Name(preds[0]), g.Preds.Name(preds[1])
+	queries := []Query{
+		{Subject: Variable, Expr: pathexpr.MustParse(pTop + "*"), Object: int64(hub)},
+		{Subject: Variable, Expr: pathexpr.MustParse(p2 + "/" + pTop + "*"), Object: Variable},
+	}
+	e := newEngine(g, ring.WaveletMatrix)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			if _, err := e.Eval(context.Background(), q, Options{Limit: 1000}, func(s, o uint32) bool { return true }); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -49,7 +49,10 @@ type Query struct {
 
 // Options tune one evaluation.
 type Options struct {
-	// Limit caps the number of emitted results; 0 means unlimited.
+	// Limit caps the number of emitted results; 0 means unlimited. The
+	// traversal orders its work so that results come first and stops at
+	// the limit, so which pairs a limited evaluation returns may change
+	// between versions; their order stays unspecified.
 	Limit int
 	// Timeout bounds wall-clock evaluation time; 0 means none.
 	Timeout time.Duration
@@ -89,8 +92,8 @@ var errLimit = errors.New("core: result limit")
 // Stats counts the work of one evaluation; the Theorem 4.1 test checks
 // these against the size of the induced product subgraph.
 type Stats struct {
-	// ProductNodes counts (node, state) pairs activated for the first
-	// time, i.e. visited nodes of G'_E.
+	// ProductNodes counts arrivals that add states — reaching a node of
+	// G'_E with states it was not yet visited with — once per arrival.
 	ProductNodes int
 	// ProductEdges counts backward-search steps taken (predicate leaves
 	// reached in part 1), i.e. traversed edge groups of G'_E.

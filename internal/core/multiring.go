@@ -104,12 +104,15 @@ type Engine struct {
 	level   []queueItem
 	lpItems []wavelet.RangeMask
 	lsItems []wavelet.RangeMask
+	lsFirst []wavelet.RangeMask // a limited level's first part-2 descent
+	starts  []uint32            // v→v phase-1 candidates
 
 	// per-evaluation state
 	stats     Stats
 	trace     *obs.Trace
 	deadline  time.Time
 	steps     int
+	limit     int // Options.Limit
 	emit      EmitFunc
 	base      uint64
 	batch     bool
@@ -244,12 +247,13 @@ func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc)
 	} else {
 		e.deadline = time.Time{}
 	}
+	e.limit = opts.Limit
 	e.emit = func(s, o uint32) bool {
 		e.stats.Results++
 		if !emit(s, o) {
 			return false
 		}
-		return opts.Limit == 0 || e.stats.Results < opts.Limit
+		return e.limit == 0 || e.stats.Results < e.limit
 	}
 
 	sp := e.trace.Begin(obs.SpanTraverse)
@@ -676,13 +680,17 @@ func (e *Engine) evalBothVar(expr pathexpr.Node) error {
 	}
 
 	// Phase 1: every endpoint conceptually starts with the final states
-	// active; collect the candidates that reach the initial state.
-	var starts []uint32
+	// active; collect the candidates that reach the initial state. Each
+	// candidate of a non-nullable expression yields a pair of its own in
+	// phase 2, so phase 1 ends (errLimit) once it holds the pairs still
+	// owed; a nullable one's self-pair is already out and may be its only.
+	owed := e.limit - e.stats.Results
+	e.starts = e.starts[:0]
 	collect := func(s, _ uint32) bool {
-		starts = append(starts, s)
-		return true
+		e.starts = append(e.starts, s)
+		return e.limit == 0 || nullable || len(e.starts) < owed
 	}
-	if err := e.fullRangeSources(expr1, collect); err != nil {
+	if err := e.fullRangeSources(expr1, collect); err != nil && !errors.Is(err, errLimit) {
 		return err
 	}
 
@@ -706,7 +714,7 @@ func (e *Engine) evalBothVar(expr pathexpr.Node) error {
 	c2 := e.compile(expr2)
 	defer e.release()
 	e.prepare(c2)
-	for _, s := range starts {
+	for _, s := range e.starts {
 		if err := e.runFrom(c2, s, pairFor(s)); err != nil {
 			return err
 		}
