@@ -32,7 +32,6 @@ var bench struct {
 	g       *triples.Graph
 	qs      []workload.Query
 	ring    *harness.Ring
-	ringWT  *harness.Ring
 	bfs     *harness.BFS
 	alp     *harness.ALP
 	rel     *harness.Relational
@@ -47,8 +46,7 @@ func setup() {
 			Seed: 1, Nodes: 3000, Edges: 15000, Preds: 30,
 		})
 		bench.qs = workload.Generate(bench.g, workload.Config{Seed: 2, Total: 120})
-		bench.ring = harness.NewRing(bench.g, ring.WaveletMatrix)
-		bench.ringWT = harness.NewRing(bench.g, ring.WaveletTree)
+		bench.ring = harness.NewRing(bench.g)
 		bench.bfs = harness.NewBFS(bench.g)
 		bench.alp = harness.NewALP(bench.g)
 		bench.rel = harness.NewRelational(bench.g)
@@ -149,22 +147,6 @@ func BenchmarkRingConstruction(b *testing.B) {
 func ringEngine() (*core.Engine, *triples.Graph) {
 	setup()
 	return bench.ring.Engine(), bench.g
-}
-
-// BenchmarkAblationLayout compares the wavelet matrix (paper choice)
-// with the pointer-shaped wavelet tree on the same workload.
-func BenchmarkAblationLayout(b *testing.B) {
-	setup()
-	for _, sys := range []harness.System{bench.ring, bench.ringWT} {
-		sys := sys
-		b.Run(sys.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sys.Run(bench.qs[i%len(bench.qs)], bench.limit, bench.timeout); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationFastPaths measures the §5 join-like fast paths

@@ -518,11 +518,7 @@ func readCheckpoint(fsys wal.FS, path string) (*checkpointState, error) {
 			return nil, fmt.Errorf("checkpoint shard set/dictionary mismatch (%d/%d nodes, %d/%d preds)",
 				set.NumNodes, n, set.NumPreds, g.NumCompletedPreds())
 		}
-		layout := ring.WaveletMatrix
-		if set.K > 0 {
-			layout = set.Shards[0].Layout()
-		}
-		db = newDB(g, nil, set, layout)
+		db = newDB(g, nil, set)
 	} else {
 		rg, err := ring.Decode(r)
 		if err != nil {
@@ -532,7 +528,7 @@ func readCheckpoint(fsys wal.FS, path string) (*checkpointState, error) {
 			return nil, fmt.Errorf("checkpoint ring/dictionary mismatch (%d/%d nodes, %d/%d preds)",
 				rg.NumNodes, n, rg.NumPreds, g.NumCompletedPreds())
 		}
-		db = newDB(g, rg, nil, rg.Layout())
+		db = newDB(g, rg, nil)
 	}
 	m := r.Int()
 	if err := r.Err(); err != nil {

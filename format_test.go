@@ -18,13 +18,15 @@ import (
 
 // testdata/format holds databases that an earlier build of this
 // package saved from graph.nt — graph.rdb (rdb1, wavelet matrices),
-// graph-tree.rdb (rdb1, wavelet trees) and graph-3shards.rdb (rdbs1,
-// three shards) — and answers.txt, the answers that build gave to a
-// fixed query set: a "> subject expr object" line per query, then one
-// sorted "subject object" line per solution. The files are the on-disk
-// format's regression net: every one must keep loading and answering
-// the same, and Save of the same graph must keep writing them byte for
-// byte.
+// graph-tree.rdb (rdb1, the wavelet trees that build could also write)
+// and graph-3shards.rdb (rdbs1, three shards) — and answers.txt, the
+// answers that build gave to a fixed query set: a "> subject expr
+// object" line per query, then one sorted "subject object" line per
+// solution. The files are the on-disk format's regression net: every
+// one must keep loading and answering the same, and Save of the same
+// graph must keep writing graph.rdb and graph-3shards.rdb byte for
+// byte. A loaded tree file holds wavelet matrices, so it saves as
+// graph.rdb.
 func TestFormatFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "format")
 	nt, err := os.ReadFile(filepath.Join(dir, "graph.nt"))
@@ -33,18 +35,22 @@ func TestFormatFixture(t *testing.T) {
 	}
 	queries, want := readAnswers(t, filepath.Join(dir, "answers.txt"))
 	for _, c := range []struct {
-		file string
-		cfg  BuilderConfig
+		file, savesAs string
+		cfg           BuilderConfig
 	}{
-		{"graph.rdb", BuilderConfig{}},
-		{"graph-tree.rdb", BuilderConfig{Layout: WaveletTree}},
-		{"graph-3shards.rdb", BuilderConfig{Shards: 3}},
+		{"graph.rdb", "graph.rdb", BuilderConfig{}},
+		{"graph-tree.rdb", "graph.rdb", BuilderConfig{}},
+		{"graph-3shards.rdb", "graph-3shards.rdb", BuilderConfig{Shards: 3}},
 	} {
-		saved, err := os.ReadFile(filepath.Join(dir, c.file))
+		raw, err := os.ReadFile(filepath.Join(dir, c.file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := LoadDB(bytes.NewReader(saved))
+		saved, err := os.ReadFile(filepath.Join(dir, c.savesAs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadDB(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("%s: %v", c.file, err)
 		}
@@ -77,8 +83,8 @@ func TestFormatFixture(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), saved) {
-				t.Fatalf("%s: Save of the %s database (%d bytes) differs from the fixture (%d bytes)",
-					c.file, name, buf.Len(), len(saved))
+				t.Fatalf("%s: Save of the %s database (%d bytes) differs from %s (%d bytes)",
+					c.file, name, buf.Len(), c.savesAs, len(saved))
 			}
 		}
 	}

@@ -2,8 +2,15 @@ package ringrpq
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+// probeExpr names a predicate of every loader input below: l1 of
+// savedDBBytes' graph, P1 of the format fixture's.
+const probeExpr = "l1|P1"
 
 // savedDBBytes serialises a small database in both on-disk formats.
 func savedDBBytes(tb testing.TB) (single, sharded []byte) {
@@ -29,15 +36,51 @@ func savedDBBytes(tb testing.TB) (single, sharded []byte) {
 	return build(1), build(3)
 }
 
+// loaderInputs returns the serialised databases the loader tests take
+// apart: savedDBBytes' two, and the format fixture's tree-layout file
+// (see TestFormatFixture), whose sequences the loader converts.
+func loaderInputs(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	single, sharded := savedDBBytes(tb)
+	tree, err := os.ReadFile(filepath.Join("testdata", "format", "graph-tree.rdb"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return map[string][]byte{"rdb1": single, "rdbs1": sharded, "rdb1-tree": tree}
+}
+
+// usable reports an error unless a loaded database answers a query,
+// lists its names and takes an update through a compaction, which
+// decodes every sequence of its ring. It must not panic either.
+func usable(db *DB) error {
+	if _, err := db.Count("?s", probeExpr, "?o"); err != nil {
+		return fmt.Errorf("query: %w", err)
+	}
+	db.Nodes()
+	preds := db.Predicates()
+	if len(preds) == 0 {
+		return nil
+	}
+	if _, err := db.Apply([]Triple{{Subject: "new", Predicate: preds[0], Object: "new"}}, nil); err != nil {
+		return fmt.Errorf("update: %w", err)
+	}
+	if err := db.Flush(); err != nil {
+		return fmt.Errorf("compaction: %w", err)
+	}
+	return nil
+}
+
 // FuzzLoadDB feeds arbitrary bytes to the database loader. Whatever
-// the input — truncated, bit-flipped, or wholly synthetic, in either
-// the rdb1 or rdbs1 format — LoadDB must return an error or a usable
-// database; it must never panic, and corrupt length prefixes must not
-// force allocations beyond the input's own size.
+// the input — truncated, bit-flipped, or wholly synthetic, in the rdb1
+// format (with wavelet matrices or trees) or the rdbs1 one — LoadDB
+// must return an error or a usable database; it must never panic, and
+// corrupt length prefixes must not force allocations beyond the input's
+// own size.
 //
 // Run with: go test -run NONE -fuzz FuzzLoadDB .
 func FuzzLoadDB(f *testing.F) {
-	single, sharded := savedDBBytes(f)
+	in := loaderInputs(f)
+	single, sharded := in["rdb1"], in["rdbs1"]
 	f.Add(single)
 	f.Add(sharded)
 	f.Add([]byte{})
@@ -47,25 +90,21 @@ func FuzzLoadDB(f *testing.F) {
 	f.Add(single[:len(single)/2])
 	f.Add(sharded[:len(sharded)/3])
 	f.Add(oversizedHeader(f))
+	f.Add(in["rdb1-tree"])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := LoadDB(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// A successfully loaded database must be queryable without
-		// panicking on a trivial query.
-		if _, qerr := db.Count("?s", "l1", "?o"); qerr != nil {
-			t.Fatalf("loaded DB rejects a trivial query: %v", qerr)
+		if db, err := LoadDB(bytes.NewReader(data)); err == nil {
+			if err := usable(db); err != nil {
+				t.Fatalf("loaded DB is not usable: %v", err)
+			}
 		}
 	})
 }
 
-// TestLoadDBTruncations deterministically checks every prefix of both
-// serialised formats: each must produce an error, never a panic (the
+// TestLoadDBTruncations deterministically checks every prefix of the
+// loader inputs: each must produce an error, never a panic (the
 // regression net for what FuzzLoadDB explores randomly).
 func TestLoadDBTruncations(t *testing.T) {
-	single, sharded := savedDBBytes(t)
-	for name, raw := range map[string][]byte{"rdb1": single, "rdbs1": sharded} {
+	for name, raw := range loaderInputs(t) {
 		for i := 0; i < len(raw); i++ {
 			if _, err := LoadDB(bytes.NewReader(raw[:i])); err == nil {
 				t.Fatalf("%s: LoadDB of %d/%d-byte prefix succeeded", name, i, len(raw))
@@ -74,24 +113,21 @@ func TestLoadDBTruncations(t *testing.T) {
 	}
 }
 
-// TestLoadDBBitFlips flips each byte of the serialised formats in a
-// few positions and requires LoadDB to either reject the input or
-// return a database that survives a query — never panic.
+// TestLoadDBBitFlips flips each byte of the loader inputs in a few
+// positions and requires LoadDB to either reject the input or return a
+// usable database — never panic.
 func TestLoadDBBitFlips(t *testing.T) {
-	single, sharded := savedDBBytes(t)
-	for name, raw := range map[string][]byte{"rdb1": single, "rdbs1": sharded} {
+	for name, raw := range loaderInputs(t) {
 		for i := 0; i < len(raw); i++ {
 			for _, flip := range []byte{0x01, 0x80, 0xff} {
 				mut := append([]byte(nil), raw...)
 				mut[i] ^= flip
-				db, err := LoadDB(bytes.NewReader(mut))
-				if err != nil {
-					continue
-				}
 				// Some flips (e.g. inside dictionary names) still load;
 				// the result must stay usable.
-				if _, qerr := db.Count("?s", "l1", "?o"); qerr != nil {
-					t.Fatalf("%s: flipped byte %d: loaded DB rejects query: %v", name, i, qerr)
+				if db, err := LoadDB(bytes.NewReader(mut)); err == nil {
+					if err := usable(db); err != nil {
+						t.Fatalf("%s: flipped byte %d by %#x: %v", name, i, flip, err)
+					}
 				}
 			}
 		}

@@ -1,10 +1,11 @@
 // Package bitvec provides plain bitvectors with constant-time rank and
-// logarithmic-time select, the building blocks of the wavelet trees used
-// by the ring index (paper §3.5). The rank directory follows the classic
-// two-level scheme of Clark and Munro: an absolute 32-bit count every
-// 512-bit superblock (6.25 % over the bits) plus popcounts per 64-bit
-// word. Select binary-searches those counts and keeps no directory of
-// its own. The 32-bit counts limit a vector to fewer than 2^32 bits.
+// logarithmic-time select, the building blocks of the wavelet matrices
+// used by the ring index (paper §3.5). The rank directory follows the
+// classic two-level scheme of Clark and Munro: an absolute 32-bit count
+// every 512-bit superblock (6.25 % over the bits) plus popcounts per
+// 64-bit word. Select binary-searches those counts and keeps no
+// directory of its own. The 32-bit counts limit a vector to fewer than
+// 2^32 bits.
 package bitvec
 
 import (
@@ -15,8 +16,6 @@ import (
 // wordsPerSuper is the number of 64-bit words per rank superblock:
 // 8 words = 512 bits per 32-bit count, at most 7 popcounts per rank.
 const wordsPerSuper = 8
-
-const superBits = wordsPerSuper * 64
 
 // maxLen is the longest vector the 32-bit rank counts can describe.
 const maxLen = 1<<32 - 1
@@ -181,9 +180,17 @@ func (v *Vector) Select1(k int) int {
 	if k <= 0 || k > v.ones {
 		return -1
 	}
-	// Binary-search the superblock counts, then scan at most
-	// wordsPerSuper words.
-	lo := v.lastSuperBelow(k, func(sb int) int { return int(v.super[sb]) })
+	// Binary-search for the last superblock with fewer than k ones
+	// before it, then scan at most wordsPerSuper words.
+	lo, hi := 0, len(v.super)-1 // superblock index range [lo, hi)
+	for lo < hi-1 {
+		mid := (lo + hi) / 2
+		if int(v.super[mid]) < k {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
 	rem := k - int(v.super[lo])
 	for j := lo * wordsPerSuper; j < len(v.words); j++ {
 		c := bits.OnesCount64(v.words[j])
@@ -193,43 +200,6 @@ func (v *Vector) Select1(k int) int {
 		rem -= c
 	}
 	return -1
-}
-
-// Select0 reports the position of the k-th zero-bit (1-based), or -1.
-func (v *Vector) Select0(k int) int {
-	if k <= 0 || k > v.n-v.ones {
-		return -1
-	}
-	zerosBefore := func(sb int) int { return sb*superBits - int(v.super[sb]) }
-	lo := v.lastSuperBelow(k, zerosBefore)
-	rem := k - zerosBefore(lo)
-	for j := lo * wordsPerSuper; j < len(v.words); j++ {
-		w := ^v.words[j]
-		if j == len(v.words)-1 && v.n%64 != 0 {
-			w &= 1<<uint(v.n%64) - 1
-		}
-		c := bits.OnesCount64(w)
-		if rem <= c {
-			return j*64 + selectInWord(w, rem)
-		}
-		rem -= c
-	}
-	return -1
-}
-
-// lastSuperBelow returns the last superblock sb with before(sb) < k,
-// for a nondecreasing before that is 0 at superblock 0.
-func (v *Vector) lastSuperBelow(k int, before func(sb int) int) int {
-	lo, hi := 0, len(v.super)-1 // superblock index range [lo, hi)
-	for lo < hi-1 {
-		mid := (lo + hi) / 2
-		if before(mid) < k {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Broadword select constants: l8 replicates a byte across the word, h8

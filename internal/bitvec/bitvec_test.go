@@ -38,18 +38,6 @@ func (nv naive) select1(k int) int {
 	return -1
 }
 
-func (nv naive) select0(k int) int {
-	for i, b := range nv {
-		if !b {
-			k--
-			if k == 0 {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 func randomBits(n int, p float64, seed int64) []bool {
 	rng := rand.New(rand.NewSource(seed))
 	bs := make([]bool, n)
@@ -70,9 +58,6 @@ func TestEmpty(t *testing.T) {
 	if got := v.Select1(1); got != -1 {
 		t.Errorf("Select1(1)=%d, want -1", got)
 	}
-	if got := v.Select0(1); got != -1 {
-		t.Errorf("Select0(1)=%d, want -1", got)
-	}
 }
 
 func TestSingleBits(t *testing.T) {
@@ -81,7 +66,7 @@ func TestSingleBits(t *testing.T) {
 		t.Errorf("one-bit vector misbehaves")
 	}
 	v0 := FromBools([]bool{false})
-	if v0.Rank1(1) != 0 || v0.Select0(1) != 0 || v0.Get(0) != false {
+	if v0.Rank1(1) != 0 || v0.Select1(1) != -1 || v0.Get(0) != false {
 		t.Errorf("zero-bit vector misbehaves")
 	}
 }
@@ -122,11 +107,6 @@ func TestSelectAgainstNaive(t *testing.T) {
 				t.Fatalf("p=%v Select1(%d)=%d, want %d", p, k, got, want)
 			}
 		}
-		for k := 1; k <= v.Zeros(); k++ {
-			if got, want := v.Select0(k), nv.select0(k); got != want {
-				t.Fatalf("p=%v Select0(%d)=%d, want %d", p, k, got, want)
-			}
-		}
 	}
 }
 
@@ -134,9 +114,6 @@ func TestSelectOutOfRange(t *testing.T) {
 	v := FromBools(randomBits(100, 0.5, 3))
 	if v.Select1(0) != -1 || v.Select1(v.Ones()+1) != -1 {
 		t.Error("Select1 out-of-range should be -1")
-	}
-	if v.Select0(0) != -1 || v.Select0(v.Zeros()+1) != -1 {
-		t.Error("Select0 out-of-range should be -1")
 	}
 }
 
@@ -149,12 +126,6 @@ func TestRankSelectInverse(t *testing.T) {
 		for k := 1; k <= v.Ones(); k += 7 {
 			pos := v.Select1(k)
 			if pos < 0 || !v.Get(pos) || v.Rank1(pos) != k-1 {
-				return false
-			}
-		}
-		for k := 1; k <= v.Zeros(); k += 7 {
-			pos := v.Select0(k)
-			if pos < 0 || v.Get(pos) || v.Rank0(pos) != k-1 {
 				return false
 			}
 		}
@@ -206,8 +177,8 @@ func TestBuilderSetPanics(t *testing.T) {
 }
 
 func TestLargeDense(t *testing.T) {
-	// Cross several superblocks and select samples.
-	n := superBits*5 + 17
+	// Cross several superblocks.
+	n := wordsPerSuper*64*5 + 17
 	bs := make([]bool, n)
 	for i := range bs {
 		bs[i] = i%3 == 0
@@ -224,11 +195,6 @@ func TestLargeDense(t *testing.T) {
 			t.Fatalf("Select1(%d) mismatch", k)
 		}
 	}
-	for k := 1; k <= v.Zeros(); k += 43 {
-		if v.Select0(k) != nv.select0(k) {
-			t.Fatalf("Select0(%d) mismatch", k)
-		}
-	}
 }
 
 func TestAllOnesAllZeros(t *testing.T) {
@@ -243,12 +209,9 @@ func TestAllOnesAllZeros(t *testing.T) {
 			t.Fatalf("all-ones Select1(%d)=%d", k, v.Select1(k))
 		}
 	}
-	zeros := make([]bool, n)
-	v = FromBools(zeros)
-	for k := 1; k <= n; k += 13 {
-		if v.Select0(k) != k-1 {
-			t.Fatalf("all-zeros Select0(%d)=%d", k, v.Select0(k))
-		}
+	v = FromBools(make([]bool, n))
+	if v.Select1(1) != -1 {
+		t.Fatalf("all-zeros Select1(1)=%d", v.Select1(1))
 	}
 }
 
@@ -368,11 +331,6 @@ func TestFromWords(t *testing.T) {
 		for k := 1; k <= want.Ones(); k++ {
 			if got.Select1(k) != want.Select1(k) {
 				t.Fatalf("n=%d: Select1(%d) = %d, want %d", n, k, got.Select1(k), want.Select1(k))
-			}
-		}
-		for k := 1; k <= want.Zeros(); k++ {
-			if got.Select0(k) != want.Select0(k) {
-				t.Fatalf("n=%d: Select0(%d) = %d, want %d", n, k, got.Select0(k), want.Select0(k))
 			}
 		}
 	}

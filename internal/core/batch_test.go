@@ -10,13 +10,12 @@ import (
 	"ringrpq/internal/datagen"
 	"ringrpq/internal/enginetest"
 	"ringrpq/internal/pathexpr"
-	"ringrpq/internal/ring"
 	"ringrpq/internal/triples"
 )
 
 // The frontier-batched traversal must produce exactly the result set of
 // the item-at-a-time descent on random graphs and expressions, for every
-// endpoint shape, on both wavelet layouts, with and without fast paths.
+// endpoint shape, with and without fast paths.
 func TestBatchingMatchesUnbatched(t *testing.T) {
 	for seed := int64(100); seed < 116; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -24,17 +23,15 @@ func TestBatchingMatchesUnbatched(t *testing.T) {
 		np := 1 + rng.Intn(5)
 		ne := 1 + rng.Intn(80)
 		g := enginetest.RandomGraph(seed, nv, np, ne)
-		for _, layout := range []ring.Layout{ring.WaveletMatrix, ring.WaveletTree} {
-			e := newEngine(g, layout)
-			for trial := 0; trial < 5; trial++ {
-				expr := enginetest.RandomExpr(rng, np, 1+rng.Intn(3))
-				for _, q := range queriesFor(rng, g, expr) {
-					want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
-					batched := evalPairs(t, e, q, Options{DisableFastPaths: true})
-					unbatched := evalPairs(t, e, q, Options{DisableFastPaths: true, DisableBatching: true})
-					diffPairs(t, "batched vs oracle", batched, want, q)
-					diffPairs(t, "unbatched vs oracle", unbatched, want, q)
-				}
+		e := newEngine(g)
+		for trial := 0; trial < 5; trial++ {
+			expr := enginetest.RandomExpr(rng, np, 1+rng.Intn(3))
+			for _, q := range queriesFor(rng, g, expr) {
+				want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
+				batched := evalPairs(t, e, q, Options{DisableFastPaths: true})
+				unbatched := evalPairs(t, e, q, Options{DisableFastPaths: true, DisableBatching: true})
+				diffPairs(t, "batched vs oracle", batched, want, q)
+				diffPairs(t, "unbatched vs oracle", unbatched, want, q)
 			}
 		}
 	}
@@ -44,7 +41,7 @@ func TestBatchingMatchesUnbatched(t *testing.T) {
 // batched part-1 descent; they must agree with the unbatched path.
 func TestBatchingNegSets(t *testing.T) {
 	g := enginetest.RandomGraph(7, 14, 4, 70)
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	rng := rand.New(rand.NewSource(7))
 	for _, src := range []string{
 		"!pa", "!(pa|pb)", "!^pc", "(!pa)+", "!(pa|^pb)*", "pa/!pb", "!pa|!pb",
@@ -63,7 +60,7 @@ func TestBatchingNegSets(t *testing.T) {
 // pairs of the full answer.
 func TestBatchingLimit(t *testing.T) {
 	g := enginetest.RandomGraph(11, 20, 3, 120)
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	q := Query{Subject: Variable, Expr: pathexpr.MustParse("(pa|pb)+"), Object: Variable}
 	full := evalPairs(t, e, q, Options{DisableFastPaths: true})
 	if len(full) < 5 {
@@ -96,7 +93,7 @@ func TestBatchingLimit(t *testing.T) {
 // more wavelet nodes than the per-item descent.
 func TestBatchingWaveletVisitsNotWorse(t *testing.T) {
 	g := enginetest.RandomGraph(21, 400, 4, 3000)
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	for _, src := range []string{"(pa|pb)+", "pa*", "(pa/pb)+"} {
 		q := Query{Subject: Variable, Expr: pathexpr.MustParse(src), Object: Variable}
 		bst, err := e.Eval(context.Background(), q, Options{DisableFastPaths: true}, func(s, o uint32) bool { return true })
@@ -154,7 +151,7 @@ func TestLimitBoundsWaveletVisits(t *testing.T) {
 			b.Add(fmt.Sprintf("m%d", m), "p", "hub")
 		}
 		g := b.Build()
-		e := newEngine(g, ring.WaveletMatrix)
+		e := newEngine(g)
 		hub := mustID(t, g, "hub")
 		full, limited := limitedStats(t, e, Query{Subject: Variable, Expr: pathexpr.MustParse("p*"), Object: hub}, 10)
 		if limited.WaveletVisits*20 > full.WaveletVisits {
@@ -177,7 +174,7 @@ func TestLimitBoundsPhaseOne(t *testing.T) {
 		b.Add(fmt.Sprintf("t%d", i), "b", fmt.Sprintf("t%d", 2*i+1))
 	}
 	g := b.Build()
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	full, limited := limitedStats(t, e, Query{Subject: Variable, Expr: pathexpr.MustParse("a/b*"), Object: Variable}, 5)
 	if limited.ProductNodes*50 > full.ProductNodes {
 		t.Fatalf("%d product nodes at Limit 5, over a fiftieth of the unlimited %d", limited.ProductNodes, full.ProductNodes)
@@ -232,7 +229,7 @@ func TestPairSetAdjacentBits(t *testing.T) {
 // descent). `make ci` runs it in short mode as a smoke test.
 func BenchmarkBatchedBFS(b *testing.B) {
 	g := datagen.Generate(datagen.Config{Seed: 1, Nodes: 6000, Edges: 30000, Preds: 40})
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	queries := []Query{
 		{Subject: Variable, Expr: pathexpr.MustParse("P1*"), Object: 7},
 		{Subject: Variable, Expr: pathexpr.MustParse("(P2|P5)+"), Object: 11},
@@ -285,7 +282,7 @@ func BenchmarkLimitedBFS(b *testing.B) {
 		{Subject: Variable, Expr: pathexpr.MustParse(pTop + "*"), Object: int64(hub)},
 		{Subject: Variable, Expr: pathexpr.MustParse(p2 + "/" + pTop + "*"), Object: Variable},
 	}
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
@@ -305,7 +302,7 @@ func BenchmarkLimitedBFS(b *testing.B) {
 // again. `make ci` asserts this via -benchtime with ReportAllocs.
 func BenchmarkCompiledStepperSteadyState(b *testing.B) {
 	g := enginetest.RandomGraph(42, 2000, 8, 8000)
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	e.eager = true
 	exprs := []pathexpr.Node{
 		pathexpr.MustParse("(pa|pb)+"),

@@ -49,8 +49,8 @@ const compileThreshold = 2
 type compileMemo struct {
 	ids      glushkov.SymbolIDs
 	numPreds uint32
-	// lps are the L_p trees the compilation tier precomputes B[v] for.
-	lps     []wavelet.Seq
+	// lps are the L_p sequences the compilation tier precomputes B[v] for.
+	lps     []*wavelet.Matrix
 	entries map[string]*compiledAutomaton
 	keyW    pathexpr.KeyWriter
 }
@@ -93,7 +93,7 @@ func (m *compileMemo) get(expr pathexpr.Node, eager, noCompile bool) *compiledAu
 // a compiled expression: the immutable equivalent of prepare's lazy
 // bNode seeding, built once per (expression, ring) and shared by every
 // later evaluation.
-func buildBArr(lp wavelet.Seq, eng *glushkov.Engine) []uint64 {
+func buildBArr(lp *wavelet.Matrix, eng *glushkov.Engine) []uint64 {
 	arr := make([]uint64, lp.NumNodes())
 	for c, mask := range eng.B {
 		for id := lp.LeafID(c); id >= 1; id = id.Parent() {

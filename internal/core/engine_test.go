@@ -14,8 +14,8 @@ import (
 	"ringrpq/internal/triples"
 )
 
-func newEngine(g *triples.Graph, layout ring.Layout) *Engine {
-	r := ring.New(g, layout)
+func newEngine(g *triples.Graph) *Engine {
+	r := ring.New(g, ring.WaveletMatrix)
 	return NewEngine(r, func(s pathexpr.Sym) (uint32, bool) {
 		return g.PredID(s.Name, s.Inverse)
 	})
@@ -85,24 +85,22 @@ func withInterpreted(opts Options) Options {
 // Baquedano "by following line 5 and then taking the bus once".
 func TestPaperRunningExample(t *testing.T) {
 	g := enginetest.Metro()
-	for _, layout := range []ring.Layout{ring.WaveletMatrix, ring.WaveletTree} {
-		e := newEngine(g, layout)
-		baq := mustID(t, g, "Baq")
-		got := collect(t, e, Query{
-			Subject: Variable,
-			Expr:    pathexpr.MustParse("^bus/l5+"),
-			Object:  baq,
-		}, Options{})
-		names := map[string]bool{}
-		for _, p := range got {
-			names[g.Nodes.Name(p.S)] = true
-			if p.O != uint32(baq) {
-				t.Fatalf("object of %v is not Baq", p)
-			}
+	e := newEngine(g)
+	baq := mustID(t, g, "Baq")
+	got := collect(t, e, Query{
+		Subject: Variable,
+		Expr:    pathexpr.MustParse("^bus/l5+"),
+		Object:  baq,
+	}, Options{})
+	names := map[string]bool{}
+	for _, p := range got {
+		names[g.Nodes.Name(p.S)] = true
+		if p.O != uint32(baq) {
+			t.Fatalf("object of %v is not Baq", p)
 		}
-		if !names["SA"] || !names["UCh"] || len(names) != 2 {
-			t.Fatalf("layout %v: sources=%v, want {SA, UCh}", layout, names)
-		}
+	}
+	if !names["SA"] || !names["UCh"] || len(names) != 2 {
+		t.Fatalf("sources=%v, want {SA, UCh}", names)
 	}
 }
 
@@ -110,7 +108,7 @@ func TestPaperRunningExample(t *testing.T) {
 // exactly SA and UCh.
 func TestPaperExampleForwardForm(t *testing.T) {
 	g := enginetest.Metro()
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	baq := mustID(t, g, "Baq")
 	got := collect(t, e, Query{
 		Subject: baq,
@@ -130,7 +128,7 @@ func TestPaperExampleForwardForm(t *testing.T) {
 // Baquedano by line 5 then one bus.
 func TestPaperForwardExample(t *testing.T) {
 	g := enginetest.Metro()
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	baq := mustID(t, g, "Baq")
 	checkAgainstOracle(t, g, e, baq, "l5+/bus", Variable, Options{})
 }
@@ -143,14 +141,12 @@ func TestMetroAllModesAgainstOracle(t *testing.T) {
 	}
 	sa := mustID(t, g, "SA")
 	baq := mustID(t, g, "Baq")
-	for _, layout := range []ring.Layout{ring.WaveletMatrix, ring.WaveletTree} {
-		e := newEngine(g, layout)
-		for _, expr := range exprs {
-			for _, ends := range [][2]int64{
-				{Variable, Variable}, {sa, Variable}, {Variable, baq}, {sa, baq}, {baq, baq},
-			} {
-				checkAgainstOracle(t, g, e, ends[0], expr, ends[1], Options{})
-			}
+	e := newEngine(g)
+	for _, expr := range exprs {
+		for _, ends := range [][2]int64{
+			{Variable, Variable}, {sa, Variable}, {Variable, baq}, {sa, baq}, {baq, baq},
+		} {
+			checkAgainstOracle(t, g, e, ends[0], expr, ends[1], Options{})
 		}
 	}
 }
@@ -163,7 +159,7 @@ func TestRandomAgainstOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nv, np := 8+rng.Intn(15), 2+rng.Intn(3)
 		g := enginetest.RandomGraph(seed, nv, np, 25+rng.Intn(60))
-		e := newEngine(g, ring.WaveletMatrix)
+		e := newEngine(g)
 		for trial := 0; trial < 6; trial++ {
 			expr := enginetest.RandomExpr(rng, np, 3)
 			s := int64(rng.Intn(g.NumNodes()))
@@ -181,7 +177,7 @@ func TestRandomAgainstOracle(t *testing.T) {
 func TestFastPathsMatchGeneric(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := enginetest.RandomGraph(seed, 15, 3, 60)
-		e := newEngine(g, ring.WaveletMatrix)
+		e := newEngine(g)
 		for _, expr := range []string{"pa", "^pb", "pa/pb", "pa/^pa", "pa|pb", "pa|pb|pc", "^pa|pb"} {
 			node := pathexpr.MustParse(expr)
 			q := Query{Subject: Variable, Expr: node, Object: Variable}
@@ -208,7 +204,7 @@ func TestWideFallback(t *testing.T) {
 	if a.M <= glushkov.MaxEngineStates {
 		t.Fatalf("expression too small to exercise the fallback: m=%d", a.M)
 	}
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	s := int64(2)
 	checkAgainstOracle(t, g, e, s, expr, Variable, Options{})
 	checkAgainstOracle(t, g, e, Variable, expr, int64(1), Options{})
@@ -217,7 +213,7 @@ func TestWideFallback(t *testing.T) {
 
 func TestLimit(t *testing.T) {
 	g := enginetest.RandomGraph(5, 20, 2, 100)
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	q := Query{Subject: Variable, Expr: pathexpr.MustParse("pa*"), Object: Variable}
 	var count int
 	stats, err := e.Eval(context.Background(), q, Options{Limit: 7}, func(s, o uint32) bool {
@@ -234,7 +230,7 @@ func TestLimit(t *testing.T) {
 
 func TestEmitFalseStops(t *testing.T) {
 	g := enginetest.RandomGraph(5, 20, 2, 100)
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	q := Query{Subject: Variable, Expr: pathexpr.MustParse("pa|pb"), Object: Variable}
 	count := 0
 	if _, err := e.Eval(context.Background(), q, Options{}, func(s, o uint32) bool {
@@ -251,7 +247,7 @@ func TestEmitFalseStops(t *testing.T) {
 func TestTimeout(t *testing.T) {
 	// A large-ish dense graph with a star query; 1ns must trip the check.
 	g := enginetest.RandomGraph(9, 200, 2, 4000)
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	q := Query{Subject: Variable, Expr: pathexpr.MustParse("(pa|pb)*"), Object: Variable}
 	_, err := e.Eval(context.Background(), q, Options{Timeout: 1}, func(s, o uint32) bool { return true })
 	if err != ErrTimeout {
@@ -279,7 +275,7 @@ func TestTimeoutProbedInInnerLoops(t *testing.T) {
 		{"compiled", Options{Timeout: time.Nanosecond, DisableFastPaths: true, CompileEager: true}},
 		{"interpreted", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableCompiled: true}},
 	}
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	set := ring.NewShardSet(g, 3, nil, ring.WaveletMatrix)
 	sharded := NewShardedEngine(set, func(s pathexpr.Sym) (uint32, bool) {
 		return g.PredID(s.Name, s.Inverse)
@@ -316,7 +312,7 @@ func TestTimeoutProbedInInnerLoops(t *testing.T) {
 // node first (fast paths disabled so the generic prefix loop runs).
 func TestTimeoutInterruptsNullablePrefix(t *testing.T) {
 	g := enginetest.RandomGraph(9, 3000, 2, 3000)
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	q := Query{Subject: Variable, Expr: pathexpr.MustParse("pa*"), Object: Variable}
 	emitted := 0
 	_, err := e.Eval(context.Background(), q, Options{Timeout: time.Nanosecond, DisableFastPaths: true},
@@ -333,7 +329,7 @@ func TestTimeoutInterruptsNullablePrefix(t *testing.T) {
 func TestSetSemantics(t *testing.T) {
 	for seed := int64(30); seed < 36; seed++ {
 		g := enginetest.RandomGraph(seed, 12, 3, 60)
-		e := newEngine(g, ring.WaveletMatrix)
+		e := newEngine(g)
 		rng := rand.New(rand.NewSource(seed))
 		expr := enginetest.RandomExpr(rng, 3, 3)
 		seen := map[enginetest.Pair]bool{}
@@ -355,7 +351,7 @@ func TestSetSemantics(t *testing.T) {
 // Unknown constants or predicates yield empty results, not errors.
 func TestUnknownEntities(t *testing.T) {
 	g := enginetest.Metro()
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	got := collect(t, e, Query{
 		Subject: Variable,
 		Expr:    pathexpr.MustParse("teleport+"),
@@ -385,7 +381,7 @@ func TestWorkBoundedByProductSubgraph(t *testing.T) {
 		b.Add(nodeName(i), "p", nodeName(i+1))
 	}
 	g := b.Build()
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	tail := mustID(t, g, nodeName(n))
 	stats, err := e.Eval(context.Background(), Query{
 		Subject: Variable,
@@ -415,7 +411,7 @@ func nodeName(i int) string {
 // The engine must be reusable across queries (working arrays reset).
 func TestEngineReuse(t *testing.T) {
 	g := enginetest.Metro()
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	for i := 0; i < 10; i++ {
 		checkAgainstOracle(t, g, e, Variable, "(l1|l2|l5)+", Variable, Options{})
 		checkAgainstOracle(t, g, e, mustID(t, g, "Baq"), "l5+/bus", Variable, Options{})
@@ -424,7 +420,7 @@ func TestEngineReuse(t *testing.T) {
 
 func TestWorkingSizeBytes(t *testing.T) {
 	g := enginetest.Metro()
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	if e.WorkingSizeBytes() <= 0 {
 		t.Fatal("WorkingSizeBytes must be positive")
 	}
@@ -438,7 +434,7 @@ func TestWorkingSizeBytes(t *testing.T) {
 
 func BenchmarkVVQueries(b *testing.B) {
 	g := enginetest.RandomGraph(42, 2000, 8, 8000)
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	exprs := []pathexpr.Node{
 		pathexpr.MustParse("pa*"),
 		pathexpr.MustParse("pa/pb*"),
@@ -453,7 +449,7 @@ func BenchmarkVVQueries(b *testing.B) {
 
 func BenchmarkCVQueries(b *testing.B) {
 	g := enginetest.RandomGraph(42, 2000, 8, 8000)
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	expr := pathexpr.MustParse("pa/pb*")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -468,17 +464,15 @@ func TestNegatedPropertySets(t *testing.T) {
 	g := enginetest.Metro()
 	sa := mustID(t, g, "SA")
 	baq := mustID(t, g, "Baq")
-	for _, layout := range []ring.Layout{ring.WaveletMatrix, ring.WaveletTree} {
-		e := newEngine(g, layout)
-		for _, expr := range []string{
-			"!bus", "!(l1|l2)", "!^bus", "!(l1|l2|l5|bus)", "!bus+",
-			"!(l1|bus)*", "l1/!(l2)", "!(bus|^bus)", "!nothing",
+	e := newEngine(g)
+	for _, expr := range []string{
+		"!bus", "!(l1|l2)", "!^bus", "!(l1|l2|l5|bus)", "!bus+",
+		"!(l1|bus)*", "l1/!(l2)", "!(bus|^bus)", "!nothing",
+	} {
+		for _, ends := range [][2]int64{
+			{Variable, Variable}, {sa, Variable}, {Variable, baq}, {sa, baq},
 		} {
-			for _, ends := range [][2]int64{
-				{Variable, Variable}, {sa, Variable}, {Variable, baq}, {sa, baq},
-			} {
-				checkAgainstOracle(t, g, e, ends[0], expr, ends[1], Options{})
-			}
+			checkAgainstOracle(t, g, e, ends[0], expr, ends[1], Options{})
 		}
 	}
 }
@@ -487,7 +481,7 @@ func TestNegatedPropertySets(t *testing.T) {
 func TestNegatedSetsRandom(t *testing.T) {
 	for seed := int64(50); seed < 55; seed++ {
 		g := enginetest.RandomGraph(seed, 12, 3, 50)
-		e := newEngine(g, ring.WaveletMatrix)
+		e := newEngine(g)
 		for _, expr := range []string{
 			"!pa", "!pa/pb", "(!pa)+", "!(pa|pb)*", "!^pb", "pa|!pb",
 		} {
@@ -501,7 +495,7 @@ func TestNegatedSetsRandom(t *testing.T) {
 // Stats must be internally consistent and populated.
 func TestStatsPopulated(t *testing.T) {
 	g := enginetest.Metro()
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	stats, err := e.Eval(context.Background(), Query{
 		Subject: Variable,
 		Expr:    pathexpr.MustParse("(l1|l2|l5)+"),
@@ -530,7 +524,7 @@ func TestLocality(t *testing.T) {
 		b.Add(nodeName(i), "q", nodeName(i+1))
 	}
 	g := b.Build()
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	i3 := mustID(t, g, "i3")
 	stats, err := e.Eval(context.Background(), Query{
 		Subject: Variable,
@@ -554,7 +548,7 @@ func TestLocality(t *testing.T) {
 // order is asserted.)
 func TestPaperFig6BFSOrder(t *testing.T) {
 	g := enginetest.Metro()
-	e := newEngine(g, ring.WaveletMatrix)
+	e := newEngine(g)
 	var order []string
 	_, err := e.Eval(context.Background(), Query{
 		Subject: Variable,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ringrpq/internal/datagen"
-	"ringrpq/internal/ring"
 	"ringrpq/internal/workload"
 )
 
@@ -15,7 +14,7 @@ func testSetup(t *testing.T) ( //nolint:unparam
 	t.Helper()
 	g := datagen.Generate(datagen.Config{Seed: 4, Nodes: 300, Edges: 1200, Preds: 12})
 	qs := workload.Generate(g, workload.Config{Seed: 6, Total: 60})
-	return NewRing(g, ring.WaveletMatrix), NewBFS(g), NewALP(g), NewRelational(g), qs, g.Len()
+	return NewRing(g), NewBFS(g), NewALP(g), NewRelational(g), qs, g.Len()
 }
 
 // All four systems must return identical result counts on every query —

@@ -42,27 +42,20 @@ type Ring struct {
 	g      *triples.Graph
 	r      *ring.Ring
 	engine *core.Engine
-	name   string
 }
 
-// NewRing builds the ring system; the layout selects wavelet matrix
-// (paper default) or wavelet tree.
-func NewRing(g *triples.Graph, layout ring.Layout) *Ring {
-	name := "Ring"
-	if layout == ring.WaveletTree {
-		name = "Ring(WT)"
-	}
-	r := ring.New(g, layout)
+// NewRing builds the ring system.
+func NewRing(g *triples.Graph) *Ring {
+	r := ring.New(g, ring.WaveletMatrix)
 	return &Ring{
 		g:      g,
 		r:      r,
 		engine: core.NewEngine(r, func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }),
-		name:   name,
 	}
 }
 
 // Name implements System.
-func (s *Ring) Name() string { return s.name }
+func (s *Ring) Name() string { return "Ring" }
 
 // SizeBytes implements System with the paper's accounting: the RPQ
 // engine needs L_s, L_p and the C arrays only.

@@ -411,7 +411,7 @@ type part struct {
 	pat int
 	// seq holds the candidates; open marks a pattern with nothing bound
 	// yet, for which every symbol of seq's alphabet is a candidate.
-	seq  wavelet.Seq
+	seq  *wavelet.Matrix
 	open bool
 	// binds are the variable's occurrences and the constants after them,
 	// in rotation order.
@@ -450,7 +450,7 @@ func newJoiner(r *ring.Ring, patterns []Pattern, order []string, rots []axis) *j
 		vals:   make([]uint32, len(order)),
 	}
 	pos := positions(order)
-	seqs := [3]wavelet.Seq{axS: r.Ls, axO: r.Lo, axP: r.Lp}
+	seqs := [3]*wavelet.Matrix{axS: r.Ls, axO: r.Lo, axP: r.Lp}
 	for i, p := range patterns {
 		j.states[i] = state{-1, -1}
 		var axes [3]axis

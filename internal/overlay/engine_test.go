@@ -30,7 +30,7 @@ type baseEdge struct{ s, p, o uint32 }
 // sequence of overlay batches (adds of the remainder plus deletions of
 // static edges, applied in several rounds with some churn), interning
 // identical names in identical order so ids agree across graphs.
-func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards int, layout ring.Layout) (*scenario, *Engine) {
+func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards int) (*scenario, *Engine) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -94,11 +94,11 @@ func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards 
 	var static2 core.Evaluator
 	ids := func(s pathexpr.Sym) (uint32, bool) { return gStatic.PredID(s.Name, s.Inverse) }
 	if shards > 1 {
-		set := ring.NewShardSet(gStatic, shards, nil, layout)
+		set := ring.NewShardSet(gStatic, shards, nil, ring.WaveletMatrix)
 		rings = set.Shards
 		static2 = core.NewShardedEngine(set, ids)
 	} else {
-		r := ring.New(gStatic, layout)
+		r := ring.New(gStatic, ring.WaveletMatrix)
 		rings = []*ring.Ring{r}
 		static2 = core.NewEngine(r, ids)
 	}
@@ -212,7 +212,7 @@ func runCase(t *testing.T, sc *scenario, eng *Engine, subject int64, expr pathex
 
 func testDifferential(t *testing.T, shards int) {
 	for seed := int64(0); seed < 8; seed++ {
-		sc, eng := buildScenario(t, 100+seed, 14, 4, 40, 2, shards, ring.WaveletMatrix)
+		sc, eng := buildScenario(t, 100+seed, 14, 4, 40, 2, shards)
 		rng := rand.New(rand.NewSource(999 + seed))
 		for q := 0; q < 30; q++ {
 			expr := enginetest.RandomExpr(rng, sc.np, 1+rng.Intn(3))
@@ -237,7 +237,7 @@ func TestUnionEngineDifferentialSharded(t *testing.T) { testDifferential(t, 3) }
 // TestUnionEngineWide drives the >64-state fallback: an expression with
 // 72 Glushkov positions over a small updated graph.
 func TestUnionEngineWide(t *testing.T) {
-	sc, eng := buildScenario(t, 7, 10, 4, 25, 1, 1, ring.WaveletMatrix)
+	sc, eng := buildScenario(t, 7, 10, 4, 25, 1, 1)
 	alt := pathexpr.Node(pathexpr.Sym{Name: "pa"})
 	for _, n := range []string{"pb", "pc", "pd"} {
 		alt = pathexpr.Alt{L: alt, R: pathexpr.Sym{Name: n}}
@@ -307,7 +307,7 @@ func TestUnionEngineDelegates(t *testing.T) {
 
 // TestUnionEngineLimitTimeout checks option handling parity.
 func TestUnionEngineLimitTimeout(t *testing.T) {
-	sc, eng := buildScenario(t, 11, 14, 4, 50, 1, 1, ring.WaveletMatrix)
+	sc, eng := buildScenario(t, 11, 14, 4, 50, 1, 1)
 	expr := pathexpr.Star{X: pathexpr.Sym{Name: "pa"}}
 	n := 0
 	_, err := eng.Eval(context.Background(), core.Query{Subject: core.Variable, Expr: expr, Object: core.Variable},
@@ -322,7 +322,7 @@ func TestUnionEngineLimitTimeout(t *testing.T) {
 // traversal inside its per-edge/per-leaf loops — ring descents and
 // overlay merges alike — in every mode and stepping tier.
 func TestUnionEngineTimeoutProbedInInnerLoops(t *testing.T) {
-	_, eng := buildScenario(t, 21, 150, 2, 1800, 100, 1, ring.WaveletMatrix)
+	_, eng := buildScenario(t, 21, 150, 2, 1800, 100, 1)
 	expr := pathexpr.MustParse("(pa|pb)+")
 	q := core.Query{Subject: core.Variable, Expr: expr, Object: core.Variable}
 	for _, opts := range []core.Options{

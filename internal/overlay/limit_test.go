@@ -109,7 +109,7 @@ func TestLimitProperty(t *testing.T) {
 		np := 1 + rng.Intn(3)
 		g := enginetest.RandomGraph(seed, 6+rng.Intn(24), np, 20+rng.Intn(150))
 		arms := staticArms(g)
-		sc, ov := buildScenario(t, 300+seed, 8+int(seed), 3, 90, 2, 1, ring.WaveletMatrix)
+		sc, ov := buildScenario(t, 300+seed, 8+int(seed), 3, 90, 2, 1)
 		ovArms := []limitArm{{"overlay", ov, core.Options{}}, {"overlay-unbatched", ov, core.Options{DisableBatching: true}}}
 		for trial := 0; trial < 3; trial++ {
 			expr := enginetest.RandomExpr(rng, np, 1+rng.Intn(3))

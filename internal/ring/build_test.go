@@ -12,17 +12,11 @@ import (
 
 // refFromTriples is the comparison-sort build fromTriples replaced,
 // kept as the oracle: one sort.Slice per ring order.
-func refFromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring {
+func refFromTriples(ts []triples.Triple, nv int, np uint32) *Ring {
 	n := len(ts)
 	r := &Ring{N: n, NumNodes: nv, NumPreds: np}
 	buf := append([]triples.Triple(nil), ts...)
 	seq := make([]uint32, n)
-	mk := func(sigma uint32) wavelet.Seq {
-		if layout == WaveletTree {
-			return wavelet.NewTree(seq, sigma)
-		}
-		return wavelet.NewMatrix(seq, sigma)
-	}
 	order := func(key func(triples.Triple) [3]uint32) {
 		sort.Slice(buf, func(i, j int) bool {
 			a, b := key(buf[i]), key(buf[j])
@@ -50,21 +44,21 @@ func refFromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring
 		seq[i] = t.O
 	}
 	r.Cs = partition(nv, func(t triples.Triple) uint32 { return t.S })
-	r.Lo = mk(uint32(nv))
+	r.Lo = wavelet.NewMatrix(seq, uint32(nv))
 
 	order(func(t triples.Triple) [3]uint32 { return [3]uint32{t.P, t.O, t.S} })
 	for i, t := range buf {
 		seq[i] = t.S
 	}
 	r.Cp = partition(int(np), func(t triples.Triple) uint32 { return t.P })
-	r.Ls = mk(uint32(nv))
+	r.Ls = wavelet.NewMatrix(seq, uint32(nv))
 
 	order(func(t triples.Triple) [3]uint32 { return [3]uint32{t.O, t.S, t.P} })
 	for i, t := range buf {
 		seq[i] = t.P
 	}
 	r.Co = partition(nv, func(t triples.Triple) uint32 { return t.O })
-	r.Lp = mk(np)
+	r.Lp = wavelet.NewMatrix(seq, np)
 	return r
 }
 
@@ -89,7 +83,7 @@ func randTriples(rng *rand.Rand, n, nv int, np uint32, skew bool) []triples.Trip
 	return ts
 }
 
-func seqEqual(t *testing.T, what string, got, want wavelet.Seq) {
+func seqEqual(t *testing.T, what string, got, want *wavelet.Matrix) {
 	t.Helper()
 	if got.Len() != want.Len() || got.Sigma() != want.Sigma() {
 		t.Fatalf("%s: len/sigma %d/%d, want %d/%d", what, got.Len(), got.Sigma(), want.Len(), want.Sigma())
@@ -120,26 +114,24 @@ func TestFromTriplesMatchesComparisonSort(t *testing.T) {
 		{"dense", 400, 8, 8, false},
 	}
 	for _, sh := range shapes {
-		for lname, layout := range layouts() {
-			for seed := int64(0); seed < 3; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				ts := randTriples(rng, sh.n, sh.nv, sh.np, sh.skew)
-				want := refFromTriples(ts, sh.nv, sh.np, layout)
-				got := fromTriples(ts, sh.nv, sh.np, layout) // reorders ts
-				what := sh.name + "/" + lname
-				if got.N != want.N {
-					t.Fatalf("%s: N = %d, want %d", what, got.N, want.N)
-				}
-				seqEqual(t, what+" Lo", got.Lo, want.Lo)
-				seqEqual(t, what+" Ls", got.Ls, want.Ls)
-				seqEqual(t, what+" Lp", got.Lp, want.Lp)
-				if !reflect.DeepEqual(got.Cs, want.Cs) || !reflect.DeepEqual(got.Cp, want.Cp) || !reflect.DeepEqual(got.Co, want.Co) {
-					t.Fatalf("%s: C arrays differ", what)
-				}
-				if got.SizeBytes() != want.SizeBytes() || got.QuerySizeBytes() != want.QuerySizeBytes() {
-					t.Fatalf("%s: sizes %d/%d, want %d/%d", what,
-						got.SizeBytes(), got.QuerySizeBytes(), want.SizeBytes(), want.QuerySizeBytes())
-				}
+		for seed := int64(0); seed < 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ts := randTriples(rng, sh.n, sh.nv, sh.np, sh.skew)
+			want := refFromTriples(ts, sh.nv, sh.np)
+			got := fromTriples(ts, sh.nv, sh.np) // reorders ts
+			what := sh.name
+			if got.N != want.N {
+				t.Fatalf("%s: N = %d, want %d", what, got.N, want.N)
+			}
+			seqEqual(t, what+" Lo", got.Lo, want.Lo)
+			seqEqual(t, what+" Ls", got.Ls, want.Ls)
+			seqEqual(t, what+" Lp", got.Lp, want.Lp)
+			if !reflect.DeepEqual(got.Cs, want.Cs) || !reflect.DeepEqual(got.Cp, want.Cp) || !reflect.DeepEqual(got.Co, want.Co) {
+				t.Fatalf("%s: C arrays differ", what)
+			}
+			if got.SizeBytes() != want.SizeBytes() || got.QuerySizeBytes() != want.QuerySizeBytes() {
+				t.Fatalf("%s: sizes %d/%d, want %d/%d", what,
+					got.SizeBytes(), got.QuerySizeBytes(), want.SizeBytes(), want.QuerySizeBytes())
 			}
 		}
 	}
@@ -152,17 +144,15 @@ func TestTriplesMatchesTripleAt(t *testing.T) {
 		n, nv int
 		np    uint32
 	}{{0, 4, 2}, {1, 3, 1}, {5, 1, 8}, {300, 40, 1}, {900, 120, 10}} {
-		for lname, layout := range layouts() {
-			rng := rand.New(rand.NewSource(int64(sh.n)))
-			r := fromTriples(randTriples(rng, sh.n, sh.nv, sh.np, true), sh.nv, sh.np, layout)
-			got := r.Triples()
-			if len(got) != r.N {
-				t.Fatalf("%s n=%d: %d triples, want %d", lname, sh.n, len(got), r.N)
-			}
-			for i, tr := range got {
-				if want := r.TripleAt(i); tr != want {
-					t.Fatalf("%s n=%d: Triples()[%d] = %v, want %v", lname, sh.n, i, tr, want)
-				}
+		rng := rand.New(rand.NewSource(int64(sh.n)))
+		r := fromTriples(randTriples(rng, sh.n, sh.nv, sh.np, true), sh.nv, sh.np)
+		got := r.Triples()
+		if len(got) != r.N {
+			t.Fatalf("n=%d: %d triples, want %d", sh.n, len(got), r.N)
+		}
+		for i, tr := range got {
+			if want := r.TripleAt(i); tr != want {
+				t.Fatalf("n=%d: Triples()[%d] = %v, want %v", sh.n, i, tr, want)
 			}
 		}
 	}
@@ -172,7 +162,7 @@ func BenchmarkFromTriples(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FromTriples(g.Triples, g.NumNodes(), g.NumCompletedPreds(), WaveletMatrix)
+		FromTriples(g.Triples, g.NumNodes(), g.NumCompletedPreds())
 	}
 }
 

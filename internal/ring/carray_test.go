@@ -14,7 +14,7 @@ import (
 )
 
 // cArrayRings returns every kind of ring the C-array views must hold
-// on: built in both layouts, decoded from a ring section (the rdb1
+// on: built, decoded from a ring section (the rdb1
 // payload) and from a shard container (the rdbs1 payload), the
 // sub-rings of a 3-shard set, and the edge shapes — no triples over an
 // empty id space (where the wavelet builds σ 0 as σ 1, so its counts
@@ -24,41 +24,39 @@ func cArrayRings(t *testing.T) map[string]*Ring {
 	t.Helper()
 	out := map[string]*Ring{}
 	g := enginetest.RandomGraph(3, 30, 4, 120)
-	for lname, layout := range layouts() {
-		r := New(g, layout)
-		out["built/"+lname] = r
+	r := New(g, WaveletMatrix)
+	out["built"] = r
 
-		var buf bytes.Buffer
-		w := serial.NewWriter(&buf)
-		r.Encode(w)
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		dec, err := Decode(serial.NewReader(&buf))
-		if err != nil {
-			t.Fatalf("%s: %v", lname, err)
-		}
-		out["decoded/"+lname] = dec
+	var buf bytes.Buffer
+	w := serial.NewWriter(&buf)
+	r.Encode(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decode(serial.NewReader(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["decoded"] = dec
 
-		set := NewShardSet(g, 3, nil, layout)
-		decSet := shardRoundTrip(t, set)
-		for i := range set.Shards {
-			out[fmt.Sprintf("shard%d/%s", i, lname)] = set.Shards[i]
-			out[fmt.Sprintf("decoded-shard%d/%s", i, lname)] = decSet.Shards[i]
-		}
+	set := NewShardSet(g, 3, nil, WaveletMatrix)
+	decSet := shardRoundTrip(t, set)
+	for i := range set.Shards {
+		out[fmt.Sprintf("shard%d", i)] = set.Shards[i]
+		out[fmt.Sprintf("decoded-shard%d", i)] = decSet.Shards[i]
+	}
 
-		rng := rand.New(rand.NewSource(1))
-		for name, sh := range map[string]struct {
-			n, nv int
-			np    uint32
-		}{
-			"empty-ids":  {0, 0, 0},
-			"no-triples": {0, 5, 4},
-			"one-node":   {4, 1, 6},
-			"one-pred":   {50, 12, 1},
-		} {
-			out[name+"/"+lname] = fromTriples(randTriples(rng, sh.n, sh.nv, sh.np, false), sh.nv, sh.np, layout)
-		}
+	rng := rand.New(rand.NewSource(1))
+	for name, sh := range map[string]struct {
+		n, nv int
+		np    uint32
+	}{
+		"empty-ids":  {0, 0, 0},
+		"no-triples": {0, 5, 4},
+		"one-node":   {4, 1, 6},
+		"one-pred":   {50, 12, 1},
+	} {
+		out[name] = fromTriples(randTriples(rng, sh.n, sh.nv, sh.np, false), sh.nv, sh.np)
 	}
 	return out
 }
@@ -84,26 +82,19 @@ func cRecount(r *Ring) (cs, cp, co []int) {
 // recount, sharing the sequences' backing arrays, counted once by the
 // size accounting, and never written by the ring's own read paths.
 func TestCArraysAreSequenceCounts(t *testing.T) {
-	type countBelow interface{ CountBelow(uint32) int }
 	for name, r := range cArrayRings(t) {
 		cs, cp, co := cRecount(r)
 		for _, c := range []struct {
 			what      string
 			got, want []int
-			seq       countBelow
 			counts    []int
 		}{
-			{"Cs", r.Cs, cs, r.Ls.(countBelow), r.Ls.Counts()},
-			{"Cp", r.Cp, cp, r.Lp.(countBelow), r.Lp.Counts()},
-			{"Co", r.Co, co, r.Lo.(countBelow), r.Lo.Counts()},
+			{"Cs", r.Cs, cs, r.Ls.Counts()},
+			{"Cp", r.Cp, cp, r.Lp.Counts()},
+			{"Co", r.Co, co, r.Lo.Counts()},
 		} {
 			if !slices.Equal(c.got, c.want) {
 				t.Fatalf("%s: %s = %v, recount %v", name, c.what, c.got, c.want)
-			}
-			for x := range c.got {
-				if c.got[x] != c.seq.CountBelow(uint32(x)) {
-					t.Fatalf("%s: %s[%d] = %d, CountBelow %d", name, c.what, x, c.got[x], c.seq.CountBelow(uint32(x)))
-				}
 			}
 			if &c.got[0] != &c.counts[0] || cap(c.got) != len(c.got) {
 				t.Fatalf("%s: %s is not a capped view of its sequence's counts", name, c.what)
@@ -130,7 +121,7 @@ func TestCArraysAreSequenceCounts(t *testing.T) {
 				t.Fatalf("%s: backward search for %v ends in [%d, %d)", name, tr, b, e)
 			}
 		}
-		FromTriples(ts, r.NumNodes, r.NumPreds, r.Layout())
+		FromTriples(ts, r.NumNodes, r.NumPreds)
 		NewSelectivity(r)
 		if after := [][]int{r.Cs, r.Cp, r.Co}; !reflect.DeepEqual(after, before) {
 			t.Fatalf("%s: a C array was written: %v, was %v", name, after, before)
@@ -150,10 +141,6 @@ func footprint(parts ...any) int {
 	var walk func(v reflect.Value)
 	walk = func(v reflect.Value) {
 		switch v.Kind() {
-		case reflect.Interface:
-			if !v.IsNil() {
-				walk(v.Elem())
-			}
 		case reflect.Pointer:
 			if v.IsNil() || seen[v.Pointer()] {
 				return

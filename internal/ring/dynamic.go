@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"ringrpq/internal/triples"
-	"ringrpq/internal/wavelet"
 )
 
 // This file holds the ring-side building blocks of the live-update
@@ -30,16 +29,6 @@ func (r *Ring) Has(s, p, o uint32) bool {
 		return false
 	}
 	return r.Ls.Rank(s, lsE) > r.Ls.Rank(s, lsB)
-}
-
-// Layout reports the wavelet representation the ring was built with
-// (needed to rebuild a compatible ring during compaction of a loaded
-// index, whose construction-time configuration is not stored).
-func (r *Ring) Layout() Layout {
-	if _, ok := r.Lo.(*wavelet.Tree); ok {
-		return WaveletTree
-	}
-	return WaveletMatrix
 }
 
 // Triples reconstructs the ring's completed triple set, in (o,s,p)
@@ -75,8 +64,8 @@ func (r *Ring) Triples() []triples.Triple {
 // comparison sort. It takes ts over as sorting space, so the caller's
 // triples come back reordered. The compactor's entry point; New remains
 // the builder's, going through a Graph.
-func FromTriples(ts []triples.Triple, numNodes int, numPreds uint32, layout Layout) *Ring {
-	return fromTriples(ts, numNodes, numPreds, layout)
+func FromTriples(ts []triples.Triple, numNodes int, numPreds uint32) *Ring {
+	return fromTriples(ts, numNodes, numPreds)
 }
 
 // ShardSetFrom assembles a ShardSet from pre-built sub-rings (all over

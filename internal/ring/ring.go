@@ -9,8 +9,8 @@
 // symbol that circularly precedes them. Together with the partitioning
 // arrays C_s, C_p, C_o, LF-steps (Eq. 3) navigate from one sequence to the
 // next, and backward search (Eqs. 4–5) maps a whole range at once. The
-// sequences are represented as wavelet trees (or wavelet matrices, the
-// paper's choice), whose range capabilities the RPQ engine exploits.
+// sequences are represented as wavelet matrices, the paper's choice,
+// whose range capabilities the RPQ engine exploits.
 package ring
 
 import (
@@ -21,17 +21,15 @@ import (
 	"ringrpq/internal/wavelet"
 )
 
-// Layout selects the wavelet representation of the sequences.
+// Layout names the wavelet representation of the sequences. There is
+// one, WaveletMatrix, and New and NewShardSet accept it and ignore it:
+// the parameter stays only because the benchmark module under bench/
+// still passes it, and it goes once that module stops.
 type Layout int
 
-const (
-	// WaveletMatrix is the paper's implementation choice (§5), best for
-	// large alphabets.
-	WaveletMatrix Layout = iota
-	// WaveletTree is the classical pointer-shaped layout, kept for the
-	// representation ablation.
-	WaveletTree
-)
+// WaveletMatrix is the paper's implementation choice (§5), the only
+// layout.
+const WaveletMatrix Layout = 0
 
 // Ring is the immutable index. All positions are 0-based and ranges are
 // half-open, so the object range of o in L_p is [Co[o], Co[o+1]).
@@ -44,7 +42,7 @@ type Ring struct {
 	NumPreds uint32
 
 	// Lo, Ls, Lp are the three BWT sequences.
-	Lo, Ls, Lp wavelet.Seq
+	Lo, Ls, Lp *wavelet.Matrix
 
 	// Cs[x] counts triples with subject < x and partitions Lo; likewise
 	// Cp partitions Ls by predicate and Co partitions Lp by object.
@@ -54,14 +52,15 @@ type Ring struct {
 	Cs, Cp, Co []int
 }
 
-// New builds the ring over the completed triples of g.
-func New(g *triples.Graph, layout Layout) *Ring {
-	return fromTriples(slices.Clone(g.Triples), g.NumNodes(), g.NumCompletedPreds(), layout)
+// New builds the ring over the completed triples of g. The layout is
+// ignored (see Layout).
+func New(g *triples.Graph, _ Layout) *Ring {
+	return fromTriples(slices.Clone(g.Triples), g.NumNodes(), g.NumCompletedPreds())
 }
 
 // fromTriples builds the ring over ts, which it takes over as sorting
 // space (the triples come back in some other order).
-func fromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring {
+func fromTriples(ts []triples.Triple, nv int, np uint32) *Ring {
 	n := len(ts)
 	for _, t := range ts {
 		if int(t.S) >= nv || int(t.O) >= nv || t.P >= np {
@@ -79,12 +78,6 @@ func fromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring {
 	a, b := ts, make([]triples.Triple, n)
 	cn, cp := make([]int, nv+1), make([]int, np+1)
 	seq := make([]uint32, n)
-	mk := func(sigma uint32) wavelet.Seq {
-		if layout == WaveletTree {
-			return wavelet.NewTree(seq, sigma)
-		}
-		return wavelet.NewMatrix(seq, sigma)
-	}
 
 	// L_p: triples sorted by (o,s,p), reached from any input order by
 	// passes on p, s and o. C_o partitions it by object.
@@ -94,14 +87,14 @@ func fromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring {
 	for i, t := range b {
 		seq[i] = t.P
 	}
-	r.Lp = mk(np)
+	r.Lp = wavelet.NewMatrix(seq, np)
 
 	// L_s: triples sorted by (p,o,s). C_p partitions it by predicate.
 	triples.SortBy(a, b, triples.ByP, cp)
 	for i, t := range a {
 		seq[i] = t.S
 	}
-	r.Ls = mk(uint32(nv))
+	r.Ls = wavelet.NewMatrix(seq, uint32(nv))
 
 	// L_o: triples sorted by (s,p,o); the cyclically preceding symbol of
 	// s in "spo" is o. C_s partitions it by subject.
@@ -109,7 +102,7 @@ func fromTriples(ts []triples.Triple, nv int, np uint32, layout Layout) *Ring {
 	for i, t := range b {
 		seq[i] = t.O
 	}
-	r.Lo = mk(uint32(nv))
+	r.Lo = wavelet.NewMatrix(seq, uint32(nv))
 
 	r.viewC()
 	return r

@@ -25,23 +25,17 @@ func fig1Graph() *triples.Graph {
 	return b.Build()
 }
 
-func layouts() map[string]Layout {
-	return map[string]Layout{"matrix": WaveletMatrix, "tree": WaveletTree}
-}
-
 func TestRingBasics(t *testing.T) {
 	g := fig1Graph()
-	for name, layout := range layouts() {
-		r := New(g, layout)
-		if r.N != g.Len() {
-			t.Fatalf("%s: N=%d, want %d", name, r.N, g.Len())
-		}
-		if r.Lo.Len() != r.N || r.Ls.Len() != r.N || r.Lp.Len() != r.N {
-			t.Fatalf("%s: sequence lengths differ from N", name)
-		}
-		if r.Cs[len(r.Cs)-1] != r.N || r.Cp[len(r.Cp)-1] != r.N || r.Co[len(r.Co)-1] != r.N {
-			t.Fatalf("%s: C arrays do not end at N", name)
-		}
+	r := New(g, WaveletMatrix)
+	if r.N != g.Len() {
+		t.Fatalf("N=%d, want %d", r.N, g.Len())
+	}
+	if r.Lo.Len() != r.N || r.Ls.Len() != r.N || r.Lp.Len() != r.N {
+		t.Fatalf("sequence lengths differ from N")
+	}
+	if r.Cs[len(r.Cs)-1] != r.N || r.Cp[len(r.Cp)-1] != r.N || r.Co[len(r.Co)-1] != r.N {
+		t.Fatalf("C arrays do not end at N")
 	}
 }
 
@@ -49,24 +43,22 @@ func TestRingBasics(t *testing.T) {
 // cycle L_p → L_s → L_o → L_p must return to the start (§3.4 example).
 func TestLFCycle(t *testing.T) {
 	g := fig1Graph()
-	for name, layout := range layouts() {
-		r := New(g, layout)
-		seen := map[triples.Triple]bool{}
-		for i := 0; i < r.N; i++ {
-			tr := r.TripleAt(i)
-			if seen[tr] {
-				t.Fatalf("%s: duplicate triple %v from position %d", name, tr, i)
-			}
-			seen[tr] = true
-			back := r.LFo(r.LFs(r.LFp(i)))
-			if back != i {
-				t.Fatalf("%s: LF cycle from %d returns %d", name, i, back)
-			}
+	r := New(g, WaveletMatrix)
+	seen := map[triples.Triple]bool{}
+	for i := 0; i < r.N; i++ {
+		tr := r.TripleAt(i)
+		if seen[tr] {
+			t.Fatalf("duplicate triple %v from position %d", tr, i)
 		}
-		for _, tr := range g.Triples {
-			if !seen[tr] {
-				t.Fatalf("%s: triple %v not reconstructed", name, g.String(tr))
-			}
+		seen[tr] = true
+		back := r.LFo(r.LFs(r.LFp(i)))
+		if back != i {
+			t.Fatalf("LF cycle from %d returns %d", i, back)
+		}
+	}
+	for _, tr := range g.Triples {
+		if !seen[tr] {
+			t.Fatalf("triple %v not reconstructed", g.String(tr))
 		}
 	}
 }
@@ -99,28 +91,26 @@ func TestObjectRanges(t *testing.T) {
 // BackwardByPred must yield exactly the subjects of (s,p,o) triples.
 func TestBackwardSearchStep(t *testing.T) {
 	g := fig1Graph()
-	for name, layout := range layouts() {
-		r := New(g, layout)
-		for o := uint32(0); int(o) < g.NumNodes(); o++ {
-			bo, eo := r.ObjectRange(o)
-			for p := uint32(0); p < g.NumCompletedPreds(); p++ {
-				bp, ep := r.BackwardByPred(bo, eo, p)
-				var got []uint32
-				for i := bp; i < ep; i++ {
-					got = append(got, r.Ls.Access(i))
+	r := New(g, WaveletMatrix)
+	for o := uint32(0); int(o) < g.NumNodes(); o++ {
+		bo, eo := r.ObjectRange(o)
+		for p := uint32(0); p < g.NumCompletedPreds(); p++ {
+			bp, ep := r.BackwardByPred(bo, eo, p)
+			var got []uint32
+			for i := bp; i < ep; i++ {
+				got = append(got, r.Ls.Access(i))
+			}
+			var want []uint32
+			for _, tr := range g.Triples {
+				if tr.O == o && tr.P == p {
+					want = append(want, tr.S)
 				}
-				var want []uint32
-				for _, tr := range g.Triples {
-					if tr.O == o && tr.P == p {
-						want = append(want, tr.S)
-					}
-				}
-				sortU32(got)
-				sortU32(want)
-				if !equalU32(got, want) {
-					t.Fatalf("%s: o=%s p=%s: subjects %v, want %v",
-						name, g.Nodes.Name(o), g.PredName(p), got, want)
-				}
+			}
+			sortU32(got)
+			sortU32(want)
+			if !equalU32(got, want) {
+				t.Fatalf("o=%s p=%s: subjects %v, want %v",
+					g.Nodes.Name(o), g.PredName(p), got, want)
 			}
 		}
 	}
@@ -163,8 +153,7 @@ func TestPaperWorkedExample(t *testing.T) {
 	}
 }
 
-// Random graphs: the ring must reconstruct exactly the input triple set,
-// for both layouts.
+// Random graphs: the ring must reconstruct exactly the input triple set.
 func TestRandomGraphsReconstruct(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -184,19 +173,17 @@ func TestRandomGraphsReconstruct(t *testing.T) {
 			b.Preds().Intern("p" + string(rune('0'+i)))
 		}
 		g := b.Build()
-		for name, layout := range layouts() {
-			r := New(g, layout)
-			got := map[triples.Triple]bool{}
-			for i := 0; i < r.N; i++ {
-				got[r.TripleAt(i)] = true
-			}
-			if len(got) != g.Len() {
-				t.Fatalf("seed %d %s: %d distinct triples, want %d", seed, name, len(got), g.Len())
-			}
-			for _, tr := range g.Triples {
-				if !got[tr] {
-					t.Fatalf("seed %d %s: missing %v", seed, name, tr)
-				}
+		r := New(g, WaveletMatrix)
+		got := map[triples.Triple]bool{}
+		for i := 0; i < r.N; i++ {
+			got[r.TripleAt(i)] = true
+		}
+		if len(got) != g.Len() {
+			t.Fatalf("seed %d: %d distinct triples, want %d", seed, len(got), g.Len())
+		}
+		for _, tr := range g.Triples {
+			if !got[tr] {
+				t.Fatalf("seed %d: missing %v", seed, tr)
 			}
 		}
 	}

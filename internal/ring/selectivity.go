@@ -12,13 +12,13 @@ import "ringrpq/internal/wavelet"
 // occurrence of L[i] (or -1). The number of distinct symbols in
 // L[b, e) equals the number of positions i ∈ [b, e) with prev[i] < b —
 // each distinct symbol is counted exactly once, at its first occurrence
-// in the range. Storing prev in a wavelet tree answers that with one
-// RangeCountBelow in O(log n). The prev trees use ⌈log n⌉ bits per
+// in the range. Storing prev in a wavelet matrix answers that with one
+// RangeCountBelow in O(log n). The prev matrices use ⌈log n⌉ bits per
 // position versus the ⌈log σ⌉ of the ring's own sequences — the
 // "roughly doubling" of the paper.
 type Selectivity struct {
-	prevP wavelet.Seq // previous-occurrence positions of L_p
-	prevS wavelet.Seq // previous-occurrence positions of L_s
+	prevP *wavelet.Matrix // previous-occurrence positions of L_p
+	prevS *wavelet.Matrix // previous-occurrence positions of L_s
 }
 
 // NewSelectivity builds the statistics structures for r; construction is
@@ -33,7 +33,7 @@ func NewSelectivity(r *Ring) *Selectivity {
 // prevTree extracts a sequence and indexes its previous-occurrence
 // array; positions are stored shifted by one so that "no previous
 // occurrence" is 0.
-func prevTree(seq wavelet.Seq) wavelet.Seq {
+func prevTree(seq *wavelet.Matrix) *wavelet.Matrix {
 	n := seq.Len()
 	last := make(map[uint32]int, 1024)
 	prev := make([]uint32, n)
@@ -59,7 +59,7 @@ func (s *Selectivity) DistinctSubjects(b, e int) int {
 	return countDistinct(s.prevS, b, e)
 }
 
-func countDistinct(prev wavelet.Seq, b, e int) int {
+func countDistinct(prev *wavelet.Matrix, b, e int) int {
 	if b < 0 {
 		b = 0
 	}
@@ -69,11 +69,8 @@ func countDistinct(prev wavelet.Seq, b, e int) int {
 	if b >= e {
 		return 0
 	}
-	type counter interface {
-		RangeCountBelow(b, e int, x uint32) int
-	}
 	// Stored values are prev+1, so "prev < b" is "stored < b+1".
-	return prev.(counter).RangeCountBelow(b, e, uint32(b)+1)
+	return prev.RangeCountBelow(b, e, uint32(b)+1)
 }
 
 // SizeBytes reports the extra space of the statistics structures.

@@ -15,19 +15,16 @@ func (r *Ring) Encode(w *serial.Writer) {
 	w.Int(r.N)
 	w.Int(r.NumNodes)
 	w.Uvarint(uint64(r.NumPreds))
-	for _, seq := range []wavelet.Seq{r.Lo, r.Ls, r.Lp} {
-		switch s := seq.(type) {
-		case *wavelet.Matrix:
-			w.Int(0)
-			s.Encode(w)
-		case *wavelet.Tree:
-			w.Int(1)
-			s.Encode(w)
-		}
+	for _, m := range []*wavelet.Matrix{r.Lo, r.Ls, r.Lp} {
+		w.Int(0) // sequence kind: a wavelet matrix
+		m.Encode(w)
 	}
 }
 
-// Decode reads a ring written by Encode.
+// Decode reads a ring written by Encode. A sequence of kind 1, the
+// wavelet tree older files hold, is decoded into its symbols and built
+// again as a wavelet matrix: the ring is then the one New builds from
+// the same triples.
 func Decode(rd *serial.Reader) (*Ring, error) {
 	rd.Magic("rng1")
 	r := &Ring{}
@@ -37,7 +34,7 @@ func Decode(rd *serial.Reader) (*Ring, error) {
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	seqs := make([]wavelet.Seq, 3)
+	seqs := make([]*wavelet.Matrix, 3)
 	for i := range seqs {
 		kind := rd.Int()
 		if err := rd.Err(); err != nil {
@@ -48,7 +45,11 @@ func Decode(rd *serial.Reader) (*Ring, error) {
 		case 0:
 			seqs[i], err = wavelet.DecodeMatrix(rd)
 		case 1:
-			seqs[i], err = wavelet.DecodeTree(rd)
+			var symbols []uint32
+			var sigma uint32
+			if symbols, sigma, err = wavelet.DecodeTreeSymbols(rd); err == nil {
+				seqs[i] = wavelet.NewMatrix(symbols, sigma)
+			}
 		default:
 			return nil, fmt.Errorf("ring: unknown sequence kind %d", kind)
 		}

@@ -9,42 +9,40 @@ import (
 
 func TestRingEncodeDecode(t *testing.T) {
 	g := fig1Graph()
-	for name, layout := range layouts() {
-		r := New(g, layout)
-		var buf bytes.Buffer
-		w := serial.NewWriter(&buf)
-		r.Encode(w)
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+	r := New(g, WaveletMatrix)
+	var buf bytes.Buffer
+	w := serial.NewWriter(&buf)
+	r.Encode(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Decode(serial.NewReader(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.N != r.N || r2.NumNodes != r.NumNodes || r2.NumPreds != r.NumPreds {
+		t.Fatalf("header differs")
+	}
+	// C arrays must be rebuilt identically.
+	for i := range r.Cs {
+		if r.Cs[i] != r2.Cs[i] {
+			t.Fatalf("Cs[%d] differs", i)
 		}
-		r2, err := Decode(serial.NewReader(&buf))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	}
+	for i := range r.Co {
+		if r.Co[i] != r2.Co[i] {
+			t.Fatalf("Co[%d] differs", i)
 		}
-		if r2.N != r.N || r2.NumNodes != r.NumNodes || r2.NumPreds != r.NumPreds {
-			t.Fatalf("%s: header differs", name)
+	}
+	for i := range r.Cp {
+		if r.Cp[i] != r2.Cp[i] {
+			t.Fatalf("Cp[%d] differs", i)
 		}
-		// C arrays must be rebuilt identically.
-		for i := range r.Cs {
-			if r.Cs[i] != r2.Cs[i] {
-				t.Fatalf("%s: Cs[%d] differs", name, i)
-			}
-		}
-		for i := range r.Co {
-			if r.Co[i] != r2.Co[i] {
-				t.Fatalf("%s: Co[%d] differs", name, i)
-			}
-		}
-		for i := range r.Cp {
-			if r.Cp[i] != r2.Cp[i] {
-				t.Fatalf("%s: Cp[%d] differs", name, i)
-			}
-		}
-		// Triple reconstruction must agree everywhere.
-		for i := 0; i < r.N; i++ {
-			if r.TripleAt(i) != r2.TripleAt(i) {
-				t.Fatalf("%s: TripleAt(%d) differs", name, i)
-			}
+	}
+	// Triple reconstruction must agree everywhere.
+	for i := 0; i < r.N; i++ {
+		if r.TripleAt(i) != r2.TripleAt(i) {
+			t.Fatalf("TripleAt(%d) differs", i)
 		}
 	}
 }

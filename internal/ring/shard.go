@@ -91,8 +91,8 @@ type ShardSet struct {
 
 // NewShardSet partitions the completed triples of g into k sub-rings
 // and builds them in parallel. k is clamped to [1, MaxShards]; a nil
-// part defaults to HashPartitioner.
-func NewShardSet(g *triples.Graph, k int, part Partitioner, layout Layout) *ShardSet {
+// part defaults to HashPartitioner. The layout is ignored (see Layout).
+func NewShardSet(g *triples.Graph, k int, part Partitioner, _ Layout) *ShardSet {
 	if k < 1 {
 		k = 1
 	}
@@ -118,7 +118,7 @@ func NewShardSet(g *triples.Graph, k int, part Partitioner, layout Layout) *Shar
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s.Shards[i] = fromTriples(buckets[i], nv, np, layout)
+			s.Shards[i] = fromTriples(buckets[i], nv, np)
 		}(i)
 	}
 	wg.Wait()

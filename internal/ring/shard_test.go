@@ -27,22 +27,20 @@ func shardRoundTrip(t *testing.T, set *ShardSet) *ShardSet {
 
 func TestShardSetRoundTrip(t *testing.T) {
 	g := enginetest.RandomGraph(1, 15, 4, 60)
-	for _, layout := range []Layout{WaveletMatrix, WaveletTree} {
-		set := NewShardSet(g, 3, nil, layout)
-		got := shardRoundTrip(t, set)
-		if got.K != set.K || got.N != set.N || got.NumNodes != set.NumNodes || got.NumPreds != set.NumPreds {
-			t.Fatalf("layout %d: header (%d,%d,%d,%d) != (%d,%d,%d,%d)", layout,
-				got.K, got.N, got.NumNodes, got.NumPreds, set.K, set.N, set.NumNodes, set.NumPreds)
+	set := NewShardSet(g, 3, nil, WaveletMatrix)
+	got := shardRoundTrip(t, set)
+	if got.K != set.K || got.N != set.N || got.NumNodes != set.NumNodes || got.NumPreds != set.NumPreds {
+		t.Fatalf("header (%d,%d,%d,%d) != (%d,%d,%d,%d)",
+			got.K, got.N, got.NumNodes, got.NumPreds, set.K, set.N, set.NumNodes, set.NumPreds)
+	}
+	for i := range set.Shards {
+		a, b := set.Shards[i], got.Shards[i]
+		if a.N != b.N {
+			t.Fatalf("shard %d has %d triples, want %d", i, b.N, a.N)
 		}
-		for i := range set.Shards {
-			a, b := set.Shards[i], got.Shards[i]
-			if a.N != b.N {
-				t.Fatalf("layout %d: shard %d has %d triples, want %d", layout, i, b.N, a.N)
-			}
-			for pos := 0; pos < a.N; pos++ {
-				if a.TripleAt(pos) != b.TripleAt(pos) {
-					t.Fatalf("layout %d: shard %d triple %d differs", layout, i, pos)
-				}
+		for pos := 0; pos < a.N; pos++ {
+			if a.TripleAt(pos) != b.TripleAt(pos) {
+				t.Fatalf("shard %d triple %d differs", i, pos)
 			}
 		}
 	}

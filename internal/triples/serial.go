@@ -1,6 +1,10 @@
 package triples
 
-import "ringrpq/internal/serial"
+import (
+	"fmt"
+
+	"ringrpq/internal/serial"
+)
 
 // Encode writes the dictionary's names in id order.
 func (d *Dict) Encode(w *serial.Writer) {
@@ -12,7 +16,9 @@ func (d *Dict) Encode(w *serial.Writer) {
 	}
 }
 
-// DecodeDict reads a dictionary written by Encode.
+// DecodeDict reads a dictionary written by Encode. A repeated name is
+// corrupt (ids are positions, and interning it again would shift every
+// later one).
 func DecodeDict(r *serial.Reader) *Dict {
 	r.Magic("dic1")
 	n := r.Int()
@@ -22,7 +28,10 @@ func DecodeDict(r *serial.Reader) *Dict {
 		if r.Err() != nil {
 			return nil
 		}
-		d.Intern(name)
+		if d.Intern(name) != uint32(i) {
+			r.Fail(fmt.Errorf("triples: name %q repeated in dictionary", name))
+			return nil
+		}
 	}
 	return d
 }

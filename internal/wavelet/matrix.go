@@ -7,12 +7,12 @@ import (
 	"ringrpq/internal/bitvec"
 )
 
-// Matrix is a wavelet matrix (Claude, Navarro & Ordóñez), the alternative
+// Matrix is a wavelet matrix (Claude, Navarro & Ordóñez), the
 // wavelet-tree layout the paper's artifact uses for its large alphabets:
 // one bitvector per bit level (MSB first); at each level all zeros of the
-// previous level precede all ones. Node ranges remain contiguous, so the
-// same heap-ordered NodeID scheme as Tree applies with id = 2^level +
-// prefix, where prefix is the symbol's high bits consumed so far.
+// previous level precede all ones. Node ranges remain contiguous, so
+// nodes take heap-ordered NodeIDs, id = 2^level + prefix, where prefix is
+// the symbol's high bits consumed so far.
 type Matrix struct {
 	n      int
 	sigma  uint32
@@ -109,12 +109,13 @@ func (m *Matrix) setBottomStarts() {
 	}
 }
 
-// Symbols decodes the whole sequence into dst (see Seq.Symbols) by
-// undoing the level partitions bottom-up: the leaf level is known from
-// the counts alone, and level l's order is recovered from level l+1's
-// by reading l's bits left to right, taking the next unread element of
-// the zeros run or of the ones run. No rank queries; O(n·log σ)
-// sequential work.
+// Symbols decodes the whole sequence into dst[:Len()], using tmp[:Len()]
+// as scratch (both at least Len() long, not overlapping): the bulk form
+// of Access for callers that read every position. It undoes the level
+// partitions bottom-up: the leaf level is known from the counts alone,
+// and level l's order is recovered from level l+1's by reading l's bits
+// left to right, taking the next unread element of the zeros run or of
+// the ones run. No rank queries; O(n·log σ) sequential work.
 func (m *Matrix) Symbols(dst, tmp []uint32) {
 	// Each level moves the sequence from one buffer to the other;
 	// start in the one that makes the last move land in dst.
@@ -164,15 +165,10 @@ func (m *Matrix) Count(c uint32) int {
 	return m.counts[c+1] - m.counts[c]
 }
 
-// CountBelow reports the number of positions holding symbols < c.
-func (m *Matrix) CountBelow(c uint32) int {
-	if c > m.sigma {
-		c = m.sigma
-	}
-	return m.counts[c]
-}
-
-// Counts returns the matrix's own CountBelow array (see Seq.Counts).
+// Counts returns the prefix sums of the symbol counts, Sigma()+1
+// entries with Counts()[c] the number of positions holding symbols below
+// c: the C array of backward search (Eq. 3). It is the matrix's own
+// array, not a copy, and must not be written.
 func (m *Matrix) Counts() []int { return m.counts }
 
 // NumNodes reports the exclusive upper bound on NodeIDs: ids live in
@@ -220,38 +216,9 @@ func (m *Matrix) Rank(c uint32, i int) int {
 	return i - b
 }
 
-// Select returns the position of the k-th (1-based) occurrence of c, or -1.
-func (m *Matrix) Select(c uint32, k int) int {
-	if c >= m.sigma || k < 1 || k > m.Count(c) {
-		return -1
-	}
-	// Descend to the start of c's leaf interval, then map the k-th
-	// occurrence back up with select.
-	b := 0
-	for l := 0; l < m.width; l++ {
-		bv := m.levels[l]
-		if c>>(uint(m.width-1-l))&1 == 1 {
-			b = m.zeros[l] + bv.Rank1(b)
-		} else {
-			b = bv.Rank0(b)
-		}
-	}
-	pos := b + k - 1 // absolute position at the virtual leaf level
-	for l := m.width - 1; l >= 0; l-- {
-		bv := m.levels[l]
-		if c>>(uint(m.width-1-l))&1 == 1 {
-			pos = bv.Select1(pos - m.zeros[l] + 1)
-		} else {
-			pos = bv.Select0(pos + 1)
-		}
-	}
-	return pos
-}
-
-// Traverse walks the nodes covering [b, e); see Visit. Leaf callbacks
-// receive exact occurrence-rank ranges via the precomputed bottom-level
-// starts; the full flag is exact at leaves and always false at internal
-// nodes (which Seq permits).
+// Traverse walks the nodes covering [b, e), consulting visit for
+// pruning (see Visit). Leaf callbacks receive exact occurrence-rank
+// ranges via the precomputed bottom-level starts.
 func (m *Matrix) Traverse(b, e int, visit Visit) {
 	if b < 0 {
 		b = 0
@@ -285,10 +252,16 @@ func (m *Matrix) traverse(level int, prefix uint32, b, e int, visit Visit) {
 	m.traverse(level+1, prefix<<1|1, z+(b-lb), z+(e-le), visit)
 }
 
-// TraverseMany walks the nodes covering every item range in a single
-// descent (see Seq.TraverseMany). Each level maps the surviving items
-// through two rank queries per item — shared top-level nodes are visited
-// once for the whole batch instead of once per item.
+// TraverseMany walks the nodes covering every item range in one
+// root-to-leaf descent, splitting the item list at each node instead of
+// re-descending from the root per item and coalescing adjacent ranges
+// that carry the same mask (the frontier-batched §4 traversal). Each
+// level maps the surviving items through two rank queries per item, so
+// shared top-level nodes are visited once for the whole batch. Items
+// must be sorted by B; they should be disjoint for the coalescing to
+// apply, but overlapping items are handled (each behaves as an
+// independent Traverse). The slice is mutated and owned by the
+// traversal until it returns.
 //
 //ringrpq:noalloc
 func (m *Matrix) TraverseMany(items []RangeMask, visit VisitMany) {
@@ -372,7 +345,8 @@ func (m *Matrix) minAtLeast(level int, prefix uint32, b, e int, x uint32) (uint3
 	return m.minAtLeast(level+1, prefix<<1|1, z+(b-lb), z+(e-le), x)
 }
 
-// SymRange reports the symbol interval covered by a node: a node id
+// SymRange reports the half-open symbol interval [lo, hi) a node covers,
+// clamped to the alphabet (empty for pure padding nodes): a node id
 // encodes (level, prefix) directly, so this is O(1).
 func (m *Matrix) SymRange(id NodeID) (uint32, uint32) {
 	level := bits.Len(uint(id)) - 1
@@ -390,7 +364,11 @@ func (m *Matrix) SymRange(id NodeID) (uint32, uint32) {
 }
 
 // PadNodes returns the canonical (segment-tree style) decomposition of the
-// padding leaf range [sigma, 2^width) into maximal subtrees.
+// padding leaf range [sigma, 2^width) into maximal subtrees: the matrix
+// pads the alphabet to a power of two, and these subtrees cover no
+// symbol. Callers maintaining per-node metadata keyed by NodeID can
+// pre-mark them so that bottom-up aggregation is not blocked by
+// never-visited padding leaves.
 func (m *Matrix) PadNodes() []NodeID {
 	var out []NodeID
 	lo := 1<<m.width + int(m.sigma) // leaf-level id of first padding symbol
@@ -408,6 +386,44 @@ func (m *Matrix) PadNodes() []NodeID {
 		hi /= 2
 	}
 	return out
+}
+
+// RangeCountBelow counts the positions of [b, e) holding symbols < x,
+// in O(log σ): the dominance counting primitive behind the colored
+// range counting of §6 (Gagie et al.), where the ring's selectivity
+// statistics reduce distinct-counting to exactly this query over an
+// array of previous-occurrence positions.
+func (m *Matrix) RangeCountBelow(b, e int, x uint32) int {
+	if b < 0 {
+		b = 0
+	}
+	if e > m.n {
+		e = m.n
+	}
+	if b >= e || x == 0 {
+		return 0
+	}
+	if uint64(x) >= 1<<uint(m.width) {
+		return e - b
+	}
+	count := 0
+	for l := 0; l < m.width; l++ {
+		bv := m.levels[l]
+		lb, le := bv.Rank0(b), bv.Rank0(e)
+		if x>>(uint(m.width-1-l))&1 == 1 {
+			// Symbols with a 0-bit here are below x: count and follow
+			// the 1-side.
+			count += le - lb
+			z := m.zeros[l]
+			b, e = z+(b-lb), z+(e-le)
+		} else {
+			b, e = lb, le
+		}
+		if b >= e {
+			break
+		}
+	}
+	return count
 }
 
 // SizeBytes reports the index memory footprint.

@@ -2,6 +2,7 @@ package wavelet
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ringrpq/internal/bitvec"
 	"ringrpq/internal/serial"
@@ -80,64 +81,98 @@ func checkCounts(counts []int, sigma, n int) error {
 	return nil
 }
 
-// Encode writes the tree: counts plus the node bitvectors in heap order
-// (present-flag per slot).
-func (t *Tree) Encode(w *serial.Writer) {
-	w.Magic("wt01")
-	w.Int(t.n)
-	w.Uvarint(uint64(t.sigma))
-	w.Int(t.numIDs)
-	w.Ints(t.counts)
-	present := 0
-	for _, bv := range t.nodes {
-		if bv != nil {
-			present++
-		}
-	}
-	w.Int(present)
-	for id, bv := range t.nodes {
-		if bv != nil {
-			w.Int(id)
-			bv.Encode(w)
-		}
-	}
-}
+// maxBareLen caps the length of a legacy tree section over a one-symbol
+// alphabet: such a section stores no bits, so nothing read backs the
+// length it claims.
+const maxBareLen = 1 << 20
 
-// DecodeTree reads a tree written by Encode.
-func DecodeTree(r *serial.Reader) (*Tree, error) {
+// DecodeTreeSymbols reads a sequence section written by the wavelet-tree
+// layout older files used and returns the symbols it holds, for the
+// caller to build a Matrix over. The section is its length, alphabet,
+// node-slot count and symbol counts, then the internal nodes' bitvectors
+// by heap id, a node over [lo, hi) splitting its symbols at (lo+hi)/2.
+// Every internal node over a non-empty symbol range must be present,
+// with as many bits as its range has occurrences and as many zeros as
+// its left half has; nothing else may be.
+func DecodeTreeSymbols(r *serial.Reader) ([]uint32, uint32, error) {
 	r.Magic("wt01")
-	t := &Tree{}
-	t.n = r.Int()
-	t.sigma = uint32(r.Uvarint())
-	t.numIDs = r.Int()
-	t.counts = r.Ints()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := checkCounts(t.counts, int(t.sigma), t.n); err != nil {
-		return nil, err
-	}
-	// NewTree allocates 2^(depth+1) node slots for the smallest depth
-	// with 2^depth ≥ sigma, so numIDs never exceeds 4·sigma (and is at
-	// least 2); anything else is corrupt — and would otherwise let a
-	// few header bytes demand an arbitrarily large allocation.
-	if t.numIDs < 2 || t.numIDs > 4*max(int(t.sigma), 1) {
-		return nil, fmt.Errorf("wavelet: corrupt tree node count %d for alphabet %d", t.numIDs, t.sigma)
-	}
-	t.nodes = make([]*bitvec.Vector, t.numIDs)
+	n := r.Int()
+	sigma := uint32(r.Uvarint())
+	numIDs := r.Int()
+	counts := r.Ints()
 	present := r.Int()
+	if err := r.Err(); err != nil {
+		return nil, 0, err
+	}
+	if err := bitvec.CheckLen(n); err != nil {
+		return nil, 0, err
+	}
+	if err := checkCounts(counts, int(sigma), n); err != nil {
+		return nil, 0, err
+	}
+	// The writer allocated 2^(depth+1) slots for the least depth with
+	// 2^depth ≥ σ, so every internal node's id is below numIDs/2.
+	if numIDs != 2<<bits.Len32(max(sigma, 1)-1) {
+		return nil, 0, fmt.Errorf("wavelet: corrupt tree node count %d for alphabet %d", numIDs, sigma)
+	}
+	nodes := make([]*bitvec.Vector, numIDs)
 	for i := 0; i < present; i++ {
 		id := r.Int()
-		if r.Err() != nil {
-			return nil, r.Err()
+		if err := r.Err(); err != nil {
+			return nil, 0, err
 		}
-		if id < 1 || id >= t.numIDs {
-			return nil, fmt.Errorf("wavelet: corrupt node id %d", id)
+		if id < 1 || id >= numIDs || nodes[id] != nil {
+			return nil, 0, fmt.Errorf("wavelet: corrupt or repeated tree node id %d", id)
 		}
-		t.nodes[id] = bitvec.Decode(r)
-		if r.Err() != nil {
-			return nil, r.Err()
+		nodes[id] = bitvec.Decode(r)
+		if err := r.Err(); err != nil {
+			return nil, 0, err
 		}
 	}
-	return t, nil
+	// Only bits already read may size the output: the root's, or the cap
+	// when there is no internal node.
+	if sigma <= 1 && n > maxBareLen || sigma > 1 && n > 0 && (nodes[1] == nil || nodes[1].Len() != n) {
+		return nil, 0, fmt.Errorf("wavelet: corrupt tree length %d for alphabet %d", n, sigma)
+	}
+	buf := make([]uint32, 2*n)
+	if err := treeSymbols(nodes, counts, 1, 0, sigma, buf[:n], buf[n:]); err != nil {
+		return nil, 0, err
+	}
+	for id, bv := range nodes {
+		if bv != nil {
+			return nil, 0, fmt.Errorf("wavelet: tree node %d lies outside the tree", id)
+		}
+	}
+	return buf[:n], sigma, nil
+}
+
+// treeSymbols decodes the subtree of node id, covering symbols [lo, hi),
+// into dst (len(dst) is the subtree's occurrence count) by a recursive
+// split: the children are decoded into the halves of tmp and merged
+// back in sequence order by the node's bits. Each node it reads is
+// checked against the counts and cleared from nodes.
+func treeSymbols(nodes []*bitvec.Vector, counts []int, id int, lo, hi uint32, dst, tmp []uint32) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	if hi-lo <= 1 {
+		for i := range dst {
+			dst[i] = lo
+		}
+		return nil
+	}
+	mid := (lo + hi) / 2
+	bv, z := nodes[id], counts[mid]-counts[lo]
+	if bv == nil || bv.Len() != len(dst) || bv.Zeros() != z {
+		return fmt.Errorf("wavelet: tree node %d missing or disagrees with the symbol counts", id)
+	}
+	nodes[id] = nil
+	if err := treeSymbols(nodes, counts, 2*id, lo, mid, tmp[:z], dst[:z]); err != nil {
+		return err
+	}
+	if err := treeSymbols(nodes, counts, 2*id+1, mid, hi, tmp[z:], dst[z:]); err != nil {
+		return err
+	}
+	unpartition(bv, dst, tmp)
+	return nil
 }

@@ -18,7 +18,7 @@ type leafHit struct {
 // referenceLeaves runs one classic Traverse per item and collects leaf
 // hits — the unbatched ground truth TraverseMany must reproduce (up to
 // coalescing of adjacent ranges with equal masks).
-func referenceLeaves(s Seq, items []RangeMask) []leafHit {
+func referenceLeaves(s *Matrix, items []RangeMask) []leafHit {
 	var out []leafHit
 	for _, it := range items {
 		mask := it.Mask
@@ -34,7 +34,7 @@ func referenceLeaves(s Seq, items []RangeMask) []leafHit {
 
 // batchedLeaves runs one TraverseMany over all items and collects leaf
 // hits; the input slice is copied first because TraverseMany mutates it.
-func batchedLeaves(s Seq, items []RangeMask) []leafHit {
+func batchedLeaves(s *Matrix, items []RangeMask) []leafHit {
 	scratch := append([]RangeMask(nil), items...)
 	var out []leafHit
 	s.TraverseMany(scratch, func(node NodeID, leaf bool, sym uint32, its []RangeMask) int {
@@ -74,13 +74,6 @@ func normalizeHits(hits []leafHit) map[uint64][]int {
 	return out
 }
 
-func seqsOver(data []uint32, sigma uint32) map[string]Seq {
-	return map[string]Seq{
-		"matrix": NewMatrix(data, sigma),
-		"tree":   NewTree(data, sigma),
-	}
-}
-
 // randomDisjointItems draws sorted disjoint ranges over [0, n) with
 // random small masks.
 func randomDisjointItems(rng *rand.Rand, n, count int) []RangeMask {
@@ -114,12 +107,11 @@ func TestTraverseManyMatchesTraverse(t *testing.T) {
 			data[i] = uint32(rng.Intn(int(sigma)))
 		}
 		items := randomDisjointItems(rng, n, 1+rng.Intn(8))
-		for name, s := range seqsOver(data, sigma) {
-			want := normalizeHits(referenceLeaves(s, items))
-			got := normalizeHits(batchedLeaves(s, items))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d %s: batched leaves differ\n got: %v\nwant: %v", seed, name, got, want)
-			}
+		s := NewMatrix(data, sigma)
+		want := normalizeHits(referenceLeaves(s, items))
+		got := normalizeHits(batchedLeaves(s, items))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: batched leaves differ\n got: %v\nwant: %v", seed, got, want)
 		}
 	}
 }
@@ -140,12 +132,11 @@ func TestTraverseManyOverlappingItems(t *testing.T) {
 		{B: 10, E: 60, Mask: 2}, // exact duplicate
 		{B: 50, E: 200, Mask: 1},
 	}
-	for name, s := range seqsOver(data, sigma) {
-		want := normalizeHits(referenceLeaves(s, items))
-		got := normalizeHits(batchedLeaves(s, items))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: overlapping items differ\n got: %v\nwant: %v", name, got, want)
-		}
+	s := NewMatrix(data, sigma)
+	want := normalizeHits(referenceLeaves(s, items))
+	got := normalizeHits(batchedLeaves(s, items))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("overlapping items differ\n got: %v\nwant: %v", got, want)
 	}
 }
 
@@ -153,22 +144,21 @@ func TestTraverseManyOverlappingItems(t *testing.T) {
 // tolerated (clamped or dropped) without visiting anything spurious.
 func TestTraverseManyEmptyAndClamped(t *testing.T) {
 	data := []uint32{3, 1, 4, 1, 5, 9, 2, 6}
-	for name, s := range seqsOver(data, 10) {
-		s.TraverseMany(nil, func(NodeID, bool, uint32, []RangeMask) int {
-			t.Fatalf("%s: visit called on empty item list", name)
+	s := NewMatrix(data, 10)
+	s.TraverseMany(nil, func(NodeID, bool, uint32, []RangeMask) int {
+		t.Fatal("visit called on empty item list")
+		return 0
+	})
+	s.TraverseMany([]RangeMask{{B: 3, E: 3, Mask: 1}, {B: 5, E: 4, Mask: 1}},
+		func(NodeID, bool, uint32, []RangeMask) int {
+			t.Fatal("visit called on empty ranges")
 			return 0
 		})
-		s.TraverseMany([]RangeMask{{B: 3, E: 3, Mask: 1}, {B: 5, E: 4, Mask: 1}},
-			func(NodeID, bool, uint32, []RangeMask) int {
-				t.Fatalf("%s: visit called on empty ranges", name)
-				return 0
-			})
-		// Clamped: [-5, 3) and [6, 99) must behave as [0, 3) and [6, 8).
-		got := normalizeHits(batchedLeaves(s, []RangeMask{{B: -5, E: 3, Mask: 1}, {B: 6, E: 99, Mask: 2}}))
-		want := normalizeHits(referenceLeaves(s, []RangeMask{{B: 0, E: 3, Mask: 1}, {B: 6, E: 8, Mask: 2}}))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: clamping differs\n got: %v\nwant: %v", name, got, want)
-		}
+	// Clamped: [-5, 3) and [6, 99) must behave as [0, 3) and [6, 8).
+	got := normalizeHits(batchedLeaves(s, []RangeMask{{B: -5, E: 3, Mask: 1}, {B: 6, E: 99, Mask: 2}}))
+	want := normalizeHits(referenceLeaves(s, []RangeMask{{B: 0, E: 3, Mask: 1}, {B: 6, E: 8, Mask: 2}}))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("clamping differs\n got: %v\nwant: %v", got, want)
 	}
 }
 
@@ -182,28 +172,27 @@ func TestTraverseManyCoalescing(t *testing.T) {
 	for i := range data {
 		data[i] = uint32(rng.Intn(int(sigma)))
 	}
-	for name, s := range seqsOver(data, sigma) {
-		var items []RangeMask
-		for i := 0; i < n; i++ {
-			items = append(items, RangeMask{B: i, E: i + 1, Mask: 42})
+	s := NewMatrix(data, sigma)
+	var items []RangeMask
+	for i := 0; i < n; i++ {
+		items = append(items, RangeMask{B: i, E: i + 1, Mask: 42})
+	}
+	visitsBatched := 0
+	s.TraverseMany(items, func(node NodeID, leaf bool, sym uint32, its []RangeMask) int {
+		visitsBatched++
+		if len(its) != 1 {
+			t.Fatalf("node %d sees %d items, want 1 coalesced", node, len(its))
 		}
-		visitsBatched := 0
-		s.TraverseMany(items, func(node NodeID, leaf bool, sym uint32, its []RangeMask) int {
-			visitsBatched++
-			if len(its) != 1 {
-				t.Fatalf("%s: node %d sees %d items, want 1 coalesced", name, node, len(its))
-			}
-			return len(its)
-		})
-		visitsFull := 0
-		s.Traverse(0, n, func(NodeID, bool, uint32, int, int, bool) bool {
-			visitsFull++
-			return true
-		})
-		if visitsBatched != visitsFull {
-			t.Fatalf("%s: %d batched visits, want the %d of one full-range Traverse",
-				name, visitsBatched, visitsFull)
-		}
+		return len(its)
+	})
+	visitsFull := 0
+	s.Traverse(0, n, func(NodeID, bool, uint32, int, int, bool) bool {
+		visitsFull++
+		return true
+	})
+	if visitsBatched != visitsFull {
+		t.Fatalf("%d batched visits, want the %d of one full-range Traverse",
+			visitsBatched, visitsFull)
 	}
 }
 
@@ -214,42 +203,41 @@ func TestTraverseManyPruning(t *testing.T) {
 	for i := range data {
 		data[i] = uint32(i % 8)
 	}
-	for name, s := range seqsOver(data, 8) {
-		// Prune everything at the root: no leaves.
-		leaves := 0
-		s.TraverseMany([]RangeMask{{B: 0, E: 64, Mask: 1}},
-			func(node NodeID, leaf bool, sym uint32, its []RangeMask) int {
-				if leaf {
-					leaves++
-					return 0
+	s := NewMatrix(data, 8)
+	// Prune everything at the root: no leaves.
+	leaves := 0
+	s.TraverseMany([]RangeMask{{B: 0, E: 64, Mask: 1}},
+		func(node NodeID, leaf bool, sym uint32, its []RangeMask) int {
+			if leaf {
+				leaves++
+				return 0
+			}
+			return 0
+		})
+	if leaves != 0 {
+		t.Fatalf("root pruning leaked %d leaves", leaves)
+	}
+	// Drop one of two masks at internal nodes: only the kept mask's
+	// leaves survive.
+	s.TraverseMany([]RangeMask{{B: 0, E: 32, Mask: 1}, {B: 32, E: 64, Mask: 2}},
+		func(node NodeID, leaf bool, sym uint32, its []RangeMask) int {
+			if leaf {
+				for _, it := range its {
+					if it.Mask != 1 {
+						t.Fatalf("pruned mask %d reached leaf %d", it.Mask, sym)
+					}
 				}
 				return 0
-			})
-		if leaves != 0 {
-			t.Fatalf("%s: root pruning leaked %d leaves", name, leaves)
-		}
-		// Drop one of two masks at internal nodes: only the kept mask's
-		// leaves survive.
-		s.TraverseMany([]RangeMask{{B: 0, E: 32, Mask: 1}, {B: 32, E: 64, Mask: 2}},
-			func(node NodeID, leaf bool, sym uint32, its []RangeMask) int {
-				if leaf {
-					for _, it := range its {
-						if it.Mask != 1 {
-							t.Fatalf("%s: pruned mask %d reached leaf %d", name, it.Mask, sym)
-						}
-					}
-					return 0
+			}
+			k := 0
+			for _, it := range its {
+				if it.Mask == 1 {
+					its[k] = it
+					k++
 				}
-				k := 0
-				for _, it := range its {
-					if it.Mask == 1 {
-						its[k] = it
-						k++
-					}
-				}
-				return k
-			})
-	}
+			}
+			return k
+		})
 }
 
 func BenchmarkTraverseMany(b *testing.B) {

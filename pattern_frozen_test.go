@@ -107,7 +107,7 @@ func bfsJoin(t *testing.T, g *triples.Graph, q *query.Query) []string {
 // the 20 000-node universe.
 func TestFrozenPathologicalPatterns(t *testing.T) {
 	g := datagen.Generate(datagen.Config{Seed: 1, Nodes: 20000, Edges: 100000, Preds: 60})
-	db := newDB(g, ring.New(g, ring.WaveletMatrix), nil, WaveletMatrix)
+	db := newDB(g, ring.New(g, ring.WaveletMatrix), nil)
 	for _, src := range []string{
 		"?x0 P45 ?x1 . ?x1 ^P10 ?x2 . ?x2 ^P10 Q5873",
 		"?x0 ^P8 ?x1 . ?x1 ^P12 ?x2 . ?x2 ^P59 ?x3 . ?x3 ^P45 Q17424",

@@ -79,21 +79,9 @@ import (
 	"ringrpq/internal/triples"
 )
 
-// Layout selects the wavelet representation of the ring's sequences.
-type Layout = ring.Layout
-
-// Wavelet layouts: the matrix is the paper's default; the tree is kept
-// for comparison.
-const (
-	WaveletMatrix = ring.WaveletMatrix
-	WaveletTree   = ring.WaveletTree
-)
-
 // BuilderConfig tunes index construction. The zero value builds the
-// default single-ring index with the wavelet-matrix layout.
+// default single-ring index.
 type BuilderConfig struct {
-	// Layout selects the wavelet representation of the ring sequences.
-	Layout Layout
 	// Shards partitions the triples across this many sub-rings that are
 	// built in parallel (queries whose expressions span shards traverse
 	// them on one goroutine). 0 or 1 builds the classic single ring.
@@ -121,9 +109,6 @@ func NewBuilderWithConfig(cfg BuilderConfig) *Builder {
 	return &Builder{b: triples.NewBuilder(), cfg: cfg}
 }
 
-// SetLayout selects the wavelet layout used by Build.
-func (b *Builder) SetLayout(l Layout) { b.cfg.Layout = l }
-
 // SetShards selects the shard count used by Build (see
 // BuilderConfig.Shards).
 func (b *Builder) SetShards(k int) { b.cfg.Shards = k }
@@ -149,16 +134,14 @@ func (b *Builder) Build() (*DB, error) {
 		return nil, fmt.Errorf("ringrpq: %d completed triples: %w", g.Len(), err)
 	}
 	if b.cfg.Shards > 1 {
-		set := ring.NewShardSet(g, b.cfg.Shards, nil, b.cfg.Layout)
-		return newDB(g, nil, set, b.cfg.Layout), nil
+		return newDB(g, nil, ring.NewShardSet(g, b.cfg.Shards, nil, ring.WaveletMatrix)), nil
 	}
-	r := ring.New(g, b.cfg.Layout)
-	return newDB(g, r, nil, b.cfg.Layout), nil
+	return newDB(g, ring.New(g, ring.WaveletMatrix), nil), nil
 }
 
 // newDB assembles a DB around a freshly built or loaded static index.
-func newDB(g *triples.Graph, r *ring.Ring, set *ring.ShardSet, layout Layout) *DB {
-	return &DB{g: g, h: newHolder(r, set, layout, g.NumNodes()), sel: query.NewSelCache()}
+func newDB(g *triples.Graph, r *ring.Ring, set *ring.ShardSet) *DB {
+	return &DB{g: g, h: newHolder(r, set, g.NumNodes()), sel: query.NewSelCache()}
 }
 
 // DB is an RPQ-queryable graph database. Its query methods share

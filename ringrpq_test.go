@@ -193,10 +193,11 @@ func TestEmptyGraphRejected(t *testing.T) {
 	}
 }
 
+// Triples loaded from text answer alike on the single-ring and the
+// sharded layout.
 func TestLoadAndLayouts(t *testing.T) {
-	for _, layout := range []Layout{WaveletMatrix, WaveletTree} {
-		b := NewBuilder()
-		b.SetLayout(layout)
+	for _, shards := range []int{1, 3} {
+		b := NewBuilderWithConfig(BuilderConfig{Shards: shards})
 		if err := b.Load(strings.NewReader("a p b\nb p c\nc p a\n")); err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestLoadAndLayouts(t *testing.T) {
 		}
 		n, err := db.Count("a", "p+", "?y")
 		if err != nil || n != 3 {
-			t.Fatalf("layout %v: p+ from a gives %d, want 3", layout, n)
+			t.Fatalf("%d shards: p+ from a gives %d, want 3", shards, n)
 		}
 	}
 }

@@ -100,7 +100,7 @@ func loadSingle(sr *serial.Reader) (*DB, error) {
 		return nil, fmt.Errorf("ringrpq: load: ring/dictionary mismatch (%d/%d nodes, %d/%d preds)",
 			rg.NumNodes, g.NumNodes(), rg.NumPreds, g.NumCompletedPreds())
 	}
-	return newDB(g, rg, nil, rg.Layout()), nil
+	return newDB(g, rg, nil), nil
 }
 
 func loadSharded(sr *serial.Reader) (*DB, error) {
@@ -119,9 +119,5 @@ func loadSharded(sr *serial.Reader) (*DB, error) {
 		return nil, fmt.Errorf("ringrpq: load: shard set/dictionary mismatch (%d/%d nodes, %d/%d preds)",
 			set.NumNodes, g.NumNodes(), set.NumPreds, g.NumCompletedPreds())
 	}
-	layout := ring.WaveletMatrix
-	if set.K > 0 {
-		layout = set.Shards[0].Layout()
-	}
-	return newDB(g, nil, set, layout), nil
+	return newDB(g, nil, set), nil
 }

@@ -9,52 +9,30 @@ import (
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	for _, layout := range []Layout{WaveletMatrix, WaveletTree} {
-		db := metroDBWithLayout(t, layout)
-		var buf bytes.Buffer
-		if err := db.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadDB(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded.Stats() != db.Stats() {
-			t.Fatalf("stats differ: %+v vs %+v", loaded.Stats(), db.Stats())
-		}
-		for _, q := range [][3]string{
-			{"Baquedano", "l5+/bus", "?y"},
-			{"?x", "(l1|l2|l5)+", "?y"},
-			{"?x", "^bus", "BellasArtes"},
-			{"Baquedano", "l5+/bus", "SantaAna"},
-		} {
-			want := sols(t, db, q[0], q[1], q[2])
-			got := sols(t, loaded, q[0], q[1], q[2])
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("layout %v %v: loaded %v, want %v", layout, q, got, want)
-			}
-		}
+	db := metroDB(t)
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func metroDBWithLayout(t *testing.T, layout Layout) *DB {
-	t.Helper()
-	b := NewBuilder()
-	b.SetLayout(layout)
-	add := func(s, p, o string) { b.Add(s, p, o); b.Add(o, p, s) }
-	add("Baquedano", "l1", "UCh")
-	add("UCh", "l1", "LosHeroes")
-	add("LosHeroes", "l2", "SantaAna")
-	add("SantaAna", "l5", "BellasArtes")
-	add("BellasArtes", "l5", "Baquedano")
-	b.Add("SantaAna", "bus", "UCh")
-	b.Add("BellasArtes", "bus", "SantaAna")
-	b.Add("BellasArtes", "bus", "UCh")
-	db, err := b.Build()
+	loaded, err := LoadDB(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db
+	if loaded.Stats() != db.Stats() {
+		t.Fatalf("stats differ: %+v vs %+v", loaded.Stats(), db.Stats())
+	}
+	for _, q := range [][3]string{
+		{"Baquedano", "l5+/bus", "?y"},
+		{"?x", "(l1|l2|l5)+", "?y"},
+		{"?x", "^bus", "BellasArtes"},
+		{"Baquedano", "l5+/bus", "SantaAna"},
+	} {
+		want := sols(t, db, q[0], q[1], q[2])
+		got := sols(t, loaded, q[0], q[1], q[2])
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: loaded %v, want %v", q, got, want)
+		}
+	}
 }
 
 func sols(t *testing.T, db *DB, s, e, o string) []string {
@@ -85,7 +63,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadRejectsTruncation(t *testing.T) {
-	db := metroDBWithLayout(t, WaveletMatrix)
+	db := metroDB(t)
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -99,7 +77,7 @@ func TestLoadRejectsTruncation(t *testing.T) {
 }
 
 func TestSaveIsDeterministic(t *testing.T) {
-	db := metroDBWithLayout(t, WaveletMatrix)
+	db := metroDB(t)
 	var a, b bytes.Buffer
 	if err := db.Save(&a); err != nil {
 		t.Fatal(err)

@@ -126,7 +126,6 @@ type holder struct {
 	// ring at swap time), so Apply prunes everything older.
 	compactBase atomic.Int64
 
-	layout    ring.Layout
 	threshold atomic.Int64 // 0 = automatic, < 0 = disabled
 
 	compactions      atomic.Int64
@@ -166,8 +165,8 @@ func stageHook(stage string) {
 }
 
 // newHolder publishes the initial snapshot.
-func newHolder(r *ring.Ring, set *ring.ShardSet, layout ring.Layout, numNodes int) *holder {
-	h := &holder{layout: layout}
+func newHolder(r *ring.Ring, set *ring.ShardSet, numNodes int) *holder {
+	h := &holder{}
 	h.compactBase.Store(-1)
 	s := &snapshot{r: r, set: set, ov: overlay.New(), numNodes: numNodes}
 	h.cur.Store(s)
@@ -503,9 +502,9 @@ func (db *DB) compactNow() {
 	var newR *ring.Ring
 	var newSet *ring.ShardSet
 	if base.set != nil {
-		newSet = rebuildShards(base, numNodes, h.layout)
+		newSet = rebuildShards(base, numNodes)
 	} else {
-		newR = rebuildSingle(base, numNodes, h.layout)
+		newR = rebuildSingle(base, numNodes)
 	}
 	h.lastRebuildNS.Store(time.Since(t0).Nanoseconds())
 	stageHook("rebuilt")
@@ -612,16 +611,16 @@ func mergedTriples(r *ring.Ring, ov *overlay.Overlay, mine func(p uint32) bool) 
 }
 
 // rebuildSingle merges ring+overlay into a fresh single ring.
-func rebuildSingle(base *snapshot, numNodes int, layout ring.Layout) *ring.Ring {
+func rebuildSingle(base *snapshot, numNodes int) *ring.Ring {
 	merged := mergedTriples(base.r, base.ov, func(uint32) bool { return true })
-	return ring.FromTriples(merged, numNodes, base.r.NumPreds, layout)
+	return ring.FromTriples(merged, numNodes, base.r.NumPreds)
 }
 
 // rebuildShards merges ring+overlay per shard, rebuilding only the
 // sub-rings whose predicates the overlay touched and sharing the rest
 // structurally — unless the node id space grew, which forces a full
 // rebuild (every sub-ring's partition arrays are sized by it).
-func rebuildShards(base *snapshot, numNodes int, layout ring.Layout) *ring.ShardSet {
+func rebuildShards(base *snapshot, numNodes int) *ring.ShardSet {
 	set := base.set
 	grow := numNodes != set.NumNodes
 	changed := make([]bool, set.K)
@@ -640,7 +639,7 @@ func rebuildShards(base *snapshot, numNodes int, layout ring.Layout) *ring.Shard
 		go func(i int, old *ring.Ring) {
 			defer wg.Done()
 			merged := mergedTriples(old, base.ov, func(p uint32) bool { return set.ShardFor(p) == i })
-			shards[i] = ring.FromTriples(merged, numNodes, set.NumPreds, layout)
+			shards[i] = ring.FromTriples(merged, numNodes, set.NumPreds)
 		}(i, old)
 	}
 	wg.Wait()
