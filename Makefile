@@ -41,7 +41,8 @@ crash:
 	$(GO) test -count=1 -run 'Durable|WAL' ./internal/wal/ .
 
 # Short bounded fuzz runs over the expression parser, the graph-pattern
-# parser and the database loader (go native fuzzing; one target per
+# parser, the service's request decoders and response appender, the
+# database loader and the WAL (go native fuzzing; one target per
 # invocation). The growing corpus lives in the Go build cache, so
 # repeated runs keep digging.
 fuzz:
@@ -49,6 +50,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run NONE -fuzz FuzzDecodeNDJSONUpdates -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run NONE -fuzz FuzzDecodeSubscribeRequest -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run NONE -fuzz FuzzFragment -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run NONE -fuzz FuzzLoadDB -fuzztime $(FUZZTIME) .
 	$(GO) test -run NONE -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal
 
@@ -61,15 +63,15 @@ bench:
 # Limit-bound traversal), of
 # the compactor's (matrix build, counting-sort ring build, bulk triple
 # decode, per-batch overlay consolidation) and of the handler's
-# result-cache hit: makes sure the benchmark code keeps compiling and
-# running under ci.
+# result-cache hit and miss: makes sure the benchmark code keeps
+# compiling and running under ci.
 bench-short:
 	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS|LimitedBFS' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
 	$(GO) test -run NONE -bench 'MatrixBuild|FromTriples|RingTriples|OverlayApply' -benchtime 1x \
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
-	$(GO) test -run NONE -bench HandlerCacheHit -benchtime 1x ./internal/service/
+	$(GO) test -run NONE -bench 'HandlerCacheHit|HandlerMiss' -benchtime 1x ./internal/service/
 
 # The benchmark (rpqload, BENCHMARK.json) is a module of its own under
 # bench/ that imports this one's internal packages and reads its span

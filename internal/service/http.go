@@ -51,9 +51,11 @@ type SolutionJSON struct {
 }
 
 // ResultJSON is the wire form of a Result. It and SelectResultJSON
-// describe the bodies (and decode them); the handler writes them by
-// splicing a once-encoded fragment and a per-request tail (wire.go),
-// and TestBodiesMatchEncoder holds the two to the same bytes.
+// describe the bodies and decode them, but the handler never encodes
+// them: it splices the result's fragment, written once by wire.go's
+// appender without reflection, with a per-request tail.
+// TestBodiesMatchEncoder and FuzzFragment hold the spliced bodies to
+// json.Encoder's bytes for these types.
 type ResultJSON struct {
 	Solutions []SolutionJSON `json:"solutions,omitempty"`
 	Count     int            `json:"count"`

@@ -869,28 +869,27 @@ func (s *Service) countCtxErr(err error) {
 
 // store records a complete result in the result cache, charged for
 // its strings and, ahead of time, for the encoded body the first
-// response will attach to it (res.wire, shared with the entry).
+// response will attach to it (res.wire, shared with the entry, which
+// keeps the body's length so that the encoder need not size it again).
 func (s *Service) store(j *job, res *Result) {
 	if j.key == "" {
 		return
 	}
-	cost := int64(64 + wireListBytes)
+	size := fragmentLen(res, j.req.Pattern != "")
+	cost := int64(64 + size)
 	for _, sol := range res.Solutions {
 		cost += int64(len(sol.Subject)+len(sol.Object)) + 32
-		cost += int64(jsonStringLen(sol.Subject) + jsonStringLen(sol.Object) + wireSolutionBytes)
 	}
 	for _, v := range res.Vars {
 		cost += int64(len(v)) + 16
-		cost += int64(jsonStringLen(v) + wireValueBytes)
 	}
 	for _, row := range res.Rows {
-		cost += 24 + int64(wireRowBytes)
+		cost += 24
 		for _, v := range row {
 			cost += int64(len(v)) + 16
-			cost += int64(jsonStringLen(v) + wireValueBytes)
 		}
 	}
-	res.wire = new(wireBody)
+	res.wire = &wireBody{size: size}
 	s.resMu.Lock()
 	if j.version == s.resVersion {
 		s.results.Add(j.key, *res, cost)

@@ -23,11 +23,32 @@ import (
 
 // nastyNames exercise every escaping rule of encoding/json: quotes and
 // backslashes, the HTML set, the JavaScript line separators, control
-// bytes with and without a short escape, and invalid UTF-8.
+// bytes with and without a short escape, and invalid UTF-8, beside
+// multi-byte UTF-8 that is copied through (the last name holds U+1D11E
+// and U+1F600, four bytes each).
 var nastyNames = []string{
 	`plain`, `say "hi"`, `back\slash`, `<a href="x">&amp;</a>`,
 	"line\u2028sep\u2029", "tab\tnl\ncr\rbs\bff\fnul\x00esc\x1b", "bad\xffutf\xc3", "żółć→日本", "",
+	"clef \xf0\x9d\x84\x9e grin \xf0\x9f\x98\x80",
 }
+
+// mixedNames interleave benchmark-like names with nastyNames, so that
+// one fragment holds strings copied whole and strings escaped piece by
+// piece.
+var mixedNames = []string{
+	"Q1234567", nastyNames[1], "http://example.org/resource/Q7654321", nastyNames[3], "P12",
+	nastyNames[4], nastyNames[5], "Q1", nastyNames[6], nastyNames[7], nastyNames[8], nastyNames[9], "Q2",
+}
+
+// Names the escaping rules treat apart, kept out of nastyNames so that
+// the fuzz seeds add them: an encoded surrogate (three bytes of invalid
+// UTF-8, so three escaped U+FFFD), a four-byte emoji, and U+FFFD itself,
+// valid UTF-8 that is copied through.
+const (
+	surrogateName   = "\xed\xa0\x80"
+	emojiName       = "\xf0\x9f\x98\x80"
+	replacementName = "\xef\xbf\xbd"
+)
 
 // wireFake answers 2RPQs and patterns with n results built from names
 // and tagged with the data version they were evaluated at. A subject of
@@ -125,22 +146,32 @@ func asResultJSON(req Request, res Result, seen ResultJSON) ResultJSON {
 // for the response struct, byte for byte.
 func TestBodiesMatchEncoder(t *testing.T) {
 	limit := func(n int) *int { return &n }
+	// names default to nastyNames.
 	queries := []struct {
 		name   string
 		n      int
 		q      QueryJSON
 		status int
+		names  []string
 	}{
-		{"solutions", 7, QueryJSON{Subject: "s", Expr: "a/b*"}, 200},
-		{"count only", 7, QueryJSON{Subject: "s", Expr: "a", Count: true}, 200},
-		{"empty", 0, QueryJSON{Subject: "s", Expr: "a"}, 200},
-		{"limit reached", 7, QueryJSON{Subject: "s", Expr: "a", Limit: limit(3)}, 200},
-		{"truncated", 7, QueryJSON{Subject: "slow", Expr: "a"}, 206},
-		{"profiled", 7, QueryJSON{Subject: "s", Expr: "a|b", Profile: true}, 200},
+		{name: "solutions", n: 7, q: QueryJSON{Subject: "s", Expr: "a/b*"}, status: 200},
+		{name: "count only", n: 7, q: QueryJSON{Subject: "s", Expr: "a", Count: true}, status: 200},
+		{name: "empty", n: 0, q: QueryJSON{Subject: "s", Expr: "a"}, status: 200},
+		{name: "limit reached", n: 7, q: QueryJSON{Subject: "s", Expr: "a", Limit: limit(3)}, status: 200},
+		{name: "truncated", n: 7, q: QueryJSON{Subject: "slow", Expr: "a"}, status: 206},
+		{name: "profiled", n: 7, q: QueryJSON{Subject: "s", Expr: "a|b", Profile: true}, status: 200},
+		{name: "1000 mixed", n: 1000, q: QueryJSON{Subject: "s", Expr: "a", Limit: limit(1000)}, status: 200, names: mixedNames},
+		{name: "nothing to escape", n: 7, q: QueryJSON{Subject: "s", Expr: "a"}, status: 200, names: []string{"Q1", "http://example.org/Q2", "żółć"}},
+	}
+	fake := func(names []string, n int) *wireFake {
+		if names == nil {
+			names = nastyNames
+		}
+		return &wireFake{names: names, n: n}
 	}
 	for _, tc := range queries {
 		t.Run("query/"+tc.name, func(t *testing.T) {
-			s := newTestService(t, &wireFake{names: nastyNames, n: tc.n}, Config{Workers: 1})
+			s := newTestService(t, fake(tc.names, tc.n), Config{Workers: 1})
 			h := NewHandler(s, HandlerConfig{})
 			reqBody, _ := json.Marshal(tc.q)
 			req, err := (&handler{s: s}).toRequest(tc.q)
@@ -205,17 +236,20 @@ func TestBodiesMatchEncoder(t *testing.T) {
 		n      int
 		q      SelectJSON
 		status int
+		names  []string
 	}{
-		{"rows", 5, SelectJSON{Query: "?x p ?y . ?y q+ ?z"}, 200},
-		{"count only", 5, SelectJSON{Query: "?x p ?y", Count: true}, 200},
-		{"empty", 0, SelectJSON{Query: "?x p ?y"}, 200},
-		{"limit reached", 5, SelectJSON{Query: "?x p ?y", Limit: limit(2)}, 200},
-		{"truncated", 5, SelectJSON{Query: "?x slow ?y"}, 206},
-		{"profiled", 5, SelectJSON{Query: "?x p ?y", Profile: true}, 200},
+		{name: "rows", n: 5, q: SelectJSON{Query: "?x p ?y . ?y q+ ?z"}, status: 200},
+		{name: "count only", n: 5, q: SelectJSON{Query: "?x p ?y", Count: true}, status: 200},
+		{name: "empty", n: 0, q: SelectJSON{Query: "?x p ?y"}, status: 200},
+		{name: "limit reached", n: 5, q: SelectJSON{Query: "?x p ?y", Limit: limit(2)}, status: 200},
+		{name: "truncated", n: 5, q: SelectJSON{Query: "?x slow ?y"}, status: 206},
+		{name: "profiled", n: 5, q: SelectJSON{Query: "?x p ?y", Profile: true}, status: 200},
+		{name: "zero columns", n: 5, q: SelectJSON{Query: "a p b"}, status: 200},
+		{name: "1000 mixed", n: 1000, q: SelectJSON{Query: "?x p ?y", Limit: limit(1000)}, status: 200, names: mixedNames},
 	}
 	for _, tc := range selects {
 		t.Run("select/"+tc.name, func(t *testing.T) {
-			s := newTestService(t, &wireFake{names: nastyNames, n: tc.n}, Config{Workers: 1})
+			s := newTestService(t, fake(tc.names, tc.n), Config{Workers: 1})
 			h := NewHandler(s, HandlerConfig{})
 			reqBody, _ := json.Marshal(tc.q)
 			req, err := (&handler{s: s}).toPatternRequest(tc.q)
@@ -258,26 +292,90 @@ func TestBodiesMatchEncoder(t *testing.T) {
 	}
 }
 
-// TestJSONStringLenBoundsEncoder: the size charged for a string is
-// never below what the encoder emits for it, and exact for names
-// without control characters.
+// TestJSONStringLenBoundsEncoder: appendJSONString writes every name as
+// encoding/json does, and jsonStringLen, the size charged for it, is
+// exactly that long, control characters included.
 func TestJSONStringLenBoundsEncoder(t *testing.T) {
-	for _, s := range append([]string{"Q42", "http://example.org/a?b=c&d", strings.Repeat("é", 9)}, nastyNames...) {
+	names := []string{"Q42", "http://example.org/a?b=c&d", strings.Repeat("é", 9), surrogateName, emojiName, replacementName}
+	for _, s := range append(names, nastyNames...) {
 		enc, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		controls := strings.IndexFunc(s, func(r rune) bool { return r < 0x20 }) >= 0
-		if got := jsonStringLen(s); got < len(enc) || (!controls && got != len(enc)) {
+		if got := appendJSONString(nil, s); !bytes.Equal(got, enc) {
+			t.Errorf("appendJSONString(%q) = %s, encoder wrote %s", s, got, enc)
+		}
+		if got := jsonStringLen(s); got != len(enc) {
 			t.Errorf("jsonStringLen(%q) = %d, encoder wrote %d bytes", s, got, len(enc))
 		}
 	}
 }
 
+// reflectFragment is the fragment encoder the appender replaced,
+// json.Marshal over the two shapes, kept as FuzzFragment's oracle.
+func reflectFragment(r *Result, pattern bool) []byte {
+	var v any
+	switch {
+	case pattern:
+		v = struct {
+			Vars []string   `json:"vars"`
+			Rows [][]string `json:"rows,omitempty"`
+		}{r.Vars, r.Rows}
+	case len(r.Solutions) > 0:
+		sols := make([]SolutionJSON, len(r.Solutions))
+		for i, s := range r.Solutions {
+			sols[i] = SolutionJSON(s)
+		}
+		v = struct {
+			Solutions []SolutionJSON `json:"solutions"`
+		}{sols}
+	default:
+		return nil
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return b[1 : len(b)-1]
+}
+
+// FuzzFragment: for any subject, object and row values, both fragment
+// shapes equal the reflective encoding and fill a buffer of exactly
+// their size.
+func FuzzFragment(f *testing.F) {
+	seeds := append([]string{surrogateName, emojiName, replacementName}, nastyNames...)
+	for i, s := range seeds {
+		f.Add(s, seeds[(i+1)%len(seeds)], seeds[(i+2)%len(seeds)])
+	}
+	f.Fuzz(func(t *testing.T, subject, object, value string) {
+		results := []*Result{
+			{
+				Solutions: []Solution{{Subject: subject, Object: object}, {Subject: value, Object: value}},
+				Vars:      []string{subject, value},
+				Rows:      [][]string{{subject, object}, {value}, {}, nil},
+			},
+			{Solutions: []Solution{{Subject: object, Object: subject}}, Rows: [][]string{{value}}},
+			{Vars: []string{}},
+		}
+		for i, res := range results {
+			for _, pattern := range []bool{false, true} {
+				got, want := res.fragment(pattern), reflectFragment(res, pattern)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("result %d, pattern %v:\n got %s\nwant %s", i, pattern, got, want)
+				}
+				if cap(got) != len(got) {
+					t.Fatalf("result %d, pattern %v: %d bytes in a buffer of %d", i, pattern, len(got), cap(got))
+				}
+			}
+		}
+	})
+}
+
 // TestResultCacheBytesCoverEncodedBodies fills the cache past its byte
 // bound through the handler, so every entry carries its encoded body,
-// and checks that what the cache retains is within what it charged and
-// what it charged within the bound.
+// and checks that each entry was charged exactly its body's length,
+// that what the cache retains is within what it charged and what it
+// charged within the bound.
 func TestResultCacheBytesCoverEncodedBodies(t *testing.T) {
 	const maxBytes = 64 << 10
 	s := newTestService(t, &wireFake{names: nastyNames, n: 40}, Config{Workers: 1, ResultCacheBytes: maxBytes})
@@ -296,6 +394,9 @@ func TestResultCacheBytesCoverEncodedBodies(t *testing.T) {
 		res := el.Value.(*lruEntry).value.(Result)
 		if res.wire.frag == nil {
 			t.Fatalf("entry %q was served but holds no encoded body", el.Value.(*lruEntry).key)
+		}
+		if res.wire.size != len(res.wire.frag) {
+			t.Fatalf("entry %q: charged %d B for a %d B body", el.Value.(*lruEntry).key, res.wire.size, len(res.wire.frag))
 		}
 		retained += int64(len(res.wire.frag))
 		for _, sol := range res.Solutions {
@@ -420,13 +521,18 @@ func TestHitsUnderUpdates(t *testing.T) {
 	wg.Wait()
 }
 
+// handlerFixture returns a handler over a backend that answers n
+// solutions of benchmark-like names, and the request for them.
+func handlerFixture(tb testing.TB, n int, cfg Config) (http.Handler, string) {
+	s := New(&wireFake{names: []string{"Q1234567", "Q7654321"}, n: n}, cfg)
+	tb.Cleanup(func() { s.Close() })
+	return NewHandler(s, HandlerConfig{}), `{"subject":"Q1","expr":"P1/P2*","limit":1000}`
+}
+
 // cacheHitFixture returns a handler whose cache holds one result of n
 // solutions, and the request that hits it.
 func cacheHitFixture(tb testing.TB, n int) (http.Handler, string) {
-	s := New(&wireFake{names: []string{"Q1234567", "Q7654321"}, n: n}, Config{Workers: 1})
-	tb.Cleanup(func() { s.Close() })
-	h := NewHandler(s, HandlerConfig{})
-	const body = `{"subject":"Q1","expr":"P1/P2*"}`
+	h, body := handlerFixture(tb, n, Config{Workers: 1})
 	for i := 0; i < 2; i++ {
 		if rec := serve(h, "/query", body); rec.Code != 200 || (i == 1 && !strings.Contains(rec.Body.String(), `"cached":true`)) {
 			tb.Fatalf("warm-up %d: %d %.80s", i, rec.Code, rec.Body)
@@ -435,11 +541,7 @@ func cacheHitFixture(tb testing.TB, n int) (http.Handler, string) {
 	return h, body
 }
 
-// BenchmarkHandlerCacheHit is the request the rpq_cached workload is
-// made of: a 1000-solution result (a 37 kB body) replayed from the
-// result cache through the handler.
-func BenchmarkHandlerCacheHit(b *testing.B) {
-	h, body := cacheHitFixture(b, 1000)
+func benchmarkHandler(b *testing.B, h http.Handler, body string) {
 	rec := httptest.NewRecorder()
 	b.ReportAllocs()
 	for b.Loop() {
@@ -448,6 +550,48 @@ func BenchmarkHandlerCacheHit(b *testing.B) {
 		h.ServeHTTP(rec, req)
 	}
 	b.SetBytes(int64(rec.Body.Len()))
+}
+
+// BenchmarkHandlerCacheHit is the request the rpq_cached workload is
+// made of: a 1000-solution result (a 37 kB body) replayed from the
+// result cache through the handler.
+func BenchmarkHandlerCacheHit(b *testing.B) {
+	h, body := cacheHitFixture(b, 1000)
+	benchmarkHandler(b, h, body)
+}
+
+// BenchmarkHandlerMiss is the rpq_static request on its own: the same
+// 1000-solution result with the result cache off, so that every call
+// evaluates and encodes its 37 kB body.
+func BenchmarkHandlerMiss(b *testing.B) {
+	h, body := handlerFixture(b, 1000, Config{Workers: 1, ResultCacheEntries: -1})
+	benchmarkHandler(b, h, body)
+}
+
+// TestMissEncodesFragmentOnce: a miss writes its fragment into one
+// allocation of exactly its length, for both shapes, with or without
+// strings to escape, whether the result cache keeps the result (and its
+// size) or not.
+func TestMissEncodesFragmentOnce(t *testing.T) {
+	for _, names := range [][]string{mixedNames, {"Q1234567", "Q7654321"}} {
+		for _, entries := range []int{-1, 0} {
+			s := newTestService(t, &wireFake{names: names, n: 1000}, Config{Workers: 1, ResultCacheEntries: entries})
+			for _, req := range []Request{{Subject: "s", Expr: "a"}, {Pattern: "?x p ?y"}} {
+				res := s.do(context.Background(), req, nil)
+				if res.Err != nil || res.N != 1000 || (res.wire != nil) != (entries == 0) {
+					t.Fatalf("cache entries %d, %+v: %v, %d results, stored %v", entries, req, res.Err, res.N, res.wire != nil)
+				}
+				pattern := req.Pattern != ""
+				if frag := res.fragment(pattern); cap(frag) != len(frag) {
+					t.Errorf("names %.2q, cache entries %d, %+v: %d bytes in a buffer of %d", names, entries, req, len(frag), cap(frag))
+				}
+				res.wire = nil // encode afresh on every call below
+				if allocs := testing.AllocsPerRun(10, func() { res.fragment(pattern) }); allocs != 1 {
+					t.Errorf("names %.2q, cache entries %d, %+v: %v allocations per fragment, want 1", names, entries, req, allocs)
+				}
+			}
+		}
+	}
 }
 
 // TestCacheHitAllocatesNothingPerSolution: a hit allocates for the
