@@ -60,7 +60,7 @@ bench:
 
 # One-iteration smoke run of the hot-path micro-benchmarks (broadword
 # select, multi-range wavelet descent, batched vs unbatched BFS, the
-# Limit-bound traversal), of
+# Limit-bound traversal, a pattern join under a fixed order), of
 # the compactor's (matrix build, counting-sort ring build, bulk triple
 # decode, per-batch overlay consolidation) and of the handler's
 # result-cache hit and miss: makes sure the benchmark code keeps
@@ -72,6 +72,7 @@ bench-short:
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 	$(GO) test -run NONE -bench 'HandlerCacheHit|HandlerMiss' -benchtime 1x ./internal/service/
+	$(GO) test -run NONE -bench JoinWith -benchtime 1x ./internal/ltj/
 
 # The benchmark (rpqload, BENCHMARK.json) is a module of its own under
 # bench/ that imports this one's internal packages and reads its span

@@ -141,16 +141,18 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 				continue
 			}
 			srcB, srcE := w.r.BackwardByPred(ob, oe, p1)
-			wavelet.RangeDistinct(w.r.Ls, srcB, srcE, func(s uint32, _, _ int) {
+			wavelet.RangeDistinct(w.r.Ls, srcB, srcE, func(s uint32, _, _ int) bool {
 				if !del1 || !e.ov.Deleted(Edge{S: s, P: p1, O: z}) {
 					srcs = append(srcs, s)
 				}
+				return true
 			})
 			dstB, dstE := w.r.BackwardByPred(ob, oe, p2Inv)
-			wavelet.RangeDistinct(w.r.Ls, dstB, dstE, func(o uint32, _, _ int) {
+			wavelet.RangeDistinct(w.r.Ls, dstB, dstE, func(o uint32, _, _ int) bool {
 				if !del2 || !e.ov.Deleted(Edge{S: z, P: p2, O: o}) {
 					dsts = append(dsts, o)
 				}
+				return true
 			})
 		}
 		// Overlay in-edges of z by p1 (sources) and out-edges by p2.
@@ -180,14 +182,12 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 	var failure error
 	for _, w := range e.work {
 		b, end := w.r.PredRange(p1Inv)
-		wavelet.RangeDistinct(w.r.Ls, b, end, func(z uint32, _, _ int) {
-			if failure != nil {
-				return
-			}
+		wavelet.RangeDistinct(w.r.Ls, b, end, func(z uint32, _, _ int) bool {
 			if zSeen != nil {
 				zSeen[z] = true
 			}
 			failure = perMiddle(z)
+			return failure == nil
 		})
 		if failure != nil {
 			return failure

@@ -126,41 +126,37 @@ func (r *wideRun) ringStep(w *ringWork, o int64, b, end int, d glushkov.Mask) er
 		return err
 	}
 	var failure error
-	wavelet.RangeDistinct(w.r.Lp, b, end, func(p uint32, rb, re int) {
-		if failure != nil {
-			return
-		}
+	wavelet.RangeDistinct(w.r.Lp, b, end, func(p uint32, rb, re int) bool {
 		e.stats.WaveletVisits++
 		bp := r.wd.BFor(p)
 		if bp == nil || !d.Intersects(bp) {
-			return
+			return true
 		}
 		e.stats.ProductEdges++
 		r.wd.StepRevInto(r.dst, d, p)
 		if !r.dst.Any() {
-			return
+			return true
 		}
 		checkDels := e.ov.DelsForPred(p) > 0
 		cp := w.r.Cp[p]
-		wavelet.RangeDistinct(w.r.Ls, cp+rb, cp+re, func(s uint32, sb, se int) {
-			if failure != nil {
-				return
-			}
+		wavelet.RangeDistinct(w.r.Ls, cp+rb, cp+re, func(s uint32, sb, se int) bool {
 			e.stats.WaveletVisits++
 			if failure = e.checkDeadline(); failure != nil {
-				return
+				return false
 			}
 			if checkDels {
 				if o >= 0 {
 					if e.ov.Deleted(Edge{S: s, P: p, O: uint32(o)}) {
-						return
+						return true
 					}
 				} else if se-sb <= e.ov.DeletedPS(p, s) {
-					return
+					return true
 				}
 			}
 			failure = r.arrive(s, r.dst)
+			return failure == nil
 		})
+		return failure == nil
 	})
 	return failure
 }

@@ -8,10 +8,15 @@
 // pattern binds its components in a rotation of (s → o → p), narrowing a
 // range of one BWT sequence per step with backward search. The values
 // available for the next component are exactly the distinct symbols of
-// the current range, which the wavelet trees enumerate — and, crucially
-// for leapfrog, seek with MinAtLeast in O(log σ). A join picks one
-// global variable order and intersects, per variable, the candidate
-// streams of all patterns where that variable is next.
+// the current range, which the wavelet matrix enumerates — and, for
+// leapfrog, seeks with MinAtLeast in O(log σ). A join picks one global
+// variable order and intersects, per variable, the candidate streams of
+// all patterns where that variable is next. A variable only one
+// pattern's range constrains has nothing to intersect: its level walks
+// that range's distinct symbols in one depth-first descent
+// (wavelet.RangeDistinct, §3.5), and each symbol's occurrence ranks are
+// already the pattern's next range, so binding it costs no backward
+// search.
 //
 // A single ring supports the three rotations of (s, o, p); among those
 // a variable order admits, a pattern takes the one with the most
@@ -106,8 +111,11 @@ func (p Pattern) term(a axis) Term {
 // Row is one join result: variable name → bound symbol.
 type Row map[string]uint32
 
-// Stats counts the work of one join: rows emitted, leapfrog seeks over
-// candidate streams, and range-narrowing backward-search steps.
+// Stats counts the work of one join: rows emitted; candidates produced
+// (Seeks: one per leapfrog seek over a candidate stream and one per
+// symbol an enumerating level's descent yields); and range-narrowing
+// steps (Binds: backward searches, C-array jumps and the ranks an
+// enumerated symbol comes with).
 type Stats struct {
 	Rows, Seeks, Binds int64
 }
@@ -423,6 +431,11 @@ type part struct {
 type level struct {
 	parts []part
 	saved []state
+	// enum indexes the level's only part that is not open, when there is
+	// exactly one: nothing is left to intersect, so the distinct symbols
+	// of that part's range are the level's candidates and one wavelet
+	// descent enumerates them. -1 means leapfrog over every part.
+	enum int
 }
 
 type joiner struct {
@@ -432,6 +445,10 @@ type joiner struct {
 	states []state
 	vals   []uint32
 	emit   func([]uint32) bool
+	// next is enumerated as a func value, made once per join; lv is the
+	// level whose descent it is serving.
+	next func(c uint32, rb, re int) bool
+	lv   int
 
 	limit    int64
 	deadline time.Time
@@ -449,6 +466,7 @@ func newJoiner(r *ring.Ring, patterns []Pattern, order []string, rots []axis) *j
 		states: make([]state, len(patterns)),
 		vals:   make([]uint32, len(order)),
 	}
+	j.next = j.enumerated
 	pos := positions(order)
 	seqs := [3]*wavelet.Matrix{axS: r.Ls, axO: r.Lo, axP: r.Lp}
 	for i, p := range patterns {
@@ -482,12 +500,23 @@ func newJoiner(r *ring.Ring, patterns []Pattern, order []string, rots []axis) *j
 		}
 	}
 	for i := range j.levels {
-		j.levels[i].saved = make([]state, len(j.levels[i].parts))
+		l := &j.levels[i]
+		l.saved = make([]state, len(l.parts))
+		l.enum = -1
+		for k := range l.parts {
+			if !l.parts[k].open {
+				if l.enum >= 0 {
+					l.enum = -1
+					break
+				}
+				l.enum = k
+			}
+		}
 	}
 	return j
 }
 
-// checkDeadline polls the wall clock every 64 leapfrog steps, mirroring
+// checkDeadline polls the wall clock every 64 candidates, mirroring
 // core.Engine's cadence.
 //
 //ringrpq:noalloc
@@ -509,12 +538,37 @@ func (j *joiner) checkDeadline() bool {
 //
 //ringrpq:noalloc
 func (j *joiner) apply(pt *part, x uint32) bool {
-	for _, op := range pt.binds {
+	return j.applyBinds(pt.pat, pt.binds, x)
+}
+
+// applyAt runs the binds of a level's enumerated part for the symbol c
+// its descent produced, whose occurrence ranks in the part's range are
+// [rb, re). The first bind is the variable's own backward step, and
+// those ranks already are its result, offset by the sequence's C array;
+// only the binds after it search.
+//
+//ringrpq:noalloc
+func (j *joiner) applyAt(pt *part, c uint32, rb, re int) bool {
+	if len(pt.binds) == 0 {
+		return true
+	}
+	j.stats.Binds++
+	base := pt.seq.Counts()[c]
+	j.states[pt.pat] = state{base + rb, base + re}
+	return j.applyBinds(pt.pat, pt.binds[1:], c)
+}
+
+// applyBinds narrows pattern i's range by binds, with x as the value of
+// the variable's occurrences.
+//
+//ringrpq:noalloc
+func (j *joiner) applyBinds(i int, binds []bindOp, x uint32) bool {
+	for _, op := range binds {
 		v := x
 		if op.isConst {
 			v = op.c
 		}
-		if !j.bind(pt.pat, op.ax, v) {
+		if !j.bind(i, op.ax, v) {
 			return false
 		}
 	}
@@ -574,8 +628,10 @@ func (j *joiner) seek(pt *part, x uint32) (uint32, bool) {
 	return pt.seq.MinAtLeast(st.b, st.e, x)
 }
 
-// run binds the variable of level lv by leapfrog intersection of its
-// parts' sorted candidate streams and recurses.
+// run binds the variable of level lv and recurses: by enumerating the
+// one constrained part's range when the level has a single one, by
+// leapfrog intersection of the parts' sorted candidate streams
+// otherwise.
 //
 //ringrpq:noalloc
 func (j *joiner) run(lv int) {
@@ -587,6 +643,13 @@ func (j *joiner) run(lv int) {
 		return
 	}
 	l := &j.levels[lv]
+	if l.enum >= 0 {
+		pt := &l.parts[l.enum]
+		st := j.states[pt.pat]
+		j.lv = lv
+		wavelet.RangeDistinct(pt.seq, st.b, st.e, j.next)
+		return
+	}
 	x := uint32(0)
 	for {
 		if !j.checkDeadline() {
@@ -623,4 +686,38 @@ func (j *joiner) run(lv int) {
 		}
 		x++
 	}
+}
+
+// enumerated is the descent callback of an enumerating level (j.lv): it
+// binds the symbol c, whose occurrence ranks in the enumerated part's
+// range are [rb, re), recurses and backtracks. false stops the descent.
+//
+//ringrpq:noalloc
+func (j *joiner) enumerated(c uint32, rb, re int) bool {
+	lv := j.lv
+	l := &j.levels[lv]
+	j.stats.Seeks++
+	if !j.checkDeadline() {
+		return false
+	}
+	for k := range l.parts {
+		l.saved[k] = j.states[l.parts[k].pat]
+	}
+	ok := true
+	for k := 0; ok && k < len(l.parts); k++ {
+		if k == l.enum {
+			ok = j.applyAt(&l.parts[k], c, rb, re)
+		} else {
+			ok = j.apply(&l.parts[k], c)
+		}
+	}
+	if ok {
+		j.vals[lv] = c
+		j.run(lv + 1)
+		j.lv = lv
+	}
+	for k := range l.parts {
+		j.states[l.parts[k].pat] = l.saved[k]
+	}
+	return !j.stopped
 }

@@ -241,6 +241,59 @@ func TestEarlyStop(t *testing.T) {
 	if err != nil || count != 3 {
 		t.Fatalf("early stop: count=%d err=%v", count, err)
 	}
+	// An emit that stops after k rows inside an enumerating last level
+	// ends the descent there, for every k.
+	for _, c := range enumeratingJoins(t, g, r) {
+		for k := 1; k <= c.rows; k++ {
+			n := 0
+			st, err := JoinWith(r, c.patterns, Options{Order: c.order}, func([]uint32) bool {
+				n++
+				return n < k
+			})
+			if err != nil || n != k || st.Rows != int64(k) {
+				t.Fatalf("%s: emit stop after %d: %d rows, stats %+v, err %v", c.name, k, n, st, err)
+			}
+		}
+	}
+}
+
+// enumeratingJoin is a join, under a fixed order, whose last level
+// enumerates its one constrained part, with its full row count.
+type enumeratingJoin struct {
+	name     string
+	patterns []Pattern
+	order    []string
+	rows     int
+}
+
+// enumeratingJoins returns two such joins on the metro graph: the
+// all-variable pattern, whose second and third levels each narrow one
+// pattern's range, and an l1 edge followed by any edge, whose last
+// variable only the second pattern mentions.
+func enumeratingJoins(t *testing.T, g *triples.Graph, r *ring.Ring) []enumeratingJoin {
+	t.Helper()
+	l1, _ := g.PredID("l1", false)
+	var out []enumeratingJoin
+	for _, c := range []struct {
+		name     string
+		patterns []Pattern
+	}{
+		{"all-variable", []Pattern{{S: V("x"), P: V("p"), O: V("y")}}},
+		{"chain", []Pattern{{S: V("x"), P: C(l1), O: V("y")}, {S: V("y"), P: V("p"), O: V("z")}}},
+	} {
+		order := chosenOrder(t, r, c.patterns)
+		rots, _ := rotations(c.patterns, order)
+		j := newJoiner(r, c.patterns, order, rots)
+		if last := j.levels[len(j.levels)-1]; last.enum < 0 {
+			t.Fatalf("%s under %v: last level does not enumerate", c.name, order)
+		}
+		st, err := JoinWith(r, c.patterns, Options{Order: order}, func([]uint32) bool { return true })
+		if err != nil || st.Rows < 2 {
+			t.Fatalf("%s: %+v, %v; the case needs rows to cut", c.name, st, err)
+		}
+		out = append(out, enumeratingJoin{c.name, c.patterns, order, int(st.Rows)})
+	}
+	return out
 }
 
 func TestEmptyPatterns(t *testing.T) {
@@ -278,6 +331,16 @@ func TestJoinWithLimit(t *testing.T) {
 	st, err := JoinWith(r, patterns, Options{Limit: 3}, func([]uint32) bool { count++; return true })
 	if err != nil || count != 3 || st.Rows != 3 {
 		t.Fatalf("limit: count=%d stats=%+v err=%v, want 3 rows and nil error", count, st, err)
+	}
+	// Every limit cuts an enumerating last level exactly.
+	for _, c := range enumeratingJoins(t, g, r) {
+		for k := 1; k <= c.rows; k++ {
+			n := 0
+			st, err := JoinWith(r, c.patterns, Options{Order: c.order, Limit: k}, func([]uint32) bool { n++; return true })
+			if err != nil || n != k || st.Rows != int64(k) {
+				t.Fatalf("%s: limit %d: %d rows, stats %+v, err %v", c.name, k, n, st, err)
+			}
+		}
 	}
 }
 
@@ -414,30 +477,30 @@ func TestFeasibleAbsentVariable(t *testing.T) {
 	}
 }
 
-// TestJoinWorkBound pins the work of constant-anchored joins on the
-// benchmark's pattern graph: every variable starts from a range some
-// constant narrowed, so the seeks and backward-search steps are bounded
-// by the anchor's candidates plus the rows, not by the node universe
-// (the first-compatible-rotation rule walked all 20 000 node ids for
-// each of these).
-func TestJoinWorkBound(t *testing.T) {
+// workBoundCases are three constant-anchored joins on the benchmark's
+// pattern graph (g100k), with the ring they run on.
+func workBoundCases(tb testing.TB) (*ring.Ring, []struct {
+	name     string
+	patterns []Pattern
+}) {
+	tb.Helper()
 	g := datagen.Generate(datagen.Config{Seed: 1, Nodes: 20000, Edges: 100000, Preds: 60})
 	r := ring.New(g, ring.WaveletMatrix)
 	node := func(name string) Term {
 		id, ok := g.Nodes.Lookup(name)
 		if !ok {
-			t.Fatalf("no node %s", name)
+			tb.Fatalf("no node %s", name)
 		}
 		return C(id)
 	}
 	pred := func(name string, inverse bool) Term {
 		id, ok := g.PredID(name, inverse)
 		if !ok {
-			t.Fatalf("no predicate %s", name)
+			tb.Fatalf("no predicate %s", name)
 		}
 		return C(id)
 	}
-	for _, c := range []struct {
+	return r, []struct {
 		name     string
 		patterns []Pattern
 	}{
@@ -455,7 +518,28 @@ func TestJoinWorkBound(t *testing.T) {
 			{S: V("b"), P: pred("P10", true), O: V("c")},
 			{S: V("c"), P: pred("P10", true), O: node("Q5873")},
 		}},
-	} {
+	}
+}
+
+// chosenOrder is ChooseOrder's order for patterns.
+func chosenOrder(tb testing.TB, r *ring.Ring, patterns []Pattern) []string {
+	tb.Helper()
+	order, err := ChooseOrder(patterns, Estimates(r, patterns), time.Time{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return order
+}
+
+// TestJoinWorkBound pins the work of constant-anchored joins on the
+// benchmark's pattern graph: every variable starts from a range some
+// constant narrowed, so the candidates produced (sought or enumerated)
+// and the backward-search steps are bounded by the anchor's candidates
+// plus the rows, not by the node universe (the first-compatible-rotation
+// rule walked all 20 000 node ids for each of these).
+func TestJoinWorkBound(t *testing.T) {
+	r, cases := workBoundCases(t)
+	for _, c := range cases {
 		anchor := float64(r.N)
 		for _, e := range Estimates(r, c.patterns) {
 			if e < anchor {
@@ -474,5 +558,39 @@ func TestJoinWorkBound(t *testing.T) {
 			t.Errorf("%s: %d seeks and %d binds for %v anchored candidates and %d rows (bound %d, %d nodes)",
 				c.name, st.Seeks, st.Binds, anchor, st.Rows, bound, r.NumNodes)
 		}
+	}
+}
+
+// A join under a fixed order allocates only its compiled parts and run
+// state: as many objects when it stops at the first row as when it
+// emits all of them, so nothing is allocated per row or per candidate.
+func TestJoinWithAllocs(t *testing.T) {
+	r, cases := workBoundCases(t)
+	emit := func([]uint32) bool { return true }
+	for _, c := range cases {
+		order := chosenOrder(t, r, c.patterns)
+		full := testing.AllocsPerRun(20, func() { JoinWith(r, c.patterns, Options{Order: order}, emit) })
+		first := testing.AllocsPerRun(20, func() { JoinWith(r, c.patterns, Options{Order: order, Limit: 1}, emit) })
+		if full != first {
+			t.Errorf("%s: %v allocs per full join, %v stopping at the first row; want equal", c.name, full, first)
+		}
+	}
+}
+
+// BenchmarkJoinWith times TestJoinWorkBound's joins under a fixed
+// order, as the query executor runs a memoised plan's join.
+func BenchmarkJoinWith(b *testing.B) {
+	r, cases := workBoundCases(b)
+	emit := func([]uint32) bool { return true }
+	for _, c := range cases {
+		opts := Options{Order: chosenOrder(b, r, c.patterns)}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := JoinWith(r, c.patterns, opts, emit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

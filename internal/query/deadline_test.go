@@ -34,7 +34,7 @@ func TestRunDeadlineCoversPlanning(t *testing.T) {
 	// the whole call must come back almost immediately with ErrTimeout
 	// rather than planning and joining first.
 	start := time.Now()
-	err := x.Run(slowPlanPattern(), Options{Timeout: time.Nanosecond}, func(Binding) bool { return true })
+	err := runBindings(x, slowPlanPattern(), Options{Timeout: time.Nanosecond}, func(Binding) bool { return true })
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("nanosecond budget: err = %v, want ErrTimeout", err)
@@ -45,7 +45,7 @@ func TestRunDeadlineCoversPlanning(t *testing.T) {
 
 	// The timed-out attempt must not poison the plan memo: a generous
 	// budget on the same executor plans afresh and completes.
-	if err := x.Run(slowPlanPattern(), Options{Timeout: time.Minute}, func(Binding) bool { return true }); err != nil {
+	if err := runBindings(x, slowPlanPattern(), Options{Timeout: time.Minute}, func(Binding) bool { return true }); err != nil {
 		t.Fatalf("generous budget after timeout: %v", err)
 	}
 }
@@ -62,11 +62,11 @@ func TestRunDeadlineSharedWithLTJ(t *testing.T) {
 	// Warm the plan memo so the next run's planning is free, then
 	// exhaust the budget before the join starts: Run must report
 	// ErrTimeout without granting LTJ a fresh timeout.
-	if err := x.Run(q, Options{}, func(Binding) bool { return true }); err != nil {
+	if err := runBindings(x, q, Options{}, func(Binding) bool { return true }); err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
 	start := time.Now()
-	err := x.Run(q, Options{Timeout: time.Nanosecond}, func(Binding) bool {
+	err := runBindings(x, q, Options{Timeout: time.Nanosecond}, func(Binding) bool {
 		time.Sleep(time.Millisecond) // any emitted row only slows the clock further
 		return true
 	})

@@ -400,7 +400,7 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 				want := sortedKeys(oracle)
 
 				var got []Binding
-				if err := single.Run(q, Options{}, func(b Binding) bool {
+				if err := runBindings(single, q, Options{}, func(b Binding) bool {
 					got = append(got, b)
 					return true
 				}); err != nil {
@@ -416,7 +416,7 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 				}
 
 				var gotSharded []Binding
-				err = sharded.Run(q, Options{}, func(b Binding) bool {
+				err = runBindings(sharded, q, Options{}, func(b Binding) bool {
 					gotSharded = append(gotSharded, b)
 					return true
 				})
@@ -436,7 +436,7 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 				var o3 orderStats
 				if forwardOnly(q) {
 					var gotSplit []Binding
-					if err := split.Run(q, Options{}, func(b Binding) bool {
+					if err := runBindings(split, q, Options{}, func(b Binding) bool {
 						gotSplit = append(gotSplit, b)
 						return true
 					}); err != nil {

@@ -39,9 +39,11 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// Binding is one result row: variable name (without '?') to the bound
-// node name — or, for predicate-position variables, the completed
-// predicate name ('^'-prefixed for inverses).
+// Binding is one result row by name: variable name (without '?') to the
+// bound node name — or, for predicate-position variables, the completed
+// predicate name ('^'-prefixed for inverses). Run emits rows of ids; a
+// Binding is rendered from one only where an API hands out names per
+// variable.
 type Binding map[string]string
 
 // Exec evaluates graph patterns over one database layout. Like
@@ -246,12 +248,13 @@ func (x *Exec) planFor(q *Query, r *ring.Ring, deadline time.Time, allSteps bool
 	return pl, nil
 }
 
-// Run evaluates q, calling emit for every result binding. Bindings are
-// distinct; emit may return false to stop early. The map passed to emit
-// is freshly allocated per call and may be retained. Exceeding
-// Options.Timeout returns ErrTimeout with the bindings emitted so far
-// still valid; Options.Limit truncates silently.
-func (x *Exec) Run(q *Query, opts Options, emit func(Binding) bool) error {
+// Run evaluates q, calling emit for every result row: row[i] is the id
+// bound to q.Vars()[i] — a node id, or a completed predicate id for a
+// predicate-position variable. Rows are distinct; the slice is reused
+// between calls, so emit copies what it keeps, and may return false to
+// stop early. Exceeding Options.Timeout returns ErrTimeout with the rows
+// emitted so far still valid; Options.Limit truncates silently.
+func (x *Exec) Run(q *Query, opts Options, emit func(row []uint32) bool) error {
 	// One absolute deadline captured at entry governs routing,
 	// planning, LTJ and every RPQ step: planning runs on the clock.
 	var deadline time.Time
@@ -274,8 +277,8 @@ func (x *Exec) Run(q *Query, opts Options, emit func(Binding) bool) error {
 	rt := &run{
 		x: x, r: r, plan: pl, emit: emit,
 		limit:    opts.Limit,
-		row:      map[string]uint32{},
-		predVars: q.PredVars(),
+		row:      make([]uint32, len(pl.Vars)),
+		bound:    make([]bool, len(pl.Vars)),
 		deadline: deadline,
 		trace:    opts.Trace,
 	}
@@ -285,13 +288,15 @@ func (x *Exec) Run(q *Query, opts Options, emit func(Binding) bool) error {
 		if !ok {
 			return ErrTimeout
 		}
+		// The join binds its variables for every row it emits.
+		for _, s := range pl.joinSlots {
+			rt.bound[s] = true
+		}
 		lopts := ltj.Options{Order: pl.Order, Timeout: rem}
 		jsp := rt.trace.Begin(obs.SpanLTJ)
 		st, err := ltj.JoinWith(r, pl.Triples, lopts, func(vals []uint32) bool {
-			// Every row overwrites the same Order keys, so none is
-			// deleted in between.
-			for i, v := range pl.Order {
-				rt.row[v] = vals[i]
+			for i, s := range pl.joinSlots {
+				rt.row[s] = vals[i]
 			}
 			return rt.steps(0)
 		})
@@ -310,14 +315,17 @@ func (x *Exec) Run(q *Query, opts Options, emit func(Binding) bool) error {
 
 // run is the per-evaluation state of one pattern execution.
 type run struct {
-	x        *Exec
-	r        *ring.Ring
-	plan     *Plan
-	emit     func(Binding) bool
-	limit    int
-	emitted  int
-	row      map[string]uint32
-	predVars map[string]bool
+	x     *Exec
+	r     *ring.Ring
+	plan  *Plan
+	emit  func([]uint32) bool
+	limit int
+	// emitted counts the rows delivered so far.
+	emitted int
+	// row holds the current values by slot (Plan.Vars) and bound marks
+	// the slots bound by the join or an earlier step.
+	row      []uint32
+	bound    []bool
 	deadline time.Time
 	ticks    int
 	failure  error
@@ -352,8 +360,22 @@ func (rt *run) tick() bool {
 	return true
 }
 
+// set binds slot s (if it is a variable's) to v for the duration of a
+// continuation; unset undoes it.
+func (rt *run) set(s int, v uint32) {
+	if s >= 0 {
+		rt.row[s], rt.bound[s] = v, true
+	}
+}
+
+func (rt *run) unset(s int) {
+	if s >= 0 {
+		rt.bound[s] = false
+	}
+}
+
 // steps runs the RPQ pipeline from step i under the current row,
-// emitting completed bindings at the end; false stops the whole
+// emitting completed rows at the end; false stops the whole
 // enumeration (failure, limit, or the caller's emit).
 func (rt *run) steps(i int) bool {
 	if rt.failure != nil {
@@ -362,12 +384,12 @@ func (rt *run) steps(i int) bool {
 	if i == len(rt.plan.Steps) {
 		return rt.emitRow()
 	}
-	s := rt.plan.Steps[i]
+	s := &rt.plan.Steps[i]
 	if s.PredVar != "" {
 		return rt.predVarStep(i, s)
 	}
-	sid, sBound := rt.resolve(s.SVar, s.SID)
-	oid, oBound := rt.resolve(s.OVar, s.OID)
+	sid, sBound := rt.resolve(s.sSlot, s.SID)
+	oid, oBound := rt.resolve(s.oSlot, s.OID)
 	rem, ok := rt.remaining()
 	if !ok {
 		return false
@@ -396,32 +418,33 @@ func (rt *run) steps(i int) bool {
 		if err == nil && found {
 			cont = rt.steps(i + 1)
 		}
-	case !sBound && !oBound && s.SVar == s.OVar && s.SVar != "":
+	case !sBound && !oBound && s.sSlot == s.oSlot && s.sSlot >= 0:
 		// Same unbound variable on both ends: only v→v loops bind it.
 		_, err = eng.Eval(context.Background(), cq, copts, func(a, b uint32) bool {
 			if a != b {
 				return true
 			}
-			rt.row[s.SVar] = a
+			rt.set(s.sSlot, a)
 			cont = rt.steps(i + 1)
-			delete(rt.row, s.SVar)
+			rt.unset(s.sSlot)
 			return cont
 		})
 	default:
+		// A bound or constant end is fixed in cq, so only the free ends
+		// take the pair's values.
+		sFree, oFree := -1, -1
+		if !sBound {
+			sFree = s.sSlot
+		}
+		if !oBound {
+			oFree = s.oSlot
+		}
 		_, err = eng.Eval(context.Background(), cq, copts, func(a, b uint32) bool {
-			if !sBound && s.SVar != "" {
-				rt.row[s.SVar] = a
-			}
-			if !oBound && s.OVar != "" {
-				rt.row[s.OVar] = b
-			}
+			rt.set(sFree, a)
+			rt.set(oFree, b)
 			cont = rt.steps(i + 1)
-			if !sBound && s.SVar != "" {
-				delete(rt.row, s.SVar)
-			}
-			if !oBound && s.OVar != "" {
-				delete(rt.row, s.OVar)
-			}
+			rt.unset(sFree)
+			rt.unset(oFree)
 			return cont
 		})
 	}
@@ -440,13 +463,10 @@ func (rt *run) steps(i int) bool {
 // predVarStep executes a variable-predicate triple pattern in union
 // mode by enumerating matching union edges directly (the static path
 // joins these through LTJ instead, which union mode bypasses).
-func (rt *run) predVarStep(i int, st PathStep) bool {
-	sid, sBound := rt.resolve(st.SVar, st.SID)
-	oid, oBound := rt.resolve(st.OVar, st.OID)
-	pid := int64(core.Variable)
-	if v, ok := rt.row[st.PredVar]; ok {
-		pid = int64(v)
-	}
+func (rt *run) predVarStep(i int, st *PathStep) bool {
+	sid, sBound := rt.resolve(st.sSlot, st.SID)
+	oid, oBound := rt.resolve(st.oSlot, st.OID)
+	pid, _ := rt.resolve(st.pSlot, core.Variable)
 	if !sBound {
 		sid = core.Variable
 	}
@@ -459,31 +479,29 @@ func (rt *run) predVarStep(i int, st PathStep) bool {
 			return false
 		}
 		// Bind the step's variables against the edge, rejecting
-		// inconsistent repeats (e.g. ?x ?x ?x) and unwinding after the
+		// inconsistent repeats (e.g. ?x ?p ?x) and unwinding after the
 		// recursive continuation.
-		okRow := true
-		var added []string
-		try := func(name string, v uint32) {
-			if !okRow || name == "" {
-				return
+		var added [3]int
+		n, okRow := 0, true
+		for _, b := range [3]struct {
+			slot int
+			v    uint32
+		}{{st.sSlot, es}, {st.pSlot, ep}, {st.oSlot, eo}} {
+			switch {
+			case b.slot < 0:
+			case rt.bound[b.slot]:
+				okRow = okRow && rt.row[b.slot] == b.v
+			default:
+				rt.set(b.slot, b.v)
+				added[n] = b.slot
+				n++
 			}
-			if cur, bound := rt.row[name]; bound {
-				if cur != v {
-					okRow = false
-				}
-				return
-			}
-			rt.row[name] = v
-			added = append(added, name)
 		}
-		try(st.SVar, es)
-		try(st.PredVar, ep)
-		try(st.OVar, eo)
 		if okRow {
 			cont = rt.steps(i + 1)
 		}
-		for _, n := range added {
-			delete(rt.row, n)
+		for _, s := range added[:n] {
+			rt.unset(s)
 		}
 		return cont
 	})
@@ -539,32 +557,22 @@ func (x *Exec) eachUnionEdge(sid, pid, oid int64, fn func(s, p, o uint32) bool) 
 }
 
 // resolve returns the id a step endpoint is fixed to, if any: a
-// constant, or a variable already bound by LTJ or an earlier step.
-func (rt *run) resolve(v string, constID int64) (int64, bool) {
-	if v == "" {
-		if constID == core.Variable {
-			return core.Variable, false
-		}
-		return constID, true
+// constant, or a variable (slot ≥ 0) already bound by LTJ or an earlier
+// step.
+func (rt *run) resolve(slot int, constID int64) (int64, bool) {
+	if slot < 0 {
+		return constID, constID != core.Variable
 	}
-	if id, ok := rt.row[v]; ok {
-		return int64(id), true
+	if rt.bound[slot] {
+		return int64(rt.row[slot]), true
 	}
 	return core.Variable, false
 }
 
-// emitRow renders the current row as a Binding and delivers it.
+// emitRow delivers the current row.
 func (rt *run) emitRow() bool {
-	b := make(Binding, len(rt.row))
-	for k, v := range rt.row {
-		if rt.predVars[k] {
-			b[k] = rt.x.g.PredName(v)
-		} else {
-			b[k] = rt.x.g.Nodes.Name(v)
-		}
-	}
 	rt.emitted++
-	if !rt.emit(b) {
+	if !rt.emit(rt.row) {
 		return false
 	}
 	return rt.limit == 0 || rt.emitted < rt.limit

@@ -27,10 +27,26 @@ func orgGraph() *triples.Graph {
 	return b.Build()
 }
 
+// runBindings runs q on x, rendering every row as a Binding by name.
+func runBindings(x *Exec, q *Query, opts Options, emit func(Binding) bool) error {
+	vars, preds := q.Vars(), q.PredVars()
+	return x.Run(q, opts, func(row []uint32) bool {
+		b := make(Binding, len(row))
+		for i, v := range vars {
+			if preds[v] {
+				b[v] = x.g.PredName(row[i])
+			} else {
+				b[v] = x.g.Nodes.Name(row[i])
+			}
+		}
+		return emit(b)
+	})
+}
+
 func runPattern(t *testing.T, x *Exec, src string, opts Options) []Binding {
 	t.Helper()
 	var out []Binding
-	if err := x.Run(MustParse(src), opts, func(b Binding) bool {
+	if err := runBindings(x, MustParse(src), opts, func(b Binding) bool {
 		out = append(out, b)
 		return true
 	}); err != nil {
@@ -172,7 +188,7 @@ func TestExecLimitAndTimeout(t *testing.T) {
 	}
 	dense := b.Build()
 	xd := NewExec(dense, ring.New(dense, ring.WaveletMatrix), nil)
-	err := xd.Run(MustParse("?x p ?y . ?y p+ ?z"), Options{Timeout: time.Nanosecond}, func(Binding) bool { return true })
+	err := runBindings(xd, MustParse("?x p ?y . ?y p+ ?z"), Options{Timeout: time.Nanosecond}, func(Binding) bool { return true })
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("timeout: got %v", err)
 	}
@@ -198,7 +214,7 @@ func TestExecShardedRoutingAndCrossShard(t *testing.T) {
 		"?x ?p ?y",                       // variable predicate
 		"?x !(manages) ?y",               // negated property set
 	} {
-		err := sharded.Run(MustParse(src), Options{}, func(Binding) bool { return true })
+		err := runBindings(sharded, MustParse(src), Options{}, func(Binding) bool { return true })
 		if !errors.Is(err, ErrCrossShard) {
 			t.Fatalf("%q: got %v, want ErrCrossShard", src, err)
 		}

@@ -38,6 +38,12 @@ type Plan struct {
 	// constant-anchored where a triple pattern pins the variable's two
 	// neighbours (for tests and explain output).
 	VarEst map[string]float64
+	// Vars numbers the pattern's variables: they are the query's Vars,
+	// and slot i of every row Exec.Run emits holds Vars[i]'s value.
+	Vars []string
+
+	// joinSlots[i] is the row slot of Order[i].
+	joinSlots []int
 }
 
 // PathStep is one scheduled RPQ clause — or, in the union-mode
@@ -54,6 +60,10 @@ type PathStep struct {
 	SID, OID int64
 	// Est is the planner's cost estimate for the step at schedule time.
 	Est float64
+
+	// sSlot, oSlot and pSlot are the row slots of SVar, OVar and PredVar
+	// (-1 for a constant endpoint or a constant path).
+	sSlot, oSlot, pSlot int
 }
 
 // planner carries the inputs of one planning pass.
@@ -161,7 +171,32 @@ func (p *planner) plan(q *Query, allSteps bool) (*Plan, error) {
 			bound[c.PredVar] = true
 		}
 	}
+	pl.number(q)
 	return pl, nil
+}
+
+// number assigns the row slots: one per variable of q, in order of
+// first appearance.
+func (pl *Plan) number(q *Query) {
+	pl.Vars = q.Vars()
+	slots := make(map[string]int, len(pl.Vars))
+	for i, v := range pl.Vars {
+		slots[v] = i
+	}
+	slot := func(v string) int {
+		if v == "" {
+			return -1
+		}
+		return slots[v]
+	}
+	pl.joinSlots = make([]int, len(pl.Order))
+	for i, v := range pl.Order {
+		pl.joinSlots[i] = slot(v)
+	}
+	for i := range pl.Steps {
+		st := &pl.Steps[i]
+		st.sSlot, st.oSlot, st.pSlot = slot(st.SVar), slot(st.OVar), slot(st.PredVar)
+	}
 }
 
 // resolveTriple maps a triple-pattern clause to LTJ terms; false means

@@ -82,6 +82,10 @@ type Query struct {
 	Select []string
 	// Clauses are the pattern's conjuncts.
 	Clauses []Clause
+
+	// canon is the canonical text, rendered once by Parse: a parsed
+	// query is never modified, and the plan memo keys every run on it.
+	canon string
 }
 
 // Parse parses a graph-pattern query. See the package comment for the
@@ -167,7 +171,11 @@ func Parse(src string) (*Query, error) {
 	if len(q.Clauses) == 0 {
 		return nil, fmt.Errorf("query: pattern has no clauses")
 	}
-	return q, q.validate()
+	if err := q.validate(); err != nil {
+		return nil, err
+	}
+	q.canon = q.render()
+	return q, nil
 }
 
 // MustParse is Parse that panics on error; for tests and examples.
@@ -319,10 +327,14 @@ func (q *Query) PredVars() map[string]bool {
 	return out
 }
 
-// String renders the query in the canonical syntax accepted by Parse
+// String returns the query in the canonical syntax accepted by Parse
 // (path expressions in pathexpr.String form), the form the service's
-// pattern cache keys on.
-func (q *Query) String() string {
+// pattern cache and the executor's plan memo key on. Parse renders it
+// once, so a Query must come from Parse.
+func (q *Query) String() string { return q.canon }
+
+// render builds the canonical text.
+func (q *Query) render() string {
 	var sb strings.Builder
 	if q.Select != nil {
 		sb.WriteString("SELECT")

@@ -230,8 +230,9 @@ func TestDistinctPredsIntoObject(t *testing.T) {
 	baq, _ := g.Nodes.Lookup("Baq")
 	b, e := r.ObjectRange(baq)
 	got := map[string]bool{}
-	wavelet.RangeDistinct(r.Lp, b, e, func(c uint32, rb, re int) {
+	wavelet.RangeDistinct(r.Lp, b, e, func(c uint32, rb, re int) bool {
 		got[g.PredName(c)] = true
+		return true
 	})
 	// Edges into Baq: l1 (from UCh), l5 (from BA), plus their completion
 	// inverses (unlike Fig. 3, we complete every predicate, not only bus).

@@ -157,13 +157,41 @@ func splitRangeMasks(bv *bitvec.Vector, z int, items []RangeMask, arena *[]Range
 }
 
 // RangeDistinct enumerates the distinct symbols in [b, e) of m in
-// increasing order, with their occurrence-rank ranges. This is the
-// "warmup" algorithm at the end of §3.5: O(log σ) per reported symbol.
-func RangeDistinct(m *Matrix, b, e int, emit func(c uint32, rb, re int)) {
-	m.Traverse(b, e, func(node NodeID, leaf bool, sym uint32, lb, le int, full bool) bool {
-		if leaf {
-			emit(sym, lb, le)
-		}
+// increasing order, each with its occurrence ranks [rb, re) — the ranks
+// Rank(c, b) and Rank(c, e), so C[c]+rb, C[c]+re is the range a
+// backward-search step by c maps [b, e) to. This is the "warmup"
+// algorithm at the end of §3.5: one depth-first descent, O(log σ) per
+// reported symbol. emit returning false stops the descent.
+//
+//ringrpq:noalloc
+func RangeDistinct(m *Matrix, b, e int, emit func(c uint32, rb, re int) bool) {
+	if b < 0 {
+		b = 0
+	}
+	if e > m.n {
+		e = m.n
+	}
+	m.rangeDistinct(0, 0, b, e, emit)
+}
+
+// rangeDistinct is RangeDistinct below the node (level, prefix), whose
+// local range is [b, e); false means emit stopped the descent.
+//
+//ringrpq:noalloc
+func (m *Matrix) rangeDistinct(level int, prefix uint32, b, e int, emit func(c uint32, rb, re int) bool) bool {
+	if b >= e {
 		return true
-	})
+	}
+	if level == m.width {
+		if prefix >= m.sigma {
+			return true
+		}
+		s := int(m.bottomStart[prefix])
+		return emit(prefix, b-s, e-s)
+	}
+	bv := m.levels[level]
+	z := m.zeros[level]
+	lb, le := bv.Rank0(b), bv.Rank0(e)
+	return m.rangeDistinct(level+1, prefix<<1, lb, le, emit) &&
+		m.rangeDistinct(level+1, prefix<<1|1, z+(b-lb), z+(e-le), emit)
 }

@@ -128,7 +128,7 @@ func TestEmptySequence(t *testing.T) {
 		t.Fatal("empty ops misbehave")
 	}
 	called := false
-	RangeDistinct(s, 0, 0, func(c uint32, rb, re int) { called = true })
+	RangeDistinct(s, 0, 0, func(c uint32, rb, re int) bool { called = true; return true })
 	if called {
 		t.Fatal("RangeDistinct on empty emitted")
 	}
@@ -141,15 +141,49 @@ func TestRangeDistinct(t *testing.T) {
 		want := ns.distinct(r[0], r[1])
 		got := map[uint32][2]int{}
 		var order []uint32
-		RangeDistinct(s, r[0], r[1], func(c uint32, rb, re int) {
+		RangeDistinct(s, r[0], r[1], func(c uint32, rb, re int) bool {
 			got[c] = [2]int{rb, re}
 			order = append(order, c)
+			return true
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("RangeDistinct(%v)=%v, want %v", r, got, want)
 		}
 		if !sort.SliceIsSorted(order, func(i, j int) bool { return order[i] < order[j] }) {
 			t.Fatalf("RangeDistinct order not increasing: %v", order)
+		}
+	}
+}
+
+// An emit that returns false after k symbols stops the descent there:
+// exactly the k smallest distinct symbols of the range come out, in
+// increasing order, each with the ranks Rank reports at the range ends.
+func TestRangeDistinctStops(t *testing.T) {
+	for _, sigma := range []uint32{1, 2, 5, 9, 64, 100} {
+		ns := randSeq(400, sigma, int64(sigma)+3)
+		s := matrix(ns)
+		for _, r := range [][2]int{{0, 400}, {13, 90}, {250, 251}, {-5, 410}} {
+			b, e := max(r[0], 0), min(r[1], 400)
+			all := ns.distinct(b, e)
+			syms := make([]uint32, 0, len(all))
+			for c := range all {
+				syms = append(syms, c)
+			}
+			sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
+			for k := 1; k <= len(syms); k++ {
+				var got []uint32
+				RangeDistinct(s, r[0], r[1], func(c uint32, rb, re int) bool {
+					if rb != s.Rank(c, b) || re != s.Rank(c, e) {
+						t.Fatalf("sigma=%d range %v: symbol %d ranks [%d,%d), want [%d,%d)",
+							sigma, r, c, rb, re, s.Rank(c, b), s.Rank(c, e))
+					}
+					got = append(got, c)
+					return len(got) < k
+				})
+				if !reflect.DeepEqual(got, syms[:k]) {
+					t.Fatalf("sigma=%d range %v stop at %d: got %v, want %v", sigma, r, k, got, syms[:k])
+				}
+			}
 		}
 	}
 }
@@ -321,7 +355,21 @@ func TestMatrixNaiveAgreeQuick(t *testing.T) {
 				}
 			}
 		}
-		return true
+		// RangeDistinct, run to the end and stopped after the first
+		// symbol, against the naive distinct map.
+		b, e := n/3, n-n/4
+		want := ns.distinct(b, e)
+		got := map[uint32][2]int{}
+		RangeDistinct(ma, b, e, func(c uint32, rb, re int) bool {
+			got[c] = [2]int{rb, re}
+			return true
+		})
+		if !reflect.DeepEqual(got, want) {
+			return false
+		}
+		first := 0
+		RangeDistinct(ma, b, e, func(uint32, int, int) bool { first++; return false })
+		return first == min(len(want), 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -377,7 +425,7 @@ func BenchmarkMatrixRangeDistinct(b *testing.B) {
 	s := NewMatrix(ns.data, ns.sigma)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RangeDistinct(s, 0, 2048, func(c uint32, rb, re int) {})
+		RangeDistinct(s, 0, 2048, func(c uint32, rb, re int) bool { return true })
 	}
 }
 

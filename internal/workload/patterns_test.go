@@ -66,7 +66,7 @@ func TestGeneratePatternsSatisfiable(t *testing.T) {
 	nonEmpty := 0
 	for _, pq := range qs {
 		n := 0
-		err := x.Run(query.MustParse(pq.Text), query.Options{Limit: 1}, func(query.Binding) bool {
+		err := x.Run(query.MustParse(pq.Text), query.Options{Limit: 1}, func([]uint32) bool {
 			n++
 			return true
 		})

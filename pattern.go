@@ -7,8 +7,8 @@ package ringrpq
 // the §6 integration the paper sketches.
 
 import (
+	"encoding/binary"
 	"sort"
-	"strconv"
 
 	"ringrpq/internal/core"
 	"ringrpq/internal/ltj"
@@ -88,22 +88,32 @@ func (db *DB) QueryPatternFunc(q string, emit func(Binding) bool, opts ...QueryO
 	if err != nil {
 		return err
 	}
-	return db.queryPattern(node, options(opts), emit)
-}
-
-// queryPattern evaluates a pre-parsed pattern (the entry point used by
-// Service workers, which share parsed patterns across requests).
-func (db *DB) queryPattern(node *query.Query, o core.Options, emit func(Binding) bool) error {
+	vars, preds := node.Vars(), node.PredVars()
 	snap := db.h.acquire()
 	defer db.h.release(snap)
-	return db.queryPatternOn(snap, node, o, emit)
+	return db.runPattern(snap, node, options(opts), func(row []uint32) bool {
+		b := make(Binding, len(row))
+		for i, v := range vars {
+			b[v] = db.name(preds[v], row[i])
+		}
+		return emit(b)
+	})
 }
 
-// queryPatternOn evaluates a pre-parsed pattern against an
-// already-pinned snapshot (the standing-query host evaluates on a
-// batch's two snapshots rather than whatever is current).
-func (db *DB) queryPatternOn(snap *snapshot, node *query.Query, o core.Options, emit func(Binding) bool) error {
+// runPattern evaluates a pre-parsed pattern against a pinned snapshot,
+// streaming the executor's id rows (row[i] is node.Vars()[i]'s value,
+// the slice reused between calls).
+func (db *DB) runPattern(snap *snapshot, node *query.Query, o core.Options, emit func(row []uint32) bool) error {
 	return db.patternFor(snap).Run(node, query.Options{Limit: o.Limit, Timeout: o.Timeout, Trace: o.Trace}, emit)
+}
+
+// name renders a bound id: a completed predicate's name for a
+// predicate-position variable, a node's otherwise.
+func (db *DB) name(pred bool, id uint32) string {
+	if pred {
+		return db.g.PredName(id)
+	}
+	return db.g.Nodes.Name(id)
 }
 
 // options folds QueryOptions into a core.Options value.
@@ -125,65 +135,66 @@ func (db *DB) Select(q string, opts ...QueryOption) (vars []string, rows [][]str
 		return nil, nil, err
 	}
 	vars = node.OutVars()
-	rows, err = db.selectRows(node, options(opts))
+	snap := db.h.acquire()
+	defer db.h.release(snap)
+	err = db.selectFuncOn(snap, node, options(opts), func(row []string) bool {
+		rows = append(rows, row)
+		return true
+	})
 	return vars, rows, err
 }
 
-// selectFunc streams the projected, deduplicated rows of a pattern
-// (values ordered by the query's OutVars). The limit caps distinct
-// projected rows, so the underlying evaluation runs unlimited and
-// stops once enough rows materialise; projection can identify
-// distinct bindings, hence the dedup here.
-func (db *DB) selectFunc(node *query.Query, o core.Options, emit func([]string) bool) error {
-	snap := db.h.acquire()
-	defer db.h.release(snap)
-	return db.selectFuncOn(snap, node, o, emit)
-}
-
-// selectFuncOn is selectFunc against an already-pinned snapshot.
+// selectFuncOn streams the projected, deduplicated rows of a pattern
+// (values ordered by the query's OutVars), evaluated against a pinned
+// snapshot; each row is freshly allocated. The limit caps distinct
+// projected rows, so the underlying evaluation runs unlimited and stops
+// once enough rows materialise; projection can identify distinct rows,
+// hence the dedup on the projected ids (a name has one id, so that is
+// the dedup by name), and names are rendered only for the rows kept.
 func (db *DB) selectFuncOn(snap *snapshot, node *query.Query, o core.Options, emit func([]string) bool) error {
-	vars := node.OutVars()
 	inner := o
 	inner.Limit = 0
-	// Without a SELECT list the projection is the identity, bindings
-	// are already distinct by the executor's contract, and the dedup
-	// map would only burn memory.
-	var seen map[string]bool
+	vars, preds := node.OutVars(), node.PredVars()
+	slot := make(map[string]int)
+	for i, v := range node.Vars() {
+		slot[v] = i
+	}
+	proj := make([]int, len(vars))
+	for i, v := range vars {
+		proj[i] = slot[v]
+	}
+	// Without a SELECT list the projection is the identity, rows are
+	// already distinct by the executor's contract, and the dedup map
+	// would only burn memory.
+	var (
+		seen map[string]struct{}
+		key  []byte
+	)
 	if node.Select != nil {
-		seen = map[string]bool{}
+		seen = map[string]struct{}{}
 	}
 	emitted := 0
-	return db.queryPatternOn(snap, node, inner, func(b Binding) bool {
-		row := make([]string, len(vars))
-		for i, v := range vars {
-			row[i] = b[v]
-		}
+	return db.runPattern(snap, node, inner, func(row []uint32) bool {
 		if seen != nil {
-			key := ""
-			for _, v := range row {
-				key += strconv.Itoa(len(v)) + ":" + v
+			key = key[:0]
+			for _, s := range proj {
+				key = binary.LittleEndian.AppendUint32(key, row[s])
 			}
-			if seen[key] {
+			if _, dup := seen[string(key)]; dup {
 				return true
 			}
-			seen[key] = true
+			seen[string(key)] = struct{}{}
+		}
+		out := make([]string, len(proj))
+		for i, s := range proj {
+			out[i] = db.name(preds[vars[i]], row[s])
 		}
 		emitted++
-		if !emit(row) {
+		if !emit(out) {
 			return false
 		}
 		return o.Limit == 0 || emitted < o.Limit
 	})
-}
-
-// selectRows materialises selectFunc's stream.
-func (db *DB) selectRows(node *query.Query, o core.Options) ([][]string, error) {
-	var rows [][]string
-	err := db.selectFunc(node, o, func(row []string) bool {
-		rows = append(rows, row)
-		return true
-	})
-	return rows, err
 }
 
 // SortRows orders a Select result table lexicographically, for stable

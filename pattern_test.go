@@ -211,6 +211,49 @@ func TestServiceSelectEndToEnd(t *testing.T) {
 	}
 }
 
+// A pattern Count is the number of distinct projected rows: for a
+// SELECT that projection merges and for a pattern without one, through
+// the service and through POST /select, it equals len(Rows).
+func TestPatternCountMatchesRows(t *testing.T) {
+	db := orgDB(t, 0)
+	svc := NewService(db, ServiceConfig{Workers: 2, ResultCacheEntries: -1})
+	defer svc.Close()
+	h := svc.Handler(HandlerConfig{DefaultLimit: 1000})
+	ctx := context.Background()
+	for _, src := range []string{
+		"?m manages+ ?e . ?e assigned ?proj",
+		"SELECT ?proj WHERE { ?m manages+ ?e . ?e assigned ?proj }",
+		"SELECT ?m WHERE { ?m manages ?e }",
+	} {
+		rows := svc.s.Select(ctx, Request{Pattern: src})
+		count := svc.s.Select(ctx, Request{Pattern: src, Count: true})
+		if rows.Err != nil || count.Err != nil {
+			t.Fatalf("%q: %v / %v", src, rows.Err, count.Err)
+		}
+		if len(rows.Rows) == 0 || count.N != len(rows.Rows) || rows.N != len(rows.Rows) || count.Rows != nil {
+			t.Fatalf("%q: count %d (rows %v), select %d rows with N %d", src, count.N, count.Rows, len(rows.Rows), rows.N)
+		}
+		var bodies [2]struct {
+			Rows  [][]string `json:"rows"`
+			Count int        `json:"count"`
+		}
+		for i, countOnly := range []bool{false, true} {
+			body, _ := json.Marshal(map[string]any{"query": src, "count": countOnly})
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/select", bytes.NewReader(body)))
+			if w.Code != 200 {
+				t.Fatalf("%q count=%v: status %d: %s", src, countOnly, w.Code, w.Body)
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &bodies[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if bodies[1].Count != len(bodies[0].Rows) || bodies[0].Count != len(rows.Rows) || bodies[1].Rows != nil {
+			t.Fatalf("%q over HTTP: count %d (rows %v), select %d rows", src, bodies[1].Count, bodies[1].Rows, len(bodies[0].Rows))
+		}
+	}
+}
+
 func TestExplainPattern(t *testing.T) {
 	db := orgDB(t, 0)
 	pl, err := db.ExplainPattern("?m manages ?e . ?e assigned+ ?p")

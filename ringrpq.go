@@ -450,7 +450,9 @@ func (b dbBackend) Eval(ctx context.Context, subject string, node pathexpr.Node,
 // serve graph patterns (Select, POST /select).
 func (b dbBackend) EvalPattern(ctx context.Context, q *query.Query, limit int, timeout time.Duration, emit func([]string) bool) error {
 	o := core.Options{Limit: limit, Timeout: timeout, Trace: obs.FromContext(ctx)}
-	return b.db.selectFunc(q, o, emit)
+	snap := b.db.h.acquire()
+	defer b.db.h.release(snap)
+	return b.db.selectFuncOn(snap, q, o, emit)
 }
 
 // ApplyUpdates implements service.Updater: Services over a DB accept
