@@ -60,7 +60,8 @@ bench:
 
 # One-iteration smoke run of the hot-path micro-benchmarks (broadword
 # select, multi-range wavelet descent, batched vs unbatched BFS, the
-# Limit-bound traversal, a pattern join under a fixed order), of
+# Limit-bound traversal, a pattern join under a fixed order, a pattern
+# pool through one executor's plan memo), of
 # the compactor's (matrix build, counting-sort ring build, bulk triple
 # decode, per-batch overlay consolidation) and of the handler's
 # result-cache hit and miss: makes sure the benchmark code keeps
@@ -73,6 +74,7 @@ bench-short:
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 	$(GO) test -run NONE -bench 'HandlerCacheHit|HandlerMiss' -benchtime 1x ./internal/service/
 	$(GO) test -run NONE -bench JoinWith -benchtime 1x ./internal/ltj/
+	$(GO) test -run NONE -bench ExecRunPool -benchtime 1x ./internal/query/
 
 # The benchmark (rpqload, BENCHMARK.json) is a module of its own under
 # bench/ that imports this one's internal packages and reads its span

@@ -57,16 +57,6 @@ func (m Mask) Intersects(x Mask) bool {
 	return false
 }
 
-// SubsetOf reports whether m ⊆ x.
-func (m Mask) SubsetOf(x Mask) bool {
-	for i, w := range m {
-		if w&^x[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports mask equality.
 func (m Mask) Equal(x Mask) bool {
 	for i, w := range m {

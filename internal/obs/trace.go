@@ -63,6 +63,7 @@ var spanAttrNames = [numSpanKinds][4]string{
 	SpanResultCache:    {"hit"},
 	SpanExprCache:      {"hit"},
 	SpanPatternCache:   {"hit"},
+	SpanPlan:           {"hit"},
 	SpanEval:           {"results"},
 	SpanTraverse:       {"product_nodes", "product_edges", "wavelet_visits", "results"},
 	SpanLevel:          {"frontier", "wavelet_visits"},

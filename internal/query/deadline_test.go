@@ -43,8 +43,12 @@ func TestRunDeadlineCoversPlanning(t *testing.T) {
 		t.Fatalf("nanosecond budget ran for %v; planning escaped the deadline", elapsed)
 	}
 
-	// The timed-out attempt must not poison the plan memo: a generous
-	// budget on the same executor plans afresh and completes.
+	// The timed-out attempt must not poison the plan memo: it holds no
+	// plan, and a generous budget on the same executor plans afresh and
+	// completes.
+	if n := len(x.plans); n != 0 {
+		t.Fatalf("the timed-out plan was memoised (%d plans held)", n)
+	}
 	if err := runBindings(x, slowPlanPattern(), Options{Timeout: time.Minute}, func(Binding) bool { return true }); err != nil {
 		t.Fatalf("generous budget after timeout: %v", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"ringrpq/internal/datagen"
 	"ringrpq/internal/enginetest"
 	"ringrpq/internal/ltj"
+	"ringrpq/internal/obs"
 	"ringrpq/internal/ring"
 	"ringrpq/internal/triples"
 	"ringrpq/internal/workload"
@@ -281,7 +282,7 @@ func checkEveryOrder(t *testing.T, x *Exec, q *Query, src string, seed int64) (s
 	if err != nil {
 		return st
 	}
-	pl, err := x.planFor(q, r, time.Time{}, false)
+	pl, _, err := x.planFor(q, r, time.Time{}, false)
 	if err != nil || pl.Empty || len(pl.Triples) == 0 {
 		return st
 	}
@@ -385,6 +386,12 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 				texts = append(texts, instantiate(src))
 			}
 
+			type checked struct {
+				src  string
+				q    *Query
+				want []string
+			}
+			var done []checked
 			for _, src := range texts {
 				q, err := Parse(src)
 				if err != nil {
@@ -398,53 +405,13 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 					continue
 				}
 				want := sortedKeys(oracle)
+				checkExecutors(t, []*Exec{single, sharded, split}, q, src, want, false)
+				done = append(done, checked{src, q, want})
 
-				var got []Binding
-				if err := runBindings(single, q, Options{}, func(b Binding) bool {
-					got = append(got, b)
-					return true
-				}); err != nil {
-					t.Fatalf("executor %q: %v", src, err)
-				}
-				if gotKeys := sortedKeys(got); !eqStrings(gotKeys, want) {
-					t.Fatalf("pattern %q: executor %d rows, oracle %d rows\n got: %v\nwant: %v",
-						src, len(gotKeys), len(want), gotKeys, want)
-				}
-				// Executor results are distinct by contract.
-				if d := dedupeBindings(got); len(d) != len(got) {
-					t.Fatalf("pattern %q: executor emitted duplicates", src)
-				}
-
-				var gotSharded []Binding
-				err = runBindings(sharded, q, Options{}, func(b Binding) bool {
-					gotSharded = append(gotSharded, b)
-					return true
-				})
-				switch {
-				case errors.Is(err, ErrCrossShard):
-					// Legitimate for multi-shard patterns; the single-ring
-					// result above already validated the case.
-				case err != nil:
-					t.Fatalf("sharded executor %q: %v", src, err)
-				default:
-					if gotKeys := sortedKeys(gotSharded); !eqStrings(gotKeys, want) {
-						t.Fatalf("pattern %q: sharded executor diverges from oracle", src)
-					}
-				}
 				o1 := checkEveryOrder(t, single, q, src, seed)
 				o2 := checkEveryOrder(t, sharded, q, src, seed)
 				var o3 orderStats
 				if forwardOnly(q) {
-					var gotSplit []Binding
-					if err := runBindings(split, q, Options{}, func(b Binding) bool {
-						gotSplit = append(gotSplit, b)
-						return true
-					}); err != nil {
-						t.Fatalf("split-ring executor %q: %v", src, err)
-					}
-					if gotKeys := sortedKeys(gotSplit); !eqStrings(gotKeys, want) {
-						t.Fatalf("pattern %q: split-ring executor diverges from oracle", src)
-					}
 					if o3 = checkEveryOrder(t, split, q, src, seed); o3.flips != 0 {
 						t.Fatalf("pattern %q: %d flips taken on a ring without the inverse predicates", src, o3.flips)
 					}
@@ -460,6 +427,11 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 					rpqByClass[class]++
 				}
 				mu.Unlock()
+			}
+			// Second pass on the same executors: every plan is memoised
+			// now, and a memo hit must answer what planning afresh did.
+			for _, c := range done {
+				checkExecutors(t, []*Exec{single, sharded, split}, c.q, c.src, c.want, true)
 			}
 		})
 	}
@@ -477,6 +449,43 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 			}
 		}
 	})
+}
+
+// checkExecutors runs q on the single-ring, sharded and split-ring
+// executors (in that order; the split ring only for forward-only BGPs)
+// and checks each against the oracle's rows. A sharded run may refuse
+// a multi-shard pattern; the single-ring run already validated it.
+// With memoised set, every run must also find its plan in the memo.
+func checkExecutors(t *testing.T, xs []*Exec, q *Query, src string, want []string, memoised bool) {
+	t.Helper()
+	for i, name := range []string{"single-ring", "sharded", "split-ring"} {
+		if name == "split-ring" && !forwardOnly(q) {
+			continue
+		}
+		tr := obs.New()
+		var got []Binding
+		err := runBindings(xs[i], q, Options{Trace: tr}, func(b Binding) bool {
+			got = append(got, b)
+			return true
+		})
+		if name == "sharded" && errors.Is(err, ErrCrossShard) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s executor %q: %v", name, src, err)
+		}
+		if gotKeys := sortedKeys(got); !eqStrings(gotKeys, want) {
+			t.Fatalf("pattern %q: %s executor %d rows, oracle %d rows\n got: %v\nwant: %v",
+				src, name, len(gotKeys), len(want), gotKeys, want)
+		}
+		// Executor results are distinct by contract.
+		if d := dedupeBindings(got); len(d) != len(got) {
+			t.Fatalf("pattern %q: %s executor emitted duplicates", src, name)
+		}
+		if hit := planHit(tr); memoised && hit != 1 {
+			t.Fatalf("pattern %q: %s executor's second run has plan hit=%d, want 1", src, name, hit)
+		}
+	}
 }
 
 // forwardOnly reports whether q is a BGP over forward constant

@@ -80,10 +80,13 @@ type planKey struct {
 	r     *ring.Ring
 }
 
-// maxPlans bounds the per-Exec plan memo; on overflow the whole memo
-// is dropped (replanning a handful of patterns is cheaper than
-// tracking recency), mirroring core's compilation memo.
-const maxPlans = 128
+// maxPlans bounds the per-Exec plan memo and, separately, the
+// union-mode memo. On overflow the whole memo is dropped rather than
+// tracking recency, mirroring core's compilation memo. 1024 is the
+// service's default parse-cache capacity (ExprCacheEntries), so a
+// worker's memo holds every pattern the shared parse cache keeps hot;
+// at about 0.4 KB a plan, a full memo is about 0.5 MB.
+const maxPlans = 1024
 
 // engineKey identifies one engine slot: the routed ring and the RPQ
 // pipeline depth (nested path steps each need their own working
@@ -220,32 +223,33 @@ func (x *Exec) Plan(q *Query) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return x.planFor(q, r, time.Time{}, x.dirty())
+	pl, _, err := x.planFor(q, r, time.Time{}, x.dirty())
+	return pl, err
 }
 
 // planFor returns the memoised plan of q on ring r, planning on first
-// use under the given absolute deadline (zero = none). allSteps plans
-// every clause as a pipelined step (union mode bypasses LTJ, which
-// reads only the static ring).
-func (x *Exec) planFor(q *Query, r *ring.Ring, deadline time.Time, allSteps bool) (*Plan, error) {
+// use under the given absolute deadline (zero = none); hit is 1 on a
+// memo hit and 0 when planned (the plan span's attribute). allSteps
+// plans every clause as a pipelined step (union mode bypasses LTJ,
+// which reads only the static ring).
+func (x *Exec) planFor(q *Query, r *ring.Ring, deadline time.Time, allSteps bool) (pl *Plan, hit int64, err error) {
 	memo := &x.plans
 	if allSteps {
 		memo = &x.dirtyPlans
 	}
 	key := planKey{canon: q.String(), r: r}
 	if pl, ok := (*memo)[key]; ok {
-		return pl, nil
+		return pl, 1, nil
 	}
 	p := &planner{g: x.g, r: r, sel: x.sel.For(r), deadline: deadline}
-	pl, err := p.plan(q, allSteps)
-	if err != nil {
-		return nil, err
+	if pl, err = p.plan(q, allSteps); err != nil {
+		return nil, 0, err
 	}
 	if *memo == nil || len(*memo) >= maxPlans {
 		*memo = make(map[planKey]*Plan, 16)
 	}
 	(*memo)[key] = pl
-	return pl, nil
+	return pl, 0, nil
 }
 
 // Run evaluates q, calling emit for every result row: row[i] is the id
@@ -266,8 +270,8 @@ func (x *Exec) Run(q *Query, opts Options, emit func(row []uint32) bool) error {
 		return err
 	}
 	psp := opts.Trace.Begin(obs.SpanPlan)
-	pl, err := x.planFor(q, r, deadline, x.dirty())
-	opts.Trace.End(psp)
+	pl, hit, err := x.planFor(q, r, deadline, x.dirty())
+	opts.Trace.EndVals(psp, hit)
 	if err != nil {
 		return err
 	}

@@ -139,13 +139,6 @@ func (s *ShardSet) shardOf(p uint32) int {
 // predicate is p.
 func (s *ShardSet) ShardFor(p uint32) int { return s.shardOf(p) }
 
-// PredCount reports the number of triples with completed predicate p
-// (they all live in one shard).
-func (s *ShardSet) PredCount(p uint32) int {
-	r := s.Shards[s.shardOf(p)]
-	return r.Cp[p+1] - r.Cp[p]
-}
-
 // SizeBytes sums the sub-ring footprints.
 func (s *ShardSet) SizeBytes() int {
 	sz := 64

@@ -92,9 +92,6 @@ func (s *Sub) StartVersion() uint64 { return s.startVer }
 // column order of Delta.AddedRows/RemovedRows); nil for 2RPQs.
 func (s *Sub) Vars() []string { return s.vars }
 
-// IsPattern reports a graph-pattern subscription.
-func (s *Sub) IsPattern() bool { return s.isPattern }
-
 // Next blocks for the next delta. It returns ErrLagged once the
 // pending queue has overflowed and drained (resume from the last seen
 // version to catch up from history), a terminal error after Close /

@@ -67,13 +67,6 @@ func (f *FaultFS) Written() int64 {
 	return f.written
 }
 
-// Killed reports whether the write budget has been exhausted.
-func (f *FaultFS) Killed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.killed
-}
-
 // admit decides how many of n bytes a write may persist. It returns the
 // allowed count and whether the remainder must fail.
 func (f *FaultFS) admit(n int) (int, bool) {
