@@ -196,7 +196,7 @@ func BenchmarkAblationTableSplit(b *testing.B) {
 	}
 	for _, d := range []int{1, 2, 4, 8, 13} {
 		d := d
-		eng, err := glushkov.NewEngineSplit(a, d)
+		eng, err := glushkov.NewEngineSplitFor(a, d, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

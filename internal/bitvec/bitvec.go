@@ -51,13 +51,6 @@ func (b *Builder) Append(bit bool) {
 	b.n++
 }
 
-// AppendN adds n copies of bit.
-func (b *Builder) AppendN(bit bool, n int) {
-	for i := 0; i < n; i++ {
-		b.Append(bit)
-	}
-}
-
 // Len reports the number of bits appended so far.
 func (b *Builder) Len() int { return b.n }
 

@@ -156,7 +156,9 @@ func TestRankMonotone(t *testing.T) {
 
 func TestBuilderSet(t *testing.T) {
 	b := NewBuilder(10)
-	b.AppendN(false, 10)
+	for i := 0; i < 10; i++ {
+		b.Append(false)
+	}
 	b.Set(3)
 	b.Set(9)
 	v := b.Build()

@@ -93,12 +93,7 @@ func (e *Engine) stepMany(eng *glushkov.Engine, w *ringWork, items []wavelet.Ran
 			// Part 1 pruning (Fact 1 via the aggregated B[v]), per item;
 			// negated property sets contribute per node direction exactly
 			// as on the unbatched path.
-			var bmask uint64
-			if w.bArr != nil {
-				bmask = w.bArr[node]
-			} else {
-				bmask = w.bNode.Get(int(node))
-			}
+			bmask := w.bArr[node]
 			cb, haveCB := uint64(0), false
 			k := 0
 			for _, it := range its {

@@ -293,27 +293,40 @@ func BenchmarkLimitedBFS(b *testing.B) {
 	}
 }
 
-// The stepper table generator must be allocation-free in steady state:
-// once an expression is hot, the Glushkov automaton, the specialized
-// stepper, and the per-(expr, ring) B[v] array are all memoised on the
-// engine, and the memo lookup itself renders the canonical key into a
-// reused buffer. allocs/op must be exactly zero — a regression here
-// means every evaluation of a hot expression pays generator costs
-// again. `make ci` asserts this via -benchtime with ReportAllocs.
-func BenchmarkCompiledStepperSteadyState(b *testing.B) {
-	g := enginetest.RandomGraph(42, 2000, 8, 8000)
-	e := newEngine(g)
-	e.eager = true
-	exprs := []pathexpr.Node{
+// steadyStateExprs are the expressions the memo-hit allocation guard
+// and its benchmark cycle through.
+func steadyStateExprs() []pathexpr.Node {
+	return []pathexpr.Node{
 		pathexpr.MustParse("(pa|pb)+"),
 		pathexpr.MustParse("pa/pb*"),
 		pathexpr.MustParse("pa|pb|pc"),
 	}
-	for _, x := range exprs { // cold builds outside the timed loop
+}
+
+// warmCompiled compiles every expression once on e, outside any timed
+// or counted loop.
+func warmCompiled(tb testing.TB, e *Engine, exprs []pathexpr.Node) {
+	tb.Helper()
+	for _, x := range exprs {
 		if ca := e.compile(x); ca.st == nil || ca.bArrs == nil {
-			b.Fatal("warm-up did not compile a stepper")
+			tb.Fatal("first evaluation did not compile a stepper")
 		}
 	}
+}
+
+// The stepper table generator must be allocation-free in steady state:
+// after an expression's first evaluation, the Glushkov automaton, the
+// specialized stepper, and the per-(expr, ring) B[v] array are all
+// memoised on the engine, and the memo lookup itself renders the
+// canonical key into a reused buffer. A memo hit must allocate nothing
+// — otherwise every evaluation pays generator costs again.
+// TestCompiledStepperSteadyStateAllocs asserts it; this benchmark
+// reports allocs/op beside the time.
+func BenchmarkCompiledStepperSteadyState(b *testing.B) {
+	g := enginetest.RandomGraph(42, 2000, 8, 8000)
+	e := newEngine(g)
+	exprs := steadyStateExprs()
+	warmCompiled(b, e, exprs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -321,5 +334,78 @@ func BenchmarkCompiledStepperSteadyState(b *testing.B) {
 		if ca.st == nil || ca.bArrs == nil {
 			b.Fatal("memo lost the compiled stepper")
 		}
+	}
+}
+
+func TestCompiledStepperSteadyStateAllocs(t *testing.T) {
+	g := enginetest.RandomGraph(42, 2000, 8, 8000)
+	e := newEngine(g)
+	exprs := steadyStateExprs()
+	warmCompiled(t, e, exprs)
+	i := 0
+	allocs := testing.AllocsPerRun(300, func() {
+		ca := e.compile(exprs[i%len(exprs)])
+		i++
+		if ca.st == nil || ca.bArrs == nil {
+			t.Fatal("memo lost the compiled stepper")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("memo hit allocates %v times, want 0", allocs)
+	}
+}
+
+// One evaluation is enough to compile an expression: there is no
+// interpreted warm-up tier.
+func TestFirstEvalIsCompiled(t *testing.T) {
+	g := enginetest.Metro()
+	e := newEngine(g)
+	expr := pathexpr.MustParse("l5+/bus")
+	q := Query{Subject: Variable, Expr: expr, Object: mustID(t, g, "UCh")}
+	collect(t, e, q, Options{})
+	c, ok := e.memo.entries[string(e.memo.keyW.Key(expr))]
+	if !ok {
+		t.Fatal("first evaluation left no memo entry")
+	}
+	if c.st == nil || c.bArrs == nil {
+		t.Fatalf("after one evaluation st=%v bArrs=%v, want both compiled", c.st, c.bArrs)
+	}
+}
+
+// Overflowing the memo drops it whole; an expression evaluated again
+// afterwards is recompiled and still answers as the oracle does.
+func TestMemoOverflowRecompiles(t *testing.T) {
+	g := enginetest.RandomGraph(11, 40, 8, 300)
+	e := newEngine(g)
+	preds := []string{"pa", "pb", "pc", "pd", "pe", "pf", "pg", "ph"}
+	var exprs []pathexpr.Node
+	for _, x := range preds {
+		for j, y := range preds {
+			for _, z := range preds[j+1:] {
+				if len(exprs) <= maxCompiled {
+					exprs = append(exprs, pathexpr.MustParse(x+"/("+y+"|"+z+")*"))
+				}
+			}
+		}
+	}
+	if len(exprs) != maxCompiled+1 {
+		t.Fatalf("built %d expressions, want %d", len(exprs), maxCompiled+1)
+	}
+	check := func(expr pathexpr.Node) {
+		t.Helper()
+		q := Query{Subject: Variable, Expr: expr, Object: 3}
+		want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
+		diffPairs(t, "engine vs oracle", evalPairs(t, e, q, Options{}), want, q)
+	}
+	for _, x := range exprs {
+		check(x)
+	}
+	firstKey := string(e.memo.keyW.Key(exprs[0]))
+	if _, ok := e.memo.entries[firstKey]; ok {
+		t.Fatalf("%d distinct expressions did not overflow the memo", len(exprs))
+	}
+	check(exprs[0])
+	if c := e.memo.entries[firstKey]; c == nil || c.st == nil || c.bArrs == nil {
+		t.Fatal("re-evaluation after the memo drop did not recompile")
 	}
 }

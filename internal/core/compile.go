@@ -8,16 +8,14 @@ import (
 
 // compiledAutomaton is one memoised Glushkov compilation; eng is nil
 // when the expression exceeds the 64-state bit-parallel engine and the
-// multiword fallback must be used. st and bArrs are the compilation
-// tier: they stay nil until the expression's use count crosses
-// compileThreshold (or an eager evaluation forces them), after which
-// every later evaluation runs the specialized stepper against the
-// precomputed B[v] arrays with zero per-eval setup.
+// multiword fallback must be used. st and bArrs are built by the first
+// evaluation of a narrow expression: from then on every evaluation runs
+// the specialized stepper against the expression's precomputed B[v]
+// arrays with zero per-eval setup.
 type compiledAutomaton struct {
-	a    *glushkov.Automaton
-	eng  *glushkov.Engine
-	uses int
-	st   glushkov.Stepper
+	a   *glushkov.Automaton
+	eng *glushkov.Engine
+	st  glushkov.Stepper
 	// bArrs holds one immutable B[v] array per L_p tree the memo serves
 	// (one per sub-ring).
 	bArrs [][]uint64
@@ -31,12 +29,6 @@ type compiledAutomaton struct {
 // than tracking recency).
 const maxCompiled = 128
 
-// compileThreshold is the use count past which an expression is
-// compiled into a specialized stepper. The service's canonicalizing
-// expr cache aligns the memo keys, so per-worker use counts mirror the
-// service-level hit counters.
-const compileThreshold = 2
-
 // compileMemo memoises Glushkov compilations keyed by the canonical
 // expression string, so structurally equal expressions share one entry
 // regardless of how their ASTs were obtained and a long-lived engine (a
@@ -44,12 +36,12 @@ const compileThreshold = 2
 // transition-table construction. The memo is per engine by design: each
 // worker clone pays its own cold build, in exchange for lock-free
 // access on the evaluation hot path. Entries are pointers and the key
-// is rendered through keyW, keeping the steady-state lookup (and the
-// use-count bump) allocation-free.
+// is rendered through keyW, keeping the steady-state lookup
+// allocation-free.
 type compileMemo struct {
 	ids      glushkov.SymbolIDs
 	numPreds uint32
-	// lps are the L_p sequences the compilation tier precomputes B[v] for.
+	// lps are the L_p sequences get precomputes B[v] for.
 	lps     []*wavelet.Matrix
 	entries map[string]*compiledAutomaton
 	keyW    pathexpr.KeyWriter
@@ -74,12 +66,14 @@ func (m *compileMemo) lookup(expr pathexpr.Node) *compiledAutomaton {
 	return c
 }
 
-// get is lookup for an evaluation: it counts the use and, once the
-// expression is hot (or eager is set), builds the stepper tier.
-func (m *compileMemo) get(expr pathexpr.Node, eager, noCompile bool) *compiledAutomaton {
+// get is lookup for an evaluation: on a narrow expression's first
+// evaluation it builds the specialized stepper and the per-ring B[v]
+// arrays. Compilation stays out of lookup because routing (the
+// overlay's delegation check) looks automata up for queries this
+// engine never runs.
+func (m *compileMemo) get(expr pathexpr.Node, noCompile bool) *compiledAutomaton {
 	c := m.lookup(expr)
-	c.uses++
-	if c.eng != nil && c.st == nil && !noCompile && (eager || c.uses > compileThreshold) {
+	if c.eng != nil && c.st == nil && !noCompile {
 		c.st = glushkov.Compile(c.eng, m.numPreds)
 		c.bArrs = make([][]uint64, len(m.lps))
 		for i, lp := range m.lps {
@@ -90,8 +84,8 @@ func (m *compileMemo) get(expr pathexpr.Node, eager, noCompile bool) *compiledAu
 }
 
 // buildBArr precomputes the B[v] masks over the wavelet nodes of lp for
-// a compiled expression: the immutable equivalent of prepare's lazy
-// bNode seeding, built once per (expression, ring) and shared by every
+// a compiled expression: every node holds the union of its leaves'
+// B[c] (§4.1), built once per (expression, ring) and shared by every
 // later evaluation.
 func buildBArr(lp *wavelet.Matrix, eng *glushkov.Engine) []uint64 {
 	arr := make([]uint64, lp.NumNodes())

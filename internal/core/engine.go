@@ -63,10 +63,6 @@ type Options struct {
 	// traversal to the item-at-a-time descent, where every (node, states)
 	// frontier entry pays its own root-to-leaf wavelet descent (ablation).
 	DisableBatching bool
-	// CompileEager compiles the expression into a specialized stepper on
-	// first use instead of waiting for it to get hot (Subscribe and the
-	// benchmarks use this).
-	CompileEager bool
 	// DisableCompiled forces the generic interpreted simulation — the
 	// multiword fallback kept for wide (>64-state) expressions — even
 	// for expressions the compilation tier could specialize. It is the

@@ -47,16 +47,15 @@ func checkAgainstOracle(t *testing.T, g *triples.Graph, e *Engine, s int64, expr
 	t.Helper()
 	node := pathexpr.MustParse(expr)
 	want := enginetest.SortPairs(enginetest.Oracle(g, s, node, o))
-	// Every case runs three ways — the hotness default, the compiled
-	// stepper forced on, and the interpreter forced on — so the
-	// compilation tier is differentially checked against the oracle on
-	// the whole random-query corpus.
+	// Every case runs two ways — the default compiled stepper and the
+	// multiword interpreter forced on — so the compilation tier is
+	// differentially checked against the oracle on the whole
+	// random-query corpus.
 	variants := [...]struct {
 		name string
 		opts Options
 	}{
 		{"default", opts},
-		{"compiled", withCompiled(opts)},
 		{"interpreted", withInterpreted(opts)},
 	}
 	for _, v := range variants {
@@ -70,13 +69,8 @@ func checkAgainstOracle(t *testing.T, g *triples.Graph, e *Engine, s int64, expr
 	}
 }
 
-func withCompiled(opts Options) Options {
-	opts.CompileEager, opts.DisableCompiled = true, false
-	return opts
-}
-
 func withInterpreted(opts Options) Options {
-	opts.CompileEager, opts.DisableCompiled = false, true
+	opts.DisableCompiled = true
 	return opts
 }
 
@@ -272,7 +266,6 @@ func TestTimeoutProbedInInnerLoops(t *testing.T) {
 	}{
 		{"batched", Options{Timeout: time.Nanosecond, DisableFastPaths: true}},
 		{"unbatched", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableBatching: true}},
-		{"compiled", Options{Timeout: time.Nanosecond, DisableFastPaths: true, CompileEager: true}},
 		{"interpreted", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableCompiled: true}},
 	}
 	e := newEngine(g)
@@ -424,11 +417,12 @@ func TestWorkingSizeBytes(t *testing.T) {
 	if e.WorkingSizeBytes() <= 0 {
 		t.Fatal("WorkingSizeBytes must be positive")
 	}
-	// One ring, no delta: the paper's accounting, B[v] plus D[v] and
-	// nothing per node beside them (the L_s leaves are the D[s]).
+	// One ring, no delta: the paper's accounting, D[v] and nothing per
+	// node beside it (the L_s leaves are the D[s]; B[v] is per
+	// expression, in the compile memo).
 	w := e.work[0]
-	if got, want := e.WorkingSizeBytes(), w.bNode.SizeBytes()+w.dNode.SizeBytes(); got != want {
-		t.Fatalf("WorkingSizeBytes=%d at K = 1 with no delta, want bNode + dNode = %d", got, want)
+	if got, want := e.WorkingSizeBytes(), w.dNode.SizeBytes(); got != want {
+		t.Fatalf("WorkingSizeBytes=%d at K = 1 with no delta, want dNode = %d", got, want)
 	}
 }
 

@@ -116,12 +116,10 @@ type Engine struct {
 	emit      EmitFunc
 	base      uint64
 	batch     bool
-	eager     bool
 	noCompile bool
 
-	// st is the active stepper (compiled specialization when the
-	// expression is hot, the interpreting engine otherwise); installed
-	// by prepare alongside the per-ring bArr arrays.
+	// st is the active expression's compiled stepper, installed by
+	// prepare alongside the per-ring bArr arrays.
 	st glushkov.Stepper
 }
 
@@ -137,13 +135,11 @@ type queueItem struct {
 // ring-local).
 type ringWork struct {
 	r      *ring.Ring
-	bNode  *lazy.MaskArray
 	dNode  *lazy.MaskArray
 	lsPads []wavelet.NodeID
 
-	// bArr, when non-nil, is the compiled expression's precomputed
-	// immutable B[v] array for this ring, replacing bNode for the
-	// current evaluation.
+	// bArr is the active expression's immutable B[v] array for this
+	// ring, owned by its compile memo entry and installed by prepare.
 	bArr []uint64
 
 	// delRanks caches, per overlay version, the tombstones' leaf ranks
@@ -170,7 +166,6 @@ func NewMultiRing(rings []*ring.Ring, ids glushkov.SymbolIDs, numPreds uint32) *
 	for i, r := range rings {
 		e.work = append(e.work, &ringWork{
 			r:      r,
-			bNode:  lazy.NewMaskArray(r.Lp.NumNodes()),
 			dNode:  lazy.NewMaskArray(r.Ls.NumNodes()),
 			lsPads: r.Ls.PadNodes(),
 		})
@@ -204,12 +199,13 @@ func (e *Engine) SetDelta(ov Delta, numNodes int) {
 
 // WorkingSizeBytes reports the per-query working-array footprint (the
 // paper's "array D uses 3.09 extra bytes per triple" accounting): the
-// B[v] and D[v] arrays of every ring, plus the masks of overlay-only
-// nodes when a delta brought any.
+// D[v] array of every ring, plus the visited masks of overlay-only
+// nodes when a delta brought any. The B[v] arrays are per expression
+// and live in the compile memo, not here.
 func (e *Engine) WorkingSizeBytes() int {
 	n := 0
 	for _, w := range e.work {
-		n += w.bNode.SizeBytes() + w.dNode.SizeBytes()
+		n += w.dNode.SizeBytes()
 	}
 	if e.visited.Len() > 0 {
 		n += e.visited.SizeBytes()
@@ -224,7 +220,7 @@ func (e *Engine) Automaton(expr pathexpr.Node) *glushkov.Automaton {
 }
 
 func (e *Engine) compile(expr pathexpr.Node) *compiledAutomaton {
-	return e.memo.get(expr, e.eager, e.noCompile)
+	return e.memo.get(expr, e.noCompile)
 }
 
 // Eval evaluates q, calling emit for every result pair. Pairs are
@@ -239,7 +235,6 @@ func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc)
 	e.steps = 0
 	e.base = 0
 	e.batch = !opts.DisableBatching
-	e.eager = opts.CompileEager
 	e.noCompile = opts.DisableCompiled
 	e.trace = opts.Trace
 	if opts.Timeout > 0 {
@@ -292,7 +287,6 @@ func (e *Engine) dispatch(q Query, opts Options) error {
 func (e *Engine) release() {
 	e.visited.Reset()
 	for _, w := range e.work {
-		w.bNode.Reset()
 		w.dNode.Reset()
 		w.bArr = nil
 	}
@@ -302,29 +296,15 @@ func (e *Engine) release() {
 	e.st = nil
 }
 
-// prepare installs the per-evaluation stepper and B[v] masks for c:
-// the compiled stepper and precomputed per-ring B[v] arrays when the
-// expression is hot, else the interpreter with the masks seeded onto
-// the lazy bNode arrays.
+// prepare installs c's compiled stepper and per-ring B[v] arrays (built
+// by the memo on the expression's first evaluation) for one evaluation.
 func (e *Engine) prepare(c *compiledAutomaton) {
 	if e.wide(c) {
 		return // the multiword fallback keeps its own state
 	}
 	e.st = c.st
-	if c.st == nil {
-		e.st = c.eng
-	}
 	for i, w := range e.work {
-		if c.st != nil {
-			w.bArr = c.bArrs[i]
-		} else {
-			w.bArr = nil
-			for sym, mask := range c.eng.B {
-				for id := w.r.Lp.LeafID(sym); id >= 1; id = id.Parent() {
-					w.bNode.Or(int(id), mask)
-				}
-			}
-		}
+		w.bArr = c.bArrs[i]
 		w.markPads()
 	}
 }
@@ -502,13 +482,7 @@ func (e *Engine) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end int
 			// to an active state (Fact 1 via the aggregated B[v]);
 			// negated property sets may be reachable through any node
 			// covering symbols of their half of the completed alphabet.
-			var bm uint64
-			if w.bArr != nil {
-				bm = w.bArr[node]
-			} else {
-				bm = w.bNode.Get(int(node))
-			}
-			if d&bm != 0 {
+			if d&w.bArr[node] != 0 {
 				return true
 			}
 			if negFwd|negInv == 0 {

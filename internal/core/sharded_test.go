@@ -102,16 +102,12 @@ func TestShardedDifferentialRandom(t *testing.T) {
 				diffPairs(t, "engine vs oracle", evalPairs(t, eng, q, Options{}), want, q)
 				diffPairs(t, "engine unbatched vs oracle",
 					evalPairs(t, eng, q, Options{DisableBatching: true}), want, q)
-				diffPairs(t, "engine compiled vs oracle",
-					evalPairs(t, eng, q, Options{CompileEager: true}), want, q)
 				diffPairs(t, "engine interpreted vs oracle",
 					evalPairs(t, eng, q, Options{DisableCompiled: true}), want, q)
 				diffPairs(t, "bfs vs oracle", bfsPairs(t, ix, q), want, q)
 				diffPairs(t, fmt.Sprintf("sharded(k=%d) vs oracle", k), evalPairs(t, sharded, q, Options{}), want, q)
 				diffPairs(t, fmt.Sprintf("sharded(k=%d) unbatched vs oracle", k),
 					evalPairs(t, sharded, q, Options{DisableBatching: true}), want, q)
-				diffPairs(t, fmt.Sprintf("sharded(k=%d) compiled vs oracle", k),
-					evalPairs(t, sharded, q, Options{CompileEager: true}), want, q)
 				diffPairs(t, fmt.Sprintf("sharded(k=%d) interpreted vs oracle", k),
 					evalPairs(t, sharded, q, Options{DisableCompiled: true}), want, q)
 			}
@@ -203,7 +199,7 @@ func crossShardTwoSymbolShapes(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: empty oracle answer proves nothing", src)
 		}
-		for _, opts := range []Options{{}, {CompileEager: true}, {DisableFastPaths: true}} {
+		for _, opts := range []Options{{}, {DisableFastPaths: true}} {
 			diffPairs(t, fmt.Sprintf("%s %+v", src, opts), evalPairs(t, sharded, q, opts), want, q)
 			st, err := sharded.Eval(context.Background(), q, opts, func(s, o uint32) bool { return true })
 			if err != nil {

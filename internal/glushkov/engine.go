@@ -67,14 +67,10 @@ func NewEngineFor(a *Automaton, numCompleted uint32) (*Engine, error) {
 	return NewEngineSplitFor(a, d, numCompleted)
 }
 
-// NewEngineSplit builds an Engine whose transition tables are split into
+// NewEngineSplitFor is NewEngineFor with transition tables split into
 // d-bit subtables (1 ≤ d ≤ 16); space O((m/d)·2^d) words, step time
-// O(m/d). Exposed for the table-width ablation benchmark.
-func NewEngineSplit(a *Automaton, d int) (*Engine, error) {
-	return NewEngineSplitFor(a, d, 0)
-}
-
-// NewEngineSplitFor combines NewEngineSplit and NewEngineFor.
+// O(m/d). numCompleted may be 0 when the automaton has no symbol
+// classes. Exposed for the table-width ablation benchmark.
 func NewEngineSplitFor(a *Automaton, d int, numCompleted uint32) (*Engine, error) {
 	if a.M+1 > MaxEngineStates {
 		return nil, fmt.Errorf("glushkov: %d states exceed the %d-state engine; use Wide", a.M+1, MaxEngineStates)

@@ -207,12 +207,12 @@ func TestSplitWidthsAgree(t *testing.T) {
 		if a.M+1 > MaxEngineStates {
 			continue
 		}
-		ref, err := NewEngineSplit(a, 1)
+		ref, err := NewEngineSplitFor(a, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range []int{2, 3, 8, 13, 16} {
-			e, err := NewEngineSplit(a, d)
+			e, err := NewEngineSplitFor(a, d, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,7 +366,7 @@ func BenchmarkStepRevSplit8(b *testing.B) {
 		expr += "/(b|c)"
 	}
 	a := Build(pathexpr.MustParse(expr), testIDs)
-	e, _ := NewEngineSplit(a, 8)
+	e, _ := NewEngineSplitFor(a, 8, 0)
 	idB, _ := testIDs(sym("b"))
 	d := e.F
 	b.ResetTimer()

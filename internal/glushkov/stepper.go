@@ -4,7 +4,7 @@ package glushkov
 // product-graph traversal (§4): PredMask(c) returns B[c] with class
 // positions folded in (Engine.BFor), StepBack(x) applies the reverse
 // transition T'[x] (Engine.Trev, Eq. 2). An Engine is itself a Stepper
-// (the interpreter); Compile specializes a hot automaton into a
+// (the interpreter); Compile specializes an automaton into a
 // branch-lighter form — a dense predicate→mask table plus either a flat
 // single-lookup reverse table or an unrolled shift for recognizable
 // shapes (single predicate, alternation of predicates, k-step

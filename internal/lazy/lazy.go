@@ -65,69 +65,3 @@ func (a *MaskArray) Reset() {
 
 // SizeBytes reports the memory footprint.
 func (a *MaskArray) SizeBytes() int { return 8*len(a.vals) + 4*len(a.epochs) + 16 }
-
-// WideMaskArray is the multiword analogue of MaskArray, used by the
-// multiword Glushkov engine when an expression has more than 64 positions.
-// Each slot holds w words.
-type WideMaskArray struct {
-	vals   []uint64 // n*w words
-	epochs []uint32
-	epoch  uint32
-	w      int
-	zero   []uint64 // scratch all-zero slot returned for untouched entries
-}
-
-// NewWideMaskArray returns a zeroed n-slot array of w-word masks.
-func NewWideMaskArray(n, w int) *WideMaskArray {
-	return &WideMaskArray{
-		vals:   make([]uint64, n*w),
-		epochs: make([]uint32, n),
-		epoch:  1,
-		w:      w,
-		zero:   make([]uint64, w),
-	}
-}
-
-// Len reports the number of slots.
-func (a *WideMaskArray) Len() int { return len(a.epochs) }
-
-// Words reports the words per slot.
-func (a *WideMaskArray) Words() int { return a.w }
-
-// Get returns a read-only view of slot i; untouched slots read as zero.
-// The returned slice is invalidated by the next call into the array.
-func (a *WideMaskArray) Get(i int) []uint64 {
-	if a.epochs[i] != a.epoch {
-		return a.zero
-	}
-	return a.vals[i*a.w : (i+1)*a.w]
-}
-
-// Or performs slot[i] |= m in place.
-func (a *WideMaskArray) Or(i int, m []uint64) {
-	slot := a.vals[i*a.w : (i+1)*a.w]
-	if a.epochs[i] != a.epoch {
-		a.epochs[i] = a.epoch
-		copy(slot, m)
-		return
-	}
-	for j, x := range m {
-		slot[j] |= x
-	}
-}
-
-// Reset logically zeroes all slots in O(1).
-func (a *WideMaskArray) Reset() {
-	a.epoch++
-	if a.epoch == 0 {
-		for i := range a.epochs {
-			a.epochs[i] = 0
-		}
-		a.epoch = 1
-	}
-}
-
-// SizeBytes reports the memory footprint.
-func (a *WideMaskArray) SizeBytes() int {
-	return 8*len(a.vals) + 4*len(a.epochs) + 8*len(a.zero) + 24
-}

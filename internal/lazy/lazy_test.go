@@ -55,48 +55,6 @@ func TestMaskArrayEpochWraparound(t *testing.T) {
 	}
 }
 
-func TestWideMaskArray(t *testing.T) {
-	a := NewWideMaskArray(4, 3)
-	if a.Len() != 4 || a.Words() != 3 {
-		t.Fatalf("Len=%d Words=%d", a.Len(), a.Words())
-	}
-	for _, x := range a.Get(2) {
-		if x != 0 {
-			t.Fatal("fresh slot not zero")
-		}
-	}
-	a.Or(2, []uint64{1, 0, 4})
-	a.Or(2, []uint64{2, 8, 0})
-	got := a.Get(2)
-	if got[0] != 3 || got[1] != 8 || got[2] != 4 {
-		t.Errorf("Get(2)=%v", got)
-	}
-	// Other slots untouched.
-	for _, x := range a.Get(1) {
-		if x != 0 {
-			t.Fatal("neighbour slot dirtied")
-		}
-	}
-	a.Reset()
-	for _, x := range a.Get(2) {
-		if x != 0 {
-			t.Fatal("slot survives Reset")
-		}
-	}
-}
-
-func TestWideMaskArrayWraparound(t *testing.T) {
-	a := NewWideMaskArray(2, 2)
-	a.epoch = ^uint32(0)
-	a.Or(0, []uint64{9, 9})
-	a.Reset()
-	for _, x := range a.Get(0) {
-		if x != 0 {
-			t.Fatal("slot survives epoch wraparound")
-		}
-	}
-}
-
 func BenchmarkMaskArrayOrReset(b *testing.B) {
 	a := NewMaskArray(1 << 16)
 	b.ResetTimer()

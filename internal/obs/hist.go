@@ -105,24 +105,12 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistSnapshot is an immutable, mergeable histogram state.
+// HistSnapshot is an immutable histogram state.
 type HistSnapshot struct {
 	Counts [histBuckets]uint64
 	Count  uint64
 	Sum    int64
 	Max    int64
-}
-
-// Merge folds another snapshot into this one (shard aggregation).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
 }
 
 // Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1) with

@@ -59,25 +59,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 1; i <= 100; i++ {
-		a.Observe(time.Duration(i) * time.Microsecond)
-		b.Observe(time.Duration(i) * time.Millisecond)
-	}
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Count != 200 {
-		t.Fatalf("merged count = %d, want 200", s.Count)
-	}
-	if got := s.Quantile(1); got != 100*time.Millisecond {
-		t.Errorf("merged max = %v, want 100ms", got)
-	}
-	if med := s.Quantile(0.5); med < 90*time.Microsecond || med > 2*time.Millisecond {
-		t.Errorf("merged median %v outside the boundary between halves", med)
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	var s HistSnapshot
 	if s.Quantile(0.5) != 0 || s.Mean() != 0 {
@@ -136,8 +117,8 @@ func TestTraceSpanCap(t *testing.T) {
 	if got := len(tr.Spans()); got != maxSpans {
 		t.Errorf("spans = %d, want cap %d", got, maxSpans)
 	}
-	if tr.Dropped() != 50 {
-		t.Errorf("dropped = %d, want 50", tr.Dropped())
+	if got := tr.Render().DroppedSpans; got != 50 {
+		t.Errorf("dropped = %d, want 50", got)
 	}
 }
 

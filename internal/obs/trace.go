@@ -222,16 +222,6 @@ func (t *Trace) Spans() []Span {
 	return out
 }
 
-// Dropped reports how many spans were discarded at the cap.
-func (t *Trace) Dropped() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // SpanNode is one node of the rendered span tree ("EXPLAIN ANALYZE"
 // output), JSON-shaped for the /query profile response.
 type SpanNode struct {

@@ -181,12 +181,10 @@ func runCase(t *testing.T, sc *scenario, eng *Engine, subject int64, expr pathex
 	t.Helper()
 	want := enginetest.SortPairs(enginetest.Oracle(sc.gMerged, subject, expr, object))
 	// Both traversal modes (frontier-batched and item-at-a-time) and
-	// both stepping tiers (compiled stepper, interpreter) must match
-	// the oracle.
+	// both stepping tiers (compiled stepper, multiword interpreter) must
+	// match the oracle.
 	for _, opts := range []core.Options{
-		{}, {DisableBatching: true},
-		{CompileEager: true}, {DisableCompiled: true},
-		{CompileEager: true, DisableBatching: true},
+		{}, {DisableBatching: true}, {DisableCompiled: true},
 	} {
 		var got []enginetest.Pair
 		_, err := eng.Eval(context.Background(), core.Query{Subject: subject, Expr: expr, Object: object}, opts, func(s, o uint32) bool {
@@ -328,7 +326,6 @@ func TestUnionEngineTimeoutProbedInInnerLoops(t *testing.T) {
 	for _, opts := range []core.Options{
 		{Timeout: time.Nanosecond},
 		{Timeout: time.Nanosecond, DisableBatching: true},
-		{Timeout: time.Nanosecond, CompileEager: true},
 		{Timeout: time.Nanosecond, DisableCompiled: true},
 	} {
 		start := time.Now()

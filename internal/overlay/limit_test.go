@@ -29,7 +29,6 @@ func staticArms(g *triples.Graph) []limitArm {
 		{"unbatched", eng, core.Options{DisableBatching: true}},
 		{"nofast", eng, core.Options{DisableFastPaths: true}},
 		{"interpreted", eng, core.Options{DisableCompiled: true}},
-		{"compiled", eng, core.Options{CompileEager: true}},
 		{"sharded3", sharded, core.Options{}},
 	}
 }

@@ -76,8 +76,6 @@ type Overlay struct {
 	// deleted from.
 	predTouch map[uint32]int
 	predDels  map[uint32]int
-	// maxNode is 1 + the largest node id any add mentions.
-	maxNode uint32
 }
 
 // New returns an empty overlay at version 0.
@@ -210,12 +208,6 @@ func (o *Overlay) Replay(batches []Batch, inStatic func(Edge) bool) *Overlay {
 	n.addsPS = merge(o.addsPS, addIns, addRem, cmpEdgePS)
 	n.dels = merge(o.dels, delIns, delRem, cmpEdge)
 	n.delsPS = merge(o.delsPS, delIns, delRem, cmpEdgePS)
-	if len(addIns)+len(addRem) > 0 {
-		n.maxNode = 0
-		for _, e := range n.adds {
-			n.maxNode = max(n.maxNode, e.S+1, e.O+1)
-		}
-	}
 	n.version = batches[len(batches)-1].Version
 	return &n
 }
@@ -260,11 +252,6 @@ func (o *Overlay) Weight() int { return len(o.adds) + len(o.dels) }
 
 // Version is the data version of the last applied batch.
 func (o *Overlay) Version() uint64 { return o.version }
-
-// MaxNode is 1 + the largest node id mentioned by an overlay add (0
-// when there are none): the union engine sizes its visited arrays by
-// max(ring nodes, MaxNode).
-func (o *Overlay) MaxNode() uint32 { return o.maxNode }
 
 // cmpEdgePS orders edges by (P, S, O).
 func cmpEdgePS(a, b Edge) int {

@@ -82,9 +82,6 @@ func TestInEdgesAndCounts(t *testing.T) {
 	if !ov.TouchesPred(0) || !ov.TouchesPred(1) || !ov.TouchesPred(2) || ov.TouchesPred(3) {
 		t.Fatalf("TouchesPred wrong")
 	}
-	if ov.MaxNode() != 6 {
-		t.Fatalf("MaxNode = %d, want 6", ov.MaxNode())
-	}
 }
 
 func TestReplay(t *testing.T) {
@@ -154,13 +151,6 @@ func (r *refOverlay) check(t *testing.T, step int, ov *Overlay, nodes, preds uin
 	}
 	if got, want := ov.Dels(), sortedBy(r.dels, cmpEdge); !slices.Equal(got, want) {
 		t.Fatalf("step %d: Dels = %v, want %v", step, got, want)
-	}
-	maxNode := uint32(0)
-	for e := range r.adds {
-		maxNode = max(maxNode, e.S+1, e.O+1)
-	}
-	if ov.MaxNode() != maxNode {
-		t.Fatalf("step %d: MaxNode = %d, want %d", step, ov.MaxNode(), maxNode)
 	}
 	var touched []uint32
 	for p := uint32(0); p < preds; p++ {
