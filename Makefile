@@ -19,9 +19,9 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrency surface: the service package,
-# the traversal engines (a query runs on its caller's goroutine and the
-# sharded engine starts none, so core is here for the engine state its
-# differential tests reuse across evaluations), the graph-pattern
+# the traversal engine (a query runs on its caller's goroutine and
+# starts none, so core is here for the engine state its differential
+# tests reuse across evaluations), the graph-pattern
 # subsystem (parallel differential harness over shared selectivity
 # caches), the live-update overlay (snapshot swap vs
 # concurrent readers/writers), the standing-subscription registry, and

@@ -36,8 +36,7 @@ func main() {
 	var (
 		data    = flag.String("data", "", "triple file to load")
 		index   = flag.String("index", "", "serialised index to load (instead of -data)")
-		shards  = flag.Int("shards", 0, "partition a -data build into this many sub-rings (0/1 = single ring)")
-		save    = flag.String("save", "", "write the built index to this file (rdb1, or rdbs1 when sharded)")
+		save    = flag.String("save", "", "write the built index to this file (rdb1)")
 		count   = flag.Bool("count", false, "print only the solution count")
 		limit   = flag.Int("limit", 0, "cap the number of solutions (0 = all)")
 		timeout = flag.Duration("timeout", 0, "per-query timeout (0 = none)")
@@ -69,7 +68,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		b := ringrpq.NewBuilderWithConfig(ringrpq.BuilderConfig{Shards: *shards})
+		b := ringrpq.NewBuilder()
 		if err := b.Load(f); err != nil {
 			fatal(err)
 		}

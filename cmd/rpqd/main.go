@@ -5,18 +5,15 @@
 //
 // Usage:
 //
-//	rpqd -data graph.nt [-shards K] [-addr :8080] [-workers N] [-queue N]
+//	rpqd -data graph.nt [-addr :8080] [-workers N] [-queue N]
 //	     [-timeout D] [-limit N] [-expr-cache N]
 //	     [-result-cache N] [-result-cache-bytes N]
 //	     [-sub-queue N] [-sub-history N]
 //	rpqd -index graph.ring ...
 //	rpqd -wal-dir ./state [-data graph.nt] [-fsync always|interval|never]
 //
-// With -shards K the index is partitioned into K sub-rings built in
-// parallel; a query whose expression spans shards is evaluated over all
-// of them on its worker's goroutine, like any other. A serialised index
-// loaded with -index keeps whatever layout (rdb1 single ring or rdbs1
-// sharded) it was saved with.
+// A serialised index loaded with -index is an rdb1 file, or an rdbs1
+// file an older sharded build wrote, whose shards load as one ring.
 //
 // With -wal-dir every applied update is written to a write-ahead log
 // before it is acknowledged (under the default -fsync always, after an
@@ -63,9 +60,7 @@
 //
 // /select evaluates graph patterns — conjunctions of triple patterns
 // and RPQ clauses (see the README's "Graph patterns" section) — and
-// returns {"vars": [...], "rows": [[...], ...]}. On a sharded index,
-// patterns whose predicates span shards fail with a cross-shard error
-// (single-shard patterns are routed wholesale).
+// returns {"vars": [...], "rows": [[...], ...]}.
 //
 // /update applies live updates atomically: queries in flight finish on
 // the snapshot they started with, later queries see the union
@@ -104,7 +99,6 @@ func main() {
 	var (
 		data       = flag.String("data", "", "triple file to load")
 		index      = flag.String("index", "", "serialised index to load (instead of -data)")
-		shards     = flag.Int("shards", 0, "partition a -data build into this many sub-rings (0/1 = single ring; ignored with -index, whose file fixes the layout)")
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "request queue depth (0 = 4×workers)")
@@ -151,7 +145,7 @@ func main() {
 			if *data == "" && *index == "" {
 				return nil, errors.New("rpqd: empty -wal-dir needs -data or -index for the initial build")
 			}
-			return loadDB(*data, *index, *shards)
+			return loadDB(*data, *index)
 		})
 		if err == nil {
 			ws := db.WALStats()
@@ -159,7 +153,7 @@ func main() {
 				*walDir, ws.FsyncPolicy, ws.Replayed, ws.TornBytes, ws.LastCheckpointVersion, time.Since(start))
 		}
 	} else {
-		db, err = loadDB(*data, *index, *shards)
+		db, err = loadDB(*data, *index)
 	}
 	if err != nil {
 		fatal(err)
@@ -251,10 +245,9 @@ func main() {
 	}
 }
 
-// loadDB builds the database from a triple file (optionally sharded)
-// or loads a serialised index, whose on-disk format — rdb1 or rdbs1 —
-// determines the layout.
-func loadDB(data, index string, shards int) (*ringrpq.DB, error) {
+// loadDB builds the database from a triple file or loads a serialised
+// index.
+func loadDB(data, index string) (*ringrpq.DB, error) {
 	start := time.Now()
 	if index != "" {
 		f, err := os.Open(index)
@@ -266,7 +259,7 @@ func loadDB(data, index string, shards int) (*ringrpq.DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "rpqd: loaded index (%d shard(s)) in %v\n", db.Shards(), time.Since(start))
+		fmt.Fprintf(os.Stderr, "rpqd: loaded index in %v\n", time.Since(start))
 		return db, nil
 	}
 	f, err := os.Open(data)
@@ -274,7 +267,7 @@ func loadDB(data, index string, shards int) (*ringrpq.DB, error) {
 		return nil, err
 	}
 	defer f.Close()
-	b := ringrpq.NewBuilderWithConfig(ringrpq.BuilderConfig{Shards: shards})
+	b := ringrpq.NewBuilder()
 	if err := b.Load(f); err != nil {
 		return nil, err
 	}
@@ -282,7 +275,7 @@ func loadDB(data, index string, shards int) (*ringrpq.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "rpqd: indexed (%d shard(s)) in %v\n", db.Shards(), time.Since(start))
+	fmt.Fprintf(os.Stderr, "rpqd: indexed in %v\n", time.Since(start))
 	return db, nil
 }
 

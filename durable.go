@@ -286,7 +286,7 @@ func (db *DB) applyRecoveredBatch(version uint64, adds, dels []Triple) error {
 	}
 	ov = ov.WithBatchesAfter(keepAfter)
 	next := &snapshot{
-		r: cur.r, set: cur.set, ov: ov,
+		r: cur.r, ov: ov,
 		epoch:    cur.epoch,
 		version:  version,
 		numNodes: db.g.NumNodes(),
@@ -320,7 +320,7 @@ func (db *DB) applyRecoveredSwap(version uint64) error {
 		return fmt.Errorf("version gap: at %d, next record is %d", cur.version, version)
 	}
 	next := &snapshot{
-		r: cur.r, set: cur.set, ov: cur.ov,
+		r: cur.r, ov: cur.ov,
 		epoch:    cur.epoch,
 		version:  version,
 		numNodes: cur.numNodes,
@@ -348,7 +348,7 @@ func (db *DB) recoverSub(rec standing.SubRecord) {
 // cpVersion, consolidated) plus the dictionaries and the live
 // subscription table. Called by compactNow after the swap; on success
 // the log is truncated up to cpVersion.
-func (db *DB) writeCheckpoint(sink *walSink, newR *ring.Ring, newSet *ring.ShardSet, cpVersion uint64, numNodes int) error {
+func (db *DB) writeCheckpoint(sink *walSink, newR *ring.Ring, cpVersion uint64, numNodes int) error {
 	var buf bytes.Buffer
 	w := serial.NewWriter(&buf)
 	w.Uint64(cpVersion)
@@ -365,13 +365,8 @@ func (db *DB) writeCheckpoint(sink *walSink, newR *ring.Ring, newSet *ring.Shard
 	}
 	db.g.Preds.Encode(w)
 	w.Uvarint(uint64(db.g.NumPreds))
-	if newSet != nil {
-		w.Int(1)
-		newSet.Encode(w)
-	} else {
-		w.Int(0)
-		newR.Encode(w)
-	}
+	w.Int(0) // layout tag: one ring (see readCheckpoint)
+	newR.Encode(w)
 	var recs []standing.SubRecord
 	if reg := db.h.standing.Load(); reg != nil {
 		recs = reg.SnapshotSubs()
@@ -508,6 +503,8 @@ func readCheckpoint(fsys wal.FS, path string) (*checkpointState, error) {
 		return nil, fmt.Errorf("checkpoint predicate count %d overflows", np)
 	}
 	g := &triples.Graph{Nodes: nodes, Preds: preds, NumPreds: uint32(np)}
+	// The layout tag: 0 for one ring, 1 for the shard container an older
+	// build wrote, which is read back as one ring.
 	var db *DB
 	if sharded := r.Int(); sharded == 1 {
 		set, err := ring.DecodeShardSet(r)
@@ -518,7 +515,7 @@ func readCheckpoint(fsys wal.FS, path string) (*checkpointState, error) {
 			return nil, fmt.Errorf("checkpoint shard set/dictionary mismatch (%d/%d nodes, %d/%d preds)",
 				set.NumNodes, n, set.NumPreds, g.NumCompletedPreds())
 		}
-		db = newDB(g, nil, set)
+		db = newDB(g, concatShards(set))
 	} else {
 		rg, err := ring.Decode(r)
 		if err != nil {
@@ -528,7 +525,7 @@ func readCheckpoint(fsys wal.FS, path string) (*checkpointState, error) {
 			return nil, fmt.Errorf("checkpoint ring/dictionary mismatch (%d/%d nodes, %d/%d preds)",
 				rg.NumNodes, n, rg.NumPreds, g.NumCompletedPreds())
 		}
-		db = newDB(g, rg, nil)
+		db = newDB(g, rg)
 	}
 	m := r.Int()
 	if err := r.Err(); err != nil {

@@ -12,41 +12,42 @@ import (
 // savedDBBytes' graph, P1 of the format fixture's.
 const probeExpr = "l1|P1"
 
-// savedDBBytes serialises a small database in both on-disk formats.
-func savedDBBytes(tb testing.TB) (single, sharded []byte) {
+// savedDBBytes serialises a small database.
+func savedDBBytes(tb testing.TB) []byte {
 	tb.Helper()
-	build := func(shards int) []byte {
-		b := NewBuilderWithConfig(BuilderConfig{Shards: shards})
-		b.Add("Baq", "l1", "UCh")
-		b.Add("UCh", "l1", "LH")
-		b.Add("LH", "l2", "SA")
-		b.Add("SA", "l5", "BA")
-		b.Add("BA", "l5", "Baq")
-		b.Add("SA", "bus", "UCh")
-		db, err := b.Build()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := db.Save(&buf); err != nil {
-			tb.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	return build(1), build(3)
-}
-
-// loaderInputs returns the serialised databases the loader tests take
-// apart: savedDBBytes' two, and the format fixture's tree-layout file
-// (see TestFormatFixture), whose sequences the loader converts.
-func loaderInputs(tb testing.TB) map[string][]byte {
-	tb.Helper()
-	single, sharded := savedDBBytes(tb)
-	tree, err := os.ReadFile(filepath.Join("testdata", "format", "graph-tree.rdb"))
+	b := NewBuilder()
+	b.Add("Baq", "l1", "UCh")
+	b.Add("UCh", "l1", "LH")
+	b.Add("LH", "l2", "SA")
+	b.Add("SA", "l5", "BA")
+	b.Add("BA", "l5", "Baq")
+	b.Add("SA", "bus", "UCh")
+	db, err := b.Build()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return map[string][]byte{"rdb1": single, "rdbs1": sharded, "rdb1-tree": tree}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loaderInputs returns the serialised databases the loader tests take
+// apart: savedDBBytes' rdb1 file, and the format fixture's tree-layout
+// and sharded (rdbs1) files (see TestFormatFixture), whose sequences
+// and shards the loader converts.
+func loaderInputs(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	in := map[string][]byte{"rdb1": savedDBBytes(tb)}
+	for name, file := range map[string]string{"rdb1-tree": "graph-tree.rdb", "rdbs1": "graph-3shards.rdb"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "format", file))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		in[name] = raw
+	}
+	return in
 }
 
 // usable reports an error unless a loaded database answers a query,

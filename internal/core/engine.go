@@ -106,7 +106,7 @@ type EmitFunc func(s, o uint32) bool
 
 // Evaluator is the query-evaluation capability shared by Engine and
 // ShardedEngine (and the overlay's delegating engine); the public DB
-// selects one at build/load time. Eval takes the request context first
+// evaluates on an Engine. Eval takes the request context first
 // (the repo's ctx-first convention, enforced by rpqlint's ctxfirst
 // analyzer): ctx may carry an obs.Trace and a deadline, folded into
 // Options once at entry via FoldContext.

@@ -315,16 +315,6 @@ func (o *Overlay) Has(e Edge) bool { return find(o.adds, e) }
 // predicate p.
 func (o *Overlay) TouchesPred(p uint32) bool { return o.predTouch[p] > 0 }
 
-// TouchedPreds returns the set of completed predicate ids the overlay
-// mentions (the compactor rebuilds only their shards).
-func (o *Overlay) TouchedPreds() []uint32 {
-	out := make([]uint32, 0, len(o.predTouch))
-	for p := range o.predTouch {
-		out = append(out, p)
-	}
-	return out
-}
-
 // Adds returns every live overlay add, sorted by (O, P, S).
 func (o *Overlay) Adds() []Edge { return o.adds }
 

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -21,8 +20,8 @@ import (
 
 // This file is the property-based differential harness of the pattern
 // executor: random graphs × random patterns, the pipelined LTJ+RPQ
-// executor against a naive materialise-and-nested-loop-join oracle, on
-// both the single-ring and the sharded layout. The oracle shares no
+// executor against a naive materialise-and-nested-loop-join oracle.
+// The oracle shares no
 // code with the executor: triple patterns scan the completed triple
 // list and RPQ clauses use enginetest.Oracle's relational-algebra
 // evaluator.
@@ -278,11 +277,8 @@ type orderStats struct{ orders, joins, flips int }
 // connected ones are.
 func checkEveryOrder(t *testing.T, x *Exec, q *Query, src string, seed int64) (st orderStats) {
 	t.Helper()
-	r, err := x.route(q)
-	if err != nil {
-		return st
-	}
-	pl, _, err := x.planFor(q, r, time.Time{}, false)
+	r := x.r
+	pl, _, err := x.planFor(q, time.Time{}, false)
 	if err != nil || pl.Empty || len(pl.Triples) == 0 {
 		return st
 	}
@@ -356,14 +352,10 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 				Edges: 30 + int(seed)*8,
 				Preds: 3 + int(seed%4),
 			})
-			r := ring.New(g, ring.WaveletMatrix)
-			set := ring.NewShardSet(g, 2+int(seed%3), nil, ring.WaveletMatrix)
-			single := NewExec(g, r, nil)
-			sharded := NewExecSharded(g, set, nil)
+			single := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
 			// A ring holding the forward half of the completed graph
-			// only — what a partitioner that split p from ^p would
-			// route a forward-predicate pattern to: on it the planner
-			// must decline every flip and still answer.
+			// only: on it the planner must decline every flip and
+			// still answer.
 			forward := *g
 			forward.Triples = nil
 			for _, tr := range g.Triples {
@@ -405,11 +397,10 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 					continue
 				}
 				want := sortedKeys(oracle)
-				checkExecutors(t, []*Exec{single, sharded, split}, q, src, want, false)
+				checkExecutors(t, []*Exec{single, split}, q, src, want, false)
 				done = append(done, checked{src, q, want})
 
 				o1 := checkEveryOrder(t, single, q, src, seed)
-				o2 := checkEveryOrder(t, sharded, q, src, seed)
 				var o3 orderStats
 				if forwardOnly(q) {
 					if o3 = checkEveryOrder(t, split, q, src, seed); o3.flips != 0 {
@@ -418,9 +409,9 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 				}
 				mu.Lock()
 				casesRun++
-				orders.orders += o1.orders + o2.orders
-				orders.joins += o1.joins + o2.joins
-				orders.flips += o1.flips + o2.flips
+				orders.orders += o1.orders
+				orders.joins += o1.joins
+				orders.flips += o1.flips
 				splitOrders.orders += o3.orders
 				splitOrders.joins += o3.joins
 				if class, ok := rpqClass[src]; ok {
@@ -431,7 +422,7 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 			// Second pass on the same executors: every plan is memoised
 			// now, and a memo hit must answer what planning afresh did.
 			for _, c := range done {
-				checkExecutors(t, []*Exec{single, sharded, split}, c.q, c.src, c.want, true)
+				checkExecutors(t, []*Exec{single, split}, c.q, c.src, c.want, true)
 			}
 		})
 	}
@@ -451,14 +442,12 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 	})
 }
 
-// checkExecutors runs q on the single-ring, sharded and split-ring
-// executors (in that order; the split ring only for forward-only BGPs)
-// and checks each against the oracle's rows. A sharded run may refuse
-// a multi-shard pattern; the single-ring run already validated it.
-// With memoised set, every run must also find its plan in the memo.
+// checkExecutors runs q on the single-ring and split-ring executors
+// (in that order; the split ring only for forward-only BGPs) and checks
+// each against the oracle's rows. With memoised set, every run must also find its plan in the memo.
 func checkExecutors(t *testing.T, xs []*Exec, q *Query, src string, want []string, memoised bool) {
 	t.Helper()
-	for i, name := range []string{"single-ring", "sharded", "split-ring"} {
+	for i, name := range []string{"single-ring", "split-ring"} {
 		if name == "split-ring" && !forwardOnly(q) {
 			continue
 		}
@@ -468,9 +457,6 @@ func checkExecutors(t *testing.T, xs []*Exec, q *Query, src string, want []strin
 			got = append(got, b)
 			return true
 		})
-		if name == "sharded" && errors.Is(err, ErrCrossShard) {
-			continue
-		}
 		if err != nil {
 			t.Fatalf("%s executor %q: %v", name, src, err)
 		}

@@ -22,7 +22,7 @@ type dirtyWorld struct {
 	xMerged *Exec // merged graph, plain path (ground truth)
 }
 
-func buildDirtyWorld(t *testing.T, seed int64, shards int) *dirtyWorld {
+func buildDirtyWorld(t *testing.T, seed int64) *dirtyWorld {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const nv, np = 12, 3
@@ -82,26 +82,12 @@ func buildDirtyWorld(t *testing.T, seed int64, shards int) *dirtyWorld {
 		return out
 	}
 
-	w := &dirtyWorld{}
-	if shards > 1 {
-		setS := ring.NewShardSet(gStatic, shards, nil, ring.WaveletMatrix)
-		setM := ring.NewShardSet(gMerged, shards, nil, ring.WaveletMatrix)
-		inStatic := func(e overlay.Edge) bool {
-			return setS.Shards[setS.ShardFor(e.P)].Has(e.S, e.P, e.O)
-		}
-		ov := overlay.New().Apply(1, complete(added), complete(deleted), inStatic)
-		w.xDirty = NewExecSharded(gStatic, setS, nil)
-		w.xDirty.SetOverlay(ov, gStatic.NumNodes())
-		w.xMerged = NewExecSharded(gMerged, setM, nil)
-	} else {
-		rS := ring.New(gStatic, ring.WaveletMatrix)
-		rM := ring.New(gMerged, ring.WaveletMatrix)
-		inStatic := func(e overlay.Edge) bool { return rS.Has(e.S, e.P, e.O) }
-		ov := overlay.New().Apply(1, complete(added), complete(deleted), inStatic)
-		w.xDirty = NewExec(gStatic, rS, nil)
-		w.xDirty.SetOverlay(ov, gStatic.NumNodes())
-		w.xMerged = NewExec(gMerged, rM, nil)
-	}
+	rS := ring.New(gStatic, ring.WaveletMatrix)
+	rM := ring.New(gMerged, ring.WaveletMatrix)
+	inStatic := func(e overlay.Edge) bool { return rS.Has(e.S, e.P, e.O) }
+	ov := overlay.New().Apply(1, complete(added), complete(deleted), inStatic)
+	w := &dirtyWorld{xDirty: NewExec(gStatic, rS, nil), xMerged: NewExec(gMerged, rM, nil)}
+	w.xDirty.SetOverlay(ov, gStatic.NumNodes())
 	return w
 }
 
@@ -125,7 +111,7 @@ func rowsOf(t *testing.T, x *Exec, src string) []string {
 	return out
 }
 
-func testDirtyPatterns(t *testing.T, shards int) {
+func TestDirtyPatternDifferential(t *testing.T) {
 	patterns := []string{
 		"?x pa ?y",
 		"?x pa ?y . ?y pb ?z",
@@ -139,7 +125,7 @@ func testDirtyPatterns(t *testing.T, shards int) {
 		"?x pb ?x",
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		w := buildDirtyWorld(t, 500+seed, shards)
+		w := buildDirtyWorld(t, 500+seed)
 		for _, src := range patterns {
 			got := rowsOf(t, w.xDirty, src)
 			want := rowsOf(t, w.xMerged, src)
@@ -150,23 +136,6 @@ func testDirtyPatterns(t *testing.T, shards int) {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d %q: row %d = %q, merged %q", seed, src, i, got[i], want[i])
 				}
-			}
-		}
-	}
-}
-
-func TestDirtyPatternDifferential(t *testing.T) { testDirtyPatterns(t, 1) }
-
-func TestDirtyPatternDifferentialSharded(t *testing.T) {
-	// Sharded + variable predicates is rejected as cross-shard on the
-	// static path too, so restrict to the routable subset.
-	for seed := int64(0); seed < 5; seed++ {
-		w := buildDirtyWorld(t, 700+seed, 3)
-		for _, src := range []string{"?x pa ?y", "?x pa ?y . ?y pa ?z", "?x pa+ ?y", "n05 pa* ?y"} {
-			got := rowsOf(t, w.xDirty, src)
-			want := rowsOf(t, w.xMerged, src)
-			if strings.Join(got, ";") != strings.Join(want, ";") {
-				t.Fatalf("seed %d %q:\n got=%v\nwant=%v", seed, src, got, want)
 			}
 		}
 	}

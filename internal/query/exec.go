@@ -14,13 +14,6 @@ import (
 	"ringrpq/internal/triples"
 )
 
-// ErrCrossShard reports a pattern whose clauses span several sub-rings
-// of a sharded index: every matching path of every clause must live in
-// one shard for the join to be routed wholesale, and cross-shard joins
-// are not yet supported (the RPQ-only multi-ring traversal does not
-// extend to LTJ's rotation walks).
-var ErrCrossShard = errors.New("query: graph pattern spans multiple shards (cross-shard joins are not yet supported)")
-
 // ErrTimeout re-exports the engine's timeout error: bindings emitted
 // before the deadline are valid but incomplete.
 var ErrTimeout = core.ErrTimeout
@@ -46,13 +39,12 @@ type Options struct {
 // variable.
 type Binding map[string]string
 
-// Exec evaluates graph patterns over one database layout. Like
-// core.Engine it owns working state and must not be used concurrently;
-// build one per worker (the SelCache may be shared across them).
+// Exec evaluates graph patterns over one ring. Like core.Engine it
+// owns working state and must not be used concurrently; build one per
+// worker (the SelCache may be shared across them).
 type Exec struct {
 	g   *triples.Graph
-	r   *ring.Ring     // single-ring layout (nil when sharded)
-	set *ring.ShardSet // sharded layout (nil when single-ring)
+	r   *ring.Ring
 	sel *SelCache
 
 	// ov, when non-nil and non-empty, switches execution to the
@@ -63,21 +55,16 @@ type Exec struct {
 	ov       *overlay.Overlay
 	numNodes int
 
-	engines  map[engineKey]*core.Engine
-	uengines map[engineKey]*overlay.Engine
-	// plans memoises planning by canonical query text and routed ring
-	// (dirtyPlans holds the all-steps union-mode variants): the
-	// planner's order search and estimate lookups depend only on
-	// the immutable static index, so a long-lived Exec (a service
-	// worker) re-running a pattern pays planning once.
-	plans      map[planKey]*Plan
-	dirtyPlans map[planKey]*Plan
-}
-
-// planKey identifies one memoised plan.
-type planKey struct {
-	canon string
-	r     *ring.Ring
+	// engines holds the evaluators of each RPQ pipeline depth (nested
+	// path steps each need their own working arrays).
+	engines []stepEngines
+	// plans memoises planning by canonical query text (dirtyPlans
+	// holds the all-steps union-mode variants): the planner's order
+	// search and estimate lookups depend only on the immutable static
+	// index, so a long-lived Exec (a service worker) re-running a
+	// pattern pays planning once.
+	plans      map[string]*Plan
+	dirtyPlans map[string]*Plan
 }
 
 // maxPlans bounds the per-Exec plan memo and, separately, the
@@ -88,12 +75,12 @@ type planKey struct {
 // at about 0.4 KB a plan, a full memo is about 0.5 MB.
 const maxPlans = 1024
 
-// engineKey identifies one engine slot: the routed ring and the RPQ
-// pipeline depth (nested path steps each need their own working
-// arrays).
-type engineKey struct {
-	r     *ring.Ring
-	depth int
+// stepEngines are one pipeline depth's evaluators, each built on first
+// use: the static engine, and the union engine over it that union mode
+// runs.
+type stepEngines struct {
+	static *core.Engine
+	union  *overlay.Engine
 }
 
 // NewExec builds a pattern executor over a single ring. A nil sel
@@ -102,15 +89,7 @@ func NewExec(g *triples.Graph, r *ring.Ring, sel *SelCache) *Exec {
 	if sel == nil {
 		sel = NewSelCache()
 	}
-	return &Exec{g: g, r: r, sel: sel, engines: map[engineKey]*core.Engine{}}
-}
-
-// NewExecSharded builds a pattern executor over a shard set.
-func NewExecSharded(g *triples.Graph, set *ring.ShardSet, sel *SelCache) *Exec {
-	if sel == nil {
-		sel = NewSelCache()
-	}
-	return &Exec{g: g, set: set, sel: sel, engines: map[engineKey]*core.Engine{}}
+	return &Exec{g: g, r: r, sel: sel}
 }
 
 // SetOverlay points the executor at a snapshot's overlay (nil or empty
@@ -129,124 +108,52 @@ func (x *Exec) ids(s pathexpr.Sym) (uint32, bool) {
 	return x.g.PredID(s.Name, s.Inverse)
 }
 
-// allRings lists the layout's sub-rings.
-func (x *Exec) allRings() []*ring.Ring {
-	if x.set != nil {
-		return x.set.Shards
-	}
-	return []*ring.Ring{x.r}
-}
-
-// engineFor returns the static engine for one (ring, pipeline depth)
-// slot, building it on first use.
-func (x *Exec) engineFor(r *ring.Ring, depth int) *core.Engine {
-	key := engineKey{r, depth}
-	if e, ok := x.engines[key]; ok {
-		return e
-	}
-	e := core.NewEngine(r, x.ids)
-	x.engines[key] = e
-	return e
-}
-
 // evaluatorFor returns the evaluator a step at the given depth should
-// use: the routed ring's static engine, or — in union mode — an
-// overlay engine over every sub-ring that delegates to it when the
-// step's predicates are untouched.
-func (x *Exec) evaluatorFor(r *ring.Ring, depth int) core.Evaluator {
-	static := x.engineFor(r, depth)
+// use: the static engine, or — in union mode — an overlay engine over
+// the ring that delegates to it when the step's predicates are
+// untouched.
+func (x *Exec) evaluatorFor(depth int) core.Evaluator {
+	for len(x.engines) <= depth {
+		x.engines = append(x.engines, stepEngines{static: core.NewEngine(x.r, x.ids)})
+	}
+	e := &x.engines[depth]
 	if !x.dirty() {
-		return static
+		return e.static
 	}
-	key := engineKey{r, depth}
-	ue, ok := x.uengines[key]
-	if !ok {
-		if x.uengines == nil {
-			x.uengines = map[engineKey]*overlay.Engine{}
-		}
-		ue = overlay.NewEngine(static, x.allRings(), x.ids, x.g.NumCompletedPreds())
-		x.uengines[key] = ue
+	if e.union == nil {
+		e.union = overlay.NewEngine(e.static, []*ring.Ring{x.r}, x.ids, x.g.NumCompletedPreds())
 	}
-	ue.SetSnapshot(x.ov, x.numNodes)
-	return ue
-}
-
-// route picks the ring the whole pattern runs on. For the single-ring
-// layout that is trivially the ring; for a sharded layout every
-// predicate any clause can touch must map to one shard (variable
-// predicates and negated property sets span shards by construction).
-func (x *Exec) route(q *Query) (*ring.Ring, error) {
-	if x.set == nil {
-		return x.r, nil
-	}
-	if x.set.K == 1 {
-		return x.set.Shards[0], nil
-	}
-	shard := -1
-	assign := func(k int) error {
-		if shard == -1 {
-			shard = k
-		} else if shard != k {
-			return ErrCrossShard
-		}
-		return nil
-	}
-	for _, c := range q.Clauses {
-		if c.PredVar != "" {
-			// A variable predicate ranges over every completed
-			// predicate, hence over every shard.
-			return nil, ErrCrossShard
-		}
-		if pathexpr.HasNegSets(c.Path) {
-			return nil, ErrCrossShard
-		}
-		for _, s := range pathexpr.Predicates(c.Path) {
-			id, ok := x.ids(s)
-			if !ok {
-				continue // matches nothing; no shard constraint
-			}
-			if err := assign(x.set.ShardFor(id)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if shard == -1 {
-		shard = 0 // no known predicate: any shard answers (empty/ε cases)
-	}
-	return x.set.Shards[shard], nil
+	e.union.SetSnapshot(x.ov, x.numNodes)
+	return e.union
 }
 
 // Plan resolves and plans q without executing it (explain output and
 // planner tests).
 func (x *Exec) Plan(q *Query) (*Plan, error) {
-	r, err := x.route(q)
-	if err != nil {
-		return nil, err
-	}
-	pl, _, err := x.planFor(q, r, time.Time{}, x.dirty())
+	pl, _, err := x.planFor(q, time.Time{}, x.dirty())
 	return pl, err
 }
 
-// planFor returns the memoised plan of q on ring r, planning on first
-// use under the given absolute deadline (zero = none); hit is 1 on a
-// memo hit and 0 when planned (the plan span's attribute). allSteps
-// plans every clause as a pipelined step (union mode bypasses LTJ,
-// which reads only the static ring).
-func (x *Exec) planFor(q *Query, r *ring.Ring, deadline time.Time, allSteps bool) (pl *Plan, hit int64, err error) {
+// planFor returns the memoised plan of q, planning on first use under
+// the given absolute deadline (zero = none); hit is 1 on a memo hit and
+// 0 when planned (the plan span's attribute). allSteps plans every
+// clause as a pipelined step (union mode bypasses LTJ, which reads
+// only the static ring).
+func (x *Exec) planFor(q *Query, deadline time.Time, allSteps bool) (pl *Plan, hit int64, err error) {
 	memo := &x.plans
 	if allSteps {
 		memo = &x.dirtyPlans
 	}
-	key := planKey{canon: q.String(), r: r}
+	key := q.String()
 	if pl, ok := (*memo)[key]; ok {
 		return pl, 1, nil
 	}
-	p := &planner{g: x.g, r: r, sel: x.sel.For(r), deadline: deadline}
+	p := &planner{g: x.g, r: x.r, sel: x.sel.For(x.r), deadline: deadline}
 	if pl, err = p.plan(q, allSteps); err != nil {
 		return nil, 0, err
 	}
 	if *memo == nil || len(*memo) >= maxPlans {
-		*memo = make(map[planKey]*Plan, 16)
+		*memo = make(map[string]*Plan, 16)
 	}
 	(*memo)[key] = pl
 	return pl, 0, nil
@@ -259,18 +166,14 @@ func (x *Exec) planFor(q *Query, r *ring.Ring, deadline time.Time, allSteps bool
 // stop early. Exceeding Options.Timeout returns ErrTimeout with the rows
 // emitted so far still valid; Options.Limit truncates silently.
 func (x *Exec) Run(q *Query, opts Options, emit func(row []uint32) bool) error {
-	// One absolute deadline captured at entry governs routing,
-	// planning, LTJ and every RPQ step: planning runs on the clock.
+	// One absolute deadline captured at entry governs planning, LTJ
+	// and every RPQ step: planning runs on the clock.
 	var deadline time.Time
 	if opts.Timeout > 0 {
 		deadline = time.Now().Add(opts.Timeout)
 	}
-	r, err := x.route(q)
-	if err != nil {
-		return err
-	}
 	psp := opts.Trace.Begin(obs.SpanPlan)
-	pl, hit, err := x.planFor(q, r, deadline, x.dirty())
+	pl, hit, err := x.planFor(q, deadline, x.dirty())
 	opts.Trace.EndVals(psp, hit)
 	if err != nil {
 		return err
@@ -279,7 +182,7 @@ func (x *Exec) Run(q *Query, opts Options, emit func(row []uint32) bool) error {
 		return nil
 	}
 	rt := &run{
-		x: x, r: r, plan: pl, emit: emit,
+		x: x, plan: pl, emit: emit,
 		limit:    opts.Limit,
 		row:      make([]uint32, len(pl.Vars)),
 		bound:    make([]bool, len(pl.Vars)),
@@ -298,7 +201,7 @@ func (x *Exec) Run(q *Query, opts Options, emit func(row []uint32) bool) error {
 		}
 		lopts := ltj.Options{Order: pl.Order, Timeout: rem}
 		jsp := rt.trace.Begin(obs.SpanLTJ)
-		st, err := ltj.JoinWith(r, pl.Triples, lopts, func(vals []uint32) bool {
+		st, err := ltj.JoinWith(x.r, pl.Triples, lopts, func(vals []uint32) bool {
 			for i, s := range pl.joinSlots {
 				rt.row[s] = vals[i]
 			}
@@ -320,7 +223,6 @@ func (x *Exec) Run(q *Query, opts Options, emit func(row []uint32) bool) error {
 // run is the per-evaluation state of one pattern execution.
 type run struct {
 	x     *Exec
-	r     *ring.Ring
 	plan  *Plan
 	emit  func([]uint32) bool
 	limit int
@@ -398,7 +300,7 @@ func (rt *run) steps(i int) bool {
 	if !ok {
 		return false
 	}
-	eng := rt.x.evaluatorFor(rt.r, i)
+	eng := rt.x.evaluatorFor(i)
 	copts := core.Options{Timeout: rem, Trace: rt.trace}
 
 	cq := core.Query{Subject: core.Variable, Object: core.Variable, Expr: s.Expr}
@@ -513,9 +415,9 @@ func (rt *run) predVarStep(i int, st *PathStep) bool {
 }
 
 // eachUnionEdge streams the union edges matching the given constraints
-// (core.Variable wildcards), distinct by construction: the static
-// sub-rings partition the static triples, overlay adds are disjoint
-// from them, and tombstoned edges are dropped.
+// (core.Variable wildcards), distinct by construction: overlay adds
+// are disjoint from the static ring's triples, and tombstoned edges
+// are dropped.
 func (x *Exec) eachUnionEdge(sid, pid, oid int64, fn func(s, p, o uint32) bool) {
 	half := x.g.NumPreds
 	inv := func(p uint32) uint32 {
@@ -524,7 +426,7 @@ func (x *Exec) eachUnionEdge(sid, pid, oid int64, fn func(s, p, o uint32) bool) 
 		}
 		return p - half
 	}
-	rings, ov := x.allRings(), x.ov
+	rings, ov := []*ring.Ring{x.r}, x.ov
 	inOf := func(o uint32, f func(p, s uint32) bool) bool {
 		return overlay.EachInEdge(rings, ov, o, f)
 	}

@@ -194,49 +194,6 @@ func TestExecLimitAndTimeout(t *testing.T) {
 	}
 }
 
-func TestExecShardedRoutingAndCrossShard(t *testing.T) {
-	g := orgGraph()
-	single := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
-
-	// With one predicate per shard (K large), multi-predicate patterns
-	// span shards; single-predicate ones route wholesale.
-	set := ring.NewShardSet(g, 3, perPredPartitioner{}, ring.WaveletMatrix)
-	sharded := NewExecSharded(g, set, nil)
-
-	srcOne := "?m manages+ ?e . ?m manages ?e2"
-	if got, want := renderBindings(runPattern(t, sharded, srcOne, Options{})),
-		renderBindings(runPattern(t, single, srcOne, Options{})); !eqStrings(got, want) {
-		t.Fatalf("single-shard routed pattern: got %v want %v", got, want)
-	}
-
-	for _, src := range []string{
-		"?m manages ?e . ?e assigned ?p", // two predicates, two shards
-		"?x ?p ?y",                       // variable predicate
-		"?x !(manages) ?y",               // negated property set
-	} {
-		err := runBindings(sharded, MustParse(src), Options{}, func(Binding) bool { return true })
-		if !errors.Is(err, ErrCrossShard) {
-			t.Fatalf("%q: got %v, want ErrCrossShard", src, err)
-		}
-	}
-
-	// K=1 sharded layouts route everything.
-	set1 := ring.NewShardSet(g, 1, nil, ring.WaveletMatrix)
-	x1 := NewExecSharded(g, set1, nil)
-	src := "?m manages ?e . ?e assigned ?p"
-	if got, want := renderBindings(runPattern(t, x1, src, Options{})),
-		renderBindings(runPattern(t, single, src, Options{})); !eqStrings(got, want) {
-		t.Fatalf("K=1: got %v want %v", got, want)
-	}
-}
-
-// perPredPartitioner sends every base predicate to its own shard (mod k),
-// maximising cross-shard patterns for the routing tests.
-type perPredPartitioner struct{}
-
-func (perPredPartitioner) Shard(pred uint32, k int) int { return int(pred) % k }
-func (perPredPartitioner) Name() string                 { return "hash" } // reuse a registered name; test-only
-
 func TestPlanSelectivityOrder(t *testing.T) {
 	// rare: 1 edge; common: many edges. The planner must bind the
 	// variable constrained by the rare predicate first.

@@ -78,7 +78,7 @@ func TestPlanMemoHoldsPool(t *testing.T) {
 	first := make([]*Plan, len(pool))
 	for i, q := range pool {
 		runRows(t, x, q, Options{})
-		if first[i] = x.plans[planKey{q.String(), r}]; first[i] == nil {
+		if first[i] = x.plans[q.String()]; first[i] == nil {
 			t.Fatalf("pattern %q was not memoised", q)
 		}
 	}
@@ -88,7 +88,7 @@ func TestPlanMemoHoldsPool(t *testing.T) {
 		if hit := planHit(tr); hit != 1 {
 			t.Fatalf("second pass, pattern %q: plan span hit = %d, want 1", q, hit)
 		}
-		if pl := x.plans[planKey{q.String(), r}]; pl != first[i] {
+		if pl := x.plans[q.String()]; pl != first[i] {
 			t.Fatalf("second pass, pattern %q: plan %p, want the memoised %p", q, pl, first[i])
 		}
 	}

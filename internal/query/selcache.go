@@ -43,17 +43,12 @@ func (c *SelCache) For(r *ring.Ring) *ring.Selectivity {
 	return s
 }
 
-// Retain drops every cached entry whose ring is not in keep: after a
-// compaction swap, superseded rings' statistics are unreachable
-// garbage (structurally shared shards keep theirs).
-func (c *SelCache) Retain(keep []*ring.Ring) {
-	live := make(map[*ring.Ring]bool, len(keep))
-	for _, r := range keep {
-		live[r] = true
-	}
+// Retain drops every cached entry but keep's: after a compaction swap,
+// the superseded ring's statistics are unreachable garbage.
+func (c *SelCache) Retain(keep *ring.Ring) {
 	c.mu.Lock()
 	for r := range c.m {
-		if !live[r] {
+		if r != keep {
 			delete(c.m, r)
 		}
 	}

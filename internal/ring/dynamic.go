@@ -8,10 +8,8 @@ import (
 
 // This file holds the ring-side building blocks of the live-update
 // subsystem (internal/overlay): membership probes used to decide
-// whether a delete is a tombstone, triple reconstruction used by the
-// compactor to rebuild a ring from ring+overlay, and per-shard
-// replacement so a sharded compaction only rebuilds the sub-rings
-// whose predicates the overlay touched.
+// whether a delete is a tombstone, and triple reconstruction used by
+// the compactor to rebuild a ring from ring+overlay.
 
 // Has reports whether the ring contains the completed triple (s, p, o).
 // Ids outside the ring's spaces are simply absent. One backward-search
@@ -66,19 +64,4 @@ func (r *Ring) Triples() []triples.Triple {
 // the builder's, going through a Graph.
 func FromTriples(ts []triples.Triple, numNodes int, numPreds uint32) *Ring {
 	return fromTriples(ts, numNodes, numPreds)
-}
-
-// ShardSetFrom assembles a ShardSet from pre-built sub-rings (all over
-// the same global id spaces). The compactor uses it to swap rebuilt
-// shards in next to untouched ones, which are shared structurally with
-// the previous set.
-func ShardSetFrom(shards []*Ring, part Partitioner, numNodes int, numPreds uint32) *ShardSet {
-	if part == nil {
-		part = HashPartitioner{}
-	}
-	s := &ShardSet{K: len(shards), Shards: shards, Part: part, NumNodes: numNodes, NumPreds: numPreds}
-	for _, r := range shards {
-		s.N += r.N
-	}
-	return s
 }

@@ -139,44 +139,12 @@ func (s *ShardSet) shardOf(p uint32) int {
 // predicate is p.
 func (s *ShardSet) ShardFor(p uint32) int { return s.shardOf(p) }
 
-// SizeBytes sums the sub-ring footprints.
-func (s *ShardSet) SizeBytes() int {
-	sz := 64
-	for _, r := range s.Shards {
-		sz += r.SizeBytes()
-	}
-	return sz
-}
-
-// QuerySizeBytes sums the query-relevant sub-ring footprints (the
-// analogue of Ring.QuerySizeBytes).
-func (s *ShardSet) QuerySizeBytes() int {
-	sz := 64
-	for _, r := range s.Shards {
-		sz += r.QuerySizeBytes()
-	}
-	return sz
-}
-
-// Encode writes the shard container (the payload of the public rdbs1
-// format): header, partitioner name, then each sub-ring.
-func (s *ShardSet) Encode(w *serial.Writer) {
-	w.Magic("rss1")
-	w.Int(s.K)
-	w.String(s.Part.Name())
-	w.Int(s.N)
-	w.Int(s.NumNodes)
-	w.Uvarint(uint64(s.NumPreds))
-	for _, r := range s.Shards {
-		r.Encode(w)
-	}
-}
-
-// DecodeShardSet reads a shard container written by Encode, verifying
-// the invariants the sharded engine relies on: a sane shard count, a
-// known partitioner, globally-consistent id spaces, triple counts that
-// add up, and every predicate stored in the shard the partitioner
-// assigns it to.
+// DecodeShardSet reads a shard container (the payload of the rdbs1
+// format, which only older builds wrote): header, partitioner name,
+// then each sub-ring. It verifies the invariants the sharded engine
+// relies on: a sane shard count, a known partitioner, globally
+// consistent id spaces, triple counts that add up, and every predicate
+// stored in the shard the partitioner assigns it to.
 func DecodeShardSet(rd *serial.Reader) (*ShardSet, error) {
 	rd.Magic("rss1")
 	s := &ShardSet{}

@@ -97,7 +97,7 @@ type SelectJSON struct {
 
 // SelectResultJSON is the wire form of a /select response: the
 // projected variable names and one row of values per solution.
-// Failures (parse errors, cross-shard patterns) are reported as
+// Failures (parse errors, unsupported variable orders) are reported as
 // non-200 {"error": ...} responses; only timeouts reach a 200 body,
 // flagged with truncated.
 type SelectResultJSON struct {

@@ -12,8 +12,7 @@
 // parsed ASTs across requests, and an LRU result cache bounded by entry
 // count and bytes. Requests carry per-call limits and deadlines, batches
 // fan out across the pool, and Close drains the queue for a graceful
-// shutdown. This queue → workers → immutable-index seam is where later
-// sharding and replication layers plug in.
+// shutdown.
 package service
 
 import (

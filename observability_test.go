@@ -36,46 +36,16 @@ func obsTestDB(t *testing.T) *DB {
 // product-graph attrs nesting per-BFS-level spans with frontier sizes
 // and wavelet-node visits — and the span clock must be consistent
 // (children within parents, siblings summing to no more than the root).
-// The three layouts cover the three ways the one traversal kernel
-// (core.Engine) is reached: over a single ring, over the shards of a
-// ShardedEngine (a closure whose predicates sit on different shards)
-// and under the overlay's union engine (an update touching the query's
-// predicate).
+// The two cases cover the two ways the one traversal kernel
+// (core.Engine) is reached: over the ring and under the overlay's union
+// engine (an update touching the query's predicate).
 func TestProfileEngineSpans(t *testing.T) {
-	// Six parallel chains a → b → c → d, one per predicate, so that any
-	// closure over them reaches {b, c, d} from a in three BFS levels.
-	preds := []string{"p", "q", "r", "s", "u", "v"}
-	chains := func(cfg BuilderConfig) *DB {
-		b := NewBuilderWithConfig(cfg)
-		for _, p := range preds {
-			b.Add("a", p, "b")
-			b.Add("b", p, "c")
-			b.Add("c", p, "d")
-		}
-		db, err := b.Build()
-		if err != nil {
-			t.Fatalf("build: %v", err)
-		}
-		return db
-	}
 	cases := []struct {
 		name  string
 		build func() (*DB, string)
 		want  int
 	}{
 		{"single-ring", func() (*DB, string) { return obsTestDB(t), "p+" }, 3},
-		{"sharded-cross-shard", func() (*DB, string) {
-			db := chains(BuilderConfig{Shards: 3})
-			set := db.h.cur.Load().set
-			p0, _ := db.g.PredID(preds[0], false)
-			for _, name := range preds[1:] {
-				if p, _ := db.g.PredID(name, false); set.ShardFor(p) != set.ShardFor(p0) {
-					return db, "(" + preds[0] + "|" + name + ")+"
-				}
-			}
-			t.Fatalf("all of %v hash to one shard", preds)
-			return nil, ""
-		}, 3},
 		{"overlay-touching-predicate", func() (*DB, string) {
 			db := obsTestDB(t)
 			if _, err := db.Apply([]Triple{{"d", "p", "e"}}, nil); err != nil {

@@ -20,11 +20,6 @@ import (
 // predicate name ('^'-prefixed for inverse edges).
 type Binding = query.Binding
 
-// ErrCrossShard reports a graph pattern whose clauses span several
-// sub-rings of a sharded database; such joins are not yet supported
-// (single-shard patterns are routed wholesale).
-var ErrCrossShard = query.ErrCrossShard
-
 // ErrUnsupportedOrder reports a basic graph pattern that admits no
 // single-ring variable order (full generality needs the second,
 // reversed ring of the SIGMOD'21 construction).
@@ -52,11 +47,7 @@ func ParseQuery(q string) error {
 // SelCache created at construction time.
 func (db *DB) patternFor(snap *snapshot) *query.Exec {
 	if db.pat == nil || db.patEpoch != snap.epoch {
-		if snap.set != nil {
-			db.pat = query.NewExecSharded(db.g, snap.set, db.sel)
-		} else {
-			db.pat = query.NewExec(db.g, snap.r, db.sel)
-		}
+		db.pat = query.NewExec(db.g, snap.r, db.sel)
 		db.patEpoch = snap.epoch
 	}
 	if snap.ov.Empty() {

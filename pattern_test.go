@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-func orgDB(t *testing.T, shards int) *DB {
+func orgDB(t *testing.T) *DB {
 	t.Helper()
-	b := NewBuilderWithConfig(BuilderConfig{Shards: shards})
+	b := NewBuilder()
 	b.Add("ana", "manages", "bo")
 	b.Add("bo", "manages", "cleo")
 	b.Add("bo", "manages", "dmitri")
@@ -32,7 +32,7 @@ func orgDB(t *testing.T, shards int) *DB {
 }
 
 func TestQueryPatternEndToEnd(t *testing.T) {
-	db := orgDB(t, 0)
+	db := orgDB(t)
 	vars, rows, err := db.Select(
 		"SELECT ?m ?proj WHERE { ?m manages+ ?e . ?e assigned ?proj . ?proj status active }")
 	if err != nil {
@@ -63,7 +63,7 @@ func TestQueryPatternEndToEnd(t *testing.T) {
 }
 
 func TestQueryPatternOptionsAndErrors(t *testing.T) {
-	db := orgDB(t, 0)
+	db := orgDB(t)
 	if err := ParseQuery("?x manages ?y"); err != nil {
 		t.Fatal(err)
 	}
@@ -98,53 +98,8 @@ func TestQueryPatternOptionsAndErrors(t *testing.T) {
 	}
 }
 
-func TestQueryPatternSharded(t *testing.T) {
-	single := orgDB(t, 0)
-	db := orgDB(t, 4)
-	if db.Shards() < 2 {
-		t.Skip("graph too small to shard")
-	}
-	// Single-predicate patterns route to one shard on any layout.
-	src := "?m manages+ ?e . ?m manages ?e"
-	w1, r1, err := single.Select(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, r2, err := db.Select(src)
-	if err != nil {
-		// The hash partitioner may co-locate everything; only a
-		// genuinely cross-shard routing may error, and then with the
-		// typed error.
-		if !errors.Is(err, ErrCrossShard) {
-			t.Fatalf("sharded: %v", err)
-		}
-		t.Fatal("single-predicate pattern must never be cross-shard")
-	}
-	SortRows(r1)
-	SortRows(r2)
-	if !reflect.DeepEqual(w1, w2) || !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("sharded mismatch: %v/%v vs %v/%v", w1, r1, w2, r2)
-	}
-
-	// A multi-predicate pattern either routes (co-located) or fails
-	// with the typed cross-shard error — never a wrong answer.
-	_, r3, err := db.Select("SELECT ?m WHERE { ?m manages ?e . ?e assigned ?p }")
-	if err != nil {
-		if !errors.Is(err, ErrCrossShard) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-	} else {
-		_, r4, _ := single.Select("SELECT ?m WHERE { ?m manages ?e . ?e assigned ?p }")
-		SortRows(r3)
-		SortRows(r4)
-		if !reflect.DeepEqual(r3, r4) {
-			t.Fatalf("sharded rows %v, single %v", r3, r4)
-		}
-	}
-}
-
 func TestQueryPatternAfterSaveLoadAndClone(t *testing.T) {
-	db := orgDB(t, 0)
+	db := orgDB(t)
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -166,7 +121,7 @@ func TestQueryPatternAfterSaveLoadAndClone(t *testing.T) {
 }
 
 func TestServiceSelectEndToEnd(t *testing.T) {
-	db := orgDB(t, 0)
+	db := orgDB(t)
 	svc := NewService(db, ServiceConfig{Workers: 2})
 	defer svc.Close()
 	ctx := context.Background()
@@ -215,7 +170,7 @@ func TestServiceSelectEndToEnd(t *testing.T) {
 // SELECT that projection merges and for a pattern without one, through
 // the service and through POST /select, it equals len(Rows).
 func TestPatternCountMatchesRows(t *testing.T) {
-	db := orgDB(t, 0)
+	db := orgDB(t)
 	svc := NewService(db, ServiceConfig{Workers: 2, ResultCacheEntries: -1})
 	defer svc.Close()
 	h := svc.Handler(HandlerConfig{DefaultLimit: 1000})
@@ -255,7 +210,7 @@ func TestPatternCountMatchesRows(t *testing.T) {
 }
 
 func TestExplainPattern(t *testing.T) {
-	db := orgDB(t, 0)
+	db := orgDB(t)
 	pl, err := db.ExplainPattern("?m manages ?e . ?e assigned+ ?p")
 	if err != nil {
 		t.Fatal(err)

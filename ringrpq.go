@@ -42,12 +42,6 @@
 //	defer svc.Close()
 //	sols, err := svc.Query(ctx, "Baquedano", "(l1|l2|l5)+", "?station")
 //
-// For parallel index construction and per-shard compaction, the index
-// can be partitioned into sub-rings with
-// NewBuilderWithConfig(BuilderConfig{Shards: K}); queries, saving
-// and loading are transparent to the layout (see the README's sharded
-// mode section).
-//
 // The index also accepts live updates: Apply (or Begin/Commit) folds
 // triples into an in-memory overlay that every query unions in
 // transparently, and a background compactor rebuilds the ring and
@@ -79,39 +73,15 @@ import (
 	"ringrpq/internal/triples"
 )
 
-// BuilderConfig tunes index construction. The zero value builds the
-// default single-ring index.
-type BuilderConfig struct {
-	// Shards partitions the triples across this many sub-rings that are
-	// built in parallel (queries whose expressions span shards traverse
-	// them on one goroutine). 0 or 1 builds the classic single ring.
-	// Partitioning is by hash of the base predicate, so a predicate and
-	// its inverse always share a shard; see the README's sharded-mode
-	// section for when sharding pays off. Values beyond the supported
-	// maximum are clamped.
-	Shards int
-}
-
 // Builder accumulates triples before indexing.
 type Builder struct {
-	b   *triples.Builder
-	cfg BuilderConfig
+	b *triples.Builder
 }
 
-// NewBuilder returns an empty builder using the default configuration.
+// NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
-	return NewBuilderWithConfig(BuilderConfig{})
+	return &Builder{b: triples.NewBuilder()}
 }
-
-// NewBuilderWithConfig returns an empty builder with the given
-// configuration, e.g. NewBuilderWithConfig(BuilderConfig{Shards: 8}).
-func NewBuilderWithConfig(cfg BuilderConfig) *Builder {
-	return &Builder{b: triples.NewBuilder(), cfg: cfg}
-}
-
-// SetShards selects the shard count used by Build (see
-// BuilderConfig.Shards).
-func (b *Builder) SetShards(k int) { b.cfg.Shards = k }
 
 // Add inserts the edge s --p--> o. Duplicate edges collapse.
 func (b *Builder) Add(s, p, o string) { b.b.Add(s, p, o) }
@@ -121,10 +91,9 @@ func (b *Builder) Add(s, p, o string) { b.b.Add(s, p, o) }
 func (b *Builder) Load(r io.Reader) error { return triples.Load(r, b.b) }
 
 // Build completes the graph with inverse edges, constructs the ring
-// index (sharded when configured), and returns a queryable database.
-// A database holds fewer than 2^32 completed triples (each edge counts
-// twice, as itself and its inverse). The builder must not be used
-// afterwards.
+// index, and returns a queryable database. A database holds fewer than
+// 2^32 completed triples (each edge counts twice, as itself and its
+// inverse). The builder must not be used afterwards.
 func (b *Builder) Build() (*DB, error) {
 	g := b.b.Build()
 	if g.Len() == 0 {
@@ -133,22 +102,17 @@ func (b *Builder) Build() (*DB, error) {
 	if err := bitvec.CheckLen(g.Len()); err != nil {
 		return nil, fmt.Errorf("ringrpq: %d completed triples: %w", g.Len(), err)
 	}
-	if b.cfg.Shards > 1 {
-		return newDB(g, nil, ring.NewShardSet(g, b.cfg.Shards, nil, ring.WaveletMatrix)), nil
-	}
-	return newDB(g, ring.New(g, ring.WaveletMatrix), nil), nil
+	return newDB(g, ring.New(g, ring.WaveletMatrix)), nil
 }
 
-// newDB assembles a DB around a freshly built or loaded static index.
-func newDB(g *triples.Graph, r *ring.Ring, set *ring.ShardSet) *DB {
-	return &DB{g: g, h: newHolder(r, set, g.NumNodes()), sel: query.NewSelCache()}
+// newDB assembles a DB around a freshly built or loaded ring.
+func newDB(g *triples.Graph, r *ring.Ring) *DB {
+	return &DB{g: g, h: newHolder(r, g.NumNodes()), sel: query.NewSelCache()}
 }
 
 // DB is an RPQ-queryable graph database. Its query methods share
 // working arrays and must not be called concurrently; use Clone for
-// parallel workers. (An evaluation runs on its caller's goroutine, on a
-// sharded DB too: sub-rings are built in parallel, not traversed in
-// parallel.)
+// parallel workers. An evaluation runs on its caller's goroutine.
 //
 // The index is no longer frozen after Build: Apply folds live updates
 // into an in-memory overlay that every query unions in, and a
@@ -170,7 +134,7 @@ type DB struct {
 	// epoch moves past it (one-caller rule applies).
 	epoch    uint64
 	haveEng  bool
-	static   core.Evaluator
+	static   *core.Engine
 	union    *overlay.Engine
 	pat      *query.Exec
 	patEpoch uint64
@@ -191,12 +155,6 @@ func (db *DB) Clone() *DB {
 	return &DB{g: db.g, h: db.h, sel: db.sel}
 }
 
-// Shards reports the number of sub-rings the database is partitioned
-// into (1 for the classic single-ring layout).
-func (db *DB) Shards() int {
-	return db.h.cur.Load().shards()
-}
-
 // evaluatorFor returns this clone's evaluator for the pinned snapshot:
 // the plain static engine when the overlay is empty, the union engine
 // otherwise. Engines are rebuilt when a compaction has swapped the
@@ -205,18 +163,14 @@ func (db *DB) evaluatorFor(snap *snapshot) core.Evaluator {
 	if !db.haveEng || db.epoch != snap.epoch {
 		db.epoch = snap.epoch
 		db.haveEng = true
-		if snap.set != nil {
-			db.static = core.NewShardedEngine(snap.set, db.predIDs())
-		} else {
-			db.static = core.NewEngine(snap.r, db.predIDs())
-		}
+		db.static = core.NewEngine(snap.r, db.predIDs())
 		db.union = nil
 	}
 	if snap.ov.Empty() {
 		return db.static
 	}
 	if db.union == nil {
-		db.union = overlay.NewEngine(db.static, snap.rings(), db.predIDs(), db.g.NumCompletedPreds())
+		db.union = overlay.NewEngine(db.static, []*ring.Ring{snap.r}, db.predIDs(), db.g.NumCompletedPreds())
 	}
 	db.union.SetSnapshot(snap.ov, snap.numNodes)
 	return db.union
@@ -331,24 +285,22 @@ type Stats struct {
 	CompletedEdges int
 	// Predicates is the original predicate count |P|.
 	Predicates int
-	// IndexBytes is the ring footprint used by queries (summed over
-	// sub-rings): L_s and L_p with their rank directories and symbol
-	// counts, plus L_o's symbol counts, each allocation counted once.
-	// The dictionaries and L_o's bits are not included.
+	// IndexBytes is the ring footprint used by queries: L_s and L_p
+	// with their rank directories and symbol counts, plus L_o's symbol
+	// counts, each allocation counted once. The dictionaries and L_o's
+	// bits are not included.
 	IndexBytes int
-	// Shards is the sub-ring count (1 for the single-ring layout).
-	Shards int
 }
 
 // indexN reports the completed triple count of the static index (the
 // overlay's pending adds are not included; see UpdateStats).
 func (db *DB) indexN() int {
-	return db.h.cur.Load().indexN()
+	return db.h.cur.Load().r.N
 }
 
 // indexQueryBytes reports the query-relevant index footprint.
 func (db *DB) indexQueryBytes() int {
-	return db.h.cur.Load().indexQueryBytes()
+	return db.h.cur.Load().r.QuerySizeBytes()
 }
 
 // Stats reports database statistics.
@@ -361,7 +313,6 @@ func (db *DB) Stats() Stats {
 		CompletedEdges: db.indexN(),
 		Predicates:     int(db.g.NumPreds),
 		IndexBytes:     db.indexQueryBytes(),
-		Shards:         db.Shards(),
 	}
 }
 

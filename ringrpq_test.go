@@ -193,22 +193,19 @@ func TestEmptyGraphRejected(t *testing.T) {
 	}
 }
 
-// Triples loaded from text answer alike on the single-ring and the
-// sharded layout.
+// Triples loaded from text answer a closure over them.
 func TestLoadAndLayouts(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		b := NewBuilderWithConfig(BuilderConfig{Shards: shards})
-		if err := b.Load(strings.NewReader("a p b\nb p c\nc p a\n")); err != nil {
-			t.Fatal(err)
-		}
-		db, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := db.Count("a", "p+", "?y")
-		if err != nil || n != 3 {
-			t.Fatalf("%d shards: p+ from a gives %d, want 3", shards, n)
-		}
+	b := NewBuilder()
+	if err := b.Load(strings.NewReader("a p b\nb p c\nc p a\n")); err != nil {
+		t.Fatal(err)
+	}
+	db, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := db.Count("a", "p+", "?y")
+	if err != nil || n != 3 {
+		t.Fatalf("p+ from a gives %d (%v), want 3", n, err)
 	}
 }
 

@@ -9,22 +9,20 @@ import (
 	"ringrpq/internal/triples"
 )
 
-// File magics. A single-ring database starts with "rdb1"; a sharded
-// database starts with "rdbs" followed by a container version (1), the
-// combination referred to as the rdbs1 format. Both carry the same
-// graph metadata; the payload is either one ring or a shard container.
-// LoadDB dispatches on the magic, so the two formats are transparently
-// interchangeable at load time.
+// File magics. Save writes "rdb1": graph metadata, then one ring. An
+// older build could also write a sharded database, "rdbs" followed by a
+// container version (1), the combination referred to as the rdbs1
+// format: the same metadata, then a shard container. rdbs1 is read-only
+// now; LoadDB concatenates its shards into one ring.
 const (
 	fileMagic        = "rdb1"
 	fileMagicSharded = "rdbs"
 	shardedVersion   = 1
 )
 
-// Save writes the database (dictionaries + ring index, or the sharded
-// rdbs1 container) to w in a compact binary format. Building the index
-// once and reloading it with LoadDB skips the construction sorts on
-// subsequent runs.
+// Save writes the database (dictionaries + ring index) to w in the
+// compact binary rdb1 format. Building the index once and reloading it
+// with LoadDB skips the construction sorts on subsequent runs.
 //
 // The on-disk formats hold only the static index, so a dirty overlay
 // is flushed (compacted into the ring) first: Save persists exactly
@@ -56,22 +54,15 @@ func (db *DB) Save(w io.Writer) error {
 	}
 	defer db.h.release(snap)
 	sw := serial.NewWriter(w)
-	if snap.set != nil {
-		sw.Magic(fileMagicSharded)
-		sw.Int(shardedVersion)
-		db.g.EncodeMeta(sw)
-		snap.set.Encode(sw)
-		return sw.Flush()
-	}
 	sw.Magic(fileMagic)
 	db.g.EncodeMeta(sw)
 	snap.r.Encode(sw)
 	return sw.Flush()
 }
 
-// LoadDB reads a database written by Save, accepting both the
-// single-ring (rdb1) and sharded (rdbs1) formats. Corrupted or
-// truncated input yields an error, never a panic.
+// LoadDB reads a database written by Save (rdb1) or by an older
+// sharded build (rdbs1, loaded as one ring). Corrupted or truncated
+// input yields an error, never a panic.
 func LoadDB(r io.Reader) (*DB, error) {
 	sr := serial.NewReader(r)
 	switch tag := sr.Tag(); tag {
@@ -100,7 +91,7 @@ func loadSingle(sr *serial.Reader) (*DB, error) {
 		return nil, fmt.Errorf("ringrpq: load: ring/dictionary mismatch (%d/%d nodes, %d/%d preds)",
 			rg.NumNodes, g.NumNodes(), rg.NumPreds, g.NumCompletedPreds())
 	}
-	return newDB(g, rg, nil), nil
+	return newDB(g, rg), nil
 }
 
 func loadSharded(sr *serial.Reader) (*DB, error) {
@@ -119,5 +110,17 @@ func loadSharded(sr *serial.Reader) (*DB, error) {
 		return nil, fmt.Errorf("ringrpq: load: shard set/dictionary mismatch (%d/%d nodes, %d/%d preds)",
 			set.NumNodes, g.NumNodes(), set.NumPreds, g.NumCompletedPreds())
 	}
-	return newDB(g, nil, set), nil
+	return newDB(g, concatShards(set)), nil
+}
+
+// concatShards builds one ring over a decoded shard container. The
+// shards partition the completed triples by predicate, so their triple
+// sets are disjoint and their concatenation is the whole graph; the
+// ring built from it is the one a fresh build of that graph makes.
+func concatShards(set *ring.ShardSet) *ring.Ring {
+	ts := make([]triples.Triple, 0, set.N)
+	for _, r := range set.Shards {
+		ts = append(ts, r.Triples()...)
+	}
+	return ring.FromTriples(ts, set.NumNodes, set.NumPreds)
 }

@@ -4,7 +4,7 @@ package ringrpq
 // subsystem: random graphs × random update sequences × registered
 // expressions and patterns, asserting after every applied batch that
 // the accumulated deltas reproduce exactly the full re-evaluation of
-// each query — unsharded and sharded. The registry worker runs
+// each query. The registry worker runs
 // concurrently with the applying goroutine, so `go test -race` also
 // exercises the notification path.
 
@@ -155,17 +155,17 @@ func subscribeMirror(t *testing.T, db *DB, label, subject, object, expr, pattern
 	return m
 }
 
-// runStandingDifferential runs the property for one layout and counts
-// (subscription, batch) verifications.
-func runStandingDifferential(t *testing.T, shards, graphs int) int {
+// runStandingDifferential runs the property over the given number of
+// random graphs and counts (subscription, batch) verifications.
+func runStandingDifferential(t *testing.T, graphs int) int {
 	t.Helper()
 	checks := 0
 	for g := 0; g < graphs; g++ {
-		seed := int64(1000*shards + 17*g + 3)
+		seed := int64(1003 + 17*g)
 		rng := rand.New(rand.NewSource(seed))
 		nv := 10 + rng.Intn(8)
 		np := 3 + rng.Intn(2)
-		b := NewBuilderWithConfig(BuilderConfig{Shards: shards})
+		b := NewBuilder()
 		var triples []Triple
 		for i := 0; i < 35+rng.Intn(35); i++ {
 			tr := Triple{diffNode(rng.Intn(nv)), diffPred(rng.Intn(np)), diffNode(rng.Intn(nv))}
@@ -192,9 +192,6 @@ func runStandingDifferential(t *testing.T, shards, graphs int) int {
 		addExprSub(6, ghost, "?o")                                    // unresolved constant
 		addExprSub(7, diffNode(rng.Intn(nv)), diffNode(rng.Intn(nv))) // both constant
 
-		// Same-predicate clauses keep the pattern single-shard; the
-		// mixed ones are valid only unsharded (ErrCrossShard otherwise)
-		// and are skipped when registration fails on a sharded layout.
 		patterns := []string{
 			fmt.Sprintf("?x %s ?y . ?y %s ?z", diffPred(0), diffPred(0)),
 			fmt.Sprintf("SELECT ?x ?z WHERE { ?x %s+ ?z }", diffPred(1)),
@@ -204,9 +201,6 @@ func runStandingDifferential(t *testing.T, shards, graphs int) int {
 			label := fmt.Sprintf("g%d/pat%d{%s}", g, i, p)
 			sub, err := db.Subscribe(SubscribeRequest{Pattern: p, Snapshot: true})
 			if err != nil {
-				if shards > 1 {
-					continue // cross-shard pattern on a sharded layout
-				}
 				t.Fatalf("%s: Subscribe: %v", label, err)
 			}
 			m := &diffMirror{sub: sub, pattern: p, pairs: map[Pair]bool{}, rows: map[string]bool{}, label: label}
@@ -255,17 +249,9 @@ func runStandingDifferential(t *testing.T, shards, graphs int) int {
 }
 
 func TestStandingDifferential(t *testing.T) {
-	checks := runStandingDifferential(t, 1, 6)
+	checks := runStandingDifferential(t, 6)
 	if checks < 200 {
 		t.Fatalf("only %d differential cases, want >= 200", checks)
 	}
 	t.Logf("verified %d (subscription, batch) cases", checks)
-}
-
-func TestStandingDifferentialSharded(t *testing.T) {
-	checks := runStandingDifferential(t, 3, 4)
-	if checks < 200 {
-		t.Fatalf("only %d differential cases, want >= 200", checks)
-	}
-	t.Logf("verified %d sharded (subscription, batch) cases", checks)
 }

@@ -1,8 +1,8 @@
 package ringrpq
 
 // This file is the snapshot layer of the live-update subsystem: the
-// holder publishes immutable snapshots (static ring/shard set + one
-// overlay version), Apply folds updates into a new snapshot, and the
+// holder publishes immutable snapshots (static ring + one overlay
+// version), Apply folds updates into a new snapshot, and the
 // compactor rebuilds the static index from ring+overlay and swaps it
 // in atomically. Queries pin the snapshot they start on (epoch +
 // refcount), so an in-flight evaluation — including one on a service
@@ -63,11 +63,10 @@ type UpdateStats struct {
 	ReplayBatches int
 }
 
-// snapshot is one immutable (static index, overlay) pair.
+// snapshot is one immutable (static ring, overlay) pair.
 type snapshot struct {
-	r   *ring.Ring     // single-ring layout (nil when sharded)
-	set *ring.ShardSet // sharded layout (nil when single-ring)
-	ov  *overlay.Overlay
+	r  *ring.Ring
+	ov *overlay.Overlay
 
 	epoch    uint64
 	version  uint64
@@ -76,40 +75,8 @@ type snapshot struct {
 	refs atomic.Int64
 }
 
-// rings lists the snapshot's sub-rings (one for the single layout).
-func (s *snapshot) rings() []*ring.Ring {
-	if s.set != nil {
-		return s.set.Shards
-	}
-	return []*ring.Ring{s.r}
-}
-
-func (s *snapshot) indexN() int {
-	if s.set != nil {
-		return s.set.N
-	}
-	return s.r.N
-}
-
-func (s *snapshot) indexQueryBytes() int {
-	if s.set != nil {
-		return s.set.QuerySizeBytes()
-	}
-	return s.r.QuerySizeBytes()
-}
-
-func (s *snapshot) shards() int {
-	if s.set != nil {
-		return s.set.K
-	}
-	return 1
-}
-
-// inStatic reports membership of a completed edge in the static index.
+// inStatic reports membership of a completed edge in the static ring.
 func (s *snapshot) inStatic(e overlay.Edge) bool {
-	if s.set != nil {
-		return s.set.Shards[s.set.ShardFor(e.P)].Has(e.S, e.P, e.O)
-	}
 	return s.r.Has(e.S, e.P, e.O)
 }
 
@@ -165,10 +132,10 @@ func stageHook(stage string) {
 }
 
 // newHolder publishes the initial snapshot.
-func newHolder(r *ring.Ring, set *ring.ShardSet, numNodes int) *holder {
+func newHolder(r *ring.Ring, numNodes int) *holder {
 	h := &holder{}
 	h.compactBase.Store(-1)
-	s := &snapshot{r: r, set: set, ov: overlay.New(), numNodes: numNodes}
+	s := &snapshot{r: r, ov: overlay.New(), numNodes: numNodes}
 	h.cur.Store(s)
 	h.live = []*snapshot{s}
 	return h
@@ -391,7 +358,7 @@ func (db *DB) ApplyContext(ctx context.Context, adds, dels []Triple) (UpdateStat
 	}
 	ov = ov.WithBatchesAfter(keepAfter)
 	next := &snapshot{
-		r: cur.r, set: cur.set, ov: ov,
+		r: cur.r, ov: ov,
 		epoch:    cur.epoch,
 		version:  cur.version + 1,
 		numNodes: db.g.NumNodes(),
@@ -426,7 +393,7 @@ func (db *DB) ApplyContext(ctx context.Context, adds, dels []Triple) (UpdateStat
 		}
 	}
 
-	if t := h.effectiveThreshold(next.indexN()); t > 0 && ov.Weight() >= t {
+	if t := h.effectiveThreshold(next.r.N); t > 0 && ov.Weight() >= t {
 		if h.compacting.CompareAndSwap(false, true) {
 			go func() {
 				defer h.compacting.Store(false)
@@ -499,22 +466,11 @@ func (db *DB) compactNow() {
 	// race the rebuild stay overlay-only until the next compaction.
 	numNodes := base.numNodes
 	t0 := time.Now()
-	var newR *ring.Ring
-	var newSet *ring.ShardSet
-	if base.set != nil {
-		newSet = rebuildShards(base, numNodes)
-	} else {
-		newR = rebuildSingle(base, numNodes)
-	}
+	newR := rebuild(base, numNodes)
 	h.lastRebuildNS.Store(time.Since(t0).Nanoseconds())
 	stageHook("rebuilt")
 
-	inNew := func(e overlay.Edge) bool {
-		if newSet != nil {
-			return newSet.Shards[newSet.ShardFor(e.P)].Has(e.S, e.P, e.O)
-		}
-		return newR.Has(e.S, e.P, e.O)
-	}
+	inNew := func(e overlay.Edge) bool { return newR.Has(e.S, e.P, e.O) }
 
 	// Updates that raced the rebuild are folded into a residual overlay
 	// against the new ring. Each of their edges costs a probe of a ring
@@ -541,7 +497,7 @@ func (db *DB) compactNow() {
 	}
 	residual = residual.Replay(latest.ov.BatchesAfter(seen.ov.Version()), inNew)
 	next := &snapshot{
-		r: newR, set: newSet, ov: residual,
+		r: newR, ov: residual,
 		epoch:   latest.epoch + 1,
 		version: latest.version + 1,
 		// Batches between base and latest may have grown the dictionary
@@ -560,9 +516,8 @@ func (db *DB) compactNow() {
 	h.compactions.Add(1)
 	stageHook("swapped")
 
-	// Old-ring selectivity statistics are garbage now; unchanged shards
-	// (shared pointers) keep theirs.
-	db.sel.Retain(next.rings())
+	// Old-ring selectivity statistics are garbage now.
+	db.sel.Retain(newR)
 
 	if sink != nil {
 		// Checkpoint the rebuilt ring (all data ≤ base.version,
@@ -571,7 +526,7 @@ func (db *DB) compactNow() {
 		// batch since the previous checkpoint, so recovery just replays
 		// more.
 		t2 := time.Now()
-		err := db.writeCheckpoint(sink, newR, newSet, base.version, numNodes)
+		err := db.writeCheckpoint(sink, newR, base.version, numNodes)
 		h.lastCheckpointNS.Store(time.Since(t2).Nanoseconds())
 		if err != nil {
 			sink.checkpointErrs.Add(1)
@@ -589,13 +544,13 @@ func (db *DB) compactNow() {
 	}
 }
 
-// mergedTriples is the rebuild's input for one ring: its triples minus
-// the overlay's tombstones, plus the overlay's adds for which mine
-// holds (a sub-ring takes only its own shard's). The ring is decoded in
-// bulk (ring.Triples) and filtered in place; tombstones are probed only
-// under predicates that have any.
-func mergedTriples(r *ring.Ring, ov *overlay.Overlay, mine func(p uint32) bool) []triples.Triple {
-	ts := r.Triples()
+// rebuild merges ring+overlay into a fresh ring: the base ring's
+// triples minus the overlay's tombstones, plus the overlay's adds. The
+// ring is decoded in bulk (ring.Triples) and filtered in place;
+// tombstones are probed only under predicates that have any.
+func rebuild(base *snapshot, numNodes int) *ring.Ring {
+	ov := base.ov
+	ts := base.r.Triples()
 	merged := ts[:0]
 	for _, t := range ts {
 		if ov.DelsForPred(t.P) == 0 || !ov.Deleted(overlay.Edge{S: t.S, P: t.P, O: t.O}) {
@@ -603,45 +558,7 @@ func mergedTriples(r *ring.Ring, ov *overlay.Overlay, mine func(p uint32) bool) 
 		}
 	}
 	for _, e := range ov.Adds() {
-		if mine(e.P) {
-			merged = append(merged, triples.Triple{S: e.S, P: e.P, O: e.O})
-		}
+		merged = append(merged, triples.Triple{S: e.S, P: e.P, O: e.O})
 	}
-	return merged
-}
-
-// rebuildSingle merges ring+overlay into a fresh single ring.
-func rebuildSingle(base *snapshot, numNodes int) *ring.Ring {
-	merged := mergedTriples(base.r, base.ov, func(uint32) bool { return true })
 	return ring.FromTriples(merged, numNodes, base.r.NumPreds)
-}
-
-// rebuildShards merges ring+overlay per shard, rebuilding only the
-// sub-rings whose predicates the overlay touched and sharing the rest
-// structurally — unless the node id space grew, which forces a full
-// rebuild (every sub-ring's partition arrays are sized by it).
-func rebuildShards(base *snapshot, numNodes int) *ring.ShardSet {
-	set := base.set
-	grow := numNodes != set.NumNodes
-	changed := make([]bool, set.K)
-	for _, p := range base.ov.TouchedPreds() {
-		changed[set.ShardFor(p)] = true
-	}
-
-	shards := make([]*ring.Ring, set.K)
-	var wg sync.WaitGroup
-	for i, old := range set.Shards {
-		if !changed[i] && !grow {
-			shards[i] = old
-			continue
-		}
-		wg.Add(1)
-		go func(i int, old *ring.Ring) {
-			defer wg.Done()
-			merged := mergedTriples(old, base.ov, func(p uint32) bool { return set.ShardFor(p) == i })
-			shards[i] = ring.FromTriples(merged, numNodes, set.NumPreds)
-		}(i, old)
-	}
-	wg.Wait()
-	return ring.ShardSetFrom(shards, set.Part, numNodes, set.NumPreds)
 }

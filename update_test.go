@@ -199,14 +199,14 @@ func (o oracleEdges) query(s, p string, inverse bool) []string {
 	return out
 }
 
-// testUpdateDifferential drives random Apply/Flush/compaction
+// TestUpdateDifferential drives random Apply/Flush/compaction
 // interleavings against the oracle.
-func testUpdateDifferential(t *testing.T, shards int) {
-	rng := rand.New(rand.NewSource(42 + int64(shards)))
+func TestUpdateDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
 	preds := []string{"pa", "pb", "pc"}
 	node := func(i int) string { return fmt.Sprintf("n%02d", i) }
 
-	b := NewBuilderWithConfig(BuilderConfig{Shards: shards})
+	b := NewBuilder()
 	oracle := oracleEdges{}
 	for i := 0; i < 60; i++ {
 		s, p, o := node(rng.Intn(12)), preds[rng.Intn(len(preds))], node(rng.Intn(12))
@@ -280,58 +280,44 @@ func testUpdateDifferential(t *testing.T, shards int) {
 	}
 }
 
-func TestUpdateDifferential(t *testing.T)        { testUpdateDifferential(t, 1) }
-func TestUpdateDifferentialSharded(t *testing.T) { testUpdateDifferential(t, 3) }
-
-// TestCompactionWithEmptyShard: with one predicate and three shards two
-// sub-rings hold nothing, and a new node name forces all three to be
-// rebuilt — the bulk decode and the counting-sort build must take an
-// empty ring in and give one back. Then the last edge is deleted (every
-// shard empty) and one is added back.
-func TestCompactionWithEmptyShard(t *testing.T) {
-	// The wavelet matrix is the only layout; the subtest keeps its name.
-	t.Run("matrix", func(t *testing.T) {
-		b := NewBuilderWithConfig(BuilderConfig{Shards: 3})
-		b.Add("a", "p", "b")
-		db, err := b.Build()
+// TestCompactionThroughEmptyRing: compaction grows the node space,
+// then deletes the last edge — the bulk decode and the counting-sort
+// build must give an empty ring back and take it in again — and then
+// adds one back.
+func TestCompactionThroughEmptyRing(t *testing.T) {
+	b := NewBuilder()
+	b.Add("a", "p", "b")
+	db, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetCompactionThreshold(-1)
+	step := func(adds, dels []Triple, wantPairs ...string) {
+		t.Helper()
+		if _, err := db.Apply(adds, dels); err != nil {
+			t.Fatal(err)
+		}
+		epoch := db.UpdateStats().Epoch
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st := db.UpdateStats(); st.Epoch != epoch+1 || st.OverlayEdges+st.Tombstones != 0 {
+			t.Fatalf("flush did not compact: %+v", st)
+		}
+		sols, err := db.Query("?x", "p+", "?y")
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.SetCompactionThreshold(-1)
-		set := db.h.cur.Load().set
-		empty := 0
-		for _, r := range set.Shards {
-			if r.N == 0 {
-				empty++
-			}
+		if got := sortedPairs(sols); !equalPairs(got, wantPairs) {
+			t.Fatalf("after compaction: %v, want %v", got, wantPairs)
 		}
-		if set.K != 3 || empty != 2 {
-			t.Fatalf("%d shards, %d empty; want 3 and 2", set.K, empty)
-		}
-		step := func(adds, dels []Triple, wantPairs ...string) {
-			t.Helper()
-			if _, err := db.Apply(adds, dels); err != nil {
-				t.Fatal(err)
-			}
-			epoch := db.UpdateStats().Epoch
-			if err := db.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if st := db.UpdateStats(); st.Epoch != epoch+1 || st.OverlayEdges+st.Tombstones != 0 {
-				t.Fatalf("flush did not compact: %+v", st)
-			}
-			sols, err := db.Query("?x", "p+", "?y")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sortedPairs(sols); !equalPairs(got, wantPairs) {
-				t.Fatalf("after compaction: %v, want %v", got, wantPairs)
-			}
-		}
-		step([]Triple{{"b", "p", "fresh"}}, nil, "a→b", "a→fresh", "b→fresh")
-		step(nil, []Triple{{"a", "p", "b"}, {"b", "p", "fresh"}})
-		step([]Triple{{"fresh", "p", "a"}}, nil, "fresh→a")
-	})
+	}
+	step([]Triple{{"b", "p", "fresh"}}, nil, "a→b", "a→fresh", "b→fresh")
+	step(nil, []Triple{{"a", "p", "b"}, {"b", "p", "fresh"}})
+	step([]Triple{{"fresh", "p", "a"}}, nil, "fresh→a")
+	if n := db.h.cur.Load().r.N; n != 2 {
+		t.Fatalf("ring holds %d completed triples, want 2", n)
+	}
 }
 
 // TestUpdateStressTornSnapshot is the acceptance criterion's
@@ -340,89 +326,85 @@ func TestCompactionWithEmptyShard(t *testing.T) {
 // so any query observing zero or two targets has seen a torn snapshot.
 // Run under -race via `make race`.
 func TestUpdateStressTornSnapshot(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			b := NewBuilderWithConfig(BuilderConfig{Shards: shards})
-			b.Add("src", "mark", "t0000")
-			for i := 0; i < 40; i++ {
-				b.Add(fmt.Sprintf("f%d", i), "filler", fmt.Sprintf("g%d", i))
-			}
-			db, err := b.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			db.SetCompactionThreshold(8) // frequent swaps under fire
+	b := NewBuilder()
+	b.Add("src", "mark", "t0000")
+	for i := 0; i < 40; i++ {
+		b.Add(fmt.Sprintf("f%d", i), "filler", fmt.Sprintf("g%d", i))
+	}
+	db, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetCompactionThreshold(8) // frequent swaps under fire
 
-			svc := NewService(db, ServiceConfig{Workers: 4, ResultCacheEntries: 64})
-			defer svc.Close()
+	svc := NewService(db, ServiceConfig{Workers: 4, ResultCacheEntries: 64})
+	defer svc.Close()
 
-			const moves = 300
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			writerErr := make(chan error, 1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer stop.Store(true)
-				for i := 1; i <= moves; i++ {
-					old := fmt.Sprintf("t%04d", i-1)
-					next := fmt.Sprintf("t%04d", i)
-					if _, err := db.Apply(
-						[]Triple{{"src", "mark", next}},
-						[]Triple{{"src", "mark", old}},
-					); err != nil {
-						writerErr <- err
-						return
-					}
+	const moves = 300
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	writerErr := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		for i := 1; i <= moves; i++ {
+			old := fmt.Sprintf("t%04d", i-1)
+			next := fmt.Sprintf("t%04d", i)
+			if _, err := db.Apply(
+				[]Triple{{"src", "mark", next}},
+				[]Triple{{"src", "mark", old}},
+			); err != nil {
+				writerErr <- err
+				return
+			}
+		}
+	}()
+
+	readers := 4
+	readerErr := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			for !stop.Load() {
+				sols, err := svc.Query(ctx, "src", "mark", "?x")
+				if err != nil {
+					readerErr <- err
+					return
 				}
-			}()
+				if len(sols) != 1 {
+					readerErr <- fmt.Errorf("torn snapshot: saw %d marker edges (%v)", len(sols), sortedPairs(sols))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(writerErr)
+	close(readerErr)
+	for err := range writerErr {
+		t.Fatal(err)
+	}
+	for err := range readerErr {
+		t.Fatal(err)
+	}
 
-			readers := 4
-			readerErr := make(chan error, readers)
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ctx := context.Background()
-					for !stop.Load() {
-						sols, err := svc.Query(ctx, "src", "mark", "?x")
-						if err != nil {
-							readerErr <- err
-							return
-						}
-						if len(sols) != 1 {
-							readerErr <- fmt.Errorf("torn snapshot: saw %d marker edges (%v)", len(sols), sortedPairs(sols))
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(writerErr)
-			close(readerErr)
-			for err := range writerErr {
-				t.Fatal(err)
-			}
-			for err := range readerErr {
-				t.Fatal(err)
-			}
-
-			// Converged state.
-			if err := db.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			final := fmt.Sprintf("t%04d", moves)
-			sols, err := db.Query("src", "mark", "?x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sols) != 1 || sols[0].Object != final {
-				t.Fatalf("final marker = %v, want %s", sortedPairs(sols), final)
-			}
-			if db.UpdateStats().Epoch == 0 {
-				t.Fatalf("stress run never compacted")
-			}
-		})
+	// Converged state.
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	final := fmt.Sprintf("t%04d", moves)
+	sols, err := db.Query("src", "mark", "?x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sols) != 1 || sols[0].Object != final {
+		t.Fatalf("final marker = %v, want %s", sortedPairs(sols), final)
+	}
+	if db.UpdateStats().Epoch == 0 {
+		t.Fatalf("stress run never compacted")
 	}
 }
 
