@@ -280,44 +280,48 @@ func TestUpdateDifferential(t *testing.T) {
 	}
 }
 
-// TestCompactionThroughEmptyRing: compaction grows the node space,
+// TestCompactionWithEmptyShard: compaction grows the node space,
 // then deletes the last edge — the bulk decode and the counting-sort
 // build must give an empty ring back and take it in again — and then
-// adds one back.
-func TestCompactionThroughEmptyRing(t *testing.T) {
-	b := NewBuilder()
-	b.Add("a", "p", "b")
-	db, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetCompactionThreshold(-1)
-	step := func(adds, dels []Triple, wantPairs ...string) {
-		t.Helper()
-		if _, err := db.Apply(adds, dels); err != nil {
-			t.Fatal(err)
-		}
-		epoch := db.UpdateStats().Epoch
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if st := db.UpdateStats(); st.Epoch != epoch+1 || st.OverlayEdges+st.Tombstones != 0 {
-			t.Fatalf("flush did not compact: %+v", st)
-		}
-		sols, err := db.Query("?x", "p+", "?y")
+// adds one back. The test and subtest names date from the sharded
+// layout, whose empty sub-rings it also covered; a DB now holds one
+// ring, and emptying that ring is the case left to check.
+func TestCompactionWithEmptyShard(t *testing.T) {
+	t.Run("matrix", func(t *testing.T) {
+		b := NewBuilder()
+		b.Add("a", "p", "b")
+		db, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sortedPairs(sols); !equalPairs(got, wantPairs) {
-			t.Fatalf("after compaction: %v, want %v", got, wantPairs)
+		db.SetCompactionThreshold(-1)
+		step := func(adds, dels []Triple, wantPairs ...string) {
+			t.Helper()
+			if _, err := db.Apply(adds, dels); err != nil {
+				t.Fatal(err)
+			}
+			epoch := db.UpdateStats().Epoch
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if st := db.UpdateStats(); st.Epoch != epoch+1 || st.OverlayEdges+st.Tombstones != 0 {
+				t.Fatalf("flush did not compact: %+v", st)
+			}
+			sols, err := db.Query("?x", "p+", "?y")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sortedPairs(sols); !equalPairs(got, wantPairs) {
+				t.Fatalf("after compaction: %v, want %v", got, wantPairs)
+			}
 		}
-	}
-	step([]Triple{{"b", "p", "fresh"}}, nil, "a→b", "a→fresh", "b→fresh")
-	step(nil, []Triple{{"a", "p", "b"}, {"b", "p", "fresh"}})
-	step([]Triple{{"fresh", "p", "a"}}, nil, "fresh→a")
-	if n := db.h.cur.Load().r.N; n != 2 {
-		t.Fatalf("ring holds %d completed triples, want 2", n)
-	}
+		step([]Triple{{"b", "p", "fresh"}}, nil, "a→b", "a→fresh", "b→fresh")
+		step(nil, []Triple{{"a", "p", "b"}, {"b", "p", "fresh"}})
+		step([]Triple{{"fresh", "p", "a"}}, nil, "fresh→a")
+		if n := db.h.cur.Load().r.N; n != 2 {
+			t.Fatalf("ring holds %d completed triples, want 2", n)
+		}
+	})
 }
 
 // TestUpdateStressTornSnapshot is the acceptance criterion's
@@ -326,86 +330,89 @@ func TestCompactionThroughEmptyRing(t *testing.T) {
 // so any query observing zero or two targets has seen a torn snapshot.
 // Run under -race via `make race`.
 func TestUpdateStressTornSnapshot(t *testing.T) {
-	b := NewBuilder()
-	b.Add("src", "mark", "t0000")
-	for i := 0; i < 40; i++ {
-		b.Add(fmt.Sprintf("f%d", i), "filler", fmt.Sprintf("g%d", i))
-	}
-	db, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetCompactionThreshold(8) // frequent swaps under fire
-
-	svc := NewService(db, ServiceConfig{Workers: 4, ResultCacheEntries: 64})
-	defer svc.Close()
-
-	const moves = 300
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	writerErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer stop.Store(true)
-		for i := 1; i <= moves; i++ {
-			old := fmt.Sprintf("t%04d", i-1)
-			next := fmt.Sprintf("t%04d", i)
-			if _, err := db.Apply(
-				[]Triple{{"src", "mark", next}},
-				[]Triple{{"src", "mark", old}},
-			); err != nil {
-				writerErr <- err
-				return
-			}
+	// One ring: the subtest name dates from the sharded layout.
+	t.Run("shards=1", func(t *testing.T) {
+		b := NewBuilder()
+		b.Add("src", "mark", "t0000")
+		for i := 0; i < 40; i++ {
+			b.Add(fmt.Sprintf("f%d", i), "filler", fmt.Sprintf("g%d", i))
 		}
-	}()
+		db, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.SetCompactionThreshold(8) // frequent swaps under fire
 
-	readers := 4
-	readerErr := make(chan error, readers)
-	for r := 0; r < readers; r++ {
+		svc := NewService(db, ServiceConfig{Workers: 4, ResultCacheEntries: 64})
+		defer svc.Close()
+
+		const moves = 300
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		writerErr := make(chan error, 1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := context.Background()
-			for !stop.Load() {
-				sols, err := svc.Query(ctx, "src", "mark", "?x")
-				if err != nil {
-					readerErr <- err
-					return
-				}
-				if len(sols) != 1 {
-					readerErr <- fmt.Errorf("torn snapshot: saw %d marker edges (%v)", len(sols), sortedPairs(sols))
+			defer stop.Store(true)
+			for i := 1; i <= moves; i++ {
+				old := fmt.Sprintf("t%04d", i-1)
+				next := fmt.Sprintf("t%04d", i)
+				if _, err := db.Apply(
+					[]Triple{{"src", "mark", next}},
+					[]Triple{{"src", "mark", old}},
+				); err != nil {
+					writerErr <- err
 					return
 				}
 			}
 		}()
-	}
-	wg.Wait()
-	close(writerErr)
-	close(readerErr)
-	for err := range writerErr {
-		t.Fatal(err)
-	}
-	for err := range readerErr {
-		t.Fatal(err)
-	}
 
-	// Converged state.
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	final := fmt.Sprintf("t%04d", moves)
-	sols, err := db.Query("src", "mark", "?x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sols) != 1 || sols[0].Object != final {
-		t.Fatalf("final marker = %v, want %s", sortedPairs(sols), final)
-	}
-	if db.UpdateStats().Epoch == 0 {
-		t.Fatalf("stress run never compacted")
-	}
+		readers := 4
+		readerErr := make(chan error, readers)
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx := context.Background()
+				for !stop.Load() {
+					sols, err := svc.Query(ctx, "src", "mark", "?x")
+					if err != nil {
+						readerErr <- err
+						return
+					}
+					if len(sols) != 1 {
+						readerErr <- fmt.Errorf("torn snapshot: saw %d marker edges (%v)", len(sols), sortedPairs(sols))
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(writerErr)
+		close(readerErr)
+		for err := range writerErr {
+			t.Fatal(err)
+		}
+		for err := range readerErr {
+			t.Fatal(err)
+		}
+
+		// Converged state.
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		final := fmt.Sprintf("t%04d", moves)
+		sols, err := db.Query("src", "mark", "?x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sols) != 1 || sols[0].Object != final {
+			t.Fatalf("final marker = %v, want %s", sortedPairs(sols), final)
+		}
+		if db.UpdateStats().Epoch == 0 {
+			t.Fatalf("stress run never compacted")
+		}
+	})
 }
 
 // TestConcurrentUpdateBatches: concurrent Apply calls from several
