@@ -63,14 +63,16 @@ bench:
 # Limit-bound traversal, a pattern join under a fixed order, a pattern
 # pool through one executor's plan memo), of
 # the compactor's (matrix build, counting-sort ring build, bulk triple
-# decode, per-batch overlay consolidation) and of the handler's
-# result-cache hit and miss: makes sure the benchmark code keeps
-# compiling and running under ci.
+# decode, per-batch overlay consolidation), of a fresh database's
+# Load + Build (degree numbering included, with allocs/op) and of the
+# handler's result-cache hit and miss: makes sure the benchmark code
+# keeps compiling and running under ci.
 bench-short:
 	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS|LimitedBFS' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
 	$(GO) test -run NONE -bench 'MatrixBuild|FromTriples|RingTriples|OverlayApply' -benchtime 1x \
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
+	$(GO) test -run NONE -bench '^BenchmarkBuild$$' -benchtime 1x .
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 	$(GO) test -run NONE -bench 'HandlerCacheHit|HandlerMiss' -benchtime 1x ./internal/service/
 	$(GO) test -run NONE -bench JoinWith -benchtime 1x ./internal/ltj/

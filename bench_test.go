@@ -5,11 +5,13 @@
 //	Table 2  → BenchmarkTable2 (sub-benchmarks per system; space is
 //	           reported as bytes/edge metrics)
 //	Fig. 8   → BenchmarkFig8 (sub-benchmarks per pattern and system)
-//	§5 index construction → BenchmarkRingConstruction
+//	§5 index construction → BenchmarkRingConstruction, and a whole
+//	           database's Load + Build → BenchmarkBuild
 //	Design-choice ablations (§4/§6) → BenchmarkAblation*
 package ringrpq
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -142,6 +144,30 @@ func BenchmarkRingConstruction(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild measures what a fresh database costs: Load of a
+// g100k-shaped graph's triple file (datagen seed 1, 20 000 nodes,
+// 100 000 edge draws, 60 predicates, about 150 k completed triples),
+// then Build, which completes the graph, numbers its nodes by degree
+// and builds the ring.
+func BenchmarkBuild(b *testing.B) {
+	var nt bytes.Buffer
+	g := datagen.Generate(datagen.Config{Seed: 1, Nodes: 20000, Edges: 100000, Preds: 60})
+	if err := triples.Dump(&nt, g); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bl := NewBuilder()
+		if err := bl.Load(bytes.NewReader(nt.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := bl.Build(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Ablations -----------------------------------------------------------
 
 func ringEngine() (*core.Engine, *triples.Graph) {
@@ -219,15 +245,16 @@ func b2u(x bool) uint32 {
 }
 
 // BenchmarkSelectivity measures the §6 colored-range distinct counting
-// (distinct predicates into an object range in O(log n)).
+// the planner uses (distinct subjects of a predicate range in
+// O(log n)).
 func BenchmarkSelectivity(b *testing.B) {
 	setup()
 	r := ring.New(bench.g, ring.WaveletMatrix)
 	sel := ring.NewSelectivity(r)
-	nv := uint32(bench.g.NumNodes())
+	np := r.NumPreds
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lo, hi := r.ObjectRange(uint32(i) % nv)
-		sel.DistinctPreds(lo, hi)
+		lo, hi := r.PredRange(uint32(i) % np)
+		sel.DistinctSubjects(lo, hi)
 	}
 }

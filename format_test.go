@@ -16,43 +16,39 @@ import (
 	"ringrpq/internal/triples"
 )
 
-// testdata/format holds databases that an earlier build of this
-// package saved from graph.nt — graph.rdb (rdb1, wavelet matrices),
-// graph-tree.rdb (rdb1, the wavelet trees that build could also write)
-// and graph-3shards.rdb (rdbs1, three shards) — and answers.txt, the
-// answers that build gave to a fixed query set: a "> subject expr
-// object" line per query, then one sorted "subject object" line per
-// solution. The files are the on-disk format's regression net: every
-// one must keep loading and answering the same, and Save of the same
-// graph must keep writing graph.rdb byte for byte. Every file saves as
+// testdata/format holds databases that earlier builds of this package
+// saved from graph.nt, and answers.txt, the answers those builds gave
+// to a fixed query set: a "> subject expr object" line per query, then
+// one sorted "subject object" line per solution. graph.rdb (rdb1,
+// wavelet matrices), graph-tree.rdb (rdb1, the wavelet trees that one
+// build could also write) and graph-3shards.rdb (rdbs1, three shards)
+// number the nodes in first-appearance order; graph-degree.rdb is the
+// same graph as a fresh build now writes it, its nodes numbered by
+// degree. The files are the on-disk format's regression net: every one
+// must keep loading, answering the same and re-saving byte for byte,
+// and a fresh build of graph.nt must keep saving graph-degree.rdb. A
+// loaded file keeps its numbering, so each legacy file saves as
 // graph.rdb: a loaded tree file holds wavelet matrices, and a sharded
 // file loads as one ring built from its shards' concatenated triples.
 // The sharded file re-saving byte for byte as graph.rdb is the check
-// that the concatenation builds the ring a fresh build does.
+// that the concatenation builds the ring that file's numbering gives.
 func TestFormatFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "format")
-	nt, err := os.ReadFile(filepath.Join(dir, "graph.nt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, want := readAnswers(t, filepath.Join(dir, "answers.txt"))
-	saved, err := os.ReadFile(filepath.Join(dir, "graph.rdb"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, file := range []string{"graph.rdb", "graph-tree.rdb", "graph-3shards.rdb"} {
+	read := func(file string) []byte {
+		t.Helper()
 		raw, err := os.ReadFile(filepath.Join(dir, file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := LoadDB(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
+		return raw
+	}
+	queries, want := readAnswers(t, filepath.Join(dir, "answers.txt"))
+	check := func(name string, db *DB, saveAs string) {
+		t.Helper()
 		for i, q := range queries {
-			res, err := loaded.Query(q[0], q[1], q[2])
+			res, err := db.Query(q[0], q[1], q[2])
 			if err != nil {
-				t.Fatalf("%s %v: %v", file, q, err)
+				t.Fatalf("%s %v: %v", name, q, err)
 			}
 			got := make([]string, len(res))
 			for j, s := range res {
@@ -60,28 +56,39 @@ func TestFormatFixture(t *testing.T) {
 			}
 			sort.Strings(got)
 			if !reflect.DeepEqual(got, want[i]) {
-				t.Fatalf("%s %v: %d solutions %v, want %d %v", file, q, len(got), got, len(want[i]), want[i])
+				t.Fatalf("%s %v: %d solutions %v, want %d %v", name, q, len(got), got, len(want[i]), want[i])
 			}
 		}
+		var buf bytes.Buffer
+		if err := db.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if saved := read(saveAs); !bytes.Equal(buf.Bytes(), saved) {
+			t.Fatalf("%s: Save (%d bytes) differs from %s (%d bytes)", name, buf.Len(), saveAs, len(saved))
+		}
+	}
 
-		b := NewBuilder()
-		if err := b.Load(bytes.NewReader(nt)); err != nil {
-			t.Fatal(err)
-		}
-		built, err := b.Build()
+	b := NewBuilder()
+	if err := b.Load(bytes.NewReader(read("graph.nt"))); err != nil {
+		t.Fatal(err)
+	}
+	built, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("rebuilt graph.nt", built, "graph-degree.rdb")
+
+	for _, f := range []struct{ file, saveAs string }{
+		{"graph.rdb", "graph.rdb"},
+		{"graph-tree.rdb", "graph.rdb"},
+		{"graph-3shards.rdb", "graph.rdb"},
+		{"graph-degree.rdb", "graph-degree.rdb"},
+	} {
+		loaded, err := LoadDB(bytes.NewReader(read(f.file)))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", f.file, err)
 		}
-		for name, db := range map[string]*DB{"rebuilt": built, "reloaded": loaded} {
-			var buf bytes.Buffer
-			if err := db.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), saved) {
-				t.Fatalf("%s: Save of the %s database (%d bytes) differs from graph.rdb (%d bytes)",
-					file, name, buf.Len(), len(saved))
-			}
-		}
+		check(f.file, loaded, f.saveAs)
 	}
 }
 

@@ -60,8 +60,9 @@ func (r *Ring) Triples() []triples.Triple {
 // order, no duplicates) with explicit id spaces: five counting-sort
 // passes of O(n + σ) each and three O(n·log σ) wavelet builds, no
 // comparison sort. It takes ts over as sorting space, so the caller's
-// triples come back reordered. The compactor's entry point; New remains
-// the builder's, going through a Graph.
+// triples come back reordered. The database builder's and the
+// compactor's entry point; New, which clones a Graph's triples first,
+// serves the harness and the benchmark.
 func FromTriples(ts []triples.Triple, numNodes int, numPreds uint32) *Ring {
 	return fromTriples(ts, numNodes, numPreds)
 }

@@ -145,23 +145,6 @@ func (r *Ring) LFs(i int) int {
 	return r.Cs[s] + r.Ls.Rank(s, i)
 }
 
-// LFo maps position i of L_o to the position of the same triple in L_p.
-func (r *Ring) LFo(i int) int {
-	o := r.Lo.Access(i)
-	return r.Co[o] + r.Lo.Rank(o, i)
-}
-
-// TripleAt reconstructs the triple referenced by position i of L_p,
-// following the LF cycle as in the worked example of §3.4.
-func (r *Ring) TripleAt(i int) triples.Triple {
-	p := r.Lp.Access(i)
-	j := r.LFp(i)
-	s := r.Ls.Access(j)
-	k := r.LFs(j)
-	o := r.Lo.Access(k)
-	return triples.Triple{S: s, P: p, O: o}
-}
-
 // BackwardByPred maps a range [b, e) of L_p (triples sharing an object
 // prefix) through predicate p, yielding the range of L_s holding the
 // triples with that object prefix and predicate p (Eqs. 4–5).

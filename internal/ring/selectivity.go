@@ -47,12 +47,6 @@ func prevTree(seq *wavelet.Matrix) *wavelet.Matrix {
 	return wavelet.NewMatrix(prev, uint32(n)+1)
 }
 
-// DistinctPreds counts the distinct predicates in L_p[b, e) — for an
-// object range, the distinct labels on incoming edges — in O(log n).
-func (s *Selectivity) DistinctPreds(b, e int) int {
-	return countDistinct(s.prevP, b, e)
-}
-
 // DistinctSubjects counts the distinct subjects in L_s[b, e) — for a
 // predicate range, the distinct sources of such edges — in O(log n).
 func (s *Selectivity) DistinctSubjects(b, e int) int {

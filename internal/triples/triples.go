@@ -6,6 +6,7 @@ package triples
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -15,10 +16,12 @@ type Triple struct {
 	S, P, O uint32
 }
 
-// Dict maps strings to dense ids in insertion order. It is append-only
-// and safe for one writer interning concurrently with any number of
-// readers: Name and NamesView are lock-free against an atomically
-// published slice header (ids never disappear or change), while
+// Dict maps strings to dense ids in insertion order. The one exception
+// is Graph.NumberByDegree, which renumbers a freshly built graph's node
+// dictionary once, before anything reads it. Past that it is
+// append-only and safe for one writer interning concurrently with any
+// number of readers: Name and NamesView are lock-free against an
+// atomically published slice header (ids never disappear or change), while
 // Lookup/Intern synchronise on an internal mutex. This is what lets
 // live updates intern new node names while queries pinned to an older
 // snapshot keep resolving theirs.
@@ -203,9 +206,53 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
+// NumberByDegree renumbers the nodes by decreasing completed degree
+// (the number of triples a node is the subject of, its in-degree plus
+// its out-degree), ties keeping their id order, so the numbering is a
+// function of the input alone. The node dictionary and the triples'
+// subjects and objects are rewritten in place, and the triples lose
+// their (s,p,o) order. It serves the ring: frontiers keep reaching the
+// hubs, and with the hubs at the low ids their L_s descents share the
+// leftmost wavelet subtrees. The graph's dictionary must not have been
+// read concurrently yet.
+func (g *Graph) NumberByDegree() {
+	nv := g.NumNodes()
+	deg := make([]uint64, nv)
+	for _, t := range g.Triples {
+		deg[t.S]++
+	}
+	// One key per node, the complemented degree above the id: sorting
+	// the keys ascending orders by degree descending, then by id.
+	keys := deg
+	for v, d := range deg {
+		keys[v] = uint64(^uint32(d))<<32 | uint64(v)
+	}
+	slices.Sort(keys)
+	newID := make([]uint32, nv)
+	for rank, k := range keys {
+		newID[uint32(k)] = uint32(rank)
+	}
+	d := g.Nodes
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	old := d.NamesView()
+	names := make([]string, nv)
+	for v, name := range old {
+		names[newID[v]] = name
+		d.ids[name] = newID[v]
+	}
+	d.names.Store(&names)
+	for i := range g.Triples {
+		t := &g.Triples[i]
+		t.S, t.O = newID[t.S], newID[t.O]
+	}
+}
+
 // Graph is a completed, dictionary-encoded graph G↔.
 type Graph struct {
-	// Triples lists the 2n completed edges sorted by (s,p,o).
+	// Triples lists the 2n completed edges sorted by (s,p,o), as Build
+	// leaves them (NumberByDegree reorders them; a database's graph
+	// keeps none).
 	Triples []Triple
 	// Nodes maps node names; ids in [0, NumNodes()).
 	Nodes *Dict
