@@ -60,8 +60,9 @@ bench:
 
 # One-iteration smoke run of the hot-path micro-benchmarks (broadword
 # select, multi-range wavelet descent, batched vs unbatched BFS, the
-# Limit-bound traversal, a pattern join under a fixed order, a pattern
-# pool through one executor's plan memo), of
+# Limit-bound traversal, reads with and without an overlay attached to
+# the kernel, a pattern join under a fixed order, a pattern pool
+# through one executor's plan memo), of
 # the compactor's (matrix build, counting-sort ring build, bulk triple
 # decode, per-batch overlay consolidation), of a fresh database's
 # Load + Build (degree numbering included, with allocs/op) and of the
@@ -70,7 +71,7 @@ bench:
 bench-short:
 	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS|LimitedBFS' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
-	$(GO) test -run NONE -bench 'MatrixBuild|FromTriples|RingTriples|OverlayApply' -benchtime 1x \
+	$(GO) test -run NONE -bench 'MatrixBuild|FromTriples|RingTriples|OverlayApply|StaticReads|UnionReads10' -benchtime 1x \
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
 	$(GO) test -run NONE -bench '^BenchmarkBuild$$' -benchtime 1x .
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/

@@ -68,9 +68,9 @@ func (m *compileMemo) lookup(expr pathexpr.Node) *compiledAutomaton {
 
 // get is lookup for an evaluation: on a narrow expression's first
 // evaluation it builds the specialized stepper and the per-ring B[v]
-// arrays. Compilation stays out of lookup because routing (the
-// overlay's delegation check) looks automata up for queries this
-// engine never runs.
+// arrays. Compilation stays out of lookup because the engine also
+// reads automata it never runs: Eval's delegation check looks up the
+// query's expression, while a (s, E, y) query runs only its inverse.
 func (m *compileMemo) get(expr pathexpr.Node, noCompile bool) *compiledAutomaton {
 	c := m.lookup(expr)
 	if c.eng != nil && c.st == nil && !noCompile {

@@ -23,7 +23,10 @@
 // a kernel over K sub-rings and an optional live-update Delta. The
 // paper's single static ring is its K = 1, no-delta case (NewEngine); a
 // shard set and the overlay's union graph are the same loop over more
-// rings and a non-empty delta (NewMultiRing, SetDelta). This file holds
+// rings and a non-empty delta (NewMultiRing, SetDelta). The kernel also
+// decides, per query, whether an attached delta can change the answer;
+// when it cannot, the evaluation is the no-delta one. So a caller keeps
+// one Engine per worker whatever its snapshot holds. This file holds
 // what every caller of it shares: queries, options, statistics, errors.
 package core
 
@@ -105,11 +108,11 @@ type Stats struct {
 type EmitFunc func(s, o uint32) bool
 
 // Evaluator is the query-evaluation capability shared by Engine and
-// ShardedEngine (and the overlay's delegating engine); the public DB
-// evaluates on an Engine. Eval takes the request context first
-// (the repo's ctx-first convention, enforced by rpqlint's ctxfirst
-// analyzer): ctx may carry an obs.Trace and a deadline, folded into
-// Options once at entry via FoldContext.
+// ShardedEngine; the public DB and the pattern executor evaluate on an
+// Engine with their snapshot's overlay attached. Eval takes the request
+// context first (the repo's ctx-first convention, enforced by rpqlint's
+// ctxfirst analyzer): ctx may carry an obs.Trace and a deadline, folded
+// into Options once at entry via FoldContext.
 type Evaluator interface {
 	Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error)
 }

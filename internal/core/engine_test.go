@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -424,6 +426,72 @@ func TestWorkingSizeBytes(t *testing.T) {
 	if got, want := e.WorkingSizeBytes(), w.dNode.SizeBytes(); got != want {
 		t.Fatalf("WorkingSizeBytes=%d at K = 1 with no delta, want dNode = %d", got, want)
 	}
+}
+
+// tombstones is a Delta holding only tombstones, at version 1.
+type tombstones struct {
+	noDelta
+	dels []Edge
+}
+
+func (d *tombstones) Version() uint64           { return 1 }
+func (d *tombstones) TouchesPred(p uint32) bool { return d.DelsForPred(p) > 0 }
+func (d *tombstones) Dels() []Edge              { return d.dels }
+func (d *tombstones) Deleted(e Edge) bool       { return slices.Contains(d.dels, e) }
+func (d *tombstones) DeletedPS(p, s uint32) int {
+	n := 0
+	for _, e := range d.dels {
+		if e.P == p && e.S == s {
+			n++
+		}
+	}
+	return n
+}
+func (d *tombstones) DelsForPred(p uint32) int {
+	n := 0
+	for _, e := range d.dels {
+		if e.P == p {
+			n++
+		}
+	}
+	return n
+}
+
+// A query the attached delta cannot affect runs with no delta, and
+// must leave the delta's cached tombstone ranks in place: a touched
+// query's batched level builds them once per overlay version, and an
+// untouched one's batched level in between must not evict them.
+func TestDelegationKeepsTombstoneRanks(t *testing.T) {
+	b := triples.NewBuilder()
+	for i := 1; i <= 5; i++ {
+		m := fmt.Sprintf("m%d", i)
+		b.Add(fmt.Sprintf("y%d", i), "pa", m)
+		b.Add(fmt.Sprintf("z%d", i), "qc", m)
+		b.Add(m, "pb", "h")
+	}
+	g := b.Build()
+	e := newEngine(g)
+	y1, m1 := uint32(mustID(t, g, "y1")), uint32(mustID(t, g, "m1"))
+	pa, _ := g.PredID("pa", false)
+	e.SetDelta(&tombstones{dels: []Edge{{S: y1, P: pa, O: m1}, {S: m1, P: pa + g.NumPreds, O: y1}}}, g.NumNodes())
+
+	h := mustID(t, g, "h")
+	w := e.work[0]
+	cached := func(when string) {
+		t.Helper()
+		if !w.delRanksValid || w.delRanksVersion != 1 || len(w.delRanks) != 2 {
+			t.Fatalf("%s: tombstone ranks valid=%v version=%d entries=%d, want both of the delta's",
+				when, w.delRanksValid, w.delRanksVersion, len(w.delRanks))
+		}
+	}
+	if got := collect(t, e, Query{Subject: Variable, Expr: pathexpr.MustParse("pa/pb"), Object: h}, Options{}); len(got) != 4 {
+		t.Fatalf("pa/pb into h with y1's edge tombstoned: %v, want 4 pairs", got)
+	}
+	cached("after the touched query")
+	if got := collect(t, e, Query{Subject: Variable, Expr: pathexpr.MustParse("qc/pb"), Object: h}, Options{}); len(got) != 5 {
+		t.Fatalf("qc/pb into h: %v, want 5 pairs", got)
+	}
+	cached("after the delegated query")
 }
 
 func BenchmarkVVQueries(b *testing.B) {

@@ -22,10 +22,15 @@ type Edge struct {
 // Delta is the seam through which the kernel sees a live-
 // update overlay: sorted adds (disjoint from the rings) and tombstones
 // (a subset of the rings' triples). *overlay.Overlay satisfies it; the
-// returned slices are read-only views of an immutable version.
+// returned slices are read-only views of an immutable version. The
+// kernel itself decides, per evaluation, whether a query needs the
+// delta at all (TouchesPred; see Engine.Eval).
 type Delta interface {
 	// Version identifies the overlay version (tombstone caches key on it).
 	Version() uint64
+	// TouchesPred reports whether any add or tombstone carries
+	// completed predicate p.
+	TouchesPred(p uint32) bool
 	// Adds returns every live add sorted by (O, P, S); AddsInto the run
 	// of them entering object o.
 	Adds() []Edge
@@ -47,6 +52,7 @@ type Delta interface {
 type noDelta struct{}
 
 func (noDelta) Version() uint64                      { return 0 }
+func (noDelta) TouchesPred(uint32) bool              { return false }
 func (noDelta) Adds() []Edge                         { return nil }
 func (noDelta) AddsInto(uint32) []Edge               { return nil }
 func (noDelta) AddsByPred(uint32) []Edge             { return nil }
@@ -62,8 +68,10 @@ func (noDelta) DelsForPred(uint32) int               { return 0 }
 // otherwise) and the Delta is a live-update overlay or nothing. The
 // paper's setting — one static ring — is K = 1 with no delta
 // (NewEngine); ShardedEngine runs cross-shard expressions over K rings
-// with no delta, and the overlay's union engine runs everything the
-// static engine cannot answer alone.
+// with no delta, and a snapshot with live updates attaches its overlay
+// with SetDelta. One Engine serves both: an evaluation the attached
+// delta cannot affect runs exactly as it would with no delta (see
+// Eval).
 //
 // The traversal is the paper's backward product-graph search (§4, see
 // the package comment), generalised in two ways that vanish at K = 1
@@ -90,11 +98,17 @@ type Engine struct {
 	work     []*ringWork
 	memo     compileMemo
 
-	ov Delta
-	// ringNodes is the node-id space every ring covers (sub-rings share
-	// one); numNodes ≥ ringNodes is the snapshot's, covering overlay
-	// adds.
-	ringNodes, numNodes int
+	// delta is the attached overlay version (noDelta{} for none) and
+	// snapNodes ≥ ringNodes its snapshot's node space, covering overlay
+	// adds; both are set by SetDelta. ringNodes is the node-id space
+	// every ring covers (sub-rings share one).
+	delta                Delta
+	ringNodes, snapNodes int
+	// ov and numNodes are what the current evaluation traverses: delta
+	// and snapNodes, or no delta and ringNodes when the delta cannot
+	// affect the query (see Eval).
+	ov       Delta
+	numNodes int
 
 	pairs pairSet // fast-path result dedup (see multiring_fast.go)
 	// visited holds the visited-state masks of the ids in
@@ -180,18 +194,18 @@ func NewMultiRing(rings []*ring.Ring, ids glushkov.SymbolIDs, numPreds uint32) *
 
 // SetDelta points the kernel at one overlay version (nil for none) and
 // the node-id space of its snapshot (the dictionary length when the
-// snapshot was taken, covering every overlay add).
+// snapshot was taken, covering every overlay add). It is cheap enough to
+// call before every evaluation.
 func (e *Engine) SetDelta(ov Delta, numNodes int) {
 	if ov == nil {
 		ov = noDelta{}
 	}
-	if e.ov != ov {
+	if e.delta != ov {
 		for _, w := range e.work {
 			w.delRanksValid = false
 		}
 	}
-	e.ov = ov
-	e.numNodes = numNodes
+	e.delta, e.snapNodes = ov, numNodes
 	if e.visited.Len() < numNodes-e.ringNodes {
 		e.visited = lazy.NewMaskArray(numNodes - e.ringNodes)
 	}
@@ -213,10 +227,28 @@ func (e *Engine) WorkingSizeBytes() int {
 	return n
 }
 
-// Automaton returns the memoised Glushkov automaton of expr (callers
-// decide routing and delegation from its symbols).
-func (e *Engine) Automaton(expr pathexpr.Node) *glushkov.Automaton {
-	return e.memo.lookup(expr).a
+// deltaIrrelevant reports whether the attached delta cannot change
+// expr's answer, so that the evaluation may run with no delta over the
+// rings' node space, exactly as on a clean snapshot: the automaton has
+// no symbol classes (they read every predicate), no add or tombstone
+// carries one of its predicates, and nullability cannot relate
+// overlay-only nodes (ids beyond the rings) to themselves. An empty
+// delta over the rings' own node space is irrelevant to every query,
+// which spares a clean snapshot the automaton lookup.
+func (e *Engine) deltaIrrelevant(expr pathexpr.Node) bool {
+	if e.snapNodes == e.ringNodes && len(e.delta.Adds()) == 0 && len(e.delta.Dels()) == 0 {
+		return true
+	}
+	a := e.memo.lookup(expr).a
+	if a.HasClasses() || a.Nullable && e.snapNodes > e.ringNodes {
+		return false
+	}
+	for _, c := range a.Syms {
+		if c != glushkov.NoSymbol && e.delta.TouchesPred(c) {
+			return false
+		}
+	}
+	return true
 }
 
 func (e *Engine) compile(expr pathexpr.Node) *compiledAutomaton {
@@ -229,8 +261,18 @@ func (e *Engine) compile(expr pathexpr.Node) *compiledAutomaton {
 // emitted so far are valid but incomplete). ctx is consulted once at
 // entry (FoldContext): it may carry an obs.Trace and tighten the
 // deadline, but is not polled during the traversal.
+//
+// With a delta attached, Eval first decides whether the query needs it
+// (deltaIrrelevant). If not, this one evaluation runs with no delta
+// over the rings' node space — the same traversal, and the same Stats,
+// as an engine that never had a delta — and the attached delta, with
+// its cached tombstone ranks, stays in place for the next one.
 func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error) {
 	opts = FoldContext(ctx, opts)
+	e.ov, e.numNodes = e.delta, e.snapNodes
+	if e.deltaIrrelevant(q.Expr) {
+		e.ov, e.numNodes = noDelta{}, e.ringNodes
+	}
 	e.stats = Stats{}
 	e.steps = 0
 	e.base = 0
@@ -401,6 +443,29 @@ func (e *Engine) hasInEdges(s uint32) bool {
 		}
 	}
 	return len(e.ov.AddsInto(s)) > 0
+}
+
+// EachInEdge streams the union in-edges of object o as (p, s) pairs:
+// r's object range (tombstones dropped) followed by the overlay's adds.
+// Return false to stop. Per-edge wavelet access — the generic
+// enumeration behind the pattern executor's union-mode edge scans.
+func EachInEdge(r *ring.Ring, ov Delta, o uint32, fn func(p, s uint32) bool) bool {
+	if int(o) < r.NumNodes {
+		b, end := r.ObjectRange(o)
+		for i := b; i < end; i++ {
+			p := r.Lp.Access(i)
+			s := r.Ls.Access(r.Cp[p] + r.Lp.Rank(p, i))
+			if !ov.Deleted(Edge{S: s, P: p, O: o}) && !fn(p, s) {
+				return false
+			}
+		}
+	}
+	for _, ed := range ov.AddsInto(o) {
+		if !fn(ed.P, ed.S) {
+			return false
+		}
+	}
+	return true
 }
 
 // bfs drains the worklist: the frontier-batched level-synchronous
@@ -633,7 +698,7 @@ func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32) error {
 // from the end whose first backward scan selects fewer triples (§5),
 // counting overlay adds alongside the rings.
 func (e *Engine) evalBothVar(expr pathexpr.Node) error {
-	a := e.Automaton(expr)
+	a := e.memo.lookup(expr).a
 	nullable := a.Nullable
 	if nullable {
 		// The O(|V|) self-pair prefix honours the deadline before any

@@ -30,8 +30,13 @@ import (
 // tombstone's leaf rank under its subject in this ring's L_s: the
 // triple (s, p, o) occupies exactly one position of its backward-search
 // range, and its rank among the occurrences of s is Rank(s, lsB) — one
-// rank probe per tombstone, once per overlay version.
+// rank probe per tombstone, once per overlay version. An evaluation
+// without tombstones leaves the cache alone, so that one running with
+// no delta (Engine.Eval) does not evict the attached version's ranks.
 func (e *Engine) tombstoneRanks(w *ringWork) map[uint32][]int {
+	if len(e.ov.Dels()) == 0 {
+		return nil
+	}
 	if w.delRanksValid && w.delRanksVersion == e.ov.Version() {
 		return w.delRanks
 	}

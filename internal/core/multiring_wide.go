@@ -2,7 +2,6 @@ package core
 
 import (
 	"ringrpq/internal/glushkov"
-	"ringrpq/internal/ring"
 	"ringrpq/internal/wavelet"
 )
 
@@ -15,33 +14,6 @@ import (
 // case pays the same O(m/w) factor. Such expressions are vanishingly
 // rare in real logs — the Wikidata log's queries have fewer than 16
 // predicates (§5).
-
-// EachInEdge streams the union in-edges of object o as (p, s) pairs:
-// every sub-ring's object range (tombstones dropped) followed by the
-// overlay's adds. Return false to stop. Per-edge wavelet access — the
-// generic enumeration behind the pattern executor's union-mode edge
-// scans.
-func EachInEdge(rings []*ring.Ring, ov Delta, o uint32, fn func(p, s uint32) bool) bool {
-	for _, r := range rings {
-		if int(o) >= r.NumNodes {
-			continue
-		}
-		b, end := r.ObjectRange(o)
-		for i := b; i < end; i++ {
-			p := r.Lp.Access(i)
-			s := r.Ls.Access(r.Cp[p] + r.Lp.Rank(p, i))
-			if !ov.Deleted(Edge{S: s, P: p, O: o}) && !fn(p, s) {
-				return false
-			}
-		}
-	}
-	for _, ed := range ov.AddsInto(o) {
-		if !fn(ed.P, ed.S) {
-			return false
-		}
-	}
-	return true
-}
 
 // wideRun drains a multiword BFS worklist. visited maps nodes to their
 // accumulated state masks; reach is called for nodes newly reaching the

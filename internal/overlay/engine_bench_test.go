@@ -13,8 +13,9 @@ import (
 )
 
 // benchWorld builds a mid-sized graph with a given overlay fill for
-// static-vs-union latency comparison.
-func benchWorld(b *testing.B, fill float64) (*core.Engine, *Engine, *triples.Graph) {
+// static-vs-union latency comparison: a kernel with no delta and one
+// with the overlay attached.
+func benchWorld(b *testing.B, fill float64) (*core.Engine, *core.Engine, *triples.Graph) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
 	const nv, np, ne = 4000, 40, 20000
@@ -47,8 +48,8 @@ func benchWorld(b *testing.B, fill float64) (*core.Engine, *Engine, *triples.Gra
 	}
 	ov = ov.Apply(1, adds, nil, func(e Edge) bool { return r.Has(e.S, e.P, e.O) })
 
-	eng := NewEngine(static, []*ring.Ring{r}, ids, g.NumCompletedPreds())
-	eng.SetSnapshot(ov, g.NumNodes())
+	eng := core.NewEngine(r, ids)
+	eng.SetDelta(ov, g.NumNodes())
 	return static, eng, g
 }
 

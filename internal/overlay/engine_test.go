@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -30,7 +32,7 @@ type baseEdge struct{ s, p, o uint32 }
 // sequence of overlay batches (adds of the remainder plus deletions of
 // static edges, applied in several rounds with some churn), interning
 // identical names in identical order so ids agree across graphs.
-func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards int) (*scenario, *Engine) {
+func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards int) (*scenario, *core.Engine) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -90,17 +92,9 @@ func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards 
 		gStatic.Nodes.Intern(fmt.Sprintf("n%03d", i))
 	}
 
-	var rings []*ring.Ring
-	var static2 core.Evaluator
-	ids := func(s pathexpr.Sym) (uint32, bool) { return gStatic.PredID(s.Name, s.Inverse) }
+	rings := []*ring.Ring{ring.New(gStatic, ring.WaveletMatrix)}
 	if shards > 1 {
-		set := ring.NewShardSet(gStatic, shards, nil, ring.WaveletMatrix)
-		rings = set.Shards
-		static2 = core.NewShardedEngine(set, ids)
-	} else {
-		r := ring.New(gStatic, ring.WaveletMatrix)
-		rings = []*ring.Ring{r}
-		static2 = core.NewEngine(r, ids)
+		rings = ring.NewShardSet(gStatic, shards, nil, ring.WaveletMatrix).Shards
 	}
 	inStatic := func(e Edge) bool {
 		for _, r := range rings {
@@ -171,13 +165,14 @@ func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards 
 	}
 	gMerged := mb.Build()
 
-	eng := NewEngine(static2, rings, ids, gStatic.NumCompletedPreds())
-	eng.SetSnapshot(ov, gStatic.NumNodes())
+	ids := func(s pathexpr.Sym) (uint32, bool) { return gStatic.PredID(s.Name, s.Inverse) }
+	eng := core.NewMultiRing(rings, ids, gStatic.NumCompletedPreds())
+	eng.SetDelta(ov, gStatic.NumNodes())
 	return &scenario{gStatic: gStatic, gMerged: gMerged, ov: ov, nv: total, np: np}, eng
 }
 
 // runCase compares one evaluation against the oracle.
-func runCase(t *testing.T, sc *scenario, eng *Engine, subject int64, expr pathexpr.Node, object int64) {
+func runCase(t *testing.T, sc *scenario, eng *core.Engine, subject int64, expr pathexpr.Node, object int64) {
 	t.Helper()
 	want := enginetest.SortPairs(enginetest.Oracle(sc.gMerged, subject, expr, object))
 	// Both traversal modes (frontier-batched and item-at-a-time) and
@@ -250,20 +245,29 @@ func TestUnionEngineWide(t *testing.T) {
 	runCase(t, sc, eng, 2, wide, 9)
 }
 
-// countingEval wraps an evaluator and counts delegated calls.
-type countingEval struct {
-	inner core.Evaluator
-	calls int
+// countingDelta wraps a Delta and counts the kernel's traversal probes
+// into it: in-edge and predicate-major runs of adds, and tombstone
+// tests.
+type countingDelta struct {
+	core.Delta
+	probes int
 }
 
-func (c *countingEval) Eval(ctx context.Context, q core.Query, opts core.Options, emit core.EmitFunc) (core.Stats, error) {
-	c.calls++
-	return c.inner.Eval(ctx, q, opts, emit)
+func (c *countingDelta) AddsInto(o uint32) []Edge   { c.probes++; return c.Delta.AddsInto(o) }
+func (c *countingDelta) AddsByPred(p uint32) []Edge { c.probes++; return c.Delta.AddsByPred(p) }
+func (c *countingDelta) AddsByPredSubject(p, s uint32) []Edge {
+	c.probes++
+	return c.Delta.AddsByPredSubject(p, s)
 }
+func (c *countingDelta) Deleted(e Edge) bool       { c.probes++; return c.Delta.Deleted(e) }
+func (c *countingDelta) DeletedPS(p, s uint32) int { c.probes++; return c.Delta.DeletedPS(p, s) }
+func (c *countingDelta) DelsForPred(p uint32) int  { c.probes++; return c.Delta.DelsForPred(p) }
 
-// TestUnionEngineDelegates checks whole-query delegation: queries over
-// predicates the overlay never touches go to the static engine;
-// queries over touched predicates do not.
+// TestUnionEngineDelegates checks the kernel's delegation rule. A query
+// whose predicates the overlay never touches runs without probing the
+// overlay, and reports exactly the pairs and Stats of a kernel with no
+// delta. A query over a touched predicate probes it, and so does a
+// nullable one once overlay-only nodes exist.
 func TestUnionEngineDelegates(t *testing.T) {
 	b := triples.NewBuilder()
 	b.Add("a", "pa", "b")
@@ -272,34 +276,64 @@ func TestUnionEngineDelegates(t *testing.T) {
 	g := b.Build()
 	r := ring.New(g, ring.WaveletMatrix)
 	ids := func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }
-	counted := &countingEval{inner: core.NewEngine(r, ids)}
+	plain := core.NewEngine(r, ids)
 
-	// Overlay touches only pb.
+	// The overlay touches only pb.
 	pb, _ := g.PredID("pb", false)
 	ov := New().Apply(1, []Edge{{S: 1, P: pb, O: 0}, {S: 0, P: pb + g.NumPreds, O: 1}}, nil,
 		func(e Edge) bool { return r.Has(e.S, e.P, e.O) })
-	eng := NewEngine(counted, []*ring.Ring{r}, ids, g.NumCompletedPreds())
-	eng.SetSnapshot(ov, g.NumNodes())
+	cd := &countingDelta{Delta: ov}
+	eng := core.NewEngine(r, ids)
+	eng.SetDelta(cd, g.NumNodes())
 
-	drop := func(uint32, uint32) bool { return true }
-	if _, err := eng.Eval(context.Background(), core.Query{Subject: core.Variable, Expr: pathexpr.MustParse("pa+"), Object: core.Variable}, core.Options{}, drop); err != nil {
-		t.Fatal(err)
+	type run struct {
+		pairs []enginetest.Pair
+		st    core.Stats
 	}
-	if counted.calls != 1 {
-		t.Fatalf("query over untouched pa should delegate (calls=%d)", counted.calls)
+	eval := func(e *core.Engine, q core.Query) run {
+		var out run
+		st, err := e.Eval(context.Background(), q, core.Options{}, func(s, o uint32) bool {
+			out.pairs = append(out.pairs, enginetest.Pair{S: s, O: o})
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.st = st
+		return out
 	}
-	if _, err := eng.Eval(context.Background(), core.Query{Subject: core.Variable, Expr: pathexpr.MustParse("pb/pa?"), Object: core.Variable}, core.Options{}, drop); err != nil {
-		t.Fatal(err)
+	c := int64(2)
+	for _, q := range []core.Query{
+		{Subject: core.Variable, Expr: pathexpr.MustParse("pa+"), Object: core.Variable},
+		{Subject: core.Variable, Expr: pathexpr.MustParse("pa*"), Object: core.Variable},
+		{Subject: core.Variable, Expr: pathexpr.MustParse("pa/pa"), Object: core.Variable},
+		{Subject: core.Variable, Expr: pathexpr.MustParse("pa+"), Object: c},
+		{Subject: c, Expr: pathexpr.MustParse("^pa*"), Object: core.Variable},
+	} {
+		want, got := eval(plain, q), eval(eng, q)
+		if cd.probes != 0 {
+			t.Fatalf("%s over untouched pa probed the overlay %d times", pathexpr.String(q.Expr), cd.probes)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s delegated: %+v, no-delta kernel %+v", pathexpr.String(q.Expr), got, want)
+		}
 	}
-	if counted.calls != 1 {
-		t.Fatalf("query over touched pb must not delegate (calls=%d)", counted.calls)
+
+	if eval(eng, core.Query{Subject: core.Variable, Expr: pathexpr.MustParse("pb/pa?"), Object: core.Variable}); cd.probes == 0 {
+		t.Fatal("query over touched pb must probe the overlay")
 	}
-	// Nullable expressions delegate too while no new nodes exist.
-	if _, err := eng.Eval(context.Background(), core.Query{Subject: core.Variable, Expr: pathexpr.MustParse("pa*"), Object: core.Variable}, core.Options{}, drop); err != nil {
-		t.Fatal(err)
+
+	// A node minted by an update makes a nullable query relate it to
+	// itself, so pa* can no longer be delegated.
+	cd.probes = 0
+	z := g.Nodes.Intern("z")
+	eng.SetDelta(cd, g.NumNodes())
+	got := eval(eng, core.Query{Subject: core.Variable, Expr: pathexpr.MustParse("pa*"), Object: core.Variable})
+	if cd.probes == 0 {
+		t.Fatal("nullable query with overlay-only nodes must probe the overlay")
 	}
-	if counted.calls != 2 {
-		t.Fatalf("nullable query over untouched pa should delegate without new nodes (calls=%d)", counted.calls)
+	if !slices.Contains(got.pairs, enginetest.Pair{S: z, O: z}) {
+		t.Fatalf("pa* misses the overlay-only node's self-pair: %v", got.pairs)
 	}
 }
 

@@ -147,10 +147,10 @@ func TestLimitProperty(t *testing.T) {
 // starScenario builds the graph x_i -q_i-> m_i -pa-> h (i = 1..4; with
 // shared, x1 is also m2's source) plus a decoy edge, and an overlay that
 // tombstones the decoy and adds an edge away from h: both touch the
-// query's predicates, so the overlay engine runs the union kernel on an
+// query's predicates, so the kernel runs over the union graph on an
 // unchanged answer. It returns the static graph, the merged graph and
-// the overlay engine.
-func starScenario(t *testing.T, shared bool) (*triples.Graph, *triples.Graph, *Engine) {
+// the kernel with the overlay attached.
+func starScenario(t *testing.T, shared bool) (*triples.Graph, *triples.Graph, *core.Engine) {
 	t.Helper()
 	nodes := []string{"h", "m1", "m2", "m3", "m4", "x1", "x2", "x3", "x4", "y", "z", "m9", "x9"}
 	preds := []string{"pa", "qa", "qb", "qc", "qd"}
@@ -195,7 +195,7 @@ func starScenario(t *testing.T, shared bool) (*triples.Graph, *triples.Graph, *E
 		return []Edge{{S: s, P: p, O: o}, {S: o, P: p + g.NumPreds, O: s}}
 	}
 	ov := New().Apply(1, complete(added), complete(deleted), func(e Edge) bool { return r.Has(e.S, e.P, e.O) })
-	eng := NewEngine(core.NewEngine(r, ids), []*ring.Ring{r}, ids, g.NumCompletedPreds())
-	eng.SetSnapshot(ov, g.NumNodes())
+	eng := core.NewEngine(r, ids)
+	eng.SetDelta(ov, g.NumNodes())
 	return g, merged, eng
 }

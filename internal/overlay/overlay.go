@@ -1,12 +1,12 @@
 // Package overlay implements the live-update subsystem: an in-memory
 // dynamic triple overlay — sorted adds plus tombstones over the static
-// ring — and an evaluator that makes queries see
+// ring — that queries see as
 //
 //	ring ∪ adds − dels
 //
-// behind the ordinary core.Evaluator interface (the union traversal
-// itself is core's one traversal kernel, which reads an Overlay through
-// the core.Delta seam). The ring index of the
+// by attaching it to core's one traversal kernel, which reads an
+// Overlay through the core.Delta seam and decides per query whether it
+// matters (core.Engine.Eval). The ring index of the
 // paper is static by construction (three sorted sequences cannot absorb
 // an insertion), so mutability is layered on top LSM-style: updates
 // accumulate in the overlay, every evaluation unions them in, and a
@@ -26,7 +26,6 @@ import (
 	"sort"
 
 	"ringrpq/internal/core"
-	"ringrpq/internal/ring"
 )
 
 // Edge is a completed dictionary-encoded triple (both directions of a
@@ -69,11 +68,11 @@ type Overlay struct {
 	batches []Batch
 	version uint64
 
-	// predTouch counts adds+dels per completed predicate id: the union
-	// engine delegates to the static engine when a query's predicates
-	// are untouched. predDels counts only tombstones, letting the
-	// engine skip per-edge deletion probes for predicates nothing was
-	// deleted from.
+	// predTouch counts adds+dels per completed predicate id: the
+	// kernel runs a query with no delta when none of its predicates is
+	// touched (TouchesPred). predDels counts only tombstones, letting
+	// the kernel skip per-edge deletion probes for predicates nothing
+	// was deleted from.
 	predTouch map[uint32]int
 	predDels  map[uint32]int
 }
@@ -331,13 +330,6 @@ func (o *Overlay) AddsInto(obj uint32) []Edge {
 		hi++
 	}
 	return o.adds[lo:hi]
-}
-
-// EachInEdge streams the union in-edges of object o as (p, s) pairs:
-// every sub-ring's object range (tombstones dropped) followed by the
-// overlay's adds. Return false to stop.
-func EachInEdge(rings []*ring.Ring, ov *Overlay, o uint32, fn func(p, s uint32) bool) bool {
-	return core.EachInEdge(rings, ov, o, fn)
 }
 
 // BatchesAfter returns the applied batches with Version > v, oldest

@@ -47,17 +47,18 @@ type Exec struct {
 	r   *ring.Ring
 	sel *SelCache
 
-	// ov, when non-nil and non-empty, switches execution to the
-	// overlay-aware union mode: every clause (triple patterns included)
-	// becomes a pipelined step over union evaluators, so patterns see
-	// ring ∪ adds − dels. numNodes is the owning snapshot's node-id
-	// space.
+	// ov is the snapshot's overlay and numNodes its node-id space. Every step's kernel has them attached and decides
+	// per step whether the overlay matters. A non-empty ov also
+	// switches planning to union mode: every clause (triple patterns
+	// included) becomes a pipelined step, so patterns see
+	// ring ∪ adds − dels.
 	ov       *overlay.Overlay
 	numNodes int
 
-	// engines holds the evaluators of each RPQ pipeline depth (nested
-	// path steps each need their own working arrays).
-	engines []stepEngines
+	// engines holds one kernel per RPQ pipeline depth (nested path
+	// steps each need their own working arrays), each built on first
+	// use.
+	engines []*core.Engine
 	// plans memoises planning by canonical query text (dirtyPlans
 	// holds the all-steps union-mode variants): the planner's order
 	// search and estimate lookups depend only on the immutable static
@@ -75,56 +76,40 @@ type Exec struct {
 // at about 0.4 KB a plan, a full memo is about 0.5 MB.
 const maxPlans = 1024
 
-// stepEngines are one pipeline depth's evaluators, each built on first
-// use: the static engine, and the union engine over it that union mode
-// runs.
-type stepEngines struct {
-	static *core.Engine
-	union  *overlay.Engine
-}
-
 // NewExec builds a pattern executor over a single ring. A nil sel
 // builds a private selectivity cache.
 func NewExec(g *triples.Graph, r *ring.Ring, sel *SelCache) *Exec {
 	if sel == nil {
 		sel = NewSelCache()
 	}
-	return &Exec{g: g, r: r, sel: sel}
+	return &Exec{g: g, r: r, sel: sel, ov: overlay.New(), numNodes: r.NumNodes}
 }
 
-// SetOverlay points the executor at a snapshot's overlay (nil or empty
-// restores the plain static path). Call before Run, under the same
-// one-caller discipline as Run itself.
+// SetOverlay points the executor at a snapshot's overlay (not nil) and
+// node-id space. Call before Run, under the same one-caller discipline
+// as Run itself.
 func (x *Exec) SetOverlay(ov *overlay.Overlay, numNodes int) {
-	x.ov = ov
-	x.numNodes = numNodes
+	x.ov, x.numNodes = ov, numNodes
 }
 
-// dirty reports whether union-mode execution is on.
-func (x *Exec) dirty() bool { return x.ov != nil && !x.ov.Empty() }
+// dirty reports whether union-mode planning is on: LTJ reads only the
+// static ring, so a non-empty overlay plans every clause as a step.
+func (x *Exec) dirty() bool { return !x.ov.Empty() }
 
 // ids resolves predicate occurrences against the graph dictionaries.
 func (x *Exec) ids(s pathexpr.Sym) (uint32, bool) {
 	return x.g.PredID(s.Name, s.Inverse)
 }
 
-// evaluatorFor returns the evaluator a step at the given depth should
-// use: the static engine, or — in union mode — an overlay engine over
-// the ring that delegates to it when the step's predicates are
-// untouched.
-func (x *Exec) evaluatorFor(depth int) core.Evaluator {
+// evaluatorFor returns the kernel of the given pipeline depth with the
+// snapshot's overlay attached.
+func (x *Exec) evaluatorFor(depth int) *core.Engine {
 	for len(x.engines) <= depth {
-		x.engines = append(x.engines, stepEngines{static: core.NewEngine(x.r, x.ids)})
+		x.engines = append(x.engines, core.NewEngine(x.r, x.ids))
 	}
-	e := &x.engines[depth]
-	if !x.dirty() {
-		return e.static
-	}
-	if e.union == nil {
-		e.union = overlay.NewEngine(e.static, []*ring.Ring{x.r}, x.ids, x.g.NumCompletedPreds())
-	}
-	e.union.SetSnapshot(x.ov, x.numNodes)
-	return e.union
+	e := x.engines[depth]
+	e.SetDelta(x.ov, x.numNodes)
+	return e
 }
 
 // Plan resolves and plans q without executing it (explain output and
@@ -426,9 +411,8 @@ func (x *Exec) eachUnionEdge(sid, pid, oid int64, fn func(s, p, o uint32) bool) 
 		}
 		return p - half
 	}
-	rings, ov := []*ring.Ring{x.r}, x.ov
 	inOf := func(o uint32, f func(p, s uint32) bool) bool {
-		return overlay.EachInEdge(rings, ov, o, f)
+		return core.EachInEdge(x.r, x.ov, o, f)
 	}
 	filter := func(s, p, o uint32) bool {
 		if sid != core.Variable && int64(s) != sid {

@@ -24,12 +24,6 @@ func (r *Ring) TripleAt(i int) triples.Triple {
 	return triples.Triple{S: s, P: p, O: o}
 }
 
-// DistinctPreds counts the distinct predicates in L_p[b, e) — for an
-// object range, the distinct labels on incoming edges — in O(log n).
-func (s *Selectivity) DistinctPreds(b, e int) int {
-	return countDistinct(s.prevP, b, e)
-}
-
 // Encode writes the shard container DecodeShardSet reads (the payload
 // of the rdbs1 format): header, partitioner name, then each sub-ring.
 // Only older builds wrote it; the tests keep the writer to produce

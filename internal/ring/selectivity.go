@@ -6,7 +6,8 @@ import "ringrpq/internal/wavelet"
 // roughly doubling the space, we can compute in logarithmic time the
 // amount of distinct predicates labeling edges towards a given range of
 // objects, or distinct subjects that are sources of a given range of
-// predicates" (the colored range counting of Gagie et al.).
+// predicates" (the colored range counting of Gagie et al.). The planner
+// asks only the second question, so only L_s is indexed.
 //
 // For a sequence L, let prev[i] be the position of the previous
 // occurrence of L[i] (or -1). The number of distinct symbols in
@@ -17,17 +18,13 @@ import "ringrpq/internal/wavelet"
 // position versus the ⌈log σ⌉ of the ring's own sequences — the
 // "roughly doubling" of the paper.
 type Selectivity struct {
-	prevP *wavelet.Matrix // previous-occurrence positions of L_p
 	prevS *wavelet.Matrix // previous-occurrence positions of L_s
 }
 
 // NewSelectivity builds the statistics structures for r; construction is
 // O(n log n).
 func NewSelectivity(r *Ring) *Selectivity {
-	return &Selectivity{
-		prevP: prevTree(r.Lp),
-		prevS: prevTree(r.Ls),
-	}
+	return &Selectivity{prevS: prevTree(r.Ls)}
 }
 
 // prevTree extracts a sequence and indexes its previous-occurrence
@@ -69,5 +66,5 @@ func countDistinct(prev *wavelet.Matrix, b, e int) int {
 
 // SizeBytes reports the extra space of the statistics structures.
 func (s *Selectivity) SizeBytes() int {
-	return s.prevP.SizeBytes() + s.prevS.SizeBytes() + 16
+	return s.prevS.SizeBytes() + 8
 }

@@ -11,20 +11,7 @@ func TestSelectivityDistinctCounts(t *testing.T) {
 	g := fig1Graph()
 	r := New(g, WaveletMatrix)
 	sel := NewSelectivity(r)
-	// Per object: distinct incoming predicates, vs direct counting.
-	for o := uint32(0); int(o) < g.NumNodes(); o++ {
-		b, e := r.ObjectRange(o)
-		want := map[uint32]bool{}
-		for _, tr := range g.Triples {
-			if tr.O == o {
-				want[tr.P] = true
-			}
-		}
-		if got := sel.DistinctPreds(b, e); got != len(want) {
-			t.Fatalf("object %s: DistinctPreds=%d, want %d", g.Nodes.Name(o), got, len(want))
-		}
-	}
-	// Per predicate: distinct subjects.
+	// Per predicate: distinct subjects, vs direct counting.
 	for p := uint32(0); p < g.NumCompletedPreds(); p++ {
 		b, e := r.PredRange(p)
 		want := map[uint32]bool{}
@@ -38,7 +25,7 @@ func TestSelectivityDistinctCounts(t *testing.T) {
 		}
 	}
 	// Degenerate ranges.
-	if sel.DistinctPreds(3, 3) != 0 || sel.DistinctPreds(-5, 0) != 0 {
+	if sel.DistinctSubjects(3, 3) != 0 || sel.DistinctSubjects(-5, 0) != 0 {
 		t.Fatal("empty ranges must count zero")
 	}
 	if sel.SizeBytes() <= 0 {
@@ -67,14 +54,9 @@ func TestSelectivityRandomRanges(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		wantP := map[uint32]bool{}
 		wantS := map[uint32]bool{}
 		for i := x; i < y; i++ {
-			wantP[r.Lp.Access(i)] = true
 			wantS[r.Ls.Access(i)] = true
-		}
-		if got := sel.DistinctPreds(x, y); got != len(wantP) {
-			t.Fatalf("[%d,%d): DistinctPreds=%d, want %d", x, y, got, len(wantP))
 		}
 		if got := sel.DistinctSubjects(x, y); got != len(wantS) {
 			t.Fatalf("[%d,%d): DistinctSubjects=%d, want %d", x, y, got, len(wantS))

@@ -50,11 +50,7 @@ func (db *DB) patternFor(snap *snapshot) *query.Exec {
 		db.pat = query.NewExec(db.g, snap.r, db.sel)
 		db.patEpoch = snap.epoch
 	}
-	if snap.ov.Empty() {
-		db.pat.SetOverlay(nil, 0)
-	} else {
-		db.pat.SetOverlay(snap.ov, snap.numNodes)
-	}
+	db.pat.SetOverlay(snap.ov, snap.numNodes)
 	return db.pat
 }
 

@@ -64,7 +64,6 @@ import (
 	"ringrpq/internal/bitvec"
 	"ringrpq/internal/core"
 	"ringrpq/internal/obs"
-	"ringrpq/internal/overlay"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/query"
 	"ringrpq/internal/ring"
@@ -141,11 +140,11 @@ type DB struct {
 	sel *query.SelCache
 
 	// Per-clone evaluation state, rebuilt when the pinned snapshot's
-	// epoch moves past it (one-caller rule applies).
+	// epoch moves past it (one-caller rule applies): one kernel, which
+	// gets the snapshot's overlay attached before every evaluation, and
+	// the pattern executor.
 	epoch    uint64
-	haveEng  bool
-	static   *core.Engine
-	union    *overlay.Engine
+	eng      *core.Engine
 	pat      *query.Exec
 	patEpoch uint64
 }
@@ -165,25 +164,17 @@ func (db *DB) Clone() *DB {
 	return &DB{g: db.g, h: db.h, sel: db.sel}
 }
 
-// evaluatorFor returns this clone's evaluator for the pinned snapshot:
-// the plain static engine when the overlay is empty, the union engine
-// otherwise. Engines are rebuilt when a compaction has swapped the
-// snapshot since they were built.
-func (db *DB) evaluatorFor(snap *snapshot) core.Evaluator {
-	if !db.haveEng || db.epoch != snap.epoch {
+// evaluatorFor returns this clone's kernel with the pinned snapshot's
+// overlay attached; the kernel decides per query whether the overlay
+// matters. It is rebuilt when a compaction has swapped the snapshot
+// since it was built.
+func (db *DB) evaluatorFor(snap *snapshot) *core.Engine {
+	if db.eng == nil || db.epoch != snap.epoch {
 		db.epoch = snap.epoch
-		db.haveEng = true
-		db.static = core.NewEngine(snap.r, db.predIDs())
-		db.union = nil
+		db.eng = core.NewEngine(snap.r, db.predIDs())
 	}
-	if snap.ov.Empty() {
-		return db.static
-	}
-	if db.union == nil {
-		db.union = overlay.NewEngine(db.static, []*ring.Ring{snap.r}, db.predIDs(), db.g.NumCompletedPreds())
-	}
-	db.union.SetSnapshot(snap.ov, snap.numNodes)
-	return db.union
+	db.eng.SetDelta(snap.ov, snap.numNodes)
+	return db.eng
 }
 
 // Solution is one result mapping of a query: Subject and Object name

@@ -502,7 +502,7 @@ func (db *DB) compactNow() {
 		version: latest.version + 1,
 		// Batches between base and latest may have grown the dictionary
 		// past the rebuilt ring; their edges live in the residual and the
-		// union engine sizes itself by the snapshot's numNodes.
+		// kernel sizes itself by the snapshot's numNodes.
 		numNodes: latest.numNodes,
 	}
 	h.publish(next)
