@@ -3,11 +3,11 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: all ci build vet test race crash bench bench-short bench-module bench-check fuzz lint lint-metrics clean
+.PHONY: all ci build vet test race crash ceilings bench bench-short bench-module bench-check fuzz lint lint-metrics clean
 
 all: ci
 
-ci: build vet test crash bench-short lint lint-metrics bench-module
+ci: build vet test crash ceilings bench-short lint lint-metrics bench-module
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,14 @@ race:
 # torn-tail, compaction-stage and kill+reboot end-to-end tests.
 crash:
 	$(GO) test -count=1 -run 'Durable|WAL' ./internal/wal/ .
+
+# The work ceilings are exact counts (wavelet visits, product nodes and
+# edges, allocations per warm evaluation), so they must repeat: run the
+# ceiling test and the numbering's visit test twice over, at one and at
+# two procs. A count that moves between runs is a nondeterminism bug,
+# not noise to widen a ceiling over.
+ceilings:
+	$(GO) test -count=2 -cpu 1,2 -run 'TestWorkCeilings|TestDegreeNumberingVisits' .
 
 # Short bounded fuzz runs over the expression parser, the graph-pattern
 # parser, the service's request decoders and response appender, the

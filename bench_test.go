@@ -147,8 +147,8 @@ func BenchmarkRingConstruction(b *testing.B) {
 // BenchmarkBuild measures what a fresh database costs: Load of a
 // g100k-shaped graph's triple file (datagen seed 1, 20 000 nodes,
 // 100 000 edge draws, 60 predicates, about 150 k completed triples),
-// then Build, which completes the graph, numbers its nodes by degree
-// and builds the ring.
+// then Build, which completes the graph, numbers its nodes for
+// locality and builds the ring.
 func BenchmarkBuild(b *testing.B) {
 	var nt bytes.Buffer
 	g := datagen.Generate(datagen.Config{Seed: 1, Nodes: 20000, Edges: 100000, Preds: 60})

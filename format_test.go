@@ -22,16 +22,19 @@ import (
 // one sorted "subject object" line per solution. graph.rdb (rdb1,
 // wavelet matrices), graph-tree.rdb (rdb1, the wavelet trees that one
 // build could also write) and graph-3shards.rdb (rdbs1, three shards)
-// number the nodes in first-appearance order; graph-degree.rdb is the
-// same graph as a fresh build now writes it, its nodes numbered by
-// degree. The files are the on-disk format's regression net: every one
-// must keep loading, answering the same and re-saving byte for byte,
-// and a fresh build of graph.nt must keep saving graph-degree.rdb. A
-// loaded file keeps its numbering, so each legacy file saves as
-// graph.rdb: a loaded tree file holds wavelet matrices, and a sharded
-// file loads as one ring built from its shards' concatenated triples.
-// The sharded file re-saving byte for byte as graph.rdb is the check
-// that the concatenation builds the ring that file's numbering gives.
+// number the nodes in first-appearance order; graph-degree.rdb numbers
+// them by degree, as builds did before the locality numbering;
+// graph-locality.rdb is the same graph as a fresh build now writes it,
+// its nodes numbered by a breadth-first search from the hubs. The files
+// are the on-disk format's regression net: every one must keep
+// loading, answering the same and re-saving byte for byte, and a fresh
+// build of graph.nt must keep saving graph-locality.rdb. A loaded file
+// keeps its numbering, so graph-degree.rdb saves as itself and each
+// first-appearance file as graph.rdb: a loaded tree file holds wavelet
+// matrices, and a sharded file loads as one ring built from its
+// shards' concatenated triples. The sharded file re-saving byte for
+// byte as graph.rdb is the check that the concatenation builds the
+// ring that file's numbering gives.
 func TestFormatFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "format")
 	read := func(file string) []byte {
@@ -76,13 +79,14 @@ func TestFormatFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("rebuilt graph.nt", built, "graph-degree.rdb")
+	check("rebuilt graph.nt", built, "graph-locality.rdb")
 
 	for _, f := range []struct{ file, saveAs string }{
 		{"graph.rdb", "graph.rdb"},
 		{"graph-tree.rdb", "graph.rdb"},
 		{"graph-3shards.rdb", "graph.rdb"},
 		{"graph-degree.rdb", "graph-degree.rdb"},
+		{"graph-locality.rdb", "graph-locality.rdb"},
 	} {
 		loaded, err := LoadDB(bytes.NewReader(read(f.file)))
 		if err != nil {

@@ -238,6 +238,7 @@ func (e *Engine) descendLs(eng *glushkov.Engine, w *ringWork, lsItems []wavelet.
 			return 0
 		}
 		e.stats.WaveletVisits++
+		e.stats.SubjectVisits++
 		visited := w.dNode.Get(int(node)) | e.base
 		if !leaf {
 			// Prune items whose subjects below were all already visited

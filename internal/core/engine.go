@@ -99,6 +99,9 @@ type Stats struct {
 	ProductEdges int
 	// WaveletVisits counts wavelet-tree nodes touched in parts 1 and 2.
 	WaveletVisits int
+	// SubjectVisits counts the part of WaveletVisits spent in part 2,
+	// the L_s descents to the subjects a step reaches.
+	SubjectVisits int
 	// Results counts emitted pairs.
 	Results int
 }

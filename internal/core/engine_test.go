@@ -566,11 +566,15 @@ func TestStatsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Results == 0 || stats.ProductNodes == 0 || stats.ProductEdges == 0 || stats.WaveletVisits == 0 {
+	if stats.Results == 0 || stats.ProductNodes == 0 || stats.ProductEdges == 0 || stats.WaveletVisits == 0 || stats.SubjectVisits == 0 {
 		t.Fatalf("stats not populated: %+v", stats)
 	}
 	if stats.WaveletVisits < stats.ProductEdges {
 		t.Fatalf("wavelet visits (%d) below product edges (%d)", stats.WaveletVisits, stats.ProductEdges)
+	}
+	// Part 1's L_p descents are counted in WaveletVisits only.
+	if stats.SubjectVisits >= stats.WaveletVisits {
+		t.Fatalf("subject visits (%d) not below all wavelet visits (%d)", stats.SubjectVisits, stats.WaveletVisits)
 	}
 }
 

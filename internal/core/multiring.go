@@ -600,6 +600,7 @@ func (e *Engine) part2(eng *glushkov.Engine, w *ringWork, o int64, p uint32, b, 
 			return false
 		}
 		e.stats.WaveletVisits++
+		e.stats.SubjectVisits++
 		newStates := d2 &^ (w.dNode.Get(int(node)) | e.base)
 		if !leaf {
 			// Prune subtrees all of whose subjects were already visited

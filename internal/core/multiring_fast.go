@@ -75,6 +75,7 @@ func (e *Engine) fastSingle(p uint32, dedup bool) error {
 				return false
 			}
 			e.stats.WaveletVisits++
+			e.stats.SubjectVisits++
 			if !leaf {
 				return true
 			}
@@ -90,6 +91,7 @@ func (e *Engine) fastSingle(p uint32, dedup bool) error {
 					return false
 				}
 				e.stats.WaveletVisits++
+				e.stats.SubjectVisits++
 				if !leaf2 || checkDels && e.ov.Deleted(Edge{S: s, P: p, O: o}) {
 					return true
 				}

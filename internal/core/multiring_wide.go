@@ -113,6 +113,7 @@ func (r *wideRun) ringStep(w *ringWork, o int64, b, end int, d glushkov.Mask) er
 		cp := w.r.Cp[p]
 		wavelet.RangeDistinct(w.r.Ls, cp+rb, cp+re, func(s uint32, sb, se int) bool {
 			e.stats.WaveletVisits++
+			e.stats.SubjectVisits++
 			if failure = e.checkDeadline(); failure != nil {
 				return false
 			}

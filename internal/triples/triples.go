@@ -6,7 +6,6 @@ package triples
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -17,7 +16,7 @@ type Triple struct {
 }
 
 // Dict maps strings to dense ids in insertion order. The one exception
-// is Graph.NumberByDegree, which renumbers a freshly built graph's node
+// is Graph.NumberByLocality, which renumbers a freshly built graph's node
 // dictionary once, before anything reads it. Past that it is
 // append-only and safe for one writer interning concurrently with any
 // number of readers: Name and NamesView are lock-free against an
@@ -206,32 +205,95 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// NumberByDegree renumbers the nodes by decreasing completed degree
-// (the number of triples a node is the subject of, its in-degree plus
-// its out-degree), ties keeping their id order, so the numbering is a
-// function of the input alone. The node dictionary and the triples'
-// subjects and objects are rewritten in place, and the triples lose
-// their (s,p,o) order. It serves the ring: frontiers keep reaching the
-// hubs, and with the hubs at the low ids their L_s descents share the
-// leftmost wavelet subtrees. The graph's dictionary must not have been
-// read concurrently yet.
-func (g *Graph) NumberByDegree() {
+// NumberByLocality renumbers the nodes so that the nodes a hub reaches
+// carry consecutive ids, in the order a frontier meets them. Roots are
+// taken in decreasing completed degree (the number of triples a node is
+// the subject of, its in-degree plus its out-degree), ties by id; from
+// each root not yet numbered, a breadth-first search over the completed
+// graph numbers the nodes in dequeue order. A node's neighbours are
+// enqueued in decreasing degree, ties in the order of their triples in
+// g.Triples: after Build that is (s,p,o), so the nodes reached over one
+// predicate get adjacent ids. The numbering is a function of the input
+// alone. It is linear: counting sorts of the roots and of the triples
+// by degree, then one FIFO pass.
+//
+// The node dictionary and the triples' subjects and objects are
+// rewritten in place, and the triples lose their (s,p,o) order. It
+// serves the ring: with the hubs at the low ids and what one step
+// reaches in one id interval, a frontier's L_s descents share wavelet
+// subtrees. The graph's dictionary must not have been read
+// concurrently yet.
+func (g *Graph) NumberByLocality() {
 	nv := g.NumNodes()
-	deg := make([]uint64, nv)
-	for _, t := range g.Triples {
-		deg[t.S]++
+	ts := g.Triples
+	// off[v] is where v's neighbours start in adj; v's degree is
+	// off[v+1]-off[v].
+	off := make([]uint32, nv+1)
+	for _, t := range ts {
+		off[t.S+1]++
 	}
-	// One key per node, the complemented degree above the id: sorting
-	// the keys ascending orders by degree descending, then by id.
-	keys := deg
-	for v, d := range deg {
-		keys[v] = uint64(^uint32(d))<<32 | uint64(v)
+	maxDeg := uint32(0)
+	for v := range nv {
+		maxDeg = max(maxDeg, off[v+1])
+		off[v+1] += off[v]
 	}
-	slices.Sort(keys)
-	newID := make([]uint32, nv)
-	for rank, k := range keys {
-		newID[uint32(k)] = uint32(rank)
+	// byRank is a stable counting sort of the indices [0, len(dst)) by
+	// decreasing degree of node(i): ties keep their index order.
+	cnt := make([]uint32, maxDeg+2)
+	byRank := func(dst []uint32, node func(i int) uint32) {
+		rank := func(i int) uint32 { v := node(i); return maxDeg - (off[v+1] - off[v]) }
+		clear(cnt)
+		for i := range dst {
+			cnt[rank(i)+1]++
+		}
+		for k := range maxDeg + 1 {
+			cnt[k+1] += cnt[k]
+		}
+		for i := range dst {
+			k := rank(i)
+			dst[cnt[k]] = uint32(i)
+			cnt[k]++
+		}
 	}
+	roots := make([]uint32, nv)
+	byRank(roots, func(v int) uint32 { return uint32(v) })
+	byDeg := make([]uint32, len(ts))
+	byRank(byDeg, func(i int) uint32 { return ts[i].O })
+	adj := make([]uint32, len(ts))
+	next := make([]uint32, nv)
+	copy(next, off)
+	for _, i := range byDeg {
+		t := ts[i]
+		adj[next[t.S]] = t.O
+		next[t.S]++
+	}
+
+	// The FIFO queue is the new order: a node's new id is the position
+	// it was enqueued at. byDeg is dead and holds the queue; next holds
+	// the new ids.
+	const unnumbered = ^uint32(0)
+	newID := next
+	for v := range newID {
+		newID[v] = unnumbered
+	}
+	queue := byDeg[:0]
+	for _, r := range roots {
+		if newID[r] != unnumbered {
+			continue
+		}
+		newID[r] = uint32(len(queue))
+		queue = append(queue, r)
+		for head := len(queue) - 1; head < len(queue); head++ {
+			v := queue[head]
+			for _, o := range adj[off[v]:off[v+1]] {
+				if newID[o] == unnumbered {
+					newID[o] = uint32(len(queue))
+					queue = append(queue, o)
+				}
+			}
+		}
+	}
+
 	d := g.Nodes
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -242,8 +304,8 @@ func (g *Graph) NumberByDegree() {
 		d.ids[name] = newID[v]
 	}
 	d.names.Store(&names)
-	for i := range g.Triples {
-		t := &g.Triples[i]
+	for i := range ts {
+		t := &ts[i]
 		t.S, t.O = newID[t.S], newID[t.O]
 	}
 }
@@ -251,8 +313,8 @@ func (g *Graph) NumberByDegree() {
 // Graph is a completed, dictionary-encoded graph G↔.
 type Graph struct {
 	// Triples lists the 2n completed edges sorted by (s,p,o), as Build
-	// leaves them (NumberByDegree reorders them; a database's graph
-	// keeps none).
+	// leaves them (NumberByLocality renumbers and reorders them; a
+	// database's graph keeps none).
 	Triples []Triple
 	// Nodes maps node names; ids in [0, NumNodes()).
 	Nodes *Dict

@@ -1,0 +1,6 @@
+//go:build !race
+
+package ringrpq
+
+// raceEnabled reports a -race build, whose instrumentation allocates.
+const raceEnabled = false

@@ -89,15 +89,16 @@ func (b *Builder) Add(s, p, o string) { b.b.Add(s, p, o) }
 // <IRI> tokens, comments and N-Triples dots) from r.
 func (b *Builder) Load(r io.Reader) error { return triples.Load(r, b.b) }
 
-// Build completes the graph with inverse edges, numbers the nodes by
-// decreasing degree (triples.Graph.NumberByDegree: the hubs' L_s
-// descents then share wavelet nodes), constructs the ring index, and
-// returns a queryable database. The numbering is a function of the
-// input, so two builds of the same triples save the same bytes; a
-// loaded, recovered or compacted database keeps the ids it has. A
-// database holds fewer than 2^32 completed triples (each edge counts
-// twice, as itself and its inverse). The builder must not be used
-// afterwards.
+// Build completes the graph with inverse edges, numbers the nodes for
+// locality (triples.Graph.NumberByLocality: a breadth-first search from
+// the hubs in decreasing degree gives the nodes one step reaches
+// consecutive ids, so a frontier's L_s descents share wavelet nodes),
+// constructs the ring index, and returns a queryable database. The
+// numbering is a function of the input, so two builds of the same
+// triples save the same bytes; a loaded, recovered or compacted
+// database keeps the ids it has. A database holds fewer than 2^32
+// completed triples (each edge counts twice, as itself and its
+// inverse). The builder must not be used afterwards.
 func (b *Builder) Build() (*DB, error) {
 	g := b.b.Build()
 	if g.Len() == 0 {
@@ -106,7 +107,7 @@ func (b *Builder) Build() (*DB, error) {
 	if err := bitvec.CheckLen(g.Len()); err != nil {
 		return nil, fmt.Errorf("ringrpq: %d completed triples: %w", g.Len(), err)
 	}
-	g.NumberByDegree()
+	g.NumberByLocality()
 	r := ring.FromTriples(g.Triples, g.NumNodes(), g.NumCompletedPreds())
 	// The ring took the triples over as sorting space; like a loaded
 	// graph, a built one keeps none.
