@@ -73,7 +73,7 @@ bench:
 # through one executor's plan memo), of
 # the compactor's (matrix build, counting-sort ring build, bulk triple
 # decode, per-batch overlay consolidation), of a fresh database's
-# Load + Build (degree numbering included, with allocs/op) and of the
+# Load + Build (locality numbering included, with allocs/op) and of the
 # handler's result-cache hit and miss: makes sure the benchmark code
 # keeps compiling and running under ci.
 bench-short:

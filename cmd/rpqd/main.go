@@ -12,8 +12,8 @@
 //	rpqd -index graph.ring ...
 //	rpqd -wal-dir ./state [-data graph.nt] [-fsync always|interval|never]
 //
-// A serialised index loaded with -index is an rdb1 file, or an rdbs1
-// file an older sharded build wrote, whose shards load as one ring.
+// A serialised index loaded with -index is an rdb1 file, as rpq -save
+// writes it.
 //
 // With -wal-dir every applied update is written to a write-ahead log
 // before it is acknowledged (under the default -fsync always, after an

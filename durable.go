@@ -503,30 +503,26 @@ func readCheckpoint(fsys wal.FS, path string) (*checkpointState, error) {
 		return nil, fmt.Errorf("checkpoint predicate count %d overflows", np)
 	}
 	g := &triples.Graph{Nodes: nodes, Preds: preds, NumPreds: uint32(np)}
-	// The layout tag: 0 for one ring, 1 for the shard container an older
-	// build wrote, which is read back as one ring.
-	var db *DB
-	if sharded := r.Int(); sharded == 1 {
-		set, err := ring.DecodeShardSet(r)
-		if err != nil {
-			return nil, err
-		}
-		if set.NumNodes != n || set.NumPreds != g.NumCompletedPreds() {
-			return nil, fmt.Errorf("checkpoint shard set/dictionary mismatch (%d/%d nodes, %d/%d preds)",
-				set.NumNodes, n, set.NumPreds, g.NumCompletedPreds())
-		}
-		db = newDB(g, concatShards(set))
-	} else {
-		rg, err := ring.Decode(r)
-		if err != nil {
-			return nil, err
-		}
-		if rg.NumNodes != n || rg.NumPreds != g.NumCompletedPreds() {
-			return nil, fmt.Errorf("checkpoint ring/dictionary mismatch (%d/%d nodes, %d/%d preds)",
-				rg.NumNodes, n, rg.NumPreds, g.NumCompletedPreds())
-		}
-		db = newDB(g, rg)
+	// The layout tag: 0, one ring, is the only one read (a failed read
+	// yields 0, and ring.Decode reports the error). Tag 1 is the shard
+	// container older builds wrote.
+	tag := r.Int()
+	if tag == 1 {
+		return nil, errors.New("checkpoint layout tag 1, a sharded index, is no longer read; open the directory " +
+			"once with commit d7a9cda, the last that reads it, and let a compaction write a current checkpoint")
 	}
+	if tag != 0 {
+		return nil, fmt.Errorf("unknown checkpoint layout tag %d", tag)
+	}
+	rg, err := ring.Decode(r)
+	if err != nil {
+		return nil, err
+	}
+	if rg.NumNodes != n || rg.NumPreds != g.NumCompletedPreds() {
+		return nil, fmt.Errorf("checkpoint ring/dictionary mismatch (%d/%d nodes, %d/%d preds)",
+			rg.NumNodes, n, rg.NumPreds, g.NumCompletedPreds())
+	}
+	db := newDB(g, rg)
 	m := r.Int()
 	if err := r.Err(); err != nil {
 		return nil, err

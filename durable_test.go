@@ -16,17 +16,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
 
-	"ringrpq/internal/ring"
 	"ringrpq/internal/serial"
-	"ringrpq/internal/triples"
 	"ringrpq/internal/wal"
 )
 
@@ -731,95 +727,28 @@ func TestDurableStandingCheckpointTable(t *testing.T) {
 	}
 }
 
-// encodeShardContainer writes set as older builds wrote the shard
-// container of rdbs1 files and of sharded checkpoints, the one
-// ring.DecodeShardSet reads: header, partitioner name, then each
-// sub-ring.
-func encodeShardContainer(w *serial.Writer, set *ring.ShardSet) {
-	w.Magic("rss1")
-	w.Int(set.K)
-	w.String(set.Part.Name())
-	w.Int(set.N)
-	w.Int(set.NumNodes)
-	w.Uvarint(uint64(set.NumPreds))
-	for _, r := range set.Shards {
-		r.Encode(w)
-	}
-}
-
-// serialBytes returns what write encodes.
-func serialBytes(t *testing.T, write func(w *serial.Writer)) []byte {
+// checkpointWithTag runs the crash workload up to its first flush,
+// whose compaction checkpoints and truncates the log, and rewrites that
+// checkpoint with layout tag tag in place of 0, keeping the ring after
+// it and a valid CRC. It returns the filesystem.
+func checkpointWithTag(t *testing.T, tag byte) *wal.MemFS {
 	t.Helper()
-	var buf bytes.Buffer
-	w := serial.NewWriter(&buf)
-	write(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestDurableShardedCheckpointRecovers: a checkpoint that an older
-// build wrote for a sharded database carries layout tag 1 and a shard
-// container in place of the ring. OpenDurable must recover it as one
-// ring — the ring the unsharded checkpoint held — that answers like the
-// database that wrote it, also after one more compaction, whose
-// checkpoint a further restart then recovers.
-func TestDurableShardedCheckpointRecovers(t *testing.T) {
-	// The container this test writes is the older builds' own: behind
-	// the rdbs1 header it reproduces the format fixture's three-shard
-	// file byte for byte.
-	dir := filepath.Join("testdata", "format")
-	nt, err := os.ReadFile(filepath.Join(dir, "graph.nt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := triples.NewBuilder()
-	if err := triples.Load(bytes.NewReader(nt), tb); err != nil {
-		t.Fatal(err)
-	}
-	fg := tb.Build()
-	fixture, err := os.ReadFile(filepath.Join(dir, "graph-3shards.rdb"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialBytes(t, func(w *serial.Writer) {
-		w.Magic(fileMagicSharded)
-		w.Int(shardedVersion)
-		fg.EncodeMeta(w)
-		encodeShardContainer(w, ring.NewShardSet(fg, 3, nil, ring.WaveletMatrix))
-	}); !bytes.Equal(got, fixture) {
-		t.Fatalf("encodeShardContainer writes %d bytes for the fixture graph, graph-3shards.rdb holds %d", len(got), len(fixture))
-	}
-
-	// A durable database checkpoints at the workload's first flush,
-	// with a detached subscription in its table, and logs two batches
-	// past it.
 	mem := wal.NewMemFS()
 	db, err := openDurable(durableCfg(), buildCrashSeed, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.SetCompactionThreshold(-1)
-	sub, err := db.Subscribe(SubscribeRequest{Expr: "p0+"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr := &tracker{db: db, byVersion: map[uint64]crashOp{}}
 	for _, o := range crashWorkload()[:12] { // the flush is op 9
 		if err := tr.apply(o); err != nil {
 			t.Fatal(err)
 		}
 	}
-	db.SyncStanding()
-	sub.Detach()
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Rewrite the checkpoint with a three-shard container in place of
-	// its ring. The body is the dictionaries, the layout tag and the
-	// index, then the subscription table.
 	names, err := mem.ReadDir(crashDir)
 	if err != nil {
 		t.Fatal(err)
@@ -838,105 +767,70 @@ func TestDurableShardedCheckpointRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, cr := st.db.g, st.db.h.cur.Load().r
-	dicts := serialBytes(t, func(w *serial.Writer) {
-		w.Uint64(st.version)
-		w.Int(cg.NumNodes())
-		for _, name := range cg.Nodes.NamesView() {
-			w.String(name)
-		}
-		cg.Preds.Encode(w)
-		w.Uvarint(uint64(cg.NumPreds))
-	})
-	ringPart := serialBytes(t, func(w *serial.Writer) {
-		w.Int(0)
-		cr.Encode(w)
-	})
-	body := raw[ckptHeaderSize:]
-	if !bytes.HasPrefix(body, append(dicts, ringPart...)) {
+	// The body is the version, the dictionaries, the layout tag (one
+	// byte) and the ring, then the subscription table.
+	var buf bytes.Buffer
+	w := serial.NewWriter(&buf)
+	w.Uint64(st.version)
+	w.Int(st.db.g.NumNodes())
+	for _, name := range st.db.g.Nodes.NamesView() {
+		w.String(name)
+	}
+	st.db.g.Preds.Encode(w)
+	w.Uvarint(uint64(st.db.g.NumPreds))
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tagAt := buf.Len()
+	w.Int(0)
+	st.db.h.cur.Load().r.Encode(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Clone(raw[ckptHeaderSize:])
+	if !bytes.HasPrefix(body, buf.Bytes()) {
 		t.Fatal("the checkpoint body is not dictionaries, layout tag 0 and the ring")
 	}
-	subs := body[len(dicts)+len(ringPart):]
-	sg := *cg
-	sg.Triples = cr.Triples()
-	set := ring.NewShardSet(&sg, 3, nil, ring.WaveletMatrix)
-	nonEmpty := 0
-	for _, r := range set.Shards {
-		if r.N > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty < 2 {
-		t.Fatalf("%d of 3 shards hold triples; the container would hold one ring", nonEmpty)
-	}
-	sharded := serialBytes(t, func(w *serial.Writer) {
-		w.Int(1)
-		encodeShardContainer(w, set)
-	})
-	body = slices.Concat(dicts, sharded, subs)
-	hdr := make([]byte, ckptHeaderSize)
-	copy(hdr, ckptMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], ckptFormat)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(body)))
+	body[tagAt] = tag
+	hdr := bytes.Clone(raw[:ckptHeaderSize])
 	binary.LittleEndian.PutUint32(hdr[16:20], crc32.Checksum(body, ckptCRC))
 	mem.WriteFile(path, append(hdr, body...))
+	return mem
+}
 
-	noBuild := func() (*DB, error) { return nil, errors.New("recovery must start from the checkpoint") }
-	exprs := []string{"p0", "p0+", "(p1|^p2)*/p3", "p0/p1|^p3+", "(p0|p1|p2|p3)+"}
-	answers := func(db *DB) [][]string {
-		out := make([][]string, len(exprs))
-		for i, expr := range exprs {
-			sols, err := db.Query("?x", expr, "?y")
-			if err != nil {
-				t.Fatalf("query %s: %v", expr, err)
-			}
-			out[i] = sortedPairs(sols)
+// openTagged opens a checkpoint rewritten by checkpointWithTag, which
+// must fail without building: the checkpoint is the only one and the
+// log is truncated up to it. It returns the error.
+func openTagged(t *testing.T, tag byte) error {
+	t.Helper()
+	mem := checkpointWithTag(t, tag)
+	db, err := openDurable(durableCfg(), func() (*DB, error) {
+		return nil, errors.New("recovery must start from the checkpoint")
+	}, mem)
+	if err == nil {
+		db.CloseWAL()
+		t.Fatalf("a checkpoint with layout tag %d opened", tag)
+	}
+	return err
+}
+
+// TestDurableShardedCheckpointRejected: older builds checkpointed a
+// sharded database under layout tag 1. OpenDurable rejects such a
+// checkpoint and names the last commit that reads it.
+func TestDurableShardedCheckpointRejected(t *testing.T) {
+	err := openTagged(t, 1)
+	for _, sub := range []string{"layout tag 1", "sharded", "d7a9cda"} {
+		if !strings.Contains(err.Error(), sub) {
+			t.Errorf("error %q does not mention %q", err, sub)
 		}
-		return out
 	}
-	want := answers(db)
-	check := func(label string, rdb *DB, version uint64) {
-		t.Helper()
-		if v := rdb.DataVersion(); v != version {
-			t.Fatalf("%s: data version %d, want %d", label, v, version)
-		}
-		verifyOracle(t, rdb, oracleAt(tr.byVersion, tr.max))
-		if got := answers(rdb); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: answers differ from the database that wrote the checkpoint", label)
-		}
-	}
+}
 
-	db2, err := openDurable(durableCfg(), noBuild, mem)
-	if err != nil {
-		t.Fatal(err)
+// TestDurableCheckpointUnknownLayoutTag: 0 is the only layout tag
+// read, so a checkpoint whose tag is 2 fails to open even though a
+// valid ring follows the tag.
+func TestDurableCheckpointUnknownLayoutTag(t *testing.T) {
+	if err := openTagged(t, 2); !strings.Contains(err.Error(), "layout tag 2") {
+		t.Fatalf("error %q does not name layout tag 2", err)
 	}
-	db2.SetCompactionThreshold(-1)
-	if !bytes.Equal(serialBytes(t, db2.h.cur.Load().r.Encode), serialBytes(t, cr.Encode)) {
-		t.Fatal("the shards concatenate into a ring other than the checkpointed one")
-	}
-	if a, b := db2.Stats(), db.Stats(); a != b {
-		t.Fatalf("recovered stats %+v, want %+v", a, b)
-	}
-	check("recovered", db2, tr.max)
-	if _, err := db2.ResumeSubscription(sub.ID(), db2.DataVersion()); err != nil {
-		t.Fatalf("resume the checkpointed subscription: %v", err)
-	}
-
-	if err := db2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if ws := db2.WALStats(); ws.Checkpoints != 1 || ws.CheckpointErrors != 0 {
-		t.Fatalf("wal stats after the compaction = %+v", ws)
-	}
-	check("compacted", db2, tr.max+1)
-	if err := db2.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-
-	db3, err := openDurable(durableCfg(), noBuild, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db3.CloseWAL()
-	check("restarted", db3, tr.max+1)
 }

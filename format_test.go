@@ -19,22 +19,19 @@ import (
 // testdata/format holds databases that earlier builds of this package
 // saved from graph.nt, and answers.txt, the answers those builds gave
 // to a fixed query set: a "> subject expr object" line per query, then
-// one sorted "subject object" line per solution. graph.rdb (rdb1,
-// wavelet matrices), graph-tree.rdb (rdb1, the wavelet trees that one
-// build could also write) and graph-3shards.rdb (rdbs1, three shards)
-// number the nodes in first-appearance order; graph-degree.rdb numbers
-// them by degree, as builds did before the locality numbering;
-// graph-locality.rdb is the same graph as a fresh build now writes it,
-// its nodes numbered by a breadth-first search from the hubs. The files
-// are the on-disk format's regression net: every one must keep
-// loading, answering the same and re-saving byte for byte, and a fresh
-// build of graph.nt must keep saving graph-locality.rdb. A loaded file
-// keeps its numbering, so graph-degree.rdb saves as itself and each
-// first-appearance file as graph.rdb: a loaded tree file holds wavelet
-// matrices, and a sharded file loads as one ring built from its
-// shards' concatenated triples. The sharded file re-saving byte for
-// byte as graph.rdb is the check that the concatenation builds the
-// ring that file's numbering gives.
+// one sorted "subject object" line per solution. Three are rdb1 files
+// with wavelet-matrix sequences, the one format LoadDB reads:
+// graph.rdb numbers the nodes in first-appearance order,
+// graph-degree.rdb by degree, as builds did before the locality
+// numbering, and graph-locality.rdb is the graph as a fresh build now
+// writes it, its nodes numbered by a breadth-first search from the
+// hubs. Each must keep loading, answering the same and re-saving as
+// itself byte for byte (a loaded file keeps its numbering), and a fresh
+// build of graph.nt must keep saving graph-locality.rdb. The other two
+// are formats older builds also wrote, graph-tree.rdb (rdb1 with
+// wavelet-tree sequences) and graph-3shards.rdb (rdbs1, three shards):
+// LoadDB rejects each, naming its format and the last commit that
+// reads it, so that the file can be upgraded there.
 func TestFormatFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "format")
 	read := func(file string) []byte {
@@ -81,18 +78,27 @@ func TestFormatFixture(t *testing.T) {
 	}
 	check("rebuilt graph.nt", built, "graph-locality.rdb")
 
-	for _, f := range []struct{ file, saveAs string }{
-		{"graph.rdb", "graph.rdb"},
-		{"graph-tree.rdb", "graph.rdb"},
-		{"graph-3shards.rdb", "graph.rdb"},
-		{"graph-degree.rdb", "graph-degree.rdb"},
-		{"graph-locality.rdb", "graph-locality.rdb"},
-	} {
-		loaded, err := LoadDB(bytes.NewReader(read(f.file)))
+	for _, file := range []string{"graph.rdb", "graph-degree.rdb", "graph-locality.rdb"} {
+		loaded, err := LoadDB(bytes.NewReader(read(file)))
 		if err != nil {
-			t.Fatalf("%s: %v", f.file, err)
+			t.Fatalf("%s: %v", file, err)
 		}
-		check(f.file, loaded, f.saveAs)
+		check(file, loaded, file)
+	}
+
+	for file, format := range map[string]string{
+		"graph-tree.rdb":    "wavelet-tree",
+		"graph-3shards.rdb": "rdbs1",
+	} {
+		_, err := LoadDB(bytes.NewReader(read(file)))
+		if err == nil {
+			t.Fatalf("%s: loaded", file)
+		}
+		for _, sub := range []string{format, "d7a9cda"} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not mention %q", file, err, sub)
+			}
+		}
 	}
 }
 

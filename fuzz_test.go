@@ -34,20 +34,24 @@ func savedDBBytes(tb testing.TB) []byte {
 }
 
 // loaderInputs returns the serialised databases the loader tests take
-// apart: savedDBBytes' rdb1 file, and the format fixture's tree-layout
-// and sharded (rdbs1) files (see TestFormatFixture), whose sequences
-// and shards the loader converts.
+// apart: savedDBBytes' rdb1 file and the format fixture's (see
+// TestFormatFixture), whose nodes a fresh build numbers by locality.
 func loaderInputs(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	in := map[string][]byte{"rdb1": savedDBBytes(tb)}
-	for name, file := range map[string]string{"rdb1-tree": "graph-tree.rdb", "rdbs1": "graph-3shards.rdb"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "format", file))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		in[name] = raw
+	return map[string][]byte{
+		"rdb1":          savedDBBytes(tb),
+		"rdb1-locality": fixtureBytes(tb, "graph-locality.rdb"),
 	}
-	return in
+}
+
+// fixtureBytes reads a file of the format fixture.
+func fixtureBytes(tb testing.TB, file string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "format", file))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
 }
 
 // usable reports an error unless a loaded database answers a query,
@@ -72,16 +76,15 @@ func usable(db *DB) error {
 }
 
 // FuzzLoadDB feeds arbitrary bytes to the database loader. Whatever
-// the input — truncated, bit-flipped, or wholly synthetic, in the rdb1
-// format (with wavelet matrices or trees) or the rdbs1 one — LoadDB
-// must return an error or a usable database; it must never panic, and
-// corrupt length prefixes must not force allocations beyond the input's
-// own size.
+// the input — truncated, bit-flipped or wholly synthetic rdb1, or one
+// of the formats older builds wrote (the fixture's tree-layout and
+// rdbs1 files seed the rejection path) — LoadDB must return an error
+// or a usable database; it must never panic, and corrupt length
+// prefixes must not force allocations beyond the input's own size.
 //
 // Run with: go test -run NONE -fuzz FuzzLoadDB .
 func FuzzLoadDB(f *testing.F) {
-	in := loaderInputs(f)
-	single, sharded := in["rdb1"], in["rdbs1"]
+	single, sharded := savedDBBytes(f), fixtureBytes(f, "graph-3shards.rdb")
 	f.Add(single)
 	f.Add(sharded)
 	f.Add([]byte{})
@@ -91,7 +94,7 @@ func FuzzLoadDB(f *testing.F) {
 	f.Add(single[:len(single)/2])
 	f.Add(sharded[:len(sharded)/3])
 	f.Add(oversizedHeader(f))
-	f.Add(in["rdb1-tree"])
+	f.Add(fixtureBytes(f, "graph-tree.rdb"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if db, err := LoadDB(bytes.NewReader(data)); err == nil {
 			if err := usable(db); err != nil {

@@ -120,14 +120,12 @@ func TestShardedDifferentialRandom(t *testing.T) {
 type singleShardPartitioner struct{}
 
 func (singleShardPartitioner) Shard(uint32, int) int { return 0 }
-func (singleShardPartitioner) Name() string          { return "test-single" }
 
 // modPartitioner spreads predicates round-robin, guaranteeing that
 // consecutive predicate ids land in different shards.
 type modPartitioner struct{}
 
 func (modPartitioner) Shard(p uint32, k int) int { return int(p) % k }
-func (modPartitioner) Name() string              { return "test-mod" }
 
 // TestShardedEdgeCases pins the union behaviour on degenerate
 // partitions: all triples in one shard (empty co-shards), more shards

@@ -1,9 +1,6 @@
 package ring
 
-import (
-	"ringrpq/internal/serial"
-	"ringrpq/internal/triples"
-)
+import "ringrpq/internal/triples"
 
 // LFo maps position i of L_o to the position of the same triple in L_p
 // (Eq. 3), closing the LF cycle LFp and LFs start.
@@ -22,20 +19,4 @@ func (r *Ring) TripleAt(i int) triples.Triple {
 	k := r.LFs(j)
 	o := r.Lo.Access(k)
 	return triples.Triple{S: s, P: p, O: o}
-}
-
-// Encode writes the shard container DecodeShardSet reads (the payload
-// of the rdbs1 format): header, partitioner name, then each sub-ring.
-// Only older builds wrote it; the tests keep the writer to produce
-// containers for the decoder.
-func (s *ShardSet) Encode(w *serial.Writer) {
-	w.Magic("rss1")
-	w.Int(s.K)
-	w.String(s.Part.Name())
-	w.Int(s.N)
-	w.Int(s.NumNodes)
-	w.Uvarint(uint64(s.NumPreds))
-	for _, r := range s.Shards {
-		r.Encode(w)
-	}
 }

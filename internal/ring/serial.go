@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"errors"
 	"fmt"
 
 	"ringrpq/internal/serial"
@@ -21,10 +22,9 @@ func (r *Ring) Encode(w *serial.Writer) {
 	}
 }
 
-// Decode reads a ring written by Encode. A sequence of kind 1, the
-// wavelet tree older files hold, is decoded into its symbols and built
-// again as a wavelet matrix: the ring is then the one New builds from
-// the same triples.
+// Decode reads a ring written by Encode. Sequence kind 1, the wavelet
+// tree older builds wrote, is rejected with an error that says how to
+// upgrade the file.
 func Decode(rd *serial.Reader) (*Ring, error) {
 	rd.Magic("rng1")
 	r := &Ring{}
@@ -40,20 +40,15 @@ func Decode(rd *serial.Reader) (*Ring, error) {
 		if err := rd.Err(); err != nil {
 			return nil, err
 		}
-		var err error
-		switch kind {
-		case 0:
-			seqs[i], err = wavelet.DecodeMatrix(rd)
-		case 1:
-			var symbols []uint32
-			var sigma uint32
-			if symbols, sigma, err = wavelet.DecodeTreeSymbols(rd); err == nil {
-				seqs[i] = wavelet.NewMatrix(symbols, sigma)
-			}
-		default:
+		if kind == 1 {
+			return nil, errors.New("ring: sequence kind 1, the wavelet-tree layout, is no longer read; " +
+				"load and re-save the file with commit d7a9cda, the last that reads it")
+		}
+		if kind != 0 {
 			return nil, fmt.Errorf("ring: unknown sequence kind %d", kind)
 		}
-		if err != nil {
+		var err error
+		if seqs[i], err = wavelet.DecodeMatrix(rd); err != nil {
 			return nil, err
 		}
 		if seqs[i].Len() != r.N {

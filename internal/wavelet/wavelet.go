@@ -12,9 +12,8 @@
 //   - range intersection and "smallest symbol ≥ x in range" queries used
 //     by the join-like fast paths (§5) and the Leapfrog extension (§6).
 //
-// Files that stored the sequences as balanced wavelet trees are still
-// read: DecodeTreeSymbols turns such a section into its symbols, from
-// which the caller builds a Matrix.
+// A matrix is serialised by Encode and read back by DecodeMatrix; that
+// is the only sequence section this package reads or writes.
 package wavelet
 
 import (

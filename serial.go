@@ -1,6 +1,7 @@
 package ringrpq
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -9,22 +10,20 @@ import (
 	"ringrpq/internal/triples"
 )
 
-// File magics. Save writes "rdb1": graph metadata, then one ring. An
-// older build could also write a sharded database, "rdbs" followed by a
-// container version (1), the combination referred to as the rdbs1
-// format: the same metadata, then a shard container. rdbs1 is read-only
-// now; LoadDB concatenates its shards into one ring.
+// File magics. Save writes "rdb1": graph metadata, then one ring.
+// Older builds could also write a sharded database, "rdbs" followed by
+// a container version, the rdbs1 format; LoadDB recognises its magic
+// only to reject it with an upgrade hint.
 const (
 	fileMagic        = "rdb1"
 	fileMagicSharded = "rdbs"
-	shardedVersion   = 1
 )
 
 // Save writes the database (dictionaries + ring index) to w in the
 // compact binary rdb1 format. Building the index once and reloading it
 // with LoadDB skips the construction sorts on subsequent runs.
 //
-// The on-disk formats hold only the static index, so a dirty overlay
+// The on-disk format holds only the static index, so a dirty overlay
 // is flushed (compacted into the ring) first: Save persists exactly
 // the data the database currently serves. Updates applied concurrently
 // with Save trigger another flush round before the snapshot is pinned,
@@ -60,16 +59,17 @@ func (db *DB) Save(w io.Writer) error {
 	return sw.Flush()
 }
 
-// LoadDB reads a database written by Save (rdb1) or by an older
-// sharded build (rdbs1, loaded as one ring). Corrupted or truncated
-// input yields an error, never a panic.
+// LoadDB reads a database written by Save (rdb1). Corrupted or
+// truncated input, and the formats older builds wrote (rdbs1, or rdb1
+// with wavelet-tree sequences), yield an error, never a panic.
 func LoadDB(r io.Reader) (*DB, error) {
 	sr := serial.NewReader(r)
 	switch tag := sr.Tag(); tag {
 	case fileMagic:
 		return loadSingle(sr)
 	case fileMagicSharded:
-		return loadSharded(sr)
+		return nil, errors.New("ringrpq: load: the sharded rdbs1 format is no longer read; " +
+			"load and re-save the file with commit d7a9cda, the last that reads it")
 	default:
 		if err := sr.Err(); err != nil {
 			return nil, fmt.Errorf("ringrpq: load: %w", err)
@@ -92,35 +92,4 @@ func loadSingle(sr *serial.Reader) (*DB, error) {
 			rg.NumNodes, g.NumNodes(), rg.NumPreds, g.NumCompletedPreds())
 	}
 	return newDB(g, rg), nil
-}
-
-func loadSharded(sr *serial.Reader) (*DB, error) {
-	if v := sr.Int(); sr.Err() == nil && v != shardedVersion {
-		return nil, fmt.Errorf("ringrpq: load: unsupported sharded container version %d", v)
-	}
-	g := triples.DecodeMeta(sr)
-	if err := sr.Err(); err != nil {
-		return nil, fmt.Errorf("ringrpq: load: %w", err)
-	}
-	set, err := ring.DecodeShardSet(sr)
-	if err != nil {
-		return nil, fmt.Errorf("ringrpq: load: %w", err)
-	}
-	if set.NumNodes != g.NumNodes() || set.NumPreds != g.NumCompletedPreds() {
-		return nil, fmt.Errorf("ringrpq: load: shard set/dictionary mismatch (%d/%d nodes, %d/%d preds)",
-			set.NumNodes, g.NumNodes(), set.NumPreds, g.NumCompletedPreds())
-	}
-	return newDB(g, concatShards(set)), nil
-}
-
-// concatShards builds one ring over a decoded shard container. The
-// shards partition the completed triples by predicate, so their triple
-// sets are disjoint and their concatenation is the whole graph; the
-// ring built from it is the one a fresh build of that graph makes.
-func concatShards(set *ring.ShardSet) *ring.Ring {
-	ts := make([]triples.Triple, 0, set.N)
-	for _, r := range set.Shards {
-		ts = append(ts, r.Triples()...)
-	}
-	return ring.FromTriples(ts, set.NumNodes, set.NumPreds)
 }

@@ -404,34 +404,6 @@ func (db *DB) ApplyContext(ctx context.Context, adds, dels []Triple) (UpdateStat
 	return db.UpdateStats(), nil
 }
 
-// Update accumulates one update batch for a DB (see DB.Begin).
-type Update struct {
-	db         *DB
-	adds, dels []Triple
-}
-
-// Begin starts an update batch. Add/Del stage triples; Commit applies
-// them atomically (one snapshot transition; queries see all of the
-// batch or none of it).
-func (db *DB) Begin() *Update { return &Update{db: db} }
-
-// Add stages the edge s --p--> o.
-func (u *Update) Add(s, p, o string) *Update {
-	u.adds = append(u.adds, Triple{s, p, o})
-	return u
-}
-
-// Del stages the removal of the edge s --p--> o.
-func (u *Update) Del(s, p, o string) *Update {
-	u.dels = append(u.dels, Triple{s, p, o})
-	return u
-}
-
-// Commit applies the staged batch; the Update must not be reused.
-func (u *Update) Commit() (UpdateStats, error) {
-	return u.db.Apply(u.adds, u.dels)
-}
-
 // Flush synchronously compacts: it rebuilds the static index from
 // ring+overlay, swaps the snapshot atomically, and returns once the
 // swap is visible. A no-op when the overlay is empty. Concurrent

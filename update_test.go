@@ -95,8 +95,8 @@ func TestApplyVisibleWithoutRebuild(t *testing.T) {
 	}
 }
 
-// TestBeginCommitAndFlush covers the transaction builder and the
-// synchronous compaction path end to end, including epoch movement and
+// TestBeginCommitAndFlush covers one update batch and the synchronous
+// compaction path end to end, including epoch movement and
 // result stability across the swap.
 func TestBeginCommitAndFlush(t *testing.T) {
 	b := NewBuilder()
@@ -108,7 +108,7 @@ func TestBeginCommitAndFlush(t *testing.T) {
 	}
 	db.SetCompactionThreshold(-1)
 
-	if _, err := db.Begin().Add("c", "p", "d").Del("a", "p", "b").Commit(); err != nil {
+	if _, err := db.Apply([]Triple{{"c", "p", "d"}}, []Triple{{"a", "p", "b"}}); err != nil {
 		t.Fatal(err)
 	}
 	before, err := db.Query("?x", "p", "?y")
