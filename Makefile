@@ -3,11 +3,11 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: all ci build vet test race crash ceilings bench bench-short bench-module bench-check fuzz lint lint-metrics clean
+.PHONY: all ci build vet test race crash ceilings examples bench bench-short bench-module bench-check fuzz lint lint-metrics clean
 
 all: ci
 
-ci: build vet test crash ceilings bench-short lint lint-metrics bench-module
+ci: build vet test crash ceilings examples bench-short lint lint-metrics bench-module
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,15 @@ crash:
 # not noise to widen a ceiling over.
 ceilings:
 	$(GO) test -count=2 -cpu 1,2 -run 'TestWorkCeilings|TestDegreeNumberingVisits' .
+
+# Run every example program under a timeout: they are the public API's
+# first users, and go build only compiles them. Their output includes
+# timings, so only the exit status is checked.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		timeout 120s $(GO) run ./$$d > /dev/null || { echo "examples: $$d failed" >&2; exit 1; }; \
+	done
 
 # Short bounded fuzz runs over the expression parser, the graph-pattern
 # parser, the service's request decoders and response appender, the

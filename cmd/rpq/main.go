@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -50,6 +51,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	ctx := context.Background()
 	var db *ringrpq.DB
 	start := time.Now()
 	if *index != "" {
@@ -97,7 +99,7 @@ func main() {
 			return out
 		}
 		ustart := time.Now()
-		st, err := db.Apply(conv(adds), conv(dels))
+		st, err := db.Apply(ctx, conv(adds), conv(dels))
 		if err != nil {
 			fatal(err)
 		}
@@ -120,9 +122,9 @@ func main() {
 	}
 
 	if *stats {
-		s := db.Stats()
+		s := db.Stats().Index
 		fmt.Printf("nodes=%d edges=%d completed=%d predicates=%d index=%dB (%.2f B/edge)\n",
-			s.Nodes, s.Edges, s.CompletedEdges, s.Predicates, s.IndexBytes, db.BytesPerEdge())
+			s.Nodes, s.Edges, s.CompletedEdges, s.Predicates, s.IndexBytes, float64(s.IndexBytes)/float64(s.CompletedEdges))
 		return
 	}
 
@@ -140,7 +142,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "rpq: -pattern wants the graph-pattern query as argument")
 			os.Exit(2)
 		}
-		runPattern(db, strings.Join(flag.Args(), " "), *count, opts)
+		runPattern(ctx, db, strings.Join(flag.Args(), " "), *count, opts)
 		return
 	}
 
@@ -152,7 +154,7 @@ func main() {
 
 	n := 0
 	qstart := time.Now()
-	err := db.QueryFunc(subject, expr, object, func(s ringrpq.Solution) bool {
+	err := db.QueryFunc(ctx, subject, expr, object, func(s ringrpq.Solution) bool {
 		n++
 		if !*count {
 			fmt.Printf("%s\t%s\n", s.Subject, s.Object)
@@ -172,9 +174,9 @@ func main() {
 
 // runPattern evaluates a graph-pattern query and prints the projected
 // result table (tab-separated, header first).
-func runPattern(db *ringrpq.DB, src string, countOnly bool, opts []ringrpq.QueryOption) {
+func runPattern(ctx context.Context, db *ringrpq.DB, src string, countOnly bool, opts []ringrpq.QueryOption) {
 	qstart := time.Now()
-	vars, rows, err := db.Select(src, opts...)
+	vars, rows, err := db.Select(ctx, src, opts...)
 	elapsed := time.Since(qstart)
 	if err == ringrpq.ErrTimeout {
 		fmt.Fprintf(os.Stderr, "timeout after %v (%d rows so far)\n", elapsed, len(rows))

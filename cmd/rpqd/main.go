@@ -148,7 +148,7 @@ func main() {
 			return loadDB(*data, *index)
 		})
 		if err == nil {
-			ws := db.WALStats()
+			ws := db.Stats().WAL
 			fmt.Fprintf(os.Stderr, "rpqd: durable on %s (fsync=%s): recovered %d record(s), truncated %d torn byte(s), checkpoint v%d, in %v\n",
 				*walDir, ws.FsyncPolicy, ws.Replayed, ws.TornBytes, ws.LastCheckpointVersion, time.Since(start))
 		}
@@ -194,13 +194,6 @@ func main() {
 		Handler: svc.Handler(ringrpq.HandlerConfig{
 			DefaultLimit: *limit,
 			MaxBatch:     *maxBatch,
-			Info: func() any {
-				info := map[string]any{"index": db.Stats(), "updates": db.UpdateStats()}
-				if ws := db.WALStats(); ws.Enabled {
-					info["durability"] = ws
-				}
-				return info
-			},
 		}),
 		// Slowloris and stuck-client protection. The write timeout would
 		// kill long-lived SSE streams and long-poll rounds, so the

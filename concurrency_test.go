@@ -89,7 +89,7 @@ func reference(t testing.TB, db *ringrpq.DB, qs []ringrpq.Request) [][]ringrpq.S
 	t.Helper()
 	out := make([][]ringrpq.Solution, len(qs))
 	for i, q := range qs {
-		sols, err := db.Query(q.Subject, q.Expr, q.Object)
+		sols, err := db.Query(context.Background(), q.Subject, q.Expr, q.Object)
 		if err != nil {
 			t.Fatalf("reference query %d (%s): %v", i, q.Expr, err)
 		}
@@ -198,7 +198,7 @@ func TestCloneStress(t *testing.T) {
 			defer wg.Done()
 			clone := db.Clone()
 			for i, q := range qs {
-				sols, err := clone.Query(q.Subject, q.Expr, q.Object)
+				sols, err := clone.Query(context.Background(), q.Subject, q.Expr, q.Object)
 				if err != nil {
 					t.Errorf("clone %d query %q: %v", c, q.Expr, err)
 					return

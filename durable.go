@@ -37,6 +37,7 @@ import (
 
 	"ringrpq/internal/ring"
 	"ringrpq/internal/serial"
+	"ringrpq/internal/service"
 	"ringrpq/internal/standing"
 	"ringrpq/internal/triples"
 	"ringrpq/internal/wal"
@@ -717,36 +718,12 @@ func (db *DB) CloseWAL() error {
 	return err
 }
 
-// WALStats describes the durability layer; the zero value (Enabled
-// false) means the database was not opened with OpenDurable.
-type WALStats struct {
-	Enabled     bool
-	Dir         string
-	FsyncPolicy string
-	// Appended / AppendedBytes / Fsyncs count this process's log writes;
-	// Replayed and TornBytes describe the recovery that opened it.
-	Appended      int64
-	AppendedBytes int64
-	Fsyncs        int64
-	Replayed      int64
-	TornBytes     int64
-	Segments      int
-	SizeBytes     int64
-	// Checkpoints / CheckpointErrors count compaction checkpoints this
-	// process; LastCheckpointVersion is the newest durable checkpoint's
-	// data version (log segments at or before it are dropped).
-	Checkpoints           int64
-	CheckpointErrors      int64
-	LastCheckpointVersion uint64
-	// Wedged reports a latched log I/O failure: appends are refused and
-	// the daemon should fail its readiness probe. WedgeReason carries
-	// the latched error text.
-	Wedged      bool
-	WedgeReason string
-}
+// WALStats describes the durability layer (Stats.WAL); the zero value
+// (Enabled false) means the database was not opened with OpenDurable.
+type WALStats = service.WALStats
 
-// WALStats snapshots the durability counters.
-func (db *DB) WALStats() WALStats {
+// walStats snapshots the durability counters.
+func (db *DB) walStats() WALStats {
 	sink := db.h.wal.Load()
 	if sink == nil {
 		return WALStats{}
@@ -773,5 +750,6 @@ func (db *DB) WALStats() WALStats {
 		Checkpoints:           sink.checkpoints.Load(),
 		CheckpointErrors:      sink.checkpointErrs.Load(),
 		LastCheckpointVersion: sink.lastCheckpoint.Load(),
+		LastCheckpointMS:      float64(db.h.lastCheckpointNS.Load()) / 1e6,
 	}
 }

@@ -11,6 +11,7 @@ package ringrpq
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -115,7 +116,7 @@ func (tr *tracker) apply(o crashOp) error {
 		err = tr.db.Flush()
 	} else {
 		before := tr.db.DataVersion()
-		_, err = tr.db.Apply(o.adds, o.dels)
+		_, err = tr.db.Apply(context.Background(), o.adds, o.dels)
 		if after := tr.db.DataVersion(); after == before+1 {
 			tr.byVersion[after] = o
 			if err == nil && after > tr.acked {
@@ -157,7 +158,7 @@ func verifyOracle(t *testing.T, db *DB, want map[Triple]bool) {
 	t.Helper()
 	for p := 0; p < 4; p++ {
 		pred := fmt.Sprintf("p%d", p)
-		sols, err := db.Query("?x", pred, "?y")
+		sols, err := db.Query(context.Background(), "?x", pred, "?y")
 		if err != nil {
 			t.Fatalf("query %s: %v", pred, err)
 		}
@@ -253,13 +254,13 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Apply([]Triple{{"a", "p0", "b"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"a", "p0", "b"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Apply([]Triple{{"b", "p0", "c"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"b", "p0", "c"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	ws := db.WALStats()
+	ws := db.Stats().WAL
 	if !ws.Enabled || ws.Appended != 2 || ws.Fsyncs == 0 {
 		t.Fatalf("wal stats = %+v", ws)
 	}
@@ -274,20 +275,20 @@ func TestDurableRoundTrip(t *testing.T) {
 	if v := db2.DataVersion(); v != 2 {
 		t.Fatalf("recovered version = %d, want 2", v)
 	}
-	if ws := db2.WALStats(); ws.Replayed != 2 {
+	if ws := db2.Stats().WAL; ws.Replayed != 2 {
 		t.Fatalf("replayed = %d, want 2", ws.Replayed)
 	}
-	sols, err := db2.Query("a", "p0/p0", "?y")
+	sols, err := db2.Query(context.Background(), "a", "p0/p0", "?y")
 	if err != nil || len(sols) != 1 || sols[0].Object != "c" {
 		t.Fatalf("recovered query = %v, %v", sols, err)
 	}
-	if _, err := db2.Apply([]Triple{{"c", "p0", "d"}}, nil); err != nil {
+	if _, err := db2.Apply(context.Background(), []Triple{{"c", "p0", "d"}}, nil); err != nil {
 		t.Fatalf("apply after recovery: %v", err)
 	}
 	if err := db2.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db2.Apply([]Triple{{"d", "p0", "e"}}, nil); err == nil {
+	if _, err := db2.Apply(context.Background(), []Triple{{"d", "p0", "e"}}, nil); err == nil {
 		t.Fatal("Apply after CloseWAL must fail, not drop durability")
 	}
 }
@@ -300,10 +301,10 @@ func TestDurableUnknownPredicateLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Apply([]Triple{{"a", "nope", "b"}}, nil); !errors.Is(err, ErrUnknownPredicate) {
+	if _, err := db.Apply(context.Background(), []Triple{{"a", "nope", "b"}}, nil); !errors.Is(err, ErrUnknownPredicate) {
 		t.Fatalf("err = %v", err)
 	}
-	if ws := db.WALStats(); ws.Appended != 0 {
+	if ws := db.Stats().WAL; ws.Appended != 0 {
 		t.Fatalf("rejected batch reached the log: %+v", ws)
 	}
 	db.CloseWAL()
@@ -332,7 +333,7 @@ func TestDurableCheckpointAndTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ws := db.WALStats()
+	ws := db.Stats().WAL
 	if ws.Checkpoints != 1 || ws.CheckpointErrors != 0 || ws.LastCheckpointVersion == 0 {
 		t.Fatalf("wal stats after flush = %+v", ws)
 	}
@@ -362,7 +363,7 @@ func TestDurableCheckpointAndTruncate(t *testing.T) {
 	}
 	verifyOracle(t, db2, oracleAt(tr.byVersion, tr.max))
 	// The truncated log replays strictly less than the full stream.
-	if ws := db2.WALStats(); ws.Replayed >= int64(tr.max) {
+	if ws := db2.Stats().WAL; ws.Replayed >= int64(tr.max) {
 		t.Fatalf("replayed %d records for %d versions: truncation did not happen", ws.Replayed, tr.max)
 	}
 }
@@ -483,22 +484,22 @@ func TestDurableLastCheckpoint(t *testing.T) {
 	}
 	defer db.CloseWAL()
 	db.SetCompactionThreshold(-1)
-	if st := db.UpdateStats(); st.LastCheckpoint != 0 {
+	if st := db.Stats().Updates; st.LastCheckpoint != 0 {
 		t.Fatalf("LastCheckpoint = %v before any compaction", st.LastCheckpoint)
 	}
-	if _, err := db.Apply([]Triple{{"a", "p0", "b"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"a", "p0", "b"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	db.Flush() //nolint:errcheck // always nil
-	first := db.UpdateStats().LastCheckpoint
-	if first <= 0 || db.WALStats().Checkpoints != 1 {
-		t.Fatalf("LastCheckpoint = %v after %d checkpoints", first, db.WALStats().Checkpoints)
+	first := db.Stats().Updates.LastCheckpoint
+	if first <= 0 || db.Stats().WAL.Checkpoints != 1 {
+		t.Fatalf("LastCheckpoint = %v after %d checkpoints", first, db.Stats().WAL.Checkpoints)
 	}
-	if got := (dbBackend{db}).WALStats().LastCheckpointMS; got != float64(first)/1e6 {
-		t.Fatalf("service LastCheckpointMS = %v, want %v", got, float64(first)/1e6)
+	if _, ws, _ := (dbBackend{db}).BackendStats(); ws.LastCheckpointMS != float64(first)/1e6 {
+		t.Fatalf("service LastCheckpointMS = %v, want %v", ws.LastCheckpointMS, float64(first)/1e6)
 	}
 
-	if _, err := db.Apply([]Triple{{"b", "p0", "c"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"b", "p0", "c"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	db.h.lastCheckpointNS.Store(0)
@@ -509,10 +510,10 @@ func TestDurableLastCheckpoint(t *testing.T) {
 	}
 	defer func() { compactStageHook = nil }()
 	db.Flush() //nolint:errcheck // always nil
-	if ws := db.WALStats(); ws.CheckpointErrors != 1 {
+	if ws := db.Stats().WAL; ws.CheckpointErrors != 1 {
 		t.Fatalf("checkpoint errors = %d, want the injected one", ws.CheckpointErrors)
 	}
-	if st := db.UpdateStats(); st.LastCheckpoint <= 0 {
+	if st := db.Stats().Updates; st.LastCheckpoint <= 0 {
 		t.Fatalf("LastCheckpoint = %v after a failed checkpoint", st.LastCheckpoint)
 	}
 }
@@ -563,7 +564,7 @@ func TestDurableTornTailTruncated(t *testing.T) {
 		t.Fatalf("recovery over torn tail: %v", err)
 	}
 	defer db2.CloseWAL()
-	ws := db2.WALStats()
+	ws := db2.Stats().WAL
 	if ws.TornBytes == 0 {
 		t.Fatalf("torn tail not detected: %+v", ws)
 	}
@@ -623,10 +624,10 @@ func TestDurableStandingRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Apply([]Triple{{"a", "p0", "b"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"a", "p0", "b"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Apply([]Triple{{"b", "p0", "c"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"b", "p0", "c"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	db.SyncStanding()
@@ -663,7 +664,7 @@ func TestDurableStandingRecovery(t *testing.T) {
 		}
 	}
 	// The stream continues past the restart.
-	if _, err := db2.Apply([]Triple{{"c", "p0", "d"}}, nil); err != nil {
+	if _, err := db2.Apply(context.Background(), []Triple{{"c", "p0", "d"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	db2.SyncStanding()
@@ -683,14 +684,14 @@ func TestDurableStandingCheckpointTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetCompactionThreshold(-1)
-	if _, err := db.Apply([]Triple{{"a", "p0", "b"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"a", "p0", "b"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	sub, err := db.Subscribe(SubscribeRequest{Expr: "p0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Apply([]Triple{{"b", "p0", "c"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"b", "p0", "c"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// This compaction's base covers the sub record's version, so the
@@ -717,7 +718,7 @@ func TestDurableStandingCheckpointTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume checkpoint-carried sub: %v", err)
 	}
-	if _, err := db2.Apply([]Triple{{"c", "p0", "d"}}, nil); err != nil {
+	if _, err := db2.Apply(context.Background(), []Triple{{"c", "p0", "d"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	db2.SyncStanding()

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,8 @@ func main() {
 	}
 
 	// A mixed BGP+RPQ pattern with projection.
-	vars, rows, err := db.Select(`
+	ctx := context.Background()
+	vars, rows, err := db.Select(ctx, `
 		SELECT ?mgr ?proj WHERE {
 			?mgr manages+ ?eng .
 			?eng assigned ?proj .
@@ -57,14 +59,16 @@ func main() {
 		fmt.Printf("  %-8s -> %s\n", row[0], row[1])
 	}
 
-	// Full bindings, no projection: every variable of the pattern.
-	fmt.Println("\nengineer / project / state rows (pure triple-pattern join):")
-	bindings, err := db.QueryPattern("?eng assigned ?proj . ?proj status ?state")
+	// No SELECT list: every variable of the pattern, in order of first
+	// appearance.
+	vars, rows, err = db.Select(ctx, "?eng assigned ?proj . ?proj status ?state")
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, bd := range bindings {
-		fmt.Printf("  %-8s %-8s %s\n", bd["eng"], bd["proj"], bd["state"])
+	ringrpq.SortRows(rows)
+	fmt.Printf("\nengineer / project / state rows (pure triple-pattern join, %v):\n", vars)
+	for _, row := range rows {
+		fmt.Printf("  %-8s %-8s %s\n", row[0], row[1], row[2])
 	}
 
 	// The planner's decisions are inspectable: the leapfrog variable

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,9 +28,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(db)
+	ctx := context.Background()
 
 	// Everyone transitively known by alice.
-	sols, err := db.Query("alice", "knows+", "?person")
+	sols, err := db.Query(ctx, "alice", "knows+", "?person")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 
 	// Who works at a company somebody alice knows works at? Inverse
 	// steps (^worksAt) walk edges backwards.
-	sols, err = db.Query("alice", "knows+/worksAt/^worksAt", "?colleague")
+	sols, err = db.Query(ctx, "alice", "knows+/worksAt/^worksAt", "?colleague")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 	}
 
 	// All management chains of any length, as (boss, report) pairs.
-	sols, err = db.Query("?boss", "manages+", "?report")
+	sols, err = db.Query(ctx, "?boss", "manages+", "?report")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 	}
 
 	// A fixed-pair (boolean) query.
-	n, err := db.Count("alice", "(knows|manages)+", "dave")
+	n, err := db.Count(ctx, "alice", "(knows|manages)+", "dave")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -30,10 +31,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(db)
+	ctx := context.Background()
 
 	run := func(s, expr, o string) {
 		start := time.Now()
-		sols, err := db.Query(s, expr, o)
+		sols, err := db.Query(ctx, s, expr, o)
 		if err != nil {
 			log.Fatal(err)
 		}

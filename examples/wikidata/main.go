@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -32,10 +33,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(db)
+	ctx := context.Background()
 
 	// The classic Wikidata query shape: all instances of a class,
 	// transitively ("?x P31/P279* C").
-	instances, err := db.Query("?x", "P1/P2*", datagen.NodeName(0),
+	instances, err := db.Query(ctx, "?x", "P1/P2*", datagen.NodeName(0),
 		ringrpq.WithLimit(10))
 	if err != nil {
 		log.Fatal(err)
@@ -62,7 +64,7 @@ func main() {
 			o = "?y"
 		}
 		start := time.Now()
-		n, err := db.Count(s, pathexpr.String(q.Expr), o,
+		n, err := db.Count(ctx, s, pathexpr.String(q.Expr), o,
 			ringrpq.WithTimeout(5*time.Second), ringrpq.WithLimit(100000))
 		if err != nil && err != ringrpq.ErrTimeout {
 			log.Fatalf("%s: %v", q, err)

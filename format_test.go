@@ -3,6 +3,7 @@ package ringrpq
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -46,7 +47,7 @@ func TestFormatFixture(t *testing.T) {
 	check := func(name string, db *DB, saveAs string) {
 		t.Helper()
 		for i, q := range queries {
-			res, err := db.Query(q[0], q[1], q[2])
+			res, err := db.Query(context.Background(), q[0], q[1], q[2])
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, q, err)
 			}
@@ -154,7 +155,7 @@ func TestIndexBytesPerTriple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := db.Stats()
+	s := db.Stats().Index
 	perTriple := float64(s.IndexBytes) / float64(s.CompletedEdges)
 	t.Logf("g100k: %d bytes over %d completed triples = %.4f B/triple", s.IndexBytes, s.CompletedEdges, perTriple)
 	if perTriple > 4.80 {

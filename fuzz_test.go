@@ -2,6 +2,7 @@ package ringrpq
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -58,7 +59,7 @@ func fixtureBytes(tb testing.TB, file string) []byte {
 // lists its names and takes an update through a compaction, which
 // decodes every sequence of its ring. It must not panic either.
 func usable(db *DB) error {
-	if _, err := db.Count("?s", probeExpr, "?o"); err != nil {
+	if _, err := db.Count(context.Background(), "?s", probeExpr, "?o"); err != nil {
 		return fmt.Errorf("query: %w", err)
 	}
 	db.Nodes()
@@ -66,7 +67,7 @@ func usable(db *DB) error {
 	if len(preds) == 0 {
 		return nil
 	}
-	if _, err := db.Apply([]Triple{{Subject: "new", Predicate: preds[0], Object: "new"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{Subject: "new", Predicate: preds[0], Object: "new"}}, nil); err != nil {
 		return fmt.Errorf("update: %w", err)
 	}
 	if err := db.Flush(); err != nil {

@@ -24,14 +24,26 @@ var ctxMethodNames = map[string]bool{
 	"ApplyUpdates": true,
 }
 
-// CtxFirst enforces the ctx-first calling convention established in
-// PR 9: the seam interfaces (Backend, PatternBackend, Updater,
-// core.Evaluator) declare context.Context as the first parameter of
-// their request methods, and exported methods of their implementations
-// never take a context anywhere but first.
+// ctxPublicTypes and ctxPublicMethods are the public seam: an exported
+// method with one of these names on a type with one of these names
+// evaluates or updates, so it carries a trace and a deadline.
+var (
+	ctxPublicTypes   = map[string]bool{"DB": true, "Service": true}
+	ctxPublicMethods = map[string]bool{
+		"Query": true, "QueryFunc": true, "Count": true, "Select": true,
+		"Apply": true, "Update": true, "Batch": true,
+	}
+)
+
+// CtxFirst enforces the ctx-first calling convention: the seam
+// interfaces (Backend, PatternBackend, Updater, core.Evaluator)
+// declare context.Context as the first parameter of their request
+// methods, exported methods of their implementations never take a
+// context anywhere but first, and the public DB and Service methods
+// that evaluate or update take one first.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
-	Doc:  "seam interfaces and their implementations take context.Context as the first parameter",
+	Doc:  "seam interfaces, their implementations and the public DB/Service reads and updates take context.Context as the first parameter",
 	Run:  runCtxFirst,
 }
 
@@ -68,13 +80,11 @@ func runCtxFirst(p *Pass) {
 		})
 	}
 
-	// Pass 2: implementations. Collect seam interface types visible
-	// here (this package plus its imports), then check exported
-	// methods of local types that implement one.
+	// Pass 2: implementations and the public seam. Collect seam
+	// interface types visible here (this package plus its imports),
+	// then check exported methods of local types that implement one,
+	// and the public reads and updates by name.
 	ifaces := seamInterfaces(p.Pkg)
-	if len(ifaces) == 0 {
-		return
-	}
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -85,12 +95,20 @@ func runCtxFirst(p *Pass) {
 			if !ok {
 				continue
 			}
-			recv := obj.Type().(*types.Signature).Recv()
-			if recv == nil || !implementsAny(recv.Type(), ifaces) {
+			sig := obj.Type().(*types.Signature)
+			recv := sig.Recv()
+			if recv == nil {
 				continue
 			}
-			sig := obj.Type().(*types.Signature)
 			params := sig.Params()
+			if name := recvName(recv.Type()); ctxPublicTypes[name] && ctxPublicMethods[fd.Name.Name] &&
+				(params.Len() == 0 || !isContextContext(params.At(0).Type())) {
+				p.Reportf(fd.Name.Pos(), "method %s.%s evaluates or updates and must take context.Context as its first parameter", name, fd.Name.Name)
+				continue
+			}
+			if !implementsAny(recv.Type(), ifaces) {
+				continue
+			}
 			for i := 0; i < params.Len(); i++ {
 				if isContextContext(params.At(i).Type()) {
 					if i != 0 {
@@ -159,6 +177,17 @@ func seamInterfaces(pkg *types.Package) []*types.Interface {
 		scan(imp)
 	}
 	return out
+}
+
+// recvName names a method receiver's type, through a pointer.
+func recvName(t types.Type) string {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
 }
 
 func implementsAny(t types.Type, ifaces []*types.Interface) bool {

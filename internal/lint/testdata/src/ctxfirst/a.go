@@ -43,3 +43,25 @@ func (BadImpl) Describe(name string, ctx context.Context) {} // want "must come 
 type plain struct{}
 
 func (plain) run(name string, ctx context.Context) { _ = ctx }
+
+// DB is a public read surface: its Query takes no context.
+type DB struct{}
+
+func (*DB) Query(subject, expr, object string) error { return nil } // want "DB.Query evaluates or updates and must take context.Context as its first parameter"
+
+func (*DB) Count(ctx context.Context, subject string) (int, error) { return 0, nil }
+
+// Stats neither evaluates nor updates: ignored.
+func (*DB) Stats() int { return 0 }
+
+// Service updates: Apply takes ctx first, Update does not.
+type Service struct{}
+
+func (Service) Apply(ctx context.Context, adds []int) error { return nil }
+
+func (Service) Update(adds []int) error { return nil } // want "Service.Update evaluates or updates"
+
+// Engine is neither DB nor Service: its Query is not the public seam.
+type Engine struct{}
+
+func (Engine) Query(q int) error { return nil }

@@ -34,7 +34,7 @@ func TestRunDeadlineCoversPlanning(t *testing.T) {
 	// the whole call must come back almost immediately with ErrTimeout
 	// rather than planning and joining first.
 	start := time.Now()
-	err := runBindings(x, slowPlanPattern(), Options{Timeout: time.Nanosecond}, func(Binding) bool { return true })
+	err := runBindings(x, slowPlanPattern(), Options{Timeout: time.Nanosecond}, func(binding) bool { return true })
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("nanosecond budget: err = %v, want ErrTimeout", err)
@@ -49,7 +49,7 @@ func TestRunDeadlineCoversPlanning(t *testing.T) {
 	if n := len(x.plans); n != 0 {
 		t.Fatalf("the timed-out plan was memoised (%d plans held)", n)
 	}
-	if err := runBindings(x, slowPlanPattern(), Options{Timeout: time.Minute}, func(Binding) bool { return true }); err != nil {
+	if err := runBindings(x, slowPlanPattern(), Options{Timeout: time.Minute}, func(binding) bool { return true }); err != nil {
 		t.Fatalf("generous budget after timeout: %v", err)
 	}
 }
@@ -66,11 +66,11 @@ func TestRunDeadlineSharedWithLTJ(t *testing.T) {
 	// Warm the plan memo so the next run's planning is free, then
 	// exhaust the budget before the join starts: Run must report
 	// ErrTimeout without granting LTJ a fresh timeout.
-	if err := runBindings(x, q, Options{}, func(Binding) bool { return true }); err != nil {
+	if err := runBindings(x, q, Options{}, func(binding) bool { return true }); err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
 	start := time.Now()
-	err := runBindings(x, q, Options{Timeout: time.Nanosecond}, func(Binding) bool {
+	err := runBindings(x, q, Options{Timeout: time.Nanosecond}, func(binding) bool {
 		time.Sleep(time.Millisecond) // any emitted row only slows the clock further
 		return true
 	})

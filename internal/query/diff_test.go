@@ -28,8 +28,8 @@ import (
 
 // oracleRelation materialises one clause as a list of partial bindings
 // (variable → rendered name).
-func oracleRelation(g *triples.Graph, c Clause) []Binding {
-	var out []Binding
+func oracleRelation(g *triples.Graph, c Clause) []binding {
+	var out []binding
 	nodeID := func(t Term) (uint32, bool) {
 		id, ok := g.Nodes.Lookup(t.Name)
 		return id, ok
@@ -69,7 +69,7 @@ func oracleRelation(g *triples.Graph, c Clause) []Binding {
 			if c.S.IsVar() && c.O.IsVar() && c.S.Var == c.O.Var && t.S != t.O {
 				continue
 			}
-			b := Binding{}
+			b := binding{}
 			if c.S.IsVar() {
 				b[c.S.Var] = g.Nodes.Name(t.S)
 			}
@@ -104,7 +104,7 @@ func oracleRelation(g *triples.Graph, c Clause) []Binding {
 		if c.S.IsVar() && c.O.IsVar() && c.S.Var == c.O.Var && p.S != p.O {
 			continue
 		}
-		b := Binding{}
+		b := binding{}
 		if c.S.IsVar() {
 			b[c.S.Var] = g.Nodes.Name(p.S)
 		}
@@ -116,9 +116,9 @@ func oracleRelation(g *triples.Graph, c Clause) []Binding {
 	return dedupeBindings(out)
 }
 
-func dedupeBindings(bs []Binding) []Binding {
+func dedupeBindings(bs []binding) []binding {
 	seen := map[string]bool{}
-	var out []Binding
+	var out []binding
 	for _, b := range bs {
 		k := bindingKey(b)
 		if !seen[k] {
@@ -129,7 +129,7 @@ func dedupeBindings(bs []Binding) []Binding {
 	return out
 }
 
-func bindingKey(b Binding) string {
+func bindingKey(b binding) string {
 	keys := make([]string, 0, len(b))
 	for k := range b {
 		keys = append(keys, k)
@@ -145,11 +145,11 @@ func bindingKey(b Binding) string {
 // oracleEval joins the clause relations by nested loops. The budget
 // bounds merge attempts so pathological cross products are skipped
 // rather than stalling the harness; false means the budget ran out.
-func oracleEval(g *triples.Graph, q *Query, budget int) ([]Binding, bool) {
-	results := []Binding{{}}
+func oracleEval(g *triples.Graph, q *Query, budget int) ([]binding, bool) {
+	results := []binding{{}}
 	for _, c := range q.Clauses {
 		rel := oracleRelation(g, c)
-		var next []Binding
+		var next []binding
 		for _, acc := range results {
 			budget -= len(rel)
 			if budget < 0 {
@@ -170,8 +170,8 @@ func oracleEval(g *triples.Graph, q *Query, budget int) ([]Binding, bool) {
 	return dedupeBindings(results), true
 }
 
-func mergeBindings(a, b Binding) (Binding, bool) {
-	out := make(Binding, len(a)+len(b))
+func mergeBindings(a, b binding) (binding, bool) {
+	out := make(binding, len(a)+len(b))
 	for k, v := range a {
 		out[k] = v
 	}
@@ -184,7 +184,7 @@ func mergeBindings(a, b Binding) (Binding, bool) {
 	return out, true
 }
 
-func sortedKeys(bs []Binding) []string {
+func sortedKeys(bs []binding) []string {
 	out := make([]string, len(bs))
 	for i, b := range bs {
 		out[i] = bindingKey(b)
@@ -452,8 +452,8 @@ func checkExecutors(t *testing.T, xs []*Exec, q *Query, src string, want []strin
 			continue
 		}
 		tr := obs.New()
-		var got []Binding
-		err := runBindings(xs[i], q, Options{Trace: tr}, func(b Binding) bool {
+		var got []binding
+		err := runBindings(xs[i], q, Options{Trace: tr}, func(b binding) bool {
 			got = append(got, b)
 			return true
 		})

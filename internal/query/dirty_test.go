@@ -96,7 +96,7 @@ func rowsOf(t *testing.T, x *Exec, src string) []string {
 	q := MustParse(src)
 	vars := q.OutVars()
 	var out []string
-	err := runBindings(x, q, Options{}, func(b Binding) bool {
+	err := runBindings(x, q, Options{}, func(b binding) bool {
 		parts := make([]string, len(vars))
 		for i, v := range vars {
 			parts[i] = b[v]

@@ -32,13 +32,6 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// Binding is one result row by name: variable name (without '?') to the
-// bound node name — or, for predicate-position variables, the completed
-// predicate name ('^'-prefixed for inverses). Run emits rows of ids; a
-// Binding is rendered from one only where an API hands out names per
-// variable.
-type Binding map[string]string
-
 // Exec evaluates graph patterns over one ring. Like core.Engine it
 // owns working state and must not be used concurrently; build one per
 // worker (the SelCache may be shared across them).

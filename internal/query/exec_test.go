@@ -27,11 +27,16 @@ func orgGraph() *triples.Graph {
 	return b.Build()
 }
 
-// runBindings runs q on x, rendering every row as a Binding by name.
-func runBindings(x *Exec, q *Query, opts Options, emit func(Binding) bool) error {
+// binding is one result row by name: variable name (without '?') to
+// the bound node name, or, for predicate-position variables, the
+// completed predicate name ('^'-prefixed for inverses).
+type binding map[string]string
+
+// runBindings runs q on x, rendering every row as a binding by name.
+func runBindings(x *Exec, q *Query, opts Options, emit func(binding) bool) error {
 	vars, preds := q.Vars(), q.PredVars()
 	return x.Run(q, opts, func(row []uint32) bool {
-		b := make(Binding, len(row))
+		b := make(binding, len(row))
 		for i, v := range vars {
 			if preds[v] {
 				b[v] = x.g.PredName(row[i])
@@ -43,10 +48,10 @@ func runBindings(x *Exec, q *Query, opts Options, emit func(Binding) bool) error
 	})
 }
 
-func runPattern(t *testing.T, x *Exec, src string, opts Options) []Binding {
+func runPattern(t *testing.T, x *Exec, src string, opts Options) []binding {
 	t.Helper()
-	var out []Binding
-	if err := runBindings(x, MustParse(src), opts, func(b Binding) bool {
+	var out []binding
+	if err := runBindings(x, MustParse(src), opts, func(b binding) bool {
 		out = append(out, b)
 		return true
 	}); err != nil {
@@ -56,7 +61,7 @@ func runPattern(t *testing.T, x *Exec, src string, opts Options) []Binding {
 }
 
 // renderBindings sorts bindings into canonical strings for comparison.
-func renderBindings(bs []Binding) []string {
+func renderBindings(bs []binding) []string {
 	var out []string
 	for _, b := range bs {
 		var keys []string
@@ -188,7 +193,7 @@ func TestExecLimitAndTimeout(t *testing.T) {
 	}
 	dense := b.Build()
 	xd := NewExec(dense, ring.New(dense, ring.WaveletMatrix), nil)
-	err := runBindings(xd, MustParse("?x p ?y . ?y p+ ?z"), Options{Timeout: time.Nanosecond}, func(Binding) bool { return true })
+	err := runBindings(xd, MustParse("?x p ?y . ?y p+ ?z"), Options{Timeout: time.Nanosecond}, func(binding) bool { return true })
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("timeout: got %v", err)
 	}

@@ -23,9 +23,6 @@ type HandlerConfig struct {
 	// MaxBodyBytes bounds request body sizes before decoding.
 	// Default 8 MiB.
 	MaxBodyBytes int64
-	// Info, when set, is rendered under "index" in /stats responses
-	// (e.g. database statistics).
-	Info func() any
 }
 
 // QueryJSON is the wire form of a Request (POST /query, items of POST
@@ -406,9 +403,10 @@ func failureStatus(err error) (int, bool) {
 }
 
 func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
-	out := map[string]any{"service": h.s.Stats()}
-	if h.cfg.Info != nil {
-		out["index"] = h.cfg.Info()
+	st, index := h.s.stats()
+	out := map[string]any{"service": st}
+	if index != nil {
+		out["index"] = index
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -426,13 +424,9 @@ func (h *handler) readyz(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"status": "unavailable", "reason": "service closed"})
 		return
 	}
-	if ws := h.s.walStats(); ws.Wedged {
-		reason := "write-ahead log wedged"
-		if ws.WedgeReason != "" {
-			reason += ": " + ws.WedgeReason
-		}
+	if err := h.s.walErr(); err != nil {
 		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]string{"status": "unavailable", "reason": reason})
+			map[string]string{"status": "unavailable", "reason": "write-ahead log wedged: " + err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})

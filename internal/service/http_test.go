@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ringrpq/internal/standing"
 )
 
 func newTestServer(t *testing.T, b Backend, cfg Config, hcfg HandlerConfig) *httptest.Server {
@@ -135,9 +137,17 @@ func TestHTTPTimeout(t *testing.T) {
 	}
 }
 
+// statsFake is a fake backend that reports an "index" block.
+type statsFake struct{ *fake }
+
+func (statsFake) BackendStats() (standing.Stats, WALStats, any) {
+	return standing.Stats{}, WALStats{}, map[string]int{"nodes": 42}
+}
+
+func (statsFake) WALErr() error { return nil }
+
 func TestHTTPStatsAndHealth(t *testing.T) {
-	srv := newTestServer(t, newFake(1), Config{Workers: 3},
-		HandlerConfig{Info: func() any { return map[string]int{"nodes": 42} }})
+	srv := newTestServer(t, statsFake{newFake(1)}, Config{Workers: 3}, HandlerConfig{})
 
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {

@@ -285,7 +285,7 @@ type Stats struct {
 	EvalLatency LatencySummary
 	// Standing describes the standing-query subsystem (zero when the
 	// backend has no subscription support).
-	Standing StandingStats
+	Standing standing.Stats
 	// WAL describes the durability layer (Enabled false when the backend
 	// has no write-ahead log).
 	WAL WALStats
@@ -315,32 +315,47 @@ func summarize(s obs.HistSnapshot) LatencySummary {
 	}
 }
 
-// WALStats mirrors the backend's durability counters for Stats (see
-// ringrpq.WALStats), plus the duration of the last compaction
-// checkpoint (ringrpq.UpdateStats.LastCheckpoint).
+// WALStats describes a backend's durability layer (ringrpq.WALStats
+// is this type); the zero value, Enabled false, means the backend has
+// no write-ahead log.
 type WALStats struct {
-	Enabled               bool
-	Dir                   string
-	FsyncPolicy           string
-	Appended              int64
-	AppendedBytes         int64
-	Fsyncs                int64
-	Replayed              int64
-	TornBytes             int64
-	Segments              int
-	SizeBytes             int64
+	Enabled     bool
+	Dir         string
+	FsyncPolicy string
+	// Appended / AppendedBytes / Fsyncs count this process's log writes;
+	// Replayed and TornBytes describe the recovery that opened it.
+	Appended      int64
+	AppendedBytes int64
+	Fsyncs        int64
+	Replayed      int64
+	TornBytes     int64
+	Segments      int
+	SizeBytes     int64
+	// Checkpoints / CheckpointErrors count compaction checkpoints this
+	// process; LastCheckpointVersion is the newest durable checkpoint's
+	// data version (log segments at or before it are dropped), and
+	// LastCheckpointMS what the last one took.
 	Checkpoints           int64
 	CheckpointErrors      int64
 	LastCheckpointVersion uint64
 	LastCheckpointMS      float64
-	Wedged                bool
-	WedgeReason           string
+	// Wedged reports a latched log I/O failure: appends are refused and
+	// the daemon should fail its readiness probe. WedgeReason carries
+	// the latched error text.
+	Wedged      bool
+	WedgeReason string
 }
 
-// WALStatser is optionally implemented by backends with a write-ahead
-// log; must be safe for concurrent use.
-type WALStatser interface {
-	WALStats() WALStats
+// StatsBackend is optionally implemented by backends with standing
+// queries, a write-ahead log or statistics of their own. Its methods
+// must be safe for concurrent use.
+type StatsBackend interface {
+	// BackendStats reports the Standing and WAL blocks of Stats, and
+	// index, the block GET /stats renders under "index" (nil for none).
+	BackendStats() (st standing.Stats, wal WALStats, index any)
+	// WALErr returns the write-ahead log's latched I/O failure, or nil
+	// (also without a log). GET /readyz reads only this.
+	WALErr() error
 }
 
 // Service is the concurrent query front-end over an immutable index.
@@ -933,11 +948,26 @@ func (s *Service) Update(ctx context.Context, adds, dels []UpdateTriple) (Update
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
+	st, _ := s.stats()
+	return st
+}
+
+// stats snapshots the service counters and the backend's "index"
+// block, reading the backend once.
+func (s *Service) stats() (Stats, any) {
 	exprHits, exprMisses := s.exprs.Counters()
 	patHits, patMisses := s.patterns.Counters()
 	s.resMu.Lock()
 	rEntries, rBytes, rEvict, rInval := s.results.Len(), s.results.Bytes(), s.results.Evictions(), s.invalidations
 	s.resMu.Unlock()
+	var (
+		st    standing.Stats
+		wal   WALStats
+		index any
+	)
+	if sb, ok := s.src.(StatsBackend); ok {
+		st, wal, index = sb.BackendStats()
+	}
 	return Stats{
 		Workers:             s.cfg.Workers,
 		QueueCap:            s.cfg.QueueDepth,
@@ -965,21 +995,20 @@ func (s *Service) Stats() Stats {
 		ResultBytes:         rBytes,
 		ResultEvictions:     rEvict,
 		ResultInvalidations: rInval,
-		Standing:            s.standingStats(),
-		WAL:                 s.walStats(),
+		Standing:            st,
+		WAL:                 wal,
 		SlowQueries:         int64(s.slow.Total()),
 		Latency:             summarize(s.latE2E.Snapshot()),
 		EvalLatency:         summarize(s.latEval.Snapshot()),
-	}
+	}, index
 }
 
-// walStats reads the backend's durability counters (zero when it has no
-// write-ahead log).
-func (s *Service) walStats() WALStats {
-	if ws, ok := s.src.(WALStatser); ok {
-		return ws.WALStats()
+// walErr returns the backend's latched write-ahead log failure.
+func (s *Service) walErr() error {
+	if sb, ok := s.src.(StatsBackend); ok {
+		return sb.WALErr()
 	}
-	return WALStats{}
+	return nil
 }
 
 // String renders the complete stats snapshot as name=value pairs. The

@@ -19,25 +19,6 @@ import (
 	"ringrpq/internal/standing"
 )
 
-// StandingStats describes the subscription subsystem for service
-// stats: registry counters plus the overlay replay-log depth.
-type StandingStats struct {
-	// Active counts registered subscriptions; Detached the
-	// resumable-but-disconnected subset; Lagged the subscribers whose
-	// pending queues overflowed.
-	Active, Detached, Lagged int
-	// ReplayLogBatches is the overlay replay log's depth.
-	ReplayLogBatches int
-	// Version is the last data version the registry processed.
-	Version uint64
-	// Batches counts processed update notices; Incremental /
-	// FullReevals / Skipped count per-(subscription, batch) outcomes;
-	// Deltas counts pushed deltas; Overflows counts deltas dropped from
-	// full pending queues (still resumable from history).
-	Batches, Incremental, FullReevals, Skipped int64
-	Deltas, Overflows                          int64
-}
-
 // StandingBackend is optionally implemented by backends that support
 // standing queries (incremental delta subscriptions). All methods must
 // be safe for concurrent use.
@@ -45,7 +26,6 @@ type StandingBackend interface {
 	Subscribe(req standing.Request) (*standing.Sub, error)
 	ResumeSubscription(id, from uint64) (*standing.Sub, error)
 	Unsubscribe(id uint64) bool
-	StandingStats() StandingStats
 }
 
 // errNoStanding reports a subscription against a backend that does not
@@ -150,15 +130,6 @@ func (s *Service) closeSubscriptions() {
 	for _, sub := range subs {
 		sub.Close()
 	}
-}
-
-// standingStats reads the backend's subscription counters (zero when
-// unsupported).
-func (s *Service) standingStats() StandingStats {
-	if sb, ok := s.src.(StandingBackend); ok {
-		return sb.StandingStats()
-	}
-	return StandingStats{}
 }
 
 // SubscribeQuery is one decoded GET /subscribe request: either a new

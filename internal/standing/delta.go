@@ -233,18 +233,6 @@ func (r *Registry) rpqDelta(s *Sub, b *Batch, d *Delta) error {
 	newNum := r.host.NumNodes(b.New)
 	resolved := s.resolveConsts(r, newNum)
 	touched := len(b.Adds) > 0 || len(b.Dels) > 0
-	if r.cfg.ForceFull {
-		// The naive baseline keeps no incremental state at all: any
-		// data change triggers a full re-evaluation and diff.
-		if !touched && !resolved && newNum == s.numNodes {
-			r.skipped.Add(1)
-			return nil
-		}
-		r.fullReevals.Add(1)
-		err := r.fullRPQDelta(s, b.New, d)
-		s.numNodes = newNum
-		return err
-	}
 	relevant := s.universal && touched
 	if !s.universal && touched {
 		relevant = anyAlphabet(s.alphabet, b.Adds) || anyAlphabet(s.alphabet, b.Dels)
@@ -390,7 +378,7 @@ func (r *Registry) diffCols(s *Sub, newCols map[uint32]map[uint32]bool, d *Delta
 // reachable from that edge's target in the new graph; any retracted
 // pair's old paths all crossed a tombstoned edge, so its y is
 // alphabet-reachable from that edge's target in the old graph.
-// overflow reports the MaxColumns cap was hit.
+// overflow reports the maxColumns cap was hit.
 func (r *Registry) affectedColumns(s *Sub, b *Batch) (cols []uint32, overflow bool, err error) {
 	if s.closure == nil {
 		return nil, false, nil
@@ -412,7 +400,7 @@ func (r *Registry) affectedColumns(s *Sub, b *Batch) (cols []uint32, overflow bo
 					seenAll[y] = true
 					cols = append(cols, y)
 				}
-				if len(cols) > r.cfg.MaxColumns {
+				if len(cols) > maxColumns {
 					over = true
 					return false
 				}
@@ -458,10 +446,8 @@ func (r *Registry) patternDelta(s *Sub, b *Batch, d *Delta) error {
 	// growth alone can mint rows; constant terms resolving for the
 	// first time also ride on growth.
 	growthSensitive := newNum > s.numNodes
-	// ForceFull keeps no per-clause alphabets in play: any data change
-	// re-evaluates.
 	relevant := touched
-	if !r.cfg.ForceFull && !s.universal && touched {
+	if !s.universal && touched {
 		relevant = anyAlphabet(s.alphabet, b.Adds) || anyAlphabet(s.alphabet, b.Dels)
 	}
 	if !relevant && !growthSensitive {

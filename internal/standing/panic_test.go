@@ -43,9 +43,9 @@ func (h *panicHost) EvalPattern(_ Snapshot, _ *PatternQuery, _ time.Duration, _ 
 
 func TestRegistryPanicTerminatesOnlyThatSub(t *testing.T) {
 	host := &panicHost{}
-	// ForceFull routes every batch through a full EvalRPQ re-evaluation
-	// — the injection point.
-	r := New(host, Config{ForceFull: true})
+	// The batch's edge is in the subscription's alphabet, so its
+	// closure probe calls EvalRPQ — the injection point.
+	r := New(host, Config{})
 	defer r.Close()
 	var evicted atomic.Uint64
 	r.OnEvict = func(id uint64) { evicted.Store(id) }
@@ -85,7 +85,7 @@ func TestRegistryPanicTerminatesOnlyThatSub(t *testing.T) {
 
 func TestRegistryActivationPanicFailsSubscribe(t *testing.T) {
 	host := &panicHost{}
-	r := New(host, Config{ForceFull: true})
+	r := New(host, Config{})
 	defer r.Close()
 
 	host.arm.Store(true)

@@ -25,7 +25,7 @@
 //   - Graph-pattern subscriptions and expressions with negated symbol
 //     classes (whose alphabet is unbounded) fall back to an
 //     alphabet-gated full re-evaluation plus diff, as does any batch
-//     whose affected column set exceeds Config.MaxColumns.
+//     whose affected column set exceeds maxColumns.
 //
 // Delivery is decoupled from evaluation: each subscription owns a
 // bounded pending queue (overflow marks the subscriber lagged rather
@@ -67,6 +67,12 @@ type Batch struct {
 	Old, New Snapshot
 }
 
+// maxColumns bounds the affected-column set of one incremental step;
+// beyond it the subscription falls back to a full re-evaluation diff
+// for that batch (each affected column costs a constant-object
+// evaluation, so past a few dozen the single full evaluation wins).
+const maxColumns = 32
+
 // Config tunes a Registry. The zero value picks the defaults.
 type Config struct {
 	// QueueDepth bounds each subscriber's pending delta queue; a
@@ -76,12 +82,6 @@ type Config struct {
 	// History bounds the per-subscription delta history that serves
 	// resume-from-version reconnects. Default 256.
 	History int
-	// MaxColumns bounds the affected-column set of one incremental
-	// step; beyond it the subscription falls back to a full
-	// re-evaluation diff for that batch (each affected column costs a
-	// constant-object evaluation, so past a few dozen the single full
-	// evaluation wins). Default 32.
-	MaxColumns int
 	// DetachTTL is how long a detached (disconnected but resumable)
 	// subscription survives before the registry drops it. Default 2m.
 	DetachTTL time.Duration
@@ -89,9 +89,6 @@ type Config struct {
 	// (subscription, batch) step; 0 means none. A timed-out step
 	// terminates the subscription rather than deliver a wrong delta.
 	EvalTimeout time.Duration
-	// ForceFull disables incremental maintenance: every subscription
-	// re-evaluates fully on every batch (the benchmark's baseline).
-	ForceFull bool
 }
 
 func (c Config) withDefaults() Config {
@@ -100,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.History <= 0 {
 		c.History = 256
-	}
-	if c.MaxColumns <= 0 {
-		c.MaxColumns = 32
 	}
 	if c.DetachTTL <= 0 {
 		c.DetachTTL = 2 * time.Minute
@@ -200,6 +194,10 @@ type Stats struct {
 	// Detached counts the resumable-but-disconnected subset; Lagged
 	// counts subscribers currently marked lagged.
 	Active, Detached, Lagged int
+	// ReplayLogBatches is the depth of the overlay's replay log. The
+	// registry does not see the log and leaves this 0; the root DB
+	// fills it in when it snapshots its Stats.
+	ReplayLogBatches int
 	// Version is the last data version the worker processed.
 	Version uint64
 	// Batches counts processed update notices. Incremental /

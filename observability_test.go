@@ -7,6 +7,7 @@ package ringrpq
 // log.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -48,10 +49,10 @@ func TestProfileEngineSpans(t *testing.T) {
 		{"single-ring", func() (*DB, string) { return obsTestDB(t), "p+" }, 3},
 		{"overlay-touching-predicate", func() (*DB, string) {
 			db := obsTestDB(t)
-			if _, err := db.Apply([]Triple{{"d", "p", "e"}}, nil); err != nil {
+			if _, err := db.Apply(context.Background(), []Triple{{"d", "p", "e"}}, nil); err != nil {
 				t.Fatalf("apply: %v", err)
 			}
-			if db.UpdateStats().OverlayEdges == 0 {
+			if db.Stats().Updates.OverlayEdges == 0 {
 				t.Fatal("overlay is empty after the update")
 			}
 			return db, "p+"
@@ -211,7 +212,7 @@ func TestReadyzWedgedWAL(t *testing.T) {
 	}
 
 	ff.FailSyncs(true)
-	if _, err := db.Apply([]Triple{{"a", "p", "c"}}, nil); err == nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"a", "p", "c"}}, nil); err == nil {
 		t.Fatal("apply with failing fsync unexpectedly succeeded")
 	}
 
@@ -230,7 +231,7 @@ func TestReadyzWedgedWAL(t *testing.T) {
 		t.Errorf("/healthz wedged = %d, want 200", rec.Code)
 	}
 
-	ws := db.WALStats()
+	ws := db.Stats().WAL
 	if !ws.Wedged || ws.WedgeReason == "" {
 		t.Errorf("WALStats not reporting wedge: %+v", ws)
 	}

@@ -7,6 +7,7 @@ package ringrpq
 // the §6 integration the paper sketches.
 
 import (
+	"context"
 	"encoding/binary"
 	"sort"
 
@@ -14,11 +15,6 @@ import (
 	"ringrpq/internal/ltj"
 	"ringrpq/internal/query"
 )
-
-// Binding is one graph-pattern solution: variable name (without '?')
-// to the bound node name — or, for predicate-position variables, the
-// predicate name ('^'-prefixed for inverse edges).
-type Binding = query.Binding
 
 // ErrUnsupportedOrder reports a basic graph pattern that admits no
 // single-ring variable order (full generality needs the second,
@@ -54,46 +50,6 @@ func (db *DB) patternFor(snap *snapshot) *query.Exec {
 	return db.pat
 }
 
-// QueryPattern evaluates a graph-pattern query and returns all
-// bindings. Like the 2RPQ methods it must not be called concurrently
-// on one DB; use Clone or a Service. Bindings are distinct;
-// WithLimit/WithTimeout apply (a timeout returns ErrTimeout with the
-// bindings found so far).
-func (db *DB) QueryPattern(q string, opts ...QueryOption) ([]Binding, error) {
-	var out []Binding
-	err := db.QueryPatternFunc(q, func(b Binding) bool {
-		out = append(out, b)
-		return true
-	}, opts...)
-	return out, err
-}
-
-// QueryPatternFunc is QueryPattern with streaming delivery: emit
-// receives each binding and may return false to stop early.
-func (db *DB) QueryPatternFunc(q string, emit func(Binding) bool, opts ...QueryOption) error {
-	node, err := query.Parse(q)
-	if err != nil {
-		return err
-	}
-	vars, preds := node.Vars(), node.PredVars()
-	snap := db.h.acquire()
-	defer db.h.release(snap)
-	return db.runPattern(snap, node, options(opts), func(row []uint32) bool {
-		b := make(Binding, len(row))
-		for i, v := range vars {
-			b[v] = db.name(preds[v], row[i])
-		}
-		return emit(b)
-	})
-}
-
-// runPattern evaluates a pre-parsed pattern against a pinned snapshot,
-// streaming the executor's id rows (row[i] is node.Vars()[i]'s value,
-// the slice reused between calls).
-func (db *DB) runPattern(snap *snapshot, node *query.Query, o core.Options, emit func(row []uint32) bool) error {
-	return db.patternFor(snap).Run(node, query.Options{Limit: o.Limit, Timeout: o.Timeout, Trace: o.Trace}, emit)
-}
-
 // name renders a bound id: a completed predicate's name for a
 // predicate-position variable, a node's otherwise.
 func (db *DB) name(pred bool, id uint32) string {
@@ -103,20 +59,15 @@ func (db *DB) name(pred bool, id uint32) string {
 	return db.g.Nodes.Name(id)
 }
 
-// options folds QueryOptions into a core.Options value.
-func options(opts []QueryOption) core.Options {
-	var o core.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
 // Select evaluates a graph-pattern query and returns the projected
 // result table: the variable names (the SELECT list when the query has
 // one, every variable in order of first appearance otherwise) and one
-// row of values per solution, distinct after projection.
-func (db *DB) Select(q string, opts ...QueryOption) (vars []string, rows [][]string, err error) {
+// row of values per solution, distinct after projection. Like the 2RPQ
+// methods it must not be called concurrently on one DB; use Clone or a
+// Service. ctx, WithLimit and WithTimeout act as they do on Query: a
+// deadline returns ErrTimeout with the rows found so far, a cancelled
+// ctx stops at the next row with ctx.Err().
+func (db *DB) Select(ctx context.Context, q string, opts ...QueryOption) (vars []string, rows [][]string, err error) {
 	node, err := query.Parse(q)
 	if err != nil {
 		return nil, nil, err
@@ -124,9 +75,14 @@ func (db *DB) Select(q string, opts ...QueryOption) (vars []string, rows [][]str
 	vars = node.OutVars()
 	snap := db.h.acquire()
 	defer db.h.release(snap)
-	err = db.selectFuncOn(snap, node, options(opts), func(row []string) bool {
-		rows = append(rows, row)
-		return true
+	err = watch(ctx, func(live func() bool) error {
+		return db.selectFuncOn(snap, node, core.FoldContext(ctx, options(opts)), func(row []string) bool {
+			if !live() {
+				return false
+			}
+			rows = append(rows, row)
+			return true
+		})
 	})
 	return vars, rows, err
 }
@@ -139,8 +95,6 @@ func (db *DB) Select(q string, opts ...QueryOption) (vars []string, rows [][]str
 // hence the dedup on the projected ids (a name has one id, so that is
 // the dedup by name), and names are rendered only for the rows kept.
 func (db *DB) selectFuncOn(snap *snapshot, node *query.Query, o core.Options, emit func([]string) bool) error {
-	inner := o
-	inner.Limit = 0
 	vars, preds := node.OutVars(), node.PredVars()
 	slot := make(map[string]int)
 	for i, v := range node.Vars() {
@@ -161,7 +115,8 @@ func (db *DB) selectFuncOn(snap *snapshot, node *query.Query, o core.Options, em
 		seen = map[string]struct{}{}
 	}
 	emitted := 0
-	return db.runPattern(snap, node, inner, func(row []uint32) bool {
+	qo := query.Options{Timeout: o.Timeout, Trace: o.Trace} // no Limit: see above
+	return db.patternFor(snap).Run(node, qo, func(row []uint32) bool {
 		if seen != nil {
 			key = key[:0]
 			for _, s := range proj {

@@ -1,6 +1,7 @@
 package ringrpq
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -8,7 +9,6 @@ import (
 	"testing"
 
 	"ringrpq/internal/baseline/bfs"
-	"ringrpq/internal/core"
 	"ringrpq/internal/datagen"
 	"ringrpq/internal/obs"
 	"ringrpq/internal/query"
@@ -128,22 +128,22 @@ func TestFrozenPathologicalPatterns(t *testing.T) {
 			t.Fatalf("%q: %v", src, err)
 		}
 		tr := obs.New()
-		var got []string
-		err = db.QueryPatternFunc(src, func(b Binding) bool {
-			vars := make([]string, 0, len(b))
-			for v := range b {
-				vars = append(vars, v)
-			}
-			sort.Strings(vars)
-			var sb strings.Builder
-			for _, v := range vars {
-				fmt.Fprintf(&sb, "%s=%s;", v, b[v])
-			}
-			got = append(got, sb.String())
-			return true
-		}, func(o *core.Options) { o.Trace = tr })
+		vars, table, err := db.Select(obs.NewContext(context.Background(), tr), src)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
+		}
+		byName := make([]int, len(vars))
+		for i := range byName {
+			byName[i] = i
+		}
+		sort.Slice(byName, func(a, b int) bool { return vars[byName[a]] < vars[byName[b]] })
+		var got []string
+		for _, row := range table {
+			var sb strings.Builder
+			for _, i := range byName {
+				fmt.Fprintf(&sb, "%s=%s;", vars[i], row[i])
+			}
+			got = append(got, sb.String())
 		}
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, want) {

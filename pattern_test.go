@@ -33,7 +33,7 @@ func orgDB(t *testing.T) *DB {
 
 func TestQueryPatternEndToEnd(t *testing.T) {
 	db := orgDB(t)
-	vars, rows, err := db.Select(
+	vars, rows, err := db.Select(context.Background(),
 		"SELECT ?m ?proj WHERE { ?m manages+ ?e . ?e assigned ?proj . ?proj status active }")
 	if err != nil {
 		t.Fatal(err)
@@ -47,18 +47,16 @@ func TestQueryPatternEndToEnd(t *testing.T) {
 		t.Fatalf("rows = %v, want %v", rows, want)
 	}
 
-	// Unprojected bindings include every variable.
-	bs, err := db.QueryPattern("?e assigned ?p . ?p status active")
+	// Without a SELECT list every variable is projected, in order of
+	// first appearance.
+	vars, rows, err = db.Select(context.Background(), "?e assigned ?p . ?p status active")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bs) != 2 {
-		t.Fatalf("bindings: %v", bs)
-	}
-	for _, b := range bs {
-		if b["p"] != "apollo" || (b["e"] != "cleo" && b["e"] != "erin") {
-			t.Fatalf("binding %v", b)
-		}
+	SortRows(rows)
+	want = [][]string{{"cleo", "apollo"}, {"erin", "apollo"}}
+	if !reflect.DeepEqual(vars, []string{"e", "p"}) || !reflect.DeepEqual(rows, want) {
+		t.Fatalf("vars %v rows %v, want [e p] %v", vars, rows, want)
 	}
 }
 
@@ -70,31 +68,26 @@ func TestQueryPatternOptionsAndErrors(t *testing.T) {
 	if err := ParseQuery("?x ((bad ?y"); err == nil {
 		t.Fatal("bad pattern accepted")
 	}
-	if _, err := db.QueryPattern("?x ((bad ?y"); err == nil {
-		t.Fatal("bad pattern accepted by QueryPattern")
+	if _, _, err := db.Select(context.Background(), "?x ((bad ?y"); err == nil {
+		t.Fatal("bad pattern accepted by Select")
 	}
 
-	bs, err := db.QueryPattern("?m manages* ?e", WithLimit(3))
-	if err != nil || len(bs) != 3 {
-		t.Fatalf("limit: %d bindings, err=%v", len(bs), err)
+	_, rows, err := db.Select(context.Background(), "?m manages* ?e", WithLimit(3))
+	if err != nil || len(rows) != 3 {
+		t.Fatalf("limit: %d rows, err=%v", len(rows), err)
 	}
 
 	// Select's limit caps distinct projected rows, not raw bindings.
-	_, rows, err := db.Select("SELECT ?p WHERE { ?e assigned ?p }", WithLimit(1))
+	_, rows, err = db.Select(context.Background(), "SELECT ?p WHERE { ?e assigned ?p }", WithLimit(1))
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("select limit: %v err=%v", rows, err)
 	}
 
-	err = db.QueryPatternFunc("?m manages+ ?e . ?e manages* ?z", func(Binding) bool {
-		time.Sleep(time.Millisecond)
-		return true
-	}, WithTimeout(time.Nanosecond))
-	if !errors.Is(err, ErrTimeout) && err != nil {
-		// A nanosecond deadline may fire before any row; both ErrTimeout
-		// and a clean empty result would betray a broken propagation,
-		// so only ErrTimeout or nil-with-zero-rows are acceptable; the
-		// sleep above makes ErrTimeout overwhelmingly likely.
-		t.Fatalf("timeout: %v", err)
+	_, _, err = db.Select(context.Background(), "?m manages+ ?e . ?e manages* ?z", WithTimeout(time.Nanosecond))
+	if !errors.Is(err, ErrTimeout) {
+		// The deadline is taken when the evaluation starts and checked
+		// before planning, so a nanosecond budget has always expired.
+		t.Fatalf("timeout: err = %v, want ErrTimeout", err)
 	}
 }
 
@@ -109,7 +102,7 @@ func TestQueryPatternAfterSaveLoadAndClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range []*DB{loaded, db.Clone()} {
-		_, rows, err := d.Select("SELECT ?e WHERE { ana manages+ ?e . ?e assigned apollo }")
+		_, rows, err := d.Select(context.Background(), "SELECT ?e WHERE { ana manages+ ?e . ?e assigned apollo }")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +228,7 @@ func TestExplainPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	active, err := db.QueryPattern("?p status active")
+	_, active, err := db.Select(context.Background(), "?p status active")
 	if err != nil {
 		t.Fatal(err)
 	}

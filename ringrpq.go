@@ -17,7 +17,7 @@
 //	b.Add("UCh", "l1", "LosHeroes")
 //	db, err := b.Build()
 //	...
-//	sols, err := db.Query("Baquedano", "(l1|l2|l5)+", "?station")
+//	sols, err := db.Query(ctx, "Baquedano", "(l1|l2|l5)+", "?station")
 //
 // Endpoints starting with '?' are variables; anything else must name a
 // node. Expressions support predicates, inverses (^p), concatenation
@@ -27,10 +27,10 @@
 // with RPQ clauses and are evaluated by a selectivity-planned Leapfrog
 // Triejoin pipelined with bound-endpoint RPQ steps (the §6 extension):
 //
-//	vars, rows, err := db.Select(
+//	vars, rows, err := db.Select(ctx,
 //		"SELECT ?x ?y WHERE { ?x advisor/advisor* ?y . ?y country Q30 }")
 //
-// See QueryPattern, Select and the README's "Graph patterns" section.
+// See Select and the README's "Graph patterns" section.
 //
 // A DB's query methods share working arrays and must not be called
 // concurrently. For concurrent serving, wrap the database in a Service
@@ -42,12 +42,11 @@
 //	defer svc.Close()
 //	sols, err := svc.Query(ctx, "Baquedano", "(l1|l2|l5)+", "?station")
 //
-// The index also accepts live updates: Apply (or Begin/Commit) folds
-// triples into an in-memory overlay that every query unions in
-// transparently, and a background compactor rebuilds the ring and
-// swaps the snapshot atomically — in-flight queries finish on the
-// snapshot they started with (see Apply, Flush and the README's "Live
-// updates" section).
+// The index also accepts live updates: Apply folds triples into an
+// in-memory overlay that every query unions in transparently, and a
+// background compactor rebuilds the ring and swaps the snapshot
+// atomically — in-flight queries finish on the snapshot they started
+// with (see Apply, Flush and the README's "Live updates" section).
 //
 // Command rpqd serves the same API over HTTP, including POST /update.
 package ringrpq
@@ -127,8 +126,8 @@ func newDB(g *triples.Graph, r *ring.Ring) *DB {
 // The index is no longer frozen after Build: Apply folds live updates
 // into an in-memory overlay that every query unions in, and a
 // background compactor periodically rebuilds the static ring and swaps
-// the snapshot atomically (see Apply, Begin, Flush and the README's
-// "Live updates" section). Updates are safe from any goroutine; each
+// the snapshot atomically (see Apply, Flush and the README's "Live
+// updates" section). Updates are safe from any goroutine; each
 // query evaluates against the one snapshot it pinned at entry.
 type DB struct {
 	g *triples.Graph
@@ -191,9 +190,19 @@ func WithLimit(n int) QueryOption {
 }
 
 // WithTimeout bounds evaluation wall-clock time; exceeding it returns
-// ErrTimeout along with the solutions found so far.
+// ErrTimeout along with the solutions found so far. A deadline on the
+// call's context does the same, and the earlier of the two applies.
 func WithTimeout(d time.Duration) QueryOption {
 	return func(o *core.Options) { o.Timeout = d }
+}
+
+// options folds QueryOptions into a core.Options value.
+func options(opts []QueryOption) core.Options {
+	var o core.Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
 }
 
 // ErrTimeout reports that a query exceeded its timeout.
@@ -209,9 +218,13 @@ func ParseExpr(expr string) error {
 // Query evaluates the 2RPQ (subject, expr, object) and returns all
 // solutions. Endpoints beginning with '?' are variables; constant
 // endpoint names that do not occur in the graph yield no solutions.
-func (db *DB) Query(subject, expr, object string, opts ...QueryOption) ([]Solution, error) {
+// ctx may carry an obs.Trace and a deadline; a deadline, like
+// WithTimeout, returns ErrTimeout with the solutions found so far, and
+// a cancelled ctx stops the evaluation at the next solution with
+// ctx.Err().
+func (db *DB) Query(ctx context.Context, subject, expr, object string, opts ...QueryOption) ([]Solution, error) {
 	var out []Solution
-	err := db.QueryFunc(subject, expr, object, func(s Solution) bool {
+	err := db.QueryFunc(ctx, subject, expr, object, func(s Solution) bool {
 		out = append(out, s)
 		return true
 	}, opts...)
@@ -220,16 +233,55 @@ func (db *DB) Query(subject, expr, object string, opts ...QueryOption) ([]Soluti
 
 // QueryFunc is Query with streaming delivery: emit receives each
 // solution and may return false to stop early.
-func (db *DB) QueryFunc(subject, expr, object string, emit func(Solution) bool, opts ...QueryOption) error {
+func (db *DB) QueryFunc(ctx context.Context, subject, expr, object string, emit func(Solution) bool, opts ...QueryOption) error {
 	node, err := pathexpr.Parse(expr)
 	if err != nil {
 		return err
 	}
-	var options core.Options
-	for _, opt := range opts {
-		opt(&options)
+	return watch(ctx, func(live func() bool) error {
+		return db.queryNode(ctx, subject, node, object, options(opts), func(s Solution) bool {
+			return live() && emit(s)
+		})
+	})
+}
+
+// watch runs one DB read whose emit callback checks live() before each
+// result: once ctx is done, live reports false and stops the
+// evaluation, and watch returns ctx's error in place of the
+// evaluation's (ErrTimeout for a passed deadline, as the engine reports
+// its own deadline). The service path does not come through here: its
+// workers poll the request context themselves.
+func watch(ctx context.Context, eval func(live func() bool) error) error {
+	if err := ctxErr(ctx); err != nil {
+		return err
 	}
-	return db.queryNode(context.Background(), subject, node, object, options, emit)
+	done := ctx.Done()
+	if done == nil {
+		return eval(func() bool { return true })
+	}
+	stopped := false
+	err := eval(func() bool {
+		select {
+		case <-done:
+			stopped = true
+			return false
+		default:
+			return true
+		}
+	})
+	if stopped {
+		return ctxErr(ctx)
+	}
+	return err
+}
+
+// ctxErr is ctx.Err() with a passed deadline reported as ErrTimeout.
+func ctxErr(ctx context.Context) error {
+	err := ctx.Err()
+	if errors.Is(err, context.DeadlineExceeded) {
+		return ErrTimeout
+	}
+	return err
 }
 
 // queryNode is QueryFunc over a pre-parsed expression (the entry point
@@ -264,9 +316,9 @@ func (db *DB) queryNode(ctx context.Context, subject string, node pathexpr.Node,
 }
 
 // Count returns the number of solutions without materialising them.
-func (db *DB) Count(subject, expr, object string, opts ...QueryOption) (int, error) {
+func (db *DB) Count(ctx context.Context, subject, expr, object string, opts ...QueryOption) (int, error) {
 	n := 0
-	err := db.QueryFunc(subject, expr, object, func(Solution) bool {
+	err := db.QueryFunc(ctx, subject, expr, object, func(Solution) bool {
 		n++
 		return true
 	}, opts...)
@@ -277,8 +329,23 @@ func isVariable(endpoint string) bool {
 	return strings.HasPrefix(endpoint, "?")
 }
 
-// Stats summarises the database.
+// Stats is one snapshot of a database: its static index, its live
+// updates, its write-ahead log and its standing queries. It is what GET
+// /stats renders under "index" (see Service.Handler), so the JSON names
+// of its blocks are part of that response's shape.
 type Stats struct {
+	Index   IndexStats  `json:"index"`
+	Updates UpdateStats `json:"updates"`
+	// WAL is zero, and left out of the JSON form, unless the database
+	// was opened with OpenDurable.
+	WAL      WALStats      `json:"durability,omitzero"`
+	Standing StandingStats `json:"standing"`
+}
+
+// IndexStats summarises the static index. The space measure of the
+// paper's Table 2, bytes per completed edge, is
+// IndexBytes / CompletedEdges.
+type IndexStats struct {
 	// Nodes is |V|.
 	Nodes int
 	// Edges is the original (pre-completion) edge count.
@@ -294,34 +361,28 @@ type Stats struct {
 	IndexBytes int
 }
 
-// indexN reports the completed triple count of the static index (the
-// overlay's pending adds are not included; see UpdateStats).
-func (db *DB) indexN() int {
-	return db.h.cur.Load().r.N
-}
-
-// indexQueryBytes reports the query-relevant index footprint.
-func (db *DB) indexQueryBytes() int {
-	return db.h.cur.Load().r.QuerySizeBytes()
-}
-
-// Stats reports database statistics.
+// Stats reports database statistics. Safe for concurrent use.
 func (db *DB) Stats() Stats {
-	// The index's N is used rather than the builder's triple list so the
-	// counts survive Save/LoadDB (the triple list is not persisted).
 	return Stats{
-		Nodes:          db.g.NumNodes(),
-		Edges:          db.indexN() / 2,
-		CompletedEdges: db.indexN(),
-		Predicates:     int(db.g.NumPreds),
-		IndexBytes:     db.indexQueryBytes(),
+		Index:    db.indexStats(),
+		Updates:  db.updateStats(),
+		WAL:      db.walStats(),
+		Standing: db.standingStats(),
 	}
 }
 
-// BytesPerEdge reports the index's bytes per completed edge, the
-// space measure of the paper's Table 2.
-func (db *DB) BytesPerEdge() float64 {
-	return float64(db.indexQueryBytes()) / float64(db.indexN())
+// indexStats counts the static index; the overlay's pending adds are
+// not included (see UpdateStats). The ring's N is used rather than the
+// builder's triple list so the counts survive Save/LoadDB.
+func (db *DB) indexStats() IndexStats {
+	r := db.h.cur.Load().r
+	return IndexStats{
+		Nodes:          db.g.NumNodes(),
+		Edges:          r.N / 2,
+		CompletedEdges: r.N,
+		Predicates:     int(db.g.NumPreds),
+		IndexBytes:     r.QuerySizeBytes(),
+	}
 }
 
 // Nodes lists all node names (insertion order).
@@ -344,9 +405,9 @@ func (db *DB) Predicates() []string {
 
 // String renders a brief description.
 func (db *DB) String() string {
-	s := db.Stats()
+	s := db.indexStats()
 	return fmt.Sprintf("ringrpq.DB{%d nodes, %d edges, %d predicates, %.2f B/edge}",
-		s.Nodes, s.Edges, s.Predicates, db.BytesPerEdge())
+		s.Nodes, s.Edges, s.Predicates, float64(s.IndexBytes)/float64(s.CompletedEdges))
 }
 
 // ServiceConfig tunes a Service; the zero value picks sensible
@@ -419,7 +480,7 @@ func (b dbBackend) ApplyUpdates(ctx context.Context, adds, dels []service.Update
 		}
 		return out
 	}
-	st, err := b.db.ApplyContext(ctx, conv(adds), conv(dels))
+	st, err := b.db.Apply(ctx, conv(adds), conv(dels))
 	return service.UpdateResult{
 		OverlayEdges: st.OverlayEdges,
 		Tombstones:   st.Tombstones,
@@ -434,10 +495,10 @@ func (b dbBackend) ApplyUpdates(ctx context.Context, adds, dels []service.Update
 // and compaction swaps invalidate them in O(1).
 func (b dbBackend) DataVersion() uint64 { return b.db.DataVersion() }
 
-// Subscribe, ResumeSubscription, Unsubscribe and StandingStats
-// implement service.StandingBackend: Services over a DB serve standing
-// queries (Service.Subscribe, GET /subscribe). All four go to the
-// shared registry, never through the worker pool.
+// Subscribe, ResumeSubscription and Unsubscribe implement
+// service.StandingBackend: Services over a DB serve standing queries
+// (Service.Subscribe, GET /subscribe). All three go to the shared
+// registry, never through the worker pool.
 func (b dbBackend) Subscribe(req standing.Request) (*standing.Sub, error) {
 	return b.db.Subscribe(req)
 }
@@ -448,57 +509,29 @@ func (b dbBackend) ResumeSubscription(id, from uint64) (*standing.Sub, error) {
 
 func (b dbBackend) Unsubscribe(id uint64) bool { return b.db.Unsubscribe(id) }
 
-func (b dbBackend) StandingStats() service.StandingStats {
-	st := b.db.StandingStats()
-	return service.StandingStats{
-		Active:           st.Active,
-		Detached:         st.Detached,
-		Lagged:           st.Lagged,
-		ReplayLogBatches: b.db.UpdateStats().ReplayBatches,
-		Version:          st.Version,
-		Batches:          st.Batches,
-		Incremental:      st.Incremental,
-		FullReevals:      st.FullReevals,
-		Skipped:          st.Skipped,
-		Deltas:           st.Deltas,
-		Overflows:        st.Overflows,
-	}
+// BackendStats implements service.StatsBackend: the Standing and WAL
+// blocks of the service's Stats are the DB's own, and the DB's whole
+// Stats is the "index" block of GET /stats.
+func (b dbBackend) BackendStats() (StandingStats, WALStats, any) {
+	st := b.db.Stats()
+	return st.Standing, st.WAL, st
 }
 
-// WALStats implements service.WALStatser, so /stats reports the
-// durability layer of an OpenDurable'd database.
-func (b dbBackend) WALStats() service.WALStats {
-	st := b.db.WALStats()
-	return service.WALStats{
-		Enabled:               st.Enabled,
-		Dir:                   st.Dir,
-		FsyncPolicy:           st.FsyncPolicy,
-		Appended:              st.Appended,
-		AppendedBytes:         st.AppendedBytes,
-		Fsyncs:                st.Fsyncs,
-		Replayed:              st.Replayed,
-		TornBytes:             st.TornBytes,
-		Segments:              st.Segments,
-		SizeBytes:             st.SizeBytes,
-		Checkpoints:           st.Checkpoints,
-		CheckpointErrors:      st.CheckpointErrors,
-		LastCheckpointVersion: st.LastCheckpointVersion,
-		LastCheckpointMS:      float64(b.db.h.lastCheckpointNS.Load()) / 1e6,
-		Wedged:                st.Wedged,
-		WedgeReason:           st.WedgeReason,
+// WALErr implements service.StatsBackend.
+func (b dbBackend) WALErr() error {
+	if sink := b.db.h.wal.Load(); sink != nil {
+		return sink.log.Err()
 	}
+	return nil
 }
 
 // request converts one public call into a service Request, folding
 // WithLimit/WithTimeout options into the request parameters.
 func request(subject, expr, object string, opts []QueryOption) Request {
-	var options core.Options
-	for _, opt := range opts {
-		opt(&options)
-	}
+	o := options(opts)
 	return Request{
 		Subject: subject, Expr: expr, Object: object,
-		Limit: options.Limit, Timeout: options.Timeout,
+		Limit: o.Limit, Timeout: o.Timeout,
 	}
 }
 
@@ -554,7 +587,7 @@ func (s *Service) Update(ctx context.Context, adds, dels []Triple) (UpdateStats,
 		return out
 	}
 	_, err := s.s.Update(ctx, conv(adds), conv(dels))
-	return s.db.UpdateStats(), err
+	return s.db.updateStats(), err
 }
 
 // Subscribe registers a standing query through the service (see
@@ -583,7 +616,7 @@ type HandlerConfig = service.HandlerConfig
 
 // Handler returns an http.Handler exposing the service's JSON API:
 // POST /query, POST /batch, GET /stats and GET /healthz (the API that
-// cmd/rpqd serves).
+// cmd/rpqd serves). GET /stats renders the DB's Stats under "index".
 func (s *Service) Handler(cfg HandlerConfig) http.Handler {
 	return service.NewHandler(s.s, cfg)
 }

@@ -1,6 +1,7 @@
 package ringrpq
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func objects(sols []Solution) []string {
 // by metro.
 func TestIntroExample(t *testing.T) {
 	db := metroDB(t)
-	sols, err := db.Query("Baquedano", "(l1|l2|l5)+", "?station")
+	sols, err := db.Query(context.Background(), "Baquedano", "(l1|l2|l5)+", "?station")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestIntroExample(t *testing.T) {
 // The §4 worked example through the public API.
 func TestWorkedExample(t *testing.T) {
 	db := metroDB(t)
-	sols, err := db.Query("Baquedano", "l5+/bus", "?y")
+	sols, err := db.Query(context.Background(), "Baquedano", "l5+/bus", "?y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +66,14 @@ func TestWorkedExample(t *testing.T) {
 
 func TestBothConstant(t *testing.T) {
 	db := metroDB(t)
-	sols, err := db.Query("Baquedano", "(l1|l2|l5)+", "SantaAna")
+	sols, err := db.Query(context.Background(), "Baquedano", "(l1|l2|l5)+", "SantaAna")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sols) != 1 {
 		t.Fatalf("got %d solutions, want 1", len(sols))
 	}
-	none, err := db.Query("Baquedano", "bus", "SantaAna")
+	none, err := db.Query(context.Background(), "Baquedano", "bus", "SantaAna")
 	if err != nil || len(none) != 0 {
 		t.Fatalf("unsatisfiable query returned %v (err %v)", none, err)
 	}
@@ -80,7 +81,7 @@ func TestBothConstant(t *testing.T) {
 
 func TestVariableToVariable(t *testing.T) {
 	db := metroDB(t)
-	n, err := db.Count("?x", "bus", "?y")
+	n, err := db.Count(context.Background(), "?x", "bus", "?y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestVariableToVariable(t *testing.T) {
 
 func TestInverse(t *testing.T) {
 	db := metroDB(t)
-	a, err := db.Query("?x", "^bus", "SantaAna")
+	a, err := db.Query(context.Background(), "?x", "^bus", "SantaAna")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestInverse(t *testing.T) {
 
 func TestUnknownConstant(t *testing.T) {
 	db := metroDB(t)
-	sols, err := db.Query("Atlantis", "l1*", "?y")
+	sols, err := db.Query(context.Background(), "Atlantis", "l1*", "?y")
 	if err != nil || sols != nil {
 		t.Fatalf("unknown constant: %v, %v", sols, err)
 	}
@@ -111,7 +112,7 @@ func TestUnknownConstant(t *testing.T) {
 
 func TestBadExpression(t *testing.T) {
 	db := metroDB(t)
-	if _, err := db.Query("?x", "l1|", "?y"); err == nil {
+	if _, err := db.Query(context.Background(), "?x", "l1|", "?y"); err == nil {
 		t.Fatal("malformed expression must error")
 	}
 	if err := ParseExpr("(a"); err == nil {
@@ -121,7 +122,7 @@ func TestBadExpression(t *testing.T) {
 
 func TestLimitAndStreaming(t *testing.T) {
 	db := metroDB(t)
-	sols, err := db.Query("?x", "(l1|l2|l5)*", "?y", WithLimit(4))
+	sols, err := db.Query(context.Background(), "?x", "(l1|l2|l5)*", "?y", WithLimit(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestLimitAndStreaming(t *testing.T) {
 		t.Fatalf("limit ignored: %d solutions", len(sols))
 	}
 	count := 0
-	err = db.QueryFunc("?x", "(l1|l2|l5)*", "?y", func(Solution) bool {
+	err = db.QueryFunc(context.Background(), "?x", "(l1|l2|l5)*", "?y", func(Solution) bool {
 		count++
 		return count < 2
 	})
@@ -148,7 +149,7 @@ func TestTimeoutSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.Query("?x", "(p|q)*", "?y", WithTimeout(time.Nanosecond))
+	_, err = db.Query(context.Background(), "?x", "(p|q)*", "?y", WithTimeout(time.Nanosecond))
 	if err != ErrTimeout {
 		t.Fatalf("err=%v, want ErrTimeout", err)
 	}
@@ -169,15 +170,15 @@ func itoa(i int) string {
 
 func TestStats(t *testing.T) {
 	db := metroDB(t)
-	s := db.Stats()
+	s := db.Stats().Index
 	if s.Edges != 13 || s.CompletedEdges != 26 || s.Predicates != 4 {
 		t.Fatalf("Stats=%+v", s)
 	}
 	if s.Nodes != 5 {
 		t.Fatalf("Nodes=%d, want 5", s.Nodes)
 	}
-	if db.BytesPerEdge() <= 0 {
-		t.Fatal("BytesPerEdge must be positive")
+	if s.IndexBytes <= 0 {
+		t.Fatal("IndexBytes must be positive")
 	}
 	if !strings.Contains(db.String(), "5 nodes") {
 		t.Fatalf("String=%q", db.String())
@@ -203,7 +204,7 @@ func TestLoadAndLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := db.Count("a", "p+", "?y")
+	n, err := db.Count(context.Background(), "a", "p+", "?y")
 	if err != nil || n != 3 {
 		t.Fatalf("p+ from a gives %d (%v), want 3", n, err)
 	}
@@ -217,7 +218,7 @@ func TestClone(t *testing.T) {
 		d := d
 		go func() {
 			for i := 0; i < 50; i++ {
-				if _, err := d.Query("Baquedano", "l5+/bus", "?y"); err != nil {
+				if _, err := d.Query(context.Background(), "Baquedano", "l5+/bus", "?y"); err != nil {
 					done <- err
 					return
 				}

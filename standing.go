@@ -40,9 +40,9 @@ type Pair = standing.Pair
 // DB.SetStandingConfig and standing.Config).
 type StandingConfig = standing.Config
 
-// StandingCounters is a point-in-time snapshot of the subscription
-// registry's counters.
-type StandingCounters = standing.Stats
+// StandingStats describes the subscription subsystem (Stats.Standing):
+// the registry's counters plus the overlay replay log's depth.
+type StandingStats = standing.Stats
 
 // Standing-query errors (see the standing package for semantics).
 var (
@@ -196,14 +196,15 @@ func (db *DB) Unsubscribe(id uint64) bool {
 	return ok
 }
 
-// StandingStats snapshots the subscription registry's counters (zero
-// if nothing ever subscribed).
-func (db *DB) StandingStats() StandingCounters {
-	reg := db.h.standing.Load()
-	if reg == nil {
-		return StandingCounters{}
+// standingStats snapshots the subscription registry's counters (zero
+// if nothing ever subscribed) and the replay log's depth.
+func (db *DB) standingStats() StandingStats {
+	var st StandingStats
+	if reg := db.h.standing.Load(); reg != nil {
+		st = reg.Stats()
 	}
-	return reg.Stats()
+	st.ReplayLogBatches = db.h.cur.Load().ov.BatchCount()
+	return st
 }
 
 // SyncStanding blocks until every standing subscription has been

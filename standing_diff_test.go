@@ -9,6 +9,7 @@ package ringrpq
 // exercises the notification path.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -86,7 +87,7 @@ func (m *diffMirror) drain(t *testing.T) {
 func (m *diffMirror) check(t *testing.T, db *DB, step int) {
 	t.Helper()
 	if m.pattern != "" {
-		_, rows, err := db.Select(m.pattern)
+		_, rows, err := db.Select(context.Background(), m.pattern)
 		if err != nil {
 			t.Fatalf("%s: Select: %v", m.label, err)
 		}
@@ -100,7 +101,7 @@ func (m *diffMirror) check(t *testing.T, db *DB, step int) {
 		}
 		return
 	}
-	sols, err := db.Query(m.subject, m.expr, m.object)
+	sols, err := db.Query(context.Background(), m.subject, m.expr, m.object)
 	if err != nil {
 		t.Fatalf("%s: Query: %v", m.label, err)
 	}
@@ -136,7 +137,7 @@ func subscribeMirror(t *testing.T, db *DB, label, subject, object, expr, pattern
 	if wantSnapshot {
 		m.drain(t) // the baseline delta seeds the mirror
 	} else if pattern != "" {
-		_, rows, err := db.Select(pattern)
+		_, rows, err := db.Select(context.Background(), pattern)
 		if err != nil {
 			t.Fatalf("%s: initial Select: %v", label, err)
 		}
@@ -144,7 +145,7 @@ func subscribeMirror(t *testing.T, db *DB, label, subject, object, expr, pattern
 			m.rows[diffRowKey(row)] = true
 		}
 	} else {
-		sols, err := db.Query(subject, expr, object)
+		sols, err := db.Query(context.Background(), subject, expr, object)
 		if err != nil {
 			t.Fatalf("%s: initial Query: %v", label, err)
 		}
@@ -226,7 +227,7 @@ func runStandingDifferential(t *testing.T, graphs int) int {
 			for i := 0; i < rng.Intn(5); i++ {
 				dels = append(dels, triples[rng.Intn(len(triples))])
 			}
-			if _, err := db.Apply(adds, dels); err != nil {
+			if _, err := db.Apply(context.Background(), adds, dels); err != nil {
 				t.Fatalf("g%d step %d: Apply: %v", g, step, err)
 			}
 			if step == 3 {

@@ -40,7 +40,7 @@ func TestSubscribeBasic(t *testing.T) {
 		t.Fatalf("baseline added = %v", d.Added)
 	}
 
-	if _, err := db.Apply([]Triple{{"c", "p", "d"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"c", "p", "d"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	db.SyncStanding()
@@ -63,7 +63,7 @@ func TestSubscribeBasic(t *testing.T) {
 		}
 	}
 
-	if _, err := db.Apply(nil, []Triple{{"b", "p", "c"}}); err != nil {
+	if _, err := db.Apply(context.Background(), nil, []Triple{{"b", "p", "c"}}); err != nil {
 		t.Fatal(err)
 	}
 	db.SyncStanding()
@@ -76,7 +76,7 @@ func TestSubscribeBasic(t *testing.T) {
 		t.Fatalf("delta after del = %+v", d)
 	}
 
-	st := db.StandingStats()
+	st := db.Stats().Standing
 	if st.Active != 1 || st.Deltas != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -111,7 +111,7 @@ func TestSubscribeStartVersionStable(t *testing.T) {
 	start := sub.StartVersion()
 
 	for i := 0; i < 3; i++ {
-		if _, err := db.Apply([]Triple{{fmt.Sprintf("s%d", i), "p", "t"}}, nil); err != nil {
+		if _, err := db.Apply(context.Background(), []Triple{{fmt.Sprintf("s%d", i), "p", "t"}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,7 +146,7 @@ func TestResumeAtDataVersionBeforeSync(t *testing.T) {
 	defer sub.Close()
 
 	for i := 0; i < 4; i++ {
-		if _, err := db.Apply([]Triple{{fmt.Sprintf("r%d", i), "p", "t"}}, nil); err != nil {
+		if _, err := db.Apply(context.Background(), []Triple{{fmt.Sprintf("r%d", i), "p", "t"}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestSubscribeLagAndResume(t *testing.T) {
 	// Four non-empty deltas against a queue of two: versions start+1,
 	// start+2 queue, start+3 and start+4 overflow into history.
 	for i := 0; i < 4; i++ {
-		if _, err := db.Apply([]Triple{{fmt.Sprintf("a%d", i), "p", "b"}}, nil); err != nil {
+		if _, err := db.Apply(context.Background(), []Triple{{fmt.Sprintf("a%d", i), "p", "b"}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestSubscribeLagAndResume(t *testing.T) {
 	if _, _, err := sub.TryNext(); !errors.Is(err, ErrSubscriberLagged) {
 		t.Fatalf("after overflow: err=%v, want ErrSubscriberLagged", err)
 	}
-	st := db.StandingStats()
+	st := db.Stats().Standing
 	if st.Lagged != 1 || st.Overflows != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -217,7 +217,7 @@ func TestSubscribeLagAndResume(t *testing.T) {
 		t.Fatalf("future resume: %v", err)
 	}
 	for i := 0; i < 5; i++ { // push the history floor past start
-		if _, err := db.Apply([]Triple{{fmt.Sprintf("c%d", i), "p", "b"}}, nil); err != nil {
+		if _, err := db.Apply(context.Background(), []Triple{{fmt.Sprintf("c%d", i), "p", "b"}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,7 +258,7 @@ func TestSubscribeUnknownPredicateAndCompaction(t *testing.T) {
 
 	// A compaction swap advances the version without data changes: no
 	// delta, but the registry's cursor must move.
-	if _, err := db.Apply([]Triple{{"x", "p", "y"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"x", "p", "y"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {

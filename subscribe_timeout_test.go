@@ -7,6 +7,7 @@ package ringrpq
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -55,7 +56,7 @@ func TestSubscribeOutlivesServerWriteTimeout(t *testing.T) {
 		// Idle well past the server's write deadline, then update: the
 		// delta must still arrive on the same connection.
 		time.Sleep(3 * ts.Config.WriteTimeout)
-		if _, err := db.Apply([]Triple{{"x0", "p", "x1"}}, nil); err != nil {
+		if _, err := db.Apply(context.Background(), []Triple{{"x0", "p", "x1"}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		waitEvent("delta")

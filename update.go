@@ -210,8 +210,8 @@ func (db *DB) SetCompactionThreshold(n int) {
 	db.h.threshold.Store(int64(n))
 }
 
-// UpdateStats snapshots the live-update counters.
-func (db *DB) UpdateStats() UpdateStats {
+// updateStats snapshots the live-update counters.
+func (db *DB) updateStats() UpdateStats {
 	s := db.h.cur.Load()
 	return UpdateStats{
 		OverlayEdges:    s.ov.AddCount(),
@@ -307,18 +307,15 @@ func (db *DB) resolveDels(dels []Triple) []overlay.Edge {
 // batches are serialised internally. When the overlay crosses the
 // compaction threshold a background rebuild is kicked off (see
 // SetCompactionThreshold and Flush).
-func (db *DB) Apply(adds, dels []Triple) (UpdateStats, error) {
-	return db.ApplyContext(context.Background(), adds, dels)
-}
-
-// ApplyContext is Apply with a context carrying an optional obs.Trace:
-// profiled updates record wal_append, standing_notify and wal_fsync
-// spans. The context does not cancel the apply (batches are atomic).
-func (db *DB) ApplyContext(ctx context.Context, adds, dels []Triple) (UpdateStats, error) {
+//
+// ctx may carry an obs.Trace: profiled updates record wal_append,
+// standing_notify and wal_fsync spans. It does not cancel the apply: a
+// batch is atomic, and a cancelled ctx applies it all the same.
+func (db *DB) Apply(ctx context.Context, adds, dels []Triple) (UpdateStats, error) {
 	tr := obs.FromContext(ctx)
 	preds, err := db.predsOf(adds)
 	if err != nil {
-		return db.UpdateStats(), err
+		return db.updateStats(), err
 	}
 	h := db.h
 	// Encode the WAL record outside the lock; the triples are the
@@ -343,7 +340,7 @@ func (db *DB) ApplyContext(ctx context.Context, adds, dels []Triple) (UpdateStat
 			// Nothing interned, nothing published: the batch never
 			// happened. The wedged log fails every later Apply too.
 			h.mu.Unlock()
-			return db.UpdateStats(), fmt.Errorf("ringrpq: wal append: %w", err)
+			return db.updateStats(), fmt.Errorf("ringrpq: wal append: %w", err)
 		}
 	}
 	addEdges := db.internAdds(adds, preds)
@@ -389,7 +386,7 @@ func (db *DB) ApplyContext(ctx context.Context, adds, dels []Triple) (UpdateStat
 		err := sink.log.Sync(lsn)
 		tr.End(fsp)
 		if err != nil {
-			return db.UpdateStats(), fmt.Errorf("ringrpq: wal fsync: %w", err)
+			return db.updateStats(), fmt.Errorf("ringrpq: wal fsync: %w", err)
 		}
 	}
 
@@ -401,7 +398,7 @@ func (db *DB) ApplyContext(ctx context.Context, adds, dels []Triple) (UpdateStat
 			}()
 		}
 	}
-	return db.UpdateStats(), nil
+	return db.updateStats(), nil
 }
 
 // Flush synchronously compacts: it rebuilds the static index from

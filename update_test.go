@@ -48,22 +48,22 @@ func TestApplyVisibleWithoutRebuild(t *testing.T) {
 	}
 	db.SetCompactionThreshold(-1) // no rebuilds in this test
 
-	if n, _ := db.Count("a", "knows+", "?x"); n != 2 {
+	if n, _ := db.Count(context.Background(), "a", "knows+", "?x"); n != 2 {
 		t.Fatalf("pre-update count = %d, want 2", n)
 	}
 
 	// Add a chain extension through a brand-new node, delete one edge.
-	if _, err := db.Apply([]Triple{{"c", "knows", "dee"}}, []Triple{{"b", "knows", "c"}}); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"c", "knows", "dee"}}, []Triple{{"b", "knows", "c"}}); err != nil {
 		t.Fatal(err)
 	}
-	sols, err := db.Query("a", "knows+", "?x")
+	sols, err := db.Query(context.Background(), "a", "knows+", "?x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sortedPairs(sols); !equalPairs(got, []string{"a→b"}) {
 		t.Fatalf("post-update: %v (the b→c edge is deleted, so c/dee are unreachable)", got)
 	}
-	sols, err = db.Query("c", "knows", "?x")
+	sols, err = db.Query(context.Background(), "c", "knows", "?x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,26 +71,26 @@ func TestApplyVisibleWithoutRebuild(t *testing.T) {
 		t.Fatalf("new-node edge missing: %v", got)
 	}
 	// Inverse direction of the overlay edge.
-	if n, _ := db.Count("dee", "^knows", "?x"); n != 1 {
+	if n, _ := db.Count(context.Background(), "dee", "^knows", "?x"); n != 1 {
 		t.Fatalf("inverse of the overlay edge missing")
 	}
 	// Pattern execution sees the union too.
-	_, rows, err := db.Select("SELECT ?x WHERE { a knows ?y . ?y knows* ?x }")
+	_, rows, err := db.Select(context.Background(), "SELECT ?x WHERE { a knows ?y . ?y knows* ?x }")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 || rows[0][0] != "b" {
 		t.Fatalf("pattern over union: %v", rows)
 	}
-	if st := db.UpdateStats(); st.OverlayEdges != 2 || st.Tombstones != 2 || st.Epoch != 0 {
+	if st := db.Stats().Updates; st.OverlayEdges != 2 || st.Tombstones != 2 || st.Epoch != 0 {
 		t.Fatalf("update stats: %+v", st)
 	}
 
 	// Unknown predicates are rejected; deletes of unknown names no-op.
-	if _, err := db.Apply([]Triple{{"a", "likes", "b"}}, nil); !errors.Is(err, ErrUnknownPredicate) {
+	if _, err := db.Apply(context.Background(), []Triple{{"a", "likes", "b"}}, nil); !errors.Is(err, ErrUnknownPredicate) {
 		t.Fatalf("unknown predicate: err = %v", err)
 	}
-	if _, err := db.Apply(nil, []Triple{{"zz", "knows", "qq"}}); err != nil {
+	if _, err := db.Apply(context.Background(), nil, []Triple{{"zz", "knows", "qq"}}); err != nil {
 		t.Fatalf("no-op delete: %v", err)
 	}
 }
@@ -108,14 +108,14 @@ func TestBeginCommitAndFlush(t *testing.T) {
 	}
 	db.SetCompactionThreshold(-1)
 
-	if _, err := db.Apply([]Triple{{"c", "p", "d"}}, []Triple{{"a", "p", "b"}}); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"c", "p", "d"}}, []Triple{{"a", "p", "b"}}); err != nil {
 		t.Fatal(err)
 	}
-	before, err := db.Query("?x", "p", "?y")
+	before, err := db.Query(context.Background(), "?x", "p", "?y")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := db.UpdateStats()
+	st := db.Stats().Updates
 	if st.OverlayEdges != 2 || st.Tombstones != 2 {
 		t.Fatalf("overlay before flush: %+v", st)
 	}
@@ -123,11 +123,11 @@ func TestBeginCommitAndFlush(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st = db.UpdateStats()
+	st = db.Stats().Updates
 	if st.OverlayEdges != 0 || st.Tombstones != 0 || st.Epoch != 1 || st.Compactions != 1 {
 		t.Fatalf("post-flush stats: %+v", st)
 	}
-	after, err := db.Query("?x", "p", "?y")
+	after, err := db.Query(context.Background(), "?x", "p", "?y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBeginCommitAndFlush(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.UpdateStats(); st.Epoch != 1 {
+	if st := db.Stats().Updates; st.Epoch != 1 {
 		t.Fatalf("no-op flush moved the epoch: %+v", st)
 	}
 }
@@ -152,7 +152,7 @@ func TestSaveFlushesOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetCompactionThreshold(-1)
-	if _, err := db.Apply([]Triple{{"b", "p", "newkid"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"b", "p", "newkid"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -163,7 +163,7 @@ func TestSaveFlushesOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := db2.Count("a", "p/p", "?x"); n != 1 {
+	if n, _ := db2.Count(context.Background(), "a", "p/p", "?x"); n != 1 {
 		t.Fatalf("reloaded database lost the overlay edge")
 	}
 }
@@ -230,7 +230,7 @@ func TestUpdateDifferential(t *testing.T) {
 					if inverse {
 						expr = "^" + p
 					}
-					sols, err := db.Query(s, expr, "?x")
+					sols, err := db.Query(context.Background(), s, expr, "?x")
 					if err != nil {
 						t.Fatalf("step %d: query(%s, %s): %v", step, s, expr, err)
 					}
@@ -261,7 +261,7 @@ func TestUpdateDifferential(t *testing.T) {
 					adds = append(adds, tr)
 				}
 			}
-			if _, err := db.Apply(adds, dels); err != nil {
+			if _, err := db.Apply(context.Background(), adds, dels); err != nil {
 				t.Fatal(err)
 			}
 			// The oracle applies adds first, dels second — DB.Apply's
@@ -275,7 +275,7 @@ func TestUpdateDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(999)
-	if db.UpdateStats().Epoch == 0 {
+	if db.Stats().Updates.Epoch == 0 {
 		t.Fatalf("no compaction ever ran; the interleaving lost its bite")
 	}
 }
@@ -297,17 +297,17 @@ func TestCompactionWithEmptyShard(t *testing.T) {
 		db.SetCompactionThreshold(-1)
 		step := func(adds, dels []Triple, wantPairs ...string) {
 			t.Helper()
-			if _, err := db.Apply(adds, dels); err != nil {
+			if _, err := db.Apply(context.Background(), adds, dels); err != nil {
 				t.Fatal(err)
 			}
-			epoch := db.UpdateStats().Epoch
+			epoch := db.Stats().Updates.Epoch
 			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if st := db.UpdateStats(); st.Epoch != epoch+1 || st.OverlayEdges+st.Tombstones != 0 {
+			if st := db.Stats().Updates; st.Epoch != epoch+1 || st.OverlayEdges+st.Tombstones != 0 {
 				t.Fatalf("flush did not compact: %+v", st)
 			}
-			sols, err := db.Query("?x", "p+", "?y")
+			sols, err := db.Query(context.Background(), "?x", "p+", "?y")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,7 +357,7 @@ func TestUpdateStressTornSnapshot(t *testing.T) {
 			for i := 1; i <= moves; i++ {
 				old := fmt.Sprintf("t%04d", i-1)
 				next := fmt.Sprintf("t%04d", i)
-				if _, err := db.Apply(
+				if _, err := db.Apply(context.Background(),
 					[]Triple{{"src", "mark", next}},
 					[]Triple{{"src", "mark", old}},
 				); err != nil {
@@ -402,14 +402,14 @@ func TestUpdateStressTornSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		final := fmt.Sprintf("t%04d", moves)
-		sols, err := db.Query("src", "mark", "?x")
+		sols, err := db.Query(context.Background(), "src", "mark", "?x")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(sols) != 1 || sols[0].Object != final {
 			t.Fatalf("final marker = %v, want %s", sortedPairs(sols), final)
 		}
-		if db.UpdateStats().Epoch == 0 {
+		if db.Stats().Updates.Epoch == 0 {
 			t.Fatalf("stress run never compacted")
 		}
 	})
@@ -432,7 +432,7 @@ func TestConcurrentUpdateBatches(t *testing.T) {
 			defer wg.Done()
 			h := db.Clone()
 			for i := 0; i < 25; i++ {
-				if _, err := h.Apply([]Triple{{fmt.Sprintf("w%d", w), "p", fmt.Sprintf("x%d_%d", w, i)}}, nil); err != nil {
+				if _, err := h.Apply(context.Background(), []Triple{{fmt.Sprintf("w%d", w), "p", fmt.Sprintf("x%d_%d", w, i)}}, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -444,11 +444,11 @@ func TestConcurrentUpdateBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < 4; w++ {
-		if n, _ := db.Count(fmt.Sprintf("w%d", w), "p", "?x"); n != 25 {
+		if n, _ := db.Count(context.Background(), fmt.Sprintf("w%d", w), "p", "?x"); n != 25 {
 			t.Fatalf("writer %d lost updates: %d/25", w, n)
 		}
 	}
-	if st := db.UpdateStats(); st.DataVersion != 101 && st.DataVersion != 102 {
+	if st := db.Stats().Updates; st.DataVersion != 101 && st.DataVersion != 102 {
 		// 100 applies + 1–2 swaps (auto + explicit flush).
 		t.Logf("data version %d (informational)", st.DataVersion)
 	}
@@ -465,10 +465,10 @@ func TestUpdateTimeoutStillHonoured(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetCompactionThreshold(-1)
-	if _, err := db.Apply([]Triple{{"n0", "p", "n100"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"n0", "p", "n100"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	err = db.QueryFunc("?x", "p*", "?y", func(Solution) bool {
+	err = db.QueryFunc(context.Background(), "?x", "p*", "?y", func(Solution) bool {
 		time.Sleep(50 * time.Microsecond)
 		return true
 	}, WithTimeout(time.Millisecond))
@@ -488,7 +488,7 @@ func TestRejectedApplyLeavesNoPhantomNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := len(db.Nodes())
-	if _, err := db.Apply([]Triple{{"ghost1", "p", "ghost2"}, {"x", "bogus", "y"}}, nil); !errors.Is(err, ErrUnknownPredicate) {
+	if _, err := db.Apply(context.Background(), []Triple{{"ghost1", "p", "ghost2"}, {"x", "bogus", "y"}}, nil); !errors.Is(err, ErrUnknownPredicate) {
 		t.Fatalf("err = %v", err)
 	}
 	if got := len(db.Nodes()); got != before {
@@ -496,10 +496,10 @@ func TestRejectedApplyLeavesNoPhantomNodes(t *testing.T) {
 	}
 	// A later valid update must not resurrect the phantoms as (v, v)
 	// self-pairs of nullable queries.
-	if _, err := db.Apply([]Triple{{"a", "p", "c"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"a", "p", "c"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	sols, err := db.Query("?x", "p?", "?y")
+	sols, err := db.Query(context.Background(), "?x", "p?", "?y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,14 +523,14 @@ func TestReplayLogBounded(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		// Add then delete the same non-static edge: consolidated weight
 		// returns to zero every other batch.
-		if _, err := db.Apply([]Triple{{"a", "p", "zz"}}, nil); err != nil {
+		if _, err := db.Apply(context.Background(), []Triple{{"a", "p", "zz"}}, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.Apply(nil, []Triple{{"a", "p", "zz"}}); err != nil {
+		if _, err := db.Apply(context.Background(), nil, []Triple{{"a", "p", "zz"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := db.UpdateStats()
+	st := db.Stats().Updates
 	if st.OverlayEdges != 0 || st.Tombstones != 0 {
 		t.Fatalf("overlay should have cancelled out: %+v", st)
 	}
@@ -556,7 +556,7 @@ func TestNullableAnswerIndependentOfHistory(t *testing.T) {
 	}
 	apply := func(adds, dels []Triple) {
 		t.Helper()
-		if _, err := db.Apply(adds, dels); err != nil {
+		if _, err := db.Apply(context.Background(), adds, dels); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -568,13 +568,13 @@ func TestNullableAnswerIndependentOfHistory(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		if n, err := db.Count("?x", "pa*", "?y"); err != nil || n != 7 {
+		if n, err := db.Count(context.Background(), "?x", "pa*", "?y"); err != nil || n != 7 {
 			t.Fatalf("%s: Count(?x pa* ?y) = %d, %v; want 7", when, n, err)
 		}
-		if sols, err := db.Query("z", "pa?", "z"); err != nil || len(sols) != 1 {
+		if sols, err := db.Query(context.Background(), "z", "pa?", "z"); err != nil || len(sols) != 1 {
 			t.Fatalf("%s: Query(z pa? z) = %v, %v; want the one self-pair", when, sols, err)
 		}
-		_, rows, err := db.Select("?x pa* ?y")
+		_, rows, err := db.Select(context.Background(), "?x pa* ?y")
 		if err != nil {
 			t.Fatal(err)
 		}
