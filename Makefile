@@ -76,21 +76,26 @@ bench:
 	$(GO) test -run NONE -bench 'Service' -benchtime 2s .
 
 # One-iteration smoke run of the hot-path micro-benchmarks (broadword
-# select, multi-range wavelet descent, batched vs unbatched BFS, the
+# select, multi-range wavelet descent over frontier-shaped and
+# one-position L_s-shaped ranges, batched vs unbatched BFS, the
 # Limit-bound traversal, reads with and without an overlay attached to
 # the kernel, a pattern join under a fixed order, a pattern pool
 # through one executor's plan memo), of
 # the compactor's (matrix build, counting-sort ring build, bulk triple
 # decode, per-batch overlay consolidation), of a fresh database's
-# Load + Build (locality numbering included, with allocs/op) and of the
-# handler's result-cache hit and miss: makes sure the benchmark code
-# keeps compiling and running under ci.
+# Load + Build (locality numbering included, with allocs/op), of the
+# g100k Table-1 log through a built database (with visits/op) and of
+# the handler's result-cache hit and miss: makes sure the benchmark
+# code keeps compiling and running under ci. A descent change is sized
+# with paired -count runs of the same benchmarks, e.g.
+# go test -run NONE -bench 'TraverseMany|WorkLog' -count 10 at each
+# commit.
 bench-short:
 	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS|LimitedBFS' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
 	$(GO) test -run NONE -bench 'MatrixBuild|FromTriples|RingTriples|OverlayApply|StaticReads|UnionReads10' -benchtime 1x \
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
-	$(GO) test -run NONE -bench '^BenchmarkBuild$$' -benchtime 1x .
+	$(GO) test -run NONE -bench '^Benchmark(Build|WorkLog)$$' -benchtime 1x .
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 	$(GO) test -run NONE -bench 'HandlerCacheHit|HandlerMiss' -benchtime 1x ./internal/service/
 	$(GO) test -run NONE -bench JoinWith -benchtime 1x ./internal/ltj/

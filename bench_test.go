@@ -7,6 +7,7 @@
 //	Fig. 8   → BenchmarkFig8 (sub-benchmarks per pattern and system)
 //	§5 index construction → BenchmarkRingConstruction, and a whole
 //	           database's Load + Build → BenchmarkBuild
+//	§4 traversal work of a built database → BenchmarkWorkLog
 //	Design-choice ablations (§4/§6) → BenchmarkAblation*
 package ringrpq
 
@@ -166,6 +167,36 @@ func BenchmarkBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWorkLog times TestWorkCeilings' log, the g100k Table-1
+// queries at the benchmark's limit of 1000, through a built database's
+// kernel: one op is one pass over the 289 queries. It reports the
+// wavelet visits per pass, which a change to the descent alone must
+// leave as they are; paired runs of two commits (-count 10 each,
+// alternating) size such a change without the HTTP benchmark.
+func BenchmarkWorkLog(b *testing.B) {
+	nt, _, qs := g100k(b)
+	db := buildNT(b, nt)
+	eng := newEngine(db.g, db.h.cur.Load().r)
+	log := make([]core.Query, len(qs))
+	for i, q := range qs {
+		log[i] = logQuery(b, db.g, q)
+	}
+	emit := func(uint32, uint32) bool { return true }
+	visits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		visits = 0
+		for _, q := range log {
+			st, err := eng.Eval(context.Background(), q, core.Options{Limit: 1000}, emit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			visits += st.WaveletVisits
+		}
+	}
+	b.ReportMetric(float64(visits), "visits/op")
 }
 
 // --- Ablations -----------------------------------------------------------

@@ -15,8 +15,9 @@ import (
 // The frontier is converted to sorted disjoint L_p ranges (adjacent
 // object ranges with equal state masks coalesce), part 1 runs as one
 // multi-range wavelet descent that splits the item list at each node,
-// the per-predicate L_s ranges it produces are accumulated, sorted and
-// coalesced, and part 2 runs as one more multi-range descent. The
+// the per-predicate L_s ranges it produces are accumulated (in position
+// order, as its leaves arrive) and coalesced, and part 2 runs as one
+// more multi-range descent. The
 // B[v]/D[v] pruning of §4.1–4.2 applies per item at every node, so the
 // visited product subgraph — and with it the Theorem 4.1 work bound —
 // is exactly the one the item-at-a-time traversal explores; only the
@@ -166,9 +167,9 @@ func (e *Engine) part2Many(eng *glushkov.Engine, w *ringWork, lsItems []wavelet.
 	if len(lsItems) == 0 {
 		return nil
 	}
-	// Leaves of part 1 arrive in bottom-level (bit-reversal) order for
-	// the wavelet matrix; restore position order before descending.
-	slices.SortFunc(lsItems, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
+	// Part 1's descent reaches its leaves in predicate order and each
+	// leaf's items in rank order (TestTraverseManyLeafOrder), so the
+	// C_p+rank ranges are already in position order.
 	first, rest := e.splitOwed(eng.Init, lsItems)
 	if err := e.descendLs(eng, w, first, emit); err != nil || len(rest) == 0 {
 		return err

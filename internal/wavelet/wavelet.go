@@ -17,6 +17,7 @@
 package wavelet
 
 import (
+	"math/bits"
 	"sync"
 
 	"ringrpq/internal/bitvec"
@@ -120,28 +121,49 @@ func clampRangeMasks(items []RangeMask, n int) []RangeMask {
 	return live
 }
 
+// wordRank1 returns Rank1(x) of the bitvector whose words these are,
+// given r = Rank1(p) for p ≤ x and p < its length, when x lies in p's
+// word or at its end: one masked popcount. ok is false otherwise, and
+// the caller asks the rank directory. It must stay inlinable (check
+// with go build -gcflags=-m): the same-word path is the common case of
+// every descent, and a call per boundary costs as much as it saves.
+func wordRank1(words []uint64, p, r, x int) (rank int, ok bool) {
+	if d := x - p; p&63+d <= 64 {
+		return r + bits.OnesCount64(words[p>>6]>>uint(p&63)&(1<<uint(d)-1)), true
+	}
+	return 0, false
+}
+
 // splitRangeMasks maps the items of one wavelet node through its
 // bitvector: left-child ranges are appended to *arena and right-child
 // ranges compacted into items in place (offset by z, the start of the
 // right child's position space, the level's zeros count), both
-// coalescing adjacent same-mask ranges.
-// Items that merely touch (frontier ranges with different masks) share
-// a boundary, whose rank is computed once. It returns the right-child
-// prefix of items.
+// coalescing adjacent same-mask ranges. A running cursor (pos,
+// Rank1(pos)) follows the sorted items, so a boundary in the cursor's
+// word costs one masked popcount, and items that merely touch share
+// their boundary's rank; an item starting before the cursor (items may
+// overlap) restarts it. It returns the right-child prefix of items.
 func splitRangeMasks(bv *bitvec.Vector, z int, items []RangeMask, arena *[]RangeMask) []RangeMask {
 	base := len(*arena)
-	prevPos, prevRank := -1, 0
+	words := bv.Words()
+	pos, r1 := 0, 0
 	w := 0
 	for i := range items {
 		it := items[i]
-		lb := prevRank
-		if it.B != prevPos {
-			lb = bv.Rank0(it.B)
+		var ok bool
+		if it.B >= pos {
+			r1, ok = wordRank1(words, pos, r1, it.B)
 		}
-		le := bv.Rank0(it.E)
-		prevPos, prevRank = it.E, le
-		pushRangeMask(arena, base, RangeMask{B: lb, E: le, Mask: it.Mask, Tag: it.Tag})
-		rb, re := z+(it.B-lb), z+(it.E-le)
+		if !ok {
+			r1 = bv.Rank1(it.B)
+		}
+		r1b := r1
+		if r1, ok = wordRank1(words, it.B, r1b, it.E); !ok {
+			r1 = bv.Rank1(it.E)
+		}
+		pos = it.E
+		pushRangeMask(arena, base, RangeMask{B: it.B - r1b, E: it.E - r1, Mask: it.Mask, Tag: it.Tag})
+		rb, re := z+r1b, z+r1
 		if rb >= re {
 			continue
 		}
