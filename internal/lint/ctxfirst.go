@@ -9,10 +9,8 @@ import (
 // implementations carry request-scoped state (trace, deadline) and so
 // must accept a context first.
 var ctxIfaceNames = map[string]bool{
-	"Backend":        true,
-	"PatternBackend": true,
-	"Updater":        true,
-	"Evaluator":      true,
+	"Backend":   true,
+	"Evaluator": true,
 }
 
 // ctxMethodNames are the methods those interfaces are recognized by —
@@ -36,11 +34,11 @@ var (
 )
 
 // CtxFirst enforces the ctx-first calling convention: the seam
-// interfaces (Backend, PatternBackend, Updater, core.Evaluator)
-// declare context.Context as the first parameter of their request
-// methods, exported methods of their implementations never take a
-// context anywhere but first, and the public DB and Service methods
-// that evaluate or update take one first.
+// interfaces (service.Backend, core.Evaluator) declare context.Context
+// as the first parameter of their request methods, exported methods of
+// their implementations never take a context anywhere but first, and
+// the public DB and Service methods that evaluate or update take one
+// first.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc:  "seam interfaces, their implementations and the public DB/Service reads and updates take context.Context as the first parameter",

@@ -8,16 +8,14 @@ type Evaluator interface {
 	Eval(q int, emit func(uint32, uint32) bool) error // want "must take context.Context as its first parameter"
 }
 
-// Backend is a correct seam interface: ctx comes first.
+// Backend is a seam interface: Eval takes ctx first, ApplyUpdates does
+// not, and EvalPattern is a suppressed violation — the directive names
+// the analyzer and gives a reason, so nothing is reported for it.
 type Backend interface {
 	Eval(ctx context.Context, q int) error
-}
-
-// Updater is a suppressed violation: the directive names the analyzer
-// and gives a reason, so nothing is reported.
-type Updater interface {
-	//lint:ignore ctxfirst frozen wire-compat shim; new code uses Backend
-	ApplyUpdates(adds []int) error
+	ApplyUpdates(adds []int) error // want "interface method Backend.ApplyUpdates must take context.Context as its first parameter"
+	//lint:ignore ctxfirst frozen wire-compat shim; new code uses Eval
+	EvalPattern(q int) error
 }
 
 // NotASeam shares a method name but not a seam name: ignored.
@@ -25,16 +23,24 @@ type NotASeam interface {
 	Eval(q int) error
 }
 
-// GoodImpl implements Backend with ctx first everywhere.
+// GoodImpl implements Backend with ctx first everywhere it takes one.
 type GoodImpl struct{}
 
 func (GoodImpl) Eval(ctx context.Context, q int) error { return nil }
+
+func (GoodImpl) ApplyUpdates(adds []int) error { return nil }
+
+func (GoodImpl) EvalPattern(q int) error { return nil }
 
 // BadImpl implements Backend but misplaces ctx on another exported
 // method.
 type BadImpl struct{}
 
 func (BadImpl) Eval(ctx context.Context, q int) error { return nil }
+
+func (BadImpl) ApplyUpdates(adds []int) error { return nil }
+
+func (BadImpl) EvalPattern(q int) error { return nil }
 
 func (BadImpl) Describe(name string, ctx context.Context) {} // want "must come first"
 

@@ -141,6 +141,8 @@ type UpdateResultJSON struct {
 //	POST /query   evaluate one 2RPQ         (QueryJSON → ResultJSON)
 //	POST /select  evaluate a graph pattern  (SelectJSON → SelectResultJSON)
 //	POST /batch   evaluate many queries     (BatchJSON → {"results": [...]})
+//	POST /update  apply one update batch    (UpdateJSON or NDJSON →
+//	              UpdateResultJSON)
 //	GET  /subscribe  standing-query deltas  (SSE or long-poll; see
 //	                 DecodeSubscribeRequest)
 //	DELETE /subscribe?id=N  terminate a subscription
@@ -285,7 +287,7 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	ctx, tr, root := h.traceFor(r, req)
-	writeResult(w, tr, root, req, h.s.do(ctx, req, nil), start)
+	writeResult(w, tr, root, req, h.s.do(ctx, req), start)
 }
 
 // writeResult answers /query and /select. A cache miss and a cache hit
@@ -424,7 +426,7 @@ func (h *handler) readyz(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"status": "unavailable", "reason": "service closed"})
 		return
 	}
-	if err := h.s.walErr(); err != nil {
+	if err := h.s.src.WALErr(); err != nil {
 		writeJSON(w, http.StatusServiceUnavailable,
 			map[string]string{"status": "unavailable", "reason": "write-ahead log wedged: " + err.Error()})
 		return

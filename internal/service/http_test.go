@@ -144,8 +144,6 @@ func (statsFake) BackendStats() (standing.Stats, WALStats, any) {
 	return standing.Stats{}, WALStats{}, map[string]int{"nodes": 42}
 }
 
-func (statsFake) WALErr() error { return nil }
-
 func TestHTTPStatsAndHealth(t *testing.T) {
 	srv := newTestServer(t, statsFake{newFake(1)}, Config{Workers: 3}, HandlerConfig{})
 

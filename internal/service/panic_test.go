@@ -22,6 +22,7 @@ import (
 // panicFake panics on subject "boom", blocks on the gate for subject
 // "block", and otherwise emits one solution.
 type panicFake struct {
+	stubBackend
 	shared  *fakeShared
 	entered chan struct{} // closed once a "block" evaluation has started
 	clones  atomic.Int64

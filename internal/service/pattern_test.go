@@ -3,21 +3,19 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/query"
 )
 
-// patternFake implements Backend + PatternBackend: every pattern
-// evaluation emits `rows` fixed rows and counts invocations on the
-// shared struct.
+// patternFake answers every pattern evaluation with `rows` fixed rows
+// and counts invocations on the shared struct.
 type patternFake struct {
+	stubBackend
 	shared *patternFakeShared
 }
 
@@ -31,10 +29,6 @@ func newPatternFake(rows int) *patternFake {
 }
 
 func (f *patternFake) Clone() Backend { return &patternFake{shared: f.shared} }
-
-func (f *patternFake) Eval(_ context.Context, subject string, expr pathexpr.Node, object string, limit int, timeout time.Duration, emit func(Solution) bool) error {
-	return nil
-}
 
 func (f *patternFake) EvalPattern(_ context.Context, q *query.Query, limit int, timeout time.Duration, emit func([]string) bool) error {
 	f.shared.evals.Add(1)
@@ -99,24 +93,10 @@ func TestServicePatternRequests(t *testing.T) {
 	if res := s.Select(ctx, Request{Expr: "p"}); res.Err == nil {
 		t.Fatal("Select without Pattern accepted")
 	}
-	// Pattern requests cannot be streamed.
-	err := s.QueryFunc(ctx, Request{Pattern: "?x p ?y"}, func(Solution) bool { return true })
-	if err == nil {
-		t.Fatal("streamed pattern request accepted")
-	}
 
 	st := s.Stats()
 	if st.PatternMisses == 0 || st.PatternEntries == 0 {
 		t.Fatalf("pattern cache counters not wired: %+v", st)
-	}
-}
-
-func TestServicePatternUnsupportedBackend(t *testing.T) {
-	s := New(newFake(1), Config{Workers: 1})
-	defer s.Close()
-	res := s.Select(context.Background(), Request{Pattern: "?x p ?y"})
-	if !errors.Is(res.Err, errNoPatterns) {
-		t.Fatalf("got %v, want errNoPatterns", res.Err)
 	}
 }
 

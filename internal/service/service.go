@@ -3,14 +3,15 @@
 // construction, so it can be shared lock-free by any number of
 // evaluation engines; what each engine owns privately is a set of
 // working arrays (core.Engine). The service multiplexes requests over a
-// fixed pool of such engines:
+// fixed pool of such engines, all clones of one Backend:
 //
 //	clients → bounded queue → N workers (one Backend clone each) → shared index
 //
-// On top of the pool sit two caches that exploit the same immutability:
-// a compiled-query cache that canonicalises path expressions and reuses
-// parsed ASTs across requests, and an LRU result cache bounded by entry
-// count and bytes. Requests carry per-call limits and deadlines, batches
+// On top of the pool sit three caches: an expression cache and a
+// pattern cache that canonicalise path expressions and graph patterns
+// and reuse their parsed forms across requests, and an LRU result
+// cache bounded by entry count and bytes and pinned to the backend's
+// data version. Requests carry per-call limits and deadlines, batches
 // fan out across the pool, and Close drains the queue for a graceful
 // shutdown.
 package service
@@ -20,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -42,9 +42,12 @@ type Solution struct {
 	Subject, Object string
 }
 
-// Backend evaluates one query at a time over an immutable index. A
-// Backend is not safe for concurrent use; the pool calls Clone once per
-// worker and then confines each clone to its goroutine.
+// Backend is the index a Service runs over. Clone, Eval and
+// EvalPattern evaluate one query at a time and are not safe for
+// concurrent use: the pool calls Clone once per worker and then confines
+// each clone to its goroutine. Every other method goes to the backend
+// the Service was built over, never through the pool, and must be safe
+// for concurrent use.
 type Backend interface {
 	// Clone returns an independent evaluator over the same index.
 	Clone() Backend
@@ -57,15 +60,32 @@ type Backend interface {
 	// requests); cancellation is handled by the service's emit wrapper,
 	// so backends need not watch ctx.Done themselves.
 	Eval(ctx context.Context, subject string, expr pathexpr.Node, object string, limit int, timeout time.Duration, emit func(Solution) bool) error
-}
-
-// PatternBackend is optionally implemented by backends that can
-// evaluate graph patterns (Request.Pattern). EvalPattern streams the
-// projected, deduplicated result rows of q (values ordered by
-// q.OutVars()); limit caps rows and timeout mirrors Eval's contract.
-// Requests with Pattern set fail against backends without it.
-type PatternBackend interface {
+	// EvalPattern streams the projected, deduplicated result rows of
+	// the graph pattern q (values ordered by q.OutVars()); limit caps
+	// rows and timeout mirrors Eval's contract.
 	EvalPattern(ctx context.Context, q *query.Query, limit int, timeout time.Duration, emit func(row []string) bool) error
+
+	// ApplyUpdates applies one live-update batch, adds then dels
+	// (POST /update).
+	ApplyUpdates(ctx context.Context, adds, dels []UpdateTriple) (UpdateResult, error)
+	// DataVersion advances on every visible change to the data —
+	// applies and compaction swaps. The result cache keys its entries
+	// to it, so results computed against superseded data are never
+	// replayed.
+	DataVersion() uint64
+
+	// Subscribe, ResumeSubscription and Unsubscribe register, reattach
+	// and end standing queries (GET and DELETE /subscribe).
+	Subscribe(req standing.Request) (*standing.Sub, error)
+	ResumeSubscription(id, from uint64) (*standing.Sub, error)
+	Unsubscribe(id uint64) bool
+
+	// BackendStats reports the Standing and WAL blocks of Stats, and
+	// index, the block GET /stats renders under "index" (nil for none).
+	BackendStats() (st standing.Stats, wal WALStats, index any)
+	// WALErr returns the write-ahead log's latched I/O failure, or nil
+	// (also without a log). GET /readyz reads only this.
+	WALErr() error
 }
 
 // UpdateTriple is one update triple in string form.
@@ -82,31 +102,6 @@ type UpdateResult struct {
 	// Compacting reports a background compaction in flight.
 	Compacting bool
 }
-
-// Updater is optionally implemented by backends whose index accepts
-// live updates (Service.Update, POST /update). Apply must be safe for
-// concurrent use — it goes to the shared snapshot holder, not through
-// the worker pool.
-type Updater interface {
-	ApplyUpdates(ctx context.Context, adds, dels []UpdateTriple) (UpdateResult, error)
-}
-
-// Versioned is optionally implemented by backends whose data can
-// change (live updates). DataVersion must advance on every visible
-// change — applies and compaction swaps — and be safe for concurrent
-// use. The result cache keys its entries to it, so results computed
-// against superseded data are never replayed.
-type Versioned interface {
-	DataVersion() uint64
-}
-
-// errNoPatterns reports a pattern request against a backend that does
-// not implement PatternBackend.
-var errNoPatterns = errors.New("service: backend does not support graph patterns")
-
-// errNoUpdates reports an update against a backend that does not
-// implement Updater.
-var errNoUpdates = errors.New("service: backend does not support live updates")
 
 // Config tunes a Service. The zero value picks sensible defaults;
 // negative cache sizes disable the corresponding cache.
@@ -169,8 +164,7 @@ type Request struct {
 	Expr string
 	// Pattern, when non-empty, makes this a graph-pattern request
 	// (internal/query syntax); Subject/Expr/Object are ignored and the
-	// result arrives as Vars/Rows instead of Solutions. Pattern
-	// requests cannot be streamed through QueryFunc.
+	// result arrives as Vars/Rows instead of Solutions.
 	Pattern string
 	// Limit caps the number of solutions (pattern requests: distinct
 	// projected rows); 0 or negative means unlimited.
@@ -283,12 +277,10 @@ type Stats struct {
 	// scrape.
 	Latency     LatencySummary
 	EvalLatency LatencySummary
-	// Standing describes the standing-query subsystem (zero when the
-	// backend has no subscription support).
+	// Standing describes the backend's standing queries and WAL its
+	// durability layer (Enabled false without a write-ahead log).
 	Standing standing.Stats
-	// WAL describes the durability layer (Enabled false when the backend
-	// has no write-ahead log).
-	WAL WALStats
+	WAL      WALStats
 }
 
 // LatencySummary condenses one latency histogram for /stats.
@@ -346,27 +338,15 @@ type WALStats struct {
 	WedgeReason string
 }
 
-// StatsBackend is optionally implemented by backends with standing
-// queries, a write-ahead log or statistics of their own. Its methods
-// must be safe for concurrent use.
-type StatsBackend interface {
-	// BackendStats reports the Standing and WAL blocks of Stats, and
-	// index, the block GET /stats renders under "index" (nil for none).
-	BackendStats() (st standing.Stats, wal WALStats, index any)
-	// WALErr returns the write-ahead log's latched I/O failure, or nil
-	// (also without a log). GET /readyz reads only this.
-	WALErr() error
-}
-
 // Service is the concurrent query front-end over an immutable index.
 // All methods are safe for concurrent use.
 type Service struct {
 	cfg   Config
 	queue chan *job
 
-	// src is the backend the service was built over: updates and data
-	// versions go to it directly (both are safe for concurrent use by
-	// contract), never through the worker clones.
+	// src is the backend the service was built over: updates, data
+	// versions, subscriptions and stats go to it directly (all safe for
+	// concurrent use by contract), never through the worker clones.
 	src Backend
 
 	mu     sync.RWMutex // guards closed vs. queue sends
@@ -429,7 +409,6 @@ type job struct {
 	// unbounded.
 	deadline time.Time
 	enqueued time.Time
-	stream   func(Solution) bool
 	done     chan Result
 
 	// trace is non-nil for profiled jobs; root is the index of the
@@ -467,13 +446,13 @@ func New(backend Backend, cfg Config) *Service {
 // Query evaluates one request and returns its materialised result set.
 func (s *Service) Query(ctx context.Context, req Request) Result {
 	req.Count = false
-	return s.do(ctx, req, nil)
+	return s.do(ctx, req)
 }
 
 // Count evaluates one request returning only the solution count.
 func (s *Service) Count(ctx context.Context, req Request) Result {
 	req.Count = true
-	return s.do(ctx, req, nil)
+	return s.do(ctx, req)
 }
 
 // Select evaluates one graph-pattern request (req.Pattern) through the
@@ -482,19 +461,7 @@ func (s *Service) Select(ctx context.Context, req Request) Result {
 	if req.Pattern == "" {
 		return Result{Err: errors.New("service: Select needs a Pattern")}
 	}
-	return s.do(ctx, req, nil)
-}
-
-// QueryFunc streams solutions to emit, which runs on a worker goroutine
-// and may return false to stop early. Streamed requests bypass the
-// result cache. QueryFunc returns only after emit can no longer be
-// called.
-func (s *Service) QueryFunc(ctx context.Context, req Request, emit func(Solution) bool) error {
-	if emit == nil {
-		return errors.New("service: nil emit")
-	}
-	req.Count = false
-	return s.do(ctx, req, emit).Err
+	return s.do(ctx, req)
 }
 
 // Batch evaluates requests concurrently across the pool and returns one
@@ -505,7 +472,7 @@ func (s *Service) Batch(ctx context.Context, reqs []Request) []Result {
 	out := make([]Result, len(reqs))
 	waiting := make([]chan Result, len(reqs))
 	for i, req := range reqs {
-		res, ch := s.submit(ctx, req, nil)
+		res, ch := s.submit(ctx, req)
 		if ch == nil {
 			out[i] = res
 		} else {
@@ -521,22 +488,20 @@ func (s *Service) Batch(ctx context.Context, reqs []Request) []Result {
 }
 
 // do runs one request to completion.
-func (s *Service) do(ctx context.Context, req Request, stream func(Solution) bool) Result {
-	res, ch := s.submit(ctx, req, stream)
+func (s *Service) do(ctx context.Context, req Request) Result {
+	res, ch := s.submit(ctx, req)
 	if ch == nil {
 		return res
 	}
 	// The worker always sends exactly one Result, even after Close
-	// (the queue is drained, not dropped), so this cannot leak. Waiting
-	// out the worker also guarantees a streamed emit is never called
-	// after QueryFunc returns.
+	// (the queue is drained, not dropped), so this cannot leak.
 	return <-ch
 }
 
 // submit resolves the request against the caches and either returns a
 // finished Result (ch == nil) or enqueues a job whose Result will
 // arrive on ch.
-func (s *Service) submit(ctx context.Context, req Request, stream func(Solution) bool) (Result, chan Result) {
+func (s *Service) submit(ctx context.Context, req Request) (Result, chan Result) {
 	s.requests.Add(1)
 	// Fail fast after Close even for requests the result cache could
 	// serve, so post-Close behavior is uniform (always ErrClosed).
@@ -572,9 +537,6 @@ func (s *Service) submit(ctx context.Context, req Request, stream func(Solution)
 		err   error
 	)
 	if req.Pattern != "" {
-		if stream != nil {
-			return Result{Err: errors.New("service: pattern requests cannot be streamed")}, nil
-		}
 		csp := tr.Begin(obs.SpanCompile)
 		canon, pat, err = s.patterns.Compile(req.Pattern)
 		tr.End(csp)
@@ -588,9 +550,9 @@ func (s *Service) submit(ctx context.Context, req Request, stream func(Solution)
 		return Result{Err: err}, nil
 	}
 
-	version := s.dataVersion()
+	version := s.src.DataVersion()
 	var key string
-	if stream == nil && s.results.enabled() {
+	if s.results.enabled() {
 		key = cacheKey(req, canon)
 		rsp := tr.Begin(obs.SpanResultCache)
 		if res, ok := s.cached(key, version); ok {
@@ -605,7 +567,7 @@ func (s *Service) submit(ctx context.Context, req Request, stream func(Solution)
 		s.misses.Add(1)
 	}
 
-	j := &job{ctx: ctx, req: req, node: node, pattern: pat, key: key, version: version, stream: stream, done: make(chan Result, 1), trace: tr, root: root}
+	j := &job{ctx: ctx, req: req, node: node, pattern: pat, key: key, version: version, done: make(chan Result, 1), trace: tr, root: root}
 	// Anchor the evaluation deadline now: time spent queued counts
 	// against the request's budget (the context-deadline clamp is kept).
 	t := req.Timeout
@@ -769,8 +731,8 @@ func (s *Service) runSafe(b Backend, j *job) (res Result, ok bool) {
 }
 
 // run evaluates one job on worker backend b: a 2RPQ through Eval,
-// collecting Solutions (or streaming them), a graph pattern through
-// EvalPattern, collecting Rows.
+// collecting Solutions, a graph pattern through EvalPattern, collecting
+// Rows.
 func (s *Service) run(b Backend, j *job) Result {
 	if err := j.ctx.Err(); err != nil {
 		s.countCtxErr(err)
@@ -819,25 +781,16 @@ func (s *Service) run(b Backend, j *job) Result {
 	if j.pattern == nil {
 		eval = func() error {
 			return b.Eval(j.ctx, j.req.Subject, j.node, j.req.Object, j.req.Limit, timeout, func(sol Solution) bool {
-				if j.stream != nil {
-					if !j.stream(sol) {
-						stopped = errStopped
-					}
-				} else if !j.req.Count {
+				if !j.req.Count {
 					res.Solutions = append(res.Solutions, sol)
 				}
 				return emitted()
 			})
 		}
 	} else {
-		pb, ok := b.(PatternBackend)
-		if !ok {
-			s.errs.Add(1)
-			return Result{Err: errNoPatterns}
-		}
 		res.Vars = j.pattern.OutVars()
 		eval = func() error {
-			return pb.EvalPattern(j.ctx, j.pattern, j.req.Limit, timeout, func(row []string) bool {
+			return b.EvalPattern(j.ctx, j.pattern, j.req.Limit, timeout, func(row []string) bool {
 				if !j.req.Count {
 					res.Rows = append(res.Rows, row)
 				}
@@ -851,9 +804,6 @@ func (s *Service) run(b Backend, j *job) Result {
 	j.evalDur = time.Since(evalStart)
 	j.trace.EndVals(esp, int64(res.N))
 	switch {
-	case stopped == errStopped:
-		// The caller's emit stopped the stream: a success.
-		res.Err = nil
 	case stopped != nil:
 		s.countCtxErr(stopped)
 		res.Err = stopped
@@ -866,9 +816,6 @@ func (s *Service) run(b Backend, j *job) Result {
 	}
 	return res
 }
-
-// errStopped marks an early stop requested by a streaming callback.
-var errStopped = errors.New("service: stream stopped")
 
 // countCtxErr attributes a context failure to the right counter: a
 // fired deadline is a timeout, a deadline-less cancellation (client
@@ -911,20 +858,10 @@ func (s *Service) store(j *job, res *Result) {
 	s.resMu.Unlock()
 }
 
-// dataVersion reads the backend's current data version (0 for static
-// backends).
-func (s *Service) dataVersion() uint64 {
-	if v, ok := s.src.(Versioned); ok {
-		return v.DataVersion()
-	}
-	return 0
-}
-
 // Update applies one live-update batch (adds then dels) through the
 // backend's snapshot holder. It does not occupy a worker: updates and
 // queries proceed concurrently, and queries started before the update
-// finish on the snapshot they pinned. Fails with an error when the
-// backend has no live-update support.
+// finish on the snapshot they pinned.
 func (s *Service) Update(ctx context.Context, adds, dels []UpdateTriple) (UpdateResult, error) {
 	s.mu.RLock()
 	closed := s.closed
@@ -935,11 +872,7 @@ func (s *Service) Update(ctx context.Context, adds, dels []UpdateTriple) (Update
 	if err := ctx.Err(); err != nil {
 		return UpdateResult{}, err
 	}
-	u, ok := s.src.(Updater)
-	if !ok {
-		return UpdateResult{}, errNoUpdates
-	}
-	res, err := u.ApplyUpdates(ctx, adds, dels)
+	res, err := s.src.ApplyUpdates(ctx, adds, dels)
 	if err == nil {
 		s.updates.Add(1)
 	}
@@ -960,14 +893,7 @@ func (s *Service) stats() (Stats, any) {
 	s.resMu.Lock()
 	rEntries, rBytes, rEvict, rInval := s.results.Len(), s.results.Bytes(), s.results.Evictions(), s.invalidations
 	s.resMu.Unlock()
-	var (
-		st    standing.Stats
-		wal   WALStats
-		index any
-	)
-	if sb, ok := s.src.(StatsBackend); ok {
-		st, wal, index = sb.BackendStats()
-	}
+	st, wal, index := s.src.BackendStats()
 	return Stats{
 		Workers:             s.cfg.Workers,
 		QueueCap:            s.cfg.QueueDepth,
@@ -1001,51 +927,6 @@ func (s *Service) stats() (Stats, any) {
 		Latency:             summarize(s.latE2E.Snapshot()),
 		EvalLatency:         summarize(s.latEval.Snapshot()),
 	}, index
-}
-
-// walErr returns the backend's latched write-ahead log failure.
-func (s *Service) walErr() error {
-	if sb, ok := s.src.(StatsBackend); ok {
-		return sb.WALErr()
-	}
-	return nil
-}
-
-// String renders the complete stats snapshot as name=value pairs. The
-// reflection walk includes every field — nested Standing/WAL/latency
-// blocks under dotted prefixes — so a counter added to Stats can never
-// be silently missing here (service_test asserts each field renders).
-func (st Stats) String() string {
-	var b strings.Builder
-	b.WriteString("service{")
-	writeStatsFields(&b, reflect.ValueOf(st), "")
-	b.WriteString("}")
-	return b.String()
-}
-
-// writeStatsFields appends one `prefix.name=value` pair per exported
-// field of v, recursing into nested structs.
-func writeStatsFields(b *strings.Builder, v reflect.Value, prefix string) {
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f, fv := t.Field(i), v.Field(i)
-		name := prefix + snake(f.Name)
-		if fv.Kind() == reflect.Struct {
-			writeStatsFields(b, fv, name+".")
-			continue
-		}
-		if b.Len() > len("service{") {
-			b.WriteByte(' ')
-		}
-		switch fv.Kind() {
-		case reflect.Float64:
-			fmt.Fprintf(b, "%s=%.3f", name, fv.Float())
-		case reflect.String:
-			fmt.Fprintf(b, "%s=%q", name, fv.String())
-		default:
-			fmt.Fprintf(b, "%s=%v", name, fv.Interface())
-		}
-	}
 }
 
 // SlowLog returns the service's slow-query log, nil when disabled

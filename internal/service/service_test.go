@@ -11,7 +11,42 @@ import (
 
 	"ringrpq/internal/core"
 	"ringrpq/internal/pathexpr"
+	"ringrpq/internal/query"
+	"ringrpq/internal/standing"
 )
+
+// stubBackend implements every Backend method but Clone the way an
+// empty, static index without patterns, updates or subscriptions
+// would; a test fake embeds it and defines the methods it exercises.
+type stubBackend struct{}
+
+var errStub = errors.New("stub backend: not supported")
+
+func (stubBackend) Eval(context.Context, string, pathexpr.Node, string, int, time.Duration, func(Solution) bool) error {
+	return nil
+}
+
+func (stubBackend) EvalPattern(context.Context, *query.Query, int, time.Duration, func([]string) bool) error {
+	return errStub
+}
+
+func (stubBackend) ApplyUpdates(context.Context, []UpdateTriple, []UpdateTriple) (UpdateResult, error) {
+	return UpdateResult{}, errStub
+}
+
+func (stubBackend) DataVersion() uint64 { return 0 }
+
+func (stubBackend) Subscribe(standing.Request) (*standing.Sub, error) { return nil, errStub }
+
+func (stubBackend) ResumeSubscription(uint64, uint64) (*standing.Sub, error) { return nil, errStub }
+
+func (stubBackend) Unsubscribe(uint64) bool { return false }
+
+func (stubBackend) BackendStats() (standing.Stats, WALStats, any) {
+	return standing.Stats{}, WALStats{}, nil
+}
+
+func (stubBackend) WALErr() error { return nil }
 
 // fakeShared is the "index" shared by fake backend clones: counters
 // plus knobs controlling solution counts, latency and blocking.
@@ -27,6 +62,7 @@ type fakeShared struct {
 // fake is one backend clone. It panics on concurrent use, which the
 // race stress tests would surface as a pool confinement bug.
 type fake struct {
+	stubBackend
 	shared *fakeShared
 	busy   atomic.Bool
 }
@@ -174,35 +210,6 @@ func TestResultCacheDisabled(t *testing.T) {
 	res := s.Query(ctx, req)
 	if res.Cached || f.shared.evals.Load() != 2 {
 		t.Fatalf("disabled cache still served a hit (evals=%d)", f.shared.evals.Load())
-	}
-}
-
-func TestQueryFuncStreams(t *testing.T) {
-	f := newFake(5)
-	s := newTestService(t, f, Config{Workers: 1})
-	ctx := context.Background()
-
-	var got []Solution
-	err := s.QueryFunc(ctx, Request{Subject: "?x", Expr: "a", Object: "?y"}, func(sol Solution) bool {
-		got = append(got, sol)
-		return true
-	})
-	if err != nil || len(got) != 5 {
-		t.Fatalf("stream: err=%v n=%d", err, len(got))
-	}
-
-	// Early stop is a success, and streamed results are never cached.
-	n := 0
-	err = s.QueryFunc(ctx, Request{Subject: "?x", Expr: "a", Object: "?y"}, func(Solution) bool {
-		n++
-		return false
-	})
-	if err != nil || n != 1 {
-		t.Fatalf("early stop: err=%v n=%d", err, n)
-	}
-	res := s.Query(ctx, Request{Subject: "?x", Expr: "a", Object: "?y"})
-	if res.Cached {
-		t.Fatal("streamed evaluation leaked into the result cache")
 	}
 }
 

@@ -19,33 +19,16 @@ import (
 	"ringrpq/internal/standing"
 )
 
-// StandingBackend is optionally implemented by backends that support
-// standing queries (incremental delta subscriptions). All methods must
-// be safe for concurrent use.
-type StandingBackend interface {
-	Subscribe(req standing.Request) (*standing.Sub, error)
-	ResumeSubscription(id, from uint64) (*standing.Sub, error)
-	Unsubscribe(id uint64) bool
-}
-
-// errNoStanding reports a subscription against a backend that does not
-// implement StandingBackend.
-var errNoStanding = errors.New("service: backend does not support standing queries")
-
 // Subscribe registers a standing query through the backend and tracks
 // the subscription so Close terminates it.
 func (s *Service) Subscribe(req standing.Request) (*standing.Sub, error) {
-	sb, ok := s.src.(StandingBackend)
-	if !ok {
-		return nil, errNoStanding
-	}
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
 		return nil, ErrClosed
 	}
-	sub, err := sb.Subscribe(req)
+	sub, err := s.src.Subscribe(req)
 	if err != nil {
 		return nil, err
 	}
@@ -58,17 +41,13 @@ func (s *Service) Subscribe(req standing.Request) (*standing.Sub, error) {
 // ResumeSubscription reattaches to a subscription, replaying retained
 // deltas newer than from (see standing.Registry.Resume).
 func (s *Service) ResumeSubscription(id, from uint64) (*standing.Sub, error) {
-	sb, ok := s.src.(StandingBackend)
-	if !ok {
-		return nil, errNoStanding
-	}
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
 		return nil, ErrClosed
 	}
-	sub, err := sb.ResumeSubscription(id, from)
+	sub, err := s.src.ResumeSubscription(id, from)
 	if err != nil {
 		return nil, err
 	}
@@ -80,12 +59,8 @@ func (s *Service) ResumeSubscription(id, from uint64) (*standing.Sub, error) {
 
 // Unsubscribe removes and terminates a subscription by id.
 func (s *Service) Unsubscribe(id uint64) bool {
-	sb, ok := s.src.(StandingBackend)
-	if !ok {
-		return false
-	}
 	s.untrack(id)
-	return sb.Unsubscribe(id)
+	return s.src.Unsubscribe(id)
 }
 
 // track records a live subscription for Close; if Close already ran
@@ -306,8 +281,6 @@ func subscribeStatus(err error) int {
 		return http.StatusGone
 	case errors.Is(err, standing.ErrFutureVersion):
 		return http.StatusConflict
-	case errors.Is(err, errNoStanding):
-		return http.StatusNotImplemented
 	case errors.Is(err, standing.ErrClosed), errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
 	default:

@@ -59,7 +59,10 @@ func TestQueueWaitCountsAgainstDeadline(t *testing.T) {
 // partialFake emits two solutions and times out when given less than
 // 50ms of budget, and completes five solutions otherwise — the shape
 // that would poison a cache that stored truncated results.
-type partialFake struct{ evals atomic.Int64 }
+type partialFake struct {
+	stubBackend
+	evals atomic.Int64
+}
 
 func (f *partialFake) Clone() Backend { return f }
 
@@ -117,6 +120,7 @@ func TestTruncatedResultsNeverCached(t *testing.T) {
 // versionedFake flips its answer when bumped, exposing stale cache
 // replays.
 type versionedFake struct {
+	stubBackend
 	version atomic.Uint64
 	marker  atomic.Int64
 }
@@ -159,15 +163,6 @@ func TestUpdateInvalidatesResultCache(t *testing.T) {
 	}
 	if st := s.Stats(); st.Updates != 1 {
 		t.Fatalf("stats.Updates = %d, want 1", st.Updates)
-	}
-}
-
-// TestUpdateUnsupportedBackend checks the typed failure for static
-// backends.
-func TestUpdateUnsupportedBackend(t *testing.T) {
-	s := newTestService(t, newFake(1), Config{Workers: 1})
-	if _, err := s.Update(context.Background(), []UpdateTriple{{S: "a", P: "b", O: "c"}}, nil); err == nil {
-		t.Fatal("update against a static backend should fail")
 	}
 }
 

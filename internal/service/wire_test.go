@@ -54,6 +54,7 @@ const (
 // and tagged with the data version they were evaluated at. A subject of
 // "slow" makes an evaluation report a timeout after its results.
 type wireFake struct {
+	stubBackend
 	names   []string
 	n       int
 	version atomic.Uint64
@@ -190,7 +191,7 @@ func TestBodiesMatchEncoder(t *testing.T) {
 				if seen.Cached != wantCached || (seen.Profile != nil) != tc.q.Profile {
 					t.Fatalf("round %d: cached=%v profile=%v", round, seen.Cached, seen.Profile != nil)
 				}
-				want := encoderBody(t, asResultJSON(req, s.do(context.Background(), req, nil), seen))
+				want := encoderBody(t, asResultJSON(req, s.do(context.Background(), req), seen))
 				if !bytes.Equal(rec.Body.Bytes(), want) {
 					t.Fatalf("round %d:\n got %s\nwant %s", round, rec.Body, want)
 				}
@@ -222,7 +223,7 @@ func TestBodiesMatchEncoder(t *testing.T) {
 			items := make([]ResultJSON, len(in.Queries))
 			for i, q := range in.Queries {
 				req, _ := (&handler{s: s}).toRequest(q)
-				items[i] = asResultJSON(req, s.do(context.Background(), req, nil), seen.Results[i])
+				items[i] = asResultJSON(req, s.do(context.Background(), req), seen.Results[i])
 			}
 			want := encoderBody(t, map[string]any{"results": items, "elapsed_ms": seen.ElapsedMS})
 			if !bytes.Equal(rec.Body.Bytes(), want) {
@@ -485,7 +486,7 @@ func TestHitsUnderUpdates(t *testing.T) {
 					}
 					got = out.Solutions[0].Subject
 				} else {
-					res := s.do(context.Background(), req, nil)
+					res := s.do(context.Background(), req)
 					if res.Err != nil || len(res.Solutions) != f.n {
 						t.Errorf("in process: %v, %d solutions", res.Err, len(res.Solutions))
 						return
@@ -577,7 +578,7 @@ func TestMissEncodesFragmentOnce(t *testing.T) {
 		for _, entries := range []int{-1, 0} {
 			s := newTestService(t, &wireFake{names: names, n: 1000}, Config{Workers: 1, ResultCacheEntries: entries})
 			for _, req := range []Request{{Subject: "s", Expr: "a"}, {Pattern: "?x p ?y"}} {
-				res := s.do(context.Background(), req, nil)
+				res := s.do(context.Background(), req)
 				if res.Err != nil || res.N != 1000 || (res.wire != nil) != (entries == 0) {
 					t.Fatalf("cache entries %d, %+v: %v, %d results, stored %v", entries, req, res.Err, res.N, res.wire != nil)
 				}

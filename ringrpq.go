@@ -412,15 +412,16 @@ func (db *DB) String() string {
 
 // ServiceConfig tunes a Service; the zero value picks sensible
 // defaults (GOMAXPROCS workers, 4×workers queue depth, 1024-entry
-// expression cache, 4096-entry / 64 MiB result cache). Negative cache
-// sizes disable the corresponding cache.
+// expression cache, 4096-entry / 64 MiB result cache). The graph-pattern
+// cache takes its bound from ExprCacheEntries too. Negative cache sizes
+// disable the corresponding cache.
 type ServiceConfig = service.Config
 
 // ServiceStats is a point-in-time snapshot of a Service's counters.
 type ServiceStats = service.Stats
 
 // Request is one query submission to a Service (used directly by
-// Batch; Query/Count/QueryFunc build it from their arguments).
+// Batch; Query, Count and Select build it from their arguments).
 type Request = service.Request
 
 // Result is the outcome of one batched Request.
@@ -435,18 +436,20 @@ var ErrServiceClosed = service.ErrClosed
 // LRU result cache. All methods are safe for concurrent use; see
 // NewService.
 type Service struct {
-	s  *service.Service
-	db *DB
+	s *service.Service
 }
 
 // NewService starts a query service over db. The db may still be used
 // directly (single-threadedly) by the caller; workers evaluate on
 // clones. Close the service to release its workers.
 func NewService(db *DB, cfg ServiceConfig) *Service {
-	return &Service{s: service.New(dbBackend{db}, cfg), db: db}
+	return &Service{s: service.New(dbBackend{db}, cfg)}
 }
 
-// dbBackend adapts a DB to the service worker interface.
+// dbBackend is the service.Backend of a Service over a DB. Clone, Eval
+// and EvalPattern run on a worker's own DB clone; the other methods go
+// to the shared snapshot holder, standing-query registry and
+// write-ahead log, which are safe for concurrent use.
 type dbBackend struct {
 	db *DB
 }
@@ -460,8 +463,7 @@ func (b dbBackend) Eval(ctx context.Context, subject string, node pathexpr.Node,
 	return b.db.queryNode(ctx, subject, node, object, o, emit)
 }
 
-// EvalPattern implements service.PatternBackend, so Services over a DB
-// serve graph patterns (Select, POST /select).
+// EvalPattern evaluates a graph pattern (Select, POST /select).
 func (b dbBackend) EvalPattern(ctx context.Context, q *query.Query, limit int, timeout time.Duration, emit func([]string) bool) error {
 	o := core.Options{Limit: limit, Timeout: timeout, Trace: obs.FromContext(ctx)}
 	snap := b.db.h.acquire()
@@ -469,9 +471,7 @@ func (b dbBackend) EvalPattern(ctx context.Context, q *query.Query, limit int, t
 	return b.db.selectFuncOn(snap, q, o, emit)
 }
 
-// ApplyUpdates implements service.Updater: Services over a DB accept
-// live updates (Update, POST /update). Safe for concurrent use — the
-// batch goes to the shared snapshot holder, not through the pool.
+// ApplyUpdates applies one batch through DB.Apply (POST /update).
 func (b dbBackend) ApplyUpdates(ctx context.Context, adds, dels []service.UpdateTriple) (service.UpdateResult, error) {
 	conv := func(ts []service.UpdateTriple) []Triple {
 		out := make([]Triple, len(ts))
@@ -490,15 +490,12 @@ func (b dbBackend) ApplyUpdates(ctx context.Context, adds, dels []service.Update
 	}, err
 }
 
-// DataVersion implements service.Versioned: the result cache pins
-// entries to the data version they were computed against, so updates
-// and compaction swaps invalidate them in O(1).
+// DataVersion is the DB's data version: the result cache pins entries
+// to it, so updates and compaction swaps invalidate them in O(1).
 func (b dbBackend) DataVersion() uint64 { return b.db.DataVersion() }
 
-// Subscribe, ResumeSubscription and Unsubscribe implement
-// service.StandingBackend: Services over a DB serve standing queries
-// (Service.Subscribe, GET /subscribe). All three go to the shared
-// registry, never through the worker pool.
+// Subscribe, ResumeSubscription and Unsubscribe go to the DB's
+// standing-query registry (GET and DELETE /subscribe).
 func (b dbBackend) Subscribe(req standing.Request) (*standing.Sub, error) {
 	return b.db.Subscribe(req)
 }
@@ -509,15 +506,15 @@ func (b dbBackend) ResumeSubscription(id, from uint64) (*standing.Sub, error) {
 
 func (b dbBackend) Unsubscribe(id uint64) bool { return b.db.Unsubscribe(id) }
 
-// BackendStats implements service.StatsBackend: the Standing and WAL
-// blocks of the service's Stats are the DB's own, and the DB's whole
-// Stats is the "index" block of GET /stats.
+// BackendStats reports the DB's Standing and WAL blocks for the
+// service's Stats, and the DB's whole Stats as the "index" block of GET
+// /stats.
 func (b dbBackend) BackendStats() (StandingStats, WALStats, any) {
 	st := b.db.Stats()
 	return st.Standing, st.WAL, st
 }
 
-// WALErr implements service.StatsBackend.
+// WALErr returns the write-ahead log's latched failure (GET /readyz).
 func (b dbBackend) WALErr() error {
 	if sink := b.db.h.wal.Load(); sink != nil {
 		return sink.log.Err()
@@ -544,13 +541,6 @@ func (s *Service) Query(ctx context.Context, subject, expr, object string, opts 
 	return res.Solutions, res.Err
 }
 
-// QueryFunc streams solutions to emit, which runs on a worker
-// goroutine and may return false to stop early; it is never called
-// after QueryFunc returns. Streamed queries bypass the result cache.
-func (s *Service) QueryFunc(ctx context.Context, subject, expr, object string, emit func(Solution) bool, opts ...QueryOption) error {
-	return s.s.QueryFunc(ctx, request(subject, expr, object, opts), emit)
-}
-
 // Count returns the number of solutions without materialising them.
 func (s *Service) Count(ctx context.Context, subject, expr, object string, opts ...QueryOption) (int, error) {
 	res := s.s.Count(ctx, request(subject, expr, object, opts))
@@ -573,63 +563,30 @@ func (s *Service) Batch(ctx context.Context, reqs []Request) []Result {
 	return s.s.Batch(ctx, reqs)
 }
 
-// Update atomically applies one live-update batch (adds then dels) to
-// the underlying database (see DB.Apply). It does not occupy a worker:
-// queries in flight finish on the snapshot they pinned, queries
-// submitted afterwards see the update, and stale result-cache entries
-// are never replayed.
-func (s *Service) Update(ctx context.Context, adds, dels []Triple) (UpdateStats, error) {
-	conv := func(ts []Triple) []service.UpdateTriple {
-		out := make([]service.UpdateTriple, len(ts))
-		for i, t := range ts {
-			out[i] = service.UpdateTriple{S: t.Subject, P: t.Predicate, O: t.Object}
-		}
-		return out
-	}
-	_, err := s.s.Update(ctx, conv(adds), conv(dels))
-	return s.db.updateStats(), err
-}
-
-// Subscribe registers a standing query through the service (see
-// DB.Subscribe); Service.Close terminates it along with every other
-// subscription registered this way, deterministically unblocking
-// consumers.
-func (s *Service) Subscribe(req SubscribeRequest) (*Subscription, error) {
-	return s.s.Subscribe(req)
-}
-
-// ResumeSubscription reattaches to a subscription after a disconnect,
-// replaying retained deltas newer than from (see
-// DB.ResumeSubscription).
-func (s *Service) ResumeSubscription(id, from uint64) (*Subscription, error) {
-	return s.s.ResumeSubscription(id, from)
-}
-
-// Unsubscribe removes and terminates a subscription by id.
-func (s *Service) Unsubscribe(id uint64) bool { return s.s.Unsubscribe(id) }
-
 // Stats snapshots the service counters.
 func (s *Service) Stats() ServiceStats { return s.s.Stats() }
 
 // HandlerConfig tunes the HTTP handler returned by Service.Handler.
 type HandlerConfig = service.HandlerConfig
 
-// Handler returns an http.Handler exposing the service's JSON API:
-// POST /query, POST /batch, GET /stats and GET /healthz (the API that
-// cmd/rpqd serves). GET /stats renders the DB's Stats under "index".
+// Handler returns an http.Handler exposing the service's JSON API, the
+// API that cmd/rpqd serves: queries, patterns, batches, updates,
+// subscriptions, stats, probes and metrics (service.NewHandler lists
+// every route). GET /stats renders the DB's Stats under "index".
 func (s *Service) Handler(cfg HandlerConfig) http.Handler {
 	return service.NewHandler(s.s, cfg)
 }
 
 // Close stops accepting requests, lets queued and running queries
-// finish, and releases the workers. Close is idempotent.
+// finish, releases the workers and ends the subscriptions opened
+// through GET /subscribe. Close is idempotent.
 func (s *Service) Close() error { return s.s.Close() }
 
-// CloseSubscriptions terminates every standing-query subscription
-// registered through this service — blocked consumers and streaming
-// /subscribe handlers unblock with a terminal error — without
-// stopping the worker pool. Call it at the start of a graceful HTTP
-// shutdown, before http.Server.Shutdown: the long-lived subscription
-// streams never go idle on their own, so they must end before the
-// server can drain its connections. Idempotent; Close runs it too.
+// CloseSubscriptions ends every subscription opened through GET
+// /subscribe — streaming and long-poll handlers unblock with a
+// terminal error — without stopping the worker pool. Call it at the
+// start of a graceful HTTP shutdown, before http.Server.Shutdown: the
+// long-lived subscription streams never go idle on their own, so they
+// must end before the server can drain its connections. Idempotent;
+// Close runs it too.
 func (s *Service) CloseSubscriptions() { s.s.CloseSubscriptions() }

@@ -285,7 +285,7 @@ func TestServiceSubscribeCloseStress(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < subscribers; i++ {
-		sub, err := svc.Subscribe(SubscribeRequest{Expr: "p+", Snapshot: i%2 == 0})
+		sub, err := svc.s.Subscribe(SubscribeRequest{Expr: "p+", Snapshot: i%2 == 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestServiceSubscribeCloseStress(t *testing.T) {
 				_, err := sub.Next(context.Background())
 				if err != nil {
 					if errors.Is(err, ErrSubscriberLagged) {
-						if _, rerr := svc.ResumeSubscription(sub.ID(), 0); rerr != nil {
+						if _, rerr := svc.s.ResumeSubscription(sub.ID(), 0); rerr != nil {
 							return
 						}
 						continue
@@ -320,7 +320,7 @@ func TestServiceSubscribeCloseStress(t *testing.T) {
 				default:
 				}
 				adds := []Triple{{fmt.Sprintf("u%d_%d", u, i), "p", "v0"}}
-				if _, err := svc.Update(context.Background(), adds, nil); err != nil {
+				if _, err := db.Apply(context.Background(), adds, nil); err != nil {
 					return
 				}
 			}
@@ -340,7 +340,7 @@ func TestServiceSubscribeCloseStress(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("subscribers or updaters still blocked 10s after Close")
 	}
-	if _, err := svc.Subscribe(SubscribeRequest{Expr: "p"}); err == nil {
+	if _, err := svc.s.Subscribe(SubscribeRequest{Expr: "p"}); err == nil {
 		t.Fatal("Subscribe succeeded after Close")
 	}
 }
@@ -355,7 +355,7 @@ func TestServiceCloseSubscriptions(t *testing.T) {
 	svc := NewService(db, ServiceConfig{Workers: 2})
 	defer svc.Close()
 
-	sub, err := svc.Subscribe(SubscribeRequest{Expr: "p+"})
+	sub, err := svc.s.Subscribe(SubscribeRequest{Expr: "p+"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestServiceCloseSubscriptions(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Next still blocked 5s after CloseSubscriptions")
 	}
-	if _, err := svc.Subscribe(SubscribeRequest{Expr: "p"}); err == nil {
+	if _, err := svc.s.Subscribe(SubscribeRequest{Expr: "p"}); err == nil {
 		t.Fatal("Subscribe succeeded after CloseSubscriptions")
 	}
 
@@ -419,7 +419,7 @@ func TestSubscribeHTTPLongPoll(t *testing.T) {
 	}
 
 	// Apply an update, then poll again with the returned cursor.
-	if _, err := svc.Update(context.Background(), []Triple{{"v3", "p", "v4"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"v3", "p", "v4"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	db.SyncStanding()
@@ -536,7 +536,7 @@ func TestSubscribeHTTPSSE(t *testing.T) {
 		t.Fatalf("baseline delta = %+v", d0)
 	}
 
-	if _, err := svc.Update(context.Background(), []Triple{{"x", "p", "y"}}, nil); err != nil {
+	if _, err := db.Apply(context.Background(), []Triple{{"x", "p", "y"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ev := wait("delta")

@@ -82,12 +82,12 @@ func TestStatsKeyPaths(t *testing.T) {
 	svc := NewService(db, ServiceConfig{Workers: 1})
 	defer svc.Close()
 	ctx := context.Background()
-	sub, err := svc.Subscribe(SubscribeRequest{Subject: "n0", Expr: "p0/p0*"})
+	sub, err := svc.s.Subscribe(SubscribeRequest{Subject: "n0", Expr: "p0/p0*"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if _, err := svc.Update(ctx, []Triple{{"n1", "p0", "n3"}}, nil); err != nil {
+	if _, err := db.Apply(ctx, []Triple{{"n1", "p0", "n3"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Query(ctx, "n0", "p0+", "?y"); err != nil {
