@@ -80,22 +80,25 @@ bench:
 # one-position L_s-shaped ranges, batched vs unbatched BFS, the
 # Limit-bound traversal, reads with and without an overlay attached to
 # the kernel, a pattern join under a fixed order, a pattern pool
-# through one executor's plan memo), of
-# the compactor's (matrix build, counting-sort ring build, bulk triple
-# decode, per-batch overlay consolidation), of a fresh database's
-# Load + Build (locality numbering included, with allocs/op), of the
-# g100k Table-1 log through a built database (with visits/op) and of
-# the handler's result-cache hit and miss: makes sure the benchmark
-# code keeps compiling and running under ci. A descent change is sized
-# with paired -count runs of the same benchmarks, e.g.
+# through one executor's plan memo), of the builder's (matrix build,
+# counting-sort ring build), of the compactor's (wavelet-matrix and
+# ring merges of 1000 edits, per-batch overlay consolidation, and a
+# g100k database's Flush of a 1000-edge overlay, with edits/op), of a
+# fresh database's Load + Build (locality numbering included, with
+# allocs/op), of the g100k Table-1 log through a built database (with
+# visits/op) and of the handler's result-cache hit and miss: makes sure
+# the benchmark code keeps compiling and running under ci. A descent
+# change is sized with paired -count runs of the same benchmarks, e.g.
 # go test -run NONE -bench 'TraverseMany|WorkLog' -count 10 at each
-# commit.
+# commit, and a compaction change as BenchmarkWorkLog sizes the
+# kernel: go test -run NONE -bench '^BenchmarkCompaction$$' -count 10 .
+# at each commit, alternating.
 bench-short:
 	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS|LimitedBFS' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
-	$(GO) test -run NONE -bench 'MatrixBuild|FromTriples|RingTriples|OverlayApply|StaticReads|UnionReads10' -benchtime 1x \
+	$(GO) test -run NONE -bench 'MatrixBuild|MatrixMerge|FromTriples|RingMerge|OverlayApply|StaticReads|UnionReads10' -benchtime 1x \
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
-	$(GO) test -run NONE -bench '^Benchmark(Build|WorkLog)$$' -benchtime 1x .
+	$(GO) test -run NONE -bench '^Benchmark(Build|WorkLog|Compaction)$$' -benchtime 1x .
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 	$(GO) test -run NONE -bench 'HandlerCacheHit|HandlerMiss' -benchtime 1x ./internal/service/
 	$(GO) test -run NONE -bench JoinWith -benchtime 1x ./internal/ltj/

@@ -8,6 +8,7 @@
 //	§5 index construction → BenchmarkRingConstruction, and a whole
 //	           database's Load + Build → BenchmarkBuild
 //	§4 traversal work of a built database → BenchmarkWorkLog
+//	a compaction of a built database's overlay → BenchmarkCompaction
 //	Design-choice ablations (§4/§6) → BenchmarkAblation*
 package ringrpq
 
@@ -167,6 +168,49 @@ func BenchmarkBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCompaction times one compaction of the g100k database
+// (about 150 k completed triples) holding a 1000-edge overlay: Flush
+// merges the overlay into the ring and swaps the result in. The
+// overlay is the first update batches of a mixed stream (seed 2) and,
+// every other iteration, their inverse, so the ring alternates between
+// two states. It reports the overlay's weight, completed adds plus
+// tombstones, as edits/op; paired runs of two commits (-count 10 each,
+// alternating) size a compactor change without the HTTP benchmark.
+func BenchmarkCompaction(b *testing.B) {
+	nt, fg, _ := g100k(b)
+	db := buildNT(b, nt)
+	db.SetCompactionThreshold(-1)
+	var adds, dels []Triple
+	for _, u := range mixedUpdates(fg, 200) {
+		if len(adds)+len(dels) >= 500 {
+			break
+		}
+		adds, dels = append(adds, u[0]...), append(dels, u[1]...)
+	}
+	ctx := context.Background()
+	edits := 0
+	b.ResetTimer()
+	for i := range b.N {
+		b.StopTimer()
+		if i%2 == 1 {
+			adds, dels = dels, adds
+		}
+		st, err := db.Apply(ctx, adds, dels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i%2 == 1 {
+			adds, dels = dels, adds
+		}
+		edits += st.OverlayEdges + st.Tombstones
+		b.StartTimer()
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(edits)/float64(b.N), "edits/op")
 }
 
 // BenchmarkWorkLog times TestWorkCeilings' log, the g100k Table-1

@@ -17,7 +17,7 @@
 //
 // With -wal-dir every applied update is written to a write-ahead log
 // before it is acknowledged (under the default -fsync always, after an
-// fsync), compactions checkpoint the rebuilt index into the same
+// fsync), compactions checkpoint the merged index into the same
 // directory, and a restart — clean or after a crash — recovers the
 // exact acknowledged state, including standing-query subscriptions and
 // their resume cursors. -data/-index are only consulted when the
@@ -65,10 +65,10 @@
 // /update applies live updates atomically: queries in flight finish on
 // the snapshot they started with, later queries see the union
 // ring ∪ adds − dels, and a background compactor (tuned with
-// -compact-threshold) rebuilds the ring and swaps it in atomically
-// once the overlay grows past the threshold. New node names are fine;
-// new predicate names are rejected (the completed predicate id space
-// is fixed at build time).
+// -compact-threshold) merges the overlay into the ring and swaps the
+// result in atomically once the overlay grows past the threshold. New
+// node names are fine; new predicate names are rejected (the completed
+// predicate id space is fixed at build time).
 //
 // /subscribe turns a query into a standing one: every applied update
 // batch is diffed against the subscription incrementally and the

@@ -2,7 +2,7 @@ package ringrpq
 
 // This file is the durability layer: a database opened with OpenDurable
 // appends every update batch to a write-ahead log before publishing it
-// (see Apply in update.go), checkpoints the rebuilt static index on
+// (see Apply in update.go), checkpoints the merged static index on
 // every compaction, and reconstructs its exact pre-crash state at the
 // next OpenDurable — checkpoint first, then a replay of the log's
 // surviving suffix. Standing-query registrations ride the same log (and
@@ -13,8 +13,8 @@ package ringrpq
 // assigned by first appearance (Dict.Intern), and Apply interns under
 // the holder lock only after the batch's WAL append succeeded, so
 // replaying batches in version order re-assigns the same ids the
-// original run did. A checkpoint pairs the rebuilt ring with exactly
-// the dictionary prefix it was built against (compactNow rebuilds at
+// original run did. A checkpoint pairs the merged ring with exactly
+// the dictionary prefix it was built against (compactNow merges at
 // base.numNodes), so recovery's dictionary grows from that prefix the
 // same way the original dictionary did.
 
@@ -305,7 +305,7 @@ func (db *DB) applyRecoveredBatch(version uint64, adds, dels []Triple) error {
 	return nil
 }
 
-// applyRecoveredSwap replays a compaction's version bump. The rebuild
+// applyRecoveredSwap replays a compaction's version bump. The merge
 // itself is not repeated — the data is identical either way, and if the
 // compaction's checkpoint survived, recovery started from it and the
 // swap record was truncated along with everything it covered.
@@ -345,7 +345,7 @@ func (db *DB) recoverSub(rec standing.SubRecord) {
 
 // --- checkpoints ---
 
-// writeCheckpoint persists the rebuilt static index (all data through
+// writeCheckpoint persists the merged static index (all data through
 // cpVersion, consolidated) plus the dictionaries and the live
 // subscription table. Called by compactNow after the swap; on success
 // the log is truncated up to cpVersion.
@@ -353,8 +353,8 @@ func (db *DB) writeCheckpoint(sink *walSink, newR *ring.Ring, cpVersion uint64, 
 	var buf bytes.Buffer
 	w := serial.NewWriter(&buf)
 	w.Uint64(cpVersion)
-	// The node dictionary is written as the prefix the ring was rebuilt
-	// against: batches that raced the rebuild may have grown it past
+	// The node dictionary is written as the prefix the ring was merged
+	// against: batches that raced the merge may have grown it past
 	// numNodes, and their interns are re-done by log replay.
 	names := db.g.Nodes.NamesView()
 	if numNodes > len(names) {

@@ -11,7 +11,7 @@
 // an insertion), so mutability is layered on top LSM-style: updates
 // accumulate in the overlay, every evaluation unions them in, and a
 // compactor (the snapshot layer above, see the public DB) periodically
-// rebuilds the ring from ring+overlay and swaps it in atomically.
+// merges the overlay into the ring and swaps the result in atomically.
 //
 // An Overlay value is immutable: Apply returns a new version, so a
 // query (or a whole snapshot) holding one is isolated from later
@@ -36,7 +36,7 @@ var _ core.Delta = (*Overlay)(nil)
 
 // Batch is one applied update set, kept verbatim (completed, deduped)
 // so a compactor can replay updates that arrived while it was
-// rebuilding against the new ring.
+// merging against the new ring.
 type Batch struct {
 	// Version is the data version this batch produced.
 	Version uint64
@@ -64,7 +64,7 @@ type Overlay struct {
 	addsPS []Edge
 
 	// batches is the replay log since the static snapshot was built;
-	// BatchesAfter serves the compactor's residual-overlay rebuild.
+	// BatchesAfter serves the compactor's residual overlay.
 	batches []Batch
 	version uint64
 
@@ -129,7 +129,7 @@ func (o *Overlay) Apply(version uint64, adds, dels []Edge, inStatic func(Edge) b
 
 // Replay consolidates batches, oldest first, on top of o in one pass
 // over their edges, without logging them: what a finishing compaction
-// does to the updates that raced its rebuild, starting from New() and
+// does to the updates that raced its merge, starting from New() and
 // against the ring it just built. (The residual needs no replay log —
 // whatever compaction comes next starts from a base that already
 // contains it consolidated.) Replaying a sequence in two calls equals

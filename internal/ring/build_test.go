@@ -137,27 +137,6 @@ func TestFromTriplesMatchesComparisonSort(t *testing.T) {
 	}
 }
 
-// Triples must read off exactly what the per-position LF walk
-// reconstructs, position by position.
-func TestTriplesMatchesTripleAt(t *testing.T) {
-	for _, sh := range []struct {
-		n, nv int
-		np    uint32
-	}{{0, 4, 2}, {1, 3, 1}, {5, 1, 8}, {300, 40, 1}, {900, 120, 10}} {
-		rng := rand.New(rand.NewSource(int64(sh.n)))
-		r := fromTriples(randTriples(rng, sh.n, sh.nv, sh.np, true), sh.nv, sh.np)
-		got := r.Triples()
-		if len(got) != r.N {
-			t.Fatalf("n=%d: %d triples, want %d", sh.n, len(got), r.N)
-		}
-		for i, tr := range got {
-			if want := r.TripleAt(i); tr != want {
-				t.Fatalf("n=%d: Triples()[%d] = %v, want %v", sh.n, i, tr, want)
-			}
-		}
-	}
-}
-
 func BenchmarkFromTriples(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
@@ -166,10 +145,32 @@ func BenchmarkFromTriples(b *testing.B) {
 	}
 }
 
-func BenchmarkRingTriples(b *testing.B) {
-	r := New(benchGraph(), WaveletMatrix)
+// BenchmarkRingMerge folds 1000 edits into the benchmark graph's
+// ring: 250 of its triples deleted and 750 absent ones added, some on
+// nodes the ring has not seen, the shape of one compaction.
+func BenchmarkRingMerge(b *testing.B) {
+	g := benchGraph()
+	r := New(g, WaveletMatrix)
+	rng := rand.New(rand.NewSource(1))
+	in := map[triples.Triple]bool{}
+	for _, t := range g.Triples {
+		in[t] = true
+	}
+	var adds, dels []triples.Triple
+	for _, i := range rng.Perm(len(g.Triples))[:250] {
+		dels = append(dels, g.Triples[i])
+	}
+	nv := r.NumNodes + 100
+	for len(adds) < 750 {
+		t := triples.Triple{S: uint32(rng.Intn(nv)), P: uint32(rng.Intn(int(r.NumPreds))), O: uint32(rng.Intn(r.NumNodes))}
+		if !in[t] {
+			in[t] = true
+			adds = append(adds, t)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Triples()
+	for range b.N {
+		r.Merge(adds, dels, nv)
 	}
 }

@@ -62,7 +62,7 @@ func cArrayRings(t *testing.T) map[string]*Ring {
 // independently of any symbol counts a sequence holds.
 func cRecount(r *Ring) (cs, cp, co []int) {
 	cs, cp, co = make([]int, r.NumNodes+1), make([]int, r.NumPreds+1), make([]int, r.NumNodes+1)
-	for _, t := range r.Triples() {
+	for _, t := range r.triples() {
 		cs[t.S+1]++
 		cp[t.P+1]++
 		co[t.O+1]++
@@ -106,7 +106,7 @@ func TestCArraysAreSequenceCounts(t *testing.T) {
 		}
 
 		before := [][]int{slices.Clone(r.Cs), slices.Clone(r.Cp), slices.Clone(r.Co)}
-		ts := r.Triples()
+		ts := r.triples()
 		for i, tr := range ts {
 			if !r.Has(tr.S, tr.P, tr.O) || r.TripleAt(r.LFo(r.LFs(r.LFp(i)))) != r.TripleAt(i) {
 				t.Fatalf("%s: triple %d does not read back", name, i)

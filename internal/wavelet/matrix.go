@@ -194,26 +194,53 @@ func (m *Matrix) Access(i int) uint32 {
 	return c
 }
 
-// Rank counts occurrences of c in [0, i).
+// Rank counts occurrences of c in [0, i): i is mapped down c's path,
+// one rank per level, to the leaf level, where c's occurrences start
+// at bottomStart[c] and the ones before i end at the mapped position.
 func (m *Matrix) Rank(c uint32, i int) int {
-	if c >= m.sigma {
+	if c >= m.sigma || i <= 0 {
 		return 0
 	}
 	if i > m.n {
 		i = m.n
 	}
-	b := 0
 	for l := 0; l < m.width; l++ {
 		bv := m.levels[l]
 		if c>>(uint(m.width-1-l))&1 == 1 {
-			b = m.zeros[l] + bv.Rank1(b)
 			i = m.zeros[l] + bv.Rank1(i)
 		} else {
-			b = bv.Rank0(b)
-			i = bv.Rank0(i)
+			i -= bv.Rank1(i)
 		}
 	}
-	return i - b
+	return i - int(m.bottomStart[c])
+}
+
+// RankRange returns Rank(c, b) and Rank(c, e) for b ≤ e in one
+// descent: at each level e is ranked from b with one masked popcount
+// where the two share a word, as traverse ranks a range's end.
+func (m *Matrix) RankRange(c uint32, b, e int) (int, int) {
+	if c >= m.sigma {
+		return 0, 0
+	}
+	b, e = min(max(b, 0), m.n), min(max(e, 0), m.n)
+	for l := 0; l < m.width; l++ {
+		bv := m.levels[l]
+		r1b := bv.Rank1(b)
+		r1e := r1b
+		if b < e {
+			var ok bool
+			if r1e, ok = wordRank1(bv.Words(), b, r1b, e); !ok {
+				r1e = bv.Rank1(e)
+			}
+		}
+		if c>>(uint(m.width-1-l))&1 == 1 {
+			b, e = m.zeros[l]+r1b, m.zeros[l]+r1e
+		} else {
+			b, e = b-r1b, e-r1e
+		}
+	}
+	s := int(m.bottomStart[c])
+	return b - s, e - s
 }
 
 // Traverse walks the nodes covering [b, e), consulting visit for
@@ -370,6 +397,8 @@ func (m *Matrix) traverseMany(level int, prefix uint32, items []RangeMask, arena
 }
 
 // MinAtLeast returns the smallest symbol ≥ x occurring in [b, e).
+//
+//ringrpq:noalloc
 func (m *Matrix) MinAtLeast(b, e int, x uint32) (uint32, bool) {
 	if b < 0 {
 		b = 0
@@ -384,6 +413,10 @@ func (m *Matrix) MinAtLeast(b, e int, x uint32) (uint32, bool) {
 	return c, ok
 }
 
+// minAtLeast is MinAtLeast below the node (level, prefix), whose
+// local range is [b, e).
+//
+//ringrpq:noalloc
 func (m *Matrix) minAtLeast(level int, prefix uint32, b, e int, x uint32) (uint32, bool) {
 	if b >= e {
 		return 0, false
@@ -476,13 +509,18 @@ func (m *Matrix) RangeCountBelow(b, e int, x uint32) int {
 	count := 0
 	for l := 0; l < m.width; l++ {
 		bv := m.levels[l]
-		lb, le := bv.Rank0(b), bv.Rank0(e)
+		r1b := bv.Rank1(b)
+		r1e, ok := wordRank1(bv.Words(), b, r1b, e)
+		if !ok {
+			r1e = bv.Rank1(e)
+		}
+		lb, le := b-r1b, e-r1e
 		if x>>(uint(m.width-1-l))&1 == 1 {
 			// Symbols with a 0-bit here are below x: count and follow
 			// the 1-side.
 			count += le - lb
 			z := m.zeros[l]
-			b, e = z+(b-lb), z+(e-le)
+			b, e = z+r1b, z+r1e
 		} else {
 			b, e = lb, le
 		}

@@ -345,12 +345,44 @@ func TestMatrixNaiveAgreeQuick(t *testing.T) {
 				return false
 			}
 		}
+		// Every 11th position, plus each word's last bit and the next
+		// word's first, and Len() itself: where a rank crosses a word.
+		var at []int
+		for i := 0; i <= n; i += 11 {
+			at = append(at, i)
+		}
+		for i := 63; i < n; i += 64 {
+			at = append(at, i, i+1)
+		}
+		at = append(at, n)
 		for c := uint32(0); c < sigma; c += 3 {
 			if ma.Count(c) != ns.rank(c, n) {
 				return false
 			}
-			for i := 0; i <= n; i += 11 {
+			for _, i := range at {
 				if ma.Rank(c, i) != ns.rank(c, i) {
+					return false
+				}
+				for _, e := range []int{i, i + 1, i + 64, n} {
+					e = min(e, n)
+					if rb, re := ma.RankRange(c, i, e); rb != ns.rank(c, i) || re != ns.rank(c, e) {
+						return false
+					}
+				}
+			}
+		}
+		// RangeCountBelow from and to those positions, against a count.
+		for _, b := range at {
+			for _, e := range []int{b, b + 1, b + 64, n} {
+				e = min(e, n)
+				x := uint32(b+e) % (sigma + 2)
+				want := 0
+				for _, c := range ns.data[b:e] {
+					if c < x {
+						want++
+					}
+				}
+				if ma.RangeCountBelow(b, e, x) != want {
 					return false
 				}
 			}

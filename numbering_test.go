@@ -13,6 +13,7 @@ import (
 	"ringrpq/internal/datagen"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/ring"
+	"ringrpq/internal/ring/ringtest"
 	"ringrpq/internal/triples"
 	"ringrpq/internal/workload"
 )
@@ -125,7 +126,7 @@ w p v .
 			t.Fatalf("seed %d: a built database keeps %d triples", seed, len(db.g.Triples))
 		}
 		r := db.h.cur.Load().r
-		ts := r.Triples()
+		ts := ringtest.Triples(r)
 		if got, want := namedTriples(db.g, ts), namedTriples(fg, fg.Triples); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: the ring holds %d triples that differ from the input's %d", seed, len(got), len(want))
 		}

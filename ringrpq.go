@@ -44,9 +44,10 @@
 //
 // The index also accepts live updates: Apply folds triples into an
 // in-memory overlay that every query unions in transparently, and a
-// background compactor rebuilds the ring and swaps the snapshot
-// atomically — in-flight queries finish on the snapshot they started
-// with (see Apply, Flush and the README's "Live updates" section).
+// background compactor merges the overlay into the ring and swaps the
+// snapshot atomically — in-flight queries finish on the snapshot they
+// started with (see Apply, Flush and the README's "Live updates"
+// section).
 //
 // Command rpqd serves the same API over HTTP, including POST /update.
 package ringrpq
@@ -125,8 +126,8 @@ func newDB(g *triples.Graph, r *ring.Ring) *DB {
 //
 // The index is no longer frozen after Build: Apply folds live updates
 // into an in-memory overlay that every query unions in, and a
-// background compactor periodically rebuilds the static ring and swaps
-// the snapshot atomically (see Apply, Flush and the README's "Live
+// background compactor periodically merges it into the static ring and
+// swaps the snapshot atomically (see Apply, Flush and the README's "Live
 // updates" section). Updates are safe from any goroutine; each
 // query evaluates against the one snapshot it pinned at entry.
 type DB struct {

@@ -3,8 +3,8 @@ package ringrpq
 // This file is the snapshot layer of the live-update subsystem: the
 // holder publishes immutable snapshots (static ring + one overlay
 // version), Apply folds updates into a new snapshot, and the
-// compactor rebuilds the static index from ring+overlay and swaps it
-// in atomically. Queries pin the snapshot they start on (epoch +
+// compactor merges the overlay into a new static index and swaps it in
+// atomically. Queries pin the snapshot they start on (epoch +
 // refcount), so an in-flight evaluation — including one on a service
 // worker clone — is never torn by a concurrent Apply or swap.
 
@@ -48,12 +48,13 @@ type UpdateStats struct {
 	// reports one in flight.
 	Compactions int64
 	Compacting  bool
-	// LastCompaction is the wall time of the last rebuild (outside the
-	// swap lock); LastSwapPause is the last swap's critical section —
-	// the only window concurrent Applies wait on. LastCheckpoint is
-	// what a durable database then spent making the rebuilt ring
-	// durable (serialise, write, fsync, rename), whether or not the
-	// checkpoint succeeded; zero without a write-ahead log.
+	// LastCompaction is the wall time of the last merge of the
+	// overlay into the ring (outside the swap lock); LastSwapPause is
+	// the last swap's critical section — the only window concurrent
+	// Applies wait on. LastCheckpoint is what a durable database then
+	// spent making the merged ring durable (serialise, write, fsync,
+	// rename), whether or not the checkpoint succeeded; zero without a
+	// write-ahead log.
 	LastCompaction, LastSwapPause, LastCheckpoint time.Duration
 	// PinnedSnapshots counts snapshots still referenced by in-flight
 	// queries (including the current one).
@@ -89,14 +90,14 @@ type holder struct {
 	compacting atomic.Bool
 	// compactBase is the data version of the in-flight compaction's
 	// base snapshot, or -1 when none: the overlay's replay log only
-	// needs batches newer than it (they are replayed onto the rebuilt
+	// needs batches newer than it (they are replayed onto the merged
 	// ring at swap time), so Apply prunes everything older.
 	compactBase atomic.Int64
 
 	threshold atomic.Int64 // 0 = automatic, < 0 = disabled
 
 	compactions      atomic.Int64
-	lastRebuildNS    atomic.Int64
+	lastMergeNS      atomic.Int64
 	lastSwapNS       atomic.Int64
 	lastCheckpointNS atomic.Int64
 
@@ -120,9 +121,10 @@ type holder struct {
 }
 
 // compactStageHook, when set by a test, is called at compaction stage
-// boundaries ("base-selected", "rebuilt", "swapped", "checkpointed",
-// "truncated"). Every call site is outside h.mu, so a hook may apply
-// updates to interleave them with the stages.
+// boundaries ("base-selected", "rebuilt" once the merged ring is
+// ready, "swapped", "checkpointed", "truncated"). Every call site is
+// outside h.mu, so a hook may apply updates to interleave them with
+// the stages.
 var compactStageHook func(stage string)
 
 func stageHook(stage string) {
@@ -201,7 +203,7 @@ func (h *holder) effectiveThreshold(staticN int) int {
 }
 
 // SetCompactionThreshold tunes the background compactor: the overlay
-// weight (completed adds + tombstones) that triggers a rebuild. 0
+// weight (completed adds + tombstones) that triggers a compaction. 0
 // restores the default (a quarter of the static triple count, at least
 // 1024); a negative value disables automatic compaction (Flush still
 // compacts on demand). Safe to call concurrently with queries and
@@ -220,7 +222,7 @@ func (db *DB) updateStats() UpdateStats {
 		DataVersion:     s.version,
 		Compactions:     db.h.compactions.Load(),
 		Compacting:      db.h.compacting.Load(),
-		LastCompaction:  time.Duration(db.h.lastRebuildNS.Load()),
+		LastCompaction:  time.Duration(db.h.lastMergeNS.Load()),
 		LastSwapPause:   time.Duration(db.h.lastSwapNS.Load()),
 		LastCheckpoint:  time.Duration(db.h.lastCheckpointNS.Load()),
 		PinnedSnapshots: db.h.pinned(),
@@ -305,7 +307,7 @@ func (db *DB) resolveDels(dels []Triple) []overlay.Edge {
 // started on and the update becomes visible to evaluations that start
 // afterwards. Apply is safe to call from any goroutine and any clone;
 // batches are serialised internally. When the overlay crosses the
-// compaction threshold a background rebuild is kicked off (see
+// compaction threshold a background compaction is kicked off (see
 // SetCompactionThreshold and Flush).
 //
 // ctx may carry an obs.Trace: profiled updates record wal_append,
@@ -401,17 +403,22 @@ func (db *DB) Apply(ctx context.Context, adds, dels []Triple) (UpdateStats, erro
 	return db.updateStats(), nil
 }
 
-// Flush synchronously compacts: it rebuilds the static index from
-// ring+overlay, swaps the snapshot atomically, and returns once the
+// Flush synchronously compacts: it merges the overlay into a new
+// static index, swaps the snapshot atomically, and returns once the
 // swap is visible. A no-op when the overlay is empty. Concurrent
-// queries are never blocked by the rebuild — only the pointer swap
+// queries are never blocked by the merge — only the pointer swap
 // itself is serialised with Apply.
 func (db *DB) Flush() error {
 	db.compactNow()
 	return nil
 }
 
-// compactNow runs one compaction cycle end to end.
+// compactNow runs one compaction cycle end to end: select the base
+// snapshot, merge its overlay into its ring (ring.Ring.Merge: the
+// tombstones leave and the adds enter each wavelet matrix level by
+// level, with rank queries per overlay edge and a word-at-a-time copy
+// per level, and no decode of the ring's triples), fold the batches
+// that raced the merge into a residual overlay, swap, and checkpoint.
 func (db *DB) compactNow() {
 	h := db.h
 	h.compactMu.Lock()
@@ -428,20 +435,22 @@ func (db *DB) compactNow() {
 		return
 	}
 	stageHook("base-selected")
-	// Rebuild at the base snapshot's dictionary length, not the current
+	// Merge at the base snapshot's dictionary length, not the current
 	// one: the checkpoint written below pairs this ring with exactly the
 	// first numNodes dictionary entries, and every node the base's
 	// overlay references is below it. Nodes interned by batches that
-	// race the rebuild stay overlay-only until the next compaction.
+	// race the merge stay overlay-only until the next compaction. The
+	// overlay's invariants are what the merge needs: its adds are
+	// absent from the ring and its tombstones present.
 	numNodes := base.numNodes
 	t0 := time.Now()
-	newR := rebuild(base, numNodes)
-	h.lastRebuildNS.Store(time.Since(t0).Nanoseconds())
+	newR := base.r.Merge(edgeTriples(base.ov.Adds()), edgeTriples(base.ov.Dels()), numNodes)
+	h.lastMergeNS.Store(time.Since(t0).Nanoseconds())
 	stageHook("rebuilt")
 
 	inNew := func(e overlay.Edge) bool { return newR.Has(e.S, e.P, e.O) }
 
-	// Updates that raced the rebuild are folded into a residual overlay
+	// Updates that raced the merge are folded into a residual overlay
 	// against the new ring. Each of their edges costs a probe of a ring
 	// no cache has seen yet, so those published so far are folded here,
 	// before the lock, and only the stragglers under it.
@@ -457,7 +466,7 @@ func (db *DB) compactNow() {
 	sink := h.wal.Load()
 	if sink != nil {
 		// The swap consumes a version; log it so recovery's replay stays
-		// gapless. An append failure aborts the swap (the rebuilt ring is
+		// gapless. An append failure aborts the swap (the merged ring is
 		// discarded; memory and log stay consistent).
 		if _, err := sink.log.Append(latest.version+1, encodeSwapRecord()); err != nil {
 			h.mu.Unlock()
@@ -470,7 +479,7 @@ func (db *DB) compactNow() {
 		epoch:   latest.epoch + 1,
 		version: latest.version + 1,
 		// Batches between base and latest may have grown the dictionary
-		// past the rebuilt ring; their edges live in the residual and the
+		// past the merged ring; their edges live in the residual and the
 		// kernel sizes itself by the snapshot's numNodes.
 		numNodes: latest.numNodes,
 	}
@@ -489,7 +498,7 @@ func (db *DB) compactNow() {
 	db.sel.Retain(newR)
 
 	if sink != nil {
-		// Checkpoint the rebuilt ring (all data ≤ base.version,
+		// Checkpoint the merged ring (all data ≤ base.version,
 		// consolidated) and drop the log segments it fully covers. A
 		// checkpoint failure is not fatal: the log still holds every
 		// batch since the previous checkpoint, so recovery just replays
@@ -513,21 +522,11 @@ func (db *DB) compactNow() {
 	}
 }
 
-// rebuild merges ring+overlay into a fresh ring: the base ring's
-// triples minus the overlay's tombstones, plus the overlay's adds. The
-// ring is decoded in bulk (ring.Triples) and filtered in place;
-// tombstones are probed only under predicates that have any.
-func rebuild(base *snapshot, numNodes int) *ring.Ring {
-	ov := base.ov
-	ts := base.r.Triples()
-	merged := ts[:0]
-	for _, t := range ts {
-		if ov.DelsForPred(t.P) == 0 || !ov.Deleted(overlay.Edge{S: t.S, P: t.P, O: t.O}) {
-			merged = append(merged, t)
-		}
+// edgeTriples converts overlay edges to ring triples.
+func edgeTriples(es []overlay.Edge) []triples.Triple {
+	out := make([]triples.Triple, len(es))
+	for i, e := range es {
+		out[i] = triples.Triple(e)
 	}
-	for _, e := range ov.Adds() {
-		merged = append(merged, triples.Triple{S: e.S, P: e.P, O: e.O})
-	}
-	return ring.FromTriples(merged, numNodes, base.r.NumPreds)
+	return out
 }
