@@ -81,9 +81,10 @@ bench:
 # Limit-bound traversal, reads with and without an overlay attached to
 # the kernel, a pattern join under a fixed order, a pattern pool
 # through one executor's plan memo), of the builder's (matrix build,
-# counting-sort ring build), of the compactor's (wavelet-matrix and
-# ring merges of 1000 edits, per-batch overlay consolidation, and a
-# g100k database's Flush of a 1000-edge overlay, with edits/op), of a
+# counting-sort ring build), of the write path's per-batch overlay
+# consolidation, of the compactor's (wavelet-matrix and ring merges of
+# 1000 edits, and a g100k database's Flush of a 1000-edge overlay, the
+# merge and the residual overlay's Diff, with edits/op), of a
 # fresh database's Load + Build (locality numbering included, with
 # allocs/op), of the g100k Table-1 log through a built database (with
 # visits/op) and of the handler's result-cache hit and miss: makes sure

@@ -3,7 +3,12 @@ package ringrpq
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"maps"
+	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"ringrpq/internal/overlay"
@@ -105,4 +110,189 @@ func TestUpdateCompactionMergeEqualsRebuild(t *testing.T) {
 		}
 	}
 	t.Logf("%d compactions, each byte-identical to its rebuild", len(merged))
+}
+
+// A compaction's residual overlay is the difference between what the
+// merged ring holds and what the data is at the swap. Batches applied
+// at "rebuilt" (before the residual is taken outside the lock) and at
+// "residual" (after it, so the swap must take it again under the lock)
+// re-add a triple the base deleted, delete a triple the base added,
+// add a triple on a node interned after the base and delete a static
+// triple. The swapped overlay must hold exactly the completed edges the
+// data has and the merged ring lacks as adds, and the reverse as
+// tombstones, and every answer must equal the oracle's, before the
+// swap, after it and after the next compaction.
+func TestUpdateCompactionResidual(t *testing.T) {
+	preds := []string{"pa", "pb", "pc"}
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var nodes []string
+		for i := 0; i < 10; i++ {
+			nodes = append(nodes, fmt.Sprintf("n%02d", i))
+		}
+		random := func() Triple {
+			return Triple{nodes[rng.Intn(len(nodes))], preds[rng.Intn(len(preds))], nodes[rng.Intn(len(nodes))]}
+		}
+		b := NewBuilder()
+		oracle := oracleEdges{}
+		for i := 0; i < 40; i++ {
+			tr := random()
+			b.Add(tr.Subject, tr.Predicate, tr.Object)
+			oracle[[3]string{tr.Subject, tr.Predicate, tr.Object}] = true
+		}
+		db, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.SetCompactionThreshold(-1)
+		ctx := context.Background()
+		apply := func(adds, dels []Triple) {
+			t.Helper()
+			if _, err := db.Apply(ctx, adds, dels); err != nil {
+				t.Fatal(err)
+			}
+			oracle.apply(adds, dels)
+		}
+		check := func(when string) {
+			t.Helper()
+			for _, s := range nodes {
+				for _, p := range preds {
+					for _, inverse := range []bool{false, true} {
+						expr := p
+						if inverse {
+							expr = "^" + p
+						}
+						sols, err := db.Query(ctx, s, expr, "?x")
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, want := sortedPairs(sols), oracle.query(s, p, inverse); !equalPairs(got, want) {
+							t.Fatalf("seed %d, %s: (%s, %s, ?x) = %v, oracle %v", seed, when, s, expr, got, want)
+						}
+					}
+				}
+			}
+		}
+
+		// The base overlay: three static triples deleted, three new
+		// ones added.
+		var static []Triple
+		for e := range oracle {
+			static = append(static, Triple{e[0], e[1], e[2]})
+		}
+		sort.Slice(static, func(i, j int) bool { return fmt.Sprint(static[i]) < fmt.Sprint(static[j]) })
+		rng.Shuffle(len(static), func(i, j int) { static[i], static[j] = static[j], static[i] })
+		baseDels, staticKept := static[:3], static[3:]
+		var baseAdds []Triple
+		for len(baseAdds) < 3 {
+			if tr := random(); !oracle[[3]string{tr.Subject, tr.Predicate, tr.Object}] && !slices.Contains(baseAdds, tr) {
+				baseAdds = append(baseAdds, tr)
+			}
+		}
+		apply(baseAdds, baseDels)
+
+		// The four cases, once per stage, each on triples of its own.
+		type cases struct{ readd, undo, fresh, delStatic Triple }
+		at := map[string]cases{}
+		for i, stage := range []string{"rebuilt", "residual"} {
+			at[stage] = cases{
+				readd:     baseDels[i],
+				undo:      baseAdds[i],
+				fresh:     Triple{nodes[rng.Intn(len(nodes))], preds[rng.Intn(len(preds))], "fresh-" + stage},
+				delStatic: staticKept[i],
+			}
+		}
+		var swapped *snapshot
+		compactStageHook = func(stage string) {
+			if c, ok := at[stage]; ok {
+				apply([]Triple{c.readd, c.fresh, random()}, []Triple{c.undo, c.delStatic, random()})
+				check("at " + stage)
+			}
+			if stage == "swapped" {
+				swapped = db.h.cur.Load()
+			}
+		}
+		err = db.Flush()
+		compactStageHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if swapped == nil || swapped != db.h.cur.Load() {
+			t.Fatalf("seed %d: no swap, or a snapshot published after it", seed)
+		}
+		check("after the swap")
+
+		// The residual by its definition, over completed edge ids.
+		edgeOf := func(e [3]string) (overlay.Edge, bool) {
+			s, ok1 := db.g.Nodes.Lookup(e[0])
+			p, ok2 := db.g.Preds.Lookup(e[1])
+			o, ok3 := db.g.Nodes.Lookup(e[2])
+			return overlay.Edge{S: s, P: p, O: o}, ok1 && ok2 && ok3
+		}
+		data := map[overlay.Edge]bool{}
+		for e := range oracle {
+			ed, ok := edgeOf(e)
+			if !ok {
+				t.Fatalf("seed %d: %v not in the dictionary", seed, e)
+			}
+			data[ed] = true
+			data[overlay.Edge{S: ed.O, P: ed.P + db.g.NumPreds, O: ed.S}] = true
+		}
+		merged := map[overlay.Edge]bool{}
+		for _, tr := range ringtest.Triples(swapped.r) {
+			merged[overlay.Edge(tr)] = true
+		}
+		wantAdds, wantDels := map[overlay.Edge]bool{}, map[overlay.Edge]bool{}
+		for e := range data {
+			if !merged[e] {
+				wantAdds[e] = true
+			}
+		}
+		for e := range merged {
+			if !data[e] {
+				wantDels[e] = true
+			}
+		}
+		asSet := func(es []overlay.Edge) map[overlay.Edge]bool {
+			m := map[overlay.Edge]bool{}
+			for _, e := range es {
+				m[e] = true
+			}
+			if len(m) != len(es) {
+				t.Fatalf("seed %d: duplicate edges in %v", seed, es)
+			}
+			return m
+		}
+		if got := asSet(swapped.ov.Adds()); !maps.Equal(got, wantAdds) {
+			t.Fatalf("seed %d: residual adds %v, want %v", seed, swapped.ov.Adds(), wantAdds)
+		}
+		if got := asSet(swapped.ov.Dels()); !maps.Equal(got, wantDels) {
+			t.Fatalf("seed %d: residual tombstones %v, want %v", seed, swapped.ov.Dels(), wantDels)
+		}
+		// Each case reached the residual as the side it belongs on (the
+		// random triples of a batch may have undone one of them).
+		for _, c := range at {
+			for _, want := range []struct {
+				tr   Triple
+				adds bool
+			}{{c.readd, true}, {c.fresh, true}, {c.undo, false}, {c.delStatic, false}} {
+				e, ok := edgeOf([3]string{want.tr.Subject, want.tr.Predicate, want.tr.Object})
+				if !ok || data[e] != want.adds {
+					continue
+				}
+				if inAdds := swapped.ov.Has(e); inAdds != want.adds || swapped.ov.Deleted(e) == want.adds {
+					t.Fatalf("seed %d: %v is not a residual %s", seed, want.tr, map[bool]string{true: "add", false: "tombstone"}[want.adds])
+				}
+			}
+		}
+
+		// The next compaction merges the residual in.
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !db.h.cur.Load().ov.Empty() {
+			t.Fatalf("seed %d: overlay not empty after the second compaction", seed)
+		}
+		check("after the next compaction")
+	}
 }

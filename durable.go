@@ -281,27 +281,7 @@ func (db *DB) applyRecoveredBatch(version uint64, adds, dels []Triple) error {
 	addEdges := db.internAdds(adds, preds)
 	delEdges := db.resolveDels(dels)
 	ov := cur.ov.Apply(version, addEdges, delEdges, cur.inStatic)
-	keepAfter := ^uint64(0)
-	if base := h.compactBase.Load(); base >= 0 {
-		keepAfter = uint64(base)
-	}
-	ov = ov.WithBatchesAfter(keepAfter)
-	next := &snapshot{
-		r: cur.r, ov: ov,
-		epoch:    cur.epoch,
-		version:  version,
-		numNodes: db.g.NumNodes(),
-	}
-	h.publish(next)
-	if reg := h.standing.Load(); reg != nil && reg.Active() {
-		cur.refs.Add(1)
-		next.refs.Add(1)
-		reg.Notify(standing.Batch{
-			Version: version,
-			Adds:    addEdges, Dels: delEdges,
-			Old: cur, New: next,
-		})
-	}
+	h.advance(nil, cur, cur.r, ov, db.g.NumNodes(), &standing.Batch{Adds: addEdges, Dels: delEdges})
 	return nil
 }
 
@@ -320,16 +300,7 @@ func (db *DB) applyRecoveredSwap(version uint64) error {
 	if version != cur.version+1 {
 		return fmt.Errorf("version gap: at %d, next record is %d", cur.version, version)
 	}
-	next := &snapshot{
-		r: cur.r, ov: cur.ov,
-		epoch:    cur.epoch,
-		version:  version,
-		numNodes: cur.numNodes,
-	}
-	h.publish(next)
-	if reg := h.standing.Load(); reg != nil && reg.Active() {
-		reg.Notify(standing.Batch{Version: version})
-	}
+	h.advance(nil, cur, cur.r, cur.ov, cur.numNodes, nil)
 	return nil
 }
 

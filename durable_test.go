@@ -368,7 +368,7 @@ func TestDurableCheckpointAndTruncate(t *testing.T) {
 	}
 }
 
-var compactStages = []string{"base-selected", "rebuilt", "swapped", "checkpointed", "truncated"}
+var compactStages = []string{"base-selected", "rebuilt", "residual", "swapped", "checkpointed", "truncated"}
 
 // TestDurableCompactionStageInterleave applies one update at every
 // compaction stage boundary: updates racing the rebuild must land in

@@ -12,6 +12,9 @@
 // accumulate in the overlay, every evaluation unions them in, and a
 // compactor (the snapshot layer above, see the public DB) periodically
 // merges the overlay into the ring and swaps the result in atomically.
+// The updates that raced the merge need no log: the residual overlay
+// over the merged ring is the set difference of the overlay version
+// the merge started from and the current one (Diff).
 //
 // An Overlay value is immutable: Apply returns a new version, so a
 // query (or a whole snapshot) holding one is isolated from later
@@ -34,17 +37,6 @@ type Edge = core.Edge
 
 var _ core.Delta = (*Overlay)(nil)
 
-// Batch is one applied update set, kept verbatim (completed, deduped)
-// so a compactor can replay updates that arrived while it was
-// merging against the new ring.
-type Batch struct {
-	// Version is the data version this batch produced.
-	Version uint64
-	// Adds and Dels are the completed requested edges, before
-	// consolidation against the then-current overlay and ring.
-	Adds, Dels []Edge
-}
-
 // Overlay is one immutable version of the dynamic layer. The zero
 // value is not meaningful; use New.
 //
@@ -63,9 +55,6 @@ type Overlay struct {
 	delsPS []Edge
 	addsPS []Edge
 
-	// batches is the replay log since the static snapshot was built;
-	// BatchesAfter serves the compactor's residual overlay.
-	batches []Batch
 	version uint64
 
 	// predTouch counts adds+dels per completed predicate id: the
@@ -121,27 +110,10 @@ func find(es []Edge, e Edge) bool {
 // for a batch of b edges plus one copy of each consolidated slice the
 // batch changes.
 func (o *Overlay) Apply(version uint64, adds, dels []Edge, inStatic func(Edge) bool) *Overlay {
-	b := Batch{Version: version, Adds: slices.Clone(adds), Dels: slices.Clone(dels)}
-	n := o.Replay([]Batch{b}, inStatic)
-	n.batches = append(slices.Clone(o.batches), b)
-	return n
-}
-
-// Replay consolidates batches, oldest first, on top of o in one pass
-// over their edges, without logging them: what a finishing compaction
-// does to the updates that raced its merge, starting from New() and
-// against the ring it just built. (The residual needs no replay log —
-// whatever compaction comes next starts from a base that already
-// contains it consolidated.) Replaying a sequence in two calls equals
-// replaying it in one.
-func (o *Overlay) Replay(batches []Batch, inStatic func(Edge) bool) *Overlay {
-	if len(batches) == 0 {
-		return o
-	}
-	// Each edge the batches mention moves between three states — live
+	// Each edge the batch mentions moves between three states — live
 	// add, tombstone, neither — independently of every other edge, so
 	// only those edges are tracked: where they were in o (two binary
-	// searches, on first sight) and where the batches leave them.
+	// searches, on first sight) and where the batch leaves them.
 	type membership struct{ add, del bool }
 	type move struct{ was, now membership }
 	moved := map[Edge]move{}
@@ -152,27 +124,25 @@ func (o *Overlay) Replay(batches []Batch, inStatic func(Edge) bool) *Overlay {
 		was := membership{add: find(o.adds, e), del: find(o.dels, e)}
 		return move{was: was, now: was}
 	}
-	for _, b := range batches {
-		for _, e := range b.Adds {
-			m := at(e)
-			switch {
-			case m.now.del:
-				m.now.del = false // revive a tombstoned static edge
-			case !m.now.add && !inStatic(e):
-				m.now.add = true
-			}
-			moved[e] = m
+	for _, e := range adds {
+		m := at(e)
+		switch {
+		case m.now.del:
+			m.now.del = false // revive a tombstoned static edge
+		case !m.now.add && !inStatic(e):
+			m.now.add = true
 		}
-		for _, e := range b.Dels {
-			m := at(e)
-			switch {
-			case m.now.add:
-				m.now.add = false // cancel a pending add
-			case !m.now.del && inStatic(e):
-				m.now.del = true
-			}
-			moved[e] = m // an absent edge stays absent
+		moved[e] = m
+	}
+	for _, e := range dels {
+		m := at(e)
+		switch {
+		case m.now.add:
+			m.now.add = false // cancel a pending add
+		case !m.now.del && inStatic(e):
+			m.now.del = true
 		}
+		moved[e] = m // an absent edge stays absent
 	}
 
 	var addIns, addRem, delIns, delRem []Edge
@@ -207,8 +177,52 @@ func (o *Overlay) Replay(batches []Batch, inStatic func(Edge) bool) *Overlay {
 	n.addsPS = merge(o.addsPS, addIns, addRem, cmpEdgePS)
 	n.dels = merge(o.dels, delIns, delRem, cmpEdge)
 	n.delsPS = merge(o.delsPS, delIns, delRem, cmpEdgePS)
-	n.version = batches[len(batches)-1].Version
+	n.version = version
 	return &n
+}
+
+// Diff returns the overlay that gives latest's view over the ring that
+// merging base makes. base and latest are two versions of one overlay
+// over one ring R, so that ring is R ∪ base.adds − base.dels, and over
+// it latest's view needs
+//
+//	adds = (latest.adds − base.adds) ∪ (base.dels − latest.dels)
+//	dels = (latest.dels − base.dels) ∪ (base.adds − latest.adds)
+//
+// In each union the first set lies outside R and the second inside it,
+// so they are disjoint. The result carries latest's version. The cost
+// is linear in the two overlays and probes no ring: it is how a
+// finishing compaction keeps the updates that raced its merge.
+func Diff(base, latest *Overlay) *Overlay {
+	// Each union splices its second set into its first.
+	n := New()
+	n.adds = merge(minus(latest.adds, base.adds, cmpEdge), minus(base.dels, latest.dels, cmpEdge), nil, cmpEdge)
+	n.dels = merge(minus(latest.dels, base.dels, cmpEdge), minus(base.adds, latest.adds, cmpEdge), nil, cmpEdge)
+	n.addsPS = merge(minus(latest.addsPS, base.addsPS, cmpEdgePS), minus(base.delsPS, latest.delsPS, cmpEdgePS), nil, cmpEdgePS)
+	n.delsPS = merge(minus(latest.delsPS, base.delsPS, cmpEdgePS), minus(base.addsPS, latest.addsPS, cmpEdgePS), nil, cmpEdgePS)
+	n.version = latest.version
+	for _, e := range n.adds {
+		n.predTouch[e.P]++
+	}
+	for _, e := range n.dels {
+		n.predTouch[e.P]++
+		n.predDels[e.P]++
+	}
+	return n
+}
+
+// minus returns the edges of a that are not in b, both sorted by cmp.
+func minus(a, b []Edge, cmp func(a, b Edge) int) []Edge {
+	var out []Edge
+	for _, e := range a {
+		for len(b) > 0 && cmp(b[0], e) < 0 {
+			b = b[1:]
+		}
+		if len(b) == 0 || cmp(b[0], e) != 0 {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // merge returns old — sorted by cmp and never written to — with the
@@ -332,41 +346,10 @@ func (o *Overlay) AddsInto(obj uint32) []Edge {
 	return o.adds[lo:hi]
 }
 
-// BatchesAfter returns the applied batches with Version > v, oldest
-// first: the updates a finishing compaction must replay against the
-// ring it just built.
-func (o *Overlay) BatchesAfter(v uint64) []Batch {
-	i := sort.Search(len(o.batches), func(i int) bool { return o.batches[i].Version > v })
-	return o.batches[i:]
-}
-
-// WithBatchesAfter returns an overlay identical to o but whose replay
-// log keeps only batches with Version > v (consolidated sets are
-// shared structurally). The snapshot layer prunes with it: a batch is
-// only ever replayed by a compaction whose base predates it, and the
-// only base that can predate an already-applied batch is the one in
-// flight, so everything older is dead weight.
-func (o *Overlay) WithBatchesAfter(v uint64) *Overlay {
-	kept := o.BatchesAfter(v)
-	if len(kept) == len(o.batches) {
-		return o
-	}
-	n := *o
-	n.batches = append([]Batch(nil), kept...)
-	return &n
-}
-
-// BatchCount reports the replay-log length (observability and tests).
-func (o *Overlay) BatchCount() int { return len(o.batches) }
-
 // SizeBytes estimates the overlay footprint: every consolidated edge is
 // held twice (object-major and predicate-major), plus the per-predicate
-// counts and the replay log.
+// counts.
 func (o *Overlay) SizeBytes() int {
-	sz := 64 + 12*(len(o.adds)+len(o.addsPS)+len(o.dels)+len(o.delsPS)) +
+	return 64 + 12*(len(o.adds)+len(o.addsPS)+len(o.dels)+len(o.delsPS)) +
 		24*(len(o.predTouch)+len(o.predDels))
-	for _, b := range o.batches {
-		sz += 48 + 12*(len(b.Adds)+len(b.Dels))
-	}
-	return sz
 }

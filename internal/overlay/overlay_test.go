@@ -1,8 +1,8 @@
 package overlay
 
 import (
+	"maps"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 )
@@ -57,9 +57,6 @@ func TestApplySemantics(t *testing.T) {
 	if ov.Version() != 4 {
 		t.Fatalf("version = %d, want 4", ov.Version())
 	}
-	if got := len(ov.BatchesAfter(2)); got != 2 {
-		t.Fatalf("BatchesAfter(2) = %d batches, want 2", got)
-	}
 }
 
 func TestInEdgesAndCounts(t *testing.T) {
@@ -84,23 +81,30 @@ func TestInEdgesAndCounts(t *testing.T) {
 	}
 }
 
-func TestReplay(t *testing.T) {
-	_, inStaticOld := staticSet(edge(0, 0, 1))
-	ov := New()
-	ov = ov.Apply(1, []Edge{edge(1, 0, 2)}, nil, inStaticOld)
-	ov = ov.Apply(2, []Edge{edge(2, 0, 3)}, []Edge{edge(0, 0, 1)}, inStaticOld)
-	ov = ov.Apply(3, nil, []Edge{edge(1, 0, 2)}, inStaticOld)
+// TestDiff compacts as of version 2 and diffs what came after: the
+// merged ring holds exactly the view at version 2, {(1,0,2), (2,0,3),
+// (3,0,4)}, and over it the residual must re-add the static edge the
+// base deleted, tombstone the edge the base added, keep the new add
+// and tombstone the static edge deleted after the base.
+func TestDiff(t *testing.T) {
+	_, inStatic := staticSet(edge(0, 0, 1), edge(3, 0, 4))
+	base := New().Apply(1, []Edge{edge(1, 0, 2)}, nil, inStatic)
+	base = base.Apply(2, []Edge{edge(2, 0, 3)}, []Edge{edge(0, 0, 1)}, inStatic)
+	ov := base.Apply(3, []Edge{edge(0, 0, 1), edge(5, 1, 6)}, []Edge{edge(1, 0, 2), edge(3, 0, 4)}, inStatic)
 
-	// Compact as of version 2: the new static base holds exactly the
-	// union at version 2; replaying the remaining batch against it must
-	// tombstone (1,0,2) there.
-	_, inStaticNew := staticSet(edge(1, 0, 2), edge(2, 0, 3))
-	res := New().Replay(ov.BatchesAfter(2), inStaticNew)
-	if res.AddCount() != 0 || res.DelCount() != 1 || !res.Deleted(edge(1, 0, 2)) {
-		t.Fatalf("replayed residual wrong: %d adds, %d dels", res.AddCount(), res.DelCount())
+	res := Diff(base, ov)
+	if got, want := res.Adds(), []Edge{edge(0, 0, 1), edge(5, 1, 6)}; !slices.Equal(got, want) {
+		t.Fatalf("residual adds = %v, want %v", got, want)
 	}
-	if res.Version() != 3 {
-		t.Fatalf("residual version = %d, want 3", res.Version())
+	if got, want := res.Dels(), []Edge{edge(1, 0, 2), edge(3, 0, 4)}; !slices.Equal(got, want) {
+		t.Fatalf("residual dels = %v, want %v", got, want)
+	}
+	if res.Version() != 3 || res.DelsForPred(0) != 2 || !res.TouchesPred(1) || res.DelsForPred(1) != 0 {
+		t.Fatalf("residual version %d, DelsForPred(0) %d, TouchesPred(1) %v",
+			res.Version(), res.DelsForPred(0), res.TouchesPred(1))
+	}
+	if !Diff(ov, ov).Empty() {
+		t.Fatal("an overlay's diff with itself is not empty")
 	}
 }
 
@@ -108,10 +112,9 @@ func TestReplay(t *testing.T) {
 // oracle: both sets rebuilt from scratch per batch.
 type refOverlay struct {
 	adds, dels map[Edge]bool
-	batches    []Batch
 }
 
-func (r *refOverlay) apply(version uint64, adds, dels []Edge, inStatic func(Edge) bool) {
+func (r *refOverlay) apply(adds, dels []Edge, inStatic func(Edge) bool) {
 	for _, e := range adds {
 		if r.dels[e] {
 			delete(r.dels, e)
@@ -131,7 +134,6 @@ func (r *refOverlay) apply(version uint64, adds, dels []Edge, inStatic func(Edge
 			r.dels[e] = true
 		}
 	}
-	r.batches = append(r.batches, Batch{Version: version, Adds: adds, Dels: dels})
 }
 
 func sortedBy(set map[Edge]bool, cmp func(a, b Edge) int) []Edge {
@@ -194,7 +196,9 @@ func (r *refOverlay) check(t *testing.T, step int, ov *Overlay, nodes, preds uin
 // consolidation left it, after every batch of random sequences that
 // add then delete, delete then re-add (tombstone revival), repeat an
 // edge within one batch, and add and delete one edge in the same batch;
-// and Replay of any suffix must equal the reference replayed over it.
+// and the Diff of every earlier version with the last must equal the
+// reference replayed, from that version on, over the ring that version
+// merges into.
 func TestApplyMatchesMapReference(t *testing.T) {
 	const nodes, preds = 6, 3
 	for seed := int64(0); seed < 20; seed++ {
@@ -219,7 +223,8 @@ func TestApplyMatchesMapReference(t *testing.T) {
 			return es
 		}
 
-		ov := New()
+		ovs := []*Overlay{New()} // ovs[v] is the version after batch v
+		var batches [][2][]Edge  // batches[v-1] is batch v
 		ref := &refOverlay{adds: map[Edge]bool{}, dels: map[Edge]bool{}}
 		const steps = 60
 		for v := uint64(1); v <= steps; v++ {
@@ -227,42 +232,36 @@ func TestApplyMatchesMapReference(t *testing.T) {
 			if len(adds) > 0 && rng.Intn(3) == 0 {
 				dels = append(dels, adds[0]) // add and delete in one batch
 			}
-			ov = ov.Apply(v, adds, dels, inStatic)
-			ref.apply(v, adds, dels, inStatic)
+			ov := ovs[v-1].Apply(v, adds, dels, inStatic)
+			ref.apply(adds, dels, inStatic)
 			ref.check(t, int(v), ov, nodes, preds)
-			if ov.Version() != v || ov.BatchCount() != int(v) {
-				t.Fatalf("step %d: version %d, %d batches", v, ov.Version(), ov.BatchCount())
+			if ov.Version() != v {
+				t.Fatalf("step %d: version %d", v, ov.Version())
 			}
+			ovs = append(ovs, ov)
+			batches = append(batches, [2][]Edge{adds, dels})
 		}
-		for _, after := range []uint64{0, steps / 2, steps - 1, steps} {
-			got := ov.BatchesAfter(after)
-			if len(got) != int(steps-after) || !reflect.DeepEqual(got, ref.batches[after:]) {
-				t.Fatalf("seed %d: BatchesAfter(%d) differs from the applied batches", seed, after)
+		last := ovs[steps]
+		for k, base := range ovs {
+			// A compaction that started at version k merged base's
+			// view into the ring; the rest of the batches replay
+			// against that ring.
+			merged := maps.Clone(static)
+			for _, e := range base.Adds() {
+				merged[e] = true
 			}
-			// A compaction that rebuilt as of version `after` replays
-			// the rest against a different static base.
-			newStatic := map[Edge]bool{}
-			for i := 0; i < 40; i++ {
-				newStatic[draw()] = true
+			for _, e := range base.Dels() {
+				delete(merged, e)
 			}
-			inNew := func(e Edge) bool { return newStatic[e] }
+			inMerged := func(e Edge) bool { return merged[e] }
 			replayed := &refOverlay{adds: map[Edge]bool{}, dels: map[Edge]bool{}}
-			for _, b := range got {
-				replayed.apply(b.Version, b.Adds, b.Dels, inNew)
+			for _, b := range batches[k:] {
+				replayed.apply(b[0], b[1], inMerged)
 			}
-			res := New().Replay(got, inNew)
-			replayed.check(t, -int(after), res, nodes, preds)
-			// In two calls: the compactor replays most batches before
-			// it takes the swap lock and the stragglers under it.
-			split := New().Replay(got[:len(got)/2], inNew).Replay(got[len(got)/2:], inNew)
-			replayed.check(t, -int(after), split, nodes, preds)
-			version := uint64(0) // nothing replayed: a fresh overlay
-			if len(got) > 0 {
-				version = steps
-			}
-			if res.Version() != version || res.BatchCount() != 0 {
-				t.Fatalf("seed %d: residual after %d: version %d (want %d), %d batches (want 0)",
-					seed, after, res.Version(), version, res.BatchCount())
+			res := Diff(base, last)
+			replayed.check(t, -k, res, nodes, preds)
+			if res.Version() != steps {
+				t.Fatalf("seed %d: Diff from %d: version %d, want %d", seed, k, res.Version(), steps)
 			}
 		}
 	}
@@ -272,11 +271,11 @@ func TestApplyMatchesMapReference(t *testing.T) {
 // predicate-major), 12 bytes each time; SizeBytes must count both.
 func TestSizeBytesCountsBothOrders(t *testing.T) {
 	_, inStatic := staticSet(edge(0, 0, 1), edge(1, 0, 2), edge(2, 0, 3))
-	ov := New().Apply(1, []Edge{edge(5, 0, 6)}, []Edge{edge(0, 0, 1)}, inStatic).WithBatchesAfter(1)
+	ov := New().Apply(1, []Edge{edge(5, 0, 6)}, []Edge{edge(0, 0, 1)}, inStatic)
 	base := ov.SizeBytes()
-	// Same predicate, so the per-predicate counts keep their size, and
-	// the replay log is pruned: only the consolidated sets grow.
-	grown := ov.Apply(2, []Edge{edge(6, 0, 7), edge(7, 0, 8)}, []Edge{edge(1, 0, 2)}, inStatic).WithBatchesAfter(2)
+	// Same predicate, so the per-predicate counts keep their size: only
+	// the consolidated sets grow.
+	grown := ov.Apply(2, []Edge{edge(6, 0, 7), edge(7, 0, 8)}, []Edge{edge(1, 0, 2)}, inStatic)
 	if got := grown.SizeBytes() - base; got != 3*24 {
 		t.Fatalf("SizeBytes grew by %d for 3 consolidated edges, want %d", got, 3*24)
 	}
@@ -296,7 +295,7 @@ func BenchmarkOverlayApply(b *testing.B) {
 		return es
 	}
 	inStatic := func(Edge) bool { return false }
-	ov := New().Apply(1, batch(2000), nil, inStatic).WithBatchesAfter(1)
+	ov := New().Apply(1, batch(2000), nil, inStatic)
 	adds := batch(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -734,8 +734,11 @@ func (s *Service) runSafe(b Backend, j *job) (res Result, ok bool) {
 // collecting Solutions, a graph pattern through EvalPattern, collecting
 // Rows.
 func (s *Service) run(b Backend, j *job) Result {
-	if err := j.ctx.Err(); err != nil {
-		s.countCtxErr(err)
+	// Only a cancellation ends the job here. submit folded a ctx
+	// deadline into j.deadline, so one that passed in the queue is the
+	// timeout below, as the request's own budget is.
+	if err := j.ctx.Err(); errors.Is(err, context.Canceled) {
+		s.cancelled.Add(1)
 		return Result{Err: err}
 	}
 	s.inflight.Add(1)
@@ -805,8 +808,7 @@ func (s *Service) run(b Backend, j *job) Result {
 	j.trace.EndVals(esp, int64(res.N))
 	switch {
 	case stopped != nil:
-		s.countCtxErr(stopped)
-		res.Err = stopped
+		res.Err = s.ctxFailure(stopped)
 	case errors.Is(res.Err, core.ErrTimeout):
 		s.timeouts.Add(1)
 	case res.Err != nil:
@@ -817,15 +819,17 @@ func (s *Service) run(b Backend, j *job) Result {
 	return res
 }
 
-// countCtxErr attributes a context failure to the right counter: a
-// fired deadline is a timeout, a deadline-less cancellation (client
-// disconnect) is not.
-func (s *Service) countCtxErr(err error) {
+// ctxFailure attributes a context failure to the right counter and
+// returns the error the result carries: a fired deadline is a timeout
+// (core.ErrTimeout, with whatever was collected), a deadline-less
+// cancellation (client disconnect) is the context's own error.
+func (s *Service) ctxFailure(err error) error {
 	if errors.Is(err, context.DeadlineExceeded) {
 		s.timeouts.Add(1)
-	} else {
-		s.cancelled.Add(1)
+		return core.ErrTimeout
 	}
+	s.cancelled.Add(1)
+	return err
 }
 
 // store records a complete result in the result cache, charged for

@@ -251,8 +251,57 @@ func TestContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	res := s.Query(ctx, Request{Subject: "?x", Expr: "a", Object: "?y"})
-	if !errors.Is(res.Err, core.ErrTimeout) && !errors.Is(res.Err, context.DeadlineExceeded) {
-		t.Fatalf("context deadline ignored: %v", res.Err)
+	if !errors.Is(res.Err, core.ErrTimeout) {
+		t.Fatalf("context deadline: err = %v, want ErrTimeout", res.Err)
+	}
+}
+
+// A context deadline that passes while the request waits in the queue
+// is a timeout too (an empty truncated result), as the request's own
+// budget is (TestQueuedJobsBehindPanicAndLapsedDeadline); a context
+// cancelled there stays a cancellation.
+func TestContextDeadlinePassedInQueue(t *testing.T) {
+	// Both contexts end 50 ms after submission, long enough for the
+	// request to be queued first.
+	const after = 50 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), after)
+		}, core.ErrTimeout},
+		{"cancelled", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(after, cancel)
+			return ctx, cancel
+		}, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFake(1)
+			f.shared.gate = make(chan struct{})
+			s := newTestService(t, f, Config{Workers: 1, ResultCacheEntries: -1})
+			// Occupy the one worker so the request under test queues.
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.Query(context.Background(), Request{Subject: "?x", Expr: "a", Object: "?y"})
+			}()
+			waitFor(t, func() bool { return s.Stats().Inflight == 1 })
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			got := make(chan Result, 1)
+			go func() { got <- s.Query(ctx, Request{Subject: "?q", Expr: "a", Object: "?y"}) }()
+			waitFor(t, func() bool { return s.Stats().QueueLen == 1 })
+			<-ctx.Done()
+			close(f.shared.gate)
+			res := <-got
+			<-done
+			if !errors.Is(res.Err, tc.want) || len(res.Solutions) != 0 {
+				t.Fatalf("err = %v with %d solutions, want %v and none", res.Err, len(res.Solutions), tc.want)
+			}
+		})
 	}
 }
 

@@ -194,9 +194,9 @@ type Stats struct {
 	// Detached counts the resumable-but-disconnected subset; Lagged
 	// counts subscribers currently marked lagged.
 	Active, Detached, Lagged int
-	// ReplayLogBatches is the depth of the overlay's replay log. The
-	// registry does not see the log and leaves this 0; the root DB
-	// fills it in when it snapshots its Stats.
+	// ReplayLogBatches is retired and reads 0: the overlay keeps no
+	// replay log. The field stays so that the /stats key paths and the
+	// /metrics series only ever grow.
 	ReplayLogBatches int
 	// Version is the last data version the worker processed.
 	Version uint64

@@ -109,48 +109,6 @@ func (m *Matrix) setBottomStarts() {
 	}
 }
 
-// Symbols decodes the whole sequence into dst[:Len()], using tmp[:Len()]
-// as scratch (both at least Len() long, not overlapping): the bulk form
-// of Access for callers that read every position. It undoes the level
-// partitions bottom-up: the leaf level is known from the counts alone,
-// and level l's order is recovered from level l+1's by reading l's bits
-// left to right, taking the next unread element of the zeros run or of
-// the ones run. No rank queries; O(n·log σ) sequential work.
-func (m *Matrix) Symbols(dst, tmp []uint32) {
-	// Each level moves the sequence from one buffer to the other;
-	// start in the one that makes the last move land in dst.
-	cur, next := dst[:m.n], tmp[:m.n]
-	if m.width%2 == 1 {
-		cur, next = next, cur
-	}
-	for c := uint32(0); c < m.sigma; c++ {
-		run := cur[m.bottomStart[c]:][:m.Count(c)]
-		for i := range run {
-			run[i] = c
-		}
-	}
-	for l := m.width - 1; l >= 0; l-- {
-		unpartition(m.levels[l], next, cur)
-		cur, next = next, cur
-	}
-}
-
-// unpartition inverts a stable partition by bv's bits: src holds the
-// elements whose bit is 0 followed by those whose bit is 1, each group
-// in sequence order, and dst receives them back in sequence order.
-func unpartition(bv *bitvec.Vector, dst, src []uint32) {
-	zi, oi := 0, bv.Zeros()
-	for wi, w := range bv.Words() {
-		chunk := dst[wi*64 : min(wi*64+64, len(dst))]
-		for j := range chunk {
-			b := int(w >> uint(j) & 1)
-			chunk[j] = src[zi+(oi-zi)*b]
-			zi += 1 - b
-			oi += b
-		}
-	}
-}
-
 // Len reports the sequence length.
 func (m *Matrix) Len() int { return m.n }
 

@@ -86,39 +86,6 @@ func TestAccessRank(t *testing.T) {
 	}
 }
 
-// Symbols must agree with Access at every position, including the
-// shapes a compaction can meet: an empty sequence (an
-// empty sub-ring), a one-symbol alphabet, a non-power-of-two alphabet,
-// lengths around the word boundary, and symbols that never occur.
-func TestSymbolsMatchesAccess(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 700} {
-		for _, sigma := range []uint32{1, 2, 3, 5, 8, 17, 100, 1000} {
-			ns := randSeq(n, sigma, int64(n)+int64(sigma))
-			if sigma > 4 {
-				for i := range ns.data { // leave symbol 3 and the top one unused
-					if ns.data[i] == 3 || ns.data[i] == sigma-1 {
-						ns.data[i] = 0
-					}
-				}
-			}
-			s := matrix(ns)
-			// Longer buffers than needed: only the first Len() entries
-			// may be touched.
-			dst, tmp := make([]uint32, n+2), make([]uint32, n+2)
-			dst[n], dst[n+1] = 7, 7
-			s.Symbols(dst, tmp)
-			for i := 0; i < n; i++ {
-				if want := s.Access(i); dst[i] != want {
-					t.Fatalf("n=%d sigma=%d: Symbols[%d] = %d, want %d", n, sigma, i, dst[i], want)
-				}
-			}
-			if dst[n] != 7 || dst[n+1] != 7 {
-				t.Fatalf("n=%d sigma=%d: Symbols wrote past Len()", n, sigma)
-			}
-		}
-	}
-}
-
 func TestEmptySequence(t *testing.T) {
 	s := matrix(naiveSeq{nil, 4})
 	if s.Len() != 0 {

@@ -41,7 +41,7 @@ type Pair = standing.Pair
 type StandingConfig = standing.Config
 
 // StandingStats describes the subscription subsystem (Stats.Standing):
-// the registry's counters plus the overlay replay log's depth.
+// the registry's counters.
 type StandingStats = standing.Stats
 
 // Standing-query errors (see the standing package for semantics).
@@ -197,14 +197,12 @@ func (db *DB) Unsubscribe(id uint64) bool {
 }
 
 // standingStats snapshots the subscription registry's counters (zero
-// if nothing ever subscribed) and the replay log's depth.
+// if nothing ever subscribed).
 func (db *DB) standingStats() StandingStats {
-	var st StandingStats
 	if reg := db.h.standing.Load(); reg != nil {
-		st = reg.Stats()
+		return reg.Stats()
 	}
-	st.ReplayLogBatches = db.h.cur.Load().ov.BatchCount()
-	return st
+	return StandingStats{}
 }
 
 // SyncStanding blocks until every standing subscription has been

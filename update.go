@@ -59,8 +59,9 @@ type UpdateStats struct {
 	// PinnedSnapshots counts snapshots still referenced by in-flight
 	// queries (including the current one).
 	PinnedSnapshots int
-	// ReplayBatches is the depth of the overlay's replay log: update
-	// batches retained for compaction replay.
+	// ReplayBatches is retired and reads 0: the overlay keeps no
+	// replay log (a compaction diffs two overlay versions instead). The
+	// field stays so that the /stats key paths only ever grow.
 	ReplayBatches int
 }
 
@@ -88,11 +89,6 @@ type holder struct {
 
 	compactMu  sync.Mutex // serialises whole compactions
 	compacting atomic.Bool
-	// compactBase is the data version of the in-flight compaction's
-	// base snapshot, or -1 when none: the overlay's replay log only
-	// needs batches newer than it (they are replayed onto the merged
-	// ring at swap time), so Apply prunes everything older.
-	compactBase atomic.Int64
 
 	threshold atomic.Int64 // 0 = automatic, < 0 = disabled
 
@@ -107,9 +103,9 @@ type holder struct {
 	live   []*snapshot
 
 	// standing is the registry of standing-query subscriptions, created
-	// lazily on the first Subscribe and shared by every clone. Apply and
-	// the compaction swap notify it under h.mu, so notices arrive in
-	// publication order with the batch's snapshots pinned.
+	// lazily on the first Subscribe and shared by every clone. advance
+	// notifies it under h.mu, so notices arrive in publication order
+	// with the batch's snapshots pinned.
 	standingMu  sync.Mutex
 	standing    atomic.Pointer[standing.Registry]
 	standingCfg standing.Config
@@ -122,7 +118,8 @@ type holder struct {
 
 // compactStageHook, when set by a test, is called at compaction stage
 // boundaries ("base-selected", "rebuilt" once the merged ring is
-// ready, "swapped", "checkpointed", "truncated"). Every call site is
+// ready, "residual" once the residual overlay is taken outside the
+// lock, "swapped", "checkpointed", "truncated"). Every call site is
 // outside h.mu, so a hook may apply updates to interleave them with
 // the stages.
 var compactStageHook func(stage string)
@@ -136,7 +133,6 @@ func stageHook(stage string) {
 // newHolder publishes the initial snapshot.
 func newHolder(r *ring.Ring, numNodes int) *holder {
 	h := &holder{}
-	h.compactBase.Store(-1)
 	s := &snapshot{r: r, ov: overlay.New(), numNodes: numNodes}
 	h.cur.Store(s)
 	h.live = []*snapshot{s}
@@ -159,8 +155,21 @@ func (h *holder) acquire() *snapshot {
 // release unpins a snapshot.
 func (h *holder) release(s *snapshot) { s.refs.Add(-1) }
 
-// publish swaps in a new snapshot; callers hold h.mu.
-func (h *holder) publish(s *snapshot) {
+// advance publishes the snapshot that follows cur, the current one:
+// version cur.version+1 over ring r, overlay ov and the first numNodes
+// dictionary entries, in a new epoch when r is a new ring. It then
+// notifies standing queries, under h.mu, which callers hold, so that
+// they see every snapshot in publication order. notice, when not nil,
+// carries an applied batch's completed edges; advance stamps its
+// version and pins both snapshots for the registry worker, which
+// releases them. A swap passes nil: it changes no data, but the
+// subscriptions must see the version advance (resume cursors line up
+// with DataVersion). tr, when set, records the notice's span.
+func (h *holder) advance(tr *obs.Trace, cur *snapshot, r *ring.Ring, ov *overlay.Overlay, numNodes int, notice *standing.Batch) *snapshot {
+	s := &snapshot{r: r, ov: ov, epoch: cur.epoch, version: cur.version + 1, numNodes: numNodes}
+	if r != cur.r {
+		s.epoch++
+	}
 	h.cur.Store(s)
 	h.liveMu.Lock()
 	kept := h.live[:0]
@@ -171,6 +180,19 @@ func (h *holder) publish(s *snapshot) {
 	}
 	h.live = append(kept, s)
 	h.liveMu.Unlock()
+
+	if reg := h.standing.Load(); reg != nil && reg.Active() {
+		b := standing.Batch{Version: s.version}
+		if notice != nil {
+			cur.refs.Add(1)
+			s.refs.Add(1)
+			b.Adds, b.Dels, b.Old, b.New = notice.Adds, notice.Dels, cur, s
+		}
+		nsp := tr.Begin(obs.SpanStandingNotify)
+		reg.Notify(b)
+		tr.End(nsp)
+	}
+	return s
 }
 
 func (h *holder) pinned() int {
@@ -226,7 +248,6 @@ func (db *DB) updateStats() UpdateStats {
 		LastSwapPause:   time.Duration(db.h.lastSwapNS.Load()),
 		LastCheckpoint:  time.Duration(db.h.lastCheckpointNS.Load()),
 		PinnedSnapshots: db.h.pinned(),
-		ReplayBatches:   s.ov.BatchCount(),
 	}
 }
 
@@ -348,34 +369,7 @@ func (db *DB) Apply(ctx context.Context, adds, dels []Triple) (UpdateStats, erro
 	addEdges := db.internAdds(adds, preds)
 	delEdges := db.resolveDels(dels)
 	ov := cur.ov.Apply(cur.version+1, addEdges, delEdges, cur.inStatic)
-	// Bound the replay log: batches are only ever replayed by a
-	// compaction whose base predates them, and the only base that can
-	// predate already-applied batches is the in-flight one.
-	keepAfter := ^uint64(0)
-	if base := h.compactBase.Load(); base >= 0 {
-		keepAfter = uint64(base)
-	}
-	ov = ov.WithBatchesAfter(keepAfter)
-	next := &snapshot{
-		r: cur.r, ov: ov,
-		epoch:    cur.epoch,
-		version:  cur.version + 1,
-		numNodes: db.g.NumNodes(),
-	}
-	h.publish(next)
-	// Standing queries see every batch in publication order: pin both
-	// sides of the transition for the registry worker (released there).
-	if reg := h.standing.Load(); reg != nil && reg.Active() {
-		cur.refs.Add(1)
-		next.refs.Add(1)
-		nsp := tr.Begin(obs.SpanStandingNotify)
-		reg.Notify(standing.Batch{
-			Version: next.version,
-			Adds:    addEdges, Dels: delEdges,
-			Old: cur, New: next,
-		})
-		tr.End(nsp)
-	}
+	next := h.advance(tr, cur, cur.r, ov, db.g.NumNodes(), &standing.Batch{Adds: addEdges, Dels: delEdges})
 	h.mu.Unlock()
 
 	if sink != nil && sink.ackSync {
@@ -417,20 +411,17 @@ func (db *DB) Flush() error {
 // snapshot, merge its overlay into its ring (ring.Ring.Merge: the
 // tombstones leave and the adds enter each wavelet matrix level by
 // level, with rank queries per overlay edge and a word-at-a-time copy
-// per level, and no decode of the ring's triples), fold the batches
-// that raced the merge into a residual overlay, swap, and checkpoint.
+// per level, and no decode of the ring's triples), take the updates
+// that raced the merge as the residual overlay (overlay.Diff of the
+// base's overlay and the current one), swap, and checkpoint.
 func (db *DB) compactNow() {
 	h := db.h
 	h.compactMu.Lock()
 	defer h.compactMu.Unlock()
 
-	// Select the base under the holder lock so Apply's replay-log
-	// pruning can never race past it, and advertise it until the swap.
-	h.mu.Lock()
+	// compactMu keeps every other swap out until this one, so the base
+	// and every snapshot published before the swap share one ring.
 	base := h.cur.Load()
-	h.compactBase.Store(int64(base.version))
-	h.mu.Unlock()
-	defer h.compactBase.Store(-1)
 	if base.ov.Empty() {
 		return
 	}
@@ -448,16 +439,15 @@ func (db *DB) compactNow() {
 	h.lastMergeNS.Store(time.Since(t0).Nanoseconds())
 	stageHook("rebuilt")
 
-	inNew := func(e overlay.Edge) bool { return newR.Has(e.S, e.P, e.O) }
-
-	// Updates that raced the merge are folded into a residual overlay
-	// against the new ring. Each of their edges costs a probe of a ring
-	// no cache has seen yet, so those published so far are folded here,
-	// before the lock, and only the stragglers under it.
+	// The updates that raced the merge form the residual overlay over
+	// the merged ring. Diff is linear in the overlay, so it is taken
+	// here, before the lock, and again under it only if a batch landed
+	// in between.
 	seen := h.cur.Load()
-	residual := overlay.New().Replay(seen.ov.BatchesAfter(base.ov.Version()), inNew)
+	residual := overlay.Diff(base.ov, seen.ov)
+	stageHook("residual")
 
-	// Swap critical section: fold the stragglers, then publish. This is
+	// Swap critical section: the last residual, then publish. This is
 	// the only pause concurrent Applies observe; queries never block
 	// (they pin whatever snapshot is current when they start).
 	t1 := time.Now()
@@ -473,22 +463,13 @@ func (db *DB) compactNow() {
 			return
 		}
 	}
-	residual = residual.Replay(latest.ov.BatchesAfter(seen.ov.Version()), inNew)
-	next := &snapshot{
-		r: newR, ov: residual,
-		epoch:   latest.epoch + 1,
-		version: latest.version + 1,
-		// Batches between base and latest may have grown the dictionary
-		// past the merged ring; their edges live in the residual and the
-		// kernel sizes itself by the snapshot's numNodes.
-		numNodes: latest.numNodes,
+	if latest != seen {
+		residual = overlay.Diff(base.ov, latest.ov)
 	}
-	h.publish(next)
-	// A swap changes no data, but subscriptions must observe the version
-	// advance (resume cursors line up with DataVersion).
-	if reg := h.standing.Load(); reg != nil && reg.Active() {
-		reg.Notify(standing.Batch{Version: next.version})
-	}
+	// Batches between base and latest may have grown the dictionary past
+	// the merged ring; their edges live in the residual and the kernel
+	// sizes itself by the snapshot's numNodes.
+	h.advance(nil, latest, newR, residual, latest.numNodes, nil)
 	h.mu.Unlock()
 	h.lastSwapNS.Store(time.Since(t1).Nanoseconds())
 	h.compactions.Add(1)
