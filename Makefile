@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: all ci build vet test race crash ceilings examples bench bench-short bench-module bench-check fuzz lint lint-metrics clean
+.PHONY: all ci build vet test race crash ceilings examples bench bench-short paper bench-module bench-check fuzz lint lint-metrics clean
 
 all: ci
 
@@ -87,8 +87,9 @@ bench:
 # merge and the residual overlay's Diff, with edits/op), of a
 # fresh database's Load + Build (locality numbering included, with
 # allocs/op), of the g100k Table-1 log through a built database (with
-# visits/op) and of the handler's result-cache hit and miss: makes sure
-# the benchmark code keeps compiling and running under ci. A descent
+# visits/op), of the handler's result-cache hit and miss, and one pass
+# of the paper's Table-2 log through the ring and NavBFS arms: makes
+# sure the benchmark code keeps compiling and running under ci. A descent
 # change is sized with paired -count runs of the same benchmarks, e.g.
 # go test -run NONE -bench 'TraverseMany|WorkLog' -count 10 at each
 # commit, and a compaction change as BenchmarkWorkLog sizes the
@@ -100,10 +101,19 @@ bench-short:
 	$(GO) test -run NONE -bench 'MatrixBuild|MatrixMerge|FromTriples|RingMerge|OverlayApply|StaticReads|UnionReads10' -benchtime 1x \
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
 	$(GO) test -run NONE -bench '^Benchmark(Build|WorkLog|Compaction)$$' -benchtime 1x .
+	$(GO) test -run NONE -bench '^BenchmarkTable2$$/^(Ring|NavBFS)$$' -benchtime 120x .
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 	$(GO) test -run NONE -bench 'HandlerCacheHit|HandlerMiss' -benchtime 1x ./internal/service/
 	$(GO) test -run NONE -bench JoinWith -benchtime 1x ./internal/ltj/
 	$(GO) test -run NONE -bench ExecRunPool -benchtime 1x ./internal/query/
+
+# The paper's comparison (Table 2): one pass of the Table-1 log (112
+# queries, then its first eight again) through all four arms (ring, NavBFS, ALP, relational) over the
+# graph as Build numbers it, at limit 100 000 and a 2 s timeout, with
+# bytes/edge and timeouts per arm. Not part of ci: ALP's and
+# relational's timeouts make it take about 15 s.
+paper:
+	$(GO) test -run NONE -bench '^BenchmarkTable2$$' -benchtime 120x .
 
 # The benchmark (rpqload, BENCHMARK.json) is a module of its own under
 # bench/ that imports this one's internal packages and reads its span

@@ -1,9 +1,13 @@
 // Benchmarks regenerating the paper's evaluation (§5). Each table and
-// figure has a bench target, and this file is their one home.
+// figure has a bench target, and this file is their one home. The
+// comparison runs on what Build builds: the ring of a built database
+// and, over the same locality-numbered triples, the comparison arms of
+// internal/baseline (navigational BFS, ALP and relational).
 //
 //	Table 1  → BenchmarkTable1Workload
-//	Table 2  → BenchmarkTable2 (sub-benchmarks per system; space is
-//	           reported as bytes/edge metrics)
+//	Table 2  → BenchmarkTable2 (sub-benchmarks per system, one op one
+//	           query of the log; space is reported as bytes/edge, and
+//	           timeouts as a count): `make paper` runs all four arms
 //	Fig. 8   → BenchmarkFig8 (sub-benchmarks per pattern and system)
 //	§5 index construction → BenchmarkRingConstruction, and a whole
 //	           database's Load + Build → BenchmarkBuild
@@ -15,49 +19,151 @@ package ringrpq
 import (
 	"bytes"
 	"context"
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"ringrpq/internal/baseline/alp"
+	"ringrpq/internal/baseline/bfs"
+	"ringrpq/internal/baseline/relational"
 	"ringrpq/internal/core"
 	"ringrpq/internal/datagen"
 	"ringrpq/internal/glushkov"
-	"ringrpq/internal/harness"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/ring"
+	"ringrpq/internal/ring/ringtest"
 	"ringrpq/internal/triples"
 	"ringrpq/internal/workload"
 )
 
-// The benchmark fixture: one synthetic Wikidata-shaped graph and query
-// log shared by every bench, built lazily.
+// system is one arm of the paper's comparison: its index bytes and an
+// evaluator that reports whether the timeout fired.
+type system struct {
+	name  string
+	bytes int
+	eval  func(q core.Query, limit int, timeout time.Duration, emit func(s, o uint32) bool) (timedOut bool, err error)
+}
+
+// paperSystems builds g's dump through Build and returns the database's
+// completed graph with the triples its ring holds (Build's numbering),
+// the ring, and the four systems over them: the ring, NavBFS, ALP and
+// relational.
+func paperSystems(t testing.TB, g *triples.Graph) (*triples.Graph, *ring.Ring, []system) {
+	t.Helper()
+	db := buildNT(t, dumpNT(t, g))
+	r := db.h.cur.Load().r
+	lg := *db.g
+	lg.Triples = ringtest.Triples(r)
+	eng := newEngine(db.g, r)
+	nb, ja, vr := bfs.New(&lg), alp.New(&lg), relational.New(&lg)
+	timedOut := func(err, errTimeout error) (bool, error) {
+		if errors.Is(err, errTimeout) {
+			return true, nil
+		}
+		return false, err
+	}
+	return &lg, r, []system{
+		{"Ring", r.QuerySizeBytes(), func(q core.Query, limit int, timeout time.Duration, emit func(s, o uint32) bool) (bool, error) {
+			_, err := eng.Eval(context.Background(), q, core.Options{Limit: limit, Timeout: timeout}, emit)
+			return timedOut(err, core.ErrTimeout)
+		}},
+		{"NavBFS", nb.SizeBytes(), func(q core.Query, limit int, timeout time.Duration, emit func(s, o uint32) bool) (bool, error) {
+			return timedOut(nb.Eval(q.Subject, q.Expr, q.Object, bfs.Options{Limit: limit, Timeout: timeout}, emit), bfs.ErrTimeout)
+		}},
+		{"ALP", ja.SizeBytes(), func(q core.Query, limit int, timeout time.Duration, emit func(s, o uint32) bool) (bool, error) {
+			return timedOut(ja.Eval(q.Subject, q.Expr, q.Object, alp.Options{Limit: limit, Timeout: timeout}, emit), alp.ErrTimeout)
+		}},
+		{"Relational", vr.SizeBytes(), func(q core.Query, limit int, timeout time.Duration, emit func(s, o uint32) bool) (bool, error) {
+			return timedOut(vr.Eval(q.Subject, q.Expr, q.Object, relational.Options{Limit: limit, Timeout: timeout}, emit), relational.ErrTimeout)
+		}},
+	}
+}
+
+// solutions returns the sorted, deduplicated (s,o) pairs, as s<<32|o,
+// that sys finds for q with no limit, failing on an error or a timeout.
+func solutions(t *testing.T, sys system, q core.Query) []uint64 {
+	t.Helper()
+	var out []uint64
+	timedOut, err := sys.eval(q, 0, 30*time.Second, func(s, o uint32) bool {
+		out = append(out, uint64(s)<<32|uint64(o))
+		return true
+	})
+	if err != nil || timedOut {
+		t.Fatalf("%s on %v: timeout=%v err=%v", sys.name, q, timedOut, err)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// The comparison is meaningless unless the four systems agree: over a
+// small built graph, every query of a Table-1 log has the same solution
+// set on each.
+func TestSystemsAgreeOnSets(t *testing.T) {
+	g := datagen.Generate(datagen.Config{Seed: 4, Nodes: 300, Edges: 1200, Preds: 12})
+	lg, _, systems := paperSystems(t, g)
+	qs := workload.Generate(g, workload.Config{Seed: 6, Total: 60})
+	if len(qs) < 50 {
+		t.Fatalf("the log has %d queries, want at least 50", len(qs))
+	}
+	for _, q := range qs {
+		lq := logQuery(t, lg, q)
+		want := solutions(t, systems[0], lq)
+		for _, sys := range systems[1:] {
+			if got := solutions(t, sys, lq); !slices.Equal(got, want) {
+				t.Fatalf("%s on %s: %d solutions, %s has %d", sys.name, q, len(got), systems[0].name, len(want))
+			}
+		}
+	}
+}
+
+// The paper's headline space claim (3–5× smaller): the ring Build
+// builds needs fewer bytes per triple than each other arm's index.
+func TestSpaceShape(t *testing.T) {
+	g, _, systems := paperSystems(t, datagen.Generate(datagen.Config{Seed: 4, Nodes: 300, Edges: 1200, Preds: 12}))
+	perTriple := func(sys system) float64 { return float64(sys.bytes) / float64(g.Len()) }
+	for _, sys := range systems[1:] {
+		if perTriple(systems[0]) >= perTriple(sys) {
+			t.Errorf("ring (%.2f B/triple) not smaller than %s (%.2f B/triple)", perTriple(systems[0]), sys.name, perTriple(sys))
+		}
+	}
+	for _, sys := range systems {
+		t.Logf("%s: %.2f B/triple", sys.name, perTriple(sys))
+	}
+}
+
+// The benchmark fixture: one synthetic Wikidata-shaped graph built
+// through Build, and a query log shared by every bench, built lazily.
+// The log is generated over the graph in datagen's numbering and
+// resolved by name in Build's.
 var bench struct {
 	once    sync.Once
-	g       *triples.Graph
+	gen     *triples.Graph // datagen's numbering
+	g       *triples.Graph // Build's numbering, with the ring's triples
+	r       *ring.Ring
+	systems []system
 	qs      []workload.Query
-	ring    *harness.Ring
-	bfs     *harness.BFS
-	alp     *harness.ALP
-	rel     *harness.Relational
-	byPat   map[string][]workload.Query
+	log     []core.Query // qs in Build's numbering
+	byPat   map[string][]core.Query
 	timeout time.Duration
 	limit   int
 }
 
-func setup() {
+func setup(b *testing.B) {
+	b.Helper()
 	bench.once.Do(func() {
-		bench.g = datagen.Generate(datagen.Config{
+		bench.gen = datagen.Generate(datagen.Config{
 			Seed: 1, Nodes: 3000, Edges: 15000, Preds: 30,
 		})
-		bench.qs = workload.Generate(bench.g, workload.Config{Seed: 2, Total: 120})
-		bench.ring = harness.NewRing(bench.g)
-		bench.bfs = harness.NewBFS(bench.g)
-		bench.alp = harness.NewALP(bench.g)
-		bench.rel = harness.NewRelational(bench.g)
-		bench.byPat = map[string][]workload.Query{}
+		bench.qs = workload.Generate(bench.gen, workload.Config{Seed: 2, Total: 120})
+		bench.g, bench.r, bench.systems = paperSystems(b, bench.gen)
+		bench.byPat = map[string][]core.Query{}
 		for _, q := range bench.qs {
+			lq := logQuery(b, bench.g, q)
+			bench.log = append(bench.log, lq)
 			p := workload.Classify(q)
-			bench.byPat[p] = append(bench.byPat[p], q)
+			bench.byPat[p] = append(bench.byPat[p], lq)
 		}
 		bench.timeout = 2 * time.Second
 		bench.limit = 100000
@@ -67,63 +173,57 @@ func setup() {
 // BenchmarkTable1Workload measures query-log generation with the Table 1
 // pattern mix (and exercises the classifier round trip).
 func BenchmarkTable1Workload(b *testing.B) {
-	setup()
+	setup(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		qs := workload.Generate(bench.g, workload.Config{Seed: int64(i), Total: 100})
+		qs := workload.Generate(bench.gen, workload.Config{Seed: int64(i), Total: 100})
 		if len(workload.CountPatterns(qs)) == 0 {
 			b.Fatal("empty workload")
 		}
 	}
 }
 
-// runLog runs the whole query log once per iteration on one system —
-// the per-query statistics of Table 2 derive from exactly this loop.
-func runLog(b *testing.B, sys harness.System) {
-	b.Helper()
-	setup()
-	edges := float64(bench.g.Len())
-	b.ResetTimer()
-	timeouts := 0
-	for i := 0; i < b.N; i++ {
-		q := bench.qs[i%len(bench.qs)]
-		_, timedOut, err := sys.Run(q, bench.limit, bench.timeout)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if timedOut {
-			timeouts++
-		}
-	}
-	b.ReportMetric(float64(sys.SizeBytes())/edges, "bytes/edge")
-	b.ReportMetric(float64(timeouts), "timeouts")
-}
-
-// BenchmarkTable2 regenerates the query-time rows of Table 2.
+// BenchmarkTable2 regenerates the query-time rows of Table 2: one op
+// is one query of the log, at limit 100 000 and a 2 s timeout. The log
+// holds 112 queries (Generate rounds each pattern's share of 120
+// down), so -benchtime 120x is one pass and the first eight again.
 func BenchmarkTable2(b *testing.B) {
-	setup()
-	b.Run("Ring", func(b *testing.B) { runLog(b, bench.ring) })
-	b.Run("NavBFS", func(b *testing.B) { runLog(b, bench.bfs) })
-	b.Run("ALP", func(b *testing.B) { runLog(b, bench.alp) })
-	b.Run("Relational", func(b *testing.B) { runLog(b, bench.rel) })
+	setup(b)
+	emit := func(uint32, uint32) bool { return true }
+	for _, sys := range bench.systems {
+		b.Run(sys.name, func(b *testing.B) {
+			timeouts := 0
+			for i := 0; i < b.N; i++ {
+				timedOut, err := sys.eval(bench.log[i%len(bench.log)], bench.limit, bench.timeout, emit)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if timedOut {
+					timeouts++
+				}
+			}
+			b.ReportMetric(float64(sys.bytes)/float64(bench.g.Len()), "bytes/edge")
+			b.ReportMetric(float64(timeouts), "timeouts")
+		})
+	}
 }
 
 // BenchmarkFig8 regenerates the per-pattern distributions of Fig. 8:
 // one sub-benchmark per (pattern, system).
 func BenchmarkFig8(b *testing.B) {
-	setup()
-	systems := []harness.System{bench.ring, bench.bfs, bench.alp, bench.rel}
+	setup(b)
+	emit := func(uint32, uint32) bool { return true }
 	for _, pf := range workload.Table1 {
 		qs := bench.byPat[pf.Pattern]
 		if len(qs) == 0 {
 			continue
 		}
 		b.Run(pf.Pattern, func(b *testing.B) {
-			for _, sys := range systems {
-				sys := sys
-				b.Run(sys.Name(), func(b *testing.B) {
+			for _, sys := range bench.systems {
+				b.Run(sys.name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, _, err := sys.Run(qs[i%len(qs)], bench.limit, bench.timeout); err != nil {
+						if _, err := sys.eval(qs[i%len(qs)], bench.limit, bench.timeout, emit); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -134,12 +234,14 @@ func BenchmarkFig8(b *testing.B) {
 }
 
 // BenchmarkRingConstruction measures index build time and size (§5:
-// "Our index is constructed in 2.3 hours" at Wikidata scale).
+// "Our index is constructed in 2.3 hours" at Wikidata scale): the
+// ring.FromTriples call Build makes, over the graph Build numbered.
 func BenchmarkRingConstruction(b *testing.B) {
-	setup()
+	setup(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := ring.New(bench.g, ring.WaveletMatrix)
+		r := ring.FromTriples(slices.Clone(bench.g.Triples), bench.g.NumNodes(), bench.g.NumCompletedPreds())
 		if i == 0 {
 			b.ReportMetric(float64(r.QuerySizeBytes())/float64(bench.g.Len()), "bytes/edge")
 		}
@@ -245,16 +347,12 @@ func BenchmarkWorkLog(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-func ringEngine() (*core.Engine, *triples.Graph) {
-	setup()
-	return bench.ring.Engine(), bench.g
-}
-
 // BenchmarkAblationFastPaths measures the §5 join-like fast paths
 // against the generic product-graph algorithm on the patterns they
 // serve.
 func BenchmarkAblationFastPaths(b *testing.B) {
-	eng, _ := ringEngine()
+	setup(b)
+	eng := newEngine(bench.g, bench.r)
 	var joinish []workload.Query
 	for _, q := range bench.qs {
 		switch workload.Classify(q) {
@@ -323,8 +421,8 @@ func b2u(x bool) uint32 {
 // the planner uses (distinct subjects of a predicate range in
 // O(log n)).
 func BenchmarkSelectivity(b *testing.B) {
-	setup()
-	r := ring.New(bench.g, ring.WaveletMatrix)
+	setup(b)
+	r := bench.r
 	sel := ring.NewSelectivity(r)
 	np := r.NumPreds
 	b.ResetTimer()

@@ -345,11 +345,3 @@ func (o *Overlay) AddsInto(obj uint32) []Edge {
 	}
 	return o.adds[lo:hi]
 }
-
-// SizeBytes estimates the overlay footprint: every consolidated edge is
-// held twice (object-major and predicate-major), plus the per-predicate
-// counts.
-func (o *Overlay) SizeBytes() int {
-	return 64 + 12*(len(o.adds)+len(o.addsPS)+len(o.dels)+len(o.delsPS)) +
-		24*(len(o.predTouch)+len(o.predDels))
-}

@@ -267,20 +267,6 @@ func TestApplyMatchesMapReference(t *testing.T) {
 	}
 }
 
-// The overlay holds every consolidated edge twice (object-major and
-// predicate-major), 12 bytes each time; SizeBytes must count both.
-func TestSizeBytesCountsBothOrders(t *testing.T) {
-	_, inStatic := staticSet(edge(0, 0, 1), edge(1, 0, 2), edge(2, 0, 3))
-	ov := New().Apply(1, []Edge{edge(5, 0, 6)}, []Edge{edge(0, 0, 1)}, inStatic)
-	base := ov.SizeBytes()
-	// Same predicate, so the per-predicate counts keep their size: only
-	// the consolidated sets grow.
-	grown := ov.Apply(2, []Edge{edge(6, 0, 7), edge(7, 0, 8)}, []Edge{edge(1, 0, 2)}, inStatic)
-	if got := grown.SizeBytes() - base; got != 3*24 {
-		t.Fatalf("SizeBytes grew by %d for 3 consolidated edges, want %d", got, 3*24)
-	}
-}
-
 // BenchmarkOverlayApply is the write path's per-batch consolidation: a
 // 16-edge batch (32 completed) onto a 2 000-edge overlay.
 func BenchmarkOverlayApply(b *testing.B) {
