@@ -87,20 +87,23 @@ bench:
 # merge and the residual overlay's Diff, with edits/op), of a
 # fresh database's Load + Build (locality numbering included, with
 # allocs/op), of the g100k Table-1 log through a built database (with
-# visits/op), of the handler's result-cache hit and miss, and one pass
+# visits/op), of the same log with one mixed 16-edge update batch
+# applied before each read, so every read crosses a new overlay version
+# (with allocs/op), of the handler's result-cache hit and miss, and one pass
 # of the paper's Table-2 log through the ring and NavBFS arms: makes
 # sure the benchmark code keeps compiling and running under ci. A descent
 # change is sized with paired -count runs of the same benchmarks, e.g.
 # go test -run NONE -bench 'TraverseMany|WorkLog' -count 10 at each
 # commit, and a compaction change as BenchmarkWorkLog sizes the
 # kernel: go test -run NONE -bench '^BenchmarkCompaction$$' -count 10 .
-# at each commit, alternating.
+# at each commit, alternating, and a change to the read path over a
+# live overlay with '^BenchmarkVersionedReads$$' the same way.
 bench-short:
 	$(GO) test -run NONE -bench 'SelectInWord|TraverseMany|BatchedBFS|LimitedBFS' -benchtime 1x \
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
 	$(GO) test -run NONE -bench 'MatrixBuild|MatrixMerge|FromTriples|RingMerge|OverlayApply|StaticReads|UnionReads10' -benchtime 1x \
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
-	$(GO) test -run NONE -bench '^Benchmark(Build|WorkLog|Compaction)$$' -benchtime 1x .
+	$(GO) test -run NONE -bench '^Benchmark(Build|WorkLog|Compaction|VersionedReads)$$' -benchtime 1x .
 	$(GO) test -run NONE -bench '^BenchmarkTable2$$/^(Ring|NavBFS)$$' -benchtime 120x .
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 	$(GO) test -run NONE -bench 'HandlerCacheHit|HandlerMiss' -benchtime 1x ./internal/service/

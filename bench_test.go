@@ -345,6 +345,48 @@ func BenchmarkWorkLog(b *testing.B) {
 	b.ReportMetric(float64(visits), "visits/op")
 }
 
+// BenchmarkVersionedReads is mixed_rw's read path in process: the g100k
+// Table-1 log at the benchmark's limit of 1000 through a built
+// database, with one 16-edge update batch of a mixed stream (seed 2)
+// applied before each read, so that every read sees a new overlay
+// version, and compaction at 1000 overlay edges in the background, as
+// mixed_rw runs rpqd. One op is one pass over the 289 queries; every
+// other pass applies the batches' inverses, so the data alternates
+// between two states. Paired runs of two commits (-count 10 each,
+// alternating) size a change to the versioned read path without the
+// HTTP benchmark.
+func BenchmarkVersionedReads(b *testing.B) {
+	nt, fg, qs := g100k(b)
+	db := buildNT(b, nt)
+	db.SetCompactionThreshold(1000)
+	batches := mixedUpdates(fg, len(qs))
+	endpoint := func(name, variable string) string {
+		if name == "" {
+			return variable
+		}
+		return name
+	}
+	ctx := context.Background()
+	emit := func(Solution) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, q := range qs {
+			adds, dels := batches[k][0], batches[k][1]
+			if i%2 == 1 {
+				adds, dels = dels, adds
+			}
+			if _, err := db.Apply(ctx, adds, dels); err != nil {
+				b.Fatal(err)
+			}
+			err := db.queryNode(ctx, endpoint(q.Subject, "?x"), q.Expr, endpoint(q.Object, "?y"), core.Options{Limit: 1000}, emit)
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // --- Ablations -----------------------------------------------------------
 
 // BenchmarkAblationFastPaths measures the §5 join-like fast paths

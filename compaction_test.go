@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"ringrpq/internal/overlay"
@@ -110,6 +111,184 @@ func TestUpdateCompactionMergeEqualsRebuild(t *testing.T) {
 		}
 	}
 	t.Logf("%d compactions, each byte-identical to its rebuild", len(merged))
+}
+
+// The kernel carries each tombstone's leaf rank across overlay versions
+// instead of probing every tombstone again per version: g100k under 200
+// mixed update batches (seed 2), compacting at 1000 overlay edges in
+// the background, so the run crosses several swaps. After every batch
+// the carried ranks for the pinned snapshot equal a fresh
+// Ls.Rank(s, lsB) per tombstone, and two-step queries that run through
+// the batched part 2 over the stream's deleted edges answer as a
+// map-of-edges oracle does.
+func TestUpdateCarriedTombstoneRanks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 150 k-triple g100k database")
+	}
+	nt, fg, _ := g100k(t)
+	db := buildNT(t, nt)
+	db.SetCompactionThreshold(1000)
+	batches := mixedUpdates(fg, 200)
+
+	oracle := hopOracle{out: map[string]map[string]map[string]bool{}, in: map[string]map[string]map[string]bool{}}
+	for _, tr := range fg.Triples {
+		if tr.P < fg.NumPreds {
+			oracle.add(Triple{fg.Nodes.Name(tr.S), fg.Preds.Name(tr.P), fg.Nodes.Name(tr.O)})
+		}
+	}
+	// The sample: for a deleted edge (s, p, m), (c, !P0/p, ?y) from an
+	// in-neighbour c of s and (?x, p/!P0, o) into an out-neighbour o of
+	// m, each picked with at least four neighbours on the near side, so
+	// that the step over p is a batched level.
+	type sample struct{ subject, expr, object string }
+	var queries []sample
+	// pick returns the neighbour of n in adj, over every predicate but
+	// P0, with the fewest (but at least four) neighbours in far.
+	pick := func(adj map[string]map[string]map[string]bool, n string, far map[string]map[string]map[string]bool) string {
+		best, bestDeg := "", 0
+		for p, ms := range adj[n] {
+			for m := range ms {
+				if d := degree(far, m); p != "P0" && d >= 4 && (best == "" || d < bestDeg || d == bestDeg && m < best) {
+					best, bestDeg = m, d
+				}
+			}
+		}
+		return best
+	}
+	for _, u := range batches {
+		for _, d := range u[1] {
+			if len(queries) >= 24 || d.Predicate == "P0" {
+				continue
+			}
+			if c := pick(oracle.in, d.Subject, oracle.out); c != "" {
+				queries = append(queries, sample{c, "!P0/" + d.Predicate, "?y"})
+			}
+			if o := pick(oracle.out, d.Object, oracle.in); o != "" {
+				queries = append(queries, sample{"?x", d.Predicate + "/!P0", o})
+			}
+		}
+	}
+	if len(queries) < 16 {
+		t.Fatalf("only %d sample queries", len(queries))
+	}
+
+	ctx := context.Background()
+	probed := 0
+	for i, u := range batches {
+		if _, err := db.Apply(ctx, u[0], u[1]); err != nil {
+			t.Fatal(err)
+		}
+		oracle.apply(u[0], u[1])
+
+		snap := db.h.acquire()
+		dels := snap.ov.Dels()
+		got := db.evaluatorFor(snap).TombstoneRanks(0)
+		r := snap.r
+		for k, d := range dels {
+			want := -1
+			if int(d.O) < r.NumNodes && d.P < r.NumPreds {
+				b, e := r.ObjectRange(d.O)
+				lsB, lsE := r.BackwardByPred(b, e, d.P)
+				if r0 := r.Ls.Rank(d.S, lsB); r.Ls.Rank(d.S, lsE) != r0 {
+					want = r0
+				}
+			}
+			if got[k] != want {
+				db.h.release(snap)
+				t.Fatalf("batch %d, tombstone %v: carried rank %d, fresh %d", i, d, got[k], want)
+			}
+		}
+		probed += len(dels)
+		db.h.release(snap)
+
+		for _, q := range queries {
+			sols, err := db.Query(ctx, q.subject, q.expr, q.object)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sortedPairs(sols), oracle.twoHop(q.subject, q.expr, q.object); !equalPairs(got, want) {
+				t.Fatalf("batch %d: (%s, %s, %s) = %v, oracle %v", i, q.subject, q.expr, q.object, got, want)
+			}
+		}
+	}
+	if epoch := db.Stats().Updates.Epoch; epoch < 3 {
+		t.Fatalf("%d compactions swapped, want at least 3", epoch)
+	}
+	t.Logf("%d sample queries, %d tombstone ranks checked over %d batches", len(queries), probed, len(batches))
+}
+
+// hopOracle is a map-of-edges ground truth indexed both ways, for
+// two-step paths of one step over every predicate but P0 and one over a
+// named predicate.
+type hopOracle struct {
+	out, in map[string]map[string]map[string]bool // node → predicate → neighbours
+}
+
+func (o hopOracle) add(t Triple) {
+	link := func(m map[string]map[string]map[string]bool, from, pred, to string) {
+		if m[from] == nil {
+			m[from] = map[string]map[string]bool{}
+		}
+		if m[from][pred] == nil {
+			m[from][pred] = map[string]bool{}
+		}
+		m[from][pred][to] = true
+	}
+	link(o.out, t.Subject, t.Predicate, t.Object)
+	link(o.in, t.Object, t.Predicate, t.Subject)
+}
+
+func (o hopOracle) apply(adds, dels []Triple) {
+	for _, t := range adds {
+		o.add(t)
+	}
+	for _, t := range dels {
+		delete(o.out[t.Subject][t.Predicate], t.Object)
+		delete(o.in[t.Object][t.Predicate], t.Subject)
+	}
+}
+
+// degree counts n's neighbours in adj over every predicate but P0.
+func degree(adj map[string]map[string]map[string]bool, n string) int {
+	d := 0
+	for p, ns := range adj[n] {
+		if p != "P0" {
+			d += len(ns)
+		}
+	}
+	return d
+}
+
+// twoHop answers (c, !P0/p, ?y) or (?x, p/!P0, c), as sortedPairs
+// renders solutions.
+func (o hopOracle) twoHop(subject, expr, object string) []string {
+	forward := !isVariable(subject)
+	adj, from, p := o.out, subject, strings.TrimPrefix(expr, "!P0/")
+	if !forward {
+		adj, from, p = o.in, object, strings.TrimSuffix(expr, "/!P0")
+	}
+	seen := map[string]bool{}
+	var out []string
+	for q, ms := range adj[from] {
+		if q == "P0" {
+			continue
+		}
+		for m := range ms {
+			for n := range adj[m][p] {
+				if seen[n] {
+					continue
+				}
+				seen[n] = true
+				if forward {
+					out = append(out, from+"→"+n)
+				} else {
+					out = append(out, n+"→"+from)
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // A compaction's residual overlay is the difference between what the

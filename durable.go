@@ -321,9 +321,6 @@ func (db *DB) recoverSub(rec standing.SubRecord) {
 // subscription table. Called by compactNow after the swap; on success
 // the log is truncated up to cpVersion.
 func (db *DB) writeCheckpoint(sink *walSink, newR *ring.Ring, cpVersion uint64, numNodes int) error {
-	var buf bytes.Buffer
-	w := serial.NewWriter(&buf)
-	w.Uint64(cpVersion)
 	// The node dictionary is written as the prefix the ring was merged
 	// against: batches that raced the merge may have grown it past
 	// numNodes, and their interns are re-done by log replay.
@@ -331,6 +328,17 @@ func (db *DB) writeCheckpoint(sink *walSink, newR *ring.Ring, cpVersion uint64, 
 	if numNodes > len(names) {
 		return fmt.Errorf("ringrpq: checkpoint: %d nodes exceeds dictionary length %d", numNodes, len(names))
 	}
+	// The body takes one allocation: the ring's in-memory size bounds
+	// its encoding (rank directories are not stored), and a name takes
+	// its bytes and, mostly, a one-byte length.
+	size := newR.SizeBytes()
+	for _, name := range names[:numNodes] {
+		size += len(name) + 1
+	}
+	var buf bytes.Buffer
+	buf.Grow(size)
+	w := serial.NewWriter(&buf)
+	w.Uint64(cpVersion)
 	w.Int(numNodes)
 	for _, name := range names[:numNodes] {
 		w.String(name)

@@ -230,9 +230,16 @@ func (e *Engine) splitOwed(init uint64, lsItems []wavelet.RangeMask) (first, res
 }
 
 // descendLs runs one batched L_s descent over sorted disjoint ranges; a
-// leaf drops the items whose occurrences are all tombstoned (leafMaskFor).
+// leaf drops the items whose occurrences are all tombstoned
+// (tombRanks.leafMask).
 func (e *Engine) descendLs(eng *glushkov.Engine, w *ringWork, lsItems []wavelet.RangeMask, emit EmitFunc) error {
-	leafMask := e.leafMaskFor(w)
+	var tomb *tombRanks
+	if dels := e.ov.Dels(); len(dels) > 0 {
+		w.tomb.sync(w.r, dels)
+		if len(w.tomb.keys) > 0 {
+			tomb = &w.tomb
+		}
+	}
 	var failure error
 	w.r.Ls.TraverseMany(lsItems, func(node wavelet.NodeID, leaf bool, s uint32, its []wavelet.RangeMask) int {
 		if failure != nil {
@@ -258,8 +265,8 @@ func (e *Engine) descendLs(eng *glushkov.Engine, w *ringWork, lsItems []wavelet.
 			return 0
 		}
 		var all uint64
-		if leafMask != nil {
-			all = leafMask(s, its)
+		if tomb != nil {
+			all = tomb.leafMask(s, its)
 		} else {
 			for _, it := range its {
 				all |= it.Mask

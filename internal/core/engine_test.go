@@ -428,13 +428,12 @@ func TestWorkingSizeBytes(t *testing.T) {
 	}
 }
 
-// tombstones is a Delta holding only tombstones, at version 1.
+// tombstones is a Delta holding only tombstones.
 type tombstones struct {
 	noDelta
 	dels []Edge
 }
 
-func (d *tombstones) Version() uint64           { return 1 }
 func (d *tombstones) TouchesPred(p uint32) bool { return d.DelsForPred(p) > 0 }
 func (d *tombstones) Dels() []Edge              { return d.dels }
 func (d *tombstones) Deleted(e Edge) bool       { return slices.Contains(d.dels, e) }
@@ -458,9 +457,9 @@ func (d *tombstones) DelsForPred(p uint32) int {
 }
 
 // A query the attached delta cannot affect runs with no delta, and
-// must leave the delta's cached tombstone ranks in place: a touched
-// query's batched level builds them once per overlay version, and an
-// untouched one's batched level in between must not evict them.
+// must leave the delta's carried tombstone ranks in place: a touched
+// query's batched level probes them once, and an untouched one's
+// batched level in between must not drop them.
 func TestDelegationKeepsTombstoneRanks(t *testing.T) {
 	b := triples.NewBuilder()
 	for i := 1; i <= 5; i++ {
@@ -473,25 +472,85 @@ func TestDelegationKeepsTombstoneRanks(t *testing.T) {
 	e := newEngine(g)
 	y1, m1 := uint32(mustID(t, g, "y1")), uint32(mustID(t, g, "m1"))
 	pa, _ := g.PredID("pa", false)
-	e.SetDelta(&tombstones{dels: []Edge{{S: y1, P: pa, O: m1}, {S: m1, P: pa + g.NumPreds, O: y1}}}, g.NumNodes())
+	delta := &tombstones{dels: []Edge{{S: y1, P: pa, O: m1}, {S: m1, P: pa + g.NumPreds, O: y1}}}
+	slices.SortFunc(delta.dels, cmpOPS)
+	e.SetDelta(delta, g.NumNodes())
 
 	h := mustID(t, g, "h")
 	w := e.work[0]
-	cached := func(when string) {
+	carried := func(when string) {
 		t.Helper()
-		if !w.delRanksValid || w.delRanksVersion != 1 || len(w.delRanks) != 2 {
-			t.Fatalf("%s: tombstone ranks valid=%v version=%d entries=%d, want both of the delta's",
-				when, w.delRanksValid, w.delRanksVersion, len(w.delRanks))
+		if len(w.tomb.dels) != 2 || len(w.tomb.keys) != 2 || w.tomb.probes != 2 {
+			t.Fatalf("%s: ranks synced to %d tombstones, %d in the ring, %d probes; want both of the delta's, probed once",
+				when, len(w.tomb.dels), len(w.tomb.keys), w.tomb.probes)
 		}
 	}
 	if got := collect(t, e, Query{Subject: Variable, Expr: pathexpr.MustParse("pa/pb"), Object: h}, Options{}); len(got) != 4 {
 		t.Fatalf("pa/pb into h with y1's edge tombstoned: %v, want 4 pairs", got)
 	}
-	cached("after the touched query")
+	carried("after the touched query")
 	if got := collect(t, e, Query{Subject: Variable, Expr: pathexpr.MustParse("qc/pb"), Object: h}, Options{}); len(got) != 5 {
 		t.Fatalf("qc/pb into h: %v, want 5 pairs", got)
 	}
-	cached("after the delegated query")
+	carried("after the delegated query")
+}
+
+// Each tombstone's leaf rank is probed once, when it first appears:
+// fifty versions that each add one tombstone to the last cost fifty
+// probes, not 1+2+…+50, and every version's carried ranks and sorted
+// keys equal fresh probes of it. Removing tombstones again probes
+// nothing.
+func TestTombstoneRanksCarryAcrossVersions(t *testing.T) {
+	g := enginetest.RandomGraph(7, 200, 4, 2000)
+	e := newEngine(g)
+	w := e.work[0]
+	var all []Edge
+	for i, tr := range g.Triples {
+		if i%37 == 0 {
+			all = append(all, Edge(tr))
+		}
+	}
+	all = append(all, Edge{S: 1, P: 0, O: uint32(g.NumNodes())}) // not in the ring
+	rng := rand.New(rand.NewSource(3))
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	all = all[:50]
+
+	check := func(v int, dels []Edge) {
+		t.Helper()
+		e.SetDelta(&tombstones{dels: dels}, g.NumNodes())
+		got := e.TombstoneRanks(0)
+		var fresh tombRanks
+		var keys []uint64
+		for i, d := range dels {
+			want := fresh.probe(w.r, d)
+			if got[i] != want {
+				t.Fatalf("version %d, tombstone %v: carried rank %d, fresh %d", v, d, got[i], want)
+			}
+			if want >= 0 {
+				keys = append(keys, tombKey(d.S, want))
+			}
+		}
+		slices.Sort(keys)
+		if !slices.Equal(w.tomb.keys, keys) {
+			t.Fatalf("version %d: keys %v, want %v", v, w.tomb.keys, keys)
+		}
+	}
+	for v := 1; v <= len(all); v++ {
+		dels := slices.Clone(all[:v])
+		slices.SortFunc(dels, cmpOPS)
+		check(v, dels)
+	}
+	if w.tomb.probes != len(all) {
+		t.Fatalf("%d versions of one new tombstone each cost %d probes, want %d", len(all), w.tomb.probes, len(all))
+	}
+	for v := len(all) - 1; v >= 1; v -= 7 {
+		dels := slices.Clone(all[:v])
+		slices.SortFunc(dels, cmpOPS)
+		check(v, dels)
+	}
+	if w.tomb.probes != len(all) {
+		t.Fatalf("removing tombstones probed %d more", w.tomb.probes-len(all))
+	}
 }
 
 func BenchmarkVVQueries(b *testing.B) {

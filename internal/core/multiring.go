@@ -26,8 +26,6 @@ type Edge struct {
 // kernel itself decides, per evaluation, whether a query needs the
 // delta at all (TouchesPred; see Engine.Eval).
 type Delta interface {
-	// Version identifies the overlay version (tombstone caches key on it).
-	Version() uint64
 	// TouchesPred reports whether any add or tombstone carries
 	// completed predicate p.
 	TouchesPred(p uint32) bool
@@ -39,7 +37,8 @@ type Delta interface {
 	// by (S, O); AddsByPredSubject the run of them leaving subject s.
 	AddsByPred(p uint32) []Edge
 	AddsByPredSubject(p, s uint32) []Edge
-	// Dels returns every tombstone; Deleted tests one static edge,
+	// Dels returns every tombstone sorted by (O, P, S), a slice a
+	// version keeps until it is replaced; Deleted tests one static edge,
 	// DeletedPS counts the tombstones under (p, s) and DelsForPred those
 	// carrying p (zero lets a step skip its per-edge probes).
 	Dels() []Edge
@@ -51,7 +50,6 @@ type Delta interface {
 // noDelta is the empty overlay static rings are traversed with.
 type noDelta struct{}
 
-func (noDelta) Version() uint64                      { return 0 }
 func (noDelta) TouchesPred(uint32) bool              { return false }
 func (noDelta) Adds() []Edge                         { return nil }
 func (noDelta) AddsInto(uint32) []Edge               { return nil }
@@ -156,12 +154,10 @@ type ringWork struct {
 	// ring, owned by its compile memo entry and installed by prepare.
 	bArr []uint64
 
-	// delRanks caches, per overlay version, the tombstones' leaf ranks
-	// under their subjects: the batched part 2 drops fully-tombstoned
-	// leaf items (see leafMaskFor).
-	delRanks        map[uint32][]int
-	delRanksVersion uint64
-	delRanksValid   bool
+	// tomb carries the tombstones' leaf ranks under their subjects
+	// across overlay versions: the batched part 2 drops fully-tombstoned
+	// leaf items (see tombRanks).
+	tomb tombRanks
 }
 
 // NewEngine builds the kernel over the single ring r — the paper's
@@ -199,11 +195,6 @@ func NewMultiRing(rings []*ring.Ring, ids glushkov.SymbolIDs, numPreds uint32) *
 func (e *Engine) SetDelta(ov Delta, numNodes int) {
 	if ov == nil {
 		ov = noDelta{}
-	}
-	if e.delta != ov {
-		for _, w := range e.work {
-			w.delRanksValid = false
-		}
 	}
 	e.delta, e.snapNodes = ov, numNodes
 	if e.visited.Len() < numNodes-e.ringNodes {
@@ -266,7 +257,7 @@ func (e *Engine) compile(expr pathexpr.Node) *compiledAutomaton {
 // (deltaIrrelevant). If not, this one evaluation runs with no delta
 // over the rings' node space — the same traversal, and the same Stats,
 // as an engine that never had a delta — and the attached delta, with
-// its cached tombstone ranks, stays in place for the next one.
+// its carried tombstone ranks, stays in place for the next one.
 func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error) {
 	opts = FoldContext(ctx, opts)
 	e.ov, e.numNodes = e.delta, e.snapNodes

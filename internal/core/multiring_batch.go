@@ -1,10 +1,12 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ringrpq/internal/glushkov"
 	"ringrpq/internal/obs"
+	"ringrpq/internal/ring"
 	"ringrpq/internal/wavelet"
 )
 
@@ -14,75 +16,139 @@ import (
 //
 //   - batched (per ring): stepMany over the level's coalesced L_p
 //     ranges. Tombstones are handled exactly at the part-2 leaves: per
-//     ring and overlay version, each tombstone's leaf rank under its
-//     subject is cached, and a leaf drops the items whose occurrences
-//     of the subject are all tombstoned — no per-leaf deletion probes
-//     and, crucially, no fragmentation of the coalesced ranges (a
-//     punched-out position would split them into thousands of
-//     single-gap pieces);
+//     ring, each tombstone's leaf rank under its subject is probed once
+//     and carried across overlay versions (tombRanks), and a leaf drops
+//     the items whose occurrences of the subject are all tombstoned —
+//     no per-leaf deletion probes and, crucially, no fragmentation of
+//     the coalesced ranges (a punched-out position would split them
+//     into thousands of single-gap pieces);
 //   - overlay: the object-sorted adds entering each frontier object,
 //     merged linearly against the sorted frontier.
 //
 // Both passes share the per-node visited masks, so the visited product
 // subgraph is exactly the one the item-at-a-time traversal explores.
 
-// tombstoneRanks resolves (and caches per overlay version) each
-// tombstone's leaf rank under its subject in this ring's L_s: the
-// triple (s, p, o) occupies exactly one position of its backward-search
-// range, and its rank among the occurrences of s is Rank(s, lsB) — one
-// rank probe per tombstone, once per overlay version. An evaluation
-// without tombstones leaves the cache alone, so that one running with
-// no delta (Engine.Eval) does not evict the attached version's ranks.
-func (e *Engine) tombstoneRanks(w *ringWork) map[uint32][]int {
-	if len(e.ov.Dels()) == 0 {
-		return nil
-	}
-	if w.delRanksValid && w.delRanksVersion == e.ov.Version() {
-		return w.delRanks
-	}
-	m := map[uint32][]int{}
-	r := w.r
-	for _, d := range e.ov.Dels() {
-		if int(d.O) >= r.NumNodes || d.P >= r.NumPreds {
-			continue
-		}
-		b, end := r.ObjectRange(d.O)
-		if b == end {
-			continue
-		}
-		lsB, lsE := r.BackwardByPred(b, end, d.P)
-		r0 := r.Ls.Rank(d.S, lsB)
-		if r.Ls.Rank(d.S, lsE) != r0 { // else: not in this ring
-			m[d.S] = append(m[d.S], r0)
-		}
-	}
-	for _, rs := range m {
-		sort.Ints(rs)
-	}
-	w.delRanks = m
-	w.delRanksVersion = e.ov.Version()
-	w.delRanksValid = true
-	return m
+// tombRanks carries one ring's tombstone leaf ranks from overlay
+// version to overlay version. A tombstone (s, p, o) occupies exactly
+// one position of its backward-search range in L_s, and its rank among
+// the occurrences of s there, Rank(s, lsB), depends on the ring alone:
+// it is probed once, when the tombstone first appears, and reused by
+// every later version that still holds it. A new version's Dels() is
+// merge-walked against the last one's (both sorted by (O, P, S)), so a
+// version costs one probe per new tombstone plus a sort of the keys.
+type tombRanks struct {
+	// dels is the Dels() slice the ranks were last synced to, and
+	// ranks[i] dels[i]'s leaf rank under its subject, -1 when the edge
+	// is not in the ring.
+	dels  []Edge
+	ranks []int
+	// keys holds subject<<32 | rank of every tombstone in the ring,
+	// sorted: a part-2 leaf finds its subject's run by binary search.
+	// A rank counts occurrences of one subject, so it fits 32 bits.
+	keys []uint64
+	// probes counts rank probes since the kernel was built.
+	probes int
+	// spare is the ranks buffer of the version before, reused.
+	spare []int
 }
 
-// leafMaskFor builds the state mask a part-2 leaf of w receives from its
-// items: their OR, minus items whose occurrences of the subject are all
-// tombstoned. Nil (plain OR) when the ring has no tombstones.
-func (e *Engine) leafMaskFor(w *ringWork) func(s uint32, its []wavelet.RangeMask) uint64 {
-	ranks := e.tombstoneRanks(w)
-	if len(ranks) == 0 {
-		return nil
+func tombKey(s uint32, rank int) uint64 { return uint64(s)<<32 | uint64(rank) }
+
+// cmpOPS orders edges by (O, P, S), the order of Delta.Dels.
+func cmpOPS(a, b Edge) int {
+	if c := cmp.Compare(a.O, b.O); c != 0 {
+		return c
 	}
-	return func(s uint32, its []wavelet.RangeMask) uint64 {
-		var all uint64
-		rs := ranks[s]
-		for _, it := range its {
-			if len(rs) == 0 || it.E-it.B > sort.SearchInts(rs, it.E)-sort.SearchInts(rs, it.B) {
-				all |= it.Mask
+	if c := cmp.Compare(a.P, b.P); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.S, b.S)
+}
+
+// sync brings the ranks to dels, a non-empty Dels() slice of a version
+// over r. An unchanged slice (the same version, or one that changed
+// only its adds) costs nothing.
+func (t *tombRanks) sync(r *ring.Ring, dels []Edge) {
+	if len(dels) == len(t.dels) && &dels[0] == &t.dels[0] {
+		return
+	}
+	ranks, keys := t.spare[:0], t.keys[:0]
+	i := 0
+	for _, d := range dels {
+		for i < len(t.dels) && cmpOPS(t.dels[i], d) < 0 {
+			i++
+		}
+		var rank int
+		if i < len(t.dels) && t.dels[i] == d {
+			rank = t.ranks[i]
+		} else {
+			rank = t.probe(r, d)
+		}
+		ranks = append(ranks, rank)
+		if rank >= 0 {
+			keys = append(keys, tombKey(d.S, rank))
+		}
+	}
+	slices.Sort(keys)
+	t.spare, t.ranks, t.keys, t.dels = t.ranks, ranks, keys, dels
+}
+
+// probe returns d's leaf rank under its subject in r's L_s, or -1 when
+// d is not one of r's triples.
+func (t *tombRanks) probe(r *ring.Ring, d Edge) int {
+	t.probes++
+	if int(d.O) >= r.NumNodes || d.P >= r.NumPreds {
+		return -1
+	}
+	b, end := r.ObjectRange(d.O)
+	if b == end {
+		return -1
+	}
+	lsB, lsE := r.BackwardByPred(b, end, d.P)
+	r0 := r.Ls.Rank(d.S, lsB)
+	if r.Ls.Rank(d.S, lsE) == r0 {
+		return -1
+	}
+	return r0
+}
+
+// leafMask is the state mask a part-2 leaf of subject s receives from
+// its items: their OR, minus items whose occurrences of s are all
+// tombstoned.
+func (t *tombRanks) leafMask(s uint32, its []wavelet.RangeMask) uint64 {
+	lo, _ := slices.BinarySearch(t.keys, tombKey(s, 0))
+	hi := lo
+	for hi < len(t.keys) && uint32(t.keys[hi]>>32) == s {
+		hi++
+	}
+	rs := t.keys[lo:hi]
+	var all uint64
+	for _, it := range its {
+		if len(rs) > 0 {
+			b, _ := slices.BinarySearch(rs, tombKey(s, it.B))
+			e, _ := slices.BinarySearch(rs, tombKey(s, it.E))
+			if it.E-it.B == e-b {
+				continue
 			}
 		}
-		return all
+		all |= it.Mask
 	}
+	return all
+}
+
+// TombstoneRanks syncs ring k's carried tombstone ranks to the attached
+// delta and returns them aligned with its Dels(): each tombstone's leaf
+// rank under its subject, -1 for one not in the ring. The slice is the
+// kernel's own; it is for tests that hold the carried ranks to fresh
+// probes.
+func (e *Engine) TombstoneRanks(k int) []int {
+	dels := e.delta.Dels()
+	if len(dels) == 0 {
+		return nil
+	}
+	w := e.work[k]
+	w.tomb.sync(w.r, dels)
+	return w.tomb.ranks
 }
 
 // bfsBatched drains the worklist level-synchronously; every level is

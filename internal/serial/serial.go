@@ -17,6 +17,9 @@ import (
 type Writer struct {
 	w   *bufio.Writer
 	err error
+	// buf encodes one word: a stack array handed to the bufio.Writer
+	// would escape, one heap allocation per word.
+	buf [binary.MaxVarintLen64]byte
 }
 
 // NewWriter returns a Writer over w.
@@ -50,9 +53,8 @@ func (w *Writer) Uint64(x uint64) {
 	if w.err != nil {
 		return
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], x)
-	_, w.err = w.w.Write(buf[:])
+	binary.LittleEndian.PutUint64(w.buf[:8], x)
+	_, w.err = w.w.Write(w.buf[:8])
 }
 
 // Uvarint writes a variable-length unsigned value.
@@ -60,9 +62,8 @@ func (w *Writer) Uvarint(x uint64) {
 	if w.err != nil {
 		return
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], x)
-	_, w.err = w.w.Write(buf[:n])
+	n := binary.PutUvarint(w.buf[:], x)
+	_, w.err = w.w.Write(w.buf[:n])
 }
 
 // Int writes a non-negative int as a uvarint.

@@ -2,6 +2,7 @@ package serial
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -107,5 +108,26 @@ func TestHugeLengthPrefixDoesNotPreallocate(t *testing.T) {
 	r := NewReader(&buf)
 	if got := r.Uint64s(); got != nil || r.Err() == nil {
 		t.Fatal("huge corrupt length must error")
+	}
+}
+
+// Encoding allocates nothing per word: a 1 000-word Uint64s and ten
+// Ints through a buffered Writer allocate at most twice.
+func TestWriterAllocsPerWord(t *testing.T) {
+	w := NewWriter(io.Discard)
+	words := make([]uint64, 1000)
+	for i := range words {
+		words[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	ints := []int{0, 1, 127, 128, 1 << 20, 1 << 40, 3, 5, 7, 9}
+	allocs := testing.AllocsPerRun(20, func() {
+		w.Uint64s(words)
+		w.Ints(ints)
+	})
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 2 {
+		t.Fatalf("Uint64s of %d words and Ints of %d allocate %v times, want at most 2", len(words), len(ints), allocs)
 	}
 }

@@ -291,7 +291,8 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeResult answers /query and /select. A cache miss and a cache hit
-// take the same path; what a hit skips is inside Result.fragment. The
+// take the same path; what a hit skips is the fragment's encoding,
+// which a stored result carries (Result.frag). The
 // serialize span of a profiled request covers the assembly of the body
 // it describes, so the profile itself is rendered once the root span
 // has closed and spliced in behind it.

@@ -205,9 +205,10 @@ type Result struct {
 	// an obs.Trace attached to the submission context); nil otherwise.
 	// Render it with Trace.Render. Never shared with the result cache.
 	Trace *obs.Trace
-	// wire memoises the encoded form of a result the cache holds (see
-	// wire.go); nil for results that were not stored.
-	wire *wireBody
+	// frag is the encoded fragment of a result the cache holds (see
+	// wire.go), shared with the entry and every hit on it; nil for
+	// results that were not stored, and for an empty fragment.
+	frag []byte
 }
 
 // ErrClosed reports a submission to a Service after Close.
@@ -651,15 +652,16 @@ func cacheKey(req Request, canon string) string {
 // runSafe → run → finish is the one route a queued job takes.
 func (s *Service) worker(b Backend) {
 	defer s.wg.Done()
+	var a answer
 	for j := range s.queue {
 		if b == nil {
 			// The previous job panicked mid-evaluation; its clone's
 			// private working state is suspect, so start a fresh one.
 			b = s.src.Clone()
 		}
-		res, ok := s.runSafe(b, j)
+		res, ok := s.runSafe(b, j, &a)
 		if !ok {
-			b = nil
+			b, a = nil, answer{}
 		}
 		s.finish(j, &res)
 		j.done <- res
@@ -718,7 +720,7 @@ func (s *Service) recordSlow(j *job, res *Result, total time.Duration) {
 
 // runSafe evaluates one job, converting a panic into an ErrInternal
 // result; ok is false when the worker's clone must be replaced.
-func (s *Service) runSafe(b Backend, j *job) (res Result, ok bool) {
+func (s *Service) runSafe(b Backend, j *job, a *answer) (res Result, ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.panics.Add(1)
@@ -727,13 +729,58 @@ func (s *Service) runSafe(b Backend, j *job) (res Result, ok bool) {
 			ok = false
 		}
 	}()
-	return s.run(b, j), true
+	return s.run(b, j, a), true
+}
+
+// answer is a worker's scratch for the result it is assembling: the
+// solutions or rows an evaluation emits, and the fragment store
+// encodes. A Result gets exact-size copies of them, so the worker grows
+// one set of buffers instead of one per answer, and a stored answer
+// holds no spare capacity.
+type answer struct {
+	sols []Solution
+	rows [][]string
+	frag []byte
+}
+
+// maxScratch bounds the solutions or rows a worker keeps between
+// answers (32 768, 1 MiB of solutions); its fragment scratch is bounded
+// as a pooled body is (maxPooledBody). An outsized answer (a v→v
+// closure can run to millions of solutions) leaves nothing behind.
+const maxScratch = 1 << 15
+
+// take hands the collected solutions and rows to res as exact-size
+// copies (nil for none) and clears the scratch, which then keeps no
+// name alive.
+func (a *answer) take(res *Result) {
+	res.Solutions, a.sols = exactCopy(a.sols), reuse(a.sols, maxScratch)
+	res.Rows, a.rows = exactCopy(a.rows), reuse(a.rows, maxScratch)
+}
+
+// exactCopy returns xs in a new slice of exactly its length, nil when
+// empty.
+func exactCopy[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	out := make([]T, len(xs))
+	copy(out, xs)
+	return out
+}
+
+// reuse empties xs for the next answer, or drops it past max elements.
+func reuse[T any](xs []T, max int) []T {
+	clear(xs)
+	if cap(xs) > max {
+		return nil
+	}
+	return xs[:0]
 }
 
 // run evaluates one job on worker backend b: a 2RPQ through Eval,
 // collecting Solutions, a graph pattern through EvalPattern, collecting
-// Rows.
-func (s *Service) run(b Backend, j *job) Result {
+// Rows, both into the worker's scratch a.
+func (s *Service) run(b Backend, j *job, a *answer) Result {
 	// Only a cancellation ends the job here. submit folded a ctx
 	// deadline into j.deadline, so one that passed in the queue is the
 	// timeout below, as the request's own budget is.
@@ -785,7 +832,7 @@ func (s *Service) run(b Backend, j *job) Result {
 		eval = func() error {
 			return b.Eval(j.ctx, j.req.Subject, j.node, j.req.Object, j.req.Limit, timeout, func(sol Solution) bool {
 				if !j.req.Count {
-					res.Solutions = append(res.Solutions, sol)
+					a.sols = append(a.sols, sol)
 				}
 				return emitted()
 			})
@@ -795,7 +842,7 @@ func (s *Service) run(b Backend, j *job) Result {
 		eval = func() error {
 			return b.EvalPattern(j.ctx, j.pattern, j.req.Limit, timeout, func(row []string) bool {
 				if !j.req.Count {
-					res.Rows = append(res.Rows, row)
+					a.rows = append(a.rows, row)
 				}
 				return emitted()
 			})
@@ -806,6 +853,7 @@ func (s *Service) run(b Backend, j *job) Result {
 	res.Err = eval()
 	j.evalDur = time.Since(evalStart)
 	j.trace.EndVals(esp, int64(res.N))
+	a.take(&res)
 	switch {
 	case stopped != nil:
 		res.Err = s.ctxFailure(stopped)
@@ -814,7 +862,7 @@ func (s *Service) run(b Backend, j *job) Result {
 	case res.Err != nil:
 		s.errs.Add(1)
 	default:
-		s.store(j, &res)
+		s.store(j, &res, a)
 	}
 	return res
 }
@@ -833,15 +881,22 @@ func (s *Service) ctxFailure(err error) error {
 }
 
 // store records a complete result in the result cache, charged for
-// its strings and, ahead of time, for the encoded body the first
-// response will attach to it (res.wire, shared with the entry, which
-// keeps the body's length so that the encoder need not size it again).
-func (s *Service) store(j *job, res *Result) {
+// its strings and its encoded fragment. The fragment is encoded here,
+// on the worker, into the scratch a, and the entry keeps one copy of
+// exactly its length (res.frag, shared with every hit), so the charge
+// is final when the entry is stored and no response encodes it again.
+// An in-process caller that never renders a stored result therefore
+// pays one encode for it.
+func (s *Service) store(j *job, res *Result, a *answer) {
 	if j.key == "" {
 		return
 	}
-	size := fragmentLen(res, j.req.Pattern != "")
-	cost := int64(64 + size)
+	a.frag = appendFragment(a.frag[:0], res, j.req.Pattern != "")
+	res.frag = exactCopy(a.frag)
+	if cap(a.frag) > maxPooledBody {
+		a.frag = nil
+	}
+	cost := int64(64 + len(res.frag))
 	for _, sol := range res.Solutions {
 		cost += int64(len(sol.Subject)+len(sol.Object)) + 32
 	}
@@ -854,7 +909,6 @@ func (s *Service) store(j *job, res *Result) {
 			cost += int64(len(v)) + 16
 		}
 	}
-	res.wire = &wireBody{size: size}
 	s.resMu.Lock()
 	if j.version == s.resVersion {
 		s.results.Add(j.key, *res, cost)

@@ -16,46 +16,26 @@ import (
 
 // The wire form of a result. A /query, /batch-item or /select body is
 // '{' + fragment + tail: the fragment ("solutions":[…], or
-// "vars":[…],"rows":[…]) depends only on the result and is encoded at
-// most once per result-cache entry, the tail ("count" … "elapsed_ms",
-// "profile") is per request and small. The fragment is written without
-// reflection by the appender below, into one allocation of its exact
-// size, escaping strings as encoding/json does; the tail comes out of
-// encoding/json. The two are spliced as bytes, so a body is byte for
-// byte what json.Encoder writes for ResultJSON / SelectResultJSON,
-// whether the result was just evaluated or replayed from the cache.
+// "vars":[…],"rows":[…]) depends only on the result, the tail ("count"
+// … "elapsed_ms", "profile") is per request and small. The fragment is
+// written without reflection by the appender below, escaping strings as
+// encoding/json does; the tail comes out of encoding/json. A result the
+// cache keeps has its fragment encoded once, when it is stored, into
+// the worker's scratch and copied out at exactly its length (Result.frag,
+// which the cache charges); every response for it splices those bytes.
+// Any other result is appended straight into the response's pooled
+// buffer. Either way a body is byte for byte what json.Encoder writes
+// for ResultJSON / SelectResultJSON.
 
-// wireBody memoises a result's fragment. A cached Result and every
-// copy of it handed to a caller share one, so whoever renders the
-// result first encodes for all; callers that never render never pay.
-type wireBody struct {
-	once sync.Once
-	size int // fragmentLen, computed when the entry was stored
-	frag []byte
-}
-
-// fragment returns the result's encoded fragment (shared: read-only).
-// pattern selects the /select shape; a result-cache key never serves
-// both shapes, so a memoised fragment is always of the shape asked for.
-func (r *Result) fragment(pattern bool) []byte {
-	if r.wire == nil {
-		return encodeFragment(r, pattern, fragmentLen(r, pattern))
-	}
-	r.wire.once.Do(func() { r.wire.frag = encodeFragment(r, pattern, r.wire.size) })
-	return r.wire.frag
-}
-
-// encodeFragment writes r's fragment into one buffer of exactly size
-// bytes, size being fragmentLen(r, pattern): the members of
+// appendFragment appends r's fragment to b: the members of
 // {"vars":…,"rows":…} (no "rows" when there are none) for a pattern,
 // of {"solutions":…} otherwise, and nothing for a result without
 // solutions.
-func encodeFragment(r *Result, pattern bool, size int) []byte {
-	if !pattern && len(r.Solutions) == 0 {
-		return nil
-	}
-	b := make([]byte, 0, size)
+func appendFragment(b []byte, r *Result, pattern bool) []byte {
 	if !pattern {
+		if len(r.Solutions) == 0 {
+			return b
+		}
 		b = append(b, `"solutions":[`...)
 		for i, s := range r.Solutions {
 			if i > 0 {
@@ -82,42 +62,6 @@ func encodeFragment(r *Result, pattern bool, size int) []byte {
 		b = append(b, ']')
 	}
 	return b
-}
-
-// fragmentLen is the length of encodeFragment's output. The result
-// cache charges it when an entry is stored, so that an entry's cost is
-// final before its fragment exists.
-func fragmentLen(r *Result, pattern bool) int {
-	if !pattern {
-		if len(r.Solutions) == 0 {
-			return 0
-		}
-		n := len(`"solutions":[]`) + len(r.Solutions)*len(`{"subject":,"object":},`) - len(`,`)
-		for _, s := range r.Solutions {
-			n += jsonStringLen(s.Subject) + jsonStringLen(s.Object)
-		}
-		return n
-	}
-	n := len(`"vars":`) + stringsLen(r.Vars)
-	if len(r.Rows) > 0 {
-		n += len(`,"rows":[]`) + len(r.Rows) - len(`,`)
-		for _, row := range r.Rows {
-			n += stringsLen(row)
-		}
-	}
-	return n
-}
-
-// stringsLen is the length of appendStrings's output for ss.
-func stringsLen(ss []string) int {
-	if ss == nil {
-		return len("null")
-	}
-	n := len("[]") + max(len(ss)-1, 0)
-	for _, s := range ss {
-		n += jsonStringLen(s)
-	}
-	return n
 }
 
 // appendStrings appends ss as encoding/json writes a []string, null
@@ -198,39 +142,6 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// jsonStringLen is the length of appendJSONString's output for s,
-// quotes included.
-func jsonStringLen(s string) int {
-	i := 0
-	for i < len(s) && jsonPlain[s[i]] {
-		i++
-	}
-	n := i + 2
-	for i < len(s) {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			i++
-			switch {
-			case jsonPlain[c]:
-				n++
-			case jsonShort[c] != 0:
-				n += 2
-			default:
-				n += 6 // \u00XX
-			}
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		i += size
-		if (r == utf8.RuneError && size == 1) || r == 0x2028 || r == 0x2029 {
-			n += 6 // escaped U+FFFD, U+2028 or U+2029
-		} else {
-			n += size
-		}
-	}
-	return n
-}
-
 // resultTail is the per-request part of a ResultJSON or
 // SelectResultJSON object: every field after the fragment except
 // "profile", in wire order.
@@ -290,14 +201,19 @@ func (b *body) appendResult(req Request, res *Result, elapsed time.Duration) {
 	case res.Err != nil:
 		tail.Error = res.Err.Error()
 	}
-	frag := res.fragment(req.Pattern != "")
-	if len(frag) == 0 {
+	b.WriteByte('{')
+	start := b.Len()
+	if res.frag != nil {
+		b.Write(res.frag)
+	} else {
+		b.Write(appendFragment(b.AvailableBuffer(), res, req.Pattern != ""))
+	}
+	brace := b.Len()
+	if brace == start { // no fragment: the tail is the whole object
+		b.Truncate(start - 1)
 		b.encode(tail)
 		return
 	}
-	b.WriteByte('{')
-	b.Write(frag)
-	brace := b.Len()
 	b.encode(tail)
 	b.Bytes()[brace] = ',' // the tail's own '{' separates it from the fragment
 }

@@ -293,10 +293,9 @@ func TestBodiesMatchEncoder(t *testing.T) {
 	}
 }
 
-// TestJSONStringLenBoundsEncoder: appendJSONString writes every name as
-// encoding/json does, and jsonStringLen, the size charged for it, is
-// exactly that long, control characters included.
-func TestJSONStringLenBoundsEncoder(t *testing.T) {
+// TestAppendJSONStringMatchesEncoder: appendJSONString writes every
+// name as encoding/json does, control characters included.
+func TestAppendJSONStringMatchesEncoder(t *testing.T) {
 	names := []string{"Q42", "http://example.org/a?b=c&d", strings.Repeat("é", 9), surrogateName, emojiName, replacementName}
 	for _, s := range append(names, nastyNames...) {
 		enc, err := json.Marshal(s)
@@ -305,9 +304,6 @@ func TestJSONStringLenBoundsEncoder(t *testing.T) {
 		}
 		if got := appendJSONString(nil, s); !bytes.Equal(got, enc) {
 			t.Errorf("appendJSONString(%q) = %s, encoder wrote %s", s, got, enc)
-		}
-		if got := jsonStringLen(s); got != len(enc) {
-			t.Errorf("jsonStringLen(%q) = %d, encoder wrote %d bytes", s, got, len(enc))
 		}
 	}
 }
@@ -341,8 +337,9 @@ func reflectFragment(r *Result, pattern bool) []byte {
 }
 
 // FuzzFragment: for any subject, object and row values, both fragment
-// shapes equal the reflective encoding and fill a buffer of exactly
-// their size.
+// shapes equal the reflective encoding, appended to nothing or behind
+// the bytes a body already holds, and a stored result keeps exactly
+// that many bytes.
 func FuzzFragment(f *testing.F) {
 	seeds := append([]string{surrogateName, emojiName, replacementName}, nastyNames...)
 	for i, s := range seeds {
@@ -358,14 +355,24 @@ func FuzzFragment(f *testing.F) {
 			{Solutions: []Solution{{Subject: object, Object: subject}}, Rows: [][]string{{value}}},
 			{Vars: []string{}},
 		}
+		s := &Service{results: newLRUCache(8, 1<<20)}
+		var a answer
 		for i, res := range results {
 			for _, pattern := range []bool{false, true} {
-				got, want := res.fragment(pattern), reflectFragment(res, pattern)
-				if !bytes.Equal(got, want) {
+				want := reflectFragment(res, pattern)
+				if got := appendFragment(nil, res, pattern); !bytes.Equal(got, want) {
 					t.Fatalf("result %d, pattern %v:\n got %s\nwant %s", i, pattern, got, want)
 				}
-				if cap(got) != len(got) {
-					t.Fatalf("result %d, pattern %v: %d bytes in a buffer of %d", i, pattern, len(got), cap(got))
+				if got := appendFragment([]byte("{"), res, pattern); !bytes.Equal(got[1:], want) {
+					t.Fatalf("result %d, pattern %v, behind a brace:\n got %s\nwant %s", i, pattern, got[1:], want)
+				}
+				stored, j := *res, &job{key: "k"}
+				if pattern {
+					j.req.Pattern = "?x p ?y"
+				}
+				s.store(j, &stored, &a)
+				if !bytes.Equal(stored.frag, want) || cap(stored.frag) != len(stored.frag) {
+					t.Fatalf("result %d, pattern %v: stored %q in a buffer of %d, want %q", i, pattern, stored.frag, cap(stored.frag), want)
 				}
 			}
 		}
@@ -374,7 +381,7 @@ func FuzzFragment(f *testing.F) {
 
 // TestResultCacheBytesCoverEncodedBodies fills the cache past its byte
 // bound through the handler, so every entry carries its encoded body,
-// and checks that each entry was charged exactly its body's length,
+// and checks that each entry keeps its body at exactly its length,
 // that what the cache retains is within what it charged and what it
 // charged within the bound.
 func TestResultCacheBytesCoverEncodedBodies(t *testing.T) {
@@ -393,13 +400,13 @@ func TestResultCacheBytesCoverEncodedBodies(t *testing.T) {
 	var retained int64
 	for el := s.results.order.Front(); el != nil; el = el.Next() {
 		res := el.Value.(*lruEntry).value.(Result)
-		if res.wire.frag == nil {
+		if res.frag == nil {
 			t.Fatalf("entry %q was served but holds no encoded body", el.Value.(*lruEntry).key)
 		}
-		if res.wire.size != len(res.wire.frag) {
-			t.Fatalf("entry %q: charged %d B for a %d B body", el.Value.(*lruEntry).key, res.wire.size, len(res.wire.frag))
+		if cap(res.frag) != len(res.frag) {
+			t.Fatalf("entry %q: a %d B body in a buffer of %d", el.Value.(*lruEntry).key, len(res.frag), cap(res.frag))
 		}
-		retained += int64(len(res.wire.frag))
+		retained += int64(len(res.frag))
 		for _, sol := range res.Solutions {
 			retained += int64(len(sol.Subject) + len(sol.Object))
 		}
@@ -448,7 +455,7 @@ func TestInvalidationDropsOlderVersions(t *testing.T) {
 	late := &job{key: "late", version: 1}
 	f.version.Store(2)
 	s.Query(ctx, Request{Subject: "s1", Expr: "a"})
-	s.store(late, &Result{N: 1})
+	s.store(late, &Result{N: 1}, &answer{})
 	if _, ok := s.cached("late", 2); ok {
 		t.Fatal("a result of version 1 was stored after the cache moved to version 2")
 	}
@@ -466,7 +473,7 @@ func TestHitsUnderUpdates(t *testing.T) {
 
 	var (
 		mu    sync.Mutex
-		first = map[*wireBody]*byte{} // entry → its fragment as first seen
+		first = map[*Solution]*byte{} // entry, by its solutions → its fragment as first seen
 		wg    sync.WaitGroup
 		stop  atomic.Bool
 	)
@@ -492,11 +499,11 @@ func TestHitsUnderUpdates(t *testing.T) {
 						return
 					}
 					got = res.Solutions[0].Subject
-					if frag := res.fragment(false); res.wire != nil {
+					if res.frag != nil {
 						mu.Lock()
-						if p, ok := first[res.wire]; !ok {
-							first[res.wire] = &frag[0]
-						} else if p != &frag[0] {
+						if p, ok := first[&res.Solutions[0]]; !ok {
+							first[&res.Solutions[0]] = &res.frag[0]
+						} else if p != &res.frag[0] {
 							t.Error("one cache entry was encoded twice")
 						}
 						mu.Unlock()
@@ -569,28 +576,85 @@ func BenchmarkHandlerMiss(b *testing.B) {
 	benchmarkHandler(b, h, body)
 }
 
-// TestMissEncodesFragmentOnce: a miss writes its fragment into one
-// allocation of exactly its length, for both shapes, with or without
-// strings to escape, whether the result cache keeps the result (and its
-// size) or not.
+// TestMissEncodesFragmentOnce: a miss encodes its fragment once, for
+// both shapes, with or without strings to escape. A result the cache
+// keeps carries it at exactly its length; one it does not keep carries
+// none, and its fragment is appended into the response's buffer with
+// no allocation of its own.
 func TestMissEncodesFragmentOnce(t *testing.T) {
+	buf := make([]byte, 0, 1<<20)
 	for _, names := range [][]string{mixedNames, {"Q1234567", "Q7654321"}} {
 		for _, entries := range []int{-1, 0} {
 			s := newTestService(t, &wireFake{names: names, n: 1000}, Config{Workers: 1, ResultCacheEntries: entries})
 			for _, req := range []Request{{Subject: "s", Expr: "a"}, {Pattern: "?x p ?y"}} {
 				res := s.do(context.Background(), req)
-				if res.Err != nil || res.N != 1000 || (res.wire != nil) != (entries == 0) {
-					t.Fatalf("cache entries %d, %+v: %v, %d results, stored %v", entries, req, res.Err, res.N, res.wire != nil)
+				if res.Err != nil || res.N != 1000 || (res.frag != nil) != (entries == 0) {
+					t.Fatalf("cache entries %d, %+v: %v, %d results, stored %v", entries, req, res.Err, res.N, res.frag != nil)
 				}
 				pattern := req.Pattern != ""
-				if frag := res.fragment(pattern); cap(frag) != len(frag) {
-					t.Errorf("names %.2q, cache entries %d, %+v: %d bytes in a buffer of %d", names, entries, req, len(frag), cap(frag))
+				if res.frag != nil {
+					if want := appendFragment(nil, &res, pattern); !bytes.Equal(res.frag, want) || cap(res.frag) != len(res.frag) {
+						t.Errorf("names %.2q, %+v: stored %d bytes in a buffer of %d, want the %d encoded", names, req, len(res.frag), cap(res.frag), len(want))
+					}
+					continue
 				}
-				res.wire = nil // encode afresh on every call below
-				if allocs := testing.AllocsPerRun(10, func() { res.fragment(pattern) }); allocs != 1 {
-					t.Errorf("names %.2q, cache entries %d, %+v: %v allocations per fragment, want 1", names, entries, req, allocs)
+				if allocs := testing.AllocsPerRun(10, func() { appendFragment(buf[:0], &res, pattern) }); allocs != 0 {
+					t.Errorf("names %.2q, %+v: %v allocations per appended fragment, want 0", names, req, allocs)
 				}
 			}
+		}
+	}
+}
+
+// countFake answers every 2RPQ with the first n of its solutions, at a
+// data version that moves with every request, so that each request is
+// a result-cache miss whose answer is stored.
+type countFake struct {
+	stubBackend
+	sols    []Solution
+	n       int
+	version atomic.Uint64
+}
+
+func (f *countFake) Clone() Backend      { return f }
+func (f *countFake) DataVersion() uint64 { return f.version.Add(1) }
+
+func (f *countFake) Eval(_ context.Context, _ string, _ pathexpr.Node, _ string, _ int, _ time.Duration, emit func(Solution) bool) error {
+	for _, sol := range f.sols[:f.n] {
+		if !emit(sol) {
+			break
+		}
+	}
+	return nil
+}
+
+// TestStoredMissAllocsFlat: a stored miss allocates the same number of
+// objects whatever its answer's size. The solutions and the fragment
+// grow in the worker's scratch, and the result gets one exact-size copy
+// of each, where growing them per answer would add about log n.
+func TestStoredMissAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	f := &countFake{}
+	for i := range 10000 {
+		f.sols = append(f.sols, Solution{Subject: fmt.Sprint("Q", i), Object: fmt.Sprint("Q", i+1)})
+	}
+	s := newTestService(t, f, Config{Workers: 1})
+	req := Request{Subject: "Q1", Expr: "a"}
+	allocs := map[int]float64{}
+	for _, n := range []int{10, 1000, 10000} {
+		f.n = n
+		allocs[n] = testing.AllocsPerRun(20, func() {
+			if res := s.do(context.Background(), req); res.Err != nil || res.N != n || res.Cached || res.frag == nil {
+				t.Fatalf("n = %d: %v, %d solutions, cached %v, stored %v", n, res.Err, res.N, res.Cached, res.frag != nil)
+			}
+		})
+	}
+	t.Logf("allocations per stored miss by answer size: %v", allocs)
+	for _, n := range []int{1000, 10000} {
+		if d := allocs[n] - allocs[10]; d > 2 || d < -2 {
+			t.Errorf("a stored miss of %d solutions allocates %v objects, of 10 solutions %v", n, allocs[n], allocs[10])
 		}
 	}
 }
