@@ -46,7 +46,7 @@ crash:
 # two procs. A count that moves between runs is a nondeterminism bug,
 # not noise to widen a ceiling over.
 ceilings:
-	$(GO) test -count=2 -cpu 1,2 -run 'TestWorkCeilings|TestDegreeNumberingVisits' .
+	$(GO) test -count=2 -cpu 1,2 -run 'TestWorkCeilings|TestVarVarClosureWork|TestDegreeNumberingVisits' .
 
 # Run every example program under a timeout: they are the public API's
 # first users, and go build only compiles them. Their output includes

@@ -133,6 +133,9 @@ func TestSpaceShape(t *testing.T) {
 	}
 }
 
+// table2Graph is the benchmark fixture's graph.
+var table2Graph = datagen.Config{Seed: 1, Nodes: 3000, Edges: 15000, Preds: 30}
+
 // The benchmark fixture: one synthetic Wikidata-shaped graph built
 // through Build, and a query log shared by every bench, built lazily.
 // The log is generated over the graph in datagen's numbering and
@@ -153,9 +156,7 @@ var bench struct {
 func setup(b *testing.B) {
 	b.Helper()
 	bench.once.Do(func() {
-		bench.gen = datagen.Generate(datagen.Config{
-			Seed: 1, Nodes: 3000, Edges: 15000, Preds: 30,
-		})
+		bench.gen = datagen.Generate(table2Graph)
 		bench.qs = workload.Generate(bench.gen, workload.Config{Seed: 2, Total: 120})
 		bench.g, bench.r, bench.systems = paperSystems(b, bench.gen)
 		bench.byPat = map[string][]core.Query{}

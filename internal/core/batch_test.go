@@ -161,6 +161,26 @@ func TestLimitBoundsWaveletVisits(t *testing.T) {
 	}
 }
 
+// A limit bounds a hub's in-range that cannot report: for (?x, a/b*,
+// hub) over 3000 b in-edges, each from a node with one a in-edge, the
+// first level's b range lacks the initial state, so a limited query
+// descends it in installments instead of marking every predecessor
+// before any of them is asked for its result. At Limit 10 the query
+// reaches under a twentieth of the unlimited query's product nodes.
+func TestLimitBoundsHubInRange(t *testing.T) {
+	b := triples.NewBuilder()
+	for i := 0; i < 3000; i++ {
+		b.Add(fmt.Sprintf("x%d", i), "b", "hub")
+		b.Add(fmt.Sprintf("y%d", i), "a", fmt.Sprintf("x%d", i))
+	}
+	g := b.Build()
+	e := newEngine(g)
+	full, limited := limitedStats(t, e, Query{Subject: Variable, Expr: pathexpr.MustParse("a/b*"), Object: mustID(t, g, "hub")}, 10)
+	if limited.ProductNodes*20 > full.ProductNodes {
+		t.Fatalf("%d product nodes at Limit 10, over a twentieth of the unlimited %d", limited.ProductNodes, full.ProductNodes)
+	}
+}
+
 // A v→v limit bounds phase 1 too: for (?x, a/b*, ?y) over one a edge
 // into the root of a 4095-node binary tree of b edges, phase 1 would
 // otherwise visit the whole tree before phase 2 emits one pair. At

@@ -54,7 +54,10 @@ type Query struct {
 type Options struct {
 	// Limit caps the number of emitted results; 0 means unlimited. The
 	// traversal orders its work so that results come first and stops at
-	// the limit, so which pairs a limited evaluation returns may change
+	// the limit: a batched level descends its result-bearing ranges
+	// first, and a long range that cannot report is descended in
+	// doubling installments, its tail deferred until the frontier runs
+	// dry. So which pairs a limited evaluation returns may change
 	// between versions; their order stays unspecified.
 	Limit int
 	// Timeout bounds wall-clock evaluation time; 0 means none.

@@ -118,6 +118,10 @@ type Engine struct {
 	lsItems []wavelet.RangeMask
 	lsFirst []wavelet.RangeMask // a limited level's first part-2 descent
 	starts  []uint32            // v→v phase-1 candidates
+	// installment is how many positions of a non-reporting part-2 range
+	// a limited batched traversal descends at once (see part2); 0 defers
+	// nothing.
+	installment int
 
 	// per-evaluation state
 	stats     Stats
@@ -158,6 +162,10 @@ type ringWork struct {
 	// across overlay versions: the batched part 2 drops fully-tombstoned
 	// leaf items (see tombRanks).
 	tomb tombRanks
+
+	// deferred holds the L_s tails, with their state masks, that part2
+	// put off until the frontier runs dry (see resumeDeferred).
+	deferred []wavelet.RangeMask
 }
 
 // NewEngine builds the kernel over the single ring r — the paper's
@@ -322,7 +330,9 @@ func (e *Engine) release() {
 	for _, w := range e.work {
 		w.dNode.Reset()
 		w.bArr = nil
+		w.deferred = w.deferred[:0]
 	}
+	e.installment = 0
 	e.queue = e.queue[:0]
 	e.level = e.level[:0]
 	e.base = 0
@@ -583,7 +593,17 @@ func (e *Engine) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end int
 // object of the step; o < 0 marks the full-range phase, where a
 // subject survives iff its multiplicity under p exceeds its (p, s)
 // tombstone count.
+//
+// A limited batched traversal descends a range of an exact object that
+// cannot report (d2 lacks the initial state) in installments: it keeps
+// the first e.installment positions and defers the rest, with d2, to
+// w.deferred, so that a hub's in-neighbours do not all enter the
+// frontier before any of them is asked for a result (resumeDeferred).
 func (e *Engine) part2(eng *glushkov.Engine, w *ringWork, o int64, p uint32, b, end int, d2 uint64, emit EmitFunc) error {
+	if o >= 0 && e.installment > 0 && d2&eng.Init == 0 && end-b > e.installment {
+		w.deferred = append(w.deferred, wavelet.RangeMask{B: b + e.installment, E: end, Mask: d2})
+		end = b + e.installment
+	}
 	checkDels := e.ov.DelsForPred(p) > 0
 	var failure error
 	w.r.Ls.Traverse(b, end, func(node wavelet.NodeID, leaf bool, s uint32, rb, re int, full bool) bool {

@@ -151,24 +151,74 @@ func (e *Engine) TombstoneRanks(k int) []int {
 	return w.tomb.ranks
 }
 
+// minInstallment is the fewest positions of a non-reporting part-2
+// range a limited traversal descends before it resumes deferred ones.
+const minInstallment = 64
+
 // bfsBatched drains the worklist level-synchronously; every level is
-// one span.
+// one span. Under Options.Limit, part2 defers the tails of long
+// non-reporting ranges; when the frontier runs dry they are descended
+// as one more level (resumeDeferred), the installment doubles, and
+// their arrivals make the next frontier, until none is left.
 func (e *Engine) bfsBatched(eng *glushkov.Engine, emit EmitFunc) error {
-	for len(e.queue) > 0 {
+	e.installment = 0
+	if e.limit > 0 {
+		e.installment = max((e.limit-e.stats.Results)/8, minInstallment)
+	}
+	for {
+		var level []queueItem
+		deferred := 0
+		if len(e.queue) > 0 {
+			// The merged level stays in the old queue's buffer while new
+			// discoveries queue up in the previous level's.
+			level = mergeFrontier(e.queue)
+			e.queue, e.level = e.level[:0], level
+		} else {
+			for _, w := range e.work {
+				deferred += len(w.deferred)
+			}
+			if deferred == 0 {
+				return nil
+			}
+		}
 		if err := e.checkDeadline(); err != nil {
 			return err
 		}
-		// The merged level stays in the old queue's buffer while new
-		// discoveries queue up in the previous level's.
-		level := mergeFrontier(e.queue)
-		e.queue, e.level = e.level[:0], level
 		sp, visits0 := -1, 0
 		if e.trace != nil {
 			visits0 = e.stats.WaveletVisits
 			sp = e.trace.Begin(obs.SpanLevel)
 		}
-		err := e.expandLevel(eng, level, emit)
-		e.trace.EndVals(sp, int64(len(level)), int64(e.stats.WaveletVisits-visits0))
+		var err error
+		if level != nil {
+			err = e.expandLevel(eng, level, emit)
+		} else {
+			err = e.resumeDeferred(eng, emit)
+			e.installment *= 2
+		}
+		e.trace.EndVals(sp, int64(len(level)+deferred), int64(e.stats.WaveletVisits-visits0))
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// resumeDeferred descends every ring's deferred part-2 tails as one
+// batched part 2 (part2Many, so splitOwed, the deadline probes and the
+// tombstone ranks apply as in any batched level). A tail is a
+// sub-range of one object's backward-search range, so tails are
+// disjoint unless one object was expanded twice, and then they
+// coincide; sorted by position they are valid items.
+func (e *Engine) resumeDeferred(eng *glushkov.Engine, emit EmitFunc) error {
+	for _, w := range e.work {
+		if len(w.deferred) == 0 {
+			continue
+		}
+		slices.SortFunc(w.deferred, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
+		// part2Many defers nothing (only part2 does), so the list is free
+		// to reuse once it returns.
+		err := e.part2Many(eng, w, w.deferred, emit)
+		w.deferred = w.deferred[:0]
 		if err != nil {
 			return err
 		}

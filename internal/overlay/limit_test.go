@@ -2,7 +2,9 @@ package overlay
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ringrpq/internal/core"
@@ -62,7 +64,7 @@ func limitQueries(g *triples.Graph, expr pathexpr.Node) []core.Query {
 
 // checkLimits evaluates every query on every arm at each limit: exactly
 // min(limit, |oracle|) pairs must come back, distinct, each one in the
-// oracle's answer over g.
+// oracle's answer over g; limit 0 must return the whole answer.
 func checkLimits(t *testing.T, g *triples.Graph, arms []limitArm, queries []core.Query, limits ...int) {
 	t.Helper()
 	for _, q := range queries {
@@ -87,7 +89,11 @@ func checkLimits(t *testing.T, g *triples.Graph, arms []limitArm, queries []core
 				if err != nil {
 					t.Fatalf("%s limit %d (%d, %s, %d): %v", arm.name, limit, q.Subject, pathexpr.String(q.Expr), q.Object, err)
 				}
-				if n := min(limit, len(want)); len(got) != n || st.Results != n {
+				n := len(want)
+				if limit > 0 {
+					n = min(limit, n)
+				}
+				if len(got) != n || st.Results != n {
 					t.Fatalf("%s limit %d (%d, %s, %d): %d pairs (stats %d), want %d of the oracle's %d",
 						arm.name, limit, q.Subject, pathexpr.String(q.Expr), q.Object, len(got), st.Results, n, len(want))
 				}
@@ -198,4 +204,157 @@ func starScenario(t *testing.T, shared bool) (*triples.Graph, *triples.Graph, *c
 	eng := core.NewEngine(r, ids)
 	eng.SetDelta(ov, g.NumNodes())
 	return g, merged, eng
+}
+
+// TestLimitDeferredHub drives the deferred part-2 installments of a
+// limited traversal (core's part2 and resumeDeferred) against the
+// oracle. In hubScenario the hub's pb in-range is longer than every
+// installment, and its tail holds tombstoned in-edges and nodes that
+// overlay adds enter. Every arm — batched and unbatched, one ring and
+// three shards, static and with the overlay — must return
+// min(limit, |answer|) distinct pairs of the answer. The constant-
+// endpoint answers are shorter than the largest limit, so that limit
+// returns them whole only if every deferred tail was resumed.
+func TestLimitDeferredHub(t *testing.T) {
+	g, merged, ovArms := hubScenario(t)
+	hub, _ := g.Nodes.Lookup("hub")
+	var queries []core.Query
+	for _, src := range []string{"pa/pb*", "(pa/pb)*"} {
+		expr := pathexpr.MustParse(src)
+		queries = append(queries,
+			core.Query{Subject: core.Variable, Expr: expr, Object: int64(hub)},
+			core.Query{Subject: int64(hub), Expr: pathexpr.InverseOf(expr), Object: core.Variable},
+			core.Query{Subject: core.Variable, Expr: expr, Object: core.Variable})
+	}
+	for _, q := range queries {
+		if q.Subject == core.Variable && q.Object == core.Variable {
+			continue
+		}
+		for _, gr := range []*triples.Graph{g, merged} {
+			if n := len(enginetest.Oracle(gr, q.Subject, q.Expr, q.Object)); n <= hubInstallment || n >= 1000 {
+				t.Fatalf("(%d, %s, %d) has %d answers, want between %d and 1000",
+					q.Subject, pathexpr.String(q.Expr), q.Object, n, hubInstallment)
+			}
+		}
+	}
+	limits := []int{1, 10, 64, 65, 1000, 0}
+	checkLimits(t, g, staticArms(g), queries, limits...)
+	checkLimits(t, merged, ovArms, queries, limits...)
+}
+
+// hubInstallment is the installment a traversal at limit 1000 starts
+// with (max(1000/8, 64) positions).
+const hubInstallment = 125
+
+// hubScenario builds a static graph with hub ← pb ← x_i ← pa ← y_i
+// (i < 300) plus pb edges x_i → x_{i+150} (i < 150, i%5 = 0), and an
+// overlay over it that tombstones every seventh x_i → hub and every
+// thirteenth y_i → x_i, and adds pa edges into every eleventh x_i and
+// pb/pa edges hub ← z_k ← w_k (k < 80), from nodes interned after the
+// build. It returns the static graph, the merged graph and the union
+// kernel over one ring and over three shards, each batched and
+// unbatched.
+func hubScenario(t *testing.T) (*triples.Graph, *triples.Graph, []limitArm) {
+	t.Helper()
+	type edge struct{ s, p, o string }
+	x := func(i int) string { return fmt.Sprintf("x%03d", i) }
+	var static, adds, dels []edge
+	for i := 0; i < 300; i++ {
+		y := fmt.Sprintf("y%03d", i)
+		static = append(static, edge{x(i), "pb", "hub"}, edge{y, "pa", x(i)})
+		if i%7 == 3 {
+			dels = append(dels, edge{x(i), "pb", "hub"})
+		}
+		if i%13 == 4 {
+			dels = append(dels, edge{y, "pa", x(i)})
+		}
+		if i%11 == 5 {
+			adds = append(adds, edge{fmt.Sprintf("v%03d", i), "pa", x(i)})
+		}
+		if i < 150 && i%5 == 0 {
+			static = append(static, edge{x(i), "pb", x(i + 150)})
+		}
+	}
+	for k := 0; k < 80; k++ {
+		z := fmt.Sprintf("z%03d", k)
+		adds = append(adds, edge{z, "pb", "hub"}, edge{fmt.Sprintf("w%03d", k), "pa", z})
+	}
+	// The static graph's names in order of first use; the adds' sources
+	// are interned after its build, as live updates do.
+	var names []string
+	known := map[string]bool{}
+	intern := func(es []edge) {
+		for _, e := range es {
+			for _, n := range []string{e.s, e.o} {
+				if !known[n] {
+					known[n] = true
+					names = append(names, n)
+				}
+			}
+		}
+	}
+	intern(static)
+	ringNodes := len(names)
+	intern(adds)
+	build := func(nodes []string, es []edge) *triples.Graph {
+		b := triples.NewBuilder()
+		for _, n := range nodes {
+			b.Nodes().Intern(n)
+		}
+		b.Preds().Intern("pa")
+		b.Preds().Intern("pb")
+		for _, e := range es {
+			b.Add(e.s, e.p, e.o)
+		}
+		return b.Build()
+	}
+	g := build(names[:ringNodes], static)
+	for _, n := range names[ringNodes:] {
+		g.Nodes.Intern(n)
+	}
+	gone := map[edge]bool{}
+	for _, e := range dels {
+		gone[e] = true
+	}
+	live := slices.Clone(adds)
+	for _, e := range static {
+		if !gone[e] {
+			live = append(live, e)
+		}
+	}
+	merged := build(names, live)
+
+	complete := func(es []edge) []Edge {
+		var out []Edge
+		for _, e := range es {
+			s, _ := g.Nodes.Lookup(e.s)
+			o, _ := g.Nodes.Lookup(e.o)
+			p, _ := g.PredID(e.p, false)
+			out = append(out, Edge{S: s, P: p, O: o}, Edge{S: o, P: p + g.NumPreds, O: s})
+		}
+		return out
+	}
+	ids := func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }
+	var arms []limitArm
+	for _, shards := range []int{1, 3} {
+		rings := []*ring.Ring{ring.New(g, ring.WaveletMatrix)}
+		if shards > 1 {
+			rings = ring.NewShardSet(g, shards, nil, ring.WaveletMatrix).Shards
+		}
+		inStatic := func(e Edge) bool {
+			for _, r := range rings {
+				if r.Has(e.S, e.P, e.O) {
+					return true
+				}
+			}
+			return false
+		}
+		ov := New().Apply(1, complete(adds), complete(dels), inStatic)
+		eng := core.NewMultiRing(rings, ids, g.NumCompletedPreds())
+		eng.SetDelta(ov, g.NumNodes())
+		name := fmt.Sprintf("overlay-%dring", shards)
+		arms = append(arms, limitArm{name, eng, core.Options{}},
+			limitArm{name + "-unbatched", eng, core.Options{DisableBatching: true}})
+	}
+	return g, merged, arms
 }

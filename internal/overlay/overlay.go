@@ -106,9 +106,12 @@ func find(es []Edge, e Edge) bool {
 // after adds. version must exceed the current version (the snapshot
 // layer allocates them monotonically).
 //
-// The cost is that of the batch, not of the overlay: O(b·log n) probes
-// for a batch of b edges plus one copy of each consolidated slice the
-// batch changes.
+// The cost grows with the overlay, not only with the batch: besides
+// O(b·log n) probes for a batch of b edges, each consolidated slice the
+// batch changes is copied whole (O(n) for an overlay of n edges: a
+// batch of adds and tombstones copies all four), and the predTouch and
+// predDels maps are cloned on every call, O(distinct predicates the
+// overlay touches).
 func (o *Overlay) Apply(version uint64, adds, dels []Edge, inStatic func(Edge) bool) *Overlay {
 	// Each edge the batch mentions moves between three states — live
 	// add, tombstone, neither — independently of every other edge, so

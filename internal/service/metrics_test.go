@@ -209,7 +209,7 @@ func TestSnake(t *testing.T) {
 		"P50MS":                 "p50_ms",
 		"MeanMS":                "mean_ms",
 		"WAL":                   "wal",
-		"ReplayLogBatches":      "replay_log_batches",
+		"ResultInvalidations":   "result_invalidations",
 		"LastCheckpointVersion": "last_checkpoint_version",
 	}
 	for in, want := range cases {

@@ -194,10 +194,6 @@ type Stats struct {
 	// Detached counts the resumable-but-disconnected subset; Lagged
 	// counts subscribers currently marked lagged.
 	Active, Detached, Lagged int
-	// ReplayLogBatches is retired and reads 0: the overlay keeps no
-	// replay log. The field stays so that the /stats key paths and the
-	// /metrics series only ever grow.
-	ReplayLogBatches int
 	// Version is the last data version the worker processed.
 	Version uint64
 	// Batches counts processed update notices. Incremental /

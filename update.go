@@ -59,10 +59,6 @@ type UpdateStats struct {
 	// PinnedSnapshots counts snapshots still referenced by in-flight
 	// queries (including the current one).
 	PinnedSnapshots int
-	// ReplayBatches is retired and reads 0: the overlay keeps no
-	// replay log (a compaction diffs two overlay versions instead). The
-	// field stays so that the /stats key paths only ever grow.
-	ReplayBatches int
 }
 
 // snapshot is one immutable (static ring, overlay) pair.
