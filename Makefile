@@ -22,8 +22,8 @@ test:
 # the traversal engine (a query runs on its caller's goroutine and
 # starts none, so core is here for the engine state its differential
 # tests reuse across evaluations), the graph-pattern
-# subsystem (parallel differential harness over shared selectivity
-# caches), the live-update overlay (snapshot swap vs
+# subsystem (parallel differential harness, one executor per
+# subtest), the live-update overlay (snapshot swap vs
 # concurrent readers/writers), the standing-subscription registry, and
 # the root-package stress tests (including the subscription
 # close-under-update stress and the standing differential harness),
@@ -89,7 +89,9 @@ bench:
 # allocs/op), of the g100k Table-1 log through a built database (with
 # visits/op), of the same log with one mixed 16-edge update batch
 # applied before each read, so every read crosses a new overlay version
-# (with allocs/op), of the handler's result-cache hit and miss, and one pass
+# (with allocs/op), of the pattern planner's once-per-executor count of
+# every completed predicate's distinct subjects, of the handler's
+# result-cache hit and miss, and one pass
 # of the paper's Table-2 log through the ring and NavBFS arms: makes
 # sure the benchmark code keeps compiling and running under ci. A descent
 # change is sized with paired -count runs of the same benchmarks, e.g.
@@ -103,7 +105,7 @@ bench-short:
 		./internal/bitvec/ ./internal/wavelet/ ./internal/core/
 	$(GO) test -run NONE -bench 'MatrixBuild|MatrixMerge|FromTriples|RingMerge|OverlayApply|StaticReads|UnionReads10' -benchtime 1x \
 		./internal/wavelet/ ./internal/ring/ ./internal/overlay/
-	$(GO) test -run NONE -bench '^Benchmark(Build|WorkLog|Compaction|VersionedReads)$$' -benchtime 1x .
+	$(GO) test -run NONE -bench '^Benchmark(Build|WorkLog|Compaction|VersionedReads|PredicateSubjectCounts)$$' -benchtime 1x .
 	$(GO) test -run NONE -bench '^BenchmarkTable2$$/^(Ring|NavBFS)$$' -benchtime 120x .
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
 	$(GO) test -run NONE -bench 'HandlerCacheHit|HandlerMiss' -benchtime 1x ./internal/service/

@@ -35,6 +35,7 @@ import (
 	"ringrpq/internal/ring"
 	"ringrpq/internal/ring/ringtest"
 	"ringrpq/internal/triples"
+	"ringrpq/internal/wavelet"
 	"ringrpq/internal/workload"
 )
 
@@ -460,17 +461,25 @@ func b2u(x bool) uint32 {
 	return 0
 }
 
-// BenchmarkSelectivity measures the §6 colored-range distinct counting
-// the planner uses (distinct subjects of a predicate range in
-// O(log n)).
-func BenchmarkSelectivity(b *testing.B) {
+// BenchmarkPredicateSubjectCounts times what the pattern planner pays
+// once per executor for its statistics: the distinct subjects of every
+// completed predicate of the fixture, each counted by one
+// wavelet.RangeDistinct descent over its L_s range.
+func BenchmarkPredicateSubjectCounts(b *testing.B) {
 	setup(b)
 	r := bench.r
-	sel := ring.NewSelectivity(r)
-	np := r.NumPreds
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lo, hi := r.PredRange(uint32(i) % np)
-		sel.DistinctSubjects(lo, hi)
+		n := 0
+		for p := range r.NumPreds {
+			lo, hi := r.PredRange(p)
+			wavelet.RangeDistinct(r.Ls, lo, hi, func(uint32, int, int) bool {
+				n++
+				return true
+			})
+		}
+		if n == 0 {
+			b.Fatal("no predicate has a subject")
+		}
 	}
 }

@@ -24,7 +24,6 @@
 package overlay
 
 import (
-	"maps"
 	"slices"
 	"sort"
 
@@ -37,8 +36,8 @@ type Edge = core.Edge
 
 var _ core.Delta = (*Overlay)(nil)
 
-// Overlay is one immutable version of the dynamic layer. The zero
-// value is not meaningful; use New.
+// Overlay is one immutable version of the dynamic layer; New returns
+// the empty one.
 //
 // Invariants: adds ∩ static = ∅ (an add of a present edge is a no-op,
 // unless it revives a tombstone), dels ⊆ static (a delete of an absent
@@ -50,26 +49,17 @@ type Overlay struct {
 	dels []Edge
 	// delsPS and addsPS mirror dels/adds sorted by (P, S, O): the
 	// engine's full-range phase needs "how many targets of (s, p, ·)
-	// are tombstoned", and the §5-style fast paths scan adds
-	// predicate-major.
+	// are tombstoned", the §5-style fast paths scan adds
+	// predicate-major, and a predicate's runs in them say whether it is
+	// touched at all (TouchesPred, DelsForPred).
 	delsPS []Edge
 	addsPS []Edge
 
 	version uint64
-
-	// predTouch counts adds+dels per completed predicate id: the
-	// kernel runs a query with no delta when none of its predicates is
-	// touched (TouchesPred). predDels counts only tombstones, letting
-	// the kernel skip per-edge deletion probes for predicates nothing
-	// was deleted from.
-	predTouch map[uint32]int
-	predDels  map[uint32]int
 }
 
 // New returns an empty overlay at version 0.
-func New() *Overlay {
-	return &Overlay{predTouch: map[uint32]int{}, predDels: map[uint32]int{}}
-}
+func New() *Overlay { return &Overlay{} }
 
 // cmpEdge orders edges by (O, P, S).
 func cmpEdge(a, b Edge) int {
@@ -109,9 +99,7 @@ func find(es []Edge, e Edge) bool {
 // The cost grows with the overlay, not only with the batch: besides
 // O(b·log n) probes for a batch of b edges, each consolidated slice the
 // batch changes is copied whole (O(n) for an overlay of n edges: a
-// batch of adds and tombstones copies all four), and the predTouch and
-// predDels maps are cloned on every call, O(distinct predicates the
-// overlay touches).
+// batch of adds and tombstones copies all four).
 func (o *Overlay) Apply(version uint64, adds, dels []Edge, inStatic func(Edge) bool) *Overlay {
 	// Each edge the batch mentions moves between three states — live
 	// add, tombstone, neither — independently of every other edge, so
@@ -150,30 +138,18 @@ func (o *Overlay) Apply(version uint64, adds, dels []Edge, inStatic func(Edge) b
 
 	var addIns, addRem, delIns, delRem []Edge
 	n := *o
-	n.predTouch, n.predDels = maps.Clone(o.predTouch), maps.Clone(o.predDels)
-	count := func(m map[uint32]int, p uint32, d int) {
-		if m[p] += d; m[p] == 0 {
-			delete(m, p)
-		}
-	}
 	for e, m := range moved {
 		switch {
 		case m.now.add && !m.was.add:
 			addIns = append(addIns, e)
-			count(n.predTouch, e.P, 1)
 		case !m.now.add && m.was.add:
 			addRem = append(addRem, e)
-			count(n.predTouch, e.P, -1)
 		}
 		switch {
 		case m.now.del && !m.was.del:
 			delIns = append(delIns, e)
-			count(n.predTouch, e.P, 1)
-			count(n.predDels, e.P, 1)
 		case !m.now.del && m.was.del:
 			delRem = append(delRem, e)
-			count(n.predTouch, e.P, -1)
-			count(n.predDels, e.P, -1)
 		}
 	}
 	n.adds = merge(o.adds, addIns, addRem, cmpEdge)
@@ -204,13 +180,6 @@ func Diff(base, latest *Overlay) *Overlay {
 	n.addsPS = merge(minus(latest.addsPS, base.addsPS, cmpEdgePS), minus(base.delsPS, latest.delsPS, cmpEdgePS), nil, cmpEdgePS)
 	n.delsPS = merge(minus(latest.delsPS, base.delsPS, cmpEdgePS), minus(base.addsPS, latest.addsPS, cmpEdgePS), nil, cmpEdgePS)
 	n.version = latest.version
-	for _, e := range n.adds {
-		n.predTouch[e.P]++
-	}
-	for _, e := range n.dels {
-		n.predTouch[e.P]++
-		n.predDels[e.P]++
-	}
 	return n
 }
 
@@ -296,7 +265,7 @@ func (o *Overlay) Deleted(e Edge) bool { return find(o.dels, e) }
 
 // DelsForPred counts the tombstones carrying completed predicate p;
 // zero lets the engine skip per-edge deletion probes entirely.
-func (o *Overlay) DelsForPred(p uint32) int { return o.predDels[p] }
+func (o *Overlay) DelsForPred(p uint32) int { return len(runPS(o.delsPS, p, 0, true)) }
 
 // runPS returns the run of es (sorted by (P, S, O)) carrying predicate
 // p — and subject s, unless anyS is set — by two binary searches.
@@ -329,7 +298,9 @@ func (o *Overlay) Has(e Edge) bool { return find(o.adds, e) }
 
 // TouchesPred reports whether any add or tombstone carries completed
 // predicate p.
-func (o *Overlay) TouchesPred(p uint32) bool { return o.predTouch[p] > 0 }
+func (o *Overlay) TouchesPred(p uint32) bool {
+	return len(runPS(o.addsPS, p, 0, true)) > 0 || o.DelsForPred(p) > 0
+}
 
 // Adds returns every live overlay add, sorted by (O, P, S).
 func (o *Overlay) Adds() []Edge { return o.adds }

@@ -28,7 +28,7 @@ func slowPlanPattern() *Query {
 // is the slow part.
 func TestRunDeadlineCoversPlanning(t *testing.T) {
 	g := enginetest.RandomGraph(3, 30, 3, 120)
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 
 	// A nanosecond budget has expired by the order search's first probe;
 	// the whole call must come back almost immediately with ErrTimeout
@@ -60,7 +60,7 @@ func TestRunDeadlineCoversPlanning(t *testing.T) {
 // pattern to ~2× its allowance).
 func TestRunDeadlineSharedWithLTJ(t *testing.T) {
 	g := enginetest.RandomGraph(4, 40, 3, 200)
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	q := MustParse("?a pa ?b . ?b pb ?c . ?c pa+ ?d")
 
 	// Warm the plan memo so the next run's planning is free, then

@@ -352,7 +352,7 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 				Edges: 30 + int(seed)*8,
 				Preds: 3 + int(seed%4),
 			})
-			single := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+			single := NewExec(g, ring.New(g, ring.WaveletMatrix))
 			// A ring holding the forward half of the completed graph
 			// only: on it the planner must decline every flip and
 			// still answer.
@@ -363,7 +363,7 @@ func TestDifferentialExecutorVsOracle(t *testing.T) {
 					forward.Triples = append(forward.Triples, tr)
 				}
 			}
-			split := NewExec(g, ring.New(&forward, ring.WaveletMatrix), nil)
+			split := NewExec(g, ring.New(&forward, ring.WaveletMatrix))
 
 			gen := workload.GeneratePatterns(g, workload.PatternConfig{Seed: seed, Total: 30})
 			var texts []string

@@ -86,7 +86,7 @@ func buildDirtyWorld(t *testing.T, seed int64) *dirtyWorld {
 	rM := ring.New(gMerged, ring.WaveletMatrix)
 	inStatic := func(e overlay.Edge) bool { return rS.Has(e.S, e.P, e.O) }
 	ov := overlay.New().Apply(1, complete(added), complete(deleted), inStatic)
-	w := &dirtyWorld{xDirty: NewExec(gStatic, rS, nil), xMerged: NewExec(gMerged, rM, nil)}
+	w := &dirtyWorld{xDirty: NewExec(gStatic, rS), xMerged: NewExec(gMerged, rM)}
 	w.xDirty.SetOverlay(ov, gStatic.NumNodes())
 	return w
 }

@@ -34,11 +34,15 @@ type Options struct {
 
 // Exec evaluates graph patterns over one ring. Like core.Engine it
 // owns working state and must not be used concurrently; build one per
-// worker (the SelCache may be shared across them).
+// worker.
 type Exec struct {
-	g   *triples.Graph
-	r   *ring.Ring
-	sel *SelCache
+	g *triples.Graph
+	r *ring.Ring
+
+	// subjects[p] memoises the planner's one statistic, the number of
+	// distinct subjects of completed predicate p, or -1 until first
+	// asked (planner.distinctSubjects). It depends only on the ring.
+	subjects []int
 
 	// ov is the snapshot's overlay and numNodes its node-id space. Every step's kernel has them attached and decides
 	// per step whether the overlay matters. A non-empty ov also
@@ -69,13 +73,13 @@ type Exec struct {
 // at about 0.4 KB a plan, a full memo is about 0.5 MB.
 const maxPlans = 1024
 
-// NewExec builds a pattern executor over a single ring. A nil sel
-// builds a private selectivity cache.
-func NewExec(g *triples.Graph, r *ring.Ring, sel *SelCache) *Exec {
-	if sel == nil {
-		sel = NewSelCache()
+// NewExec builds a pattern executor over a single ring.
+func NewExec(g *triples.Graph, r *ring.Ring) *Exec {
+	subjects := make([]int, g.NumCompletedPreds())
+	for p := range subjects {
+		subjects[p] = -1
 	}
-	return &Exec{g: g, r: r, sel: sel, ov: overlay.New(), numNodes: r.NumNodes}
+	return &Exec{g: g, r: r, subjects: subjects, ov: overlay.New(), numNodes: r.NumNodes}
 }
 
 // SetOverlay points the executor at a snapshot's overlay (not nil) and
@@ -126,7 +130,7 @@ func (x *Exec) planFor(q *Query, deadline time.Time, allSteps bool) (pl *Plan, h
 	if pl, ok := (*memo)[key]; ok {
 		return pl, 1, nil
 	}
-	p := &planner{g: x.g, r: x.r, sel: x.sel.For(x.r), deadline: deadline}
+	p := &planner{g: x.g, r: x.r, subjects: x.subjects, deadline: deadline}
 	if pl, err = p.plan(q, allSteps); err != nil {
 		return nil, 0, err
 	}

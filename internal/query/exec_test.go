@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ringrpq/internal/datagen"
 	"ringrpq/internal/ring"
 	"ringrpq/internal/triples"
 )
@@ -81,7 +82,7 @@ func renderBindings(bs []binding) []string {
 
 func TestExecMixedBGPAndRPQ(t *testing.T) {
 	g := orgGraph()
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	// Managers with a (transitive) report on an active project.
 	got := renderBindings(runPattern(t,
 		x, "SELECT ?m ?proj WHERE { ?m manages+ ?e . ?e assigned ?proj . ?proj status active }", Options{}))
@@ -99,7 +100,7 @@ func TestExecMixedBGPAndRPQ(t *testing.T) {
 
 func TestExecPureBGP(t *testing.T) {
 	g := orgGraph()
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	got := renderBindings(runPattern(t, x, "?e assigned ?p . ?p status active", Options{}))
 	want := []string{"e=cleo,p=apollo", "e=erin,p=apollo"}
 	if !eqStrings(got, want) {
@@ -109,7 +110,7 @@ func TestExecPureBGP(t *testing.T) {
 
 func TestExecPureRPQ(t *testing.T) {
 	g := orgGraph()
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	got := renderBindings(runPattern(t, x, "ana manages/manages ?e", Options{}))
 	want := []string{"e=cleo", "e=dmitri"}
 	if !eqStrings(got, want) {
@@ -119,7 +120,7 @@ func TestExecPureRPQ(t *testing.T) {
 
 func TestExecVariablePredicate(t *testing.T) {
 	g := orgGraph()
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	got := renderBindings(runPattern(t, x, "apollo ?p ?o", Options{}))
 	// Completed graph: apollo -status-> active and apollo -^assigned-> cleo/erin.
 	want := []string{"o=active,p=status", "o=cleo,p=^assigned", "o=erin,p=^assigned"}
@@ -130,7 +131,7 @@ func TestExecVariablePredicate(t *testing.T) {
 
 func TestExecConstantsAndEmpty(t *testing.T) {
 	g := orgGraph()
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	// All-constant truths emit one empty binding.
 	if got := runPattern(t, x, "ana manages bo . apollo status active", Options{}); len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("all-const true: %v", got)
@@ -164,7 +165,7 @@ func TestExecSameVarBothEnds(t *testing.T) {
 	b.Add("b", "p", "c")
 	b.Add("c", "q", "c")
 	g := b.Build()
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	got := renderBindings(runPattern(t, x, "?x p ?x", Options{}))
 	if !eqStrings(got, []string{"x=a"}) {
 		t.Fatalf("triple self-loop: %v", got)
@@ -177,7 +178,7 @@ func TestExecSameVarBothEnds(t *testing.T) {
 
 func TestExecLimitAndTimeout(t *testing.T) {
 	g := orgGraph()
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	got := runPattern(t, x, "?m manages* ?e", Options{Limit: 3})
 	if len(got) != 3 {
 		t.Fatalf("limit: %d bindings", len(got))
@@ -192,7 +193,7 @@ func TestExecLimitAndTimeout(t *testing.T) {
 		}
 	}
 	dense := b.Build()
-	xd := NewExec(dense, ring.New(dense, ring.WaveletMatrix), nil)
+	xd := NewExec(dense, ring.New(dense, ring.WaveletMatrix))
 	err := runBindings(xd, MustParse("?x p ?y . ?y p+ ?z"), Options{Timeout: time.Nanosecond}, func(binding) bool { return true })
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("timeout: got %v", err)
@@ -210,7 +211,7 @@ func TestPlanSelectivityOrder(t *testing.T) {
 	// Connect the two relations so the pattern below joins them.
 	b.Add("t0", "common", "b0")
 	g := b.Build()
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 
 	q := MustParse("?x rare ?y . ?y common ?z")
 	pl, err := x.Plan(q)
@@ -227,6 +228,32 @@ func TestPlanSelectivityOrder(t *testing.T) {
 		t.Fatalf("est(x)=%v should be below est(z)=%v", pl.VarEst["x"], pl.VarEst["z"])
 	}
 
+	// The estimates themselves, against counts over the triples: a
+	// triple clause's ends are its predicate's distinct subjects and
+	// objects, a ^p clause's the other way round, and an RPQ end the sum
+	// over the predicates it can leave the node on.
+	subj, obj := bruteDistinct(g, "common")
+	rareS, rareO := bruteDistinct(g, "rare")
+	for _, c := range []struct {
+		q    string
+		want map[string]float64
+	}{
+		{"?x common ?z", map[string]float64{"x": subj, "z": obj}},
+		{"?z ^common ?x", map[string]float64{"z": obj, "x": subj}},
+		{"?a (rare|^common)/common ?b", map[string]float64{"a": rareS + obj, "b": obj}},
+		{"?a common/(rare|common) ?b", map[string]float64{"a": subj, "b": rareO + obj}},
+	} {
+		pl, err := x.Plan(MustParse(c.q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, want := range c.want {
+			if pl.VarEst[v] != want {
+				t.Fatalf("%s: est(%s) = %v, want %v (estimates %v)", c.q, v, pl.VarEst[v], want, pl.VarEst)
+			}
+		}
+	}
+
 	// RPQ boundary estimates point the right way: "fan" has 30 distinct
 	// sources and a single target, so an RPQ clause's object end must
 	// look cheap and its subject end expensive (regression for the
@@ -236,7 +263,7 @@ func TestPlanSelectivityOrder(t *testing.T) {
 		bf.Add(fmt.Sprintf("s%d", i), "fan", "sink")
 	}
 	gf := bf.Build()
-	xf := NewExec(gf, ring.New(gf, ring.WaveletMatrix), nil)
+	xf := NewExec(gf, ring.New(gf, ring.WaveletMatrix))
 	plf, err := xf.Plan(MustParse("?a fan/fan? ?b"))
 	if err != nil {
 		t.Fatal(err)
@@ -257,6 +284,63 @@ func TestPlanSelectivityOrder(t *testing.T) {
 	}
 }
 
+// bruteDistinct counts the distinct subjects and objects of the named
+// predicate over g's triples.
+func bruteDistinct(g *triples.Graph, name string) (subjects, objects float64) {
+	id, _ := g.PredID(name, false)
+	subs, objs := map[uint32]bool{}, map[uint32]bool{}
+	for _, tr := range g.Triples {
+		if tr.P == id {
+			subs[tr.S], objs[tr.O] = true, true
+		}
+	}
+	return float64(len(subs)), float64(len(objs))
+}
+
+// The planner's one statistic, the distinct subjects of a completed
+// predicate, is counted on the Exec's ring at the first ask and kept
+// in its memo: every completed predicate, inverses included, must
+// match a count over the triples, on the paper's Fig. 1 graph and on a
+// generated one.
+func TestExecDistinctSubjects(t *testing.T) {
+	fig1 := triples.NewBuilder()
+	add := func(s, p, o string) { fig1.Add(s, p, o); fig1.Add(o, p, s) }
+	add("Baq", "l1", "UCh")
+	add("UCh", "l1", "LH")
+	add("LH", "l2", "SA")
+	add("SA", "l5", "BA")
+	add("BA", "l5", "Baq")
+	fig1.Add("SA", "bus", "UCh")
+	fig1.Add("SA", "bus", "BA")
+	for name, g := range map[string]*triples.Graph{
+		"fig1":    fig1.Build(),
+		"datagen": datagen.Generate(datagen.Config{Seed: 3, Nodes: 300, Edges: 1500, Preds: 7}),
+	} {
+		want := make([]map[uint32]bool, g.NumCompletedPreds())
+		for i := range want {
+			want[i] = map[uint32]bool{}
+		}
+		for _, tr := range g.Triples {
+			want[tr.P][tr.S] = true
+		}
+		x := NewExec(g, ring.New(g, ring.WaveletMatrix))
+		p := &planner{g: x.g, r: x.r, subjects: x.subjects}
+		for id := range g.NumCompletedPreds() {
+			if x.subjects[id] != -1 {
+				t.Fatalf("%s: %s counted before it was asked", name, g.PredName(id))
+			}
+			for range 2 {
+				if got := p.distinctSubjects(id); got != len(want[id]) {
+					t.Fatalf("%s: %s has %d distinct subjects, want %d", name, g.PredName(id), got, len(want[id]))
+				}
+			}
+			if x.subjects[id] != len(want[id]) {
+				t.Fatalf("%s: %s memoised as %d, want %d", name, g.PredName(id), x.subjects[id], len(want[id]))
+			}
+		}
+	}
+}
+
 func TestExecDistinctBindings(t *testing.T) {
 	// Two distinct paths between the same endpoints must yield one
 	// binding (set semantics end to end).
@@ -266,7 +350,7 @@ func TestExecDistinctBindings(t *testing.T) {
 	b.Add("m1", "p", "z")
 	b.Add("m2", "p", "z")
 	g := b.Build()
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	got := renderBindings(runPattern(t, x, "a p/p ?z", Options{}))
 	if !eqStrings(got, []string{"z=z"}) {
 		t.Fatalf("distinct: %v", got)

@@ -52,7 +52,7 @@ func runRows(t *testing.T, x *Exec, q *Query, opts Options) []string {
 
 func TestPlanSpanReportsMemoHit(t *testing.T) {
 	g := orgGraph()
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	q := MustParse("?m manages ?e . ?e assigned ?p . ?m manages+ ?r")
 	for want := int64(0); want <= 1; want++ {
 		tr := obs.New()
@@ -71,8 +71,7 @@ func TestPlanMemoHoldsPool(t *testing.T) {
 	const preds = 4
 	g := datagen.Generate(datagen.Config{Seed: 7, Nodes: 400, Edges: 1600, Preds: preds})
 	r := ring.New(g, ring.WaveletMatrix)
-	sel := NewSelCache()
-	x := NewExec(g, r, sel)
+	x := NewExec(g, r)
 
 	pool := memoPool(300, preds)
 	first := make([]*Plan, len(pool))
@@ -98,7 +97,7 @@ func TestPlanMemoHoldsPool(t *testing.T) {
 		if n := len(x.plans); n > maxPlans {
 			t.Fatalf("memo holds %d plans, bound %d", n, maxPlans)
 		}
-		if want := runRows(t, NewExec(g, r, sel), q, Options{}); !eqStrings(got, want) {
+		if want := runRows(t, NewExec(g, r), q, Options{}); !eqStrings(got, want) {
 			t.Fatalf("pattern %q: %d rows, a fresh Exec gives %d", q, len(got), len(want))
 		}
 	}
@@ -111,7 +110,7 @@ func TestPlanMemoHoldsPool(t *testing.T) {
 // buried under join work.
 func BenchmarkExecRunPool(b *testing.B) {
 	g := datagen.Generate(datagen.Config{Seed: 1, Nodes: 300, Edges: 900, Preds: 8})
-	x := NewExec(g, ring.New(g, ring.WaveletMatrix), nil)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
 	var pool []*Query
 	for _, p := range workload.GeneratePatterns(g, workload.PatternConfig{Seed: 1, Total: 300}) {
 		pool = append(pool, MustParse(p.Text))

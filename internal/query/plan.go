@@ -9,6 +9,7 @@ import (
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/ring"
 	"ringrpq/internal/triples"
+	"ringrpq/internal/wavelet"
 )
 
 // ErrUnsupportedOrder re-exports the LTJ error for callers that only
@@ -70,8 +71,8 @@ type PathStep struct {
 type planner struct {
 	g        *triples.Graph
 	r        *ring.Ring
-	sel      *ring.Selectivity // may be nil: C-array estimates only
-	deadline time.Time         // absolute query deadline; zero = none
+	subjects []int     // the Exec's distinct-subject memo
+	deadline time.Time // absolute query deadline; zero = none
 }
 
 // plan resolves and orders q. A nil error with Empty set means the
@@ -322,8 +323,7 @@ func orient(g *triples.Graph, r *ring.Ring, pats []ltj.Pattern, order []string) 
 
 // estimates computes a per-variable candidate-set size: the minimum,
 // over the clauses mentioning the variable, of how many distinct values
-// that clause alone admits. Distinct-counting uses the §6 selectivity
-// structures when available and C-array range sizes otherwise.
+// that clause alone admits, counted on the ring (distinctSubjects).
 func (p *planner) estimates(q *Query) map[string]float64 {
 	est := map[string]float64{}
 	note := func(v string, e float64) {
@@ -391,13 +391,22 @@ func (p *planner) boundaryEstimate(syms []pathexpr.Sym) float64 {
 	return total
 }
 
-// distinctSubjects counts distinct sources of predicate id.
+// distinctSubjects counts the distinct sources of predicate id: the
+// distinct symbols of L_s over its range, which one
+// wavelet.RangeDistinct descent enumerates. The first ask on an Exec
+// counts; later ones read its memo.
 func (p *planner) distinctSubjects(id uint32) int {
-	b, e := p.r.PredRange(id)
-	if p.sel == nil {
-		return e - b
+	if n := p.subjects[id]; n >= 0 {
+		return n
 	}
-	return p.sel.DistinctSubjects(b, e)
+	b, e := p.r.PredRange(id)
+	n := 0
+	wavelet.RangeDistinct(p.r.Ls, b, e, func(uint32, int, int) bool {
+		n++
+		return true
+	})
+	p.subjects[id] = n
+	return n
 }
 
 // distinctObjects counts distinct targets of predicate id — the

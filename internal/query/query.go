@@ -20,7 +20,7 @@
 //	SELECT ?x ?y WHERE { ?x advisor+ ?y . ?y country Q30 }
 //
 // The planner (plan.go) orders variables and clauses by selectivity
-// estimates from the ring's C-arrays and internal/ring/selectivity.go;
+// estimates it counts on the ring (distinct subjects per predicate);
 // the executor (exec.go) pipelines LTJ rows through bound-endpoint RPQ
 // evaluation.
 package query

@@ -119,7 +119,6 @@ func TestCArraysAreSequenceCounts(t *testing.T) {
 			}
 		}
 		FromTriples(ts, r.NumNodes, r.NumPreds)
-		NewSelectivity(r)
 		if after := [][]int{r.Cs, r.Cp, r.Co}; !reflect.DeepEqual(after, before) {
 			t.Fatalf("%s: a C array was written: %v, was %v", name, after, before)
 		}

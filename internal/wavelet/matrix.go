@@ -447,10 +447,8 @@ func (m *Matrix) PadNodes() []NodeID {
 }
 
 // RangeCountBelow counts the positions of [b, e) holding symbols < x,
-// in O(log σ): the dominance counting primitive behind the colored
-// range counting of §6 (Gagie et al.), where the ring's selectivity
-// statistics reduce distinct-counting to exactly this query over an
-// array of previous-occurrence positions.
+// in O(log σ): a ring merge uses it to rank a new triple inside its
+// range.
 func (m *Matrix) RangeCountBelow(b, e int, x uint32) int {
 	if b < 0 {
 		b = 0

@@ -62,7 +62,7 @@ func TestGeneratePatternsSatisfiable(t *testing.T) {
 	// should actually have solutions (anchoring on real edges/walks).
 	g := datagen.Generate(datagen.Config{Seed: 3, Nodes: 60, Edges: 400, Preds: 5})
 	qs := workload.GeneratePatterns(g, workload.PatternConfig{Seed: 5, Total: 30})
-	x := query.NewExec(g, ringOf(g), nil)
+	x := query.NewExec(g, ringOf(g))
 	nonEmpty := 0
 	for _, pq := range qs {
 		n := 0

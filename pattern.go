@@ -38,12 +38,12 @@ func ParseQuery(q string) error {
 
 // patternFor lazily builds the per-DB pattern executor for a pinned
 // snapshot, rebuilding it after a compaction swap and pointing it at
-// the snapshot's overlay so patterns see live updates. The selectivity
-// statistics behind the planner are shared across clones via the
-// SelCache created at construction time.
+// the snapshot's overlay so patterns see live updates. The executor
+// keeps the planner's statistics, so a swap's new ring starts counting
+// afresh.
 func (db *DB) patternFor(snap *snapshot) *query.Exec {
 	if db.pat == nil || db.patEpoch != snap.epoch {
-		db.pat = query.NewExec(db.g, snap.r, db.sel)
+		db.pat = query.NewExec(db.g, snap.r)
 		db.patEpoch = snap.epoch
 	}
 	db.pat.SetOverlay(snap.ov, snap.numNodes)

@@ -117,7 +117,7 @@ func (b *Builder) Build() (*DB, error) {
 
 // newDB assembles a DB around a freshly built or loaded ring.
 func newDB(g *triples.Graph, r *ring.Ring) *DB {
-	return &DB{g: g, h: newHolder(r, g.NumNodes()), sel: query.NewSelCache()}
+	return &DB{g: g, h: newHolder(r, g.NumNodes())}
 }
 
 // DB is an RPQ-queryable graph database. Its query methods share
@@ -135,10 +135,6 @@ type DB struct {
 	// h publishes the current (static index, overlay) snapshot, shared
 	// with every clone.
 	h *holder
-
-	// sel shares the planner's lazily built selectivity statistics
-	// across clones.
-	sel *query.SelCache
 
 	// Per-clone evaluation state, rebuilt when the pinned snapshot's
 	// epoch moves past it (one-caller rule applies): one kernel, which
@@ -162,7 +158,7 @@ func (db *DB) predIDs() func(s pathexpr.Sym) (uint32, bool) {
 // updates applied through any clone are visible to all) but with its
 // own query working arrays, safe to use from another goroutine.
 func (db *DB) Clone() *DB {
-	return &DB{g: db.g, h: db.h, sel: db.sel}
+	return &DB{g: db.g, h: db.h}
 }
 
 // evaluatorFor returns this clone's kernel with the pinned snapshot's

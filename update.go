@@ -471,9 +471,6 @@ func (db *DB) compactNow() {
 	h.compactions.Add(1)
 	stageHook("swapped")
 
-	// Old-ring selectivity statistics are garbage now.
-	db.sel.Retain(newR)
-
 	if sink != nil {
 		// Checkpoint the merged ring (all data ≤ base.version,
 		// consolidated) and drop the log segments it fully covers. A
