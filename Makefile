@@ -90,8 +90,9 @@ bench:
 # visits/op), of the same log with one mixed 16-edge update batch
 # applied before each read, so every read crosses a new overlay version
 # (with allocs/op), of the pattern planner's once-per-executor count of
-# every completed predicate's distinct subjects, of the handler's
-# result-cache hit and miss, and one pass
+# every completed predicate's distinct subjects, of the compiled
+# Glushkov reverse step and the 8-bit-split interpreted one, of the
+# handler's result-cache hit and miss, and one pass
 # of the paper's Table-2 log through the ring and NavBFS arms: makes
 # sure the benchmark code keeps compiling and running under ci. A descent
 # change is sized with paired -count runs of the same benchmarks, e.g.
@@ -108,6 +109,7 @@ bench-short:
 	$(GO) test -run NONE -bench '^Benchmark(Build|WorkLog|Compaction|VersionedReads|PredicateSubjectCounts)$$' -benchtime 1x .
 	$(GO) test -run NONE -bench '^BenchmarkTable2$$/^(Ring|NavBFS)$$' -benchtime 120x .
 	$(GO) test -run NONE -bench CompiledStepperSteadyState -benchtime 100x ./internal/core/
+	$(GO) test -run NONE -bench '^Benchmark(StepBack|StepRevSplit8)$$' -benchtime 1x ./internal/glushkov/
 	$(GO) test -run NONE -bench 'HandlerCacheHit|HandlerMiss' -benchtime 1x ./internal/service/
 	$(GO) test -run NONE -bench JoinWith -benchtime 1x ./internal/ltj/
 	$(GO) test -run NONE -bench ExecRunPool -benchtime 1x ./internal/query/

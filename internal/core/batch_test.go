@@ -336,7 +336,7 @@ func warmCompiled(tb testing.TB, e *Engine, exprs []pathexpr.Node) {
 
 // The stepper table generator must be allocation-free in steady state:
 // after an expression's first evaluation, the Glushkov automaton, the
-// specialized stepper, and the per-(expr, ring) B[v] array are all
+// compiled stepper, and the per-(expr, ring) B[v] array are all
 // memoised on the engine, and the memo lookup itself renders the
 // canonical key into a reused buffer. A memo hit must allocate nothing
 // — otherwise every evaluation pays generator costs again.

@@ -9,13 +9,13 @@ import (
 // compiledAutomaton is one memoised Glushkov compilation; eng is nil
 // when the expression exceeds the 64-state bit-parallel engine and the
 // multiword fallback must be used. st and bArrs are built by the first
-// evaluation of a narrow expression: from then on every evaluation runs
-// the specialized stepper against the expression's precomputed B[v]
+// evaluation of a narrow expression: from then on every evaluation
+// steps the compiled table against the expression's precomputed B[v]
 // arrays with zero per-eval setup.
 type compiledAutomaton struct {
 	a   *glushkov.Automaton
 	eng *glushkov.Engine
-	st  glushkov.Stepper
+	st  *glushkov.Stepper
 	// bArrs holds one immutable B[v] array per L_p tree the memo serves
 	// (one per sub-ring).
 	bArrs [][]uint64
@@ -67,14 +67,15 @@ func (m *compileMemo) lookup(expr pathexpr.Node) *compiledAutomaton {
 }
 
 // get is lookup for an evaluation: on a narrow expression's first
-// evaluation it builds the specialized stepper and the per-ring B[v]
+// evaluation it builds the compiled stepper and the per-ring B[v]
 // arrays. Compilation stays out of lookup because the engine also
 // reads automata it never runs: Eval's delegation check looks up the
 // query's expression, while a (s, E, y) query runs only its inverse.
 func (m *compileMemo) get(expr pathexpr.Node, noCompile bool) *compiledAutomaton {
 	c := m.lookup(expr)
 	if c.eng != nil && c.st == nil && !noCompile {
-		c.st = glushkov.Compile(c.eng, m.numPreds)
+		st := glushkov.Compile(c.eng, m.numPreds)
+		c.st = &st
 		c.bArrs = make([][]uint64, len(m.lps))
 		for i, lp := range m.lps {
 			c.bArrs[i] = buildBArr(lp, c.eng)

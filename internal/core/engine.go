@@ -71,11 +71,11 @@ type Options struct {
 	DisableBatching bool
 	// DisableCompiled forces the generic interpreted simulation — the
 	// multiword fallback kept for wide (>64-state) expressions — even
-	// for expressions the compilation tier could specialize. It is the
-	// ablation baseline and the differential oracle: the fallback
-	// interprets the automaton with per-step multiword masks and a
-	// visited hash map, with none of the flat B[v]/D[v] wavelet-node
-	// pruning arrays or compiled steppers.
+	// for expressions of at most 64 states. It is the ablation baseline
+	// and the differential oracle: the fallback interprets the
+	// automaton with per-step multiword masks and a visited hash map,
+	// with none of the flat B[v]/D[v] wavelet-node pruning arrays and
+	// no compiled glushkov.Stepper table.
 	DisableCompiled bool
 	// Trace, when non-nil, records a traverse span with the evaluation's
 	// Stats plus one span per BFS level (frontier size, wavelet-node

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,6 +206,31 @@ func TestWideFallback(t *testing.T) {
 	checkAgainstOracle(t, g, e, s, expr, Variable, Options{})
 	checkAgainstOracle(t, g, e, Variable, expr, int64(1), Options{})
 	checkAgainstOracle(t, g, e, Variable, expr, Variable, Options{})
+}
+
+// An expression of 17–63 positions splits its compiled reverse table
+// into 8-bit chunks, so every StepBack walks more than one: (pa|pb)/…
+// nine times has 19 states, three chunks. It must agree with the oracle
+// in every endpoint mode, with and without the §5 fast paths.
+func TestChunkedReverseTable(t *testing.T) {
+	g := enginetest.RandomGraph(3, 10, 2, 40)
+	expr := strings.TrimSuffix(strings.Repeat("(pa|pb)/", 9), "/")
+	node := pathexpr.MustParse(expr)
+	a := glushkov.Build(node, func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) })
+	if a.M+1 != 19 {
+		t.Fatalf("%s has %d states, want 19", expr, a.M+1)
+	}
+	s, o := int64(2), int64(1)
+	if len(enginetest.Oracle(g, s, node, o)) == 0 {
+		t.Fatalf("(%d, %s, %d) is empty: the graph does not exercise the table", s, expr, o)
+	}
+	e := newEngine(g)
+	for _, opts := range []Options{{}, {DisableFastPaths: true}} {
+		checkAgainstOracle(t, g, e, Variable, expr, Variable, opts)
+		checkAgainstOracle(t, g, e, s, expr, Variable, opts)
+		checkAgainstOracle(t, g, e, Variable, expr, o, opts)
+		checkAgainstOracle(t, g, e, s, expr, o, opts)
+	}
 }
 
 func TestLimit(t *testing.T) {

@@ -136,7 +136,7 @@ type Engine struct {
 
 	// st is the active expression's compiled stepper, installed by
 	// prepare alongside the per-ring bArr arrays.
-	st glushkov.Stepper
+	st *glushkov.Stepper
 }
 
 // queueItem is one frontier entry: a node and the automaton states it

@@ -1,19 +1,23 @@
 package glushkov
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // MaxEngineStates is the largest automaton (m+1 states) the uint64 Engine
 // supports; use Wide beyond it.
 const MaxEngineStates = 64
 
-// fullTableBits is the threshold below which a single full transition
+// fullTableBits is the threshold below which a single full reverse
 // table (2^(m+1) entries) is used instead of split subtables, as in the
 // paper's implementation (§5 uses 16-bit cells).
 const fullTableBits = 16
 
 // Engine is the bit-parallel simulator of an Automaton with at most 64
-// states. State sets are uint64 masks with bit 0 = the initial state and
-// bit j = position j. It is immutable after construction and safe for
+// states, run right to left as the RPQ traversal reads paths (§4).
+// State sets are uint64 masks with bit 0 = the initial state and bit
+// j = position j. It is immutable after construction and safe for
 // concurrent use.
 type Engine struct {
 	A *Automaton
@@ -27,8 +31,7 @@ type Engine struct {
 	// Init is the mask holding only the initial state.
 	Init uint64
 
-	nbits int // m+1
-	d     int // subtable width in bits
+	d uint // subtable width in bits
 
 	// Symbol-class (negated property set) support: numCompleted is the
 	// completed alphabet size (0 when the automaton has no classes);
@@ -39,26 +42,15 @@ type Engine struct {
 	negInv       uint64
 	negExcl      map[uint32]uint64
 
-	// followMask[i] = mask of Follow[i].
-	followMask []uint64
-
-	// tfwd[k][x] = union of followMask[i] over states i whose bit lies in
-	// chunk k and is set in x; T[X] = OR_k tfwd[k][chunk_k(X)] (Eq. 1).
-	tfwd [][]uint64
-	// trev[k][x] = mask of states i with followMask[i] ∩ chunk_k-bits(x)
-	// nonempty; T'[X] = OR_k trev[k][chunk_k(X)] (Eq. 2).
+	// trev[k][x] = mask of states i whose follow set meets the states
+	// of chunk k set in x; T'[X] = OR_k trev[k][chunk_k(X)] (Eq. 2).
 	trev [][]uint64
 }
 
-// NewEngine builds an Engine with the default table decomposition: one
-// full table when m+1 ≤ 16, 8-bit subtables otherwise. Automata with
-// symbol classes need NewEngineFor, which knows the alphabet size.
-func NewEngine(a *Automaton) (*Engine, error) {
-	return NewEngineFor(a, 0)
-}
-
-// NewEngineFor is NewEngine for an alphabet of numCompleted completed
-// predicate ids, enabling symbol classes (negated property sets).
+// NewEngineFor builds an Engine for an alphabet of numCompleted
+// completed predicate ids (0 when the automaton has no symbol classes)
+// with the default table decomposition: one full table when m+1 ≤ 16,
+// 8-bit subtables otherwise.
 func NewEngineFor(a *Automaton, numCompleted uint32) (*Engine, error) {
 	d := 8
 	if a.M+1 <= fullTableBits {
@@ -67,10 +59,9 @@ func NewEngineFor(a *Automaton, numCompleted uint32) (*Engine, error) {
 	return NewEngineSplitFor(a, d, numCompleted)
 }
 
-// NewEngineSplitFor is NewEngineFor with transition tables split into
+// NewEngineSplitFor is NewEngineFor with the reverse table split into
 // d-bit subtables (1 ≤ d ≤ 16); space O((m/d)·2^d) words, step time
-// O(m/d). numCompleted may be 0 when the automaton has no symbol
-// classes. Exposed for the table-width ablation benchmark.
+// O(m/d). Exposed for the table-width ablation benchmark.
 func NewEngineSplitFor(a *Automaton, d int, numCompleted uint32) (*Engine, error) {
 	if a.M+1 > MaxEngineStates {
 		return nil, fmt.Errorf("glushkov: %d states exceed the %d-state engine; use Wide", a.M+1, MaxEngineStates)
@@ -79,9 +70,9 @@ func NewEngineSplitFor(a *Automaton, d int, numCompleted uint32) (*Engine, error
 		return nil, fmt.Errorf("glushkov: invalid subtable width %d", d)
 	}
 	if a.HasClasses() && numCompleted == 0 {
-		return nil, fmt.Errorf("glushkov: automaton has symbol classes; use NewEngineFor with the alphabet size")
+		return nil, fmt.Errorf("glushkov: automaton has symbol classes; pass the alphabet size")
 	}
-	e := &Engine{A: a, Init: 1, nbits: a.M + 1, d: d, numCompleted: numCompleted}
+	e := &Engine{A: a, Init: 1, d: uint(d), numCompleted: numCompleted}
 	e.negExcl = map[uint32]uint64{}
 	for j, cl := range a.Classes {
 		if cl == nil {
@@ -98,15 +89,6 @@ func NewEngineSplitFor(a *Automaton, d int, numCompleted uint32) (*Engine, error
 		}
 	}
 
-	e.followMask = make([]uint64, a.M+1)
-	for i, fs := range a.Follow {
-		var m uint64
-		for _, j := range fs {
-			m |= 1 << uint(j)
-		}
-		e.followMask[i] = m
-	}
-
 	e.B = make(map[uint32]uint64, a.M)
 	for j, c := range a.Syms {
 		if c != NoSymbol {
@@ -121,64 +103,43 @@ func NewEngineSplitFor(a *Automaton, d int, numCompleted uint32) (*Engine, error
 		e.F |= e.Init
 	}
 
-	nchunks := (e.nbits + d - 1) / d
-	e.tfwd = make([][]uint64, nchunks)
-	e.trev = make([][]uint64, nchunks)
-	for k := 0; k < nchunks; k++ {
-		size := 1 << uint(d)
-		fwd := make([]uint64, size)
-		rev := make([]uint64, size)
-		base := k * d
-		// Build by dynamic programming on set bits: t[x] = t[x without
-		// lowest bit] | t[lowest bit only].
-		for i := 0; i < d && base+i < e.nbits; i++ {
-			fwd[1<<uint(i)] = e.followMask[base+i]
-			var r uint64
-			probe := uint64(1) << uint(base+i)
-			for s := 0; s <= a.M; s++ {
-				if e.followMask[s]&probe != 0 {
-					r |= 1 << uint(s)
-				}
-			}
-			rev[1<<uint(i)] = r
+	// pred[j] = the states j may follow: T'[{j}].
+	nbits := a.M + 1
+	pred := make([]uint64, nbits)
+	for i, fs := range a.Follow {
+		for _, j := range fs {
+			pred[j] |= 1 << uint(i)
 		}
-		for x := 1; x < size; x++ {
-			low := x & -x
-			if x != low {
-				fwd[x] = fwd[x^low] | fwd[low]
-				rev[x] = rev[x^low] | rev[low]
+	}
+	for base := 0; base < nbits; base += d {
+		// rev[x] = rev[x without its lowest bit] | pred[that bit].
+		rev := make([]uint64, 1<<uint(d))
+		for x := 1; x < len(rev); x++ {
+			rev[x] = rev[x&(x-1)]
+			if i := base + bits.TrailingZeros(uint(x)); i < nbits {
+				rev[x] |= pred[i]
 			}
 		}
-		e.tfwd[k] = fwd
-		e.trev[k] = rev
+		e.trev = append(e.trev, rev)
 	}
 	return e, nil
 }
 
-// chunkMask extracts chunk k of X as a subtable index.
-func (e *Engine) chunk(x uint64, k int) int {
-	return int(x >> uint(k*e.d) & (1<<uint(e.d) - 1))
-}
-
-// T applies the forward reachability table: the states reachable in one
-// step from any state in X, by any symbol.
-func (e *Engine) T(x uint64) uint64 {
+// stepBack applies the reverse table trev, split into d-bit subtables,
+// to X.
+func stepBack(trev [][]uint64, d uint, x uint64) uint64 {
 	var r uint64
-	for k := range e.tfwd {
-		r |= e.tfwd[k][e.chunk(x, k)]
+	mask := uint64(1)<<d - 1
+	for _, t := range trev {
+		r |= t[x&mask]
+		x >>= d
 	}
 	return r
 }
 
 // Trev applies the reverse table: the states that reach some state of X
 // in one step.
-func (e *Engine) Trev(x uint64) uint64 {
-	var r uint64
-	for k := range e.trev {
-		r |= e.trev[k][e.chunk(x, k)]
-	}
-	return r
-}
+func (e *Engine) Trev(x uint64) uint64 { return stepBack(e.trev, e.d, x) }
 
 // BFor returns B[c]: the positions readable by symbol c, including
 // class positions whose class contains c (zero when the automaton never
@@ -200,39 +161,18 @@ func (e *Engine) BFor(c uint32) uint64 {
 // descent) use these as the conservative contribution of classes.
 func (e *Engine) NegClassBits() (fwd, inv uint64) { return e.negFwd, e.negInv }
 
-// StepFwd advances the active-state set D by reading symbol c
-// (Eq. 1: D ← T[D] & B[c]).
-func (e *Engine) StepFwd(d uint64, c uint32) uint64 {
-	return e.T(d) & e.BFor(c)
-}
-
 // StepRev retreats D by symbol c for right-to-left scanning
 // (Eq. 2: D ← T'[D & B[c]]).
 func (e *Engine) StepRev(d uint64, c uint32) uint64 {
 	return e.Trev(d & e.BFor(c))
 }
 
-// AcceptsFwd reports whether a forward simulation currently accepts.
-func (e *Engine) AcceptsFwd(d uint64) bool { return d&e.F != 0 }
-
 // AcceptsRev reports whether a reverse simulation has reached the initial
 // state, i.e. the whole word read (backwards) is in the language.
 func (e *Engine) AcceptsRev(d uint64) bool { return d&e.Init != 0 }
 
-// MatchFwd simulates the word left to right and reports acceptance.
-func (e *Engine) MatchFwd(word []uint32) bool {
-	d := e.Init
-	for _, c := range word {
-		d = e.StepFwd(d, c)
-		if d == 0 {
-			return false
-		}
-	}
-	return e.AcceptsFwd(d)
-}
-
-// MatchRev simulates the word right to left and reports acceptance;
-// equivalent to MatchFwd by construction.
+// MatchRev simulates the word right to left, from the final states, and
+// reports acceptance.
 func (e *Engine) MatchRev(word []uint32) bool {
 	d := e.F
 	for i := len(word) - 1; i >= 0; i-- {
@@ -247,9 +187,9 @@ func (e *Engine) MatchRev(word []uint32) bool {
 // SizeBytes reports the table memory of the engine (the working-space
 // term O(2^m + |P|) of §4).
 func (e *Engine) SizeBytes() int {
-	sz := 8*len(e.followMask) + 16*len(e.B) + 64
-	for k := range e.tfwd {
-		sz += 8 * (len(e.tfwd[k]) + len(e.trev[k]))
+	sz := 16*len(e.B) + 64
+	for _, t := range e.trev {
+		sz += 8 * len(t)
 	}
 	return sz
 }

@@ -4,15 +4,18 @@
 // The Glushkov NFA of an expression with m symbol occurrences has exactly
 // m+1 states (the initial state 0 plus one per occurrence), no
 // ε-transitions, and — crucially for the RPQ algorithm — all transitions
-// into a state carry that state's label. Fact 1 of the paper follows: the
-// states reached from a set X by symbol c are T[X] & B[c], where T depends
-// only on X and B only on c. This lets the ring's wavelet trees filter
-// candidate predicates with B alone (§4.1) while the automaton step is a
-// single table lookup.
+// into a state carry that state's label. Fact 1 of the paper follows:
+// a step depends on the state set X only through a table and on the
+// symbol c only through the mask B[c]. The RPQ traversal runs backwards
+// (§4), so the simulation here is the reverse one, D ← T'[D & B[c]]
+// (Eq. 2). This lets the ring's wavelet trees filter candidate
+// predicates with B alone (§4.1) while the automaton step is a single
+// table lookup.
 //
 // Engine simulates automata with at most 64 states (m ≤ 63) using uint64
-// state sets and vertically-split transition tables (the paper's d-bit
-// subtable decomposition, default d=8, full table when m+1 ≤ 16). Wide
+// state sets and a vertically-split reverse table (the paper's d-bit
+// subtable decomposition, default d=8, full table when m+1 ≤ 16), and
+// Compile turns it into the Stepper the traversal kernel calls. Wide
 // handles arbitrary m with multiword masks, reproducing the O(m/w)
 // slowdown of the general case instead of failing.
 package glushkov

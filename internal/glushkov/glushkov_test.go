@@ -37,9 +37,9 @@ func toWord(syms []pathexpr.Sym) []uint32 {
 func mustEngine(t *testing.T, expr string) *Engine {
 	t.Helper()
 	a := Build(pathexpr.MustParse(expr), testIDs)
-	e, err := NewEngine(a)
+	e, err := NewEngineFor(a, 0)
 	if err != nil {
-		t.Fatalf("NewEngine(%q): %v", expr, err)
+		t.Fatalf("NewEngineFor(%q): %v", expr, err)
 	}
 	return e
 }
@@ -53,7 +53,7 @@ func TestPaperFig2(t *testing.T) {
 	if a.Nullable {
 		t.Fatal("a/b*/b must not be nullable")
 	}
-	e, err := NewEngine(a)
+	e, err := NewEngineFor(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,23 +70,23 @@ func TestPaperFig2(t *testing.T) {
 	if e.F != 1<<3 {
 		t.Errorf("F=%b, want position 3 final", e.F)
 	}
-	// Replay the worked simulation of S = abba.
-	d := e.Init
-	d = e.StepFwd(d, idA) // activates position 1
-	if d != 1<<1 {
-		t.Fatalf("after a: D=%b", d)
+	// Replay the worked word abb backwards, from the final state.
+	d := e.F
+	d = e.StepRev(d, idB) // position 3 is entered from 1 and 2
+	if d != 1<<1|1<<2 || e.AcceptsRev(d) {
+		t.Fatalf("after b: D=%b accept=%v", d, e.AcceptsRev(d))
 	}
-	d = e.StepFwd(d, idB) // activates 2 and 3; accepting
-	if d != 1<<2|1<<3 || !e.AcceptsFwd(d) {
-		t.Fatalf("after ab: D=%b accept=%v", d, e.AcceptsFwd(d))
+	d = e.StepRev(d, idB) // position 2 is entered from 1 and 2
+	if d != 1<<1|1<<2 {
+		t.Fatalf("after bb: D=%b", d)
 	}
-	d = e.StepFwd(d, idB)
-	if d != 1<<2|1<<3 || !e.AcceptsFwd(d) {
-		t.Fatalf("after abb: D=%b", d)
+	d = e.StepRev(d, idA) // position 1 is entered from the start
+	if d != e.Init || !e.AcceptsRev(d) {
+		t.Fatalf("after abb: D=%b, want the initial state", d)
 	}
-	d = e.StepFwd(d, idA)
-	if d != 0 {
-		t.Fatalf("after abba: D=%b, want 0", d)
+	// abba ends in a, which no final position reads.
+	if e.StepRev(e.F, idA) != 0 || e.MatchRev([]uint32{idA, idB, idB, idA}) {
+		t.Fatal("abba must die on its last symbol")
 	}
 }
 
@@ -102,7 +102,7 @@ func TestPaperFig5Reverse(t *testing.T) {
 		return 0, false
 	}
 	a := Build(pathexpr.MustParse("^bus/l5*/l5"), ids)
-	e, err := NewEngine(a)
+	e, err := NewEngineFor(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,8 @@ func TestEmptyWordAcceptance(t *testing.T) {
 		"(a|b?)+": true,
 	} {
 		e := mustEngine(t, expr)
-		if got := e.MatchFwd(nil); got != want {
-			t.Errorf("%q accepts empty = %v, want %v", expr, got, want)
-		}
 		if got := e.MatchRev(nil); got != want {
-			t.Errorf("%q rev accepts empty = %v, want %v", expr, got, want)
+			t.Errorf("%q accepts empty = %v, want %v", expr, got, want)
 		}
 	}
 }
@@ -171,13 +168,13 @@ func randomWord(rng *rand.Rand, maxLen int) []pathexpr.Sym {
 }
 
 // The engine must agree with the executable specification pathexpr.Matches
-// on random expressions and words, forward and reverse.
+// on random expressions and words.
 func TestEngineMatchesSpec(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomExpr(rng, 4)
 		a := Build(n, testIDs)
-		e, err := NewEngine(a)
+		e, err := NewEngineFor(a, 0)
 		if err != nil {
 			return true // too many positions for the 64-bit engine
 		}
@@ -185,9 +182,8 @@ func TestEngineMatchesSpec(t *testing.T) {
 			w := randomWord(rng, 6)
 			want := pathexpr.Matches(n, w)
 			word := toWord(w)
-			if e.MatchFwd(word) != want || e.MatchRev(word) != want {
-				t.Logf("expr=%s word=%v want=%v fwd=%v rev=%v",
-					pathexpr.String(n), w, want, e.MatchFwd(word), e.MatchRev(word))
+			if e.MatchRev(word) != want {
+				t.Logf("expr=%s word=%v want=%v", pathexpr.String(n), w, want)
 				return false
 			}
 		}
@@ -198,7 +194,7 @@ func TestEngineMatchesSpec(t *testing.T) {
 	}
 }
 
-// All split widths must implement the same transition function.
+// All split widths must implement the same reverse transition function.
 func TestSplitWidthsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
@@ -218,11 +214,8 @@ func TestSplitWidthsAgree(t *testing.T) {
 			}
 			for i := 0; i < 50; i++ {
 				x := rng.Uint64() & (1<<uint(a.M+1) - 1)
-				if e.T(x) != ref.T(x) {
-					t.Fatalf("d=%d T(%b)=%b, want %b (expr %s)", d, x, e.T(x), ref.T(x), pathexpr.String(n))
-				}
 				if e.Trev(x) != ref.Trev(x) {
-					t.Fatalf("d=%d Trev mismatch (expr %s)", d, pathexpr.String(n))
+					t.Fatalf("d=%d Trev(%b)=%b, want %b (expr %s)", d, x, e.Trev(x), ref.Trev(x), pathexpr.String(n))
 				}
 			}
 		}
@@ -235,18 +228,15 @@ func TestWideAgreesWithEngine(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := randomExpr(rng, 4)
 		a := Build(n, testIDs)
-		e, err := NewEngine(a)
+		e, err := NewEngineFor(a, 0)
 		if err != nil {
 			continue
 		}
-		w := NewWide(a)
+		w := NewWideFor(a, 0)
 		for i := 0; i < 15; i++ {
 			word := toWord(randomWord(rng, 7))
-			if e.MatchFwd(word) != w.MatchFwd(word) {
-				t.Fatalf("wide fwd disagrees on %s", pathexpr.String(n))
-			}
 			if e.MatchRev(word) != w.MatchRev(word) {
-				t.Fatalf("wide rev disagrees on %s", pathexpr.String(n))
+				t.Fatalf("wide disagrees on %s", pathexpr.String(n))
 			}
 		}
 	}
@@ -264,10 +254,10 @@ func TestWideLargeExpression(t *testing.T) {
 	if a.M != 81 {
 		t.Fatalf("M=%d, want 81", a.M)
 	}
-	if _, err := NewEngine(a); err == nil {
+	if _, err := NewEngineFor(a, 0); err == nil {
 		t.Fatal("64-bit engine must refuse 82 states")
 	}
-	w := NewWide(a)
+	w := NewWideFor(a, 0)
 	var word []uint32
 	idA, _ := testIDs(sym("a"))
 	idB, _ := testIDs(sym("b"))
@@ -275,11 +265,11 @@ func TestWideLargeExpression(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		word = append(word, idB, idA)
 	}
-	if !w.MatchFwd(word) || !w.MatchRev(word) {
+	if !w.MatchRev(word) {
 		t.Fatal("wide engine rejects the defining word")
 	}
-	if w.MatchFwd(word[:len(word)-1]) {
-		t.Fatal("wide engine accepts a strict prefix")
+	if w.MatchRev(word[:len(word)-1]) || w.MatchRev(word[1:]) {
+		t.Fatal("wide engine accepts a strict prefix or suffix")
 	}
 }
 
@@ -287,11 +277,11 @@ func TestUnknownPredicateNeverMatches(t *testing.T) {
 	// 'z' is unknown to testIDs: a/z can never match, a|z behaves as a.
 	e := mustEngine(t, "a|z")
 	idA, _ := testIDs(sym("a"))
-	if !e.MatchFwd([]uint32{idA}) {
+	if !e.MatchRev([]uint32{idA}) {
 		t.Fatal("a|z must accept a")
 	}
 	e2 := mustEngine(t, "a/z")
-	if e2.MatchFwd([]uint32{idA, NoSymbol}) {
+	if e2.MatchRev([]uint32{idA, NoSymbol}) {
 		t.Fatal("NoSymbol transitions must never fire")
 	}
 }
@@ -326,8 +316,8 @@ func TestInverseEngineDuality(t *testing.T) {
 		inv := pathexpr.InverseOf(n)
 		a1 := Build(n, testIDs)
 		a2 := Build(inv, testIDs)
-		e1, err1 := NewEngine(a1)
-		e2, err2 := NewEngine(a2)
+		e1, err1 := NewEngineFor(a1, 0)
+		e2, err2 := NewEngineFor(a2, 0)
 		if err1 != nil || err2 != nil {
 			return true
 		}
@@ -337,7 +327,7 @@ func TestInverseEngineDuality(t *testing.T) {
 			for j, s := range w {
 				rw[len(w)-1-j] = pathexpr.Sym{Name: s.Name, Inverse: !s.Inverse}
 			}
-			if e1.MatchFwd(toWord(w)) != e2.MatchFwd(toWord(rw)) {
+			if e1.MatchRev(toWord(w)) != e2.MatchRev(toWord(rw)) {
 				return false
 			}
 		}
@@ -345,18 +335,6 @@ func TestInverseEngineDuality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkStepFwd(b *testing.B) {
-	e := &Engine{}
-	a := Build(pathexpr.MustParse("a/(b|c)*/a/b+/c?"), testIDs)
-	e, _ = NewEngine(a)
-	idB, _ := testIDs(sym("b"))
-	d := e.Init
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d = e.StepFwd(d|e.Init, idB)
 	}
 }
 
@@ -408,8 +386,8 @@ func TestNegClassEngine(t *testing.T) {
 	for _, es := range exprs {
 		n := pathexpr.MustParse(es)
 		a := Build(n, ids)
-		if _, err := NewEngine(a); a.HasClasses() && err == nil {
-			t.Fatalf("%s: NewEngine must refuse classes without alphabet size", es)
+		if _, err := NewEngineFor(a, 0); a.HasClasses() && err == nil {
+			t.Fatalf("%s: NewEngineFor must refuse classes without alphabet size", es)
 		}
 		e, err := NewEngineFor(a, numCompleted)
 		if err != nil {
@@ -422,10 +400,10 @@ func TestNegClassEngine(t *testing.T) {
 				enc[i], _ = ids(s)
 			}
 			want := pathexpr.Matches(n, word)
-			if e.MatchFwd(enc) != want || e.MatchRev(enc) != want {
-				t.Fatalf("%s on %v: engine=%v/%v want %v", es, word, e.MatchFwd(enc), e.MatchRev(enc), want)
+			if e.MatchRev(enc) != want {
+				t.Fatalf("%s on %v: engine=%v want %v", es, word, e.MatchRev(enc), want)
 			}
-			if w.MatchFwd(enc) != want || w.MatchRev(enc) != want {
+			if w.MatchRev(enc) != want {
 				t.Fatalf("%s on %v: wide disagrees with spec", es, word)
 			}
 		}

@@ -18,85 +18,94 @@ func mustEngineFor(t *testing.T, expr string, numCompleted uint32) *Engine {
 	return e
 }
 
-// Compile must recognize the follow-structure shapes and pick the
-// matching specialization.
-func TestCompileKinds(t *testing.T) {
-	// 9 two-way alternations concatenated: 19 states, beyond the single
-	// full-table threshold, forcing the chunked reverse table.
-	wide := strings.TrimSuffix(strings.Repeat("(a|b)/", 9), "/")
-	cases := []struct {
-		expr string
-		kind string
-	}{
-		{"a", "single"},
-		{"^a", "single"},
-		{"a/b/c", "chain"},
-		{"a/^b/c/d", "chain"},
-		{"a|b", "alt"},
-		{"a|b|c|^d", "alt"},
-		{"a/b*/b", "table"},
-		{"(a|b)+", "table"},
-		{"a?", "single"}, // nullability lives in F, not the follow sets
-		{wide, "table-chunked"},
-	}
-	for _, tc := range cases {
-		e := mustEngine(t, tc.expr)
-		st := Compile(e, 16)
-		if st.Kind() != tc.kind {
-			t.Errorf("Compile(%q).Kind() = %q, want %q", tc.expr, st.Kind(), tc.kind)
+// specB is B[c] read off the automaton's labels: the positions whose
+// symbol is c or whose class holds c in an alphabet of numCompleted ids.
+func specB(a *Automaton, c, numCompleted uint32) uint64 {
+	var b uint64
+	for j, s := range a.Syms {
+		cl := a.Classes[j]
+		if s == c || cl != nil && c < numCompleted && cl.Matches(c, numCompleted) {
+			b |= 1 << uint(j+1)
 		}
 	}
-
-	// Symbol classes put conservative bits in B; the unrolled shapes
-	// (chain/alt) must not claim automata with class positions.
-	for _, expr := range []string{"!(a)", "!(a)/b", "!a|b"} {
-		e := mustEngineFor(t, expr, 16)
-		st := Compile(e, 16)
-		if k := st.Kind(); k == "single" || k == "chain" || k == "alt" {
-			t.Errorf("Compile(%q).Kind() = %q; class automata must use table forms", expr, k)
-		}
-	}
-
-	// An absurd alphabet overflows the dense table budget: Compile
-	// declines and hands back the interpreter.
-	e := mustEngine(t, "a/b")
-	if st := Compile(e, maxDenseAlphabet+1); st.Kind() != "interp" {
-		t.Errorf("oversized alphabet: Kind() = %q, want interp", st.Kind())
-	}
+	return b
 }
 
-// Every compiled stepper must agree with the interpreter on PredMask
-// and StepBack over the whole state space (exhaustively for small
-// automata, sampled for the chunked one).
+// specTrev is T'[x] read off the follow sets: the states some of whose
+// successors lie in x.
+func specTrev(a *Automaton, x uint64) uint64 {
+	var r uint64
+	for i, fs := range a.Follow {
+		for _, j := range fs {
+			if x&(1<<uint(j)) != 0 {
+				r |= 1 << uint(i)
+				break
+			}
+		}
+	}
+	return r
+}
+
+// A compiled stepper must give the B[c] and T' of the automaton's own
+// labels and follow sets: exhaustively over the state space up to 16
+// states, sampled over the chunked table beyond, with symbol classes,
+// and for ids past the dense table.
 func TestCompiledStepperMatchesInterpreter(t *testing.T) {
+	// 9 two-way alternations concatenated: 19 states, beyond the single
+	// full-table threshold, so the reverse table has three chunks.
 	wide := strings.TrimSuffix(strings.Repeat("(a|b)/", 9), "/")
 	exprs := []string{
 		"a", "^a", "a/b/c", "a|b|c", "a/b*/b", "(a|b)+", "(a|b*)/c?",
-		"a?", "(a/b)*|c", "!(a)", "!(a|b)/c", "!^a|b", "!(a)*", wide,
+		"a?", "(a/b)*|c", "!(a)", "!(a|b)/c", "!^a|b", "!(a)*", "h/^g", wide,
 	}
 	rng := rand.New(rand.NewSource(7))
+	const numCompleted = 16
 	for _, expr := range exprs {
-		e := mustEngineFor(t, expr, 16)
-		st := Compile(e, 16)
-		for c := uint32(0); c < 20; c++ {
-			if got, want := st.PredMask(c), e.BFor(c); got != want {
-				t.Errorf("%q (%s): PredMask(%d) = %b, want %b", expr, st.Kind(), c, got, want)
+		e := mustEngineFor(t, expr, numCompleted)
+		// numPreds 3 leaves every id from 3 on, and so every class
+		// position's inverse half, past the dense table.
+		for _, numPreds := range []uint32{numCompleted, 3} {
+			st := Compile(e, numPreds)
+			for c := uint32(0); c < 20; c++ {
+				if got, want := st.PredMask(c), specB(e.A, c, numCompleted); got != want {
+					t.Errorf("%q, %d preds: PredMask(%d) = %b, want %b", expr, numPreds, c, got, want)
+				}
 			}
 		}
+		st := Compile(e, numCompleted)
 		nbits := uint(e.A.M + 1)
-		if nbits <= 16 {
+		if nbits <= fullTableBits {
 			for x := uint64(0); x < 1<<nbits; x++ {
-				if got, want := st.StepBack(x), e.Trev(x); got != want {
-					t.Fatalf("%q (%s): StepBack(%b) = %b, want %b", expr, st.Kind(), x, got, want)
+				if got, want := st.StepBack(x), specTrev(e.A, x); got != want {
+					t.Fatalf("%q: StepBack(%b) = %b, want %b", expr, x, got, want)
 				}
 			}
-		} else {
-			for i := 0; i < 4096; i++ {
-				x := rng.Uint64() & (1<<nbits - 1)
-				if got, want := st.StepBack(x), e.Trev(x); got != want {
-					t.Fatalf("%q (%s): StepBack(%b) = %b, want %b", expr, st.Kind(), x, got, want)
-				}
+			continue
+		}
+		for i := 0; i < 4096; i++ {
+			x := rng.Uint64() & (1<<nbits - 1)
+			if got, want := st.StepBack(x), specTrev(e.A, x); got != want {
+				t.Fatalf("%q: StepBack(%b) = %b, want %b", expr, x, got, want)
 			}
 		}
+	}
+}
+
+// BenchmarkStepBack times one compiled reverse step, called through a
+// *Stepper as the traversal kernel holds it.
+func BenchmarkStepBack(b *testing.B) {
+	a := Build(pathexpr.MustParse("a/(b|c)*/a/b+/c?"), testIDs)
+	e, err := NewEngineFor(a, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := Compile(e, 16)
+	d := e.F
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d = st.StepBack(d | e.F)
+	}
+	if d == 0 {
+		b.Fatal("the reverse step lost every state")
 	}
 }

@@ -1,5 +1,7 @@
 package glushkov
 
+import "math/bits"
+
 // Mask is a multiword state set for automata beyond 64 states. Bit i of
 // the mask (bit i%64 of word i/64) is state i.
 type Mask []uint64
@@ -57,16 +59,6 @@ func (m Mask) Intersects(x Mask) bool {
 	return false
 }
 
-// Equal reports mask equality.
-func (m Mask) Equal(x Mask) bool {
-	for i, w := range m {
-		if w != x[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy.
 func (m Mask) Clone() Mask {
 	out := make(Mask, len(m))
@@ -81,18 +73,16 @@ const wideChunkBits = 8
 
 // Wide is the multiword bit-parallel simulator for automata with more
 // than 64 states (the general case of §3.3, where all costs gain a factor
-// O(m/w)). Transition tables are split into 8-bit subtables of multiword
-// entries. Step methods write into caller-provided destination masks to
-// stay allocation-free; destinations must not alias sources.
+// O(m/w)), run right to left like Engine. Its reverse table T' (Eq. 2)
+// is split into 8-bit subtables of multiword entries. StepRevInto
+// writes into a caller-provided destination mask to stay
+// allocation-free.
 type Wide struct {
 	A     *Automaton
 	B     map[uint32]Mask
 	F     Mask
-	Init  Mask
 	nbits int
-	words int
 
-	tfwd [][]Mask // [chunk][256] → follow union
 	trev [][]Mask // [chunk][256] → reverse reachability
 
 	// Class support (see Engine): direction masks of class positions,
@@ -105,15 +95,12 @@ type Wide struct {
 	bScratch     Mask
 }
 
-// NewWide builds the multiword engine; it works for any m. Automata with
-// symbol classes need NewWideFor.
-func NewWide(a *Automaton) *Wide { return NewWideFor(a, 0) }
-
-// NewWideFor is NewWide for an alphabet of numCompleted completed ids,
-// enabling symbol classes.
+// NewWideFor builds the multiword engine for an alphabet of
+// numCompleted completed ids (0 when the automaton has no symbol
+// classes); it works for any m.
 func NewWideFor(a *Automaton, numCompleted uint32) *Wide {
 	nbits := a.M + 1
-	w := &Wide{A: a, nbits: nbits, words: (nbits + 63) / 64, numCompleted: numCompleted}
+	w := &Wide{A: a, nbits: nbits, numCompleted: numCompleted}
 	w.negFwd = NewMask(nbits)
 	w.negInv = NewMask(nbits)
 	w.negExcl = map[uint32]Mask{}
@@ -134,8 +121,6 @@ func NewWideFor(a *Automaton, numCompleted uint32) *Wide {
 			w.negExcl[c].Set(j + 1)
 		}
 	}
-	w.Init = NewMask(nbits)
-	w.Init.Set(0)
 	w.F = NewMask(nbits)
 	for _, j := range a.Last {
 		w.F.Set(int(j))
@@ -154,57 +139,30 @@ func NewWideFor(a *Automaton, numCompleted uint32) *Wide {
 		w.B[c].Set(j + 1)
 	}
 
-	follow := make([]Mask, nbits)
+	// pred[j] = the states j may follow: T'[{j}].
+	pred := make([]Mask, nbits)
+	for j := range pred {
+		pred[j] = NewMask(nbits)
+	}
 	for i, fs := range a.Follow {
-		follow[i] = NewMask(nbits)
 		for _, j := range fs {
-			follow[i].Set(int(j))
+			pred[j].Set(i)
 		}
 	}
-
-	nchunks := (nbits + wideChunkBits - 1) / wideChunkBits
-	w.tfwd = make([][]Mask, nchunks)
-	w.trev = make([][]Mask, nchunks)
-	for k := 0; k < nchunks; k++ {
-		fwd := make([]Mask, 256)
-		rev := make([]Mask, 256)
-		fwd[0] = NewMask(nbits)
+	for base := 0; base < nbits; base += wideChunkBits {
+		// rev[x] = rev[x without its lowest bit] | pred[that bit].
+		rev := make([]Mask, 1<<wideChunkBits)
 		rev[0] = NewMask(nbits)
-		base := k * wideChunkBits
-		for i := 0; i < wideChunkBits && base+i < nbits; i++ {
-			fwd[1<<uint(i)] = follow[base+i].Clone()
-			r := NewMask(nbits)
-			for s := 0; s < nbits; s++ {
-				if follow[s].Test(base + i) {
-					r.Set(s)
-				}
+		for x := 1; x < len(rev); x++ {
+			rev[x] = rev[x&(x-1)].Clone()
+			if i := base + bits.TrailingZeros(uint(x)); i < nbits {
+				rev[x].Or(pred[i])
 			}
-			rev[1<<uint(i)] = r
 		}
-		for x := 1; x < 256; x++ {
-			low := x & -x
-			if x == low {
-				if fwd[x] == nil { // bit beyond nbits
-					fwd[x] = NewMask(nbits)
-					rev[x] = NewMask(nbits)
-				}
-				continue
-			}
-			f := fwd[x^low].Clone()
-			f.Or(fwd[low])
-			fwd[x] = f
-			r := rev[x^low].Clone()
-			r.Or(rev[low])
-			rev[x] = r
-		}
-		w.tfwd[k] = fwd
-		w.trev[k] = rev
+		w.trev = append(w.trev, rev)
 	}
 	return w
 }
-
-// Words reports the number of 64-bit words per mask.
-func (w *Wide) Words() int { return w.words }
 
 // NewMask returns a zero mask sized for this engine.
 func (w *Wide) NewMask() Mask { return NewMask(w.nbits) }
@@ -240,32 +198,6 @@ func (w *Wide) BFor(c uint32) Mask {
 // NegClassBits reports whether any class position exists per direction.
 func (w *Wide) NegClassBits() (fwd, inv bool) { return w.negFwd.Any(), w.negInv.Any() }
 
-// chunkOf extracts 8-bit chunk k of x.
-func chunkOf(x Mask, k int) int {
-	return int(x[k/8] >> uint(k%8*8) & 0xff)
-}
-
-// TInto sets dst = T[x]: states reachable in one step from x.
-func (w *Wide) TInto(dst, x Mask) {
-	dst.Zero()
-	for k := range w.tfwd {
-		dst.Or(w.tfwd[k][chunkOf(x, k)])
-	}
-}
-
-// StepFwdInto sets dst = T[d] & B[c] (Eq. 1). dst must not alias d.
-func (w *Wide) StepFwdInto(dst, d Mask, c uint32) {
-	b := w.BFor(c)
-	if b == nil {
-		dst.Zero()
-		return
-	}
-	w.TInto(dst, d)
-	for i, bw := range b {
-		dst[i] &= bw
-	}
-}
-
 // StepRevInto sets dst = T'[d & B[c]] (Eq. 2). dst must not alias d or
 // the BFor scratch.
 func (w *Wide) StepRevInto(dst, d Mask, c uint32) {
@@ -281,25 +213,8 @@ func (w *Wide) StepRevInto(dst, d Mask, c uint32) {
 	}
 }
 
-// AcceptsFwd reports whether d contains a final state.
-func (w *Wide) AcceptsFwd(d Mask) bool { return d.Intersects(w.F) }
-
 // AcceptsRev reports whether d contains the initial state.
 func (w *Wide) AcceptsRev(d Mask) bool { return d.Test(0) }
-
-// MatchFwd simulates the word left to right.
-func (w *Wide) MatchFwd(word []uint32) bool {
-	d := w.Init.Clone()
-	tmp := w.NewMask()
-	for _, c := range word {
-		w.StepFwdInto(tmp, d, c)
-		d, tmp = tmp, d
-		if !d.Any() {
-			return false
-		}
-	}
-	return w.AcceptsFwd(d)
-}
 
 // MatchRev simulates the word right to left.
 func (w *Wide) MatchRev(word []uint32) bool {

@@ -108,9 +108,6 @@ func (p Pattern) term(a axis) Term {
 	}
 }
 
-// Row is one join result: variable name → bound symbol.
-type Row map[string]uint32
-
 // Stats counts the work of one join: rows emitted; candidates produced
 // (Seeks: one per leapfrog seek over a candidate stream and one per
 // symbol an enumerating level's descent yields); and range-narrowing
@@ -120,32 +117,14 @@ type Stats struct {
 	Rows, Seeks, Binds int64
 }
 
-// Join evaluates the natural join of the patterns on r under an order
-// of its own choosing, calling emit with a fresh map for every result
-// row; emit returning false stops the enumeration. It returns
-// ErrUnsupportedOrder when no single-ring binding order exists.
-func Join(r *ring.Ring, patterns []Pattern, emit func(Row) bool) error {
-	order, err := ChooseOrder(patterns, Estimates(r, patterns), time.Time{})
-	if err != nil {
-		return err
-	}
-	_, err = JoinWith(r, patterns, Options{Order: order}, func(vals []uint32) bool {
-		row := make(Row, len(order))
-		for i, v := range order {
-			row[v] = vals[i]
-		}
-		return emit(row)
-	})
-	return err
-}
-
-// JoinWith is the allocation-free form of Join with evaluation options:
-// a caller-fixed variable order, a row limit and a timeout. emit
-// receives the row as a slice indexed by order position — Options.Order,
-// or ChooseOrder's result over Estimates when that is nil — which is
-// reused between calls. Rows emitted before a timeout are valid; the
-// limit truncates silently (nil error), mirroring the RPQ engine's
-// contract.
+// JoinWith evaluates the natural join of the patterns on r, without
+// allocating per row, under evaluation options: a caller-fixed variable
+// order, a row limit and a timeout. emit receives the row as a slice
+// indexed by order position — Options.Order, or ChooseOrder's result
+// over Estimates when that is nil — which is reused between calls;
+// emit returning false stops the enumeration. Rows emitted before a
+// timeout are valid; the limit truncates silently (nil error),
+// mirroring the RPQ engine's contract.
 func JoinWith(r *ring.Ring, patterns []Pattern, opts Options, emit func(row []uint32) bool) (Stats, error) {
 	if len(patterns) == 0 {
 		return Stats{}, nil

@@ -14,15 +14,18 @@ import (
 	"ringrpq/internal/triples"
 )
 
+// rowMap is one join result: variable name → bound symbol.
+type rowMap map[string]uint32
+
 // naiveJoin evaluates the join by brute force over all bindings.
-func naiveJoin(g *triples.Graph, patterns []Pattern) []Row {
+func naiveJoin(g *triples.Graph, patterns []Pattern) []rowMap {
 	edgeSet := map[triples.Triple]bool{}
 	for _, t := range g.Triples {
 		edgeSet[t] = true
 	}
 	vars := Vars(patterns)
-	var out []Row
-	row := Row{}
+	var out []rowMap
+	row := rowMap{}
 	var rec func(k int)
 	rec = func(k int) {
 		if k == len(vars) {
@@ -37,7 +40,7 @@ func naiveJoin(g *triples.Graph, patterns []Pattern) []Row {
 					return
 				}
 			}
-			cp := Row{}
+			cp := rowMap{}
 			for k, v := range row {
 				cp[k] = v
 			}
@@ -56,7 +59,7 @@ func naiveJoin(g *triples.Graph, patterns []Pattern) []Row {
 	return out
 }
 
-func sortRows(rows []Row, vars []string) []Row {
+func sortRows(rows []rowMap, vars []string) []rowMap {
 	sort.Slice(rows, func(i, j int) bool {
 		for _, v := range vars {
 			if rows[i][v] != rows[j][v] {
@@ -68,10 +71,29 @@ func sortRows(rows []Row, vars []string) []Row {
 	return rows
 }
 
-func runJoin(t *testing.T, r *ring.Ring, patterns []Pattern) []Row {
+// joinRows evaluates the natural join of the patterns on r under an
+// order of its own choosing, calling emit with a fresh map for every
+// result row; emit returning false stops the enumeration. It returns
+// ErrUnsupportedOrder when no single-ring binding order exists.
+func joinRows(r *ring.Ring, patterns []Pattern, emit func(rowMap) bool) error {
+	order, err := ChooseOrder(patterns, Estimates(r, patterns), time.Time{})
+	if err != nil {
+		return err
+	}
+	_, err = JoinWith(r, patterns, Options{Order: order}, func(vals []uint32) bool {
+		row := make(rowMap, len(order))
+		for i, v := range order {
+			row[v] = vals[i]
+		}
+		return emit(row)
+	})
+	return err
+}
+
+func runJoin(t *testing.T, r *ring.Ring, patterns []Pattern) []rowMap {
 	t.Helper()
-	var rows []Row
-	err := Join(r, patterns, func(row Row) bool {
+	var rows []rowMap
+	err := joinRows(r, patterns, func(row rowMap) bool {
 		rows = append(rows, row)
 		return true
 	})
@@ -234,7 +256,7 @@ func TestEarlyStop(t *testing.T) {
 	g := enginetest.Metro()
 	r := ring.New(g, ring.WaveletMatrix)
 	count := 0
-	err := Join(r, []Pattern{{S: V("x"), P: V("p"), O: V("y")}}, func(Row) bool {
+	err := joinRows(r, []Pattern{{S: V("x"), P: V("p"), O: V("y")}}, func(rowMap) bool {
 		count++
 		return count < 3
 	})
@@ -299,7 +321,7 @@ func enumeratingJoins(t *testing.T, g *triples.Graph, r *ring.Ring) []enumeratin
 func TestEmptyPatterns(t *testing.T) {
 	g := enginetest.Metro()
 	r := ring.New(g, ring.WaveletMatrix)
-	if err := Join(r, nil, func(Row) bool { t.Fatal("emitted"); return false }); err != nil {
+	if err := joinRows(r, nil, func(rowMap) bool { t.Fatal("emitted"); return false }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -313,7 +335,7 @@ func TestInfeasibleOrderRejected(t *testing.T) {
 		{S: V("x"), P: V("y"), O: V("z")},
 		{S: V("x"), P: V("z"), O: V("y")},
 	}
-	err := Join(r, patterns, func(Row) bool { return true })
+	err := joinRows(r, patterns, func(rowMap) bool { return true })
 	if !errors.Is(err, ErrUnsupportedOrder) {
 		t.Fatalf("conflicting rotations: got %v, want ErrUnsupportedOrder", err)
 	}
@@ -389,9 +411,9 @@ func TestJoinWithFixedOrder(t *testing.T) {
 	if !Feasible(patterns, []string{"x", "y", "z"}) {
 		t.Fatal("x,y,z should be feasible")
 	}
-	var rows []Row
+	var rows []rowMap
 	_, err := JoinWith(r, patterns, Options{Order: []string{"x", "y", "z"}}, func(vals []uint32) bool {
-		rows = append(rows, Row{"x": vals[0], "y": vals[1], "z": vals[2]})
+		rows = append(rows, rowMap{"x": vals[0], "y": vals[1], "z": vals[2]})
 		return true
 	})
 	if err != nil {

@@ -92,7 +92,7 @@ func TestAgreesWithGlushkov(t *testing.T) {
 		expr := randomExpr(rng, 4)
 		nfa := Build(expr, testIDs)
 		a := glushkov.Build(expr, testIDs)
-		ge, err := glushkov.NewEngine(a)
+		ge, err := glushkov.NewEngineFor(a, 0)
 		if err != nil {
 			return true
 		}
@@ -101,7 +101,7 @@ func TestAgreesWithGlushkov(t *testing.T) {
 		}
 		for i := 0; i < 15; i++ {
 			w := toWord(randomWord(rng, 6))
-			if nfa.Match(w) != ge.MatchFwd(w) {
+			if nfa.Match(w) != ge.MatchRev(w) {
 				return false
 			}
 		}
