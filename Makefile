@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run NONE -fuzz FuzzDecodeNDJSONUpdates -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run NONE -fuzz FuzzDecodeSubscribeRequest -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run NONE -fuzz FuzzFragment -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run NONE -fuzz FuzzLoadDB -fuzztime $(FUZZTIME) .
 	$(GO) test -run NONE -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal

@@ -216,3 +216,30 @@ func TestRegistryExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceAddBeforeOrigin: a span added from before the trace began
+// (a request body decoded before the request was known to be
+// profiled) moves the origin back to its start, and the open root
+// starts there with it, so the root covers the added span.
+func TestTraceAddBeforeOrigin(t *testing.T) {
+	start := time.Now()
+	time.Sleep(2 * time.Millisecond)
+	tr := New()
+	root := tr.Begin(SpanRequest)
+	tr.Add(SpanDecode, start)
+	tr.End(tr.Begin(SpanEval))
+	tr.End(root)
+	spans := tr.Spans()
+	if len(spans) != 3 || spans[1].Kind != SpanDecode || spans[1].Parent != 0 {
+		t.Fatalf("spans = %+v", spans)
+	}
+	if spans[0].Start != 0 || spans[1].Start != 0 {
+		t.Errorf("root starts at %v, decode at %v; want both at the moved origin", spans[0].Start, spans[1].Start)
+	}
+	if d := spans[1].Duration(); d < 2*time.Millisecond || spans[1].End > spans[2].Start || spans[2].End > spans[0].End {
+		t.Errorf("decode lasts %v and ends at %v; eval [%v, %v]; root ends at %v", d, spans[1].End, spans[2].Start, spans[2].End, spans[0].End)
+	}
+	if p := tr.Render(); p.Spans[0].Children[0].Kind != "decode" || p.TotalUS < 2000 {
+		t.Errorf("rendered %+v", p.Spans[0])
+	}
+}

@@ -34,6 +34,7 @@ const (
 	SpanStandingNotify
 	SpanSerialize
 	SpanUpdate
+	SpanDecode // request body decoding, before the request is known to be profiled
 	numSpanKinds
 )
 
@@ -55,6 +56,7 @@ var spanKindNames = [numSpanKinds]string{
 	SpanStandingNotify: "standing_notify",
 	SpanSerialize:      "serialize",
 	SpanUpdate:         "update",
+	SpanDecode:         "decode",
 }
 
 // spanAttrNames maps each kind's value slots to attribute names in the
@@ -126,9 +128,9 @@ func (t *Trace) Begin(kind SpanKind) int {
 	if t == nil {
 		return -1
 	}
-	now := time.Since(t.t0)
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	now := time.Since(t.t0)
 	if len(t.spans) >= maxSpans {
 		t.dropped++
 		return -1
@@ -151,9 +153,9 @@ func (t *Trace) EndVals(idx int, vals ...int64) {
 	if t == nil || idx < 0 {
 		return
 	}
-	now := time.Since(t.t0)
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	now := time.Since(t.t0)
 	if idx >= len(t.spans) {
 		return
 	}
@@ -179,21 +181,36 @@ func (t *Trace) EndVals(idx int, vals ...int64) {
 
 // Add records an already-elapsed span that started at the given wall
 // time and ends now — used for stages measured before the trace could
-// be consulted (queue wait is timed from enqueue regardless).
+// be consulted (queue wait is timed from enqueue regardless, a request
+// body is decoded before anyone knows it asks for a profile). A start
+// before the trace's origin moves the origin back to it, and an open
+// span that started after it (the root, begun once the body was read)
+// starts there instead, so that a parent covers its children.
 func (t *Trace) Add(kind SpanKind, start time.Time, vals ...int64) {
 	if t == nil {
 		return
-	}
-	end := time.Since(t.t0)
-	off := start.Sub(t.t0)
-	if off < 0 {
-		off = 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.spans) >= maxSpans {
 		t.dropped++
 		return
+	}
+	if early := t.t0.Sub(start); early > 0 {
+		t.t0 = start
+		for i := range t.spans {
+			t.spans[i].Start += early
+			if t.spans[i].End >= 0 {
+				t.spans[i].End += early
+			}
+		}
+	}
+	end := time.Since(t.t0)
+	off := start.Sub(t.t0)
+	for _, i := range t.stack {
+		if s := &t.spans[i]; s.Start > off {
+			s.Start = off
+		}
 	}
 	parent := int32(-1)
 	if n := len(t.stack); n > 0 {
@@ -245,8 +262,8 @@ func (t *Trace) Render() *Profile {
 	if t == nil {
 		return nil
 	}
-	now := time.Since(t.t0)
 	t.mu.Lock()
+	now := time.Since(t.t0)
 	spans := make([]Span, len(t.spans))
 	copy(spans, t.spans)
 	dropped := t.dropped

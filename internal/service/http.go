@@ -261,6 +261,7 @@ func (h *handler) toPatternRequest(q SelectJSON) (Request, error) {
 }
 
 func (h *handler) selectPattern(w http.ResponseWriter, r *http.Request) {
+	received := time.Now()
 	var q SelectJSON
 	if err := h.decodeBody(w, r, &q); err != nil {
 		return
@@ -271,11 +272,12 @@ func (h *handler) selectPattern(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	ctx, tr, root := h.traceFor(r, req)
+	ctx, tr, root := h.traceFor(r, req, received)
 	writeResult(w, tr, root, req, h.s.Select(ctx, req), start)
 }
 
 func (h *handler) query(w http.ResponseWriter, r *http.Request) {
+	received := time.Now()
 	var q QueryJSON
 	if err := h.decodeBody(w, r, &q); err != nil {
 		return
@@ -286,16 +288,17 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	ctx, tr, root := h.traceFor(r, req)
+	ctx, tr, root := h.traceFor(r, req, received)
 	writeResult(w, tr, root, req, h.s.do(ctx, req), start)
 }
 
-// writeResult answers /query and /select. A cache miss and a cache hit
-// take the same path; what a hit skips is the fragment's encoding,
-// which a stored result carries (Result.frag). The
-// serialize span of a profiled request covers the assembly of the body
-// it describes, so the profile itself is rendered once the root span
-// has closed and spliced in behind it.
+// writeResult answers /query and /select. A miss is assembled in one
+// pooled body and written at once. A hit skips the fragment's encoding,
+// which the stored result carries (Result.frag), and its copy as well:
+// the pooled body holds only the tail, and the fragment goes to w from
+// the cache entry. The serialize span of a profiled request covers the
+// assembly of the body it describes, so the profile itself is rendered
+// once the root span has closed and spliced in behind it.
 func writeResult(w http.ResponseWriter, tr *obs.Trace, root int, req Request, res Result, start time.Time) {
 	if status, ok := failureStatus(res.Err); ok {
 		writeError(w, status, res.Err)
@@ -304,41 +307,39 @@ func writeResult(w http.ResponseWriter, tr *obs.Trace, root int, req Request, re
 	b := bodyPool.Get().(*body)
 	defer b.release()
 	ssp := tr.Begin(obs.SpanSerialize)
-	b.appendResult(req, &res, time.Since(start))
-	tr.EndVals(ssp, int64(b.Len()))
+	var frag []byte
+	if res.Cached {
+		frag = res.frag
+	}
+	var size int
+	if frag != nil {
+		b.WriteByte(',')
+		b.closeResult(req, &res, time.Since(start))
+		size = 1 + len(frag) + b.Len()
+	} else {
+		b.appendResult(req, &res, time.Since(start))
+		size = b.Len()
+	}
+	tr.EndVals(ssp, int64(size))
 	if tr != nil {
 		tr.End(root)
 		b.spliceProfile(tr.Render())
 	}
-	b.send(w, resultStatus(res.Err))
+	b.send(w, resultStatus(res.Err), frag)
 }
 
-// traceFor opens the root request span of a profiled request and
-// attaches the trace to the submission context; (ctx, nil, -1) when
-// the request is not profiled.
-func (h *handler) traceFor(r *http.Request, req Request) (context.Context, *obs.Trace, int) {
+// traceFor opens the root request span of a profiled request, adds
+// under it the decode span of its body, read and checked from received
+// on, and attaches the trace to the submission context; (ctx, nil, -1)
+// when the request is not profiled.
+func (h *handler) traceFor(r *http.Request, req Request, received time.Time) (context.Context, *obs.Trace, int) {
 	if !req.Profile {
 		return r.Context(), nil, -1
 	}
 	tr := obs.New()
 	root := tr.Begin(obs.SpanRequest)
+	tr.Add(obs.SpanDecode, received)
 	return obs.NewContext(r.Context(), tr), tr, root
-}
-
-// decodeBody decodes a size-bounded JSON request body, writing the
-// error response (413 for oversized bodies, 400 otherwise) itself.
-func (h *handler) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, h.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		}
-		return err
-	}
-	return nil
 }
 
 func (h *handler) batch(w http.ResponseWriter, r *http.Request) {
@@ -367,10 +368,8 @@ func (h *handler) batch(w http.ResponseWriter, r *http.Request) {
 	results := h.s.Batch(r.Context(), reqs)
 	b := bodyPool.Get().(*body)
 	defer b.release()
-	b.encode(struct {
-		ElapsedMS float64 `json:"elapsed_ms"`
-	}{float64(time.Since(start).Microseconds()) / 1e3})
-	b.Truncate(b.Len() - 1)
+	b.WriteString(`{"elapsed_ms":`)
+	b.Write(appendJSONFloat(b.AvailableBuffer(), float64(time.Since(start).Microseconds())/1e3))
 	b.WriteString(`,"results":[`)
 	for i := range results {
 		if i > 0 {
@@ -384,7 +383,7 @@ func (h *handler) batch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	b.WriteString("]}")
-	b.send(w, http.StatusOK)
+	b.send(w, http.StatusOK, nil)
 }
 
 // failureStatus maps submission-level failures to HTTP statuses;

@@ -37,6 +37,8 @@ var gaugeMetrics = map[string]bool{
 	"wal_size_bytes":              true,
 	"wal_last_checkpoint_version": true,
 	"wal_last_checkpoint_ms":      true,
+	"gc_heap_live_bytes":          true,
+	"gc_memory_limit_bytes":       true,
 }
 
 func isGauge(name string) bool {

@@ -6,9 +6,12 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"ringrpq/internal/obs"
 )
 
 // TestMetricsCoverage is the lint-metrics check: every leaf field of
@@ -56,6 +59,29 @@ func TestMetricsCoverage(t *testing.T) {
 	for _, h := range []string{"ringrpq_request_duration_seconds", "ringrpq_eval_duration_seconds"} {
 		if !hasSeries(body, h+"_count") || !strings.Contains(body, h+`_bucket{le="+Inf"}`) {
 			t.Errorf("missing histogram %s", h)
+		}
+	}
+}
+
+// TestGCStats: the GC block counts a forced cycle, finds a live heap
+// and reports the memory limit, and /metrics types the pace as
+// counters and the sizes as gauges.
+func TestGCStats(t *testing.T) {
+	svc := newTestService(t, newFake(1), Config{Workers: 1})
+	before := svc.Stats().GC
+	runtime.GC()
+	after := svc.Stats().GC
+	if after.Cycles <= before.Cycles || after.CPUSeconds < before.CPUSeconds || after.HeapLiveBytes <= 0 || after.MemoryLimitBytes <= 0 {
+		t.Fatalf("GC stats around a forced cycle: %+v, then %+v", before, after)
+	}
+	rec := httptest.NewRecorder()
+	svc.Metrics().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		"# TYPE ringrpq_gc_cycles counter", "# TYPE ringrpq_gc_cpu_seconds counter",
+		"# TYPE ringrpq_gc_heap_live_bytes gauge", "# TYPE ringrpq_gc_memory_limit_bytes gauge",
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
 		}
 	}
 }
@@ -258,7 +284,7 @@ func TestProfileSpans(t *testing.T) {
 				c.StartUS, c.StartUS+c.DurationUS, root.StartUS, root.StartUS+root.DurationUS)
 		}
 	}
-	for _, want := range []string{"compile", "result_cache", "queue_wait", "eval", "serialize"} {
+	for _, want := range []string{"decode", "compile", "result_cache", "queue_wait", "eval", "serialize"} {
 		if kinds[want] == 0 {
 			t.Errorf("missing %s span under root (have %v)", want, kinds)
 		}
@@ -311,6 +337,37 @@ func TestProfileSpans(t *testing.T) {
 	}
 	if !sawHit {
 		t.Errorf("cached profile lacks result_cache hit span: %+v", cached.Profile.Spans[0].Children)
+	}
+}
+
+// TestProfileDecodeSpan: the root span of a profiled /query or /select,
+// hit or miss, starts when the body is read, and its first child is the
+// decode span that covers reading and checking the body.
+func TestProfileDecodeSpan(t *testing.T) {
+	svc := newTestService(t, &wireFake{names: []string{"o"}, n: 3}, Config{Workers: 1})
+	h := NewHandler(svc, HandlerConfig{})
+	for _, tc := range []struct{ path, body string }{
+		{"/query", `{"subject":"a","expr":"p","profile":true}`},
+		{"/select", `{"query":"?x p ?y","profile":true}`},
+	} {
+		for round := 0; round < 2; round++ {
+			rec := serve(h, tc.path, tc.body)
+			var out struct {
+				Cached  bool         `json:"cached"`
+				Profile *obs.Profile `json:"profile"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Profile == nil || out.Cached != (round == 1) {
+				t.Fatalf("%s round %d: %v, cached %v: %s", tc.path, round, err, out.Cached, rec.Body)
+			}
+			root := out.Profile.Spans[0]
+			if len(root.Children) == 0 || root.StartUS != 0 {
+				t.Fatalf("%s round %d: root %+v", tc.path, round, root)
+			}
+			dec := root.Children[0]
+			if dec.Kind != "decode" || dec.StartUS != 0 || dec.DurationUS <= 0 || dec.DurationUS > root.DurationUS {
+				t.Errorf("%s round %d: first child %+v under a root of %.1f µs", tc.path, round, dec, root.DurationUS)
+			}
+		}
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -282,6 +282,45 @@ type Stats struct {
 	// durability layer (Enabled false without a write-ahead log).
 	Standing standing.Stats
 	WAL      WALStats
+	// GC is the pace of the process's garbage collector.
+	GC GCStats
+}
+
+// GCStats reads the garbage collector's pace from runtime/metrics: the
+// cycles completed, the CPU time they took (the runtime's estimate),
+// the heap the last cycle left live and the soft memory limit
+// (math.MaxInt64 while none is set).
+type GCStats struct {
+	Cycles           int64
+	CPUSeconds       float64
+	HeapLiveBytes    int64
+	MemoryLimitBytes int64
+}
+
+var gcMetrics = [...]string{
+	"/gc/cycles/total:gc-cycles",
+	"/cpu/classes/gc/total:cpu-seconds",
+	"/gc/heap/live:bytes",
+	"/gc/gomemlimit:bytes",
+}
+
+func readGCStats() GCStats {
+	var samples [len(gcMetrics)]metrics.Sample
+	for i, name := range gcMetrics {
+		samples[i].Name = name
+	}
+	metrics.Read(samples[:])
+	count := func(i int) int64 {
+		if samples[i].Value.Kind() != metrics.KindUint64 {
+			return 0
+		}
+		return int64(samples[i].Value.Uint64())
+	}
+	var cpu float64
+	if samples[1].Value.Kind() == metrics.KindFloat64 {
+		cpu = samples[1].Value.Float64()
+	}
+	return GCStats{Cycles: count(0), CPUSeconds: cpu, HeapLiveBytes: count(2), MemoryLimitBytes: count(3)}
 }
 
 // LatencySummary condenses one latency histogram for /stats.
@@ -625,27 +664,26 @@ func (s *Service) cached(key string, version uint64) (Result, bool) {
 // length-prefixed so endpoint names containing any byte (including
 // the separator) cannot make distinct requests collide.
 func cacheKey(req Request, canon string) string {
-	mode := "q"
+	var buf [128]byte
+	k := append(buf[:0], 'q')
 	if req.Pattern != "" {
-		mode = "s"
+		k[0] = 's'
 	}
 	if req.Count {
-		mode += "c"
+		k = append(k, 'c')
 	}
-	var sb strings.Builder
-	sb.WriteString(mode)
 	parts := [...]string{req.Subject, canon, req.Object}
 	if req.Pattern != "" {
 		parts = [...]string{"", canon, ""}
 	}
 	for _, part := range parts {
-		sb.WriteString(strconv.Itoa(len(part)))
-		sb.WriteByte(':')
-		sb.WriteString(part)
+		k = strconv.AppendInt(k, int64(len(part)), 10)
+		k = append(k, ':')
+		k = append(k, part...)
 	}
-	sb.WriteByte('|')
-	sb.WriteString(strconv.Itoa(req.Limit))
-	return sb.String()
+	k = append(k, '|')
+	k = strconv.AppendInt(k, int64(req.Limit), 10)
+	return string(k)
 }
 
 // worker owns one Backend clone and drains the queue until Close:
@@ -981,6 +1019,7 @@ func (s *Service) stats() (Stats, any) {
 		ResultInvalidations: rInval,
 		Standing:            st,
 		WAL:                 wal,
+		GC:                  readGCStats(),
 		SlowQueries:         int64(s.slow.Total()),
 		Latency:             summarize(s.latE2E.Snapshot()),
 		EvalLatency:         summarize(s.latEval.Snapshot()),

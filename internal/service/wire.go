@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -17,15 +19,16 @@ import (
 // The wire form of a result. A /query, /batch-item or /select body is
 // '{' + fragment + tail: the fragment ("solutions":[…], or
 // "vars":[…],"rows":[…]) depends only on the result, the tail ("count"
-// … "elapsed_ms", "profile") is per request and small. The fragment is
-// written without reflection by the appender below, escaping strings as
-// encoding/json does; the tail comes out of encoding/json. A result the
-// cache keeps has its fragment encoded once, when it is stored, into
-// the worker's scratch and copied out at exactly its length (Result.frag,
-// which the cache charges); every response for it splices those bytes.
-// Any other result is appended straight into the response's pooled
-// buffer. Either way a body is byte for byte what json.Encoder writes
-// for ResultJSON / SelectResultJSON.
+// … "elapsed_ms", "profile") is per request and small. Both are
+// written without reflection by the appenders below, escaping strings
+// and formatting numbers as encoding/json does; only a profile comes
+// out of encoding/json. A result the cache keeps has its fragment
+// encoded once, when it is stored, into the worker's scratch and copied
+// out at exactly its length (Result.frag, which the cache charges); a
+// hit writes those bytes to the connection where they lie, between '{'
+// and a pooled tail. Any other result is appended straight into the
+// response's pooled buffer. Either way a body is byte for byte what
+// json.Encoder writes for ResultJSON / SelectResultJSON.
 
 // appendFragment appends r's fragment to b: the members of
 // {"vars":…,"rows":…} (no "rows" when there are none) for a pattern,
@@ -154,6 +157,48 @@ type resultTail struct {
 	ElapsedMS    float64 `json:"elapsed_ms,omitempty"`
 }
 
+// appendTail appends the members of t's object, without its braces,
+// byte for byte as encoding/json writes a resultTail.
+func appendTail(b []byte, t *resultTail) []byte {
+	b = append(b, `"count":`...)
+	b = strconv.AppendInt(b, int64(t.Count), 10)
+	if t.Cached {
+		b = append(b, `,"cached":true`...)
+	}
+	if t.Truncated {
+		b = append(b, `,"truncated":true`...)
+	}
+	if t.LimitReached {
+		b = append(b, `,"limit_reached":true`...)
+	}
+	if t.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendJSONString(b, t.Error)
+	}
+	if t.ElapsedMS != 0 {
+		b = append(b, `,"elapsed_ms":`...)
+		b = appendJSONFloat(b, t.ElapsedMS)
+	}
+	return b
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// the shortest decimal that reads back as f, in exponent form below
+// 1e-6 and from 1e21 on, where a one-digit negative exponent loses its
+// leading zero (1e-7, not 1e-07).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
 // body assembles one response body.
 type body struct {
 	bytes.Buffer
@@ -187,6 +232,22 @@ func (b *body) encode(v any) {
 
 // appendResult appends the JSON object of one result.
 func (b *body) appendResult(req Request, res *Result, elapsed time.Duration) {
+	b.WriteByte('{')
+	start := b.Len()
+	if res.frag != nil {
+		b.Write(res.frag)
+	} else {
+		b.Write(appendFragment(b.AvailableBuffer(), res, req.Pattern != ""))
+	}
+	if b.Len() > start {
+		b.WriteByte(',')
+	}
+	b.closeResult(req, res, elapsed)
+}
+
+// closeResult appends the tail of one result's object and its closing
+// brace.
+func (b *body) closeResult(req Request, res *Result, elapsed time.Duration) {
 	tail := resultTail{
 		Count:     res.N,
 		Cached:    res.Cached,
@@ -201,21 +262,8 @@ func (b *body) appendResult(req Request, res *Result, elapsed time.Duration) {
 	case res.Err != nil:
 		tail.Error = res.Err.Error()
 	}
-	b.WriteByte('{')
-	start := b.Len()
-	if res.frag != nil {
-		b.Write(res.frag)
-	} else {
-		b.Write(appendFragment(b.AvailableBuffer(), res, req.Pattern != ""))
-	}
-	brace := b.Len()
-	if brace == start { // no fragment: the tail is the whole object
-		b.Truncate(start - 1)
-		b.encode(tail)
-		return
-	}
-	b.encode(tail)
-	b.Bytes()[brace] = ',' // the tail's own '{' separates it from the fragment
+	b.Write(appendTail(b.AvailableBuffer(), &tail))
+	b.WriteByte('}')
 }
 
 // spliceProfile adds p as the last key of the object the body ends
@@ -227,11 +275,22 @@ func (b *body) spliceProfile(p *obs.Profile) {
 	b.WriteByte('}')
 }
 
-// send writes the body in one Write, newline-terminated like
-// json.Encoder's, so a response is one chunk on the wire.
-func (b *body) send(w http.ResponseWriter, status int) {
+// openBrace opens the object of a cache hit's body.
+var openBrace = []byte{'{'}
+
+// send writes the body newline-terminated like json.Encoder's. With a
+// nil frag it is the whole response and goes in one Write, so a short
+// response is one chunk on the wire. Otherwise it is the rest of an
+// object whose '{' and fragment frag, a cache entry's, are written
+// first, straight from the entry.
+func (b *body) send(w http.ResponseWriter, status int, frag []byte) {
 	b.WriteByte('\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(b.Bytes()) // a failed write means the client has gone
+	// A failed write means the client has gone.
+	if frag != nil {
+		_, _ = w.Write(openBrace)
+		_, _ = w.Write(frag)
+	}
+	_, _ = w.Write(b.Bytes())
 }

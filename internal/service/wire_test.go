@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -660,8 +662,8 @@ func TestStoredMissAllocsFlat(t *testing.T) {
 }
 
 // TestCacheHitAllocatesNothingPerSolution: a hit allocates for the
-// request (decoder, cache key, tail), not for the result — under 4 KiB
-// where the body is 37 kB.
+// request (its decoded fields, the cache key), not for the result —
+// under 4 KiB where the body is 37 kB.
 func TestCacheHitAllocatesNothingPerSolution(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
@@ -686,5 +688,136 @@ func TestCacheHitAllocatesNothingPerSolution(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4<<10 {
 		t.Fatalf("a cache hit allocates %d B per request, want under 4 KiB", per)
+	}
+}
+
+// TestAppendTailMatchesEncoder: the hand-appended tail is byte for byte
+// json.Marshal's resultTail, for every combination of its fields, an
+// error that needs escaping and elapsed times across encoding/json's
+// switch to exponent form.
+func TestAppendTailMatchesEncoder(t *testing.T) {
+	errs := append([]string{"", `bad expression "a/(b" at <1> & more`}, nastyNames...)
+	elapsed := []float64{0, 0.001, 1.5, 123456.789, 1e21, 1e-7, 5e-324, 0.000001, 999999999999999.9}
+	for _, count := range []int{0, 7, 1 << 40} {
+		for flags := 0; flags < 8; flags++ {
+			for _, e := range errs {
+				for _, ms := range elapsed {
+					tail := resultTail{
+						Count: count, Cached: flags&1 != 0, Truncated: flags&2 != 0, LimitReached: flags&4 != 0,
+						Error: e, ElapsedMS: ms,
+					}
+					want, err := json.Marshal(tail)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := append(appendTail([]byte{'{'}, &tail), '}')
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%+v:\n got %s\nwant %s", tail, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// countingConn counts the writes a server makes to one connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.writes}, nil
+}
+
+// TestHitConnWrites: a 1000-solution hit, written as '{', the cache
+// entry's fragment and a pooled tail, still reaches the connection in
+// three writes (the first 4 kB, the rest of the fragment, the tail with
+// the chunk terminator), and its body is what json.Encoder writes.
+func TestHitConnWrites(t *testing.T) {
+	h, body := cacheHitFixture(t, 1000)
+	var writes atomic.Int64
+	ts := httptest.NewUnstartedServer(h)
+	ts.Listener = countingListener{ts.Listener, &writes}
+	ts.Start()
+	defer ts.Close()
+	post := func() ([]byte, int64) {
+		before := writes.Load()
+		resp, err := ts.Client().Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out bytes.Buffer
+		if _, err := out.ReadFrom(resp.Body); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%d, %v", resp.StatusCode, err)
+		}
+		return out.Bytes(), writes.Load() - before
+	}
+	post() // opens the connection
+	for i := 0; i < 3; i++ {
+		got, n := post()
+		if n != 3 {
+			t.Errorf("hit %d took %d conn writes, want 3", i, n)
+		}
+		var seen ResultJSON
+		if err := json.Unmarshal(got, &seen); err != nil || !seen.Cached || len(seen.Solutions) != 1000 {
+			t.Fatalf("hit %d: cached %v, %d solutions, %v", i, seen.Cached, len(seen.Solutions), err)
+		}
+		if want := encoderBody(t, seen); !bytes.Equal(got, want) {
+			t.Fatalf("hit %d:\n got %.200s\nwant %.200s", i, got, want)
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter to reuse across requests.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) WriteHeader(int)             {}
+func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// TestCacheHitAllocs pins the allocations of a 1000-solution hit
+// through the handler, request and ResponseWriter reused: the decoded
+// request with its limit and its two strings, the body-size guard, the
+// cache key and the Content-Type header.
+func TestCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const ceiling = 7
+	h, body := cacheHitFixture(t, 1000)
+	rd := strings.NewReader(body)
+	req := httptest.NewRequest("POST", "/query", nil)
+	req.Body = io.NopCloser(rd)
+	w := &discardWriter{h: http.Header{}}
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(body)
+		w.n = 0
+		h.ServeHTTP(w, req)
+	})
+	if w.n < 30<<10 {
+		t.Fatalf("wrote %d B, want the 37 kB of a 1000-solution hit", w.n)
+	}
+	t.Logf("%v allocations per hit", allocs)
+	if allocs > ceiling {
+		t.Errorf("a cache hit allocates %v objects, ceiling %d", allocs, ceiling)
 	}
 }

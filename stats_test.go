@@ -34,6 +34,8 @@ var statsKeyPaths = []string{
 	"index.updates.PinnedSnapshots", "index.updates.Tombstones",
 	"service.Batches", "service.Cancelled", "service.Completed",
 	"service.Errors",
+	"service.GC.CPUSeconds", "service.GC.Cycles",
+	"service.GC.HeapLiveBytes", "service.GC.MemoryLimitBytes",
 	"service.EvalLatency.Count", "service.EvalLatency.MaxMS",
 	"service.EvalLatency.MeanMS", "service.EvalLatency.P50MS",
 	"service.EvalLatency.P90MS", "service.EvalLatency.P95MS",
