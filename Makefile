@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: all ci build vet test race crash ceilings examples bench bench-short paper bench-module bench-check fuzz lint lint-metrics clean
+.PHONY: all ci build vet test race crash ceilings examples bench bench-short paper bench-module bench-check fuzz lint lint-metrics size clean
 
 all: ci
 
@@ -152,6 +152,14 @@ lint:
 # without its exposition.
 lint-metrics:
 	$(GO) test -count=1 -run 'TestMetricsCoverage' ./internal/service/
+
+# Line counts of the tree, for a change's before/after: non-test Go
+# lines outside bench/, non-test Go lines in bench/, and test lines
+# outside bench/. Not part of ci.
+size:
+	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'non-test Go lines in bench/:      '; find ./bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'test lines outside bench/:        '; find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

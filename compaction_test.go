@@ -182,7 +182,7 @@ func TestUpdateCarriedTombstoneRanks(t *testing.T) {
 
 		snap := db.h.acquire()
 		dels := snap.ov.Dels()
-		got := db.evaluatorFor(snap).TombstoneRanks(0)
+		got := db.evaluatorFor(snap).TombstoneRanks()
 		r := snap.r
 		for k, d := range dels {
 			want := -1

@@ -74,18 +74,18 @@ func appendRangeItems(dst []wavelet.RangeMask, r *ring.Ring, level []queueItem) 
 	return dst
 }
 
-// stepMany is the batched §4 step over a whole level of one ring:
+// stepMany is the batched §4 step over a whole level:
 // part 1 over L_p in one multi-range descent (B[v] pruning per item),
 // part 2 over L_s likewise, part 3 via arrive.
-func (e *Engine) stepMany(eng *glushkov.Engine, w *ringWork, items []wavelet.RangeMask, emit EmitFunc) error {
+func (e *Engine) stepMany(eng *glushkov.Engine, items []wavelet.RangeMask, emit EmitFunc) error {
 	if len(items) == 0 {
 		return nil
 	}
 	lsItems := e.lsItems[:0]
 	negFwd, negInv := eng.NegClassBits()
-	half := e.numPreds / 2
+	half := e.r.NumPreds / 2
 	var failure error
-	w.r.Lp.TraverseMany(items, func(node wavelet.NodeID, leaf bool, p uint32, its []wavelet.RangeMask) int {
+	e.r.Lp.TraverseMany(items, func(node wavelet.NodeID, leaf bool, p uint32, its []wavelet.RangeMask) int {
 		if failure != nil {
 			return 0
 		}
@@ -94,7 +94,7 @@ func (e *Engine) stepMany(eng *glushkov.Engine, w *ringWork, items []wavelet.Ran
 			// Part 1 pruning (Fact 1 via the aggregated B[v]), per item;
 			// negated property sets contribute per node direction exactly
 			// as on the unbatched path.
-			bmask := w.bArr[node]
+			bmask := e.bArr[node]
 			cb, haveCB := uint64(0), false
 			k := 0
 			for _, it := range its {
@@ -103,7 +103,7 @@ func (e *Engine) stepMany(eng *glushkov.Engine, w *ringWork, items []wavelet.Ran
 						continue
 					}
 					if !haveCB {
-						lo, hi := w.r.Lp.SymRange(node)
+						lo, hi := e.r.Lp.SymRange(node)
 						if lo < half {
 							cb |= negFwd
 						}
@@ -129,7 +129,7 @@ func (e *Engine) stepMany(eng *glushkov.Engine, w *ringWork, items []wavelet.Ran
 		// the per-item descent (one visit per frontier item per leaf).
 		e.stats.WaveletVisits += len(its) - 1
 		bp := e.st.PredMask(p)
-		cp := w.r.Cp[p]
+		cp := e.r.Cp[p]
 		for _, it := range its {
 			d := it.Mask & bp
 			if d == 0 {
@@ -156,14 +156,14 @@ func (e *Engine) stepMany(eng *glushkov.Engine, w *ringWork, items []wavelet.Ran
 	if failure != nil {
 		return failure
 	}
-	return e.part2Many(eng, w, lsItems, emit)
+	return e.part2Many(eng, lsItems, emit)
 }
 
 // part2Many expands the level's accumulated L_s ranges: distinct
 // subjects with unvisited states arrive with the union of the states
 // that reached them (§4.2–4.3) — once per level, or once per descent
 // when splitOwed splits it in two.
-func (e *Engine) part2Many(eng *glushkov.Engine, w *ringWork, lsItems []wavelet.RangeMask, emit EmitFunc) error {
+func (e *Engine) part2Many(eng *glushkov.Engine, lsItems []wavelet.RangeMask, emit EmitFunc) error {
 	if len(lsItems) == 0 {
 		return nil
 	}
@@ -171,10 +171,10 @@ func (e *Engine) part2Many(eng *glushkov.Engine, w *ringWork, lsItems []wavelet.
 	// leaf's items in rank order (TestTraverseManyLeafOrder), so the
 	// C_p+rank ranges are already in position order.
 	first, rest := e.splitOwed(eng.Init, lsItems)
-	if err := e.descendLs(eng, w, first, emit); err != nil || len(rest) == 0 {
+	if err := e.descendLs(eng, first, emit); err != nil || len(rest) == 0 {
 		return err
 	}
-	return e.descendLs(eng, w, rest, emit)
+	return e.descendLs(eng, rest, emit)
 }
 
 // splitOwed divides a limited level's sorted L_s ranges. Only ranges
@@ -232,22 +232,22 @@ func (e *Engine) splitOwed(init uint64, lsItems []wavelet.RangeMask) (first, res
 // descendLs runs one batched L_s descent over sorted disjoint ranges; a
 // leaf drops the items whose occurrences are all tombstoned
 // (tombRanks.leafMask).
-func (e *Engine) descendLs(eng *glushkov.Engine, w *ringWork, lsItems []wavelet.RangeMask, emit EmitFunc) error {
+func (e *Engine) descendLs(eng *glushkov.Engine, lsItems []wavelet.RangeMask, emit EmitFunc) error {
 	var tomb *tombRanks
 	if dels := e.ov.Dels(); len(dels) > 0 {
-		w.tomb.sync(w.r, dels)
-		if len(w.tomb.keys) > 0 {
-			tomb = &w.tomb
+		e.tomb.sync(e.r, dels)
+		if len(e.tomb.keys) > 0 {
+			tomb = &e.tomb
 		}
 	}
 	var failure error
-	w.r.Ls.TraverseMany(lsItems, func(node wavelet.NodeID, leaf bool, s uint32, its []wavelet.RangeMask) int {
+	e.r.Ls.TraverseMany(lsItems, func(node wavelet.NodeID, leaf bool, s uint32, its []wavelet.RangeMask) int {
 		if failure != nil {
 			return 0
 		}
 		e.stats.WaveletVisits++
 		e.stats.SubjectVisits++
-		visited := w.dNode.Get(int(node)) | e.base
+		visited := e.dNode.Get(int(node)) | e.base
 		if !leaf {
 			// Prune items whose subjects below were all already visited
 			// with every state they carry.

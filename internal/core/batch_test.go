@@ -328,7 +328,7 @@ func steadyStateExprs() []pathexpr.Node {
 func warmCompiled(tb testing.TB, e *Engine, exprs []pathexpr.Node) {
 	tb.Helper()
 	for _, x := range exprs {
-		if ca := e.compile(x); ca.st == nil || ca.bArrs == nil {
+		if ca := e.compile(x); ca.st == nil || ca.bArr == nil {
 			tb.Fatal("first evaluation did not compile a stepper")
 		}
 	}
@@ -336,7 +336,7 @@ func warmCompiled(tb testing.TB, e *Engine, exprs []pathexpr.Node) {
 
 // The stepper table generator must be allocation-free in steady state:
 // after an expression's first evaluation, the Glushkov automaton, the
-// compiled stepper, and the per-(expr, ring) B[v] array are all
+// compiled stepper, and the per-expression B[v] array are all
 // memoised on the engine, and the memo lookup itself renders the
 // canonical key into a reused buffer. A memo hit must allocate nothing
 // — otherwise every evaluation pays generator costs again.
@@ -351,7 +351,7 @@ func BenchmarkCompiledStepperSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ca := e.compile(exprs[i%len(exprs)])
-		if ca.st == nil || ca.bArrs == nil {
+		if ca.st == nil || ca.bArr == nil {
 			b.Fatal("memo lost the compiled stepper")
 		}
 	}
@@ -366,7 +366,7 @@ func TestCompiledStepperSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(300, func() {
 		ca := e.compile(exprs[i%len(exprs)])
 		i++
-		if ca.st == nil || ca.bArrs == nil {
+		if ca.st == nil || ca.bArr == nil {
 			t.Fatal("memo lost the compiled stepper")
 		}
 	})
@@ -387,8 +387,8 @@ func TestFirstEvalIsCompiled(t *testing.T) {
 	if !ok {
 		t.Fatal("first evaluation left no memo entry")
 	}
-	if c.st == nil || c.bArrs == nil {
-		t.Fatalf("after one evaluation st=%v bArrs=%v, want both compiled", c.st, c.bArrs)
+	if c.st == nil || c.bArr == nil {
+		t.Fatalf("after one evaluation st=%v bArr=%v, want both compiled", c.st, c.bArr)
 	}
 }
 
@@ -425,7 +425,7 @@ func TestMemoOverflowRecompiles(t *testing.T) {
 		t.Fatalf("%d distinct expressions did not overflow the memo", len(exprs))
 	}
 	check(exprs[0])
-	if c := e.memo.entries[firstKey]; c == nil || c.st == nil || c.bArrs == nil {
+	if c := e.memo.entries[firstKey]; c == nil || c.st == nil || c.bArr == nil {
 		t.Fatal("re-evaluation after the memo drop did not recompile")
 	}
 }

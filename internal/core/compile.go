@@ -8,17 +8,16 @@ import (
 
 // compiledAutomaton is one memoised Glushkov compilation; eng is nil
 // when the expression exceeds the 64-state bit-parallel engine and the
-// multiword fallback must be used. st and bArrs are built by the first
+// multiword fallback must be used. st and bArr are built by the first
 // evaluation of a narrow expression: from then on every evaluation
 // steps the compiled table against the expression's precomputed B[v]
-// arrays with zero per-eval setup.
+// array with zero per-eval setup.
 type compiledAutomaton struct {
 	a   *glushkov.Automaton
 	eng *glushkov.Engine
 	st  *glushkov.Stepper
-	// bArrs holds one immutable B[v] array per L_p tree the memo serves
-	// (one per sub-ring).
-	bArrs [][]uint64
+	// bArr is the immutable B[v] array over the memo's L_p.
+	bArr []uint64
 	// wide is the multiword simulation, built on the first evaluation
 	// that needs it.
 	wide *glushkov.Wide
@@ -41,8 +40,8 @@ const maxCompiled = 128
 type compileMemo struct {
 	ids      glushkov.SymbolIDs
 	numPreds uint32
-	// lps are the L_p sequences get precomputes B[v] for.
-	lps     []*wavelet.Matrix
+	// lp is the L_p sequence get precomputes B[v] over.
+	lp      *wavelet.Matrix
 	entries map[string]*compiledAutomaton
 	keyW    pathexpr.KeyWriter
 }
@@ -67,27 +66,24 @@ func (m *compileMemo) lookup(expr pathexpr.Node) *compiledAutomaton {
 }
 
 // get is lookup for an evaluation: on a narrow expression's first
-// evaluation it builds the compiled stepper and the per-ring B[v]
-// arrays. Compilation stays out of lookup because the engine also
-// reads automata it never runs: Eval's delegation check looks up the
-// query's expression, while a (s, E, y) query runs only its inverse.
+// evaluation it builds the compiled stepper and the B[v] array.
+// Compilation stays out of lookup because the engine also reads
+// automata it never runs: Eval's delegation check looks up the query's
+// expression, while a (s, E, y) query runs only its inverse.
 func (m *compileMemo) get(expr pathexpr.Node, noCompile bool) *compiledAutomaton {
 	c := m.lookup(expr)
 	if c.eng != nil && c.st == nil && !noCompile {
 		st := glushkov.Compile(c.eng, m.numPreds)
 		c.st = &st
-		c.bArrs = make([][]uint64, len(m.lps))
-		for i, lp := range m.lps {
-			c.bArrs[i] = buildBArr(lp, c.eng)
-		}
+		c.bArr = buildBArr(m.lp, c.eng)
 	}
 	return c
 }
 
 // buildBArr precomputes the B[v] masks over the wavelet nodes of lp for
 // a compiled expression: every node holds the union of its leaves'
-// B[c] (§4.1), built once per (expression, ring) and shared by every
-// later evaluation.
+// B[c] (§4.1), built once per expression and shared by every later
+// evaluation.
 func buildBArr(lp *wavelet.Matrix, eng *glushkov.Engine) []uint64 {
 	arr := make([]uint64, lp.NumNodes())
 	for c, mask := range eng.B {

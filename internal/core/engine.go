@@ -20,14 +20,14 @@
 // product-graph search that the paper highlights.
 //
 // There is one implementation of that traversal, Engine (multiring*.go):
-// a kernel over K sub-rings and an optional live-update Delta. The
-// paper's single static ring is its K = 1, no-delta case (NewEngine); a
-// shard set and the overlay's union graph are the same loop over more
-// rings and a non-empty delta (NewMultiRing, SetDelta). The kernel also
-// decides, per query, whether an attached delta can change the answer;
-// when it cannot, the evaluation is the no-delta one. So a caller keeps
-// one Engine per worker whatever its snapshot holds. This file holds
-// what every caller of it shares: queries, options, statistics, errors.
+// a kernel over one ring and an optional live-update Delta. The paper's
+// static ring is its no-delta case (NewEngine); the overlay's union
+// graph is the same loop with a non-empty delta (SetDelta). The kernel
+// also decides, per query, whether an attached delta can change the
+// answer; when it cannot, the evaluation is the no-delta one. So a
+// caller keeps one Engine per worker whatever its snapshot holds. This
+// file holds what every caller of it shares: queries, options,
+// statistics, errors.
 package core
 
 import (
@@ -60,7 +60,7 @@ type Options struct {
 	// dry. So which pairs a limited evaluation returns may change
 	// between versions; their order stays unspecified.
 	Limit int
-	// Timeout bounds wall-clock evaluation time; 0 means none.
+	// Timeout bounds wall-clock evaluation time; ≤ 0 means none.
 	Timeout time.Duration
 	// DisableFastPaths forces the generic product-graph algorithm even
 	// for the join-like patterns of §5 (used by the ablation benchmark).
@@ -113,9 +113,9 @@ type Stats struct {
 // stops the evaluation early.
 type EmitFunc func(s, o uint32) bool
 
-// Evaluator is the query-evaluation capability shared by Engine and
-// ShardedEngine; the public DB and the pattern executor evaluate on an
-// Engine with their snapshot's overlay attached. Eval takes the request
+// Evaluator is the query-evaluation capability Engine implements; the
+// public DB and the pattern executor evaluate on an Engine with their
+// snapshot's overlay attached. Eval takes the request
 // context first (the repo's ctx-first convention, enforced by rpqlint's
 // ctxfirst analyzer): ctx may carry an obs.Trace and a deadline, folded
 // into Options once at entry via FoldContext.
@@ -125,7 +125,8 @@ type Evaluator interface {
 
 // FoldContext merges ctx-carried request state into opts: an unset
 // Trace is filled from the context (obs.FromContext), and a context
-// deadline earlier than Options.Timeout tightens it. Engines call it
+// deadline earlier than Options.Timeout tightens it; a Timeout ≤ 0 is
+// unset, so the context deadline replaces it. Engines call it
 // once per evaluation, so ctx costs nothing on the traversal hot path;
 // cancellation between results remains the caller's job (the service's
 // emit wrapper polls ctx.Err).
@@ -141,7 +142,7 @@ func FoldContext(ctx context.Context, opts Options) Options {
 		if rem <= 0 {
 			rem = time.Nanosecond // already expired: the first probe fires
 		}
-		if opts.Timeout == 0 || rem < opts.Timeout {
+		if opts.Timeout <= 0 || rem < opts.Timeout {
 			opts.Timeout = rem
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ringrpq/internal/baseline/bfs"
 	"ringrpq/internal/enginetest"
 	"ringrpq/internal/glushkov"
 	"ringrpq/internal/pathexpr"
@@ -22,6 +23,64 @@ func newEngine(g *triples.Graph) *Engine {
 	return NewEngine(r, func(s pathexpr.Sym) (uint32, bool) {
 		return g.PredID(s.Name, s.Inverse)
 	})
+}
+
+func idsOf(g *triples.Graph) glushkov.SymbolIDs {
+	return func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }
+}
+
+func evalPairs(t *testing.T, ev Evaluator, q Query, opts Options) []enginetest.Pair {
+	t.Helper()
+	var out []enginetest.Pair
+	_, err := ev.Eval(context.Background(), q, opts, func(s, o uint32) bool {
+		out = append(out, enginetest.Pair{S: s, O: o})
+		return true
+	})
+	if err != nil {
+		t.Fatalf("Eval(%s): %v", pathexpr.String(q.Expr), err)
+	}
+	return enginetest.SortPairs(out)
+}
+
+func bfsPairs(t *testing.T, ix *bfs.Index, q Query) []enginetest.Pair {
+	t.Helper()
+	var out []enginetest.Pair
+	err := ix.Eval(q.Subject, q.Expr, q.Object, bfs.Options{}, func(s, o uint32) bool {
+		out = append(out, enginetest.Pair{S: s, O: o})
+		return true
+	})
+	if err != nil {
+		t.Fatalf("bfs.Eval(%s): %v", pathexpr.String(q.Expr), err)
+	}
+	return enginetest.SortPairs(out)
+}
+
+func diffPairs(t *testing.T, label string, got, want []enginetest.Pair, q Query) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: query (%d, %s, %d): %d pairs, want %d\n got: %v\nwant: %v",
+			label, q.Subject, pathexpr.String(q.Expr), q.Object, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: query (%d, %s, %d): pair %d is %v, want %v",
+				label, q.Subject, pathexpr.String(q.Expr), q.Object, i, got[i], want[i])
+		}
+	}
+}
+
+// queriesFor derives the four endpoint shapes (v→v, c→v, v→c, c→c) for
+// one expression, with random — possibly miss-everything — constants.
+func queriesFor(rng *rand.Rand, g *triples.Graph, expr pathexpr.Node) []Query {
+	nv := int64(g.NumNodes())
+	s := rng.Int63n(nv)
+	o := rng.Int63n(nv)
+	return []Query{
+		{Subject: Variable, Expr: expr, Object: Variable},
+		{Subject: s, Expr: expr, Object: Variable},
+		{Subject: Variable, Expr: expr, Object: o},
+		{Subject: s, Expr: expr, Object: o},
+	}
 }
 
 func collect(t *testing.T, e *Engine, q Query, opts Options) []enginetest.Pair {
@@ -170,18 +229,58 @@ func TestRandomAgainstOracle(t *testing.T) {
 	}
 }
 
-// Fast paths must agree with the generic algorithm.
+// TestDifferentialRandom is the property-based differential test: on
+// random graphs and random path expressions (predicates, inverses, /,
+// |, *, +, ?), every traversal mode and stepping tier of the engine,
+// the BFS baseline and the sharded-engine constructor the benchmark
+// module builds must produce the relational oracle's solution set.
+func TestDifferentialRandom(t *testing.T) {
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nv := 2 + rng.Intn(24)
+		np := 1 + rng.Intn(6)
+		ne := 1 + rng.Intn(70)
+		g := enginetest.RandomGraph(seed, nv, np, ne)
+		eng := newEngine(g)
+		ix := bfs.New(g)
+		sharded := NewShardedEngine(ring.NewShardSet(g, 3, nil, ring.WaveletMatrix), idsOf(g))
+
+		for qi := 0; qi < 6; qi++ {
+			expr := enginetest.RandomExpr(rng, np, 1+rng.Intn(3))
+			for _, q := range queriesFor(rng, g, expr) {
+				want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
+				diffPairs(t, "engine vs oracle", evalPairs(t, eng, q, Options{}), want, q)
+				diffPairs(t, "engine unbatched vs oracle",
+					evalPairs(t, eng, q, Options{DisableBatching: true}), want, q)
+				diffPairs(t, "engine interpreted vs oracle",
+					evalPairs(t, eng, q, Options{DisableCompiled: true}), want, q)
+				diffPairs(t, "bfs vs oracle", bfsPairs(t, ix, q), want, q)
+				diffPairs(t, "sharded engine vs oracle", evalPairs(t, sharded, q, Options{}), want, q)
+			}
+		}
+	}
+}
+
+// Fast paths must agree with the generic algorithm, and take no
+// product-graph step.
 func TestFastPathsMatchGeneric(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := enginetest.RandomGraph(seed, 15, 3, 60)
 		e := newEngine(g)
-		for _, expr := range []string{"pa", "^pb", "pa/pb", "pa/^pa", "pa|pb", "pa|pb|pc", "^pa|pb"} {
+		for _, expr := range []string{"pa", "^pb", "pa/pb", "pa/^pa", "pa/^pb", "pa|pb", "pa|pb|pc", "^pa|pb"} {
 			node := pathexpr.MustParse(expr)
 			q := Query{Subject: Variable, Expr: node, Object: Variable}
 			fast := enginetest.SortPairs(collect(t, e, q, Options{}))
 			slow := enginetest.SortPairs(collect(t, e, q, Options{DisableFastPaths: true}))
 			if !reflect.DeepEqual(fast, slow) {
 				t.Fatalf("seed %d %s: fast=%v generic=%v", seed, expr, fast, slow)
+			}
+			st, err := e.Eval(context.Background(), q, Options{}, func(s, o uint32) bool { return true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ProductNodes != 0 {
+				t.Fatalf("seed %d %s: fast path reached %d product nodes, want 0", seed, expr, st.ProductNodes)
 			}
 		}
 	}
@@ -206,6 +305,23 @@ func TestWideFallback(t *testing.T) {
 	checkAgainstOracle(t, g, e, s, expr, Variable, Options{})
 	checkAgainstOracle(t, g, e, Variable, expr, int64(1), Options{})
 	checkAgainstOracle(t, g, e, Variable, expr, Variable, Options{})
+
+	// Four predicates: (pa|pb|pc|pd)? seventeen times, 68 positions.
+	g = enginetest.RandomGraph(17, 8, 4, 60)
+	e = newEngine(g)
+	alt := pathexpr.MustParse("(pa|pb|pc|pd)?")
+	var wide pathexpr.Node = alt
+	for i := 0; i < 16; i++ {
+		wide = pathexpr.Concat{L: wide, R: alt}
+	}
+	if m := pathexpr.CountSyms(wide); m <= glushkov.MaxEngineStates {
+		t.Fatalf("expression has %d positions, want > %d", m, glushkov.MaxEngineStates)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for _, q := range queriesFor(rng, g, wide) {
+		want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
+		diffPairs(t, "wide alternation", evalPairs(t, e, q, Options{}), want, q)
+	}
 }
 
 // An expression of 17–63 positions splits its compiled reverse table
@@ -247,6 +363,23 @@ func TestLimit(t *testing.T) {
 	}
 	if count != 7 || stats.Results != 7 {
 		t.Fatalf("limit: emitted %d (stats %d), want 7", count, stats.Results)
+	}
+
+	// A non-nullable closure: the limit stops the traversal, not the
+	// self-pair prefix.
+	g = enginetest.RandomGraph(23, 20, 4, 120)
+	e = newEngine(g)
+	q = Query{Subject: Variable, Expr: pathexpr.MustParse("(pa|pb|pc)+"), Object: Variable}
+	if n := len(evalPairs(t, e, q, Options{})); n < 4 {
+		t.Fatalf("%d results: too few for a limit of 3 to bite", n)
+	}
+	count = 0
+	stats, err = e.Eval(context.Background(), q, Options{Limit: 3}, func(s, o uint32) bool { count++; return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != 3 || stats.Results != 3 {
+		t.Fatalf("limit 3 on %s: emitted %d (stats %d)", pathexpr.String(q.Expr), count, stats.Results)
 	}
 }
 
@@ -297,34 +430,45 @@ func TestTimeoutProbedInInnerLoops(t *testing.T) {
 		{"interpreted", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableCompiled: true}},
 	}
 	e := newEngine(g)
-	set := ring.NewShardSet(g, 3, nil, ring.WaveletMatrix)
-	sharded := NewShardedEngine(set, func(s pathexpr.Sym) (uint32, bool) {
-		return g.PredID(s.Name, s.Inverse)
-	})
 	for _, m := range modes {
-		for _, run := range []struct {
-			name string
-			eval func() error
-		}{
-			{"engine/" + m.name, func() error {
-				_, err := e.Eval(context.Background(), q, m.opts, func(s, o uint32) bool { return true })
-				return err
-			}},
-			{"sharded/" + m.name, func() error {
-				_, err := sharded.Eval(context.Background(), q, m.opts, func(s, o uint32) bool { return true })
-				return err
-			}},
-		} {
-			start := time.Now()
-			err := run.eval()
-			elapsed := time.Since(start)
-			if err != ErrTimeout {
-				t.Fatalf("%s: err=%v, want ErrTimeout", run.name, err)
-			}
-			if elapsed > 5*time.Second {
-				t.Fatalf("%s: 1ns deadline took %v", run.name, elapsed)
-			}
+		start := time.Now()
+		_, err := e.Eval(context.Background(), q, m.opts, func(s, o uint32) bool { return true })
+		elapsed := time.Since(start)
+		if err != ErrTimeout {
+			t.Fatalf("%s: err=%v, want ErrTimeout", m.name, err)
 		}
+		if elapsed > 5*time.Second {
+			t.Fatalf("%s: 1ns deadline took %v", m.name, elapsed)
+		}
+	}
+}
+
+// A Timeout ≤ 0 is unset: FoldContext replaces it with the context's
+// deadline, so a negative timeout cannot drop that deadline. Without a
+// context deadline it bounds nothing.
+func TestFoldContextDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	for _, timeout := range []time.Duration{-time.Second, 0, time.Hour} {
+		if got := FoldContext(ctx, Options{Timeout: timeout}).Timeout; got <= 0 || got > 10*time.Millisecond {
+			t.Fatalf("Timeout %v under a 10ms deadline folds to %v", timeout, got)
+		}
+	}
+	if got := FoldContext(ctx, Options{Timeout: time.Microsecond}).Timeout; got != time.Microsecond {
+		t.Fatalf("Timeout 1µs under a 10ms deadline folds to %v", got)
+	}
+
+	g := enginetest.RandomGraph(9, 200, 2, 4000)
+	e := newEngine(g)
+	q := Query{Subject: Variable, Expr: pathexpr.MustParse("(pa|pb)+"), Object: Variable}
+	opts := Options{Timeout: -time.Second, DisableFastPaths: true}
+	if _, err := e.Eval(context.Background(), q, opts, func(s, o uint32) bool { return true }); err != nil {
+		t.Fatalf("negative timeout without a deadline: %v", err)
+	}
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	if _, err := e.Eval(expired, q, opts, func(s, o uint32) bool { return true }); err != ErrTimeout {
+		t.Fatalf("negative timeout under an expired deadline: err=%v, want ErrTimeout", err)
 	}
 }
 
@@ -389,6 +533,29 @@ func TestUnknownEntities(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("out-of-range object produced %v", got)
 	}
+	for _, q := range []Query{
+		{Subject: int64(g.NumNodes()) + 5, Expr: pathexpr.MustParse("l1*"), Object: Variable},
+		{Subject: Variable, Expr: pathexpr.MustParse("l1/l2"), Object: int64(g.NumNodes()) + 9},
+		{Subject: int64(g.NumNodes()) + 5, Expr: pathexpr.MustParse("l1|l2"), Object: 0},
+	} {
+		if got := collect(t, e, q, Options{}); len(got) != 0 {
+			t.Fatalf("out-of-range endpoint in (%d, %s, %d) produced %v", q.Subject, pathexpr.String(q.Expr), q.Object, got)
+		}
+	}
+
+	// Expressions whose predicates are partly or wholly absent from the
+	// graph: absent symbols match nothing, in every endpoint shape.
+	g = enginetest.RandomGraph(3, 10, 3, 30)
+	e = newEngine(g)
+	rng := rand.New(rand.NewSource(11))
+	for _, src := range []string{
+		"nosuch", "nosuch*", "pa/nosuch", "pa|nosuch", "(nosuch|pb)+", "nosuch?",
+	} {
+		for _, q := range queriesFor(rng, g, pathexpr.MustParse(src)) {
+			want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
+			diffPairs(t, "unknown predicates", evalPairs(t, e, q, Options{}), want, q)
+		}
+	}
 }
 
 // Theorem 4.1: the traversal work is bounded by the induced product
@@ -445,12 +612,11 @@ func TestWorkingSizeBytes(t *testing.T) {
 	if e.WorkingSizeBytes() <= 0 {
 		t.Fatal("WorkingSizeBytes must be positive")
 	}
-	// One ring, no delta: the paper's accounting, D[v] and nothing per
-	// node beside it (the L_s leaves are the D[s]; B[v] is per
-	// expression, in the compile memo).
-	w := e.work[0]
-	if got, want := e.WorkingSizeBytes(), w.dNode.SizeBytes(); got != want {
-		t.Fatalf("WorkingSizeBytes=%d at K = 1 with no delta, want dNode = %d", got, want)
+	// No delta: the paper's accounting, D[v] and nothing per node beside
+	// it (the L_s leaves are the D[s]; B[v] is per expression, in the
+	// compile memo).
+	if got, want := e.WorkingSizeBytes(), e.dNode.SizeBytes(); got != want {
+		t.Fatalf("WorkingSizeBytes=%d with no delta, want dNode = %d", got, want)
 	}
 }
 
@@ -503,12 +669,11 @@ func TestDelegationKeepsTombstoneRanks(t *testing.T) {
 	e.SetDelta(delta, g.NumNodes())
 
 	h := mustID(t, g, "h")
-	w := e.work[0]
 	carried := func(when string) {
 		t.Helper()
-		if len(w.tomb.dels) != 2 || len(w.tomb.keys) != 2 || w.tomb.probes != 2 {
+		if len(e.tomb.dels) != 2 || len(e.tomb.keys) != 2 || e.tomb.probes != 2 {
 			t.Fatalf("%s: ranks synced to %d tombstones, %d in the ring, %d probes; want both of the delta's, probed once",
-				when, len(w.tomb.dels), len(w.tomb.keys), w.tomb.probes)
+				when, len(e.tomb.dels), len(e.tomb.keys), e.tomb.probes)
 		}
 	}
 	if got := collect(t, e, Query{Subject: Variable, Expr: pathexpr.MustParse("pa/pb"), Object: h}, Options{}); len(got) != 4 {
@@ -529,7 +694,6 @@ func TestDelegationKeepsTombstoneRanks(t *testing.T) {
 func TestTombstoneRanksCarryAcrossVersions(t *testing.T) {
 	g := enginetest.RandomGraph(7, 200, 4, 2000)
 	e := newEngine(g)
-	w := e.work[0]
 	var all []Edge
 	for i, tr := range g.Triples {
 		if i%37 == 0 {
@@ -544,11 +708,11 @@ func TestTombstoneRanksCarryAcrossVersions(t *testing.T) {
 	check := func(v int, dels []Edge) {
 		t.Helper()
 		e.SetDelta(&tombstones{dels: dels}, g.NumNodes())
-		got := e.TombstoneRanks(0)
+		got := e.TombstoneRanks()
 		var fresh tombRanks
 		var keys []uint64
 		for i, d := range dels {
-			want := fresh.probe(w.r, d)
+			want := fresh.probe(e.r, d)
 			if got[i] != want {
 				t.Fatalf("version %d, tombstone %v: carried rank %d, fresh %d", v, d, got[i], want)
 			}
@@ -557,8 +721,8 @@ func TestTombstoneRanksCarryAcrossVersions(t *testing.T) {
 			}
 		}
 		slices.Sort(keys)
-		if !slices.Equal(w.tomb.keys, keys) {
-			t.Fatalf("version %d: keys %v, want %v", v, w.tomb.keys, keys)
+		if !slices.Equal(e.tomb.keys, keys) {
+			t.Fatalf("version %d: keys %v, want %v", v, e.tomb.keys, keys)
 		}
 	}
 	for v := 1; v <= len(all); v++ {
@@ -566,16 +730,16 @@ func TestTombstoneRanksCarryAcrossVersions(t *testing.T) {
 		slices.SortFunc(dels, cmpOPS)
 		check(v, dels)
 	}
-	if w.tomb.probes != len(all) {
-		t.Fatalf("%d versions of one new tombstone each cost %d probes, want %d", len(all), w.tomb.probes, len(all))
+	if e.tomb.probes != len(all) {
+		t.Fatalf("%d versions of one new tombstone each cost %d probes, want %d", len(all), e.tomb.probes, len(all))
 	}
 	for v := len(all) - 1; v >= 1; v -= 7 {
 		dels := slices.Clone(all[:v])
 		slices.SortFunc(dels, cmpOPS)
 		check(v, dels)
 	}
-	if w.tomb.probes != len(all) {
-		t.Fatalf("removing tombstones probed %d more", w.tomb.probes-len(all))
+	if e.tomb.probes != len(all) {
+		t.Fatalf("removing tombstones probed %d more", e.tomb.probes-len(all))
 	}
 }
 
@@ -631,6 +795,7 @@ func TestNegatedSetsRandom(t *testing.T) {
 		e := newEngine(g)
 		for _, expr := range []string{
 			"!pa", "!pa/pb", "(!pa)+", "!(pa|pb)*", "!^pb", "pa|!pb",
+			"!(pa|^pb)*", "pa/!pb",
 		} {
 			checkAgainstOracle(t, g, e, Variable, expr, Variable, Options{})
 			checkAgainstOracle(t, g, e, 3, expr, Variable, Options{})

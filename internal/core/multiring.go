@@ -20,8 +20,8 @@ type Edge struct {
 }
 
 // Delta is the seam through which the kernel sees a live-
-// update overlay: sorted adds (disjoint from the rings) and tombstones
-// (a subset of the rings' triples). *overlay.Overlay satisfies it; the
+// update overlay: sorted adds (disjoint from the ring) and tombstones
+// (a subset of the ring's triples). *overlay.Overlay satisfies it; the
 // returned slices are read-only views of an immutable version. The
 // kernel itself decides, per evaluation, whether a query needs the
 // delta at all (TouchesPred; see Engine.Eval).
@@ -47,7 +47,7 @@ type Delta interface {
 	DelsForPred(p uint32) int
 }
 
-// noDelta is the empty overlay static rings are traversed with.
+// noDelta is the empty overlay a static ring is traversed with.
 type noDelta struct{}
 
 func (noDelta) TouchesPred(uint32) bool              { return false }
@@ -61,56 +61,63 @@ func (noDelta) DeletedPS(_, _ uint32) int            { return 0 }
 func (noDelta) DelsForPred(uint32) int               { return 0 }
 
 // Engine is the traversal kernel: it evaluates 2RPQs over the union
-// graph rings ∪ adds − dels, where rings are K sub-rings over global id
-// spaces (one for the single-ring layout, the shards of a ring.ShardSet
-// otherwise) and the Delta is a live-update overlay or nothing. The
-// paper's setting — one static ring — is K = 1 with no delta
-// (NewEngine); ShardedEngine runs cross-shard expressions over K rings
-// with no delta, and a snapshot with live updates attaches its overlay
-// with SetDelta. One Engine serves both: an evaluation the attached
-// delta cannot affect runs exactly as it would with no delta (see
-// Eval).
+// graph ring ∪ adds − dels, where the Delta is a live-update overlay or
+// nothing. The paper's setting — one static ring — is the no-delta case
+// (NewEngine); a snapshot with live updates attaches its overlay with
+// SetDelta. One Engine serves both: an evaluation the attached delta
+// cannot affect runs exactly as it would with no delta (see Eval).
 //
 // The traversal is the paper's backward product-graph search (§4, see
-// the package comment), generalised in two ways that vanish at K = 1
-// with no delta:
+// the package comment), generalised in two ways that vanish with no
+// delta:
 //
-//   - each step unions the in-edges of the current object across every
-//     sub-ring and the overlay's sorted adds, and drops tombstoned
-//     static edges;
+//   - each step unions the in-edges of the current object in the ring
+//     with the overlay's sorted adds, and drops tombstoned static edges;
 //   - novelty is decided against one visited-state mask per node. A node
-//     of the rings' id space keeps it at its L_s leaf — the D[s] of
-//     §4.2, written identically to that leaf in every ring — so the
-//     internal D[v] marks of one ring only under-approximate it when
-//     other rings or adds reach the node too; they prune subtrees and
-//     the leaf decides, so the visited product subgraph is exactly G'_E
-//     of the union graph. Only overlay-only nodes (ids beyond the rings'
-//     node space) need an array of their own.
+//     of the ring's id space keeps it at its L_s leaf — the D[s] of
+//     §4.2 — whose internal D[v] marks only under-approximate it when
+//     adds reach the node too; they prune subtrees and the leaf decides,
+//     so the visited product subgraph is exactly G'_E of the union
+//     graph. Only overlay-only nodes (ids beyond the ring's node space)
+//     need an array of their own.
 //
 // An Engine owns reusable working arrays and runs an evaluation on its
 // caller's goroutine, so it must not be used concurrently; build one
 // per worker.
 type Engine struct {
-	ids      glushkov.SymbolIDs
-	numPreds uint32 // completed alphabet size
-	work     []*ringWork
-	memo     compileMemo
+	ids  glushkov.SymbolIDs
+	r    *ring.Ring
+	memo compileMemo
+
+	// dNode holds the D[v] marks of §4.2 over L_s's wavelet nodes, and
+	// lsPads L_s's padding nodes, pre-marked by markPads.
+	dNode  *lazy.MaskArray
+	lsPads []wavelet.NodeID
+	// bArr is the active expression's immutable B[v] array over L_p
+	// (§4.1), owned by its compile memo entry and installed by prepare.
+	bArr []uint64
+	// tomb carries the tombstones' leaf ranks under their subjects
+	// across overlay versions: the batched part 2 drops fully-tombstoned
+	// leaf items (see tombRanks).
+	tomb tombRanks
+	// deferred holds the L_s tails, with their state masks, that part2
+	// put off until the frontier runs dry (see resumeDeferred).
+	deferred []wavelet.RangeMask
 
 	// delta is the attached overlay version (noDelta{} for none) and
-	// snapNodes ≥ ringNodes its snapshot's node space, covering overlay
-	// adds; both are set by SetDelta. ringNodes is the node-id space
-	// every ring covers (sub-rings share one).
-	delta                Delta
-	ringNodes, snapNodes int
+	// snapNodes ≥ r.NumNodes its snapshot's node space, covering overlay
+	// adds; both are set by SetDelta.
+	delta     Delta
+	snapNodes int
 	// ov and numNodes are what the current evaluation traverses: delta
-	// and snapNodes, or no delta and ringNodes when the delta cannot
+	// and snapNodes, or no delta and r.NumNodes when the delta cannot
 	// affect the query (see Eval).
 	ov       Delta
 	numNodes int
 
 	pairs pairSet // fast-path result dedup (see multiring_fast.go)
 	// visited holds the visited-state masks of the ids in
-	// [ringNodes, numNodes); empty without a delta.
+	// [r.NumNodes, numNodes); empty without a delta.
 	visited *lazy.MaskArray
 	queue   []queueItem
 	level   []queueItem
@@ -135,9 +142,11 @@ type Engine struct {
 	noCompile bool
 
 	// st is the active expression's compiled stepper, installed by
-	// prepare alongside the per-ring bArr arrays.
+	// prepare alongside bArr.
 	st *glushkov.Stepper
 }
+
+var _ Evaluator = (*Engine)(nil)
 
 // queueItem is one frontier entry: a node and the automaton states it
 // was newly reached with.
@@ -146,53 +155,17 @@ type queueItem struct {
 	d    uint64
 }
 
-// ringWork holds the per-sub-ring pruning arrays (the B[v]/D[v] masks
-// of §4.1–4.2, one pair per ring because wavelet node ids are
-// ring-local).
-type ringWork struct {
-	r      *ring.Ring
-	dNode  *lazy.MaskArray
-	lsPads []wavelet.NodeID
-
-	// bArr is the active expression's immutable B[v] array for this
-	// ring, owned by its compile memo entry and installed by prepare.
-	bArr []uint64
-
-	// tomb carries the tombstones' leaf ranks under their subjects
-	// across overlay versions: the batched part 2 drops fully-tombstoned
-	// leaf items (see tombRanks).
-	tomb tombRanks
-
-	// deferred holds the L_s tails, with their state masks, that part2
-	// put off until the frontier runs dry (see resumeDeferred).
-	deferred []wavelet.RangeMask
-}
-
-// NewEngine builds the kernel over the single ring r — the paper's
-// setting. The ids function resolves predicate occurrences of query
-// expressions to completed predicate ids (e.g. triples.Graph.PredID).
+// NewEngine builds the kernel over the ring r — the paper's setting.
+// The ids function resolves predicate occurrences of query expressions
+// to completed predicate ids (e.g. triples.Graph.PredID). It starts
+// with no overlay and the ring's own node space; SetDelta changes both.
 func NewEngine(r *ring.Ring, ids glushkov.SymbolIDs) *Engine {
-	return NewMultiRing([]*ring.Ring{r}, ids, r.NumPreds)
-}
-
-// NewMultiRing builds the kernel over rings (sub-rings over global id
-// spaces; numPreds is the completed predicate count). It starts with no
-// overlay and the rings' own node space; SetDelta changes both.
-func NewMultiRing(rings []*ring.Ring, ids glushkov.SymbolIDs, numPreds uint32) *Engine {
-	e := &Engine{ids: ids, numPreds: numPreds,
-		memo: compileMemo{ids: ids, numPreds: numPreds}, visited: lazy.NewMaskArray(0)}
-	for i, r := range rings {
-		e.work = append(e.work, &ringWork{
-			r:      r,
-			dNode:  lazy.NewMaskArray(r.Ls.NumNodes()),
-			lsPads: r.Ls.PadNodes(),
-		})
-		e.memo.lps = append(e.memo.lps, r.Lp)
-		if i == 0 || r.NumNodes < e.ringNodes {
-			e.ringNodes = r.NumNodes
-		}
-	}
-	e.SetDelta(nil, e.ringNodes)
+	e := &Engine{ids: ids, r: r,
+		memo:    compileMemo{ids: ids, numPreds: r.NumPreds, lp: r.Lp},
+		dNode:   lazy.NewMaskArray(r.Ls.NumNodes()),
+		lsPads:  r.Ls.PadNodes(),
+		visited: lazy.NewMaskArray(0)}
+	e.SetDelta(nil, r.NumNodes)
 	return e
 }
 
@@ -205,21 +178,18 @@ func (e *Engine) SetDelta(ov Delta, numNodes int) {
 		ov = noDelta{}
 	}
 	e.delta, e.snapNodes = ov, numNodes
-	if e.visited.Len() < numNodes-e.ringNodes {
-		e.visited = lazy.NewMaskArray(numNodes - e.ringNodes)
+	if e.visited.Len() < numNodes-e.r.NumNodes {
+		e.visited = lazy.NewMaskArray(numNodes - e.r.NumNodes)
 	}
 }
 
 // WorkingSizeBytes reports the per-query working-array footprint (the
 // paper's "array D uses 3.09 extra bytes per triple" accounting): the
-// D[v] array of every ring, plus the visited masks of overlay-only
-// nodes when a delta brought any. The B[v] arrays are per expression
-// and live in the compile memo, not here.
+// D[v] array, plus the visited masks of overlay-only nodes when a delta
+// brought any. The B[v] arrays are per expression and live in the
+// compile memo, not here.
 func (e *Engine) WorkingSizeBytes() int {
-	n := 0
-	for _, w := range e.work {
-		n += w.dNode.SizeBytes()
-	}
+	n := e.dNode.SizeBytes()
 	if e.visited.Len() > 0 {
 		n += e.visited.SizeBytes()
 	}
@@ -228,18 +198,18 @@ func (e *Engine) WorkingSizeBytes() int {
 
 // deltaIrrelevant reports whether the attached delta cannot change
 // expr's answer, so that the evaluation may run with no delta over the
-// rings' node space, exactly as on a clean snapshot: the automaton has
+// ring's node space, exactly as on a clean snapshot: the automaton has
 // no symbol classes (they read every predicate), no add or tombstone
 // carries one of its predicates, and nullability cannot relate
-// overlay-only nodes (ids beyond the rings) to themselves. An empty
-// delta over the rings' own node space is irrelevant to every query,
+// overlay-only nodes (ids beyond the ring) to themselves. An empty
+// delta over the ring's own node space is irrelevant to every query,
 // which spares a clean snapshot the automaton lookup.
 func (e *Engine) deltaIrrelevant(expr pathexpr.Node) bool {
-	if e.snapNodes == e.ringNodes && len(e.delta.Adds()) == 0 && len(e.delta.Dels()) == 0 {
+	if e.snapNodes == e.r.NumNodes && len(e.delta.Adds()) == 0 && len(e.delta.Dels()) == 0 {
 		return true
 	}
 	a := e.memo.lookup(expr).a
-	if a.HasClasses() || a.Nullable && e.snapNodes > e.ringNodes {
+	if a.HasClasses() || a.Nullable && e.snapNodes > e.r.NumNodes {
 		return false
 	}
 	for _, c := range a.Syms {
@@ -263,14 +233,14 @@ func (e *Engine) compile(expr pathexpr.Node) *compiledAutomaton {
 //
 // With a delta attached, Eval first decides whether the query needs it
 // (deltaIrrelevant). If not, this one evaluation runs with no delta
-// over the rings' node space — the same traversal, and the same Stats,
+// over the ring's node space — the same traversal, and the same Stats,
 // as an engine that never had a delta — and the attached delta, with
 // its carried tombstone ranks, stays in place for the next one.
 func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error) {
 	opts = FoldContext(ctx, opts)
 	e.ov, e.numNodes = e.delta, e.snapNodes
 	if e.deltaIrrelevant(q.Expr) {
-		e.ov, e.numNodes = noDelta{}, e.ringNodes
+		e.ov, e.numNodes = noDelta{}, e.r.NumNodes
 	}
 	e.stats = Stats{}
 	e.steps = 0
@@ -327,11 +297,9 @@ func (e *Engine) dispatch(q Query, opts Options) error {
 // release resets every per-query working array in O(1).
 func (e *Engine) release() {
 	e.visited.Reset()
-	for _, w := range e.work {
-		w.dNode.Reset()
-		w.bArr = nil
-		w.deferred = w.deferred[:0]
-	}
+	e.dNode.Reset()
+	e.bArr = nil
+	e.deferred = e.deferred[:0]
 	e.installment = 0
 	e.queue = e.queue[:0]
 	e.level = e.level[:0]
@@ -339,25 +307,23 @@ func (e *Engine) release() {
 	e.st = nil
 }
 
-// prepare installs c's compiled stepper and per-ring B[v] arrays (built
-// by the memo on the expression's first evaluation) for one evaluation.
+// prepare installs c's compiled stepper and B[v] array (built by the
+// memo on the expression's first evaluation) for one evaluation.
 func (e *Engine) prepare(c *compiledAutomaton) {
 	if e.wide(c) {
 		return // the multiword fallback keeps its own state
 	}
 	e.st = c.st
-	for i, w := range e.work {
-		w.bArr = c.bArrs[i]
-		w.markPads()
-	}
+	e.bArr = c.bArr
+	e.markPads()
 }
 
 // markPads pre-marks the padding subtrees of L_s as visited with every
 // state, so that the bottom-up intersection marks are not blocked by
 // leaves that cannot occur.
-func (w *ringWork) markPads() {
-	for _, id := range w.lsPads {
-		w.dNode.Set(int(id), ^uint64(0))
+func (e *Engine) markPads() {
+	for _, id := range e.lsPads {
+		e.dNode.Set(int(id), ^uint64(0))
 	}
 }
 
@@ -366,36 +332,29 @@ func (w *ringWork) markPads() {
 // from node o holding the final states.
 func (e *Engine) start(eng *glushkov.Engine, o uint32) {
 	e.visited.Reset()
-	for _, w := range e.work {
-		w.dNode.Reset()
-		w.markPads()
-	}
+	e.dNode.Reset()
+	e.markPads()
 	e.markNode(o, eng.F)
 	e.queue = append(e.queue[:0], queueItem{o, eng.F})
 }
 
 // seen returns the states node s has been visited with (§4.2's D[s]):
-// its L_s leaf mark — the same in every ring, so the first ring's is
-// read — or, for an overlay-only node, its slot of visited.
+// its L_s leaf mark or, for an overlay-only node, its slot of visited.
 func (e *Engine) seen(s uint32) uint64 {
-	if int(s) < e.ringNodes {
-		w := e.work[0]
-		return w.dNode.Get(int(w.r.Ls.LeafID(s)))
+	if int(s) < e.r.NumNodes {
+		return e.dNode.Get(int(e.r.Ls.LeafID(s)))
 	}
-	return e.visited.Get(int(s) - e.ringNodes)
+	return e.visited.Get(int(s) - e.r.NumNodes)
 }
 
 // markNode records that node s was visited with states d at its L_s
-// leaf in every sub-ring, or in visited for an overlay-only node.
+// leaf, or in visited for an overlay-only node.
 func (e *Engine) markNode(s uint32, d uint64) {
-	if int(s) >= e.ringNodes {
-		e.visited.Or(int(s)-e.ringNodes, d)
+	if int(s) >= e.r.NumNodes {
+		e.visited.Or(int(s)-e.r.NumNodes, d)
+		return
 	}
-	for _, w := range e.work {
-		if int(s) < w.r.NumNodes {
-			markSubjectOn(w.dNode, w.r.Ls.LeafID(s), d)
-		}
-	}
+	markSubjectOn(e.dNode, e.r.Ls.LeafID(s), d)
 }
 
 // markSubjectOn records on d that the subject at leaf has been visited
@@ -438,10 +397,8 @@ func (e *Engine) arrive(eng *glushkov.Engine, s uint32, d2, newStates uint64, em
 // hasInEdges reports whether node s has any union in-edge: enqueueing
 // sink nodes would only grow the frontier sorts.
 func (e *Engine) hasInEdges(s uint32) bool {
-	for _, w := range e.work {
-		if int(s) < w.r.NumNodes && w.r.Co[s+1] > w.r.Co[s] {
-			return true
-		}
+	if int(s) < e.r.NumNodes && e.r.Co[s+1] > e.r.Co[s] {
+		return true
 	}
 	return len(e.ov.AddsInto(s)) > 0
 }
@@ -490,16 +447,11 @@ func (e *Engine) expand(eng *glushkov.Engine, o uint32, d uint64, emit EmitFunc)
 	if err := e.checkDeadline(); err != nil {
 		return err
 	}
-	for _, w := range e.work {
-		if int(o) >= w.r.NumNodes {
-			continue
-		}
-		b, end := w.r.ObjectRange(o)
-		if b == end {
-			continue
-		}
-		if err := e.ringStep(eng, w, int64(o), b, end, d, emit); err != nil {
-			return err
+	if int(o) < e.r.NumNodes {
+		if b, end := e.r.ObjectRange(o); b < end {
+			if err := e.ringStep(eng, int64(o), b, end, d, emit); err != nil {
+				return err
+			}
 		}
 	}
 	return e.addsStep(eng, e.ov.AddsInto(o), d, emit)
@@ -530,15 +482,15 @@ func (e *Engine) addsStep(eng *glushkov.Engine, adds []Edge, d uint64, emit Emit
 	return nil
 }
 
-// ringStep is part 1 of §4 over one sub-ring: find the distinct
+// ringStep is part 1 of §4 over the ring: find the distinct
 // predicates of L_p[b, end) leading to an active state, pruned by the
 // aggregated B[v] masks, then map each through backward search to its
 // L_s subject range (part 2).
-func (e *Engine) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end int, d uint64, emit EmitFunc) error {
+func (e *Engine) ringStep(eng *glushkov.Engine, o int64, b, end int, d uint64, emit EmitFunc) error {
 	negFwd, negInv := eng.NegClassBits()
-	half := e.numPreds / 2
+	half := e.r.NumPreds / 2
 	var failure error
-	w.r.Lp.Traverse(b, end, func(node wavelet.NodeID, leaf bool, p uint32, rb, re int, full bool) bool {
+	e.r.Lp.Traverse(b, end, func(node wavelet.NodeID, leaf bool, p uint32, rb, re int, full bool) bool {
 		if failure != nil {
 			return false
 		}
@@ -548,13 +500,13 @@ func (e *Engine) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end int
 			// to an active state (Fact 1 via the aggregated B[v]);
 			// negated property sets may be reachable through any node
 			// covering symbols of their half of the completed alphabet.
-			if d&w.bArr[node] != 0 {
+			if d&e.bArr[node] != 0 {
 				return true
 			}
 			if negFwd|negInv == 0 {
 				return false
 			}
-			lo, hi := w.r.Lp.SymRange(node)
+			lo, hi := e.r.Lp.SymRange(node)
 			var cb uint64
 			if lo < half {
 				cb |= negFwd
@@ -582,7 +534,7 @@ func (e *Engine) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end int
 		if d2 == 0 {
 			return true
 		}
-		failure = e.part2(eng, w, o, p, w.r.Cp[p]+rb, w.r.Cp[p]+re, d2, emit)
+		failure = e.part2(eng, o, p, e.r.Cp[p]+rb, e.r.Cp[p]+re, d2, emit)
 		return failure == nil
 	})
 	return failure
@@ -597,22 +549,22 @@ func (e *Engine) ringStep(eng *glushkov.Engine, w *ringWork, o int64, b, end int
 // A limited batched traversal descends a range of an exact object that
 // cannot report (d2 lacks the initial state) in installments: it keeps
 // the first e.installment positions and defers the rest, with d2, to
-// w.deferred, so that a hub's in-neighbours do not all enter the
+// e.deferred, so that a hub's in-neighbours do not all enter the
 // frontier before any of them is asked for a result (resumeDeferred).
-func (e *Engine) part2(eng *glushkov.Engine, w *ringWork, o int64, p uint32, b, end int, d2 uint64, emit EmitFunc) error {
+func (e *Engine) part2(eng *glushkov.Engine, o int64, p uint32, b, end int, d2 uint64, emit EmitFunc) error {
 	if o >= 0 && e.installment > 0 && d2&eng.Init == 0 && end-b > e.installment {
-		w.deferred = append(w.deferred, wavelet.RangeMask{B: b + e.installment, E: end, Mask: d2})
+		e.deferred = append(e.deferred, wavelet.RangeMask{B: b + e.installment, E: end, Mask: d2})
 		end = b + e.installment
 	}
 	checkDels := e.ov.DelsForPred(p) > 0
 	var failure error
-	w.r.Ls.Traverse(b, end, func(node wavelet.NodeID, leaf bool, s uint32, rb, re int, full bool) bool {
+	e.r.Ls.Traverse(b, end, func(node wavelet.NodeID, leaf bool, s uint32, rb, re int, full bool) bool {
 		if failure != nil {
 			return false
 		}
 		e.stats.WaveletVisits++
 		e.stats.SubjectVisits++
-		newStates := d2 &^ (w.dNode.Get(int(node)) | e.base)
+		newStates := d2 &^ (e.dNode.Get(int(node)) | e.base)
 		if !leaf {
 			// Prune subtrees all of whose subjects were already visited
 			// with every state in d2.
@@ -708,7 +660,7 @@ func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32) error {
 // constrained traversal per candidate (§4.4's two-phase strategy).
 // The orientation is chosen by boundary-predicate cardinality: start
 // from the end whose first backward scan selects fewer triples (§5),
-// counting overlay adds alongside the rings.
+// counting overlay adds alongside the ring.
 func (e *Engine) evalBothVar(expr pathexpr.Node) error {
 	a := e.memo.lookup(expr).a
 	nullable := a.Nullable
@@ -774,7 +726,7 @@ func (e *Engine) evalBothVar(expr pathexpr.Node) error {
 }
 
 // fullRangeSources finds all nodes that can start a path matching expr
-// towards some node: one step over every ring's complete L_p range and
+// towards some node: one step over the ring's complete L_p range and
 // every overlay add, then the ordinary traversal (§4.4).
 func (e *Engine) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
 	c := e.compile(expr)
@@ -787,10 +739,8 @@ func (e *Engine) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
 	// States in F (minus the initial state, which must stay reportable)
 	// count as already visited everywhere.
 	e.base = eng.F &^ eng.Init
-	for _, w := range e.work {
-		if err := e.ringStep(eng, w, -1, 0, w.r.N, eng.F, emit); err != nil {
-			return err
-		}
+	if err := e.ringStep(eng, -1, 0, e.r.N, eng.F, emit); err != nil {
+		return err
 	}
 	if err := e.addsStep(eng, e.ov.Adds(), eng.F, emit); err != nil {
 		return err
@@ -800,7 +750,7 @@ func (e *Engine) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
 
 // startFromObjects decides the phase-1 orientation of a v→v query
 // (§5: start from the end whose boundary predicates select fewer
-// triples), counting both the static rings and the overlay adds.
+// triples), counting both the static ring and the overlay adds.
 func (e *Engine) startFromObjects(a *glushkov.Automaton) bool {
 	count := func(positions []int32) int {
 		total := 0
@@ -809,10 +759,7 @@ func (e *Engine) startFromObjects(a *glushkov.Automaton) bool {
 			if c == glushkov.NoSymbol {
 				continue
 			}
-			for _, w := range e.work {
-				total += w.r.Cp[c+1] - w.r.Cp[c]
-			}
-			total += len(e.ov.AddsByPred(c))
+			total += e.r.Cp[c+1] - e.r.Cp[c] + len(e.ov.AddsByPred(c))
 		}
 		return total
 	}

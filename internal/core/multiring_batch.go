@@ -11,12 +11,12 @@ import (
 )
 
 // The level loop of the frontier-batched traversal (see batch.go for the
-// batched step itself): one multi-range wavelet descent per ring per
-// level. Each level runs two passes:
+// batched step itself): one multi-range wavelet descent per level.
+// Each level runs two passes:
 //
-//   - batched (per ring): stepMany over the level's coalesced L_p
-//     ranges. Tombstones are handled exactly at the part-2 leaves: per
-//     ring, each tombstone's leaf rank under its subject is probed once
+//   - batched: stepMany over the level's coalesced L_p ranges.
+//     Tombstones are handled exactly at the part-2 leaves: each
+//     tombstone's leaf rank under its subject is probed once
 //     and carried across overlay versions (tombRanks), and a leaf drops
 //     the items whose occurrences of the subject are all tombstoned —
 //     no per-leaf deletion probes and, crucially, no fragmentation of
@@ -28,7 +28,7 @@ import (
 // Both passes share the per-node visited masks, so the visited product
 // subgraph is exactly the one the item-at-a-time traversal explores.
 
-// tombRanks carries one ring's tombstone leaf ranks from overlay
+// tombRanks carries the ring's tombstone leaf ranks from overlay
 // version to overlay version. A tombstone (s, p, o) occupies exactly
 // one position of its backward-search range in L_s, and its rank among
 // the occurrences of s there, Rank(s, lsB), depends on the ring alone:
@@ -136,19 +136,18 @@ func (t *tombRanks) leafMask(s uint32, its []wavelet.RangeMask) uint64 {
 	return all
 }
 
-// TombstoneRanks syncs ring k's carried tombstone ranks to the attached
+// TombstoneRanks syncs the carried tombstone ranks to the attached
 // delta and returns them aligned with its Dels(): each tombstone's leaf
 // rank under its subject, -1 for one not in the ring. The slice is the
 // kernel's own; it is for tests that hold the carried ranks to fresh
 // probes.
-func (e *Engine) TombstoneRanks(k int) []int {
+func (e *Engine) TombstoneRanks() []int {
 	dels := e.delta.Dels()
 	if len(dels) == 0 {
 		return nil
 	}
-	w := e.work[k]
-	w.tomb.sync(w.r, dels)
-	return w.tomb.ranks
+	e.tomb.sync(e.r, dels)
+	return e.tomb.ranks
 }
 
 // minInstallment is the fewest positions of a non-reporting part-2
@@ -173,13 +172,8 @@ func (e *Engine) bfsBatched(eng *glushkov.Engine, emit EmitFunc) error {
 			// discoveries queue up in the previous level's.
 			level = mergeFrontier(e.queue)
 			e.queue, e.level = e.level[:0], level
-		} else {
-			for _, w := range e.work {
-				deferred += len(w.deferred)
-			}
-			if deferred == 0 {
-				return nil
-			}
+		} else if deferred = len(e.deferred); deferred == 0 {
+			return nil
 		}
 		if err := e.checkDeadline(); err != nil {
 			return err
@@ -203,27 +197,19 @@ func (e *Engine) bfsBatched(eng *glushkov.Engine, emit EmitFunc) error {
 	}
 }
 
-// resumeDeferred descends every ring's deferred part-2 tails as one
-// batched part 2 (part2Many, so splitOwed, the deadline probes and the
+// resumeDeferred descends the deferred part-2 tails as one batched
+// part 2 (part2Many, so splitOwed, the deadline probes and the
 // tombstone ranks apply as in any batched level). A tail is a
 // sub-range of one object's backward-search range, so tails are
 // disjoint unless one object was expanded twice, and then they
 // coincide; sorted by position they are valid items.
 func (e *Engine) resumeDeferred(eng *glushkov.Engine, emit EmitFunc) error {
-	for _, w := range e.work {
-		if len(w.deferred) == 0 {
-			continue
-		}
-		slices.SortFunc(w.deferred, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
-		// part2Many defers nothing (only part2 does), so the list is free
-		// to reuse once it returns.
-		err := e.part2Many(eng, w, w.deferred, emit)
-		w.deferred = w.deferred[:0]
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	slices.SortFunc(e.deferred, func(a, b wavelet.RangeMask) int { return cmp.Compare(a.B, b.B) })
+	// part2Many defers nothing (only part2 does), so the list is free to
+	// reuse once it returns.
+	err := e.part2Many(eng, e.deferred, emit)
+	e.deferred = e.deferred[:0]
+	return err
 }
 
 // expandLevel expands one sorted, deduplicated level: item at a time
@@ -237,11 +223,9 @@ func (e *Engine) expandLevel(eng *glushkov.Engine, level []queueItem, emit EmitF
 		}
 		return nil
 	}
-	for _, w := range e.work {
-		e.lpItems = appendRangeItems(e.lpItems[:0], w.r, level)
-		if err := e.stepMany(eng, w, e.lpItems, emit); err != nil {
-			return err
-		}
+	e.lpItems = appendRangeItems(e.lpItems[:0], e.r, level)
+	if err := e.stepMany(eng, e.lpItems, emit); err != nil {
+		return err
 	}
 	// Overlay adds entering the frontier (both sorted by object: a
 	// linear merge instead of per-node binary searches).

@@ -10,7 +10,7 @@ import (
 // of wavelet trees", for the frequent join-like v→v shapes: a single
 // predicate (v p v, v ^p v), an alternation of predicates, or a
 // two-symbol concatenation (v p1/p2 v, v p1/^p2 v, …). The answer is a
-// direct scan — pred-range extraction per sub-ring (minus tombstones)
+// direct scan — pred-range extraction from the ring (minus tombstones)
 // unioned with the overlay's predicate-major adds — instead of a
 // generic product-graph traversal, which matters because these shapes
 // dominate real logs and produce the largest result sets.
@@ -34,8 +34,8 @@ func (e *Engine) tryFastPath(expr pathexpr.Node) (bool, error) {
 	// Pair dedup across branches (two predicates may connect the same
 	// pair) via the kernel-owned paged bitset (the paper uses a hash
 	// table): zero steady-state allocation. Within one branch pairs are
-	// distinct by construction — sub-rings partition the static triples
-	// and overlay adds are disjoint from them — so single-symbol
+	// distinct by construction — the ring's triples are a set and
+	// overlay adds are disjoint from them — so single-symbol
 	// expressions skip the probes entirely.
 	e.pairs.reset()
 	for _, sym := range syms {
@@ -50,12 +50,12 @@ func (e *Engine) tryFastPath(expr pathexpr.Node) (bool, error) {
 	return true, nil
 }
 
-// fastSingle emits every union pair (s, o) with (s, p, o) ∈ U: per
-// sub-ring, the distinct subjects of L_s[C_p[p], C_p[p+1]) each
+// fastSingle emits every union pair (s, o) with (s, p, o) ∈ U: the
+// distinct subjects of L_s[C_p[p], C_p[p+1]) each
 // backward-step their object range by p̂ to list their objects (§5),
 // tombstones dropped; then the overlay's adds for p.
 func (e *Engine) fastSingle(p uint32, dedup bool) error {
-	pInv := inversePred(p, e.numPreds)
+	pInv := inversePred(p, e.r.NumPreds)
 	checkDels := e.ov.DelsForPred(p) > 0
 	deliver := func(s, o uint32) error {
 		if (!dedup || e.pairs.add(s, o)) && !e.emit(s, o) {
@@ -63,12 +63,8 @@ func (e *Engine) fastSingle(p uint32, dedup bool) error {
 		}
 		return nil
 	}
-	for _, w := range e.work {
-		r := w.r
-		b, end := r.PredRange(p)
-		if b == end {
-			continue
-		}
+	r := e.r
+	if b, end := r.PredRange(p); b < end {
 		var failure error
 		r.Ls.Traverse(b, end, func(_ wavelet.NodeID, leaf bool, s uint32, _, _ int, _ bool) bool {
 			if failure != nil {
@@ -123,7 +119,8 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 	if !ok1 || !ok2 {
 		return nil
 	}
-	p1Inv, p2Inv := inversePred(p1, e.numPreds), inversePred(p2, e.numPreds)
+	r := e.r
+	p1Inv, p2Inv := inversePred(p1, r.NumPreds), inversePred(p2, r.NumPreds)
 	del1 := e.ov.DelsForPred(p1) > 0
 	del2 := e.ov.DelsForPred(p2) > 0
 	e.pairs.reset()
@@ -134,28 +131,23 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 			return err
 		}
 		srcs, dsts = srcs[:0], dsts[:0]
-		for _, w := range e.work {
-			if int(z) >= w.r.NumNodes {
-				continue
+		if int(z) < r.NumNodes {
+			if ob, oe := r.ObjectRange(z); ob < oe {
+				srcB, srcE := r.BackwardByPred(ob, oe, p1)
+				wavelet.RangeDistinct(r.Ls, srcB, srcE, func(s uint32, _, _ int) bool {
+					if !del1 || !e.ov.Deleted(Edge{S: s, P: p1, O: z}) {
+						srcs = append(srcs, s)
+					}
+					return true
+				})
+				dstB, dstE := r.BackwardByPred(ob, oe, p2Inv)
+				wavelet.RangeDistinct(r.Ls, dstB, dstE, func(o uint32, _, _ int) bool {
+					if !del2 || !e.ov.Deleted(Edge{S: z, P: p2, O: o}) {
+						dsts = append(dsts, o)
+					}
+					return true
+				})
 			}
-			ob, oe := w.r.ObjectRange(z)
-			if ob == oe {
-				continue
-			}
-			srcB, srcE := w.r.BackwardByPred(ob, oe, p1)
-			wavelet.RangeDistinct(w.r.Ls, srcB, srcE, func(s uint32, _, _ int) bool {
-				if !del1 || !e.ov.Deleted(Edge{S: s, P: p1, O: z}) {
-					srcs = append(srcs, s)
-				}
-				return true
-			})
-			dstB, dstE := w.r.BackwardByPred(ob, oe, p2Inv)
-			wavelet.RangeDistinct(w.r.Ls, dstB, dstE, func(o uint32, _, _ int) bool {
-				if !del2 || !e.ov.Deleted(Edge{S: z, P: p2, O: o}) {
-					dsts = append(dsts, o)
-				}
-				return true
-			})
 		}
 		// Overlay in-edges of z by p1 (sources) and out-edges by p2.
 		for _, ed := range e.ov.AddsByPredSubject(p1Inv, z) {
@@ -174,26 +166,24 @@ func (e *Engine) fastConcat2(s1, s2 pathexpr.Sym) error {
 		return nil
 	}
 
-	// Middle nodes: the static targets of p1 (the p̂1 block lives in
-	// exactly one sub-ring), then overlay targets not already seen.
+	// Middle nodes: the static targets of p1, then overlay targets not
+	// already seen.
 	addsP1 := e.ov.AddsByPred(p1)
 	var zSeen map[uint32]bool
 	if len(addsP1) > 0 {
 		zSeen = map[uint32]bool{}
 	}
 	var failure error
-	for _, w := range e.work {
-		b, end := w.r.PredRange(p1Inv)
-		wavelet.RangeDistinct(w.r.Ls, b, end, func(z uint32, _, _ int) bool {
-			if zSeen != nil {
-				zSeen[z] = true
-			}
-			failure = perMiddle(z)
-			return failure == nil
-		})
-		if failure != nil {
-			return failure
+	b, end := r.PredRange(p1Inv)
+	wavelet.RangeDistinct(r.Ls, b, end, func(z uint32, _, _ int) bool {
+		if zSeen != nil {
+			zSeen[z] = true
 		}
+		failure = perMiddle(z)
+		return failure == nil
+	})
+	if failure != nil {
+		return failure
 	}
 	for _, ed := range addsP1 {
 		if zSeen[ed.O] {

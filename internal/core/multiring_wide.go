@@ -36,7 +36,7 @@ type wideRun struct {
 // memo entry).
 func (e *Engine) newWideRun(c *compiledAutomaton, reach EmitFunc) *wideRun {
 	if c.wide == nil {
-		c.wide = glushkov.NewWideFor(c.a, e.numPreds)
+		c.wide = glushkov.NewWideFor(c.a, e.r.NumPreds)
 	}
 	return &wideRun{
 		e:       e,
@@ -86,19 +86,19 @@ func (r *wideRun) arrive(n uint32, d glushkov.Mask) error {
 	return nil
 }
 
-// ringStep is the multiword analogue of ringStep + part2 over one
-// sub-ring: part 1 enumerates all distinct predicates of L_p[b, end)
-// (no B[v] pruning) and filters by B[p]; part 2 enumerates the distinct
-// subjects of the predicate's L_s range, drops tombstoned edges exactly
-// as the narrow part2 (o < 0 marks the full-range phase), and dedups
-// against the visited map.
-func (r *wideRun) ringStep(w *ringWork, o int64, b, end int, d glushkov.Mask) error {
+// ringStep is the multiword analogue of ringStep + part2: part 1
+// enumerates all distinct predicates of L_p[b, end) (no B[v] pruning)
+// and filters by B[p]; part 2 enumerates the distinct subjects of the
+// predicate's L_s range, drops tombstoned edges exactly as the narrow
+// part2 (o < 0 marks the full-range phase), and dedups against the
+// visited map.
+func (r *wideRun) ringStep(o int64, b, end int, d glushkov.Mask) error {
 	e := r.e
 	if err := e.checkDeadline(); err != nil {
 		return err
 	}
 	var failure error
-	wavelet.RangeDistinct(w.r.Lp, b, end, func(p uint32, rb, re int) bool {
+	wavelet.RangeDistinct(e.r.Lp, b, end, func(p uint32, rb, re int) bool {
 		e.stats.WaveletVisits++
 		bp := r.wd.BFor(p)
 		if bp == nil || !d.Intersects(bp) {
@@ -110,8 +110,8 @@ func (r *wideRun) ringStep(w *ringWork, o int64, b, end int, d glushkov.Mask) er
 			return true
 		}
 		checkDels := e.ov.DelsForPred(p) > 0
-		cp := w.r.Cp[p]
-		wavelet.RangeDistinct(w.r.Ls, cp+rb, cp+re, func(s uint32, sb, se int) bool {
+		cp := e.r.Cp[p]
+		wavelet.RangeDistinct(e.r.Ls, cp+rb, cp+re, func(s uint32, sb, se int) bool {
 			e.stats.WaveletVisits++
 			e.stats.SubjectVisits++
 			if failure = e.checkDeadline(); failure != nil {
@@ -154,23 +154,18 @@ func (r *wideRun) addsStep(adds []Edge, d glushkov.Mask) error {
 }
 
 // drain expands the worklist to exhaustion, one (node, states) item at
-// a time: every ring's object range, then the overlay adds entering
-// the node.
+// a time: the node's object range in the ring, then the overlay adds
+// entering it.
 func (r *wideRun) drain() error {
 	for head := 0; head < len(r.queue); head++ {
 		n := r.queue[head]
 		d := r.pending[n]
 		delete(r.pending, n)
-		for _, w := range r.e.work {
-			if int(n) >= w.r.NumNodes {
-				continue
-			}
-			b, end := w.r.ObjectRange(n)
-			if b == end {
-				continue
-			}
-			if err := r.ringStep(w, int64(n), b, end, d); err != nil {
-				return err
+		if int(n) < r.e.r.NumNodes {
+			if b, end := r.e.r.ObjectRange(n); b < end {
+				if err := r.ringStep(int64(n), b, end, d); err != nil {
+					return err
+				}
 			}
 		}
 		if err := r.addsStep(r.e.ov.AddsInto(n), d); err != nil {
@@ -192,17 +187,15 @@ func (e *Engine) wideFrom(c *compiledAutomaton, o uint32, emit EmitFunc) error {
 }
 
 // wideFullRange is fullRangeSources beyond 64 states: one step over
-// every ring's complete L_p range and every overlay add with the final
+// the ring's complete L_p range and every overlay add with the final
 // states active and F minus the initial state pre-visited everywhere,
 // then the ordinary drain.
 func (e *Engine) wideFullRange(c *compiledAutomaton, emit EmitFunc) error {
 	run := e.newWideRun(c, emit)
 	run.base = run.wd.F.Clone()
 	run.base[0] &^= 1 // keep the initial state reportable
-	for _, w := range e.work {
-		if err := run.ringStep(w, -1, 0, w.r.N, run.wd.F); err != nil {
-			return err
-		}
+	if err := run.ringStep(-1, 0, e.r.N, run.wd.F); err != nil {
+		return err
 	}
 	if err := run.addsStep(e.ov.Adds(), run.wd.F); err != nil {
 		return err

@@ -6,16 +6,19 @@ import (
 	"ringrpq/internal/ring"
 )
 
-// Engine is a core.Engine over rings with an Overlay attached. It is
-// kept for the benchmark probe; everything else attaches an Overlay to
-// a core.Engine with SetDelta, and the kernel decides per query
-// whether the overlay matters.
+// Engine is a core.Engine with an Overlay attached by SetSnapshot.
+// Everything but the benchmark module under bench/ attaches an Overlay
+// to a core.Engine with SetDelta; Engine stays only for that module's
+// probe, and it goes with that call (ROADMAP item 17).
 type Engine struct{ *core.Engine }
 
-// NewEngine builds the kernel over rings. The first argument is
-// ignored; it keeps the signature the benchmark probe calls.
-func NewEngine(_ core.Evaluator, rings []*ring.Ring, ids glushkov.SymbolIDs, numPreds uint32) *Engine {
-	return &Engine{core.NewMultiRing(rings, ids, numPreds)}
+// NewEngine builds core.NewEngine(rings[0], ids). The first and last
+// arguments are ignored, and rings must hold exactly one ring.
+func NewEngine(_ core.Evaluator, rings []*ring.Ring, ids glushkov.SymbolIDs, _ uint32) *Engine {
+	if len(rings) != 1 {
+		panic("overlay: NewEngine takes exactly one ring")
+	}
+	return &Engine{core.NewEngine(rings[0], ids)}
 }
 
 // SetSnapshot attaches ov, when not nil, with its snapshot's node space.

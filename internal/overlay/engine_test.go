@@ -11,6 +11,7 @@ import (
 
 	"ringrpq/internal/core"
 	"ringrpq/internal/enginetest"
+	"ringrpq/internal/glushkov"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/ring"
 	"ringrpq/internal/triples"
@@ -21,6 +22,7 @@ import (
 type scenario struct {
 	gStatic *triples.Graph // ring built from this
 	gMerged *triples.Graph // oracle evaluated over this
+	r       *ring.Ring
 	ov      *Overlay
 	nv      int // merged node universe (≥ static nodes)
 	np      int
@@ -32,7 +34,7 @@ type baseEdge struct{ s, p, o uint32 }
 // sequence of overlay batches (adds of the remainder plus deletions of
 // static edges, applied in several rounds with some churn), interning
 // identical names in identical order so ids agree across graphs.
-func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards int) (*scenario, *core.Engine) {
+func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int) (*scenario, *core.Engine) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -92,18 +94,8 @@ func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards 
 		gStatic.Nodes.Intern(fmt.Sprintf("n%03d", i))
 	}
 
-	rings := []*ring.Ring{ring.New(gStatic, ring.WaveletMatrix)}
-	if shards > 1 {
-		rings = ring.NewShardSet(gStatic, shards, nil, ring.WaveletMatrix).Shards
-	}
-	inStatic := func(e Edge) bool {
-		for _, r := range rings {
-			if r.Has(e.S, e.P, e.O) {
-				return true
-			}
-		}
-		return false
-	}
+	r := ring.New(gStatic, ring.WaveletMatrix)
+	inStatic := func(e Edge) bool { return r.Has(e.S, e.P, e.O) }
 
 	npc := uint32(np)
 	complete := func(es []baseEdge) []Edge {
@@ -165,10 +157,13 @@ func buildScenario(t *testing.T, seed int64, nv, np, ne, extraNodes int, shards 
 	}
 	gMerged := mb.Build()
 
-	ids := func(s pathexpr.Sym) (uint32, bool) { return gStatic.PredID(s.Name, s.Inverse) }
-	eng := core.NewMultiRing(rings, ids, gStatic.NumCompletedPreds())
+	eng := core.NewEngine(r, idsOf(gStatic))
 	eng.SetDelta(ov, gStatic.NumNodes())
-	return &scenario{gStatic: gStatic, gMerged: gMerged, ov: ov, nv: total, np: np}, eng
+	return &scenario{gStatic: gStatic, gMerged: gMerged, r: r, ov: ov, nv: total, np: np}, eng
+}
+
+func idsOf(g *triples.Graph) glushkov.SymbolIDs {
+	return func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }
 }
 
 // runCase compares one evaluation against the oracle.
@@ -203,9 +198,14 @@ func runCase(t *testing.T, sc *scenario, eng *core.Engine, subject int64, expr p
 	}
 }
 
-func testDifferential(t *testing.T, shards int) {
+// TestUnionEngineDifferential checks the kernel with an overlay
+// attached, and the overlay engine the benchmark module builds over the
+// same ring and overlay, against the oracle over the merged graph.
+func TestUnionEngineDifferential(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		sc, eng := buildScenario(t, 100+seed, 14, 4, 40, 2, shards)
+		sc, eng := buildScenario(t, 100+seed, 14, 4, 40, 2)
+		probe := NewEngine(nil, []*ring.Ring{sc.r}, idsOf(sc.gStatic), sc.gStatic.NumCompletedPreds())
+		probe.SetSnapshot(sc.ov, sc.gStatic.NumNodes())
 		rng := rand.New(rand.NewSource(999 + seed))
 		for q := 0; q < 30; q++ {
 			expr := enginetest.RandomExpr(rng, sc.np, 1+rng.Intn(3))
@@ -220,17 +220,15 @@ func testDifferential(t *testing.T, shards int) {
 				object = int64(rng.Intn(sc.nv))
 			}
 			runCase(t, sc, eng, subject, expr, object)
+			runCase(t, sc, probe.Engine, subject, expr, object)
 		}
 	}
 }
 
-func TestUnionEngineDifferential(t *testing.T)        { testDifferential(t, 1) }
-func TestUnionEngineDifferentialSharded(t *testing.T) { testDifferential(t, 3) }
-
 // TestUnionEngineWide drives the >64-state fallback: an expression with
 // 72 Glushkov positions over a small updated graph.
 func TestUnionEngineWide(t *testing.T) {
-	sc, eng := buildScenario(t, 7, 10, 4, 25, 1, 1)
+	sc, eng := buildScenario(t, 7, 10, 4, 25, 1)
 	alt := pathexpr.Node(pathexpr.Sym{Name: "pa"})
 	for _, n := range []string{"pb", "pc", "pd"} {
 		alt = pathexpr.Alt{L: alt, R: pathexpr.Sym{Name: n}}
@@ -339,7 +337,7 @@ func TestUnionEngineDelegates(t *testing.T) {
 
 // TestUnionEngineLimitTimeout checks option handling parity.
 func TestUnionEngineLimitTimeout(t *testing.T) {
-	sc, eng := buildScenario(t, 11, 14, 4, 50, 1, 1)
+	sc, eng := buildScenario(t, 11, 14, 4, 50, 1)
 	expr := pathexpr.Star{X: pathexpr.Sym{Name: "pa"}}
 	n := 0
 	_, err := eng.Eval(context.Background(), core.Query{Subject: core.Variable, Expr: expr, Object: core.Variable},
@@ -354,7 +352,7 @@ func TestUnionEngineLimitTimeout(t *testing.T) {
 // traversal inside its per-edge/per-leaf loops — ring descents and
 // overlay merges alike — in every mode and stepping tier.
 func TestUnionEngineTimeoutProbedInInnerLoops(t *testing.T) {
-	_, eng := buildScenario(t, 21, 150, 2, 1800, 100, 1)
+	_, eng := buildScenario(t, 21, 150, 2, 1800, 100)
 	expr := pathexpr.MustParse("(pa|pb)+")
 	q := core.Query{Subject: core.Variable, Expr: expr, Object: core.Variable}
 	for _, opts := range []core.Options{

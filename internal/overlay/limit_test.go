@@ -21,17 +21,14 @@ type limitArm struct {
 	opts core.Options
 }
 
-// staticArms are the kernel's option arms over g plus a 3-shard engine.
+// staticArms are the kernel's option arms over g.
 func staticArms(g *triples.Graph) []limitArm {
-	ids := func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }
-	eng := core.NewEngine(ring.New(g, ring.WaveletMatrix), ids)
-	sharded := core.NewShardedEngine(ring.NewShardSet(g, 3, nil, ring.WaveletMatrix), ids)
+	eng := core.NewEngine(ring.New(g, ring.WaveletMatrix), idsOf(g))
 	return []limitArm{
 		{"default", eng, core.Options{}},
 		{"unbatched", eng, core.Options{DisableBatching: true}},
 		{"nofast", eng, core.Options{DisableFastPaths: true}},
 		{"interpreted", eng, core.Options{DisableCompiled: true}},
-		{"sharded3", sharded, core.Options{}},
 	}
 }
 
@@ -103,8 +100,8 @@ func checkLimits(t *testing.T, g *triples.Graph, arms []limitArm, queries []core
 }
 
 // TestLimitProperty: whatever order the traversal puts its work in under
-// Options.Limit, every arm — each kernel option, a 3-shard engine and
-// an overlay with adds and tombstones — returns exactly
+// Options.Limit, every arm — each kernel option and an overlay with
+// adds and tombstones — returns exactly
 // min(limit, |answer|) distinct pairs of the oracle's answer, for
 // constant-object, constant-subject, nullable and non-nullable v→v
 // queries.
@@ -114,7 +111,7 @@ func TestLimitProperty(t *testing.T) {
 		np := 1 + rng.Intn(3)
 		g := enginetest.RandomGraph(seed, 6+rng.Intn(24), np, 20+rng.Intn(150))
 		arms := staticArms(g)
-		sc, ov := buildScenario(t, 300+seed, 8+int(seed), 3, 90, 2, 1)
+		sc, ov := buildScenario(t, 300+seed, 8+int(seed), 3, 90, 2)
 		ovArms := []limitArm{{"overlay", ov, core.Options{}}, {"overlay-unbatched", ov, core.Options{DisableBatching: true}}}
 		for trial := 0; trial < 3; trial++ {
 			expr := enginetest.RandomExpr(rng, np, 1+rng.Intn(3))
@@ -210,8 +207,8 @@ func starScenario(t *testing.T, shared bool) (*triples.Graph, *triples.Graph, *c
 // limited traversal (core's part2 and resumeDeferred) against the
 // oracle. In hubScenario the hub's pb in-range is longer than every
 // installment, and its tail holds tombstoned in-edges and nodes that
-// overlay adds enter. Every arm — batched and unbatched, one ring and
-// three shards, static and with the overlay — must return
+// overlay adds enter. Every arm — batched and unbatched, static and
+// with the overlay — must return
 // min(limit, |answer|) distinct pairs of the answer. The constant-
 // endpoint answers are shorter than the largest limit, so that limit
 // returns them whole only if every deferred tail was resumed.
@@ -252,8 +249,7 @@ const hubInstallment = 125
 // thirteenth y_i → x_i, and adds pa edges into every eleventh x_i and
 // pb/pa edges hub ← z_k ← w_k (k < 80), from nodes interned after the
 // build. It returns the static graph, the merged graph and the union
-// kernel over one ring and over three shards, each batched and
-// unbatched.
+// kernel, batched and unbatched.
 func hubScenario(t *testing.T) (*triples.Graph, *triples.Graph, []limitArm) {
 	t.Helper()
 	type edge struct{ s, p, o string }
@@ -334,27 +330,12 @@ func hubScenario(t *testing.T) (*triples.Graph, *triples.Graph, []limitArm) {
 		}
 		return out
 	}
-	ids := func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) }
-	var arms []limitArm
-	for _, shards := range []int{1, 3} {
-		rings := []*ring.Ring{ring.New(g, ring.WaveletMatrix)}
-		if shards > 1 {
-			rings = ring.NewShardSet(g, shards, nil, ring.WaveletMatrix).Shards
-		}
-		inStatic := func(e Edge) bool {
-			for _, r := range rings {
-				if r.Has(e.S, e.P, e.O) {
-					return true
-				}
-			}
-			return false
-		}
-		ov := New().Apply(1, complete(adds), complete(dels), inStatic)
-		eng := core.NewMultiRing(rings, ids, g.NumCompletedPreds())
-		eng.SetDelta(ov, g.NumNodes())
-		name := fmt.Sprintf("overlay-%dring", shards)
-		arms = append(arms, limitArm{name, eng, core.Options{}},
-			limitArm{name + "-unbatched", eng, core.Options{DisableBatching: true}})
+	r := ring.New(g, ring.WaveletMatrix)
+	ov := New().Apply(1, complete(adds), complete(dels), func(e Edge) bool { return r.Has(e.S, e.P, e.O) })
+	eng := core.NewEngine(r, idsOf(g))
+	eng.SetDelta(ov, g.NumNodes())
+	return g, merged, []limitArm{
+		{"overlay", eng, core.Options{}},
+		{"overlay-unbatched", eng, core.Options{DisableBatching: true}},
 	}
-	return g, merged, arms
 }

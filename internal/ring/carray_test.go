@@ -2,7 +2,6 @@ package ring
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -14,8 +13,8 @@ import (
 )
 
 // cArrayRings returns every kind of ring the C-array views must hold
-// on: built, decoded from a ring section (the rdb1 payload), the
-// sub-rings of a 3-shard set, and the edge shapes — no triples over an
+// on: built, decoded from a ring section (the rdb1 payload), and the
+// edge shapes — no triples over an
 // empty id space (where the wavelet builds σ 0 as σ 1, so its counts
 // are longer than the C array) and over a non-empty one, one node, one
 // predicate.
@@ -37,11 +36,6 @@ func cArrayRings(t *testing.T) map[string]*Ring {
 		t.Fatal(err)
 	}
 	out["decoded"] = dec
-
-	set := NewShardSet(g, 3, nil, WaveletMatrix)
-	for i := range set.Shards {
-		out[fmt.Sprintf("shard%d", i)] = set.Shards[i]
-	}
 
 	rng := rand.New(rand.NewSource(1))
 	for name, sh := range map[string]struct {

@@ -24,7 +24,7 @@ import (
 // Layout names the wavelet representation of the sequences. There is
 // one, WaveletMatrix, and New and NewShardSet accept it and ignore it:
 // the parameter stays only because the benchmark module under bench/
-// still passes it, and it goes once that module stops.
+// still passes it, and it goes with those calls (ROADMAP item 17).
 type Layout int
 
 // WaveletMatrix is the paper's implementation choice (§5), the only

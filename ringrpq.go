@@ -181,7 +181,7 @@ type Solution = service.Solution
 // QueryOption tunes one query.
 type QueryOption func(*core.Options)
 
-// WithLimit caps the number of solutions.
+// WithLimit caps the number of solutions; n ≤ 0 means no cap.
 func WithLimit(n int) QueryOption {
 	return func(o *core.Options) { o.Limit = n }
 }
@@ -193,12 +193,14 @@ func WithTimeout(d time.Duration) QueryOption {
 	return func(o *core.Options) { o.Timeout = d }
 }
 
-// options folds QueryOptions into a core.Options value.
+// options folds QueryOptions into a core.Options value. A negative
+// limit is no cap, as 0 is.
 func options(opts []QueryOption) core.Options {
 	var o core.Options
 	for _, opt := range opts {
 		opt(&o)
 	}
+	o.Limit = max(o.Limit, 0)
 	return o
 }
 

@@ -129,6 +129,29 @@ func TestLimitAndStreaming(t *testing.T) {
 	if len(sols) != 4 {
 		t.Fatalf("limit ignored: %d solutions", len(sols))
 	}
+
+	// A negative limit is no cap, on every read as on the Service's.
+	ctx := context.Background()
+	all, err := db.Query(ctx, "?x", "l1|l2", "?y")
+	if err != nil || len(all) < 2 {
+		t.Fatalf("unlimited read: %d solutions, err=%v", len(all), err)
+	}
+	if sols, err := db.Query(ctx, "?x", "l1|l2", "?y", WithLimit(-1)); err != nil || len(sols) != len(all) {
+		t.Fatalf("Query with limit -1: %d solutions, err=%v, want %d", len(sols), err, len(all))
+	}
+	_, rows, err := db.Select(ctx, "?x l1|l2 ?y")
+	if err != nil || len(rows) < 2 {
+		t.Fatalf("unlimited Select: %d rows, err=%v", len(rows), err)
+	}
+	if _, neg, err := db.Select(ctx, "?x l1|l2 ?y", WithLimit(-1)); err != nil || len(neg) != len(rows) {
+		t.Fatalf("Select with limit -1: %d rows, err=%v, want %d", len(neg), err, len(rows))
+	}
+	svc := NewService(db, ServiceConfig{})
+	defer svc.Close()
+	if sols, err := svc.Query(ctx, "?x", "l1|l2", "?y", WithLimit(-1)); err != nil || len(sols) != len(all) {
+		t.Fatalf("Service.Query with limit -1: %d solutions, err=%v, want %d", len(sols), err, len(all))
+	}
+
 	count := 0
 	err = db.QueryFunc(context.Background(), "?x", "(l1|l2|l5)*", "?y", func(Solution) bool {
 		count++
