@@ -52,7 +52,10 @@
 // returns a span trace of that request's evaluation under "profile";
 // -debug-addr :6060 serves net/http/pprof on a separate listener.
 //
-// Empty subject/object fields are variables. An absent limit applies
+// Empty subject/object fields are variables. A path expression (in
+// "expr", in a pattern, or in a subscription) may have at most 63
+// positions, a negated property set counting as one, and nest at most
+// 256 levels deep; a larger one is a 400. An absent limit applies
 // the -limit default; an explicit 0 asks for unlimited results, and
 // responses that fill their cap carry "limit_reached": true.
 // Evaluation timeouts are not errors: the response carries the

@@ -16,14 +16,18 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/serial"
+	"ringrpq/internal/standing"
 	"ringrpq/internal/wal"
 )
 
@@ -833,5 +837,69 @@ func TestDurableShardedCheckpointRejected(t *testing.T) {
 func TestDurableCheckpointUnknownLayoutTag(t *testing.T) {
 	if err := openTagged(t, 2); !strings.Contains(err.Error(), "layout tag 2") {
 		t.Fatalf("error %q does not name layout tag 2", err)
+	}
+}
+
+// TestDurableRecoveryDropsWideSubscription: a store written before
+// expressions were bounded may hold a subscription wider than the
+// engine. Recovery must open the store, drop that subscription with
+// recoverSub's note on stderr, and keep the other subscriptions
+// delivering.
+func TestDurableRecoveryDropsWideSubscription(t *testing.T) {
+	cfg := WALConfig{Dir: t.TempDir(), Fsync: "always"}
+	db, err := OpenDurable(cfg, buildCrashSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetCompactionThreshold(-1)
+	sub, err := db.Subscribe(SubscribeRequest{Expr: "p0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := strings.Repeat("p0?/", pathexpr.MaxPositions) + "p0"
+	if _, err := db.Subscribe(SubscribeRequest{Expr: wide}); err == nil {
+		t.Fatal("subscription past the position bound accepted")
+	}
+	// Log the wide registration as a tree without the bound did.
+	wideID := sub.ID() + 1
+	rec := standing.SubRecord{ID: wideID, Req: SubscribeRequest{Expr: wide}}
+	if err := db.h.wal.Load().appendSub(sub.StartVersion(), rec); err != nil {
+		t.Fatal(err)
+	}
+	sub.Detach()
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	stderr := os.Stderr
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = pw
+	db2, err := OpenDurable(cfg, buildCrashSeed)
+	os.Stderr = stderr
+	pw.Close()
+	note, _ := io.ReadAll(pr)
+	if err != nil {
+		t.Fatalf("store with a wide subscription does not open: %v", err)
+	}
+	defer db2.CloseWAL()
+	if want := fmt.Sprintf("recovery dropped subscription %d", wideID); !strings.Contains(string(note), want) {
+		t.Fatalf("stderr %q lacks %q", note, want)
+	}
+	if _, err := db2.ResumeSubscription(wideID, 0); !errors.Is(err, ErrUnknownSubscription) {
+		t.Fatalf("wide subscription survived recovery: %v", err)
+	}
+	r, err := db2.ResumeSubscription(sub.ID(), db2.DataVersion())
+	if err != nil {
+		t.Fatalf("resume narrow subscription: %v", err)
+	}
+	if _, err := db2.Apply(context.Background(), []Triple{{"a", "p0", "b"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	db2.SyncStanding()
+	if d, ok, err := r.TryNext(); !ok || err != nil || len(d.Added) != 1 {
+		t.Fatalf("delta after recovery = (%+v, %v, %v)", d, ok, err)
 	}
 }

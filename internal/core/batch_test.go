@@ -328,7 +328,7 @@ func steadyStateExprs() []pathexpr.Node {
 func warmCompiled(tb testing.TB, e *Engine, exprs []pathexpr.Node) {
 	tb.Helper()
 	for _, x := range exprs {
-		if ca := e.compile(x); ca.st == nil || ca.bArr == nil {
+		if ca, err := e.memo.get(x); err != nil || ca.st == nil || ca.bArr == nil {
 			tb.Fatal("first evaluation did not compile a stepper")
 		}
 	}
@@ -350,7 +350,7 @@ func BenchmarkCompiledStepperSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ca := e.compile(exprs[i%len(exprs)])
+		ca, _ := e.memo.get(exprs[i%len(exprs)])
 		if ca.st == nil || ca.bArr == nil {
 			b.Fatal("memo lost the compiled stepper")
 		}
@@ -364,7 +364,7 @@ func TestCompiledStepperSteadyStateAllocs(t *testing.T) {
 	warmCompiled(t, e, exprs)
 	i := 0
 	allocs := testing.AllocsPerRun(300, func() {
-		ca := e.compile(exprs[i%len(exprs)])
+		ca, _ := e.memo.get(exprs[i%len(exprs)])
 		i++
 		if ca.st == nil || ca.bArr == nil {
 			t.Fatal("memo lost the compiled stepper")

@@ -6,21 +6,16 @@ import (
 	"ringrpq/internal/wavelet"
 )
 
-// compiledAutomaton is one memoised Glushkov compilation; eng is nil
-// when the expression exceeds the 64-state bit-parallel engine and the
-// multiword fallback must be used. st and bArr are built by the first
-// evaluation of a narrow expression: from then on every evaluation
-// steps the compiled table against the expression's precomputed B[v]
-// array with zero per-eval setup.
+// compiledAutomaton is one memoised Glushkov compilation. st and bArr
+// are built by the expression's first evaluation: from then on every
+// evaluation steps the compiled table against the expression's
+// precomputed B[v] array with zero per-eval setup.
 type compiledAutomaton struct {
 	a   *glushkov.Automaton
 	eng *glushkov.Engine
 	st  *glushkov.Stepper
 	// bArr is the immutable B[v] array over the memo's L_p.
 	bArr []uint64
-	// wide is the multiword simulation, built on the first evaluation
-	// that needs it.
-	wide *glushkov.Wide
 }
 
 // maxCompiled bounds the per-engine compilation memo; on overflow the
@@ -47,37 +42,39 @@ type compileMemo struct {
 }
 
 // lookup returns expr's entry, building the automaton on first sight.
-func (m *compileMemo) lookup(expr pathexpr.Node) *compiledAutomaton {
+// It fails, memoising nothing, for an automaton wider than the engine's
+// one word: a tree built by hand past pathexpr.Parse's bound.
+func (m *compileMemo) lookup(expr pathexpr.Node) (*compiledAutomaton, error) {
 	kb := m.keyW.Key(expr)
-	c, ok := m.entries[string(kb)] // no-copy lookup
-	if !ok {
-		a := glushkov.Build(expr, m.ids)
-		eng, err := glushkov.NewEngineFor(a, m.numPreds)
-		if err != nil {
-			eng = nil // beyond 64 states: the multiword path
-		}
-		c = &compiledAutomaton{a: a, eng: eng}
-		if m.entries == nil || len(m.entries) >= maxCompiled {
-			m.entries = make(map[string]*compiledAutomaton, 16)
-		}
-		m.entries[string(kb)] = c
+	if c, ok := m.entries[string(kb)]; ok { // no-copy lookup
+		return c, nil
 	}
-	return c
+	a := glushkov.Build(expr, m.ids)
+	eng, err := glushkov.NewEngineFor(a, m.numPreds)
+	if err != nil {
+		return nil, err
+	}
+	c := &compiledAutomaton{a: a, eng: eng}
+	if m.entries == nil || len(m.entries) >= maxCompiled {
+		m.entries = make(map[string]*compiledAutomaton, 16)
+	}
+	m.entries[string(kb)] = c
+	return c, nil
 }
 
-// get is lookup for an evaluation: on a narrow expression's first
+// get is lookup for an evaluation: on the expression's first
 // evaluation it builds the compiled stepper and the B[v] array.
 // Compilation stays out of lookup because the engine also reads
 // automata it never runs: Eval's delegation check looks up the query's
 // expression, while a (s, E, y) query runs only its inverse.
-func (m *compileMemo) get(expr pathexpr.Node, noCompile bool) *compiledAutomaton {
-	c := m.lookup(expr)
-	if c.eng != nil && c.st == nil && !noCompile {
+func (m *compileMemo) get(expr pathexpr.Node) (*compiledAutomaton, error) {
+	c, err := m.lookup(expr)
+	if err == nil && c.st == nil {
 		st := glushkov.Compile(c.eng, m.numPreds)
 		c.st = &st
 		c.bArr = buildBArr(m.lp, c.eng)
 	}
-	return c
+	return c, err
 }
 
 // buildBArr precomputes the B[v] masks over the wavelet nodes of lp for

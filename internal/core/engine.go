@@ -20,7 +20,11 @@
 // product-graph search that the paper highlights.
 //
 // There is one implementation of that traversal, Engine (multiring*.go):
-// a kernel over one ring and an optional live-update Delta. The paper's
+// a kernel over one ring and an optional live-update Delta, stepping
+// one automaton simulation, the compiled 64-bit glushkov.Stepper. An
+// expression's width is bounded where it is parsed
+// (pathexpr.MaxPositions); a tree built by hand past that bound makes
+// Eval return an error wrapping pathexpr.ErrTooLarge. The paper's
 // static ring is its no-delta case (NewEngine); the overlay's union
 // graph is the same loop with a non-empty delta (SetDelta). The kernel
 // also decides, per query, whether an attached delta can change the
@@ -63,19 +67,21 @@ type Options struct {
 	// Timeout bounds wall-clock evaluation time; ≤ 0 means none.
 	Timeout time.Duration
 	// DisableFastPaths forces the generic product-graph algorithm even
-	// for the join-like patterns of §5 (used by the ablation benchmark).
+	// for the join-like patterns of §5. It is an ablation switch and a
+	// differential check: tests compare the fast paths against the
+	// generic traversal under it.
 	DisableFastPaths bool
 	// DisableBatching reverts the level-synchronous frontier-batched
 	// traversal to the item-at-a-time descent, where every (node, states)
-	// frontier entry pays its own root-to-leaf wavelet descent (ablation).
+	// frontier entry pays its own root-to-leaf wavelet descent. It is
+	// kept, like DisableFastPaths, as an ablation switch and because
+	// tests compare the batched traversal against the unbatched one.
 	DisableBatching bool
-	// DisableCompiled forces the generic interpreted simulation — the
-	// multiword fallback kept for wide (>64-state) expressions — even
-	// for expressions of at most 64 states. It is the ablation baseline
-	// and the differential oracle: the fallback interprets the
-	// automaton with per-step multiword masks and a visited hash map,
-	// with none of the flat B[v]/D[v] wavelet-node pruning arrays and
-	// no compiled glushkov.Stepper table.
+	// DisableCompiled is ignored: the kernel has one automaton
+	// simulation, and there is no interpreted one left to force. The
+	// field stays only because the benchmark module under bench/ still
+	// sets it for its interpreter probe, which now times the default
+	// engine, and it goes with that call (ROADMAP item 17).
 	DisableCompiled bool
 	// Trace, when non-nil, records a traverse span with the evaluation's
 	// Stats plus one span per BFS level (frontier size, wavelet-node

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -109,31 +110,10 @@ func checkAgainstOracle(t *testing.T, g *triples.Graph, e *Engine, s int64, expr
 	t.Helper()
 	node := pathexpr.MustParse(expr)
 	want := enginetest.SortPairs(enginetest.Oracle(g, s, node, o))
-	// Every case runs two ways — the default compiled stepper and the
-	// multiword interpreter forced on — so the compilation tier is
-	// differentially checked against the oracle on the whole
-	// random-query corpus.
-	variants := [...]struct {
-		name string
-		opts Options
-	}{
-		{"default", opts},
-		{"interpreted", withInterpreted(opts)},
+	got := enginetest.SortPairs(collect(t, e, Query{Subject: s, Expr: node, Object: o}, opts))
+	if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
+		t.Fatalf("(%d, %s, %d): got %v, want %v", s, expr, o, got, want)
 	}
-	for _, v := range variants {
-		got := enginetest.SortPairs(collect(t, e, Query{Subject: s, Expr: node, Object: o}, v.opts))
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("(%d, %s, %d) %s: got %v, want %v", s, expr, o, v.name, got, want)
-		}
-	}
-}
-
-func withInterpreted(opts Options) Options {
-	opts.DisableCompiled = true
-	return opts
 }
 
 // The paper's running example (§4, Figs. 5–6): the backward traversal of
@@ -231,7 +211,7 @@ func TestRandomAgainstOracle(t *testing.T) {
 
 // TestDifferentialRandom is the property-based differential test: on
 // random graphs and random path expressions (predicates, inverses, /,
-// |, *, +, ?), every traversal mode and stepping tier of the engine,
+// |, *, +, ?), both traversal modes of the engine,
 // the BFS baseline and the sharded-engine constructor the benchmark
 // module builds must produce the relational oracle's solution set.
 func TestDifferentialRandom(t *testing.T) {
@@ -252,8 +232,6 @@ func TestDifferentialRandom(t *testing.T) {
 				diffPairs(t, "engine vs oracle", evalPairs(t, eng, q, Options{}), want, q)
 				diffPairs(t, "engine unbatched vs oracle",
 					evalPairs(t, eng, q, Options{DisableBatching: true}), want, q)
-				diffPairs(t, "engine interpreted vs oracle",
-					evalPairs(t, eng, q, Options{DisableCompiled: true}), want, q)
 				diffPairs(t, "bfs vs oracle", bfsPairs(t, ix, q), want, q)
 				diffPairs(t, "sharded engine vs oracle", evalPairs(t, sharded, q, Options{}), want, q)
 			}
@@ -286,41 +264,46 @@ func TestFastPathsMatchGeneric(t *testing.T) {
 	}
 }
 
-// The multiword fallback (m > 63) must agree with the oracle.
-func TestWideFallback(t *testing.T) {
-	g := enginetest.RandomGraph(3, 10, 2, 40)
-	// Build a 64+-position expression equivalent to pa{64+} | pa/pb:
-	// (pa?)^70 / (pa/pb)? has 72 positions and stays checkable.
-	expr := "pa?"
-	for i := 0; i < 69; i++ {
-		expr += "/pa?"
-	}
-	node := pathexpr.MustParse(expr)
-	a := glushkov.Build(node, func(s pathexpr.Sym) (uint32, bool) { return g.PredID(s.Name, s.Inverse) })
-	if a.M <= glushkov.MaxEngineStates {
-		t.Fatalf("expression too small to exercise the fallback: m=%d", a.M)
-	}
+// The automaton's width is a limit. An expression of
+// pathexpr.MaxPositions positions fills the 64-state engine (eight
+// 8-bit reverse-table chunks) and must agree with the oracle in every
+// endpoint mode, with and without the §5 fast paths. A tree built by
+// hand one position wider, past the parser, must make Eval return
+// pathexpr.ErrTooLarge in every endpoint mode, the fast path's
+// alternation shape included.
+func TestWidthBoundary(t *testing.T) {
+	g := enginetest.RandomGraph(17, 8, 4, 60)
 	e := newEngine(g)
-	s := int64(2)
-	checkAgainstOracle(t, g, e, s, expr, Variable, Options{})
-	checkAgainstOracle(t, g, e, Variable, expr, int64(1), Options{})
-	checkAgainstOracle(t, g, e, Variable, expr, Variable, Options{})
-
-	// Four predicates: (pa|pb|pc|pd)? seventeen times, 68 positions.
-	g = enginetest.RandomGraph(17, 8, 4, 60)
-	e = newEngine(g)
-	alt := pathexpr.MustParse("(pa|pb|pc|pd)?")
-	var wide pathexpr.Node = alt
-	for i := 0; i < 16; i++ {
-		wide = pathexpr.Concat{L: wide, R: alt}
-	}
-	if m := pathexpr.CountSyms(wide); m <= glushkov.MaxEngineStates {
-		t.Fatalf("expression has %d positions, want > %d", m, glushkov.MaxEngineStates)
-	}
 	rng := rand.New(rand.NewSource(19))
-	for _, q := range queriesFor(rng, g, wide) {
-		want := enginetest.SortPairs(enginetest.Oracle(g, q.Subject, q.Expr, q.Object))
-		diffPairs(t, "wide alternation", evalPairs(t, e, q, Options{}), want, q)
+	for _, expr := range []string{
+		strings.Repeat("(pa|pb|pc|pd)?/", 15) + "(pa|pb|pc)?", // nullable
+		strings.Repeat("(pa|pb)/", 31) + "pc",
+	} {
+		node := pathexpr.MustParse(expr)
+		if m := pathexpr.CountSyms(node); m != pathexpr.MaxPositions {
+			t.Fatalf("%s has %d positions, want %d", expr, m, pathexpr.MaxPositions)
+		}
+		for _, opts := range []Options{{}, {DisableFastPaths: true}} {
+			for _, q := range queriesFor(rng, g, node) {
+				checkAgainstOracle(t, g, e, q.Subject, expr, q.Object, opts)
+			}
+		}
+	}
+
+	var chain, alt pathexpr.Node = pathexpr.Sym{Name: "pa"}, pathexpr.Sym{Name: "pa"}
+	for i := 1; i <= pathexpr.MaxPositions; i++ {
+		sym := pathexpr.Sym{Name: fmt.Sprintf("p%c", 'a'+i%4)}
+		chain = pathexpr.Concat{L: chain, R: pathexpr.Opt{X: sym}}
+		alt = pathexpr.Alt{L: alt, R: sym}
+	}
+	for _, wide := range []pathexpr.Node{chain, alt} {
+		for _, q := range queriesFor(rng, g, wide) {
+			_, err := e.Eval(context.Background(), q, Options{}, func(s, o uint32) bool { return true })
+			if !errors.Is(err, pathexpr.ErrTooLarge) {
+				t.Fatalf("(%d, %d positions, %d): err=%v, want ErrTooLarge",
+					q.Subject, pathexpr.CountSyms(wide), q.Object, err)
+			}
+		}
 	}
 }
 
@@ -413,7 +396,7 @@ func TestTimeout(t *testing.T) {
 // On a dense graph a single BFS level covers thousands of leaf
 // expansions, so the deadline must be probed inside the part-1/part-2
 // inner loops — per leaf, not only per frontier entry — in every
-// traversal mode and stepping tier. A 1ns budget must come back in
+// traversal mode. A 1ns budget must come back in
 // bounded time with ErrTimeout, never run a huge level to completion.
 func TestTimeoutProbedInInnerLoops(t *testing.T) {
 	g := enginetest.RandomGraph(9, 400, 2, 12000)
@@ -427,7 +410,6 @@ func TestTimeoutProbedInInnerLoops(t *testing.T) {
 	}{
 		{"batched", Options{Timeout: time.Nanosecond, DisableFastPaths: true}},
 		{"unbatched", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableBatching: true}},
-		{"interpreted", Options{Timeout: time.Nanosecond, DisableFastPaths: true, DisableCompiled: true}},
 	}
 	e := newEngine(g)
 	for _, m := range modes {

@@ -131,15 +131,14 @@ type Engine struct {
 	installment int
 
 	// per-evaluation state
-	stats     Stats
-	trace     *obs.Trace
-	deadline  time.Time
-	steps     int
-	limit     int // Options.Limit
-	emit      EmitFunc
-	base      uint64
-	batch     bool
-	noCompile bool
+	stats    Stats
+	trace    *obs.Trace
+	deadline time.Time
+	steps    int
+	limit    int // Options.Limit
+	emit     EmitFunc
+	base     uint64
+	batch    bool
 
 	// st is the active expression's compiled stepper, installed by
 	// prepare alongside bArr.
@@ -208,7 +207,11 @@ func (e *Engine) deltaIrrelevant(expr pathexpr.Node) bool {
 	if e.snapNodes == e.r.NumNodes && len(e.delta.Adds()) == 0 && len(e.delta.Dels()) == 0 {
 		return true
 	}
-	a := e.memo.lookup(expr).a
+	c, err := e.memo.lookup(expr)
+	if err != nil {
+		return false // the evaluation returns the error
+	}
+	a := c.a
 	if a.HasClasses() || a.Nullable && e.snapNodes > e.r.NumNodes {
 		return false
 	}
@@ -218,10 +221,6 @@ func (e *Engine) deltaIrrelevant(expr pathexpr.Node) bool {
 		}
 	}
 	return true
-}
-
-func (e *Engine) compile(expr pathexpr.Node) *compiledAutomaton {
-	return e.memo.get(expr, e.noCompile)
 }
 
 // Eval evaluates q, calling emit for every result pair. Pairs are
@@ -246,7 +245,6 @@ func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc)
 	e.steps = 0
 	e.base = 0
 	e.batch = !opts.DisableBatching
-	e.noCompile = opts.DisableCompiled
 	e.trace = opts.Trace
 	if opts.Timeout > 0 {
 		e.deadline = time.Now().Add(opts.Timeout)
@@ -310,9 +308,6 @@ func (e *Engine) release() {
 // prepare installs c's compiled stepper and B[v] array (built by the
 // memo on the expression's first evaluation) for one evaluation.
 func (e *Engine) prepare(c *compiledAutomaton) {
-	if e.wide(c) {
-		return // the multiword fallback keeps its own state
-	}
 	e.st = c.st
 	e.bArr = c.bArr
 	e.markPads()
@@ -590,17 +585,10 @@ func (e *Engine) part2(eng *glushkov.Engine, o int64, p uint32, b, end int, d2 u
 	return failure
 }
 
-// wide reports whether c runs on the multiword fallback: beyond 64
-// states, or under the Options.DisableCompiled ablation.
-func (e *Engine) wide(c *compiledAutomaton) bool { return c.eng == nil || e.noCompile }
-
 // runFrom traverses backwards from node o holding the final states,
 // reporting every node that reaches the initial state. The caller has
 // prepared c (once for any number of starts) and releases afterwards.
 func (e *Engine) runFrom(c *compiledAutomaton, o uint32, emit EmitFunc) error {
-	if e.wide(c) {
-		return e.wideFrom(c, o, emit)
-	}
 	e.start(c.eng, o)
 	return e.bfs(c.eng, emit)
 }
@@ -614,10 +602,10 @@ func (e *Engine) evalToConst(expr pathexpr.Node, o uint32, swap bool) error {
 		}
 		return e.emit(r, o)
 	}
-	if int(o) >= e.numNodes {
-		return nil
+	c, err := e.memo.get(expr)
+	if err != nil || int(o) >= e.numNodes {
+		return err
 	}
-	c := e.compile(expr)
 	if c.a.Nullable && !pair(o, o) {
 		return errLimit
 	}
@@ -629,10 +617,10 @@ func (e *Engine) evalToConst(expr pathexpr.Node, o uint32, swap bool) error {
 // evalBothConst evaluates (s, E, o) with both endpoints fixed, stopping
 // at the first match (§4.4; this case is excluded from Theorem 4.1).
 func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32) error {
-	if int(o) >= e.numNodes || int(s) >= e.numNodes {
-		return nil
+	c, err := e.memo.get(expr)
+	if err != nil || int(o) >= e.numNodes || int(s) >= e.numNodes {
+		return err
 	}
-	c := e.compile(expr)
 	if c.a.Nullable && s == o {
 		e.emit(s, o)
 		return nil
@@ -648,7 +636,7 @@ func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32) error {
 	}
 	defer e.release()
 	e.prepare(c)
-	err := e.runFrom(c, o, probe)
+	err = e.runFrom(c, o, probe)
 	if found && errors.Is(err, errLimit) {
 		err = nil
 	}
@@ -662,8 +650,11 @@ func (e *Engine) evalBothConst(expr pathexpr.Node, s, o uint32) error {
 // from the end whose first backward scan selects fewer triples (§5),
 // counting overlay adds alongside the ring.
 func (e *Engine) evalBothVar(expr pathexpr.Node) error {
-	a := e.memo.lookup(expr).a
-	nullable := a.Nullable
+	c, err := e.memo.lookup(expr)
+	if err != nil {
+		return err
+	}
+	nullable := c.a.Nullable
 	if nullable {
 		// The O(|V|) self-pair prefix honours the deadline before any
 		// traversal work starts.
@@ -676,7 +667,7 @@ func (e *Engine) evalBothVar(expr pathexpr.Node) error {
 			}
 		}
 	}
-	fromObjects := e.startFromObjects(a)
+	fromObjects := e.startFromObjects(c.a)
 	expr1, expr2 := expr, pathexpr.InverseOf(expr)
 	if fromObjects {
 		expr1, expr2 = expr2, expr1
@@ -714,7 +705,10 @@ func (e *Engine) evalBothVar(expr pathexpr.Node) error {
 			return e.emit(s, r)
 		}
 	}
-	c2 := e.compile(expr2)
+	c2, err := e.memo.get(expr2)
+	if err != nil {
+		return err
+	}
 	defer e.release()
 	e.prepare(c2)
 	for _, s := range e.starts {
@@ -729,9 +723,9 @@ func (e *Engine) evalBothVar(expr pathexpr.Node) error {
 // towards some node: one step over the ring's complete L_p range and
 // every overlay add, then the ordinary traversal (§4.4).
 func (e *Engine) fullRangeSources(expr pathexpr.Node, emit EmitFunc) error {
-	c := e.compile(expr)
-	if e.wide(c) {
-		return e.wideFullRange(c, emit)
+	c, err := e.memo.get(expr)
+	if err != nil {
+		return err
 	}
 	eng := c.eng
 	defer e.release()

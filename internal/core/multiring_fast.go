@@ -17,7 +17,8 @@ import (
 
 // tryFastPath handles (x, E, y) when E flattens to symbols or is a
 // two-symbol concatenation; it reports whether the shape was recognised
-// and handled.
+// and handled. An alternation wider than the automaton's limit is left
+// to the generic traversal, which reports it.
 func (e *Engine) tryFastPath(expr pathexpr.Node) (bool, error) {
 	if x, ok := expr.(pathexpr.Concat); ok {
 		l, lok := x.L.(pathexpr.Sym)
@@ -28,7 +29,7 @@ func (e *Engine) tryFastPath(expr pathexpr.Node) (bool, error) {
 		return false, nil
 	}
 	syms, ok := flattenAlt(expr)
-	if !ok {
+	if !ok || len(syms) > pathexpr.MaxPositions {
 		return false, nil
 	}
 	// Pair dedup across branches (two predicates may connect the same

@@ -3,11 +3,14 @@ package glushkov
 import (
 	"fmt"
 	"math/bits"
+
+	"ringrpq/internal/pathexpr"
 )
 
 // MaxEngineStates is the largest automaton (m+1 states) the uint64 Engine
-// supports; use Wide beyond it.
-const MaxEngineStates = 64
+// supports: one state per position of an expression pathexpr.Parse
+// accepts, plus the initial state.
+const MaxEngineStates = pathexpr.MaxPositions + 1
 
 // fullTableBits is the threshold below which a single full reverse
 // table (2^(m+1) entries) is used instead of split subtables, as in the
@@ -64,7 +67,7 @@ func NewEngineFor(a *Automaton, numCompleted uint32) (*Engine, error) {
 // O(m/d). Exposed for the table-width ablation benchmark.
 func NewEngineSplitFor(a *Automaton, d int, numCompleted uint32) (*Engine, error) {
 	if a.M+1 > MaxEngineStates {
-		return nil, fmt.Errorf("glushkov: %d states exceed the %d-state engine; use Wide", a.M+1, MaxEngineStates)
+		return nil, fmt.Errorf("glushkov: %d states exceed the %d-state engine: %w", a.M+1, MaxEngineStates, pathexpr.ErrTooLarge)
 	}
 	if d < 1 || d > 16 {
 		return nil, fmt.Errorf("glushkov: invalid subtable width %d", d)

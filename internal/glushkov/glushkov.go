@@ -15,9 +15,12 @@
 // Engine simulates automata with at most 64 states (m ≤ 63) using uint64
 // state sets and a vertically-split reverse table (the paper's d-bit
 // subtable decomposition, default d=8, full table when m+1 ≤ 16), and
-// Compile turns it into the Stepper the traversal kernel calls. Wide
-// handles arbitrary m with multiword masks, reproducing the O(m/w)
-// slowdown of the general case instead of failing.
+// Compile turns it into the Stepper the traversal kernel calls. That
+// width is a limit, not a fast case: pathexpr.Parse rejects an
+// expression of more than pathexpr.MaxPositions positions, and
+// NewEngineFor refuses a wider automaton built from a hand-made tree
+// with an error wrapping pathexpr.ErrTooLarge. There is no multiword
+// simulation.
 package glushkov
 
 import (

@@ -1,6 +1,7 @@
 package glushkov
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -222,54 +223,45 @@ func TestSplitWidthsAgree(t *testing.T) {
 	}
 }
 
-// The Wide engine must agree with the uint64 engine.
-func TestWideAgreesWithEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
-		n := randomExpr(rng, 4)
-		a := Build(n, testIDs)
-		e, err := NewEngineFor(a, 0)
-		if err != nil {
-			continue
-		}
-		w := NewWideFor(a, 0)
-		for i := 0; i < 15; i++ {
-			word := toWord(randomWord(rng, 7))
-			if e.MatchRev(word) != w.MatchRev(word) {
-				t.Fatalf("wide disagrees on %s", pathexpr.String(n))
-			}
-		}
-	}
-}
-
-// A large expression must exceed the 64-bit engine and work on Wide.
-func TestWideLargeExpression(t *testing.T) {
-	// (a/b)^40 then a* — 81 positions.
-	expr := "a"
-	for i := 0; i < 40; i++ {
-		expr += "/b/a"
-	}
-	n := pathexpr.MustParse(expr)
-	a := Build(n, testIDs)
-	if a.M != 81 {
-		t.Fatalf("M=%d, want 81", a.M)
-	}
-	if _, err := NewEngineFor(a, 0); err == nil {
-		t.Fatal("64-bit engine must refuse 82 states")
-	}
-	w := NewWideFor(a, 0)
-	var word []uint32
+// The engine's width is the parser's limit: an automaton of
+// pathexpr.MaxPositions positions runs in one word, and a hand-built
+// tree one position wider is refused with pathexpr.ErrTooLarge.
+func TestEngineWidthLimit(t *testing.T) {
 	idA, _ := testIDs(sym("a"))
 	idB, _ := testIDs(sym("b"))
-	word = append(word, idA)
-	for i := 0; i < 40; i++ {
-		word = append(word, idB, idA)
+	// a/b/a/… with m positions, built by hand past the parser, and the
+	// one word it matches.
+	build := func(m int) (pathexpr.Node, []uint32) {
+		var n pathexpr.Node = sym("a")
+		word := []uint32{idA}
+		for i := 1; i < m; i++ {
+			s, id := sym("b"), idB
+			if i%2 == 0 {
+				s, id = sym("a"), idA
+			}
+			n = pathexpr.Concat{L: n, R: s}
+			word = append(word, id)
+		}
+		return n, word
 	}
-	if !w.MatchRev(word) {
-		t.Fatal("wide engine rejects the defining word")
+	n, word := build(pathexpr.MaxPositions)
+	a := Build(n, testIDs)
+	if a.M+1 != MaxEngineStates {
+		t.Fatalf("M=%d, want %d", a.M, MaxEngineStates-1)
 	}
-	if w.MatchRev(word[:len(word)-1]) || w.MatchRev(word[1:]) {
-		t.Fatal("wide engine accepts a strict prefix or suffix")
+	e, err := NewEngineFor(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.MatchRev(word) {
+		t.Fatal("engine rejects the defining word")
+	}
+	if e.MatchRev(word[:len(word)-1]) || e.MatchRev(word[1:]) {
+		t.Fatal("engine accepts a strict prefix or suffix")
+	}
+	n, _ = build(pathexpr.MaxPositions + 1)
+	if _, err := NewEngineFor(Build(n, testIDs), 0); !errors.Is(err, pathexpr.ErrTooLarge) {
+		t.Fatalf("NewEngineFor past the limit: err=%v, want ErrTooLarge", err)
 	}
 }
 
@@ -393,7 +385,6 @@ func TestNegClassEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := NewWideFor(a, numCompleted)
 		for _, word := range words {
 			enc := make([]uint32, len(word))
 			for i, s := range word {
@@ -402,9 +393,6 @@ func TestNegClassEngine(t *testing.T) {
 			want := pathexpr.Matches(n, word)
 			if e.MatchRev(enc) != want {
 				t.Fatalf("%s on %v: engine=%v want %v", es, word, e.MatchRev(enc), want)
-			}
-			if w.MatchRev(enc) != want {
-				t.Fatalf("%s on %v: wide disagrees with spec", es, word)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -170,12 +171,9 @@ func idsOf(g *triples.Graph) glushkov.SymbolIDs {
 func runCase(t *testing.T, sc *scenario, eng *core.Engine, subject int64, expr pathexpr.Node, object int64) {
 	t.Helper()
 	want := enginetest.SortPairs(enginetest.Oracle(sc.gMerged, subject, expr, object))
-	// Both traversal modes (frontier-batched and item-at-a-time) and
-	// both stepping tiers (compiled stepper, multiword interpreter) must
+	// Both traversal modes (frontier-batched and item-at-a-time) must
 	// match the oracle.
-	for _, opts := range []core.Options{
-		{}, {DisableBatching: true}, {DisableCompiled: true},
-	} {
+	for _, opts := range []core.Options{{}, {DisableBatching: true}} {
 		var got []enginetest.Pair
 		_, err := eng.Eval(context.Background(), core.Query{Subject: subject, Expr: expr, Object: object}, opts, func(s, o uint32) bool {
 			got = append(got, enginetest.Pair{S: s, O: o})
@@ -225,17 +223,14 @@ func TestUnionEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestUnionEngineWide drives the >64-state fallback: an expression with
-// 72 Glushkov positions over a small updated graph.
-func TestUnionEngineWide(t *testing.T) {
+// TestUnionEngineWidthBoundary runs an expression of
+// pathexpr.MaxPositions positions, the widest the engine takes, over a
+// small updated graph in every endpoint mode.
+func TestUnionEngineWidthBoundary(t *testing.T) {
 	sc, eng := buildScenario(t, 7, 10, 4, 25, 1)
-	alt := pathexpr.Node(pathexpr.Sym{Name: "pa"})
-	for _, n := range []string{"pb", "pc", "pd"} {
-		alt = pathexpr.Alt{L: alt, R: pathexpr.Sym{Name: n}}
-	}
-	wide := pathexpr.Node(pathexpr.Opt{X: alt}) // 4 positions
-	for i := 0; i < 17; i++ {                   // 72 positions total
-		wide = pathexpr.Concat{L: wide, R: pathexpr.Opt{X: alt}}
+	wide := pathexpr.MustParse(strings.Repeat("(pa|pb|pc|pd)?/", 15) + "(pa|pb|pc)?")
+	if m := pathexpr.CountSyms(wide); m != pathexpr.MaxPositions {
+		t.Fatalf("%d positions, want %d", m, pathexpr.MaxPositions)
 	}
 	runCase(t, sc, eng, core.Variable, wide, core.Variable)
 	runCase(t, sc, eng, 3, wide, core.Variable)
@@ -350,7 +345,7 @@ func TestUnionEngineLimitTimeout(t *testing.T) {
 
 // A 1ns deadline on a dense overlaid graph must interrupt the union
 // traversal inside its per-edge/per-leaf loops — ring descents and
-// overlay merges alike — in every mode and stepping tier.
+// overlay merges alike — in both traversal modes.
 func TestUnionEngineTimeoutProbedInInnerLoops(t *testing.T) {
 	_, eng := buildScenario(t, 21, 150, 2, 1800, 100)
 	expr := pathexpr.MustParse("(pa|pb)+")
@@ -358,7 +353,6 @@ func TestUnionEngineTimeoutProbedInInnerLoops(t *testing.T) {
 	for _, opts := range []core.Options{
 		{Timeout: time.Nanosecond},
 		{Timeout: time.Nanosecond, DisableBatching: true},
-		{Timeout: time.Nanosecond, DisableCompiled: true},
 	} {
 		start := time.Now()
 		_, err := eng.Eval(context.Background(), q, opts, func(s, o uint32) bool { return true })

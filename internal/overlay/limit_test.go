@@ -28,7 +28,6 @@ func staticArms(g *triples.Graph) []limitArm {
 		{"default", eng, core.Options{}},
 		{"unbatched", eng, core.Options{DisableBatching: true}},
 		{"nofast", eng, core.Options{DisableFastPaths: true}},
-		{"interpreted", eng, core.Options{DisableCompiled: true}},
 	}
 }
 

@@ -3,9 +3,11 @@ package pathexpr
 import "testing"
 
 // FuzzParseExpr feeds arbitrary source text to the 2RPQ expression
-// parser: it must either fail with an error or produce an AST whose
-// canonical rendering round-trips through the parser to the same
-// canonical form. It must never panic, whatever the input.
+// parser: it must either fail with an error or produce an AST within
+// MaxPositions and MaxDepth whose canonical rendering round-trips
+// through the parser to the same canonical form. It must never panic,
+// whatever the input. The corpus is seeded with expressions at both
+// bounds and one past each.
 //
 // Run with: go test -run NONE -fuzz FuzzParseExpr ./internal/pathexpr
 func FuzzParseExpr(f *testing.F) {
@@ -37,10 +39,16 @@ func FuzzParseExpr(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	for _, c := range append(positionCases(), depthCases()...) {
+		f.Add(c.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		n, err := Parse(src)
 		if err != nil {
 			return // rejecting is fine; panicking is not
+		}
+		if m, h := CountSyms(n), height(n); m > MaxPositions || h > MaxDepth {
+			t.Fatalf("%q accepted with %d positions and height %d", src, m, h)
 		}
 		canon := String(n)
 		n2, err := Parse(canon)

@@ -1,9 +1,26 @@
 package pathexpr
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
+
+// MaxPositions is the most positions an expression may have: predicate
+// occurrences, a negated property set counting as one (the m of §3.3).
+// Its Glushkov automaton has m+1 states, which the traversal kernel
+// simulates in one 64-bit word.
+const MaxPositions = 63
+
+// MaxDepth bounds how deeply an expression nests: the height of its
+// tree (a leaf is 1, and each operator adds one level), and how deeply
+// its atoms nest in the source (a predicate is 1, and each enclosing
+// group, inversion or negation adds one). Parsing and every walk over
+// the tree recurse at most that deep, whatever the input's length.
+const MaxDepth = 256
+
+// ErrTooLarge reports an expression beyond MaxPositions or MaxDepth.
+var ErrTooLarge = errors.New("pathexpr: expression too large")
 
 // Parse parses a 2RPQ regular expression. The grammar, lowest precedence
 // first:
@@ -17,9 +34,13 @@ import (
 // starting with '-') or arbitrary IRIs wrapped in angle brackets. A '^'
 // before a parenthesised group inverts the whole group, which is rewritten
 // to atomic inverses immediately (§3.1).
+//
+// An expression with more than MaxPositions positions, or nesting
+// deeper than MaxDepth, is rejected with an error wrapping ErrTooLarge;
+// the parser stops at the first position or level past the bound.
 func Parse(s string) (Node, error) {
 	p := &parser{src: s}
-	n, err := p.parseAlt()
+	n, _, err := p.parseAlt()
 	if err != nil {
 		return nil, err
 	}
@@ -42,6 +63,23 @@ func MustParse(s string) Node {
 type parser struct {
 	src string
 	pos int
+	// depth counts the atoms enclosing the one being parsed, syms the
+	// positions read so far.
+	depth int
+	syms  int
+}
+
+// tooDeep is the error for nesting past MaxDepth at the current offset.
+func (p *parser) tooDeep() error {
+	return fmt.Errorf("%w: nested deeper than %d at offset %d", ErrTooLarge, MaxDepth, p.pos)
+}
+
+// addSyms counts n more positions, failing once they pass MaxPositions.
+func (p *parser) addSyms(n int) error {
+	if p.syms += n; p.syms > MaxPositions {
+		return fmt.Errorf("%w: more than %d positions at offset %d", ErrTooLarge, MaxPositions, p.pos)
+	}
+	return nil
 }
 
 func (p *parser) skipSpace() {
@@ -58,56 +96,65 @@ func (p *parser) peek() byte {
 	return p.src[p.pos]
 }
 
-func (p *parser) parseAlt() (Node, error) {
-	left, err := p.parseConcat()
+// The parse functions return each node with its height (see MaxDepth).
+
+func (p *parser) parseAlt() (Node, int, error) {
+	left, h, err := p.parseConcat()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peek() == '|' {
 		p.pos++
-		right, err := p.parseConcat()
+		right, hr, err := p.parseConcat()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
+		}
+		if h = max(h, hr) + 1; h > MaxDepth {
+			return nil, 0, p.tooDeep()
 		}
 		left = Alt{L: left, R: right}
 	}
-	return left, nil
+	return left, h, nil
 }
 
-func (p *parser) parseConcat() (Node, error) {
-	left, err := p.parseUnary()
+func (p *parser) parseConcat() (Node, int, error) {
+	left, h, err := p.parseUnary()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peek() == '/' {
 		p.pos++
-		right, err := p.parseUnary()
+		right, hr, err := p.parseUnary()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
+		}
+		if h = max(h, hr) + 1; h > MaxDepth {
+			return nil, 0, p.tooDeep()
 		}
 		left = Concat{L: left, R: right}
 	}
-	return left, nil
+	return left, h, nil
 }
 
-func (p *parser) parseUnary() (Node, error) {
-	n, err := p.parseAtom()
+func (p *parser) parseUnary() (Node, int, error) {
+	n, h, err := p.parseAtom()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for {
 		switch p.peek() {
 		case '*':
-			p.pos++
 			n = Star{X: n}
 		case '+':
-			p.pos++
 			n = Plus{X: n}
 		case '?':
-			p.pos++
 			n = Opt{X: n}
 		default:
-			return n, nil
+			return n, h, nil
+		}
+		p.pos++
+		if h++; h > MaxDepth {
+			return nil, 0, p.tooDeep()
 		}
 	}
 }
@@ -117,55 +164,68 @@ func isIdentByte(c byte) bool {
 		c >= '0' && c <= '9' || c == '_' || c == ':' || c == '.' || c == '-'
 }
 
-func (p *parser) parseAtom() (Node, error) {
+func (p *parser) parseAtom() (Node, int, error) {
+	// Each atom is a level of nesting in the source (see MaxDepth).
+	if p.depth == MaxDepth {
+		return nil, 0, p.tooDeep()
+	}
+	p.depth++
+	defer func() { p.depth-- }()
 	switch c := p.peek(); {
 	case c == '!':
 		p.pos++
-		return p.parseNegSet()
+		n, err := p.parseNegSet()
+		if err != nil {
+			return nil, 0, err
+		}
+		if _, ok := n.(Alt); ok { // a mixed set splits in two
+			return n, 2, p.addSyms(2)
+		}
+		return n, 1, p.addSyms(1)
 	case c == '^':
 		p.pos++
-		inner, err := p.parseAtom()
+		inner, h, err := p.parseAtom()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return InverseOf(inner), nil
+		return InverseOf(inner), h, nil
 	case c == '(':
 		p.pos++
 		if p.peek() == ')' { // "()" is ε
 			p.pos++
-			return Eps{}, nil
+			return Eps{}, 1, nil
 		}
-		inner, err := p.parseAlt()
+		inner, h, err := p.parseAlt()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.peek() != ')' {
-			return nil, fmt.Errorf("pathexpr: missing ')' at offset %d", p.pos)
+			return nil, 0, fmt.Errorf("pathexpr: missing ')' at offset %d", p.pos)
 		}
 		p.pos++
-		return inner, nil
+		return inner, h, nil
 	case c == '<':
 		p.pos++
 		end := strings.IndexByte(p.src[p.pos:], '>')
 		if end < 0 {
-			return nil, fmt.Errorf("pathexpr: unterminated '<' at offset %d", p.pos-1)
+			return nil, 0, fmt.Errorf("pathexpr: unterminated '<' at offset %d", p.pos-1)
 		}
 		name := p.src[p.pos : p.pos+end]
 		p.pos += end + 1
 		if name == "" {
-			return nil, fmt.Errorf("pathexpr: empty IRI at offset %d", p.pos)
+			return nil, 0, fmt.Errorf("pathexpr: empty IRI at offset %d", p.pos)
 		}
-		return Sym{Name: name}, nil
+		return Sym{Name: name}, 1, p.addSyms(1)
 	case isIdentByte(c) && c != '-':
 		start := p.pos
 		for p.pos < len(p.src) && isIdentByte(p.src[p.pos]) {
 			p.pos++
 		}
-		return Sym{Name: p.src[start:p.pos]}, nil
+		return Sym{Name: p.src[start:p.pos]}, 1, p.addSyms(1)
 	case c == 0:
-		return nil, fmt.Errorf("pathexpr: unexpected end of expression")
+		return nil, 0, fmt.Errorf("pathexpr: unexpected end of expression")
 	default:
-		return nil, fmt.Errorf("pathexpr: unexpected %q at offset %d", c, p.pos)
+		return nil, 0, fmt.Errorf("pathexpr: unexpected %q at offset %d", c, p.pos)
 	}
 }
 
@@ -180,7 +240,9 @@ func (p *parser) parseNegSet() (Node, error) {
 			p.pos++
 			inv = true
 		}
-		atom, err := p.parseAtom()
+		syms := p.syms
+		atom, _, err := p.parseAtom()
+		p.syms = syms // a member is not a position; the set is
 		if err != nil {
 			return err
 		}

@@ -160,7 +160,10 @@ type Request struct {
 	// Subject and Object are endpoint names; a '?' prefix marks a
 	// variable (as in ringrpq.DB.Query).
 	Subject, Object string
-	// Expr is the path expression source text.
+	// Expr is the path expression source text. It may have at most
+	// pathexpr.MaxPositions positions and nest at most
+	// pathexpr.MaxDepth levels deep; a larger one fails to parse, which
+	// the HTTP handler answers with a 400.
 	Expr string
 	// Pattern, when non-empty, makes this a graph-pattern request
 	// (internal/query syntax); Subject/Expr/Object are ignored and the

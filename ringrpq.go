@@ -208,7 +208,12 @@ func options(opts []QueryOption) core.Options {
 var ErrTimeout = core.ErrTimeout
 
 // ParseExpr validates a path expression, returning a descriptive error
-// for malformed input.
+// for malformed input. It also rejects an expression of more than 63
+// positions (predicate occurrences, a negated property set counting as
+// one), which the engine's one-word automaton cannot hold, and one that
+// nests deeper than 256 levels (groups, inversions and negations in the
+// source, or operators in its tree). Every read and subscription parses
+// its expression the same way.
 func ParseExpr(expr string) error {
 	_, err := pathexpr.Parse(expr)
 	return err

@@ -1,10 +1,14 @@
 package ringrpq
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+
+	"ringrpq/internal/pathexpr"
 )
 
 // TestHandlerAfterClose drives every request route of a closed
@@ -60,5 +64,44 @@ func TestHandlerAfterClose(t *testing.T) {
 	}
 	if rec := serve("GET", "/readyz", ""); rec.Code != 503 {
 		t.Errorf("GET /readyz = %d, want 503", rec.Code)
+	}
+}
+
+// TestExpressionWidthLimit: expressions are bounded where they are
+// parsed. pathexpr.MaxPositions positions are accepted; one more is
+// rejected by ParseExpr, by DB.Query, and by /query, /select and
+// /subscribe with a 400.
+func TestExpressionWidthLimit(t *testing.T) {
+	db := buildLineDB(t, 3)
+	narrow := strings.Repeat("p?/", pathexpr.MaxPositions-1) + "p"
+	wide := "p?/" + narrow
+	if err := ParseExpr(narrow); err != nil {
+		t.Fatalf("ParseExpr(%d positions): %v", pathexpr.MaxPositions, err)
+	}
+	if err := ParseExpr(wide); err == nil {
+		t.Fatalf("ParseExpr accepts %d positions", pathexpr.MaxPositions+1)
+	}
+	if _, err := db.Query(context.Background(), "?x", wide, "?y"); err == nil {
+		t.Fatal("Query accepts an expression past the position bound")
+	}
+
+	svc := NewService(db, ServiceConfig{Workers: 1})
+	defer svc.Close()
+	h := svc.Handler(HandlerConfig{})
+	for _, tc := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{"POST", "/query", `{"expr":"` + narrow + `"}`, 200},
+		{"POST", "/query", `{"expr":"` + wide + `"}`, 400},
+		{"POST", "/select", `{"query":"?x ` + wide + ` ?y"}`, 400},
+		{"GET", "/subscribe?expr=" + url.QueryEscape(wide), "", 400},
+		{"GET", "/subscribe?mode=poll&expr=" + url.QueryEscape(wide), "", 400},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("%s %s = %d %s, want %d", tc.method, tc.path[:min(len(tc.path), 24)], rec.Code, rec.Body, tc.want)
+		}
 	}
 }
