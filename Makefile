@@ -30,7 +30,7 @@ test:
 # plus the wavelet descent kernels the noalloc annotations cover.
 race:
 	$(GO) test -race ./internal/service/ ./internal/core/ ./internal/ltj/ ./internal/query/ ./internal/overlay/ ./internal/standing/ ./internal/wal/ ./internal/wavelet/ .
-	$(GO) test -race -run 'Stress|Clone|Sharded|Update|Subscribe|Standing|Compiled|Durable|Panic|WAL' .
+	$(GO) test -race -run 'Stress|Clone|Sharded|Update|Subscribe|Standing|Compiled|Durable|Panic|WAL|Cancel|Context' .
 
 # Crash-recovery property pass: the fault-injection harness kills the
 # process (write-budget exhaustion + random crash-point tears of every

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rpqd -data graph.nt [-addr :8080] [-workers N] [-queue N]
-//	     [-timeout D] [-limit N] [-expr-cache N]
+//	     [-timeout D] [-limit N]
 //	     [-result-cache N] [-result-cache-bytes N]
 //	     [-sub-queue N] [-sub-history N]
 //	rpqd -index graph.ring ...
@@ -107,7 +107,6 @@ func main() {
 		queue      = flag.Int("queue", 0, "request queue depth (0 = 4×workers)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "default per-query timeout (0 = none)")
 		limit      = flag.Int("limit", 100000, "default per-query solution cap (0 = unlimited)")
-		exprC      = flag.Int("expr-cache", 0, "compiled-expression cache entries (0 = default, negative = off)")
 		resC       = flag.Int("result-cache", 0, "result cache entries (0 = default, negative = off)")
 		resBytes   = flag.Int64("result-cache-bytes", 0, "result cache byte bound (0 = default, negative = off)")
 		maxBatch   = flag.Int("max-batch", 1024, "maximum queries per /batch call")
@@ -173,7 +172,6 @@ func main() {
 		Workers:            *workers,
 		QueueDepth:         *queue,
 		DefaultTimeout:     *timeout,
-		ExprCacheEntries:   *exprC,
 		ResultCacheEntries: *resC,
 		ResultCacheBytes:   *resBytes,
 		SlowQueryThreshold: *slowQuery,

@@ -1,15 +1,16 @@
 package ringrpq
 
 // A DB read takes a context first: its cancellation stops the
-// evaluation at the next result with ctx.Err(), and its deadline acts
-// as WithTimeout does. Apply takes one too but never stops on it: a
-// batch is atomic.
+// evaluation at the next result or the traversal's next probe with
+// ctx.Err(), and its deadline acts as WithTimeout does. Apply takes
+// one too but never stops on it: a batch is atomic.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -167,5 +168,81 @@ func TestApplyIgnoresCancellation(t *testing.T) {
 	}
 	if n, _ := db.Count(bg, "n1", "p", "n2"); n != 0 {
 		t.Fatal("the batch's delete is missing")
+	}
+}
+
+// emitFreeChainLen is the length of emitFreeDB's p chain: long enough
+// that walking it takes far longer than the millisecond after which
+// the tests below cancel.
+const emitFreeChainLen = 200_000
+
+var (
+	emitFreeOnce sync.Once
+	emitFree     *DB
+)
+
+// emitFreeDB builds v0 -p-> v1 -p-> … -p-> v199999 and one q edge away
+// from it, once per test binary. (?x, q/p*, v199999) then walks the
+// whole chain back and finds no q edge: a read that delivers nothing.
+func emitFreeDB(t *testing.T) (db *DB, last string) {
+	t.Helper()
+	emitFreeOnce.Do(func() {
+		b := NewBuilder()
+		for i := 0; i+1 < emitFreeChainLen; i++ {
+			b.Add(fmt.Sprintf("v%d", i), "p", fmt.Sprintf("v%d", i+1))
+		}
+		b.Add("a", "q", "b")
+		emitFree, _ = b.Build()
+	})
+	if emitFree == nil {
+		t.Fatal("building the chain failed")
+	}
+	return emitFree, fmt.Sprintf("v%d", emitFreeChainLen-1)
+}
+
+// cancelSoon returns a context cancelled a millisecond from now, while
+// the read it is passed to is under way.
+func cancelSoon(t *testing.T) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(time.Millisecond, cancel)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+// A read cancelled while it delivers nothing stops inside the
+// traversal with context.Canceled, rather than walk to its end and
+// return nil.
+func TestDBReadCancelledWithoutResults(t *testing.T) {
+	db, last := emitFreeDB(t)
+	err := db.QueryFunc(cancelSoon(t), "?x", "q/p*", last, func(s Solution) bool {
+		t.Fatalf("QueryFunc delivered %v", s)
+		return false
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("QueryFunc: err %v, want context.Canceled", err)
+	}
+	if n, err := db.Count(cancelSoon(t), "?x", "q/p*", last); !errors.Is(err, context.Canceled) || n != 0 {
+		t.Fatalf("Count: %d, err %v; want 0 and context.Canceled", n, err)
+	}
+	if _, rows, err := db.Select(cancelSoon(t), "?x q/p* "+last); !errors.Is(err, context.Canceled) || len(rows) != 0 {
+		t.Fatalf("Select: %d rows, err %v; want none and context.Canceled", len(rows), err)
+	}
+}
+
+// A service request cancelled while its evaluation delivers nothing
+// frees the one worker and counts as cancelled: the next request is
+// answered.
+func TestServiceCancelledWithoutResults(t *testing.T) {
+	db, last := emitFreeDB(t)
+	svc := NewService(db, ServiceConfig{Workers: 1})
+	defer svc.Close()
+	if n, err := svc.Count(cancelSoon(t), "?x", "q/p*", last); !errors.Is(err, context.Canceled) || n != 0 {
+		t.Fatalf("Count: %d, err %v; want 0 and context.Canceled", n, err)
+	}
+	if st := svc.Stats(); st.Cancelled != 1 || st.Errors != 0 || st.ResultEntries != 0 {
+		t.Fatalf("stats %+v; want one cancellation, no error and nothing cached", st)
+	}
+	if n, err := svc.Count(context.Background(), "v0", "p", "?y"); err != nil || n != 1 {
+		t.Fatalf("the next request: %d, err %v; want 1", n, err)
 	}
 }

@@ -64,7 +64,11 @@ type Options struct {
 	// dry. So which pairs a limited evaluation returns may change
 	// between versions; their order stays unspecified.
 	Limit int
-	// Timeout bounds wall-clock evaluation time; ≤ 0 means none.
+	// Timeout is a relative budget, read once when Eval starts: the
+	// evaluation ends with ErrTimeout at the earlier of its context's
+	// deadline and now+Timeout. ≤ 0 adds none. A request's budget
+	// normally travels as its context's deadline; this field serves
+	// WithTimeout on DB reads and callers without a context deadline.
 	Timeout time.Duration
 	// DisableFastPaths forces the generic product-graph algorithm even
 	// for the join-like patterns of §5. It is an ablation switch and a
@@ -90,7 +94,8 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// ErrTimeout reports that evaluation exceeded Options.Timeout.
+// ErrTimeout reports that an evaluation ran out of time: its
+// context's deadline or Options.Timeout passed.
 var ErrTimeout = errors.New("core: query timeout")
 
 // errLimit stops the traversal when the result limit is hit; it is
@@ -121,36 +126,67 @@ type EmitFunc func(s, o uint32) bool
 
 // Evaluator is the query-evaluation capability Engine implements; the
 // public DB and the pattern executor evaluate on an Engine with their
-// snapshot's overlay attached. Eval takes the request
-// context first (the repo's ctx-first convention, enforced by rpqlint's
-// ctxfirst analyzer): ctx may carry an obs.Trace and a deadline, folded
-// into Options once at entry via FoldContext.
+// snapshot's overlay attached. Eval takes the request context first
+// (the repo's ctx-first convention, enforced by rpqlint's ctxfirst
+// analyzer): ctx carries the request's deadline and cancellation, and
+// may carry an obs.Trace.
 type Evaluator interface {
 	Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error)
 }
 
-// FoldContext merges ctx-carried request state into opts: an unset
-// Trace is filled from the context (obs.FromContext), and a context
-// deadline earlier than Options.Timeout tightens it; a Timeout ≤ 0 is
-// unset, so the context deadline replaces it. Engines call it
-// once per evaluation, so ctx costs nothing on the traversal hot path;
-// cancellation between results remains the caller's job (the service's
-// emit wrapper polls ctx.Err).
-func FoldContext(ctx context.Context, opts Options) Options {
-	if ctx == nil {
-		return opts
+// CtxErr is ctx.Err() with a passed deadline reported as ErrTimeout:
+// the error a read returns once its context has ended.
+func CtxErr(ctx context.Context) error {
+	err := ctx.Err()
+	if errors.Is(err, context.DeadlineExceeded) {
+		return ErrTimeout
 	}
-	if opts.Trace == nil {
-		opts.Trace = obs.FromContext(ctx)
-	}
-	if d, ok := ctx.Deadline(); ok {
-		rem := time.Until(d)
-		if rem <= 0 {
-			rem = time.Nanosecond // already expired: the first probe fires
+	return err
+}
+
+// Budget is one evaluation's time budget, read once off its request
+// context: the context's Done channel, and the earlier of its deadline
+// and a relative timeout. The kernel and the join each probe one in
+// their loops (checkDeadline).
+type Budget struct {
+	ctx      context.Context
+	done     <-chan struct{}
+	deadline time.Time
+}
+
+// NewBudget reads ctx's budget, tightened by timeout when that is > 0;
+// a timeout ≤ 0 leaves the context's deadline as it is.
+func NewBudget(ctx context.Context, timeout time.Duration) Budget {
+	b := Budget{ctx: ctx, done: ctx.Done()}
+	b.deadline, _ = ctx.Deadline()
+	if timeout > 0 {
+		if t := time.Now().Add(timeout); b.deadline.IsZero() || t.Before(b.deadline) {
+			b.deadline = t
 		}
-		if opts.Timeout <= 0 || rem < opts.Timeout {
-			opts.Timeout = rem
-		}
 	}
-	return opts
+	return b
+}
+
+// Poll reports whether the context has ended, without reading the
+// clock: nil while it runs, otherwise CtxErr.
+func (b *Budget) Poll() error {
+	select {
+	case <-b.done:
+		return CtxErr(b.ctx)
+	default:
+		return nil
+	}
+}
+
+// Check is Poll, and ErrTimeout once the deadline has passed by the
+// clock: a relative timeout closes no channel, and a context's timer
+// may fire late.
+func (b *Budget) Check() error {
+	if err := b.Poll(); err != nil {
+		return err
+	}
+	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
+		return ErrTimeout
+	}
+	return nil
 }

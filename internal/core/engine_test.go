@@ -425,31 +425,45 @@ func TestTimeoutProbedInInnerLoops(t *testing.T) {
 	}
 }
 
-// A Timeout ≤ 0 is unset: FoldContext replaces it with the context's
-// deadline, so a negative timeout cannot drop that deadline. Without a
-// context deadline it bounds nothing.
-func TestFoldContextDeadline(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	for _, timeout := range []time.Duration{-time.Second, 0, time.Hour} {
-		if got := FoldContext(ctx, Options{Timeout: timeout}).Timeout; got <= 0 || got > 10*time.Millisecond {
-			t.Fatalf("Timeout %v under a 10ms deadline folds to %v", timeout, got)
-		}
-	}
-	if got := FoldContext(ctx, Options{Timeout: time.Microsecond}).Timeout; got != time.Microsecond {
-		t.Fatalf("Timeout 1µs under a 10ms deadline folds to %v", got)
-	}
+// deadlineOnly reports a deadline but never closes Done, as a context
+// whose timer has not fired yet: only the kernel's clock probe sees
+// its deadline pass.
+type deadlineOnly struct {
+	context.Context
+	d time.Time
+}
 
+func (c deadlineOnly) Deadline() (time.Time, bool) { return c.d, true }
+
+// A context deadline and Options.Timeout bound an evaluation together,
+// the earlier one applying: a passed context deadline beats an hour's
+// Timeout, and a Timeout ≤ 0 adds nothing, so it keeps the context's
+// deadline. A Timeout earlier than the context's deadline applies, and
+// without a context deadline a Timeout ≤ 0 bounds nothing.
+func TestEvalContextDeadline(t *testing.T) {
 	g := enginetest.RandomGraph(9, 200, 2, 4000)
 	e := newEngine(g)
 	q := Query{Subject: Variable, Expr: pathexpr.MustParse("(pa|pb)+"), Object: Variable}
+	all := func(s, o uint32) bool { return true }
+	passed := deadlineOnly{context.Background(), time.Now().Add(-time.Second)}
+	for _, timeout := range []time.Duration{time.Hour, 0, -time.Second} {
+		opts := Options{Timeout: timeout, DisableFastPaths: true}
+		if _, err := e.Eval(passed, q, opts, all); err != ErrTimeout {
+			t.Fatalf("Timeout %v under a passed context deadline: err=%v, want ErrTimeout", timeout, err)
+		}
+	}
+	later := deadlineOnly{context.Background(), time.Now().Add(time.Hour)}
+	if _, err := e.Eval(later, q, Options{Timeout: time.Nanosecond, DisableFastPaths: true}, all); err != ErrTimeout {
+		t.Fatalf("Timeout 1ns under an hour's context deadline: err=%v, want ErrTimeout", err)
+	}
+
 	opts := Options{Timeout: -time.Second, DisableFastPaths: true}
-	if _, err := e.Eval(context.Background(), q, opts, func(s, o uint32) bool { return true }); err != nil {
+	if _, err := e.Eval(context.Background(), q, opts, all); err != nil {
 		t.Fatalf("negative timeout without a deadline: %v", err)
 	}
-	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel2()
-	if _, err := e.Eval(expired, q, opts, func(s, o uint32) bool { return true }); err != ErrTimeout {
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := e.Eval(expired, q, opts, all); err != ErrTimeout {
 		t.Fatalf("negative timeout under an expired deadline: err=%v, want ErrTimeout", err)
 	}
 }

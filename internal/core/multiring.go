@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
 
 	"ringrpq/internal/glushkov"
 	"ringrpq/internal/lazy"
@@ -131,14 +130,16 @@ type Engine struct {
 	installment int
 
 	// per-evaluation state
-	stats    Stats
-	trace    *obs.Trace
-	deadline time.Time
-	steps    int
-	limit    int // Options.Limit
-	emit     EmitFunc
-	base     uint64
-	batch    bool
+	stats  Stats
+	trace  *obs.Trace
+	budget Budget
+	steps  int
+	// stop is the context's error when the emit wrapper saw it end.
+	stop  error
+	limit int // Options.Limit
+	emit  EmitFunc
+	base  uint64
+	batch bool
 
 	// st is the active expression's compiled stepper, installed by
 	// prepare alongside bArr.
@@ -225,10 +226,13 @@ func (e *Engine) deltaIrrelevant(expr pathexpr.Node) bool {
 
 // Eval evaluates q, calling emit for every result pair. Pairs are
 // distinct (set semantics) and their order is unspecified. It returns
-// the work statistics and ErrTimeout if the timeout fired (results
-// emitted so far are valid but incomplete). ctx is consulted once at
-// entry (FoldContext): it may carry an obs.Trace and tighten the
-// deadline, but is not polled during the traversal.
+// the work statistics and, when the evaluation's budget ran out,
+// ErrTimeout for a passed deadline (ctx's or Options.Timeout) or
+// ctx.Err() for a cancelled ctx; results emitted so far are valid but
+// incomplete. ctx is read at entry (a context already ended returns
+// before any work), polled after every result, and polled with the
+// clock at the traversal's checkDeadline probes; it may also carry an
+// obs.Trace, used when Options.Trace is nil.
 //
 // With a delta attached, Eval first decides whether the query needs it
 // (deltaIrrelevant). If not, this one evaluation runs with no delta
@@ -236,25 +240,30 @@ func (e *Engine) deltaIrrelevant(expr pathexpr.Node) bool {
 // as an engine that never had a delta — and the attached delta, with
 // its carried tombstone ranks, stays in place for the next one.
 func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc) (Stats, error) {
-	opts = FoldContext(ctx, opts)
+	e.budget = NewBudget(ctx, opts.Timeout)
+	if err := e.budget.Poll(); err != nil {
+		return Stats{}, err
+	}
+	if opts.Trace == nil {
+		opts.Trace = obs.FromContext(ctx)
+	}
 	e.ov, e.numNodes = e.delta, e.snapNodes
 	if e.deltaIrrelevant(q.Expr) {
 		e.ov, e.numNodes = noDelta{}, e.r.NumNodes
 	}
 	e.stats = Stats{}
 	e.steps = 0
+	e.stop = nil
 	e.base = 0
 	e.batch = !opts.DisableBatching
 	e.trace = opts.Trace
-	if opts.Timeout > 0 {
-		e.deadline = time.Now().Add(opts.Timeout)
-	} else {
-		e.deadline = time.Time{}
-	}
 	e.limit = opts.Limit
 	e.emit = func(s, o uint32) bool {
 		e.stats.Results++
 		if !emit(s, o) {
+			return false
+		}
+		if e.stop = e.budget.Poll(); e.stop != nil {
 			return false
 		}
 		return e.limit == 0 || e.stats.Results < e.limit
@@ -264,7 +273,10 @@ func (e *Engine) Eval(ctx context.Context, q Query, opts Options, emit EmitFunc)
 	err := e.dispatch(q, opts)
 	e.trace.EndVals(sp, int64(e.stats.ProductNodes), int64(e.stats.ProductEdges),
 		int64(e.stats.WaveletVisits), int64(e.stats.Results))
-	if errors.Is(err, errLimit) {
+	switch {
+	case e.stop != nil:
+		err = e.stop
+	case errors.Is(err, errLimit):
 		err = nil
 	}
 	return e.stats, err
@@ -760,13 +772,12 @@ func (e *Engine) startFromObjects(a *glushkov.Automaton) bool {
 	return count(a.Follow[0]) < count(a.Last)
 }
 
+// checkDeadline is the traversal's probe: every 64th call checks the
+// evaluation's budget (Budget.Check).
 func (e *Engine) checkDeadline() error {
 	e.steps++
-	if e.deadline.IsZero() || e.steps%64 != 0 {
+	if e.steps%64 != 0 {
 		return nil
 	}
-	if time.Now().After(e.deadline) {
-		return ErrTimeout
-	}
-	return nil
+	return e.budget.Check()
 }

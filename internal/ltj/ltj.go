@@ -27,11 +27,12 @@
 package ltj
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
+	"ringrpq/internal/core"
 	"ringrpq/internal/ring"
 	"ringrpq/internal/wavelet"
 )
@@ -40,10 +41,6 @@ import (
 // for the given patterns (the SIGMOD paper adds a second, reversed ring
 // for full generality).
 var ErrUnsupportedOrder = errors.New("ltj: no single-ring variable order for these patterns")
-
-// ErrTimeout reports that a join exceeded Options.Timeout; rows emitted
-// before the deadline are valid but incomplete.
-var ErrTimeout = errors.New("ltj: join timeout")
 
 // Options tune one join evaluation (core.Options-style).
 type Options struct {
@@ -55,9 +52,6 @@ type Options struct {
 	Order []string
 	// Limit caps the number of emitted rows; 0 means unlimited.
 	Limit int
-	// Timeout bounds wall-clock time, order search included; 0 means
-	// none. Exceeding it returns ErrTimeout.
-	Timeout time.Duration
 }
 
 // Term is one position of a triple pattern: a constant symbol or a
@@ -119,24 +113,22 @@ type Stats struct {
 
 // JoinWith evaluates the natural join of the patterns on r, without
 // allocating per row, under evaluation options: a caller-fixed variable
-// order, a row limit and a timeout. emit receives the row as a slice
-// indexed by order position — Options.Order, or ChooseOrder's result
-// over Estimates when that is nil — which is reused between calls;
-// emit returning false stops the enumeration. Rows emitted before a
-// timeout are valid; the limit truncates silently (nil error),
-// mirroring the RPQ engine's contract.
-func JoinWith(r *ring.Ring, patterns []Pattern, opts Options, emit func(row []uint32) bool) (Stats, error) {
+// order and a row limit. emit receives the row as a slice indexed by
+// order position — Options.Order, or ChooseOrder's result over
+// Estimates when that is nil — which is reused between calls; emit
+// returning false stops the enumeration. ctx bounds the join, order
+// search included, as it bounds an RPQ evaluation (core.Budget): a
+// passed deadline returns core.ErrTimeout and a cancellation ctx.Err(),
+// with the rows emitted so far valid; the limit truncates silently
+// (nil error), mirroring the RPQ engine's contract.
+func JoinWith(ctx context.Context, r *ring.Ring, patterns []Pattern, opts Options, emit func(row []uint32) bool) (Stats, error) {
 	if len(patterns) == 0 {
 		return Stats{}, nil
-	}
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
 	}
 	order := opts.Order
 	if order == nil {
 		var err error
-		if order, err = ChooseOrder(patterns, Estimates(r, patterns), deadline); err != nil {
+		if order, err = ChooseOrder(ctx, patterns, Estimates(r, patterns)); err != nil {
 			return Stats{}, err
 		}
 	} else if vars := Vars(patterns); !sameVars(order, vars) {
@@ -147,7 +139,7 @@ func JoinWith(r *ring.Ring, patterns []Pattern, opts Options, emit func(row []ui
 		return Stats{}, ErrUnsupportedOrder
 	}
 	j := newJoiner(r, patterns, order, rots)
-	j.emit, j.limit, j.deadline = emit, int64(opts.Limit), deadline
+	j.emit, j.limit, j.budget = emit, int64(opts.Limit), core.NewBudget(ctx, 0)
 	for i := range j.lead {
 		if !j.apply(&j.lead[i], 0) {
 			return j.stats, nil
@@ -265,11 +257,13 @@ func Estimates(r *ring.Ring, patterns []Pattern) map[string]float64 {
 // prefix no rotation assignment can extend is pruned, and the first
 // complete order is returned. Constant-predicate patterns fit every
 // order, so the search never backtracks on them; variable predicates
-// can make it exponential, hence the deadline (zero means none,
-// exceeding it returns ErrTimeout). ErrUnsupportedOrder means no order
+// can make it exponential, hence the probe of ctx at every step (a
+// passed deadline returns core.ErrTimeout, a cancellation ctx.Err()).
+// ErrUnsupportedOrder means no order
 // is feasible. With a caller-fixed order there is nothing to search:
 // JoinWith asks rotations for that order alone.
-func ChooseOrder(patterns []Pattern, est map[string]float64, deadline time.Time) ([]string, error) {
+func ChooseOrder(ctx context.Context, patterns []Pattern, est map[string]float64) ([]string, error) {
+	budget := core.NewBudget(ctx, 0)
 	vars := Vars(patterns)
 	order := make([]string, 0, len(vars))
 	bound := make(map[string]bool, len(vars))
@@ -282,14 +276,13 @@ func ChooseOrder(patterns []Pattern, est map[string]float64, deadline time.Time)
 		}
 		return false
 	}
-	timedOut := false
+	var stopped error
 	var rec func() bool
 	rec = func() bool {
 		if len(order) == len(vars) {
 			return true
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			timedOut = true
+		if stopped = budget.Check(); stopped != nil {
 			return false
 		}
 		var cands []string
@@ -315,7 +308,7 @@ func ChooseOrder(patterns []Pattern, est map[string]float64, deadline time.Time)
 			}
 			bound[v] = false
 			order = order[:len(order)-1]
-			if timedOut {
+			if stopped != nil {
 				return false
 			}
 		}
@@ -324,8 +317,8 @@ func ChooseOrder(patterns []Pattern, est map[string]float64, deadline time.Time)
 	switch {
 	case rec():
 		return order, nil
-	case timedOut:
-		return nil, ErrTimeout
+	case stopped != nil:
+		return nil, stopped
 	default:
 		return nil, ErrUnsupportedOrder
 	}
@@ -429,12 +422,12 @@ type joiner struct {
 	next func(c uint32, rb, re int) bool
 	lv   int
 
-	limit    int64
-	deadline time.Time
-	steps    int
-	stats    Stats
-	stopped  bool
-	failure  error
+	limit   int64
+	budget  core.Budget
+	steps   int
+	stats   Stats
+	stopped bool
+	failure error
 }
 
 // newJoiner compiles the patterns' rotation walks into per-level parts.
@@ -495,17 +488,17 @@ func newJoiner(r *ring.Ring, patterns []Pattern, order []string, rots []axis) *j
 	return j
 }
 
-// checkDeadline polls the wall clock every 64 candidates, mirroring
-// core.Engine's cadence.
+// checkDeadline checks the join's budget every 64 candidates,
+// mirroring core.Engine's cadence.
 //
 //ringrpq:noalloc
 func (j *joiner) checkDeadline() bool {
 	j.steps++
-	if j.deadline.IsZero() || j.steps%64 != 0 {
+	if j.steps%64 != 0 {
 		return true
 	}
-	if time.Now().After(j.deadline) {
-		j.failure = ErrTimeout
+	if err := j.budget.Check(); err != nil {
+		j.failure = err
 		j.stopped = true
 		return false
 	}

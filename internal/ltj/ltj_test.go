@@ -1,6 +1,7 @@
 package ltj
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ringrpq/internal/core"
 	"ringrpq/internal/datagen"
 	"ringrpq/internal/enginetest"
 	"ringrpq/internal/ring"
@@ -76,11 +78,11 @@ func sortRows(rows []rowMap, vars []string) []rowMap {
 // result row; emit returning false stops the enumeration. It returns
 // ErrUnsupportedOrder when no single-ring binding order exists.
 func joinRows(r *ring.Ring, patterns []Pattern, emit func(rowMap) bool) error {
-	order, err := ChooseOrder(patterns, Estimates(r, patterns), time.Time{})
+	order, err := ChooseOrder(context.Background(), patterns, Estimates(r, patterns))
 	if err != nil {
 		return err
 	}
-	_, err = JoinWith(r, patterns, Options{Order: order}, func(vals []uint32) bool {
+	_, err = JoinWith(context.Background(), r, patterns, Options{Order: order}, func(vals []uint32) bool {
 		row := make(rowMap, len(order))
 		for i, v := range order {
 			row[v] = vals[i]
@@ -268,7 +270,7 @@ func TestEarlyStop(t *testing.T) {
 	for _, c := range enumeratingJoins(t, g, r) {
 		for k := 1; k <= c.rows; k++ {
 			n := 0
-			st, err := JoinWith(r, c.patterns, Options{Order: c.order}, func([]uint32) bool {
+			st, err := JoinWith(context.Background(), r, c.patterns, Options{Order: c.order}, func([]uint32) bool {
 				n++
 				return n < k
 			})
@@ -309,7 +311,7 @@ func enumeratingJoins(t *testing.T, g *triples.Graph, r *ring.Ring) []enumeratin
 		if last := j.levels[len(j.levels)-1]; last.enum < 0 {
 			t.Fatalf("%s under %v: last level does not enumerate", c.name, order)
 		}
-		st, err := JoinWith(r, c.patterns, Options{Order: order}, func([]uint32) bool { return true })
+		st, err := JoinWith(context.Background(), r, c.patterns, Options{Order: order}, func([]uint32) bool { return true })
 		if err != nil || st.Rows < 2 {
 			t.Fatalf("%s: %+v, %v; the case needs rows to cut", c.name, st, err)
 		}
@@ -350,7 +352,7 @@ func TestJoinWithLimit(t *testing.T) {
 		t.Fatalf("need >= 4 rows for the limit test, have %d", len(all))
 	}
 	count := 0
-	st, err := JoinWith(r, patterns, Options{Limit: 3}, func([]uint32) bool { count++; return true })
+	st, err := JoinWith(context.Background(), r, patterns, Options{Limit: 3}, func([]uint32) bool { count++; return true })
 	if err != nil || count != 3 || st.Rows != 3 {
 		t.Fatalf("limit: count=%d stats=%+v err=%v, want 3 rows and nil error", count, st, err)
 	}
@@ -358,7 +360,7 @@ func TestJoinWithLimit(t *testing.T) {
 	for _, c := range enumeratingJoins(t, g, r) {
 		for k := 1; k <= c.rows; k++ {
 			n := 0
-			st, err := JoinWith(r, c.patterns, Options{Order: c.order, Limit: k}, func([]uint32) bool { n++; return true })
+			st, err := JoinWith(context.Background(), r, c.patterns, Options{Order: c.order, Limit: k}, func([]uint32) bool { n++; return true })
 			if err != nil || n != k || st.Rows != int64(k) {
 				t.Fatalf("%s: limit %d: %d rows, stats %+v, err %v", c.name, k, n, st, err)
 			}
@@ -384,16 +386,48 @@ func TestJoinWithTimeout(t *testing.T) {
 		{S: V("z"), P: C(p), O: V("w")},
 	}
 	count := 0
-	_, err := JoinWith(r, patterns, Options{Timeout: time.Nanosecond}, func([]uint32) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	_, err := JoinWith(ctx, r, patterns, Options{}, func([]uint32) bool {
 		count++
 		return true
 	})
-	if !errors.Is(err, ErrTimeout) {
+	if !errors.Is(err, core.ErrTimeout) {
 		t.Fatalf("timeout: got err=%v after %d rows, want ErrTimeout", err, count)
 	}
 	full := runJoin(t, r, patterns)
 	if count >= len(full) {
 		t.Fatalf("timeout did not truncate: %d rows of %d", count, len(full))
+	}
+}
+
+// A cancelled context stops a join that emits nothing inside the
+// join, at its first probe (64 candidates), rather than after the
+// whole enumeration: (?x p ?y . ?y p ?x) on a p chain has no row, but
+// the leapfrog over x seeks through every chain node.
+func TestJoinWithCancelledInsideJoin(t *testing.T) {
+	b := triples.NewBuilder()
+	for i := 0; i+1 < 2000; i++ {
+		b.Add(fmt.Sprintf("v%d", i), "p", fmt.Sprintf("v%d", i+1))
+	}
+	g := b.Build()
+	r := ring.New(g, ring.WaveletMatrix)
+	p, _ := g.PredID("p", false)
+	patterns := []Pattern{{S: V("x"), P: C(p), O: V("y")}, {S: V("y"), P: C(p), O: V("x")}}
+	opts := Options{Order: []string{"x", "y"}}
+	none := func([]uint32) bool {
+		t.Fatal("a row of a join without rows")
+		return false
+	}
+	full, err := JoinWith(context.Background(), r, patterns, opts, none)
+	if err != nil || full.Seeks < 2000 {
+		t.Fatalf("uncancelled: %+v, err %v", full, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st, err := JoinWith(ctx, r, patterns, opts, none)
+	if want := (Stats{Seeks: 95, Binds: 97}); !errors.Is(err, context.Canceled) || st != want {
+		t.Fatalf("cancelled: %+v, err %v; want context.Canceled with %+v (full join: %+v)", st, err, want, full)
 	}
 }
 
@@ -412,7 +446,7 @@ func TestJoinWithFixedOrder(t *testing.T) {
 		t.Fatal("x,y,z should be feasible")
 	}
 	var rows []rowMap
-	_, err := JoinWith(r, patterns, Options{Order: []string{"x", "y", "z"}}, func(vals []uint32) bool {
+	_, err := JoinWith(context.Background(), r, patterns, Options{Order: []string{"x", "y", "z"}}, func(vals []uint32) bool {
 		rows = append(rows, rowMap{"x": vals[0], "y": vals[1], "z": vals[2]})
 		return true
 	})
@@ -432,11 +466,11 @@ func TestJoinWithFixedOrder(t *testing.T) {
 	if Feasible(allVar, []string{"y", "x", "p"}) {
 		t.Fatal("y,x,p should be infeasible for (?x, ?p, ?y)")
 	}
-	_, err = JoinWith(r, allVar, Options{Order: []string{"y", "x", "p"}}, func([]uint32) bool { return true })
+	_, err = JoinWith(context.Background(), r, allVar, Options{Order: []string{"y", "x", "p"}}, func([]uint32) bool { return true })
 	if !errors.Is(err, ErrUnsupportedOrder) {
 		t.Fatalf("infeasible fixed order: got %v, want ErrUnsupportedOrder", err)
 	}
-	_, err = JoinWith(r, patterns, Options{Order: []string{"x", "y"}}, func([]uint32) bool { return true })
+	_, err = JoinWith(context.Background(), r, patterns, Options{Order: []string{"x", "y"}}, func([]uint32) bool { return true })
 	if err == nil || errors.Is(err, ErrUnsupportedOrder) {
 		t.Fatalf("incomplete order: got %v, want a coverage error", err)
 	}
@@ -546,7 +580,7 @@ func workBoundCases(tb testing.TB) (*ring.Ring, []struct {
 // chosenOrder is ChooseOrder's order for patterns.
 func chosenOrder(tb testing.TB, r *ring.Ring, patterns []Pattern) []string {
 	tb.Helper()
-	order, err := ChooseOrder(patterns, Estimates(r, patterns), time.Time{})
+	order, err := ChooseOrder(context.Background(), patterns, Estimates(r, patterns))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -568,7 +602,7 @@ func TestJoinWorkBound(t *testing.T) {
 				anchor = e
 			}
 		}
-		st, err := JoinWith(r, c.patterns, Options{}, func([]uint32) bool { return true })
+		st, err := JoinWith(context.Background(), r, c.patterns, Options{}, func([]uint32) bool { return true })
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -591,8 +625,8 @@ func TestJoinWithAllocs(t *testing.T) {
 	emit := func([]uint32) bool { return true }
 	for _, c := range cases {
 		order := chosenOrder(t, r, c.patterns)
-		full := testing.AllocsPerRun(20, func() { JoinWith(r, c.patterns, Options{Order: order}, emit) })
-		first := testing.AllocsPerRun(20, func() { JoinWith(r, c.patterns, Options{Order: order, Limit: 1}, emit) })
+		full := testing.AllocsPerRun(20, func() { JoinWith(context.Background(), r, c.patterns, Options{Order: order}, emit) })
+		first := testing.AllocsPerRun(20, func() { JoinWith(context.Background(), r, c.patterns, Options{Order: order, Limit: 1}, emit) })
 		if full != first {
 			t.Errorf("%s: %v allocs per full join, %v stopping at the first row; want equal", c.name, full, first)
 		}
@@ -609,7 +643,7 @@ func BenchmarkJoinWith(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := JoinWith(r, c.patterns, opts, emit); err != nil {
+				if _, err := JoinWith(context.Background(), r, c.patterns, opts, emit); err != nil {
 					b.Fatal(err)
 				}
 			}

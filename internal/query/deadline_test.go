@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -34,7 +35,9 @@ func TestRunDeadlineCoversPlanning(t *testing.T) {
 	// the whole call must come back almost immediately with ErrTimeout
 	// rather than planning and joining first.
 	start := time.Now()
-	err := runBindings(x, slowPlanPattern(), Options{Timeout: time.Nanosecond}, func(binding) bool { return true })
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	err := runBindings(ctx, x, slowPlanPattern(), Options{}, func(binding) bool { return true })
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("nanosecond budget: err = %v, want ErrTimeout", err)
@@ -49,7 +52,9 @@ func TestRunDeadlineCoversPlanning(t *testing.T) {
 	if n := len(x.plans); n != 0 {
 		t.Fatalf("the timed-out plan was memoised (%d plans held)", n)
 	}
-	if err := runBindings(x, slowPlanPattern(), Options{Timeout: time.Minute}, func(binding) bool { return true }); err != nil {
+	generous, cancel2 := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel2()
+	if err := runBindings(generous, x, slowPlanPattern(), Options{}, func(binding) bool { return true }); err != nil {
 		t.Fatalf("generous budget after timeout: %v", err)
 	}
 }
@@ -66,11 +71,13 @@ func TestRunDeadlineSharedWithLTJ(t *testing.T) {
 	// Warm the plan memo so the next run's planning is free, then
 	// exhaust the budget before the join starts: Run must report
 	// ErrTimeout without granting LTJ a fresh timeout.
-	if err := runBindings(x, q, Options{}, func(binding) bool { return true }); err != nil {
+	if err := runBindings(context.Background(), x, q, Options{}, func(binding) bool { return true }); err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
 	start := time.Now()
-	err := runBindings(x, q, Options{Timeout: time.Nanosecond}, func(binding) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	err := runBindings(ctx, x, q, Options{}, func(binding) bool {
 		time.Sleep(time.Millisecond) // any emitted row only slows the clock further
 		return true
 	})
@@ -79,5 +86,30 @@ func TestRunDeadlineSharedWithLTJ(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("exhausted budget ran for %v", elapsed)
+	}
+}
+
+// A cancellation made by an emitted row stops the pattern right after
+// that row, whether the row came from the join alone or from an RPQ
+// step: Run polls ctx after every row, as the kernel polls it after
+// every result.
+func TestRunCancelledByItsRow(t *testing.T) {
+	g := enginetest.RandomGraph(4, 40, 3, 200)
+	x := NewExec(g, ring.New(g, ring.WaveletMatrix))
+	for _, src := range []string{"?a pa ?b . ?b pb ?c", "?a pa ?b . ?b pb+ ?c"} {
+		if rows := runPattern(t, x, src, Options{}); len(rows) < 2 {
+			t.Fatalf("%s: %d rows; the case needs rows to cut", src, len(rows))
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		n := 0
+		err := runBindings(ctx, x, MustParse(src), Options{}, func(binding) bool {
+			n++
+			cancel()
+			return true
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) || n != 1 {
+			t.Fatalf("%s: err %v after %d rows, want context.Canceled after the one that cancelled", src, err, n)
+		}
 	}
 }

@@ -1,13 +1,13 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ringrpq/internal/datagen"
 	"ringrpq/internal/enginetest"
@@ -278,7 +278,7 @@ type orderStats struct{ orders, joins, flips int }
 func checkEveryOrder(t *testing.T, x *Exec, q *Query, src string, seed int64) (st orderStats) {
 	t.Helper()
 	r := x.r
-	pl, _, err := x.planFor(q, time.Time{}, false)
+	pl, _, err := x.planFor(context.Background(), q, false)
 	if err != nil || pl.Empty || len(pl.Triples) == 0 {
 		return st
 	}
@@ -294,7 +294,7 @@ func checkEveryOrder(t *testing.T, x *Exec, q *Query, src string, seed int64) (s
 			at[v] = i
 		}
 		var rows []string
-		if _, err := ltj.JoinWith(r, pats, ltj.Options{Order: order}, func(vals []uint32) bool {
+		if _, err := ltj.JoinWith(context.Background(), r, pats, ltj.Options{Order: order}, func(vals []uint32) bool {
 			var sb strings.Builder
 			for _, v := range vars {
 				fmt.Fprintf(&sb, "%s=%d;", v, vals[at[v]])
@@ -453,7 +453,7 @@ func checkExecutors(t *testing.T, xs []*Exec, q *Query, src string, want []strin
 		}
 		tr := obs.New()
 		var got []binding
-		err := runBindings(xs[i], q, Options{Trace: tr}, func(b binding) bool {
+		err := runBindings(context.Background(), xs[i], q, Options{Trace: tr}, func(b binding) bool {
 			got = append(got, b)
 			return true
 		})

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -96,7 +97,7 @@ func rowsOf(t *testing.T, x *Exec, src string) []string {
 	q := MustParse(src)
 	vars := q.OutVars()
 	var out []string
-	err := runBindings(x, q, Options{}, func(b binding) bool {
+	err := runBindings(context.Background(), x, q, Options{}, func(b binding) bool {
 		parts := make([]string, len(vars))
 		for i, v := range vars {
 			parts[i] = b[v]

@@ -2,8 +2,6 @@ package query
 
 import (
 	"context"
-	"errors"
-	"time"
 
 	"ringrpq/internal/core"
 	"ringrpq/internal/ltj"
@@ -18,15 +16,11 @@ import (
 // before the deadline are valid but incomplete.
 var ErrTimeout = core.ErrTimeout
 
-// Options tune one pattern evaluation.
+// Options tune one pattern evaluation; Run's context carries its time
+// budget.
 type Options struct {
 	// Limit caps the number of emitted bindings; 0 means unlimited.
 	Limit int
-	// Timeout bounds wall-clock evaluation time; 0 means none.
-	// Exceeding it returns ErrTimeout. The budget is one absolute
-	// deadline captured at entry covering planning, the LTJ core and
-	// every RPQ step — a pattern never runs materially past 1× it.
-	Timeout time.Duration
 	// Trace, when non-nil, records plan / ltj_join / rpq_step spans
 	// (and, nested below them, the engines' traverse and level spans).
 	Trace *obs.Trace
@@ -65,13 +59,15 @@ type Exec struct {
 	dirtyPlans map[string]*Plan
 }
 
-// maxPlans bounds the per-Exec plan memo and, separately, the
-// union-mode memo. On overflow the whole memo is dropped rather than
-// tracking recency, mirroring core's compilation memo. 1024 is the
-// service's default parse-cache capacity (ExprCacheEntries), so a
-// worker's memo holds every pattern the shared parse cache keeps hot;
-// at about 0.4 KB a plan, a full memo is about 0.5 MB.
-const maxPlans = 1024
+// MemoEntries bounds each memo of parsed and planned queries that a
+// service keeps hot: the service's shared expression and pattern parse
+// caches, and each Exec's plan memo and, separately, its union-mode
+// memo. One bound for all of them means a worker's memo holds every
+// pattern the shared parse cache keeps hot. An Exec drops its whole
+// memo on overflow rather than tracking recency, mirroring core's
+// compilation memo; at about 0.4 KB a plan, a full memo is about
+// 0.5 MB.
+const MemoEntries = 1024
 
 // NewExec builds a pattern executor over a single ring.
 func NewExec(g *triples.Graph, r *ring.Ring) *Exec {
@@ -112,16 +108,15 @@ func (x *Exec) evaluatorFor(depth int) *core.Engine {
 // Plan resolves and plans q without executing it (explain output and
 // planner tests).
 func (x *Exec) Plan(q *Query) (*Plan, error) {
-	pl, _, err := x.planFor(q, time.Time{}, x.dirty())
+	pl, _, err := x.planFor(context.Background(), q, x.dirty())
 	return pl, err
 }
 
-// planFor returns the memoised plan of q, planning on first use under
-// the given absolute deadline (zero = none); hit is 1 on a memo hit and
-// 0 when planned (the plan span's attribute). allSteps plans every
-// clause as a pipelined step (union mode bypasses LTJ, which reads
-// only the static ring).
-func (x *Exec) planFor(q *Query, deadline time.Time, allSteps bool) (pl *Plan, hit int64, err error) {
+// planFor returns the memoised plan of q, planning on first use within
+// ctx's budget; hit is 1 on a memo hit and 0 when planned (the plan
+// span's attribute). allSteps plans every clause as a pipelined step
+// (union mode bypasses LTJ, which reads only the static ring).
+func (x *Exec) planFor(ctx context.Context, q *Query, allSteps bool) (pl *Plan, hit int64, err error) {
 	memo := &x.plans
 	if allSteps {
 		memo = &x.dirtyPlans
@@ -130,11 +125,11 @@ func (x *Exec) planFor(q *Query, deadline time.Time, allSteps bool) (pl *Plan, h
 	if pl, ok := (*memo)[key]; ok {
 		return pl, 1, nil
 	}
-	p := &planner{g: x.g, r: x.r, subjects: x.subjects, deadline: deadline}
+	p := &planner{g: x.g, r: x.r, subjects: x.subjects, ctx: ctx}
 	if pl, err = p.plan(q, allSteps); err != nil {
 		return nil, 0, err
 	}
-	if *memo == nil || len(*memo) >= maxPlans {
+	if *memo == nil || len(*memo) >= MemoEntries {
 		*memo = make(map[string]*Plan, 16)
 	}
 	(*memo)[key] = pl
@@ -145,17 +140,16 @@ func (x *Exec) planFor(q *Query, deadline time.Time, allSteps bool) (pl *Plan, h
 // bound to q.Vars()[i] — a node id, or a completed predicate id for a
 // predicate-position variable. Rows are distinct; the slice is reused
 // between calls, so emit copies what it keeps, and may return false to
-// stop early. Exceeding Options.Timeout returns ErrTimeout with the rows
-// emitted so far still valid; Options.Limit truncates silently.
-func (x *Exec) Run(q *Query, opts Options, emit func(row []uint32) bool) error {
-	// One absolute deadline captured at entry governs planning, LTJ
-	// and every RPQ step: planning runs on the clock.
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
+// stop early. Options.Limit truncates silently. ctx bounds planning,
+// the LTJ core and every RPQ step alike: a passed deadline returns
+// ErrTimeout and a cancellation ctx.Err(), with the rows emitted so far
+// still valid; a ctx that has already ended returns before planning.
+func (x *Exec) Run(ctx context.Context, q *Query, opts Options, emit func(row []uint32) bool) error {
+	if err := core.CtxErr(ctx); err != nil {
+		return err
 	}
 	psp := opts.Trace.Begin(obs.SpanPlan)
-	pl, hit, err := x.planFor(q, deadline, x.dirty())
+	pl, hit, err := x.planFor(ctx, q, x.dirty())
 	opts.Trace.EndVals(psp, hit)
 	if err != nil {
 		return err
@@ -164,35 +158,26 @@ func (x *Exec) Run(q *Query, opts Options, emit func(row []uint32) bool) error {
 		return nil
 	}
 	rt := &run{
-		x: x, plan: pl, emit: emit,
-		limit:    opts.Limit,
-		row:      make([]uint32, len(pl.Vars)),
-		bound:    make([]bool, len(pl.Vars)),
-		deadline: deadline,
-		trace:    opts.Trace,
+		x: x, plan: pl, emit: emit, ctx: ctx, budget: core.NewBudget(ctx, 0),
+		limit: opts.Limit,
+		row:   make([]uint32, len(pl.Vars)),
+		bound: make([]bool, len(pl.Vars)),
+		trace: opts.Trace,
 	}
 
 	if len(pl.Triples) > 0 {
-		rem, ok := rt.remaining()
-		if !ok {
-			return ErrTimeout
-		}
 		// The join binds its variables for every row it emits.
 		for _, s := range pl.joinSlots {
 			rt.bound[s] = true
 		}
-		lopts := ltj.Options{Order: pl.Order, Timeout: rem}
 		jsp := rt.trace.Begin(obs.SpanLTJ)
-		st, err := ltj.JoinWith(x.r, pl.Triples, lopts, func(vals []uint32) bool {
+		st, err := ltj.JoinWith(ctx, x.r, pl.Triples, ltj.Options{Order: pl.Order}, func(vals []uint32) bool {
 			for i, s := range pl.joinSlots {
 				rt.row[s] = vals[i]
 			}
 			return rt.steps(0)
 		})
 		rt.trace.EndVals(jsp, st.Rows, st.Seeks, st.Binds)
-		if errors.Is(err, ltj.ErrTimeout) {
-			return ErrTimeout
-		}
 		if err != nil {
 			return err
 		}
@@ -204,48 +189,35 @@ func (x *Exec) Run(q *Query, opts Options, emit func(row []uint32) bool) error {
 
 // run is the per-evaluation state of one pattern execution.
 type run struct {
-	x     *Exec
-	plan  *Plan
-	emit  func([]uint32) bool
-	limit int
+	x    *Exec
+	plan *Plan
+	emit func([]uint32) bool
+	// ctx is Run's: every RPQ step evaluates under it. budget is its
+	// probe in the executor's own loops and after every row.
+	ctx    context.Context
+	budget core.Budget
+	limit  int
 	// emitted counts the rows delivered so far.
 	emitted int
 	// row holds the current values by slot (Plan.Vars) and bound marks
 	// the slots bound by the join or an earlier step.
-	row      []uint32
-	bound    []bool
-	deadline time.Time
-	ticks    int
-	failure  error
-	trace    *obs.Trace
+	row     []uint32
+	bound   []bool
+	ticks   int
+	failure error
+	trace   *obs.Trace
 }
 
-// remaining converts the deadline into a per-call engine timeout; false
-// means the deadline already passed.
-func (rt *run) remaining() (time.Duration, bool) {
-	if rt.deadline.IsZero() {
-		return 0, true
-	}
-	rem := time.Until(rt.deadline)
-	if rem <= 0 {
-		rt.failure = ErrTimeout
-		return 0, false
-	}
-	return rem, true
-}
-
-// tick is a cheap amortised deadline probe for the executor's own
-// loops (the union-mode edge enumerations).
+// tick is a cheap amortised probe of ctx for the executor's own loops
+// (the union-mode edge enumerations); the kernel and the join probe it
+// in theirs.
 func (rt *run) tick() bool {
 	rt.ticks++
-	if rt.deadline.IsZero() || rt.ticks%256 != 0 {
+	if rt.ticks%256 != 0 {
 		return true
 	}
-	if time.Now().After(rt.deadline) {
-		rt.failure = ErrTimeout
-		return false
-	}
-	return true
+	rt.failure = rt.budget.Check()
+	return rt.failure == nil
 }
 
 // set binds slot s (if it is a variable's) to v for the duration of a
@@ -278,12 +250,8 @@ func (rt *run) steps(i int) bool {
 	}
 	sid, sBound := rt.resolve(s.sSlot, s.SID)
 	oid, oBound := rt.resolve(s.oSlot, s.OID)
-	rem, ok := rt.remaining()
-	if !ok {
-		return false
-	}
 	eng := rt.x.evaluatorFor(i)
-	copts := core.Options{Timeout: rem, Trace: rt.trace}
+	copts := core.Options{Trace: rt.trace}
 
 	cq := core.Query{Subject: core.Variable, Object: core.Variable, Expr: s.Expr}
 	if sBound {
@@ -299,7 +267,7 @@ func (rt *run) steps(i int) bool {
 	switch {
 	case sBound && oBound:
 		found := false
-		_, err = eng.Eval(context.Background(), cq, core.Options{Timeout: rem, Limit: 1, Trace: rt.trace}, func(uint32, uint32) bool {
+		_, err = eng.Eval(rt.ctx, cq, core.Options{Limit: 1, Trace: rt.trace}, func(uint32, uint32) bool {
 			found = true
 			return false
 		})
@@ -308,7 +276,7 @@ func (rt *run) steps(i int) bool {
 		}
 	case !sBound && !oBound && s.sSlot == s.oSlot && s.sSlot >= 0:
 		// Same unbound variable on both ends: only v→v loops bind it.
-		_, err = eng.Eval(context.Background(), cq, copts, func(a, b uint32) bool {
+		_, err = eng.Eval(rt.ctx, cq, copts, func(a, b uint32) bool {
 			if a != b {
 				return true
 			}
@@ -327,7 +295,7 @@ func (rt *run) steps(i int) bool {
 		if !oBound {
 			oFree = s.oSlot
 		}
-		_, err = eng.Eval(context.Background(), cq, copts, func(a, b uint32) bool {
+		_, err = eng.Eval(rt.ctx, cq, copts, func(a, b uint32) bool {
 			rt.set(sFree, a)
 			rt.set(oFree, b)
 			cont = rt.steps(i + 1)
@@ -338,11 +306,7 @@ func (rt *run) steps(i int) bool {
 	}
 	rt.trace.End(ssp)
 	if err != nil {
-		if errors.Is(err, core.ErrTimeout) {
-			rt.failure = ErrTimeout
-		} else {
-			rt.failure = err
-		}
+		rt.failure = err
 		return false
 	}
 	return cont
@@ -456,10 +420,14 @@ func (rt *run) resolve(slot int, constID int64) (int64, bool) {
 	return core.Variable, false
 }
 
-// emitRow delivers the current row.
+// emitRow delivers the current row, then polls ctx, as the kernel's
+// emit wrapper does: a row that cancels the request is the last one.
 func (rt *run) emitRow() bool {
 	rt.emitted++
 	if !rt.emit(rt.row) {
+		return false
+	}
+	if rt.failure = rt.budget.Poll(); rt.failure != nil {
 		return false
 	}
 	return rt.limit == 0 || rt.emitted < rt.limit

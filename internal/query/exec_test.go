@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -33,10 +34,11 @@ func orgGraph() *triples.Graph {
 // completed predicate name ('^'-prefixed for inverses).
 type binding map[string]string
 
-// runBindings runs q on x, rendering every row as a binding by name.
-func runBindings(x *Exec, q *Query, opts Options, emit func(binding) bool) error {
+// runBindings runs q on x under ctx, rendering every row as a binding
+// by name.
+func runBindings(ctx context.Context, x *Exec, q *Query, opts Options, emit func(binding) bool) error {
 	vars, preds := q.Vars(), q.PredVars()
-	return x.Run(q, opts, func(row []uint32) bool {
+	return x.Run(ctx, q, opts, func(row []uint32) bool {
 		b := make(binding, len(row))
 		for i, v := range vars {
 			if preds[v] {
@@ -52,7 +54,7 @@ func runBindings(x *Exec, q *Query, opts Options, emit func(binding) bool) error
 func runPattern(t *testing.T, x *Exec, src string, opts Options) []binding {
 	t.Helper()
 	var out []binding
-	if err := runBindings(x, MustParse(src), opts, func(b binding) bool {
+	if err := runBindings(context.Background(), x, MustParse(src), opts, func(b binding) bool {
 		out = append(out, b)
 		return true
 	}); err != nil {
@@ -194,7 +196,9 @@ func TestExecLimitAndTimeout(t *testing.T) {
 	}
 	dense := b.Build()
 	xd := NewExec(dense, ring.New(dense, ring.WaveletMatrix))
-	err := runBindings(xd, MustParse("?x p ?y . ?y p+ ?z"), Options{Timeout: time.Nanosecond}, func(binding) bool { return true })
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	err := runBindings(ctx, xd, MustParse("?x p ?y . ?y p+ ?z"), Options{}, func(binding) bool { return true })
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("timeout: got %v", err)
 	}

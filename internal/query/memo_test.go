@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -40,7 +41,7 @@ func memoPool(n, preds int) []*Query {
 func runRows(t *testing.T, x *Exec, q *Query, opts Options) []string {
 	t.Helper()
 	var rows []string
-	if err := x.Run(q, opts, func(row []uint32) bool {
+	if err := x.Run(context.Background(), q, opts, func(row []uint32) bool {
 		rows = append(rows, fmt.Sprint(row))
 		return true
 	}); err != nil {
@@ -65,7 +66,7 @@ func TestPlanSpanReportsMemoHit(t *testing.T) {
 
 // TestPlanMemoHoldsPool runs a 300-pattern pool through one Exec
 // twice: the second pass must reuse every plan of the first. Past
-// maxPlans distinct patterns the memo is dropped whole, stays bounded,
+// MemoEntries distinct patterns the memo is dropped whole, stays bounded,
 // and answers as a fresh Exec does.
 func TestPlanMemoHoldsPool(t *testing.T) {
 	const preds = 4
@@ -92,10 +93,10 @@ func TestPlanMemoHoldsPool(t *testing.T) {
 		}
 	}
 
-	for _, q := range memoPool(maxPlans+1, preds) {
+	for _, q := range memoPool(MemoEntries+1, preds) {
 		got := runRows(t, x, q, Options{})
-		if n := len(x.plans); n > maxPlans {
-			t.Fatalf("memo holds %d plans, bound %d", n, maxPlans)
+		if n := len(x.plans); n > MemoEntries {
+			t.Fatalf("memo holds %d plans, bound %d", n, MemoEntries)
 		}
 		if want := runRows(t, NewExec(g, r), q, Options{}); !eqStrings(got, want) {
 			t.Fatalf("pattern %q: %d rows, a fresh Exec gives %d", q, len(got), len(want))
@@ -118,14 +119,14 @@ func BenchmarkExecRunPool(b *testing.B) {
 	opts := Options{Limit: 100}
 	emit := func([]uint32) bool { return true }
 	for _, q := range pool {
-		if err := x.Run(q, opts, emit); err != nil {
+		if err := x.Run(context.Background(), q, opts, emit); err != nil {
 			b.Fatalf("Run(%q): %v", q, err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := x.Run(pool[i%len(pool)], opts, emit); err != nil {
+		if err := x.Run(context.Background(), pool[i%len(pool)], opts, emit); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,7 @@
 package query
 
 import (
-	"errors"
-	"time"
+	"context"
 
 	"ringrpq/internal/core"
 	"ringrpq/internal/ltj"
@@ -71,16 +70,17 @@ type PathStep struct {
 type planner struct {
 	g        *triples.Graph
 	r        *ring.Ring
-	subjects []int     // the Exec's distinct-subject memo
-	deadline time.Time // absolute query deadline; zero = none
+	subjects []int // the Exec's distinct-subject memo
+	// ctx bounds the order search (ltj.ChooseOrder).
+	ctx context.Context
 }
 
 // plan resolves and orders q. A nil error with Empty set means the
 // query provably has no results. With allSteps set, every clause —
 // triple patterns included — is scheduled as a pipelined step (union
 // mode: LTJ reads only the static ring, so it is bypassed). Planning
-// honours the deadline: an order search that variable predicates make
-// backtrack returns ErrTimeout instead of running off the clock.
+// honours ctx: an order search that variable predicates make backtrack
+// returns ErrTimeout instead of running off the clock.
 func (p *planner) plan(q *Query, allSteps bool) (*Plan, error) {
 	pl := &Plan{VarEst: map[string]float64{}}
 	var paths []Clause
@@ -109,10 +109,7 @@ func (p *planner) plan(q *Query, allSteps bool) (*Plan, error) {
 				est[v] = e
 			}
 		}
-		order, err := ltj.ChooseOrder(pl.Triples, est, p.deadline)
-		if errors.Is(err, ltj.ErrTimeout) {
-			return nil, core.ErrTimeout
-		}
+		order, err := ltj.ChooseOrder(p.ctx, pl.Triples, est)
 		if err != nil {
 			return nil, err
 		}

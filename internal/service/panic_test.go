@@ -33,7 +33,7 @@ func (f *panicFake) Clone() Backend {
 	return f
 }
 
-func (f *panicFake) Eval(_ context.Context, subject string, expr pathexpr.Node, object string, limit int, timeout time.Duration, emit func(Solution) bool) error {
+func (f *panicFake) Eval(_ context.Context, subject string, expr pathexpr.Node, object string, limit int, emit func(Solution) bool) error {
 	f.shared.evals.Add(1)
 	switch subject {
 	case "boom":

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ringrpq/internal/query"
 )
@@ -30,7 +29,7 @@ func newPatternFake(rows int) *patternFake {
 
 func (f *patternFake) Clone() Backend { return &patternFake{shared: f.shared} }
 
-func (f *patternFake) EvalPattern(_ context.Context, q *query.Query, limit int, timeout time.Duration, emit func([]string) bool) error {
+func (f *patternFake) EvalPattern(_ context.Context, q *query.Query, limit int, emit func([]string) bool) error {
 	f.shared.evals.Add(1)
 	vars := q.OutVars()
 	for i := 0; i < f.shared.rows; i++ {

@@ -53,17 +53,17 @@ type Backend interface {
 	Clone() Backend
 	// Eval evaluates (subject, expr, object), streaming solutions to
 	// emit until exhaustion or until emit returns false. Endpoints
-	// beginning with '?' are variables. A limit of 0 means unlimited; a
-	// timeout of 0 means none; exceeding the timeout returns
-	// core.ErrTimeout with the solutions emitted so far still valid.
-	// ctx carries request-scoped telemetry (an obs.Trace for profiled
-	// requests); cancellation is handled by the service's emit wrapper,
-	// so backends need not watch ctx.Done themselves.
-	Eval(ctx context.Context, subject string, expr pathexpr.Node, object string, limit int, timeout time.Duration, emit func(Solution) bool) error
+	// beginning with '?' are variables. A limit of 0 means unlimited.
+	// ctx is the request's one time budget: the service has folded the
+	// request's timeout into its deadline. A passed deadline returns
+	// core.ErrTimeout and a cancellation ctx.Err(), with the solutions
+	// emitted so far still valid. ctx also carries request-scoped
+	// telemetry (an obs.Trace for profiled requests).
+	Eval(ctx context.Context, subject string, expr pathexpr.Node, object string, limit int, emit func(Solution) bool) error
 	// EvalPattern streams the projected, deduplicated result rows of
 	// the graph pattern q (values ordered by q.OutVars()); limit caps
-	// rows and timeout mirrors Eval's contract.
-	EvalPattern(ctx context.Context, q *query.Query, limit int, timeout time.Duration, emit func(row []string) bool) error
+	// rows, and ctx bounds it as it bounds Eval.
+	EvalPattern(ctx context.Context, q *query.Query, limit int, emit func(row []string) bool) error
 
 	// ApplyUpdates applies one live-update batch, adds then dels
 	// (POST /update).
@@ -113,12 +113,9 @@ type Config struct {
 	// submissions beyond it block until a slot frees or the caller's
 	// context fires. Default: 4×Workers.
 	QueueDepth int
-	// DefaultTimeout applies to requests that carry neither their own
-	// timeout nor a context deadline. Default: none.
+	// DefaultTimeout applies to requests that carry no timeout of their
+	// own; an earlier context deadline still wins. Default: none.
 	DefaultTimeout time.Duration
-	// ExprCacheEntries bounds the compiled-expression cache (raw and
-	// canonical keys). Default 1024; negative disables.
-	ExprCacheEntries int
 	// ResultCacheEntries bounds the result cache by entry count.
 	// Default 4096; negative disables.
 	ResultCacheEntries int
@@ -141,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
-	}
-	if c.ExprCacheEntries == 0 {
-		c.ExprCacheEntries = 1024
 	}
 	if c.ResultCacheEntries == 0 {
 		c.ResultCacheEntries = 4096
@@ -172,8 +166,10 @@ type Request struct {
 	// Limit caps the number of solutions (pattern requests: distinct
 	// projected rows); 0 or negative means unlimited.
 	Limit int
-	// Timeout bounds evaluation; 0 or negative defers to the context
-	// deadline and the service's DefaultTimeout.
+	// Timeout bounds the request from its submission: the service
+	// makes it the deadline of the request's context, unless that
+	// context's own deadline is earlier. 0 or negative defers to the
+	// context deadline and the service's DefaultTimeout.
 	Timeout time.Duration
 	// Count asks for the solution count only; Result.Solutions (or
 	// Rows) stays nil.
@@ -445,12 +441,9 @@ type job struct {
 	pattern *query.Query  // pattern requests
 	key     string        // result-cache key; "" = uncacheable
 	version uint64        // data version observed at submission
-	// deadline is the request's evaluation deadline, anchored at
-	// submission: queue wait counts against the budget, so a request
-	// that waited out its timeout evaluates to an immediate (empty,
-	// truncated) result instead of getting a fresh budget. Zero means
-	// unbounded.
-	deadline time.Time
+	// cancel releases ctx's deadline timer once the job is answered
+	// (nil when submit added no deadline).
+	cancel   context.CancelFunc
 	enqueued time.Time
 	done     chan Result
 
@@ -473,8 +466,8 @@ func New(backend Backend, cfg Config) *Service {
 		cfg:      cfg,
 		src:      backend,
 		queue:    make(chan *job, cfg.QueueDepth),
-		exprs:    newExprCache(cfg.ExprCacheEntries),
-		patterns: newPatternCache(cfg.ExprCacheEntries),
+		exprs:    newExprCache(query.MemoEntries),
+		patterns: newPatternCache(query.MemoEntries),
 		results:  newLRUCache(cfg.ResultCacheEntries, cfg.ResultCacheBytes),
 		slow:     obs.NewSlowLog(cfg.SlowQueryThreshold, cfg.SlowLogCapacity, slog.Default()),
 	}
@@ -611,22 +604,23 @@ func (s *Service) submit(ctx context.Context, req Request) (Result, chan Result)
 	}
 
 	j := &job{ctx: ctx, req: req, node: node, pattern: pat, key: key, version: version, done: make(chan Result, 1), trace: tr, root: root}
-	// Anchor the evaluation deadline now: time spent queued counts
-	// against the request's budget (the context-deadline clamp is kept).
+	j.enqueued = time.Now()
+	// The request's timeout becomes its context's deadline, anchored
+	// now: time spent queued counts against the budget, so a request
+	// that waited out its timeout evaluates to an immediate (empty,
+	// truncated) result instead of getting a fresh budget. An earlier
+	// deadline of the caller's context stays in force.
 	t := req.Timeout
 	if t <= 0 {
 		t = s.cfg.DefaultTimeout
 	}
 	if t > 0 {
-		j.deadline = time.Now().Add(t)
+		j.ctx, j.cancel = context.WithDeadline(ctx, j.enqueued.Add(t))
 	}
-	if dl, ok := ctx.Deadline(); ok && (j.deadline.IsZero() || dl.Before(j.deadline)) {
-		j.deadline = dl
-	}
-	j.enqueued = time.Now()
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
+		j.release()
 		return Result{Err: ErrClosed}, nil
 	}
 	//lint:ignore locksend the closed-check and enqueue must be atomic vs Close (which takes the write lock); the ctx case bounds the wait
@@ -636,8 +630,16 @@ func (s *Service) submit(ctx context.Context, req Request) (Result, chan Result)
 		return Result{}, j.done
 	case <-ctx.Done():
 		s.mu.RUnlock()
+		j.release()
 		s.rejected.Add(1)
 		return Result{Err: ctx.Err()}, nil
+	}
+}
+
+// release stops the deadline timer submit started for j, if any.
+func (j *job) release() {
+	if j.cancel != nil {
+		j.cancel()
 	}
 }
 
@@ -701,6 +703,7 @@ func (s *Service) worker(b Backend) {
 			b = s.src.Clone()
 		}
 		res, ok := s.runSafe(b, j, &a)
+		j.release()
 		if !ok {
 			b, a = nil, answer{}
 		}
@@ -822,9 +825,8 @@ func reuse[T any](xs []T, max int) []T {
 // collecting Solutions, a graph pattern through EvalPattern, collecting
 // Rows, both into the worker's scratch a.
 func (s *Service) run(b Backend, j *job, a *answer) Result {
-	// Only a cancellation ends the job here. submit folded a ctx
-	// deadline into j.deadline, so one that passed in the queue is the
-	// timeout below, as the request's own budget is.
+	// Only a cancellation ends the job here. A deadline that passed in
+	// the queue is the timeout below, as the request's own budget is.
 	if err := j.ctx.Err(); errors.Is(err, context.Canceled) {
 		s.cancelled.Add(1)
 		return Result{Err: err}
@@ -832,60 +834,39 @@ func (s *Service) run(b Backend, j *job, a *answer) Result {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	defer s.completed.Add(1)
-	j.wait = time.Since(j.enqueued)
+	now := time.Now()
+	j.wait = now.Sub(j.enqueued)
 	s.queueWait.Add(j.wait.Nanoseconds())
 	j.trace.Add(obs.SpanQueueWait, j.enqueued)
-
-	var timeout time.Duration
-	if !j.deadline.IsZero() {
-		timeout = time.Until(j.deadline)
-		if timeout <= 0 {
-			// The queue wait consumed the whole budget: an empty
-			// truncated result, exactly as if evaluation had started
-			// and timed out immediately.
-			s.timeouts.Add(1)
-			return Result{Err: core.ErrTimeout}
-		}
+	if dl, ok := j.ctx.Deadline(); ok && !now.Before(dl) {
+		// The queue wait consumed the whole budget: an empty truncated
+		// result, exactly as if evaluation had started and timed out
+		// immediately.
+		s.timeouts.Add(1)
+		return Result{Err: core.ErrTimeout}
 	}
 
-	var (
-		res     Result
-		stopped error
-	)
-	// emitted counts one solution or row and decides whether the
-	// evaluation goes on.
-	emitted := func() bool {
-		res.N++
-		if stopped != nil {
-			return false
-		}
-		// Best-effort cancellation between solutions; the deadline
-		// clamp above handles contexts with deadlines even when the
-		// traversal emits nothing for a while.
-		if res.N%1024 == 0 && j.ctx.Err() != nil {
-			stopped = j.ctx.Err()
-			return false
-		}
-		return true
-	}
+	var res Result
 	var eval func() error
 	if j.pattern == nil {
 		eval = func() error {
-			return b.Eval(j.ctx, j.req.Subject, j.node, j.req.Object, j.req.Limit, timeout, func(sol Solution) bool {
+			return b.Eval(j.ctx, j.req.Subject, j.node, j.req.Object, j.req.Limit, func(sol Solution) bool {
+				res.N++
 				if !j.req.Count {
 					a.sols = append(a.sols, sol)
 				}
-				return emitted()
+				return true
 			})
 		}
 	} else {
 		res.Vars = j.pattern.OutVars()
 		eval = func() error {
-			return b.EvalPattern(j.ctx, j.pattern, j.req.Limit, timeout, func(row []string) bool {
+			return b.EvalPattern(j.ctx, j.pattern, j.req.Limit, func(row []string) bool {
+				res.N++
 				if !j.req.Count {
 					a.rows = append(a.rows, row)
 				}
-				return emitted()
+				return true
 			})
 		}
 	}
@@ -896,29 +877,16 @@ func (s *Service) run(b Backend, j *job, a *answer) Result {
 	j.trace.EndVals(esp, int64(res.N))
 	a.take(&res)
 	switch {
-	case stopped != nil:
-		res.Err = s.ctxFailure(stopped)
 	case errors.Is(res.Err, core.ErrTimeout):
 		s.timeouts.Add(1)
+	case errors.Is(res.Err, context.Canceled):
+		s.cancelled.Add(1)
 	case res.Err != nil:
 		s.errs.Add(1)
 	default:
 		s.store(j, &res, a)
 	}
 	return res
-}
-
-// ctxFailure attributes a context failure to the right counter and
-// returns the error the result carries: a fired deadline is a timeout
-// (core.ErrTimeout, with whatever was collected), a deadline-less
-// cancellation (client disconnect) is the context's own error.
-func (s *Service) ctxFailure(err error) error {
-	if errors.Is(err, context.DeadlineExceeded) {
-		s.timeouts.Add(1)
-		return core.ErrTimeout
-	}
-	s.cancelled.Add(1)
-	return err
 }
 
 // store records a complete result in the result cache, charged for

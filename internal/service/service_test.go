@@ -22,11 +22,11 @@ type stubBackend struct{}
 
 var errStub = errors.New("stub backend: not supported")
 
-func (stubBackend) Eval(context.Context, string, pathexpr.Node, string, int, time.Duration, func(Solution) bool) error {
+func (stubBackend) Eval(context.Context, string, pathexpr.Node, string, int, func(Solution) bool) error {
 	return nil
 }
 
-func (stubBackend) EvalPattern(context.Context, *query.Query, int, time.Duration, func([]string) bool) error {
+func (stubBackend) EvalPattern(context.Context, *query.Query, int, func([]string) bool) error {
 	return errStub
 }
 
@@ -73,7 +73,7 @@ func newFake(solutions int) *fake {
 
 func (f *fake) Clone() Backend { return &fake{shared: f.shared} }
 
-func (f *fake) Eval(_ context.Context, subject string, expr pathexpr.Node, object string, limit int, timeout time.Duration, emit func(Solution) bool) error {
+func (f *fake) Eval(ctx context.Context, subject string, expr pathexpr.Node, object string, limit int, emit func(Solution) bool) error {
 	if f.busy.Swap(true) {
 		panic("fake backend used concurrently")
 	}
@@ -92,11 +92,11 @@ func (f *fake) Eval(_ context.Context, subject string, expr pathexpr.Node, objec
 		<-sh.gate
 	}
 	if sh.delay > 0 {
-		if timeout > 0 && sh.delay > timeout {
-			time.Sleep(timeout)
-			return core.ErrTimeout
+		select {
+		case <-time.After(sh.delay):
+		case <-ctx.Done():
+			return core.CtxErr(ctx)
 		}
-		time.Sleep(sh.delay)
 	}
 	n := sh.solutions
 	if limit > 0 && limit < n {

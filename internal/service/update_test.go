@@ -66,11 +66,11 @@ type partialFake struct {
 
 func (f *partialFake) Clone() Backend { return f }
 
-func (f *partialFake) Eval(_ context.Context, subject string, expr pathexpr.Node, object string, limit int, timeout time.Duration, emit func(Solution) bool) error {
+func (f *partialFake) Eval(ctx context.Context, subject string, expr pathexpr.Node, object string, limit int, emit func(Solution) bool) error {
 	f.evals.Add(1)
 	n := 5
 	var fail error
-	if timeout > 0 && timeout < 50*time.Millisecond {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < 50*time.Millisecond {
 		n, fail = 2, core.ErrTimeout
 	}
 	for i := 0; i < n; i++ {
@@ -128,7 +128,7 @@ type versionedFake struct {
 func (f *versionedFake) Clone() Backend      { return f }
 func (f *versionedFake) DataVersion() uint64 { return f.version.Load() }
 
-func (f *versionedFake) Eval(_ context.Context, subject string, expr pathexpr.Node, object string, limit int, timeout time.Duration, emit func(Solution) bool) error {
+func (f *versionedFake) Eval(_ context.Context, subject string, expr pathexpr.Node, object string, limit int, emit func(Solution) bool) error {
 	emit(Solution{Subject: fmt.Sprintf("m%d", f.marker.Load()), Object: "o"})
 	return nil
 }

@@ -72,7 +72,7 @@ func (f *wireFake) ApplyUpdates(context.Context, []UpdateTriple, []UpdateTriple)
 
 func (f *wireFake) name(i int) string { return f.names[i%len(f.names)] }
 
-func (f *wireFake) Eval(_ context.Context, subject string, _ pathexpr.Node, _ string, limit int, _ time.Duration, emit func(Solution) bool) error {
+func (f *wireFake) Eval(_ context.Context, subject string, _ pathexpr.Node, _ string, limit int, emit func(Solution) bool) error {
 	f.evals.Add(1)
 	v := strconv.FormatUint(f.version.Load(), 10)
 	for i := 0; i < f.n && (limit <= 0 || i < limit); i++ {
@@ -86,7 +86,7 @@ func (f *wireFake) Eval(_ context.Context, subject string, _ pathexpr.Node, _ st
 	return nil
 }
 
-func (f *wireFake) EvalPattern(_ context.Context, q *query.Query, limit int, _ time.Duration, emit func([]string) bool) error {
+func (f *wireFake) EvalPattern(_ context.Context, q *query.Query, limit int, emit func([]string) bool) error {
 	f.evals.Add(1)
 	for i := 0; i < f.n && (limit <= 0 || i < limit); i++ {
 		row := make([]string, len(q.OutVars()))
@@ -621,7 +621,7 @@ type countFake struct {
 func (f *countFake) Clone() Backend      { return f }
 func (f *countFake) DataVersion() uint64 { return f.version.Add(1) }
 
-func (f *countFake) Eval(_ context.Context, _ string, _ pathexpr.Node, _ string, _ int, _ time.Duration, emit func(Solution) bool) error {
+func (f *countFake) Eval(_ context.Context, _ string, _ pathexpr.Node, _ string, _ int, emit func(Solution) bool) error {
 	for _, sol := range f.sols[:f.n] {
 		if !emit(sol) {
 			break

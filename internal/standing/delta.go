@@ -22,8 +22,6 @@ type (
 	PatternQuery = query.Query
 	// SymbolIDs resolves expression symbols to completed predicate ids.
 	SymbolIDs = glushkov.SymbolIDs
-	// EvalOptions tunes one evaluation the Host runs for the registry.
-	EvalOptions = core.Options
 	// PredicateSym names one completed predicate id as an expression
 	// symbol (Inverse set for the completed inverse half).
 	PredicateSym = pathexpr.Sym
@@ -193,7 +191,7 @@ func (r *Registry) evalAll(snap Snapshot, s *Sub) (map[uint32]map[uint32]bool, e
 		}
 		q.Subject = int64(s.subjID)
 	}
-	err := r.host.EvalRPQ(snap, q, EvalOptions{Timeout: r.cfg.EvalTimeout}, func(x, y uint32) bool {
+	err := r.host.EvalRPQ(snap, q, func(x, y uint32) bool {
 		col := out[y]
 		if col == nil {
 			col = map[uint32]bool{}
@@ -209,7 +207,7 @@ func (r *Registry) evalAll(snap Snapshot, s *Sub) (map[uint32]map[uint32]bool, e
 func (r *Registry) evalColumn(snap Snapshot, s *Sub, y uint32) (map[uint32]bool, error) {
 	q := RPQ{Subject: core.Variable, Object: int64(y), Expr: s.expr}
 	var col map[uint32]bool
-	err := r.host.EvalRPQ(snap, q, EvalOptions{Timeout: r.cfg.EvalTimeout}, func(x, _ uint32) bool {
+	err := r.host.EvalRPQ(snap, q, func(x, _ uint32) bool {
 		if col == nil {
 			col = map[uint32]bool{}
 		}
@@ -394,7 +392,7 @@ func (r *Registry) affectedColumns(s *Sub, b *Batch) (cols []uint32, overflow bo
 			}
 			over := false
 			q := RPQ{Subject: int64(e.O), Object: core.Variable, Expr: s.closure}
-			if err := r.host.EvalRPQ(snap, q, EvalOptions{Timeout: r.cfg.EvalTimeout}, func(_, y uint32) bool {
+			if err := r.host.EvalRPQ(snap, q, func(_, y uint32) bool {
 				side[y] = true
 				if !seenAll[y] {
 					seenAll[y] = true
@@ -427,7 +425,7 @@ func (r *Registry) affectedColumns(s *Sub, b *Batch) (cols []uint32, overflow bo
 // evalRows evaluates a pattern subscription's full result table.
 func (r *Registry) evalRows(snap Snapshot, s *Sub) (map[string][]string, error) {
 	rows := map[string][]string{}
-	err := r.host.EvalPattern(snap, s.pat, r.cfg.EvalTimeout, func(row []string) bool {
+	err := r.host.EvalPattern(snap, s.pat, func(row []string) bool {
 		cp := make([]string, len(row))
 		copy(cp, row)
 		rows[rowKey(cp)] = cp

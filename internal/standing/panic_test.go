@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ringrpq/internal/pathexpr"
 )
@@ -30,14 +29,14 @@ func (h *panicHost) SymbolIDs() SymbolIDs {
 }
 func (h *panicHost) PredSym(uint32) PredicateSym { return PredicateSym{Name: "p"} }
 
-func (h *panicHost) EvalRPQ(_ Snapshot, _ RPQ, _ EvalOptions, _ func(subj, obj uint32) bool) error {
+func (h *panicHost) EvalRPQ(_ Snapshot, _ RPQ, _ func(subj, obj uint32) bool) error {
 	if h.arm.Load() {
 		panic("injected standing evaluation panic")
 	}
 	return nil
 }
 
-func (h *panicHost) EvalPattern(_ Snapshot, _ *PatternQuery, _ time.Duration, _ func(row []string) bool) error {
+func (h *panicHost) EvalPattern(_ Snapshot, _ *PatternQuery, _ func(row []string) bool) error {
 	return nil
 }
 

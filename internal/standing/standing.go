@@ -82,14 +82,11 @@ type Config struct {
 	// History bounds the per-subscription delta history that serves
 	// resume-from-version reconnects. Default 256.
 	History int
-	// DetachTTL is how long a detached (disconnected but resumable)
-	// subscription survives before the registry drops it. Default 2m.
-	DetachTTL time.Duration
-	// EvalTimeout bounds each evaluation the worker runs for one
-	// (subscription, batch) step; 0 means none. A timed-out step
-	// terminates the subscription rather than deliver a wrong delta.
-	EvalTimeout time.Duration
 }
+
+// detachTTL is how long a detached (disconnected but resumable)
+// subscription survives before the registry drops it.
+const detachTTL = 2 * time.Minute
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
@@ -97,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.History <= 0 {
 		c.History = 256
-	}
-	if c.DetachTTL <= 0 {
-		c.DetachTTL = 2 * time.Minute
 	}
 	return c
 }
@@ -154,11 +148,11 @@ type Host interface {
 	// NumNodes is the node-dictionary length when s was published.
 	NumNodes(s Snapshot) int
 	// EvalRPQ evaluates a core 2RPQ (ids resolved, core.Variable for
-	// unbound endpoints) against s; timeout 0 means none.
-	EvalRPQ(s Snapshot, q RPQ, opts EvalOptions, emit func(subj, obj uint32) bool) error
+	// unbound endpoints) against s, without a time bound.
+	EvalRPQ(s Snapshot, q RPQ, emit func(subj, obj uint32) bool) error
 	// EvalPattern streams the projected, deduplicated rows of q
-	// against s (values ordered by q.OutVars()).
-	EvalPattern(s Snapshot, q *PatternQuery, timeout time.Duration, emit func(row []string) bool) error
+	// against s (values ordered by q.OutVars()), without a time bound.
+	EvalPattern(s Snapshot, q *PatternQuery, emit func(row []string) bool) error
 	// NodeName and LookupNode expose the node dictionary.
 	NodeName(id uint32) string
 	LookupNode(name string) (uint32, bool)
@@ -717,7 +711,7 @@ func (r *Registry) pruneDetached() {
 	r.mu.Lock()
 	for _, s := range r.subs {
 		s.mu.Lock()
-		if s.detached && now.Sub(s.detachedAt) > r.cfg.DetachTTL {
+		if s.detached && now.Sub(s.detachedAt) > detachTTL {
 			expired = append(expired, s)
 		}
 		s.mu.Unlock()

@@ -141,8 +141,9 @@ func (s *Sub) Close() {
 
 // Detach marks the consumer as disconnected while keeping the
 // subscription resumable: deltas keep accumulating in the history (and
-// pending queue) until a Resume reattaches or Config.DetachTTL
-// expires. SSE/long-poll handlers call it when the connection drops.
+// pending queue) until a Resume reattaches or the registry's detach
+// TTL (2 minutes) expires. SSE/long-poll handlers call it when the
+// connection drops.
 func (s *Sub) Detach() {
 	s.mu.Lock()
 	if s.err == nil {

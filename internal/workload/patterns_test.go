@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"context"
 	"testing"
 
 	"ringrpq/internal/datagen"
@@ -66,7 +67,7 @@ func TestGeneratePatternsSatisfiable(t *testing.T) {
 	nonEmpty := 0
 	for _, pq := range qs {
 		n := 0
-		err := x.Run(query.MustParse(pq.Text), query.Options{Limit: 1}, func([]uint32) bool {
+		err := x.Run(context.Background(), query.MustParse(pq.Text), query.Options{Limit: 1}, func([]uint32) bool {
 			n++
 			return true
 		})

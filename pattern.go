@@ -11,8 +11,8 @@ import (
 	"encoding/binary"
 	"sort"
 
-	"ringrpq/internal/core"
 	"ringrpq/internal/ltj"
+	"ringrpq/internal/obs"
 	"ringrpq/internal/query"
 )
 
@@ -66,35 +66,38 @@ func (db *DB) name(pred bool, id uint32) string {
 // methods it must not be called concurrently on one DB; use Clone or a
 // Service. ctx, WithLimit and WithTimeout act as they do on Query: a
 // deadline returns ErrTimeout with the rows found so far, a cancelled
-// ctx stops at the next row with ctx.Err().
+// ctx stops at the next row or the evaluation's next probe with
+// ctx.Err().
 func (db *DB) Select(ctx context.Context, q string, opts ...QueryOption) (vars []string, rows [][]string, err error) {
 	node, err := query.Parse(q)
 	if err != nil {
 		return nil, nil, err
 	}
 	vars = node.OutVars()
+	o := options(opts)
+	if o.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
+		defer cancel()
+	}
 	snap := db.h.acquire()
 	defer db.h.release(snap)
-	err = watch(ctx, func(live func() bool) error {
-		return db.selectFuncOn(snap, node, core.FoldContext(ctx, options(opts)), func(row []string) bool {
-			if !live() {
-				return false
-			}
-			rows = append(rows, row)
-			return true
-		})
+	err = db.selectFuncOn(ctx, snap, node, o.Limit, func(row []string) bool {
+		rows = append(rows, row)
+		return true
 	})
 	return vars, rows, err
 }
 
 // selectFuncOn streams the projected, deduplicated rows of a pattern
 // (values ordered by the query's OutVars), evaluated against a pinned
-// snapshot; each row is freshly allocated. The limit caps distinct
-// projected rows, so the underlying evaluation runs unlimited and stops
-// once enough rows materialise; projection can identify distinct rows,
+// snapshot under ctx, which may carry an obs.Trace; each row is freshly
+// allocated. limit (0 = none) caps distinct projected rows, so the
+// underlying evaluation runs unlimited and stops once enough rows
+// materialise; projection can identify distinct rows,
 // hence the dedup on the projected ids (a name has one id, so that is
 // the dedup by name), and names are rendered only for the rows kept.
-func (db *DB) selectFuncOn(snap *snapshot, node *query.Query, o core.Options, emit func([]string) bool) error {
+func (db *DB) selectFuncOn(ctx context.Context, snap *snapshot, node *query.Query, limit int, emit func([]string) bool) error {
 	vars, preds := node.OutVars(), node.PredVars()
 	slot := make(map[string]int)
 	for i, v := range node.Vars() {
@@ -115,8 +118,8 @@ func (db *DB) selectFuncOn(snap *snapshot, node *query.Query, o core.Options, em
 		seen = map[string]struct{}{}
 	}
 	emitted := 0
-	qo := query.Options{Timeout: o.Timeout, Trace: o.Trace} // no Limit: see above
-	return db.patternFor(snap).Run(node, qo, func(row []uint32) bool {
+	qo := query.Options{Trace: obs.FromContext(ctx)} // no Limit: see above
+	return db.patternFor(snap).Run(ctx, node, qo, func(row []uint32) bool {
 		if seen != nil {
 			key = key[:0]
 			for _, s := range proj {
@@ -135,7 +138,7 @@ func (db *DB) selectFuncOn(snap *snapshot, node *query.Query, o core.Options, em
 		if !emit(out) {
 			return false
 		}
-		return o.Limit == 0 || emitted < o.Limit
+		return limit == 0 || emitted < limit
 	})
 }
 

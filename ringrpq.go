@@ -63,7 +63,6 @@ import (
 
 	"ringrpq/internal/bitvec"
 	"ringrpq/internal/core"
-	"ringrpq/internal/obs"
 	"ringrpq/internal/pathexpr"
 	"ringrpq/internal/query"
 	"ringrpq/internal/ring"
@@ -224,8 +223,8 @@ func ParseExpr(expr string) error {
 // endpoint names that do not occur in the graph yield no solutions.
 // ctx may carry an obs.Trace and a deadline; a deadline, like
 // WithTimeout, returns ErrTimeout with the solutions found so far, and
-// a cancelled ctx stops the evaluation at the next solution with
-// ctx.Err().
+// a cancelled ctx stops the evaluation at the next solution or the
+// traversal's next probe with ctx.Err().
 func (db *DB) Query(ctx context.Context, subject, expr, object string, opts ...QueryOption) ([]Solution, error) {
 	var out []Solution
 	err := db.QueryFunc(ctx, subject, expr, object, func(s Solution) bool {
@@ -242,56 +241,12 @@ func (db *DB) QueryFunc(ctx context.Context, subject, expr, object string, emit 
 	if err != nil {
 		return err
 	}
-	return watch(ctx, func(live func() bool) error {
-		return db.queryNode(ctx, subject, node, object, options(opts), func(s Solution) bool {
-			return live() && emit(s)
-		})
-	})
-}
-
-// watch runs one DB read whose emit callback checks live() before each
-// result: once ctx is done, live reports false and stops the
-// evaluation, and watch returns ctx's error in place of the
-// evaluation's (ErrTimeout for a passed deadline, as the engine reports
-// its own deadline). The service path does not come through here: its
-// workers poll the request context themselves.
-func watch(ctx context.Context, eval func(live func() bool) error) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	done := ctx.Done()
-	if done == nil {
-		return eval(func() bool { return true })
-	}
-	stopped := false
-	err := eval(func() bool {
-		select {
-		case <-done:
-			stopped = true
-			return false
-		default:
-			return true
-		}
-	})
-	if stopped {
-		return ctxErr(ctx)
-	}
-	return err
-}
-
-// ctxErr is ctx.Err() with a passed deadline reported as ErrTimeout.
-func ctxErr(ctx context.Context) error {
-	err := ctx.Err()
-	if errors.Is(err, context.DeadlineExceeded) {
-		return ErrTimeout
-	}
-	return err
+	return db.queryNode(ctx, subject, node, object, options(opts), emit)
 }
 
 // queryNode is QueryFunc over a pre-parsed expression (the entry point
 // used by Service workers, which share parsed ASTs across requests).
-// ctx reaches the engine (core.FoldContext): it may carry an obs.Trace
-// and tighten the evaluation deadline.
+// ctx reaches the engine, which stops on it (core.Engine.Eval).
 func (db *DB) queryNode(ctx context.Context, subject string, node pathexpr.Node, object string, options core.Options, emit func(Solution) bool) error {
 	q := core.Query{Subject: core.Variable, Object: core.Variable, Expr: node}
 	if !isVariable(subject) {
@@ -415,10 +370,10 @@ func (db *DB) String() string {
 }
 
 // ServiceConfig tunes a Service; the zero value picks sensible
-// defaults (GOMAXPROCS workers, 4×workers queue depth, 1024-entry
-// expression cache, 4096-entry / 64 MiB result cache). The graph-pattern
-// cache takes its bound from ExprCacheEntries too. Negative cache sizes
-// disable the corresponding cache.
+// defaults (GOMAXPROCS workers, 4×workers queue depth, 4096-entry /
+// 64 MiB result cache). Negative result-cache sizes disable that cache.
+// The expression and graph-pattern parse caches hold 1024 entries each,
+// as a worker's plan memo does.
 type ServiceConfig = service.Config
 
 // ServiceStats is a point-in-time snapshot of a Service's counters.
@@ -462,17 +417,15 @@ func (b dbBackend) Clone() service.Backend {
 	return dbBackend{db: b.db.Clone()}
 }
 
-func (b dbBackend) Eval(ctx context.Context, subject string, node pathexpr.Node, object string, limit int, timeout time.Duration, emit func(Solution) bool) error {
-	o := core.Options{Limit: limit, Timeout: timeout}
-	return b.db.queryNode(ctx, subject, node, object, o, emit)
+func (b dbBackend) Eval(ctx context.Context, subject string, node pathexpr.Node, object string, limit int, emit func(Solution) bool) error {
+	return b.db.queryNode(ctx, subject, node, object, core.Options{Limit: limit}, emit)
 }
 
 // EvalPattern evaluates a graph pattern (Select, POST /select).
-func (b dbBackend) EvalPattern(ctx context.Context, q *query.Query, limit int, timeout time.Duration, emit func([]string) bool) error {
-	o := core.Options{Limit: limit, Timeout: timeout, Trace: obs.FromContext(ctx)}
+func (b dbBackend) EvalPattern(ctx context.Context, q *query.Query, limit int, emit func([]string) bool) error {
 	snap := b.db.h.acquire()
 	defer b.db.h.release(snap)
-	return b.db.selectFuncOn(snap, q, o, emit)
+	return b.db.selectFuncOn(ctx, snap, q, limit, emit)
 }
 
 // ApplyUpdates applies one batch through DB.Apply (POST /update).

@@ -12,7 +12,6 @@ package ringrpq
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"ringrpq/internal/core"
 	"ringrpq/internal/pathexpr"
@@ -80,13 +79,13 @@ func (h standingHost) Release(s standing.Snapshot) { h.db.h.release(s.(*snapshot
 
 func (h standingHost) NumNodes(s standing.Snapshot) int { return s.(*snapshot).numNodes }
 
-func (h standingHost) EvalRPQ(s standing.Snapshot, q standing.RPQ, opts standing.EvalOptions, emit func(subj, obj uint32) bool) error {
-	_, err := h.db.evaluatorFor(s.(*snapshot)).Eval(context.Background(), q, opts, emit)
+func (h standingHost) EvalRPQ(s standing.Snapshot, q standing.RPQ, emit func(subj, obj uint32) bool) error {
+	_, err := h.db.evaluatorFor(s.(*snapshot)).Eval(context.Background(), q, core.Options{}, emit)
 	return err
 }
 
-func (h standingHost) EvalPattern(s standing.Snapshot, q *standing.PatternQuery, timeout time.Duration, emit func(row []string) bool) error {
-	return h.db.selectFuncOn(s.(*snapshot), q, core.Options{Timeout: timeout}, emit)
+func (h standingHost) EvalPattern(s standing.Snapshot, q *standing.PatternQuery, emit func(row []string) bool) error {
+	return h.db.selectFuncOn(context.Background(), s.(*snapshot), q, 0, emit)
 }
 
 func (h standingHost) NodeName(id uint32) string { return h.db.g.Nodes.Name(id) }
